@@ -168,7 +168,8 @@ def brute_force_opt(
         search(frozenset(), frozenset(), Fraction(0))
     else:
         enumerate_all()
-    assert best_cost is not None  # feasibility was pre-checked with all units
+    if best_cost is None:  # feasibility was pre-checked with all units
+        raise AssertionError("search found no feasible selection after a feasible pre-check")
 
     view = instance_view(inst, preselected | set(best_units))
     connectivity = {t: max_flow_value(view, root, t) for t in terminals}

@@ -110,8 +110,34 @@ def closest_sink_cut(view: FlowView, s: int, t: int) -> tuple[int, frozenset[int
     adj = view._residual()
     value = _max_flow(adj, s, t)
     side = _reaches_sink(adj, t)
-    assert s not in side
+    if s in side:
+        raise AssertionError("source still reaches the sink after a maximum flow")
     return value, side
+
+
+def farthest_sink_cut(view: FlowView, s: int, t: int) -> tuple[int, frozenset[int]]:
+    """Minimum s-t cut value and its inclusion-maximal sink side.
+
+    The sink side is every node the source cannot reach in the residual
+    network of a maximum flow; like ``closest_sink_cut`` it does not depend on
+    which maximum flow was found.  Every minimum cut's sink side lies inside
+    it.
+    """
+    if s == t:
+        raise ValueError("source and sink must differ")
+    adj = view._residual()
+    value = _max_flow(adj, s, t)
+    reached = {s}
+    queue = deque([s])
+    while queue:
+        x = queue.popleft()
+        for entry in adj[x]:
+            if entry[1] > 0 and entry[0] not in reached:
+                reached.add(entry[0])
+                queue.append(entry[0])
+    if t in reached:
+        raise AssertionError("source still reaches the sink after a maximum flow")
+    return value, frozenset(v for v in range(view.node_count) if v not in reached)
 
 
 def min_violated_cut(view: FlowView, s: int, t: int, bound: int) -> frozenset[int] | None:
@@ -164,7 +190,8 @@ def max_flow_paths(view: FlowView, s: int, t: int) -> list[list[int]]:
                 if remaining.get((u, slot), 0) > 0 and entry[0] not in parent:
                     parent[entry[0]] = (u, slot)
                     queue.append(entry[0])
-        assert t in parent, "flow decomposition lost a unit of flow"
+        if t not in parent:
+            raise AssertionError("flow decomposition lost a unit of flow")
         nodes = [t]
         v = t
         while v != s:

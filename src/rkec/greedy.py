@@ -6,6 +6,16 @@ the star minimizing (head cost + leg costs) / leaf count until no core is
 left at the phase's level.  Leg sets of different leaves may overlap; the
 duplicates are bought once but the density keeps the summed price, which only
 makes the chosen star look worse, never infeasible.
+
+Pricing every (head, core) pair is the reference (``price_star_edges`` +
+``best_star``); ``cheapest_star`` gives the same star with far less work.  It
+builds one pricing context per star: the working arcs, the candidate list
+and, per core, the no-head ring, its price and its ring maximum.  A head
+(u, v) with v outside the ring maximum or u inside the core enters no ring
+member, so it leaves the core's price exactly at the shared no-head price;
+only the other pairs run a primal-dual of their own.  Each head is first
+bounded below from the prices it already knows, and skipped when even that
+bound loses to the best star so far.
 """
 
 from __future__ import annotations
@@ -14,9 +24,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .deficiency import CoreInfo, rooted_cores, rooted_max_level
+from .deficiency import CoreInfo, rooted_cores
+from .flows import instance_view
 from .instance import Instance, IterationRecord, Unit
-from .rings import RingCover, build_ring_context, free_leg_candidates, primal_dual_ring_cover
+from .rings import (
+    RingContext,
+    RingCover,
+    build_ring_context,
+    core_ring_context,
+    free_leg_candidates,
+    primal_dual_ring_cover,
+    ring_maximum,
+    with_head,
+)
 
 
 @dataclass(frozen=True)
@@ -76,6 +96,21 @@ def price_star_edges(
     return prices
 
 
+def _best_prefix(head_cost: Fraction, costs) -> tuple[Fraction, int]:
+    """Least (head + first j costs) / j over the ascending ``costs``.
+
+    Ties go to the larger j; returns (density, j).
+    """
+    best = None
+    running = Fraction(0)
+    for j, cost in enumerate(costs, start=1):
+        running += cost
+        key = ((head_cost + running) / j, -j)
+        if best is None or key < best:
+            best = key
+    return best[0], -best[1]
+
+
 def _scan_head(
     head: Unit,
     head_cost: Fraction,
@@ -88,15 +123,7 @@ def _scan_head(
         (Leaf(core, cover.legs, cover.cost) for core, cover in priced),
         key=lambda lf: (lf.leg_cost, lf.core.representative),
     )
-    best = None
-    running = Fraction(0)
-    for j, leaf in enumerate(leaves, start=1):
-        running += leaf.leg_cost
-        density = (head_cost + running) / j
-        key = (density, -j)
-        if best is None or key < best[0]:
-            best = (key, j)
-    (density, neg_j), j = best
+    density, j = _best_prefix(head_cost, [lf.leg_cost for lf in leaves])
     chosen = tuple(leaves[:j])
     star = Star(head, chosen, head_cost + sum((lf.leg_cost for lf in chosen), Fraction(0)), density)
     full_key = (
@@ -128,25 +155,77 @@ def best_star(inst: Instance, prices) -> Star:
     return best[1]
 
 
+@dataclass(frozen=True)
+class CorePricing:
+    """What pricing one core shares across every head of a star selection."""
+
+    core: CoreInfo
+    ring: RingContext  # the core's ring with no head
+    shared: RingCover | None  # its price with no head; None when unpriceable
+    ring_max: frozenset[int]  # holds every ring member
+
+    def relevant(self, arc: tuple[int, int]) -> bool:
+        """Whether a head on ``arc`` can enter some member of the ring."""
+        tail, head = arc
+        return head in self.ring_max and tail not in self.core.members
+
+
+def pricing_context(inst: Instance, units, cores, level: int) -> list[CorePricing]:
+    """Per core: the no-head ring, its shared price and its ring maximum.
+
+    The working arcs and the candidate list are built once for all cores.
+    """
+    working = instance_view(inst, units).arcs
+    candidates = candidate_heads(inst, units)
+    out = []
+    for core in cores:
+        ring = core_ring_context(inst, working, candidates, cores, core, level)
+        out.append(CorePricing(core, ring, primal_dual_ring_cover(ring), ring_maximum(ring)))
+    return out
+
+
 def cheapest_star(inst: Instance, units, cores, level: int) -> Star:
     """Same selection as price-everything + best_star, pricing lazily.
 
-    Heads are visited in ascending cost; any star with head h has density at
-    least cost(h) / |cores|, so once that lower bound exceeds the best density
+    Relevance: a head (u, v) can only change core C's price if it enters a
+    member of C's ring, which needs v inside the ring maximum (the farthest
+    minimum cut around C's representative, which holds every member) and u
+    outside C (the closest one, inside every member).  For any other pair the
+    ring's violated sets are the same with and without the head, so the dual
+    ascent raises the same sets, picks the same legs and reverse-deletes the
+    same ones; the head's own edge never enters a violated set either, so
+    leaving it among the candidates changes nothing.  Such a pair reuses the
+    core's shared no-head cover exactly, and only relevant pairs run a
+    primal-dual of their own.
+
+    Bounds: heads are visited in ascending cost.  Any star with head h has
+    density at least cost(h) / |cores|, so once that exceeds the best density
     seen the remaining heads cannot win (nor tie, the bound is strict).
+    Before pricing a head, its best density is bounded below by the best
+    prefix over its known leaf prices, 0 standing in for every relevant core;
+    a head whose bound is strictly above the best density is skipped.
     """
+    pricing = pricing_context(inst, units, cores, level)
     m = len(cores)
     best = None
     for head in sorted(candidate_heads(inst, units), key=lambda u: (inst.unit_cost(u), u)):
         head_cost = inst.unit_cost(head)
         if best is not None and head_cost / m > best[0][0]:
             break
+        arc = inst.unit_arc(head)
+        relevant = [p.relevant(arc) for p in pricing]
+        floor = sorted(
+            Fraction(0) if rel else p.shared.cost
+            for p, rel in zip(pricing, relevant)
+            if rel or p.shared is not None
+        )
+        if not floor or (best is not None and _best_prefix(head_cost, floor)[0] > best[0][0]):
+            continue
         priced = []
-        for core in cores:
-            ctx = build_ring_context(inst, units, cores, core, head, level)
-            cover = primal_dual_ring_cover(ctx)
+        for p, rel in zip(pricing, relevant):
+            cover = primal_dual_ring_cover(with_head(p.ring, head)) if rel else p.shared
             if cover is not None:
-                priced.append((core, cover))
+                priced.append((p.core, cover))
         scanned = _scan_head(head, head_cost, priced)
         if scanned and (best is None or scanned[0] < best[0]):
             best = scanned
@@ -183,8 +262,9 @@ def run_phase(inst: Instance, units, level: int) -> PhaseResult:
         selected.update(new_units)
         added.extend(new_units)
 
-        new_level = rooted_max_level(inst, selected)
-        cores_after = rooted_cores(inst, selected) if new_level == level else []
+        cores_after = rooted_cores(inst, selected)
+        if cores_after and cores_after[0].deficiency != level:
+            cores_after = []  # the level dropped: this phase is done
         drop = len(cores) - len(cores_after)
         if drop <= 0:
             raise AssertionError("greedy iteration failed to retire any core")

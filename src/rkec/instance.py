@@ -304,9 +304,41 @@ def solution_to_doc(sol: Solution) -> dict:
     }
 
 
+def _selection_from_doc(raw) -> dict[int, int]:
+    """Edge id -> units bought, from a list of [edge id, count] integer pairs."""
+    if not isinstance(raw, list):
+        raise ParseError("selected must be a list of [edge id, count] pairs")
+    selected: dict[int, int] = {}
+    for rec in raw:
+        if not (isinstance(rec, list) and len(rec) == 2 and all(type(v) is int for v in rec)):
+            raise ParseError(f"selected entry {rec!r} is not an [edge id, count] pair of integers")
+        eid, count = rec
+        if eid in selected:
+            raise ParseError(f"edge {eid} is listed twice in selected")
+        selected[eid] = count
+    return selected
+
+
+def check_selection(inst: Instance, selected: dict[int, int]) -> None:
+    """Reject a selection the instance does not offer.
+
+    Every id must name a positive-cost edge (zero-cost edges are already in
+    the working graph, so selecting one would count its capacity twice) and
+    be bought between once and its multiplicity.
+    """
+    for eid, count in selected.items():
+        e = inst.edge_by_id.get(eid)
+        if e is None:
+            raise ParseError(f"selected edge {eid} is not in the instance")
+        if e.cost == 0:
+            raise ParseError(f"selected edge {eid} costs zero and is always present")
+        if not 1 <= count <= e.mult:
+            raise ParseError(f"edge {eid} selected {count} times, multiplicity {e.mult}")
+
+
 def solution_from_doc(doc: dict) -> Solution:
     try:
-        selected = {rec[0]: rec[1] for rec in doc["selected"]}
+        selected = _selection_from_doc(doc["selected"])
         return Solution(
             selected=selected,
             total_cost=frac_from_obj(doc["total_cost"]),

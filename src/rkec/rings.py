@@ -4,11 +4,13 @@ For a core C at residual level l, the deficient sets that contain no other
 core form a ring: they all contain C, and union/intersection stay inside.
 The ring is never materialized.  Instead the working graph is extended with
 saturating root arcs (capacity l) to every terminal of every other core,
-which pushes all sets containing such terminals below the top level, plus the
-candidate head edge at capacity one.  The remaining top-level sets are
+which pushes all sets containing such terminals below the top level; that is
+the core's context with no head (``core_ring_context``).  ``with_head`` adds
+the candidate head edge at capacity one.  The remaining top-level sets are
 exactly the ring members not already covered by the head, so each "minimal
 violated set" query is one closest-cut computation at the core's
-representative terminal.
+representative terminal, and the union of all ring members is the farthest
+minimum cut there (``ring_maximum``).
 
 The cover itself comes from dual ascent plus reverse delete.  Minimal
 violated sets of a shrinking ring form a strictly increasing chain, so the
@@ -22,19 +24,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .deficiency import CoreInfo
-from .flows import Arc, FlowView, min_violated_cut
+from .flows import Arc, FlowView, farthest_sink_cut, instance_view, min_violated_cut
 from .instance import Instance, Unit
 
 
 @dataclass(frozen=True)
 class RingContext:
-    """Implicit ring for (core, head) over a fixed partial selection."""
+    """Implicit ring for (core, head) over a fixed partial selection.
+
+    A context without a head (``head is None``) prices the core's ring with
+    the legs alone; ``with_head`` adds a head to it.
+    """
 
     inst: Instance
     level: int
     target: CoreInfo
-    head: Unit
-    base_arcs: tuple[Arc, ...]  # working graph + saturating arcs + head
+    head: Unit | None
+    base_arcs: tuple[Arc, ...]  # working graph + saturating arcs (+ head)
     candidates: tuple[Unit, ...]  # one free unit per positive edge, head's edge excluded
 
     def _view(self, extra_units) -> FlowView:
@@ -43,17 +49,6 @@ class RingContext:
             tail, head = self.inst.unit_arc(u)
             arcs.append(Arc(tail, head, 1))
         return FlowView(self.inst.node_count, arcs)
-
-
-def _working_arcs(inst: Instance, units) -> list[Arc]:
-    arcs = [Arc(e.tail, e.head, e.mult) for e in inst.zero_edges]
-    counts: dict[int, int] = {}
-    for eid, _ in units:
-        counts[eid] = counts.get(eid, 0) + 1
-    for eid in sorted(counts):
-        e = inst.edge_by_id[eid]
-        arcs.append(Arc(e.tail, e.head, counts[eid]))
-    return arcs
 
 
 def saturating_arcs(inst: Instance, all_cores, target: CoreInfo, level: int) -> list[Arc]:
@@ -72,7 +67,7 @@ def saturating_arcs(inst: Instance, all_cores, target: CoreInfo, level: int) -> 
     return arcs
 
 
-def free_leg_candidates(inst: Instance, units, exclude_edge: int | None = None) -> tuple[Unit, ...]:
+def free_leg_candidates(inst: Instance, units) -> tuple[Unit, ...]:
     """Lowest free copy of each positive edge.
 
     A second parallel copy can never help cover a ring (each member only needs
@@ -83,12 +78,45 @@ def free_leg_candidates(inst: Instance, units, exclude_edge: int | None = None) 
         taken[eid] = taken.get(eid, 0) + 1
     out = []
     for e in sorted(inst.positive_edges, key=lambda e: e.id):
-        if e.id == exclude_edge:
-            continue
         used = taken.get(e.id, 0)
         if used < e.mult:
             out.append((e.id, used))
     return tuple(out)
+
+
+def core_ring_context(
+    inst: Instance,
+    working,
+    candidates,
+    all_cores,
+    target: CoreInfo,
+    level: int,
+) -> RingContext:
+    """The target's ring with no head, over prebuilt working arcs and candidates.
+
+    ``working`` is the arc list of ``instance_view`` for the selection and
+    ``candidates`` its ``free_leg_candidates``; both are shared by every core
+    and every head of one star selection.
+    """
+    base = tuple(working) + tuple(saturating_arcs(inst, all_cores, target, level))
+    return RingContext(inst, level, target, None, base, tuple(candidates))
+
+
+def with_head(ctx: RingContext, head: Unit) -> RingContext:
+    """The same ring with ``head`` riding along at cost zero.
+
+    The head's arc joins the base at capacity one and its edge leaves the
+    candidates: a second copy of it never helps.
+    """
+    tail, head_node = ctx.inst.unit_arc(head)
+    return RingContext(
+        ctx.inst,
+        ctx.level,
+        ctx.target,
+        head,
+        ctx.base_arcs + (Arc(tail, head_node, 1),),
+        tuple(u for u in ctx.candidates if u[0] != head[0]),
+    )
 
 
 def build_ring_context(
@@ -99,12 +127,26 @@ def build_ring_context(
     head: Unit,
     level: int,
 ) -> RingContext:
-    base = _working_arcs(inst, units)
-    base.extend(saturating_arcs(inst, all_cores, target, level))
-    tail, head_node = inst.unit_arc(head)
-    base.append(Arc(tail, head_node, 1))  # the head rides along at cost zero
-    candidates = free_leg_candidates(inst, units, exclude_edge=head[0])
-    return RingContext(inst, level, target, head, tuple(base), candidates)
+    base = core_ring_context(
+        inst,
+        instance_view(inst, units).arcs,
+        free_leg_candidates(inst, units),
+        all_cores,
+        target,
+        level,
+    )
+    return with_head(base, head)
+
+
+def ring_maximum(ctx: RingContext) -> frozenset[int]:
+    """A node set holding every member of the context's ring.
+
+    Ring members are the minimum root-representative cuts of the base graph,
+    so all of them lie inside the farthest one's sink side; when the base
+    already meets the target there are no members at all.  One max-flow.
+    """
+    view = ctx._view(())
+    return farthest_sink_cut(view, ctx.inst.root, ctx.target.representative)[1]
 
 
 def min_violated_set(ctx: RingContext, legs) -> frozenset[int] | None:

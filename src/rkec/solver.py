@@ -92,20 +92,23 @@ def solve(inst: Instance, *, prune: bool = False) -> SolveReport:
 
     selected: list = []
     phases: list[PhaseResult] = []
-    start_level = rooted_max_level(inst, ())
-    for level in range(start_level, 0, -1):
-        current = rooted_max_level(inst, selected)
+    current = rooted_max_level(inst, selected)
+    for level in range(current, 0, -1):
         if current < level:
             continue  # this level emptied out already
         result = run_phase(inst, selected, level)
         selected.extend(result.added)
         phases.append(result)
-        if rooted_max_level(inst, selected) > level - 1:
+        current = rooted_max_level(inst, selected)
+        if current > level - 1:
             raise AssertionError(f"phase at level {level} left the level uncovered")
 
     records = [rec for ph in phases for rec in ph.iterations]
     solution = _make_solution(inst, selected, records)
-    assert solution.feasible
+    if not solution.feasible:
+        raise AssertionError(
+            f"greedy selection leaves a terminal short of k: {solution.connectivity}"
+        )
     report = SolveReport(
         solution=solution,
         phases=phases,

@@ -20,13 +20,18 @@ import mpmath
 
 from .exact import brute_force_opt
 from .flows import instance_view, max_flow_paths, max_flow_value
-from .instance import Instance, SizeRefusalError, Solution, frac_to_str
+from .instance import Instance, SizeRefusalError, Solution, check_selection, frac_to_str
 from .solver import SolveReport
 
 
 def check_feasible(inst: Instance, sol: Solution) -> tuple[dict[int, int], bool]:
     """Recompute per-terminal connectivity of the zero-cost graph plus the
-    selected units; True iff every terminal reaches the target."""
+    selected units; True iff every terminal reaches the target.
+
+    Raises ParseError when the selection names an edge the instance does not
+    offer (see ``check_selection``).
+    """
+    check_selection(inst, sol.selected)
     view = instance_view(inst, sol.units())
     conn = {t: max_flow_value(view, inst.root, t) for t in sorted(inst.terminals)}
     return conn, all(v >= inst.k for v in conn.values())

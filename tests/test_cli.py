@@ -104,6 +104,39 @@ def test_verify_tampered_solution_is_infeasible(instance_file, tmp_path):
     assert code == 3
 
 
+# root 0, terminal 1, k = 2: a free 0->1 arc (edge 1) and a priced one (edge 2)
+TWO_ARC_JSON = """{
+  "n": 2, "root": 0, "terminals": [1], "k": 2,
+  "edges": [
+    {"id": 1, "tail": 0, "head": 1, "cost": "0", "mult": 1},
+    {"id": 2, "tail": 0, "head": 1, "cost": "3", "mult": 1}
+  ]
+}"""
+
+
+@pytest.mark.parametrize(
+    "selected",
+    [
+        [[2, 2]],  # two copies of a mult-1 edge would read as feasible
+        [[1, 1]],  # the free edge again would count its capacity twice
+        [[99, 1]],  # no such edge
+        {"22": 1},  # not a list of pairs
+    ],
+    ids=["over-multiplicity", "zero-cost", "unknown-edge", "dict-shaped"],
+)
+def test_verify_rejects_selection_the_instance_does_not_offer(tmp_path, capsys, selected):
+    inst = tmp_path / "inst.json"
+    inst.write_text(TWO_ARC_JSON)
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({
+        "kind": "solution", "selected": selected, "total_cost": "0",
+        "connectivity": {}, "feasible": True,
+    }))
+    code = run("verify", "--instance", inst, "--solution", sol, "--out", tmp_path / "a.json")
+    assert code == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_bench_corpus(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

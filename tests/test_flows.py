@@ -8,6 +8,7 @@ from rkec.flows import (
     Arc,
     FlowView,
     closest_sink_cut,
+    farthest_sink_cut,
     instance_view,
     max_flow_paths,
     max_flow_value,
@@ -82,6 +83,24 @@ def test_duality_and_minimality_against_enumeration(seed):
     assert value == oracle_value
     # the returned side is the unique minimal minimum cut
     assert minimal_sets(oracle_sides) == [side]
+
+
+def test_farthest_cut_simple_chain():
+    v = view(3, [(0, 1, 1), (1, 2, 1)])
+    assert farthest_sink_cut(v, 0, 2) == (1, frozenset({1, 2}))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000))
+def test_farthest_cut_is_the_maximal_minimum_cut(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    arcs = _random_view(rng, n)
+    s, t = rng.sample(range(n), 2)
+    value, side = farthest_sink_cut(view(n, arcs), s, t)
+    oracle_value, oracle_sides = oracle_min_cut(arcs, n, t=t, s=s)
+    assert value == oracle_value
+    assert [m for m in oracle_sides if not any(m < o for o in oracle_sides)] == [side]
 
 
 @settings(max_examples=40, deadline=None)

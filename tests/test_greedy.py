@@ -13,11 +13,13 @@ from rkec.greedy import (
     candidate_heads,
     cheapest_star,
     price_star_edges,
+    pricing_context,
     run_phase,
     star_units,
 )
+from rkec.generate import GenParams, generate_instance
 from rkec.instance import Edge, Instance
-from rkec.rings import RingCover, build_ring_context, min_violated_set
+from rkec.rings import RingCover, build_ring_context, min_violated_set, primal_dual_ring_cover
 
 from conftest import small_random_instance
 
@@ -119,24 +121,99 @@ def test_phase_stuck_on_uncoverable_level():
         run_phase(inst, (), 1)
 
 
+def _augmentation_instance(seed):
+    """Instance whose free skeleton leaves every terminal two paths short."""
+    rng = random.Random(seed)
+    return generate_instance(GenParams(
+        nodes=rng.randint(5, 7),
+        terminals=rng.randint(2, 3),
+        k=3,
+        density=Fraction(2, 5),
+        seed=seed,
+        mode="augmentation",
+        base_level=1,
+        max_units=16,
+    ))
+
+
+def _star_states(inst):
+    """(units, cores, level) at a phase's first star and, when the phase goes
+    on, right after that star is bought (chosen by the reference oracle)."""
+    cores = rooted_cores(inst, ())
+    if not cores:
+        return []
+    level = cores[0].deficiency
+    states = [((), cores, level)]
+    try:
+        first = best_star(inst, price_star_edges(inst, (), cores, level))
+    except PhaseStuckError:
+        return states
+    units = tuple(sorted(star_units(first)))
+    after = rooted_cores(inst, units)
+    if after and after[0].deficiency == level:
+        states.append((units, after, level))
+    return states
+
+
+def _assert_lazy_matches_full(inst):
+    """Check every star state of ``inst``; returns (level, mid-phase) of each."""
+    checked = []
+    for units, cores, level in _star_states(inst):
+        checked.append((level, bool(units)))
+        try:
+            lazy = cheapest_star(inst, units, cores, level)
+        except PhaseStuckError:
+            with pytest.raises(PhaseStuckError):
+                best_star(inst, price_star_edges(inst, units, cores, level))
+            continue
+        full = best_star(inst, price_star_edges(inst, units, cores, level))
+        assert lazy.center == full.center
+        assert lazy.density == full.density
+        assert lazy.total_cost == full.total_cost
+        assert [(l.core, l.legs, l.leg_cost) for l in lazy.leaves] == [
+            (l.core, l.legs, l.leg_cost) for l in full.leaves
+        ]
+    return checked
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 100_000))
 def test_lazy_selection_equals_full_pricing(seed):
-    inst = small_random_instance(random.Random(seed))
-    if rooted_max_level(inst, ()) == 0:
-        return
-    cores = rooted_cores(inst, ())
-    level = cores[0].deficiency
-    try:
-        lazy = cheapest_star(inst, (), cores, level)
-    except PhaseStuckError:
-        with pytest.raises(PhaseStuckError):
-            best_star(inst, price_star_edges(inst, (), cores, level))
-        return
-    full = best_star(inst, price_star_edges(inst, (), cores, level))
-    assert lazy.center == full.center
-    assert lazy.density == full.density
-    assert [l.core for l in lazy.leaves] == [l.core for l in full.leaves]
+    _assert_lazy_matches_full(small_random_instance(random.Random(seed)))
+
+
+def test_lazy_selection_equals_full_pricing_at_level_two():
+    checked = []
+    for seed in range(1, 13):
+        checked += _assert_lazy_matches_full(_augmentation_instance(seed))
+    # the seeds must reach level 2 both at a first star and mid-phase
+    assert (2, False) in checked and (2, True) in checked
+
+
+def _random_states(inst, rng, count=3):
+    units = list(inst.positive_units)
+    for _ in range(count):
+        sample = tuple(u for u in units if rng.random() < 0.3)
+        cores = rooted_cores(inst, sample)
+        if cores:
+            yield sample, cores, cores[0].deficiency
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 100_000), st.booleans())
+def test_irrelevant_heads_keep_the_shared_price(seed, augmentation):
+    # the relevance rule: a head entering no ring member prices the core
+    # exactly like no head at all
+    rng = random.Random(seed)
+    inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
+    for units, cores, level in _random_states(inst, rng):
+        pricing = pricing_context(inst, units, cores, level)
+        for head in candidate_heads(inst, units):
+            for p in pricing:
+                if p.relevant(inst.unit_arc(head)):
+                    continue
+                ctx = build_ring_context(inst, units, cores, p.core, head, level)
+                assert primal_dual_ring_cover(ctx) == p.shared
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from rkec.rings import (
     build_ring_context,
     min_violated_set,
     primal_dual_ring_cover,
+    ring_maximum,
     saturating_arcs,
 )
 
@@ -214,3 +216,14 @@ def test_dual_certificate_accompanies_every_cover(seed):
         if cover is not None:
             assert cover.certificate_ok
             assert sum((s.amount for s in cover.duals), Fraction(0)) == cover.cost
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 100_000))
+def test_ring_maximum_is_the_union_of_ring_members(seed):
+    rng = random.Random(seed)
+    inst = small_random_instance(rng)
+    for ctx in _ring_contexts(inst, rng):
+        ring = _enumerated_ring(ctx)
+        bare = replace(ctx, head=None, base_arcs=ctx.base_arcs[:-1])
+        assert ring_maximum(bare) == ring.maximal

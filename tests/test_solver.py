@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rkec.deficiency import rooted_max_level
 from rkec.exact import brute_force_opt
 from rkec.instance import Edge, InfeasibleError, Instance
+from rkec import solver
 from rkec.solver import (
     harmonic,
     initial_floor,
@@ -140,3 +141,10 @@ def test_ratio_bound_against_optimum(seed):
     )
     assert holds
     assert report.bound_harmonic == harmonic(inst.k - initial_floor(inst))
+
+
+def test_solve_checks_final_feasibility(instance_a, monkeypatch):
+    # the check must be a raise, not an assert that ``python -O`` strips
+    monkeypatch.setattr(solver, "_connectivity", lambda inst, units: {2: 0, 3: 1})
+    with pytest.raises(AssertionError, match="short of k"):
+        solve(instance_a)
