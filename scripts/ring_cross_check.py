@@ -4,8 +4,11 @@
 Usage: python scripts/ring_cross_check.py [--seeds N] [--per-state HEADS]
 
 Random small instances are driven into random partial-selection states; every
-(core, head) ring context gets priced twice, by the primal-dual and by the
-exact hitting-set search, and the costs must agree as exact rationals.
+(core, head) pair gets priced three ways, and the costs must agree as exact
+rationals: by the primal-dual on a fresh ring context (``build_ring_context``),
+by the path the solver runs (``greedy.pricing_context``: the core's shared
+no-head price for a head it calls irrelevant, else a primal-dual on
+``with_head`` of the core's shared ring), and by the exact hitting-set search.
 """
 
 import argparse
@@ -16,15 +19,15 @@ from fractions import Fraction
 from rkec.deficiency import rooted_cores, rooted_max_level
 from rkec.exact import brute_force_ring_cover, enumerate_arc_family
 from rkec.generate import GenParams, generate_instance
-from rkec.greedy import candidate_heads
-from rkec.rings import build_ring_context, primal_dual_ring_cover
+from rkec.greedy import candidate_heads, pricing_context
+from rkec.rings import build_ring_context, primal_dual_ring_cover, with_head
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=200)
     parser.add_argument("--per-state", type=int, default=3)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     t0 = time.time()
     contexts = mismatches = unpriceable = 0
@@ -46,8 +49,9 @@ def main() -> int:
         cores = rooted_cores(inst, state)
         level = cores[0].deficiency
         heads = candidate_heads(inst, state)
+        pricing = pricing_context(inst, state, cores, level)
         for head in heads[: args.per_state]:
-            for core in cores:
+            for core, p in zip(cores, pricing):
                 ctx = build_ring_context(inst, state, cores, core, head, level)
                 bare = []
                 for arc in ctx.base_arcs[:-1]:
@@ -60,12 +64,21 @@ def main() -> int:
                     inst.unit_arc(head),
                     [(u, *inst.unit_arc(u), inst.unit_cost(u)) for u in ctx.candidates],
                 )
-                cover = primal_dual_ring_cover(ctx)
+                fresh = primal_dual_ring_cover(ctx)
+                if p.relevant(inst.unit_arc(head)):
+                    solver = primal_dual_ring_cover(with_head(p.ring, head))
+                else:
+                    solver = p.shared
                 contexts += 1
                 if exact is None:
                     unpriceable += 1
-                    mismatches += cover is not None
-                elif cover is None or cover.cost != exact[0] or not cover.certificate_ok:
+                    bad = fresh is not None or solver is not None
+                else:
+                    bad = any(
+                        cover is None or cover.cost != exact[0] or not cover.certificate_ok
+                        for cover in (fresh, solver)
+                    )
+                if bad:
                     mismatches += 1
                     print(f"MISMATCH seed={seed} core={sorted(core.members)} head={head}")
 

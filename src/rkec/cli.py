@@ -22,10 +22,10 @@ from .instance import (
     frac_to_str,
     instance_to_json,
     parse_instance,
-    parse_solution,
+    solution_from_doc,
     solution_to_doc,
 )
-from .solver import report_to_doc, solve
+from .solver import report_from_doc, report_to_doc, solve
 from .verify import audit_run, audit_to_doc, check_feasible
 
 EXIT_OK = 0
@@ -89,22 +89,26 @@ def cmd_brute(args) -> int:
     return EXIT_OK
 
 
+def _read_doc(path: str) -> dict:
+    """A JSON object document with its envelope keys (kind, created) removed."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: document must be a JSON object")
+    doc.pop("kind", None)
+    doc.pop("created", None)
+    return doc
+
+
 def cmd_verify(args) -> int:
     inst = parse_instance(Path(args.instance).read_text())
     if args.report:
-        doc = json.loads(Path(args.report).read_text())
-        doc.pop("kind", None)
-        doc.pop("created", None)
-        from .solver import report_from_doc
-
-        run = report_from_doc(doc)
+        run = report_from_doc(_read_doc(args.report))
         solution = run.solution
     else:
-        text = Path(args.solution).read_text()
-        doc = json.loads(text)
-        doc.pop("kind", None)
-        doc.pop("created", None)
-        solution = parse_solution(json.dumps(doc))
+        solution = solution_from_doc(_read_doc(args.solution))
         run = None
 
     connectivity, feasible = check_feasible(inst, solution)
@@ -126,10 +130,7 @@ def cmd_verify(args) -> int:
 
     opt = None
     if args.opt:
-        opt_doc = json.loads(Path(args.opt).read_text())
-        opt_doc.pop("kind", None)
-        opt_doc.pop("created", None)
-        opt = parse_solution(json.dumps(opt_doc))
+        opt = solution_from_doc(_read_doc(args.opt))
     elif args.brute:
         opt = brute_force_opt(inst, max_units=args.max_brute_edges)
 

@@ -1,14 +1,17 @@
 """Unit-capacity max-flow / min-cut primitives over instance subgraphs.
 
-Queries run on a FlowView, an immutable arc list assembled from a chosen edge
-subset plus any synthetic arcs.  Augmentation uses shortest augmenting paths
-(breadth-first), which is deterministic for a fixed arc order; the instances
-this library targets are small, so every query recomputes from scratch.
+A FlowView is an immutable arc list assembled from a chosen edge subset plus
+any synthetic arcs.  Every flow lives in a ``Residual``: a mutable residual
+network for one source and sink that takes new arcs at any time and resumes
+augmenting from the flow it already carries, by shortest augmenting paths
+(breadth-first, deterministic for a fixed arc order).  The one-shot queries
+on a view (``max_flow_value``, the two cut sides, ``max_flow_paths``) build a
+residual and augment it without a limit; the ring primal-dual keeps its
+residuals and grows them one leg at a time.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .instance import Instance
@@ -23,79 +26,130 @@ class Arc:
 
 
 class FlowView:
-    """Immutable capacitated digraph; each query uses private scratch state."""
+    """Immutable capacitated digraph; each query builds its own ``Residual``."""
 
     def __init__(self, node_count: int, arcs):
         self.node_count = node_count
         self.arcs = tuple(arcs)
 
-    def _residual(self):
-        """Adjacency of mutable residual entries [to, cap, rev-slot]."""
-        adj = [[] for _ in range(self.node_count)]
-        for a in self.arcs:
-            if a.cap <= 0 or a.tail == a.head:
-                continue
-            adj[a.tail].append([a.head, a.cap, len(adj[a.head])])
-            adj[a.head].append([a.tail, 0, len(adj[a.tail]) - 1])
-        return adj
 
+class Residual:
+    """Residual network of one source-sink pair, and the flow value it carries.
 
-def _max_flow(adj, s: int, t: int) -> int:
-    n = len(adj)
-    total = 0
-    while True:
-        parent: list[tuple[int, int] | None] = [None] * n
-        parent[s] = (s, -1)
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            if u == t:
+    Arcs are stored in pairs: arc ``i`` and its reverse ``i ^ 1``, with the
+    head of each in ``to`` and the residual capacity in ``cap``; ``adj`` lists
+    the arc indexes leaving each node.  Arcs can be added at any time and
+    ``augment`` resumes from the current flow, so a flow grows with its graph
+    instead of being recomputed.  Both cut sides are the same for every
+    maximum flow, so they are only read once ``augment`` has run out of paths.
+    """
+
+    def __init__(self, node_count: int, source: int, sink: int, arcs=()):
+        if source == sink:
+            raise ValueError("source and sink must differ")
+        self.source = source
+        self.sink = sink
+        self.value = 0
+        self.adj: list[list[int]] = [[] for _ in range(node_count)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+        for a in arcs:
+            self.add(a.tail, a.head, a.cap)
+
+    def add(self, tail: int, head: int, cap: int) -> None:
+        if cap <= 0 or tail == head:
+            return
+        i = len(self.to)
+        self.to += (head, tail)
+        self.cap += (cap, 0)
+        self.adj[tail].append(i)
+        self.adj[head].append(i + 1)
+
+    def copy(self) -> Residual:
+        other = Residual.__new__(Residual)
+        other.source, other.sink, other.value = self.source, self.sink, self.value
+        other.adj = [row[:] for row in self.adj]
+        other.to = self.to[:]
+        other.cap = self.cap[:]
+        return other
+
+    def augment(self, limit: int | None = None) -> int:
+        """Push shortest augmenting paths until the value reaches ``limit``
+        (unbounded when None) or no path is left; returns the value.
+
+        Breadth-first search in arc order makes the flow deterministic.
+        """
+        s, t, adj, to, cap = self.source, self.sink, self.adj, self.to, self.cap
+        while limit is None or self.value < limit:
+            via = [-1] * len(adj)  # arc that discovered each node
+            via[s] = -2
+            queue = [s]
+            for u in queue:
+                for i in adj[u]:
+                    v = to[i]
+                    if cap[i] > 0 and via[v] == -1:
+                        via[v] = i
+                        queue.append(v)
+                if via[t] != -1:
+                    break
+            if via[t] == -1:
                 break
-            for slot, entry in enumerate(adj[u]):
-                v = entry[0]
-                if entry[1] > 0 and parent[v] is None:
-                    parent[v] = (u, slot)
-                    queue.append(v)
-        if parent[t] is None:
-            return total
-        # bottleneck along the BFS path, then push
-        bottleneck = None
-        v = t
-        while v != s:
-            u, slot = parent[v]
-            cap = adj[u][slot][1]
-            bottleneck = cap if bottleneck is None else min(bottleneck, cap)
-            v = u
-        v = t
-        while v != s:
-            u, slot = parent[v]
-            entry = adj[u][slot]
-            entry[1] -= bottleneck
-            adj[entry[0]][entry[2]][1] += bottleneck
-            v = u
-        total += bottleneck
+            path = []
+            v = t
+            while v != s:
+                i = via[v]
+                path.append(i)
+                v = to[i ^ 1]
+            bottleneck = min(cap[i] for i in path)
+            for i in path:
+                cap[i] -= bottleneck
+                cap[i ^ 1] += bottleneck
+            self.value += bottleneck
+        return self.value
+
+    def closest_sink_side(self) -> frozenset[int]:
+        """Nodes that still reach the sink: the inclusion-minimal sink side of
+        a minimum cut."""
+        to, cap = self.to, self.cap
+        reach = {self.sink}
+        queue = [self.sink]
+        for x in queue:
+            for i in self.adj[x]:
+                y = to[i]
+                # the residual arc y -> x is the reverse of arc i
+                if cap[i ^ 1] > 0 and y not in reach:
+                    reach.add(y)
+                    queue.append(y)
+        if self.source in reach:
+            raise AssertionError("source still reaches the sink after a maximum flow")
+        return frozenset(reach)
+
+    def farthest_sink_side(self) -> frozenset[int]:
+        """Nodes the source no longer reaches: the inclusion-maximal sink side
+        of a minimum cut."""
+        to, cap = self.to, self.cap
+        reached = [False] * len(self.adj)
+        reached[self.source] = True
+        queue = [self.source]
+        for x in queue:
+            for i in self.adj[x]:
+                if cap[i] > 0 and not reached[to[i]]:
+                    reached[to[i]] = True
+                    queue.append(to[i])
+        if reached[self.sink]:
+            raise AssertionError("source still reaches the sink after a maximum flow")
+        return frozenset(v for v, r in enumerate(reached) if not r)
+
+
+def _maximum(view: FlowView, s: int, t: int) -> Residual:
+    flow = Residual(view.node_count, s, t, view.arcs)
+    flow.augment()
+    return flow
 
 
 def max_flow_value(view: FlowView, s: int, t: int) -> int:
     """Maximum number of edge-disjoint s->t paths respecting capacities."""
-    if s == t:
-        raise ValueError("source and sink must differ")
-    return _max_flow(view._residual(), s, t)
-
-
-def _reaches_sink(adj, t: int) -> frozenset[int]:
-    # u belongs iff some residual path u -> ... -> t exists: walk arcs backwards.
-    reach = {t}
-    queue = deque([t])
-    while queue:
-        x = queue.popleft()
-        for entry in adj[x]:
-            y = entry[0]
-            # residual arc y -> x is the reverse slot of entry
-            if y not in reach and adj[y][entry[2]][1] > 0:
-                reach.add(y)
-                queue.append(y)
-    return frozenset(reach)
+    return _maximum(view, s, t).value
 
 
 def closest_sink_cut(view: FlowView, s: int, t: int) -> tuple[int, frozenset[int]]:
@@ -105,14 +159,8 @@ def closest_sink_cut(view: FlowView, s: int, t: int) -> tuple[int, frozenset[int
     network of a maximum flow; that set is the same for every maximum flow, so
     the result is independent of augmentation order.
     """
-    if s == t:
-        raise ValueError("source and sink must differ")
-    adj = view._residual()
-    value = _max_flow(adj, s, t)
-    side = _reaches_sink(adj, t)
-    if s in side:
-        raise AssertionError("source still reaches the sink after a maximum flow")
-    return value, side
+    flow = _maximum(view, s, t)
+    return flow.value, flow.closest_sink_side()
 
 
 def farthest_sink_cut(view: FlowView, s: int, t: int) -> tuple[int, frozenset[int]]:
@@ -123,36 +171,8 @@ def farthest_sink_cut(view: FlowView, s: int, t: int) -> tuple[int, frozenset[in
     which maximum flow was found.  Every minimum cut's sink side lies inside
     it.
     """
-    if s == t:
-        raise ValueError("source and sink must differ")
-    adj = view._residual()
-    value = _max_flow(adj, s, t)
-    reached = {s}
-    queue = deque([s])
-    while queue:
-        x = queue.popleft()
-        for entry in adj[x]:
-            if entry[1] > 0 and entry[0] not in reached:
-                reached.add(entry[0])
-                queue.append(entry[0])
-    if t in reached:
-        raise AssertionError("source still reaches the sink after a maximum flow")
-    return value, frozenset(v for v in range(view.node_count) if v not in reached)
-
-
-def min_violated_cut(view: FlowView, s: int, t: int, bound: int) -> frozenset[int] | None:
-    """Minimal sink side of a minimum s-t cut, or None once flow reaches bound.
-
-    Thin wrapper used by the oracles: deficiency arithmetic stays with the
-    caller, this only answers "is the connectivity still below bound, and if
-    so, what is the tightest witness set around t".
-    """
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
-    value, side = closest_sink_cut(view, s, t)
-    if value >= bound:
-        return None
-    return side
+    flow = _maximum(view, s, t)
+    return flow.value, flow.farthest_sink_side()
 
 
 def max_flow_paths(view: FlowView, s: int, t: int) -> list[list[int]]:
@@ -161,44 +181,31 @@ def max_flow_paths(view: FlowView, s: int, t: int) -> list[list[int]]:
     Returns exactly max_flow_value(view, s, t) paths; parallel capacity counts
     as distinct edges, and flow on cycles (if any) is ignored.
     """
-    if s == t:
-        raise ValueError("source and sink must differ")
-    adj = view._residual()
-    value = _max_flow(adj, s, t)
-    # Locate each arc's forward slot by replaying the construction order; the
-    # flow pushed over it equals the capacity sitting on its reverse slot.
-    counts = [0] * view.node_count
-    remaining: dict[tuple[int, int], int] = {}
-    for a in view.arcs:
-        if a.cap <= 0 or a.tail == a.head:
-            continue
-        u, slot = a.tail, counts[a.tail]
-        counts[a.tail] += 1
-        counts[a.head] += 1
-        entry = adj[u][slot]
-        pushed = adj[entry[0]][entry[2]][1]
-        if pushed > 0:
-            remaining[(u, slot)] = pushed
+    flow = _maximum(view, s, t)
+    to, adj = flow.to, flow.adj
+    # The flow pushed over forward arc i sits as capacity on its reverse i + 1.
+    remaining = {i: flow.cap[i + 1] for i in range(0, len(to), 2) if flow.cap[i + 1] > 0}
     paths = []
-    for _ in range(value):
+    for _ in range(flow.value):
         # BFS in the flow graph to find one s->t path
-        parent: dict[int, tuple[int, int]] = {s: (s, -1)}
-        queue = deque([s])
-        while queue and t not in parent:
-            u = queue.popleft()
-            for slot, entry in enumerate(adj[u]):
-                if remaining.get((u, slot), 0) > 0 and entry[0] not in parent:
-                    parent[entry[0]] = (u, slot)
-                    queue.append(entry[0])
-        if t not in parent:
+        via = {s: -1}
+        queue = [s]
+        for u in queue:
+            if t in via:
+                break
+            for i in adj[u]:
+                if remaining.get(i, 0) > 0 and to[i] not in via:
+                    via[to[i]] = i
+                    queue.append(to[i])
+        if t not in via:
             raise AssertionError("flow decomposition lost a unit of flow")
         nodes = [t]
         v = t
         while v != s:
-            u, slot = parent[v]
-            remaining[(u, slot)] -= 1
-            nodes.append(u)
-            v = u
+            i = via[v]
+            remaining[i] -= 1
+            v = to[i ^ 1]
+            nodes.append(v)
         paths.append(list(reversed(nodes)))
     return paths
 

@@ -33,6 +33,7 @@ from .rings import (
     build_ring_context,
     core_ring_context,
     free_leg_candidates,
+    index_legs,
     primal_dual_ring_cover,
     ring_maximum,
     with_head,
@@ -99,16 +100,19 @@ def price_star_edges(
 def _best_prefix(head_cost: Fraction, costs) -> tuple[Fraction, int]:
     """Least (head + first j costs) / j over the ascending ``costs``.
 
-    Ties go to the larger j; returns (density, j).
+    Ties go to the larger j; returns (density, j).  Taking cost c after j
+    costs lowers the average exactly when c * j <= head + sum of those j, and
+    once c * j exceeds it, the average rises for good: it stays below c, and
+    every later cost is at least c.  So the scan stops there.
     """
-    best = None
-    running = Fraction(0)
-    for j, cost in enumerate(costs, start=1):
-        running += cost
-        key = ((head_cost + running) / j, -j)
-        if best is None or key < best:
-            best = key
-    return best[0], -best[1]
+    total = head_cost
+    j = 0
+    for cost in costs:
+        if j and cost * j > total:
+            break
+        total += cost
+        j += 1
+    return total / j, j
 
 
 def _scan_head(
@@ -173,13 +177,14 @@ class CorePricing:
 def pricing_context(inst: Instance, units, cores, level: int) -> list[CorePricing]:
     """Per core: the no-head ring, its shared price and its ring maximum.
 
-    The working arcs and the candidate list are built once for all cores.
+    The working arcs and the indexed leg candidates are built once for all
+    cores and heads.
     """
     working = instance_view(inst, units).arcs
-    candidates = candidate_heads(inst, units)
+    legs = index_legs(inst, candidate_heads(inst, units))
     out = []
     for core in cores:
-        ring = core_ring_context(inst, working, candidates, cores, core, level)
+        ring = core_ring_context(inst, working, legs, cores, core, level)
         out.append(CorePricing(core, ring, primal_dual_ring_cover(ring), ring_maximum(ring)))
     return out
 

@@ -7,25 +7,61 @@ saturating root arcs (capacity l) to every terminal of every other core,
 which pushes all sets containing such terminals below the top level; that is
 the core's context with no head (``core_ring_context``).  ``with_head`` adds
 the candidate head edge at capacity one.  The remaining top-level sets are
-exactly the ring members not already covered by the head, so each "minimal
-violated set" query is one closest-cut computation at the core's
-representative terminal, and the union of all ring members is the farthest
-minimum cut there (``ring_maximum``).
+exactly the ring members not already covered by the head, so the minimal
+violated set is the closest minimum cut at the core's representative
+terminal, and the union of all ring members is the farthest one
+(``ring_maximum``).
+
+Each context carries one residual flow from the root to the representative,
+augmented up to k - l + 1: the ring is covered exactly when the flow gets
+there.  A core's no-head flow is built once; ``with_head`` grows a copy of
+it by the head arc, and the primal-dual grows a copy by one arc per leg it
+picks, so no flow is ever recomputed from scratch.
 
 The cover itself comes from dual ascent plus reverse delete.  Minimal
 violated sets of a shrinking ring form a strictly increasing chain, so the
 duals land on nested sets; the emitted certificate checks that chain and that
-the dual total pays exactly for the surviving legs.
+the dual total pays exactly for the surviving legs.  The ascent finds its
+entering legs through an index by head node (``LegIndex``, built once per
+star selection) and keeps reduced costs as scaled integers; the certificate
+checks in exact rationals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .deficiency import CoreInfo
-from .flows import Arc, FlowView, farthest_sink_cut, instance_view, min_violated_cut
+from .flows import Arc, Residual, instance_view
 from .instance import Instance, Unit
+
+
+@dataclass(frozen=True)
+class LegIndex:
+    """The free leg candidates of one selection, indexed for the dual ascent.
+
+    ``entering[v]`` lists (unit, tail, scaled cost) for every candidate whose
+    arc ends at node v.  Scaled costs are integers: the unit's cost times
+    ``scale``, the least common multiple of the candidates' cost denominators.
+    """
+
+    units: tuple[Unit, ...]
+    scale: int
+    entering: tuple[tuple[tuple[Unit, int, int], ...], ...]
+
+
+def index_legs(inst: Instance, candidates) -> LegIndex:
+    """Index ``candidates`` (see ``free_leg_candidates``) by head node."""
+    scale = math.lcm(*(inst.unit_cost(u).denominator for u in candidates))
+    entering: list[list] = [[] for _ in range(inst.node_count)]
+    for u in candidates:
+        tail, head = inst.unit_arc(u)
+        cost = inst.unit_cost(u)
+        entering[head].append((u, tail, cost.numerator * (scale // cost.denominator)))
+    return LegIndex(tuple(candidates), scale, tuple(map(tuple, entering)))
 
 
 @dataclass(frozen=True)
@@ -41,14 +77,33 @@ class RingContext:
     target: CoreInfo
     head: Unit | None
     base_arcs: tuple[Arc, ...]  # working graph + saturating arcs (+ head)
-    candidates: tuple[Unit, ...]  # one free unit per positive edge, head's edge excluded
+    leg_index: LegIndex  # free units of the selection; the head's edge is never a leg
 
-    def _view(self, extra_units) -> FlowView:
-        arcs = list(self.base_arcs)
-        for u in sorted(extra_units):
-            tail, head = self.inst.unit_arc(u)
-            arcs.append(Arc(tail, head, 1))
-        return FlowView(self.inst.node_count, arcs)
+    @property
+    def bound(self) -> int:
+        """Root-representative flow at which the ring counts as covered."""
+        return self.inst.k - self.level + 1
+
+    @property
+    def candidates(self) -> tuple[Unit, ...]:
+        """One free unit per positive edge, the head's edge excluded."""
+        units = self.leg_index.units
+        if self.head is None:
+            return units
+        return tuple(u for u in units if u[0] != self.head[0])
+
+    @cached_property
+    def flow(self) -> Residual:
+        """Root-representative residual of ``base_arcs``, augmented to the bound.
+
+        Derived state, not a field: ``dataclasses.replace`` starts it afresh.
+        Callers copy it before adding arcs.
+        """
+        flow = Residual(
+            self.inst.node_count, self.inst.root, self.target.representative, self.base_arcs
+        )
+        flow.augment(self.bound)
+        return flow
 
 
 def saturating_arcs(inst: Instance, all_cores, target: CoreInfo, level: int) -> list[Arc]:
@@ -87,36 +142,42 @@ def free_leg_candidates(inst: Instance, units) -> tuple[Unit, ...]:
 def core_ring_context(
     inst: Instance,
     working,
-    candidates,
+    leg_index: LegIndex,
     all_cores,
     target: CoreInfo,
     level: int,
 ) -> RingContext:
-    """The target's ring with no head, over prebuilt working arcs and candidates.
+    """The target's ring with no head, over prebuilt working arcs and legs.
 
     ``working`` is the arc list of ``instance_view`` for the selection and
-    ``candidates`` its ``free_leg_candidates``; both are shared by every core
-    and every head of one star selection.
+    ``leg_index`` indexes its ``free_leg_candidates``; both are shared by
+    every core and every head of one star selection.
     """
     base = tuple(working) + tuple(saturating_arcs(inst, all_cores, target, level))
-    return RingContext(inst, level, target, None, base, tuple(candidates))
+    return RingContext(inst, level, target, None, base, leg_index)
 
 
 def with_head(ctx: RingContext, head: Unit) -> RingContext:
     """The same ring with ``head`` riding along at cost zero.
 
-    The head's arc joins the base at capacity one and its edge leaves the
-    candidates: a second copy of it never helps.
+    The head's arc joins the base at capacity one and its edge stops being a
+    leg: a second copy of it never helps.  The new context's flow starts from
+    a copy of ``ctx``'s, which is a valid flow of the larger base too.
     """
     tail, head_node = ctx.inst.unit_arc(head)
-    return RingContext(
+    child = RingContext(
         ctx.inst,
         ctx.level,
         ctx.target,
         head,
         ctx.base_arcs + (Arc(tail, head_node, 1),),
-        tuple(u for u in ctx.candidates if u[0] != head[0]),
+        ctx.leg_index,
     )
+    flow = ctx.flow.copy()
+    flow.add(tail, head_node, 1)
+    flow.augment(child.bound)
+    vars(child)["flow"] = flow  # seeds the cached property
+    return child
 
 
 def build_ring_context(
@@ -130,7 +191,7 @@ def build_ring_context(
     base = core_ring_context(
         inst,
         instance_view(inst, units).arcs,
-        free_leg_candidates(inst, units),
+        index_legs(inst, free_leg_candidates(inst, units)),
         all_cores,
         target,
         level,
@@ -143,22 +204,26 @@ def ring_maximum(ctx: RingContext) -> frozenset[int]:
 
     Ring members are the minimum root-representative cuts of the base graph,
     so all of them lie inside the farthest one's sink side; when the base
-    already meets the target there are no members at all.  One max-flow.
+    already meets the bound there are no members at all.
     """
-    view = ctx._view(())
-    return farthest_sink_cut(view, ctx.inst.root, ctx.target.representative)[1]
+    if ctx.flow.value >= ctx.bound:
+        return frozenset()
+    return ctx.flow.farthest_sink_side()
 
 
 def min_violated_set(ctx: RingContext, legs) -> frozenset[int] | None:
     """Inclusion-minimal ring member not covered by the head or ``legs``.
 
-    The representative terminal sits in every ring member, so one closest-cut
-    query at it decides coverage: the ring is covered exactly when the cut
-    value has climbed past k - level.
+    The representative terminal sits in every ring member, so the closest
+    cut at it decides coverage: the ring is covered exactly when the flow has
+    climbed past k - level.  Runs on a copy of the context's flow.
     """
-    view = ctx._view(legs)
-    bound = ctx.inst.k - ctx.level + 1
-    return min_violated_cut(view, ctx.inst.root, ctx.target.representative, bound)
+    flow = ctx.flow.copy()
+    for u in legs:
+        flow.add(*ctx.inst.unit_arc(u), 1)
+    if flow.augment(ctx.bound) >= ctx.bound:
+        return None
+    return flow.closest_sink_side()
 
 
 @dataclass(frozen=True)
@@ -208,36 +273,49 @@ def primal_dual_ring_cover(ctx: RingContext) -> RingCover | None:
     goes tight (ties to the smallest unit), add it, repeat.  Then delete
     redundant edges in reverse tightening order.  Returns None when some ring
     member has no entering candidate at all.
+
+    Each pick adds one unit arc, so the flow is augmented from where it was
+    rather than recomputed; reduced costs are kept in the index's scaled
+    integers, and only for candidates the ascent has touched.
     """
-    inst = ctx.inst
-    reduced = {u: inst.unit_cost(u) for u in ctx.candidates}
-    arcs = {u: inst.unit_arc(u) for u in ctx.candidates}
+    index = ctx.leg_index
+    bound = ctx.bound
+    head_edge = ctx.head[0] if ctx.head is not None else None
+    reduced: dict[Unit, int] = {}
     tight_order: list[Unit] = []
     chosen: set[Unit] = set()
     duals: list[DualStep] = []
 
-    while (violated := min_violated_set(ctx, chosen)) is not None:
+    flow = ctx.flow
+    while flow.value < bound:
+        violated = flow.closest_sink_side()
         entering = [
-            u for u in ctx.candidates
-            if u not in chosen
-            and arcs[u][1] in violated and arcs[u][0] not in violated
+            (reduced.get(u, cost), u, tail, v)
+            for v in violated
+            for u, tail, cost in index.entering[v]
+            if tail not in violated and u[0] != head_edge and u not in chosen
         ]
         if not entering:
             return None  # unpriceable: the ring cannot be covered from here
-        eps = min(reduced[u] for u in entering)
-        pick = min(u for u in entering if reduced[u] == eps)
-        for u in entering:
-            reduced[u] -= eps
-        duals.append(DualStep(violated, eps, pick))
+        eps, pick, tail, head = min(entering)
+        for r, u, _, _ in entering:
+            reduced[u] = r - eps
+        duals.append(DualStep(violated, Fraction(eps, index.scale), pick))
         tight_order.append(pick)
         chosen.add(pick)
+        if flow is ctx.flow:
+            flow = flow.copy()
+        flow.add(tail, head, 1)
+        flow.augment(bound)
 
+    # The last pick is never redundant: without it the legs are exactly the
+    # ones its violated set was raised against.
     keep = list(tight_order)
-    for u in reversed(tight_order):
+    for u in reversed(tight_order[:-1]):
         trial = [v for v in keep if v != u]
         if min_violated_set(ctx, trial) is None:
             keep = trial
 
     legs = tuple(sorted(keep))
-    cost = inst.units_cost(legs)
+    cost = ctx.inst.units_cost(legs)
     return RingCover(legs, cost, tuple(duals), _certificate(ctx, legs, duals))

@@ -110,6 +110,9 @@ def bound_decision(
 class AuditReport:
     feasible: bool
     connectivity: dict[int, int]
+    cost: Fraction  # recomputed from the selection; the ratio uses this one
+    recorded_cost_ok: bool  # the report's total_cost equals ``cost``
+    recorded_units_ok: bool  # the iterations' added_units are exactly the selection
     core_drop_violations: list[int] = field(default_factory=list)  # record indexes
     ratio: Fraction | None = None
     bound_lo: Fraction | None = None
@@ -122,6 +125,8 @@ class AuditReport:
     def clean(self) -> bool:
         return (
             self.feasible
+            and self.recorded_cost_ok
+            and self.recorded_units_ok
             and not self.core_drop_violations
             and not self.density_violations
             and self.bound_holds is not False
@@ -137,28 +142,41 @@ def audit_run(
 ) -> AuditReport:
     """Audit a recorded run.
 
-    Always: feasibility and the per-iteration core-drop rule (the core count
-    must fall by at least half the leaf count, rounded up).  With an exact
-    optimum: the ratio bound.  With ``density_max_units`` set and the instance
-    small enough: replay the run and check each iteration's density against
-    (2/level) * (residual optimum) / (cores before), brute-forcing the
-    residual optimum from the iteration's own state.
+    Always: feasibility, the cost (recomputed from the selection; a recorded
+    total that differs, or iterations whose added units are not exactly the
+    selection, make the audit unclean) and the per-iteration core-drop rule
+    (the core count must fall by at least half the leaf count, rounded up).
+    With an exact optimum: the ratio bound, on the recomputed cost.  With
+    ``density_max_units`` set and the instance small enough: replay the run
+    and check each iteration's density against (2/level) * (residual
+    optimum) / (cores before), brute-forcing the residual optimum from the
+    iteration's own state.
     """
-    connectivity, feasible = check_feasible(inst, report.solution)
-    out = AuditReport(feasible=feasible, connectivity=connectivity)
+    solution = report.solution
+    connectivity, feasible = check_feasible(inst, solution)
+    units = solution.units()
+    cost = inst.units_cost(units)
+    added = sorted(u for rec in solution.audit for u in rec.added_units)
+    out = AuditReport(
+        feasible=feasible,
+        connectivity=connectivity,
+        cost=cost,
+        recorded_cost_ok=solution.total_cost == cost,
+        recorded_units_ok=added == list(units),
+    )
 
-    for idx, rec in enumerate(report.solution.audit):
+    for idx, rec in enumerate(solution.audit):
         drop = rec.cores_before - rec.cores_after
         if drop < math.ceil(rec.leaf_count / 2):
             out.core_drop_violations.append(idx)
 
     if opt is not None:
         if opt.total_cost == 0:
-            out.ratio = None if report.solution.total_cost else Fraction(0)
+            out.ratio = None if cost else Fraction(0)
         else:
-            out.ratio = report.solution.total_cost / opt.total_cost
+            out.ratio = cost / opt.total_cost
         holds, lo, hi = bound_decision(
-            report.solution.total_cost,
+            cost,
             opt.total_cost,
             report.bound_harmonic,
             report.terminal_count,
@@ -206,6 +224,9 @@ def audit_to_doc(report: AuditReport) -> dict:
     return {
         "feasible": report.feasible,
         "connectivity": {str(t): v for t, v in sorted(report.connectivity.items())},
+        "cost": frac_to_str(report.cost),
+        "recorded_cost_ok": report.recorded_cost_ok,
+        "recorded_units_ok": report.recorded_units_ok,
         "core_drop_violations": report.core_drop_violations,
         "ratio": frac_to_str(report.ratio) if report.ratio is not None else None,
         "bound_lo": frac_to_str(report.bound_lo) if report.bound_lo is not None else None,

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from rkec.cli import main
+from rkec.generate import default_corpus_params, generate_instance
+from rkec.instance import instance_to_json
 
 from conftest import INSTANCE_A_JSON
 
@@ -163,3 +165,58 @@ def test_bench_flags_parse_failure(tmp_path):
     corpus.mkdir()
     (corpus / "broken.json").write_text("{oops")
     assert run("bench", "--corpus", corpus, "--out", tmp_path / "s.json") == 2
+
+
+@pytest.fixture
+def corpus_seven(tmp_path):
+    """Instance and solve report of corpus seed 7 (cost 30)."""
+    inst = tmp_path / "inst.json"
+    inst.write_text(instance_to_json(generate_instance(default_corpus_params(7))))
+    report = tmp_path / "report.json"
+    assert run("solve", "--instance", inst, "--out", report, "--no-timestamp") == 0
+    doc = json.loads(report.read_text())
+    assert doc["solution"]["total_cost"] == "30"
+    return inst, doc
+
+
+def _verify_doc(tmp_path, inst, doc):
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc))
+    out = tmp_path / "audit.json"
+    code = run("verify", "--instance", inst, "--report", tampered, "--brute",
+               "--out", out, "--no-timestamp")
+    return code, json.loads(out.read_text())
+
+
+def test_verify_recomputes_the_recorded_cost(corpus_seven, tmp_path):
+    inst, doc = corpus_seven
+    doc["solution"]["total_cost"] = "1"
+    code, audit = _verify_doc(tmp_path, inst, doc)
+    assert code == 4
+    assert audit["clean"] is False and audit["recorded_cost_ok"] is False
+    assert audit["cost"] == "30" and audit["ratio"] != "1/30"
+
+
+def test_verify_checks_added_units_against_the_selection(corpus_seven, tmp_path):
+    inst, doc = corpus_seven
+    last = doc["solution"]["audit"][-1]
+    last["added_units"] = last["added_units"][:-1]
+    code, audit = _verify_doc(tmp_path, inst, doc)
+    assert code == 4
+    assert audit["clean"] is False and audit["recorded_units_ok"] is False
+    assert audit["recorded_cost_ok"] is True
+
+
+@pytest.mark.parametrize("flag", ["--report", "--solution", "--opt"])
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]"], ids=["malformed", "not-an-object"])
+def test_verify_rejects_documents_that_are_not_json_objects(
+    instance_file, tmp_path, capsys, flag, text
+):
+    report = tmp_path / "report.json"
+    run("solve", "--instance", instance_file, "--out", report, "--no-timestamp")
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    argv = ["verify", "--instance", instance_file, "--out", tmp_path / "a.json"]
+    argv += [flag, bad] if flag != "--opt" else ["--report", report, "--opt", bad]
+    assert run(*argv) == 2
+    assert "error" in capsys.readouterr().err

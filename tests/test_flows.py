@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from rkec.flows import (
     Arc,
     FlowView,
+    Residual,
     closest_sink_cut,
     farthest_sink_cut,
     instance_view,
     max_flow_paths,
     max_flow_value,
-    min_violated_cut,
 )
 
 from conftest import minimal_sets, oracle_min_cut, small_random_instance
@@ -36,7 +36,7 @@ def test_parallel_capacity():
 def test_empty_view():
     v = view(4, [])
     assert max_flow_value(v, 0, 2) == 0
-    assert min_violated_cut(v, 0, 2, 1) == frozenset({2})
+    assert closest_sink_cut(v, 0, 2) == (0, frozenset({2}))
 
 
 def test_same_node_rejected():
@@ -101,6 +101,41 @@ def test_farthest_cut_is_the_maximal_minimum_cut(seed):
     oracle_value, oracle_sides = oracle_min_cut(arcs, n, t=t, s=s)
     assert value == oracle_value
     assert [m for m in oracle_sides if not any(m < o for o in oracle_sides)] == [side]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000))
+def test_incremental_flow_matches_a_fresh_view(seed):
+    # arcs join one at a time, each followed by a bounded augment; the
+    # residual must then agree with a maximum flow computed from scratch
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    arcs = _random_view(rng, n)
+    rng.shuffle(arcs)
+    s, t = rng.sample(range(n), 2)
+    limit = rng.randint(1, 4)
+    flow = Residual(n, s, t)
+    for i, arc in enumerate(arcs, start=1):
+        flow.add(*arc)
+        flow.augment(limit)
+        v = view(n, arcs[:i])
+        value = max_flow_value(v, s, t)
+        assert (flow.value >= limit) == (value >= limit)
+        if flow.value < limit:
+            assert flow.value == value
+            assert flow.closest_sink_side() == closest_sink_cut(v, s, t)[1]
+            assert flow.farthest_sink_side() == farthest_sink_cut(v, s, t)[1]
+
+
+def test_copied_flow_grows_alone():
+    flow = Residual(3, 0, 2, [Arc(0, 1, 1), Arc(1, 2, 1)])
+    assert flow.augment() == 1
+    grown = flow.copy()
+    grown.add(0, 2, 1)
+    assert grown.augment() == 2
+    assert flow.value == 1 and flow.augment() == 1
+    assert flow.closest_sink_side() == frozenset({2})
+    assert flow.farthest_sink_side() == frozenset({1, 2})
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rkec.deficiency import CoreInfo, rooted_cores, rooted_max_level
 from rkec.greedy import (
     PhaseStuckError,
+    _best_prefix,
     best_star,
     candidate_heads,
     cheapest_star,
@@ -19,7 +20,14 @@ from rkec.greedy import (
 )
 from rkec.generate import GenParams, generate_instance
 from rkec.instance import Edge, Instance
-from rkec.rings import RingCover, build_ring_context, min_violated_set, primal_dual_ring_cover
+from rkec.rings import (
+    RingCover,
+    build_ring_context,
+    min_violated_set,
+    primal_dual_ring_cover,
+    ring_maximum,
+    with_head,
+)
 
 from conftest import small_random_instance
 
@@ -214,6 +222,48 @@ def test_irrelevant_heads_keep_the_shared_price(seed, augmentation):
                     continue
                 ctx = build_ring_context(inst, units, cores, p.core, head, level)
                 assert primal_dual_ring_cover(ctx) == p.shared
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 100_000), st.booleans())
+def test_heads_on_a_shared_ring_price_like_a_fresh_context(seed, augmentation):
+    # every head's context grows a copy of the core's one flow (``with_head``
+    # on the ``core_ring_context`` in the pricing context); pricing it must
+    # give the very cover a context built from scratch gives, and must leave
+    # the shared flow as it was
+    rng = random.Random(seed)
+    inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
+    for units, cores, level in _random_states(inst, rng):
+        pricing = pricing_context(inst, units, cores, level)
+        for head in candidate_heads(inst, units):
+            for p in pricing:
+                fresh = build_ring_context(inst, units, cores, p.core, head, level)
+                assert primal_dual_ring_cover(with_head(p.ring, head)) == primal_dual_ring_cover(fresh)
+        for p in pricing:
+            assert primal_dual_ring_cover(p.ring) == p.shared
+            assert ring_maximum(p.ring) == p.ring_max
+
+
+def _best_prefix_by_full_scan(head_cost, costs):
+    # the scan over every prefix that the early exit replaces
+    best = None
+    running = Fraction(0)
+    for j, cost in enumerate(costs, start=1):
+        running += cost
+        key = ((head_cost + running) / j, -j)
+        if best is None or key < best:
+            best = key
+    return best[0], -best[1]
+
+
+_fractions = st.fractions(min_value=0, max_value=20, max_denominator=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fractions.filter(bool), st.lists(_fractions, min_size=1, max_size=12))
+def test_best_prefix_early_exit_equals_the_full_scan(head_cost, costs):
+    costs = sorted(costs)
+    assert _best_prefix(head_cost, costs) == _best_prefix_by_full_scan(head_cost, costs)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,6 +1,8 @@
+import importlib.util
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -227,3 +229,13 @@ def test_ring_maximum_is_the_union_of_ring_members(seed):
         ring = _enumerated_ring(ctx)
         bare = replace(ctx, head=None, base_arcs=ctx.base_arcs[:-1])
         assert ring_maximum(bare) == ring.maximal
+
+
+def test_ring_cross_check_script_passes():
+    # scripts/ring_cross_check.py prices each pair fresh, through the
+    # solver's shared pricing context, and exhaustively; all must agree
+    path = Path(__file__).resolve().parents[1] / "scripts" / "ring_cross_check.py"
+    spec = importlib.util.spec_from_file_location("ring_cross_check", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--seeds", "30"]) == 0
