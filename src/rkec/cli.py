@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -19,8 +18,10 @@ from .instance import (
     InfeasibleError,
     ParseError,
     SizeRefusalError,
+    dump_json,
     frac_to_str,
     instance_to_json,
+    load_object,
     parse_instance,
     solution_from_doc,
     solution_to_doc,
@@ -47,7 +48,7 @@ def _envelope(kind: str, payload: dict, no_timestamp: bool) -> str:
     if not no_timestamp:
         doc["created"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     doc.update(payload)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dump_json(doc)
 
 
 def cmd_gen(args) -> int:
@@ -91,15 +92,26 @@ def cmd_brute(args) -> int:
 
 def _read_doc(path: str) -> dict:
     """A JSON object document with its envelope keys (kind, created) removed."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: document must be a JSON object")
+    doc = load_object(Path(path).read_text(), "document", f"{path}: ")
     doc.pop("kind", None)
     doc.pop("created", None)
     return doc
+
+
+def _read_optimum(inst, path: str):
+    """The optimum an ``--opt`` file claims, checked like any selection: it
+    must be offered by the instance, feasible, and cost what it records."""
+    opt = solution_from_doc(_read_doc(path))
+    _, feasible = check_feasible(inst, opt)
+    if not feasible:
+        raise ParseError(f"{path}: the optimum's selection is infeasible")
+    cost = inst.units_cost(opt.units())
+    if opt.total_cost != cost:
+        raise ParseError(
+            f"{path}: total_cost {frac_to_str(opt.total_cost)} but the selection "
+            f"costs {frac_to_str(cost)}"
+        )
+    return opt
 
 
 def cmd_verify(args) -> int:
@@ -130,7 +142,7 @@ def cmd_verify(args) -> int:
 
     opt = None
     if args.opt:
-        opt = solution_from_doc(_read_doc(args.opt))
+        opt = _read_optimum(inst, args.opt)
     elif args.brute:
         opt = brute_force_opt(inst, max_units=args.max_brute_edges)
 

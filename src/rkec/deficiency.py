@@ -15,10 +15,10 @@ and cores are pairwise terminal-disjoint.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
+from .exact import entering_count, enumerate_rooted
 from .flows import closest_sink_cut, instance_view
 from .instance import Instance, ParseError
 
@@ -133,27 +133,20 @@ class ExplicitSetFunction:
     def value(self, members) -> int:
         return self._lookup.get(frozenset(members), 0)
 
-    def is_positive(self, members) -> bool:
-        return self.value(members) > 0
-
     def residual(self, arcs) -> "ExplicitSetFunction":
         """Residual function after arcs; re-runs the constructor checks."""
         table = tuple(
-            (members, max(value - _entering(arcs, members), 0))
+            (members, max(value - entering_count(arcs, members), 0))
             for members, value in self.table
         )
         return ExplicitSetFunction(self.universe, self.terminals, table)
-
-
-def _entering(arcs, members) -> int:
-    return sum(1 for tail, head in arcs if head in members and tail not in members)
 
 
 def explicit_max_level(fn: ExplicitSetFunction, arcs) -> int:
     arcs = tuple(arcs)
     best = 0
     for members, value in fn.table:
-        best = max(best, value - _entering(arcs, members))
+        best = max(best, value - entering_count(arcs, members))
     return max(best, 0)
 
 
@@ -164,7 +157,7 @@ def explicit_cores(fn: ExplicitSetFunction, arcs) -> list[CoreInfo]:
         return []
     at_level = [
         members for members, value in fn.table
-        if value - _entering(arcs, members) == level
+        if value - entering_count(arcs, members) == level
     ]
     kept = [m for m in at_level if not any(other < m for other in at_level)]
     cores = [CoreInfo(m, min(m & fn.terminals), level) for m in kept]
@@ -178,52 +171,5 @@ def tabulate_rooted(inst: Instance, units=()) -> ExplicitSetFunction:
     Only usable at enumeration scale; the result feeds the explicit backend so
     the two can be compared on identical inputs.
     """
-    ground = [v for v in range(inst.node_count) if v != inst.root]
-    if inst.node_count > _EXPLICIT_UNIVERSE_CAP:
-        raise ParseError("instance too large to tabulate")
-    arcs = _instance_arcs(inst, units)
-    entries = []
-    for mask in range(1, 1 << len(ground)):
-        members = frozenset(ground[i] for i in range(len(ground)) if mask >> i & 1)
-        if not members & inst.terminals:
-            continue
-        value = max(inst.k - _entering(arcs, members), 0)
-        if value:
-            entries.append((members, value))
-    return ExplicitSetFunction(inst.node_count, inst.terminals, tuple(entries))
-
-
-def _instance_arcs(inst: Instance, units) -> tuple[tuple[int, int], ...]:
-    arcs = []
-    for e in inst.zero_edges:
-        arcs.extend([(e.tail, e.head)] * e.mult)
-    arcs.extend(inst.unit_arc(u) for u in units)
-    return tuple(arcs)
-
-
-def load_explicit(text: str) -> ExplicitSetFunction:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    try:
-        return ExplicitSetFunction(
-            universe=doc["universe"],
-            terminals=frozenset(doc["terminals"]),
-            table=tuple(
-                (frozenset(rec["set"]), rec["value"]) for rec in doc["entries"]
-            ),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed set function table: {exc}") from exc
-
-
-def explicit_to_json(fn: ExplicitSetFunction) -> str:
-    doc = {
-        "universe": fn.universe,
-        "terminals": sorted(fn.terminals),
-        "entries": [
-            {"set": sorted(members), "value": value} for members, value in fn.table
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    family = enumerate_rooted(inst, units)
+    return ExplicitSetFunction(inst.node_count, inst.terminals, tuple(family.positive.items()))

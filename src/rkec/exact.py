@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flows import closest_sink_cut, instance_view, max_flow_value
+from .flows import closest_sink_cut, connectivity, instance_view, short_terminal
 from .instance import (
     Instance,
     InfeasibleError,
@@ -64,11 +64,9 @@ def brute_force_opt(
             f"{len(free)} positive edge units exceed the enumeration cap {max_units}"
         )
 
-    full = instance_view(inst, inst.positive_units)
-    for t in sorted(inst.terminals):
-        lam = max_flow_value(full, inst.root, t)
-        if lam < inst.k:
-            raise InfeasibleError(t, lam, inst.k)
+    short = short_terminal(inst, inst.positive_units, inst.k)
+    if short is not None:
+        raise InfeasibleError(*short, inst.k)
 
     root, k = inst.root, inst.k
     terminals = sorted(inst.terminals)
@@ -171,13 +169,12 @@ def brute_force_opt(
     if best_cost is None:  # feasibility was pre-checked with all units
         raise AssertionError("search found no feasible selection after a feasible pre-check")
 
-    view = instance_view(inst, preselected | set(best_units))
-    connectivity = {t: max_flow_value(view, root, t) for t in terminals}
+    conn = connectivity(inst, preselected | set(best_units))
     return Solution(
         selected=selection_from_units(best_units),
         total_cost=best_cost,
-        connectivity=connectivity,
-        feasible=all(v >= k for v in connectivity.values()),
+        connectivity=conn,
+        feasible=all(v >= k for v in conn.values()),
     )
 
 
@@ -266,21 +263,14 @@ def enumerate_deficiency(universe, terminals, value_fn) -> EnumeratedFamily:
 
 
 def enumerate_rooted(inst: Instance, units=()) -> EnumeratedFamily:
-    """Enumerate the residual deficiency family of an instance state."""
+    """Enumerate the residual deficiency family of an instance state; its
+    working graph enters as one bare arc per unit of capacity."""
     arcs = []
     for e in inst.zero_edges:
         arcs.extend([(e.tail, e.head)] * e.mult)
     arcs.extend(inst.unit_arc(u) for u in units)
     universe = [v for v in range(inst.node_count) if v != inst.root]
-    terminals = inst.terminals
-    k = inst.k
-
-    def value(members):
-        if not members & terminals:
-            return 0
-        return max(k - entering_count(arcs, members), 0)
-
-    return enumerate_deficiency(universe, terminals, value)
+    return enumerate_arc_family(universe, inst.terminals, inst.k, arcs)
 
 
 def enumerate_arc_family(universe, terminals, k, arcs) -> EnumeratedFamily:
@@ -450,51 +440,3 @@ def nested_chain_certificate(members, cover) -> ChainCertificate:
             raise CertificateError("chain set entered by more than its own edge")
 
     return ChainCertificate(tuple(chain_edges), tuple(chain_sets))
-
-
-def partition_into_covers(members, edges, k: int):
-    """Split a k-cover of a ring into k edge-disjoint covers, if possible.
-
-    ``edges`` maps keys to (tail, head).  Returns k lists of keys or None.
-    Backtracking with class-symmetry breaking; intended for at most ~10 edges.
-    """
-    members = [frozenset(m) for m in members]
-    keys = sorted(edges)
-    arcs = {key: edges[key] for key in keys}
-    for m in members:
-        if sum(1 for key in keys if enters(*arcs[key], m)) < k:
-            raise ValueError("edge set is not a k-cover of the family")
-
-    assignment: dict = {}
-
-    def covered_classes(m):
-        return {assignment[key] for key in assignment if enters(*arcs[key], m)}
-
-    def feasible(idx: int) -> bool:
-        for m in members:
-            remaining = sum(
-                1 for key in keys[idx:] if enters(*arcs[key], m)
-            )
-            if len(covered_classes(m)) + remaining < k:
-                return False
-        return True
-
-    def assign(idx: int, used: int) -> bool:
-        if idx == len(keys):
-            return all(len(covered_classes(m)) == k for m in members)
-        if not feasible(idx):
-            return False
-        key = keys[idx]
-        for cls in range(min(used + 1, k)):
-            assignment[key] = cls
-            if assign(idx + 1, max(used, cls + 1)):
-                return True
-            del assignment[key]
-        return False
-
-    if not assign(0, 0):
-        return None
-    groups = [[] for _ in range(k)]
-    for key, cls in assignment.items():
-        groups[cls].append(key)
-    return [sorted(g) for g in groups]

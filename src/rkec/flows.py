@@ -5,16 +5,18 @@ any synthetic arcs.  Every flow lives in a ``Residual``: a mutable residual
 network for one source and sink that takes new arcs at any time and resumes
 augmenting from the flow it already carries, by shortest augmenting paths
 (breadth-first, deterministic for a fixed arc order).  The one-shot queries
-on a view (``max_flow_value``, the two cut sides, ``max_flow_paths``) build a
-residual and augment it without a limit; the ring primal-dual keeps its
-residuals and grows them one leg at a time.
+on a view (``max_flow_value`` and the two cut sides) build a residual and
+augment it without a limit; the ring primal-dual keeps its residuals and
+grows them one leg at a time.  Root connectivity of a selection is answered
+here too, for every terminal (``connectivity``) or up to the first terminal
+that falls short (``short_terminal``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import Instance
+from .instance import Instance, selection_from_units
 
 
 @dataclass(frozen=True)
@@ -175,41 +177,6 @@ def farthest_sink_cut(view: FlowView, s: int, t: int) -> tuple[int, frozenset[in
     return flow.value, flow.farthest_sink_side()
 
 
-def max_flow_paths(view: FlowView, s: int, t: int) -> list[list[int]]:
-    """Decompose one maximum flow into edge-disjoint s->t node paths.
-
-    Returns exactly max_flow_value(view, s, t) paths; parallel capacity counts
-    as distinct edges, and flow on cycles (if any) is ignored.
-    """
-    flow = _maximum(view, s, t)
-    to, adj = flow.to, flow.adj
-    # The flow pushed over forward arc i sits as capacity on its reverse i + 1.
-    remaining = {i: flow.cap[i + 1] for i in range(0, len(to), 2) if flow.cap[i + 1] > 0}
-    paths = []
-    for _ in range(flow.value):
-        # BFS in the flow graph to find one s->t path
-        via = {s: -1}
-        queue = [s]
-        for u in queue:
-            if t in via:
-                break
-            for i in adj[u]:
-                if remaining.get(i, 0) > 0 and to[i] not in via:
-                    via[to[i]] = i
-                    queue.append(to[i])
-        if t not in via:
-            raise AssertionError("flow decomposition lost a unit of flow")
-        nodes = [t]
-        v = t
-        while v != s:
-            i = via[v]
-            remaining[i] -= 1
-            v = to[i ^ 1]
-            nodes.append(v)
-        paths.append(list(reversed(nodes)))
-    return paths
-
-
 def instance_view(inst: Instance, units, synthetic=()) -> FlowView:
     """Assemble the working graph: zero-cost edges, selected units, extras.
 
@@ -217,11 +184,27 @@ def instance_view(inst: Instance, units, synthetic=()) -> FlowView:
     capacity; synthetic arcs are appended last and keep their tag.
     """
     arcs = [Arc(e.tail, e.head, e.mult) for e in inst.zero_edges]
-    counts: dict[int, int] = {}
-    for eid, _ in units:
-        counts[eid] = counts.get(eid, 0) + 1
-    for eid in sorted(counts):
+    for eid, count in selection_from_units(units).items():
         e = inst.edge_by_id[eid]
-        arcs.append(Arc(e.tail, e.head, counts[eid]))
+        arcs.append(Arc(e.tail, e.head, count))
     arcs.extend(synthetic)
     return FlowView(inst.node_count, arcs)
+
+
+def connectivity(inst: Instance, units) -> dict[int, int]:
+    """Edge-disjoint root paths of every terminal (in id order) in the
+    working graph of ``units``."""
+    view = instance_view(inst, units)
+    return {t: max_flow_value(view, inst.root, t) for t in sorted(inst.terminals)}
+
+
+def short_terminal(inst: Instance, units, need: int) -> tuple[int, int] | None:
+    """The first terminal (in id order) with fewer than ``need`` edge-disjoint
+    root paths in the working graph of ``units``, with its path count; None
+    when every terminal has ``need``.  Stops at that terminal."""
+    view = instance_view(inst, units)
+    for t in sorted(inst.terminals):
+        paths = max_flow_value(view, inst.root, t)
+        if paths < need:
+            return t, paths
+    return None

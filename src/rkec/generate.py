@@ -13,8 +13,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flows import instance_view, max_flow_value
+from .flows import short_terminal
 from .instance import Edge, Instance
+
+_PARALLEL_PROB = Fraction(1, 10)  # chance that a drawn edge gets multiplicity 2
+_RETRY_CAP = 300  # draws per parameter set before giving up
 
 
 @dataclass(frozen=True)
@@ -28,10 +31,8 @@ class GenParams:
     seed: int = 0
     mode: str = "quasi-bipartite"  # or "augmentation"
     base_level: int = 0  # planted zero-cost connectivity (augmentation mode)
-    parallel_prob: Fraction = Fraction(1, 10)
     root_bias: Fraction = Fraction(1)  # multiplier on density for root arcs
     max_units: int | None = None  # cap on positive edge units
-    retry_cap: int = 300
 
     def __post_init__(self):
         if self.nodes < 2:
@@ -86,7 +87,7 @@ def _draw(rng: random.Random, p: GenParams) -> Instance:
         prob = min(p.density * p.root_bias, Fraction(1)) if tail == root else p.density
         if rng.random() >= prob:
             continue
-        mult = 2 if rng.random() < p.parallel_prob else 1
+        mult = 2 if rng.random() < _PARALLEL_PROB else 1
         cost = rng.randint(p.cost_lo, p.cost_hi)
         edges.append(Edge(next_id, tail, head, Fraction(cost), mult))
         next_id += 1
@@ -97,23 +98,15 @@ def _draw(rng: random.Random, p: GenParams) -> Instance:
 def _acceptable(inst: Instance, p: GenParams) -> bool:
     if p.max_units is not None and len(inst.positive_units) > p.max_units:
         return False
-    full = instance_view(inst, inst.positive_units)
-    if any(max_flow_value(full, inst.root, t) < inst.k for t in sorted(inst.terminals)):
+    if short_terminal(inst, inst.positive_units, inst.k) is not None:
         return False
-    if p.mode == "augmentation":
-        base = instance_view(inst, ())
-        if any(
-            max_flow_value(base, inst.root, t) < p.base_level
-            for t in sorted(inst.terminals)
-        ):
-            return False
-    return True
+    return p.mode != "augmentation" or short_terminal(inst, (), p.base_level) is None
 
 
 def generate_instance(p: GenParams) -> Instance:
     """Draw instances until one is feasible (and under the unit cap)."""
     rng = random.Random(p.seed)
-    for _ in range(p.retry_cap):
+    for _ in range(_RETRY_CAP):
         inst = _draw(rng, p)
         if _acceptable(inst, p):
             return inst

@@ -7,13 +7,14 @@ left at the phase's level.  Leg sets of different leaves may overlap; the
 duplicates are bought once but the density keeps the summed price, which only
 makes the chosen star look worse, never infeasible.
 
-Pricing every (head, core) pair is the reference (``price_star_edges`` +
-``best_star``); ``cheapest_star`` gives the same star with far less work.  It
-builds one pricing context per star: the working arcs, the candidate list
-and, per core, the no-head ring, its price and its ring maximum.  A head
-(u, v) with v outside the ring maximum or u inside the core enters no ring
-member, so it leaves the core's price exactly at the shared no-head price;
-only the other pairs run a primal-dual of their own.  Each head is first
+Pricing every (head, core) pair with a fresh ring context and taking the
+best star is the reference the tests hold ``cheapest_star`` to; it gives the
+same star with far less work.  It builds one pricing context per star: the
+working arcs, the candidate list and, per core, the no-head ring, its price
+and its ring maximum.  A head (u, v) with v outside the ring maximum or u
+inside the core enters no ring member, so it leaves the core's price exactly
+at the shared no-head price; only the other pairs run a primal-dual of their
+own.  Each head is first
 bounded below from the prices it already knows, and skipped when even that
 bound loses to the best star so far.
 """
@@ -30,7 +31,6 @@ from .instance import Instance, IterationRecord, Unit
 from .rings import (
     RingContext,
     RingCover,
-    build_ring_context,
     core_ring_context,
     free_leg_candidates,
     index_legs,
@@ -69,32 +69,6 @@ class PhaseStuckError(RuntimeError):
 def candidate_heads(inst: Instance, units) -> tuple[Unit, ...]:
     """Every positive-cost edge with a free unit, lowest copy first."""
     return free_leg_candidates(inst, units)
-
-
-def price_star_edges(
-    inst: Instance,
-    units,
-    cores,
-    level: int,
-    heads=None,
-) -> dict[tuple[Unit, CoreInfo], RingCover]:
-    """Exact leg price for every (candidate head, core) pair.
-
-    Unpriceable pairs are simply absent.  A head that covers nothing of a
-    core's ring still gets a price: the legs then have to do all the work.
-    """
-    if not cores:
-        raise ValueError("pricing needs at least one core")
-    if heads is None:
-        heads = candidate_heads(inst, units)
-    prices: dict[tuple[Unit, CoreInfo], RingCover] = {}
-    for head in heads:
-        for core in cores:
-            ctx = build_ring_context(inst, units, cores, core, head, level)
-            cover = primal_dual_ring_cover(ctx)
-            if cover is not None:
-                prices[(head, core)] = cover
-    return prices
 
 
 def _best_prefix(head_cost: Fraction, costs) -> tuple[Fraction, int]:
@@ -138,25 +112,6 @@ def _scan_head(
         tuple(lf.core.representative for lf in chosen),
     )
     return full_key, star
-
-
-def best_star(inst: Instance, prices) -> Star:
-    """Global minimum-density star from a full price map.
-
-    Ties prefer more leaves, then the smaller head edge id, then smaller leaf
-    representatives.
-    """
-    by_head: dict[Unit, list[tuple[CoreInfo, RingCover]]] = {}
-    for (head, core), cover in prices.items():
-        by_head.setdefault(head, []).append((core, cover))
-    best = None
-    for head in sorted(by_head):
-        scanned = _scan_head(head, inst.unit_cost(head), by_head[head])
-        if scanned and (best is None or scanned[0] < best[0]):
-            best = scanned
-    if best is None:
-        raise PhaseStuckError("no priceable (head, core) pair at this level")
-    return best[1]
 
 
 @dataclass(frozen=True)
@@ -246,30 +201,27 @@ def star_units(star: Star) -> set[Unit]:
     return units
 
 
-def run_phase(inst: Instance, units, level: int) -> PhaseResult:
-    """Cover the level-``level`` family: iterate star selection until no core
-    remains at that level.
+def run_phase(inst: Instance, units, cores) -> tuple[PhaseResult, list[CoreInfo]]:
+    """Cover the level of ``cores``, the cores of the state ``units``: iterate
+    star selection until no core remains at that level.
 
-    The caller guarantees the current max residual level equals ``level``.
-    Each iteration must retire at least half its leaf count in cores (checked,
-    integrally) and strictly shrink the core count.
+    Returns the phase and the cores of the state it leaves (at a lower level,
+    or none).  Each iteration must retire at least half its leaf count in
+    cores (checked, integrally) and strictly shrink the core count.
     """
+    level = cores[0].deficiency
     selected = set(units)
     added: list[Unit] = []
     records: list[IterationRecord] = []
-    cores = rooted_cores(inst, selected)
-    if not cores or cores[0].deficiency != level:
-        raise ValueError(f"phase started at level {level} but state disagrees")
-
     while cores:
         star = cheapest_star(inst, selected, cores, level)
         new_units = sorted(star_units(star) - selected)
         selected.update(new_units)
         added.extend(new_units)
 
-        cores_after = rooted_cores(inst, selected)
-        if cores_after and cores_after[0].deficiency != level:
-            cores_after = []  # the level dropped: this phase is done
+        after = rooted_cores(inst, selected)
+        # once the level drops, no core is left at this phase's level
+        cores_after = after if after and after[0].deficiency == level else []
         drop = len(cores) - len(cores_after)
         if drop <= 0:
             raise AssertionError("greedy iteration failed to retire any core")
@@ -290,4 +242,4 @@ def run_phase(inst: Instance, units, level: int) -> PhaseResult:
         )
         cores = cores_after
 
-    return PhaseResult(level, added, records)
+    return PhaseResult(level, added, records), after

@@ -10,7 +10,6 @@ independently selectable, so selections are tracked as (edge id, copy) pairs.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -165,19 +164,33 @@ def validate_quasi_bipartite(inst: Instance) -> QuasiBipartiteReport:
     return QuasiBipartiteReport(not offending, offending)
 
 
-def parse_instance(text: str, *, drop_root_edges: bool = False) -> Instance:
-    """Parse an instance document.
+def load_object(text: str, what: str, where: str = "") -> dict:
+    """Parse a JSON document that must be an object.
 
-    Edges entering the root never help any cut and are rejected; with
-    ``drop_root_edges`` they are dropped with a warning instead.  Self-loops
-    are always dropped silently.
+    ``what`` names the document in the error for any other JSON value;
+    ``where`` (a file name, say) prefixes both errors.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+        raise ParseError(f"{where}invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ParseError("instance document must be a JSON object")
+        raise ParseError(f"{where}{what} must be a JSON object")
+    return doc
+
+
+def dump_json(doc) -> str:
+    """The one output layout: sorted keys, two-space indent, final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def parse_instance(text: str) -> Instance:
+    """Parse an instance document.
+
+    Edges entering the root never help any cut and are rejected.  Self-loops
+    are dropped silently.
+    """
+    doc = load_object(text, "instance document")
     try:
         n = doc["n"]
         root = doc["root"]
@@ -208,9 +221,6 @@ def parse_instance(text: str, *, drop_root_edges: bool = False) -> Instance:
         if tail == head:
             continue  # self-loops cover nothing
         if head == root:
-            if drop_root_edges:
-                warnings.warn(f"dropping edge {eid}: enters root", stacklevel=2)
-                continue
             raise ParseError(f"edge {eid} enters root")
         edges.append(Edge(eid, tail, head, cost, mult))
 
@@ -229,7 +239,7 @@ def instance_to_json(inst: Instance) -> str:
             for e in inst.edges
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dump_json(doc)
 
 
 @dataclass(frozen=True)
@@ -351,14 +361,8 @@ def solution_from_doc(doc: dict) -> Solution:
 
 
 def solution_to_json(sol: Solution) -> str:
-    return json.dumps(solution_to_doc(sol), indent=2, sort_keys=True) + "\n"
+    return dump_json(solution_to_doc(sol))
 
 
 def parse_solution(text: str) -> Solution:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("solution document must be a JSON object")
-    return solution_from_doc(doc)
+    return solution_from_doc(load_object(text, "solution document"))

@@ -36,7 +36,7 @@ from functools import cached_property
 
 from .deficiency import CoreInfo
 from .flows import Arc, Residual, instance_view
-from .instance import Instance, Unit
+from .instance import Instance, Unit, selection_from_units
 
 
 @dataclass(frozen=True)
@@ -128,9 +128,7 @@ def free_leg_candidates(inst: Instance, units) -> tuple[Unit, ...]:
     A second parallel copy can never help cover a ring (each member only needs
     one entering edge), so one candidate per edge id suffices.
     """
-    taken: dict[int, int] = {}
-    for eid, _ in units:
-        taken[eid] = taken.get(eid, 0) + 1
+    taken = selection_from_units(units)
     out = []
     for e in sorted(inst.positive_edges, key=lambda e: e.id):
         used = taken.get(e.id, 0)

@@ -2,20 +2,21 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .deficiency import rooted_max_level
-from .flows import instance_view, max_flow_value
+from .deficiency import rooted_cores
+from .flows import connectivity, short_terminal
 from .greedy import PhaseResult, run_phase
 from .instance import (
     Instance,
     InfeasibleError,
     ParseError,
     Solution,
+    dump_json,
     frac_from_obj,
     frac_to_str,
+    load_object,
     selection_from_units,
     solution_from_doc,
     solution_to_doc,
@@ -29,31 +30,17 @@ def harmonic(m: int) -> Fraction:
     return sum((Fraction(1, i) for i in range(1, m + 1)), Fraction(0))
 
 
-def initial_floor(inst: Instance) -> int:
-    """Connectivity already provided for free: min over terminals of the
-    zero-cost subgraph's root connectivity, capped at k."""
-    view = instance_view(inst, ())
-    return min(
-        min(max_flow_value(view, inst.root, t), inst.k) for t in sorted(inst.terminals)
-    )
-
-
 @dataclass
 class SolveReport:
     solution: Solution
     phases: list[PhaseResult] = field(default_factory=list)
-    bound_harmonic: Fraction = Fraction(0)  # H(k - initial connectivity floor)
+    bound_harmonic: Fraction = Fraction(0)  # H(first deficiency level)
     terminal_count: int = 0
     pruned: Solution | None = None  # engineering extra, never used for ratio audits
 
 
-def _connectivity(inst: Instance, units) -> dict[int, int]:
-    view = instance_view(inst, units)
-    return {t: max_flow_value(view, inst.root, t) for t in sorted(inst.terminals)}
-
-
 def _make_solution(inst: Instance, units, records) -> Solution:
-    conn = _connectivity(inst, units)
+    conn = connectivity(inst, units)
     return Solution(
         selected=selection_from_units(units),
         total_cost=inst.units_cost(units),
@@ -72,7 +59,7 @@ def prune_solution(inst: Instance, units) -> Solution:
     kept = list(units)
     for u in reversed(list(units)):
         trial = [v for v in kept if v != u]
-        conn = _connectivity(inst, trial)
+        conn = connectivity(inst, trial)
         if all(v >= inst.k for v in conn.values()):
             kept = trial
     return _make_solution(inst, kept, [])
@@ -82,26 +69,25 @@ def solve(inst: Instance, *, prune: bool = False) -> SolveReport:
     """Run the level-descending greedy; the result is always feasible.
 
     Raises InfeasibleError (with the witness terminal) when even the full
-    edge set cannot reach the target.
+    edge set cannot reach the target.  Each phase hands back the cores of
+    the state it leaves, so every state is queried once.  The first level
+    is max over terminals of max(k - zero-cost connectivity, 0), so the
+    guarantee's H(k - l0) is the harmonic number of that level.
     """
-    full = instance_view(inst, inst.positive_units)
-    for t in sorted(inst.terminals):
-        lam = max_flow_value(full, inst.root, t)
-        if lam < inst.k:
-            raise InfeasibleError(t, lam, inst.k)
+    short = short_terminal(inst, inst.positive_units, inst.k)
+    if short is not None:
+        raise InfeasibleError(*short, inst.k)
 
     selected: list = []
     phases: list[PhaseResult] = []
-    current = rooted_max_level(inst, selected)
-    for level in range(current, 0, -1):
-        if current < level:
-            continue  # this level emptied out already
-        result = run_phase(inst, selected, level)
+    cores = rooted_cores(inst, selected)
+    first_level = cores[0].deficiency if cores else 0
+    while cores:
+        result, cores = run_phase(inst, selected, cores)
         selected.extend(result.added)
         phases.append(result)
-        current = rooted_max_level(inst, selected)
-        if current > level - 1:
-            raise AssertionError(f"phase at level {level} left the level uncovered")
+        if cores and cores[0].deficiency >= result.level:
+            raise AssertionError(f"phase at level {result.level} left the level uncovered")
 
     records = [rec for ph in phases for rec in ph.iterations]
     solution = _make_solution(inst, selected, records)
@@ -112,7 +98,7 @@ def solve(inst: Instance, *, prune: bool = False) -> SolveReport:
     report = SolveReport(
         solution=solution,
         phases=phases,
-        bound_harmonic=harmonic(inst.k - initial_floor(inst)),
+        bound_harmonic=harmonic(first_level),
         terminal_count=len(inst.terminals),
     )
     if prune:
@@ -170,14 +156,8 @@ def report_from_doc(doc: dict) -> SolveReport:
 
 
 def report_to_json(report: SolveReport) -> str:
-    return json.dumps(report_to_doc(report), indent=2, sort_keys=True) + "\n"
+    return dump_json(report_to_doc(report))
 
 
 def parse_report(text: str) -> SolveReport:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("report document must be a JSON object")
-    return report_from_doc(doc)
+    return report_from_doc(load_object(text, "report document"))

@@ -11,7 +11,6 @@ rational, and for |T| = 1 the interval is a point).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,8 +18,15 @@ from fractions import Fraction
 import mpmath
 
 from .exact import brute_force_opt
-from .flows import instance_view, max_flow_paths, max_flow_value
-from .instance import Instance, SizeRefusalError, Solution, check_selection, frac_to_str
+from .flows import connectivity
+from .instance import (
+    Instance,
+    SizeRefusalError,
+    Solution,
+    check_selection,
+    dump_json,
+    frac_to_str,
+)
 from .solver import SolveReport
 
 
@@ -32,30 +38,8 @@ def check_feasible(inst: Instance, sol: Solution) -> tuple[dict[int, int], bool]
     offer (see ``check_selection``).
     """
     check_selection(inst, sol.selected)
-    view = instance_view(inst, sol.units())
-    conn = {t: max_flow_value(view, inst.root, t) for t in sorted(inst.terminals)}
+    conn = connectivity(inst, sol.units())
     return conn, all(v >= inst.k for v in conn.values())
-
-
-def path_packing_witness(inst: Instance, sol: Solution, terminal: int) -> list[list[int]]:
-    """Extract edge-disjoint root-terminal paths and re-validate them edge by
-    edge against the instance's capacities."""
-    view = instance_view(inst, sol.units())
-    paths = max_flow_paths(view, inst.root, terminal)
-    capacity: dict[tuple[int, int], int] = {}
-    for e in inst.zero_edges:
-        capacity[(e.tail, e.head)] = capacity.get((e.tail, e.head), 0) + e.mult
-    for eid, count in sol.selected.items():
-        e = inst.edge_by_id[eid]
-        capacity[(e.tail, e.head)] = capacity.get((e.tail, e.head), 0) + count
-    used: dict[tuple[int, int], int] = {}
-    for path in paths:
-        for u, v in zip(path, path[1:]):
-            used[(u, v)] = used.get((u, v), 0) + 1
-    for arc, count in used.items():
-        if count > capacity.get(arc, 0):
-            raise AssertionError(f"witness paths overuse arc {arc}")
-    return paths
 
 
 def _mpf_to_fraction(x) -> Fraction:
@@ -239,4 +223,4 @@ def audit_to_doc(report: AuditReport) -> dict:
 
 
 def audit_to_json(report: AuditReport) -> str:
-    return json.dumps(audit_to_doc(report), indent=2, sort_keys=True) + "\n"
+    return dump_json(audit_to_doc(report))

@@ -1,0 +1,108 @@
+"""Reference implementations the fast paths are compared against.
+
+Each one does its job the plain way: every (head, core) pair priced on a
+fresh ring context, a maximum flow decomposed into paths by search, and the
+paths re-checked edge by edge against the instance's capacities.  They use
+the package's flow and ring primitives, unlike the enumeration oracles in
+``conftest``, and only tests call them.
+"""
+
+from rkec.deficiency import CoreInfo
+from rkec.flows import FlowView, Residual, instance_view
+from rkec.greedy import PhaseStuckError, Star, _scan_head, candidate_heads
+from rkec.instance import Instance, Solution, Unit
+from rkec.rings import RingCover, build_ring_context, primal_dual_ring_cover
+
+
+def price_star_edges(inst: Instance, units, cores, level: int) -> dict[tuple[Unit, CoreInfo], RingCover]:
+    """Exact leg price for every (candidate head, core) pair.
+
+    Unpriceable pairs are simply absent.  A head that covers nothing of a
+    core's ring still gets a price: the legs then have to do all the work.
+    """
+    if not cores:
+        raise ValueError("pricing needs at least one core")
+    prices: dict[tuple[Unit, CoreInfo], RingCover] = {}
+    for head in candidate_heads(inst, units):
+        for core in cores:
+            ctx = build_ring_context(inst, units, cores, core, head, level)
+            cover = primal_dual_ring_cover(ctx)
+            if cover is not None:
+                prices[(head, core)] = cover
+    return prices
+
+
+def best_star(inst: Instance, prices) -> Star:
+    """Global minimum-density star from a full price map.
+
+    Ties prefer more leaves, then the smaller head edge id, then smaller leaf
+    representatives.
+    """
+    by_head: dict[Unit, list[tuple[CoreInfo, RingCover]]] = {}
+    for (head, core), cover in prices.items():
+        by_head.setdefault(head, []).append((core, cover))
+    best = None
+    for head in sorted(by_head):
+        scanned = _scan_head(head, inst.unit_cost(head), by_head[head])
+        if scanned and (best is None or scanned[0] < best[0]):
+            best = scanned
+    if best is None:
+        raise PhaseStuckError("no priceable (head, core) pair at this level")
+    return best[1]
+
+
+def max_flow_paths(view: FlowView, s: int, t: int) -> list[list[int]]:
+    """Decompose one maximum flow into edge-disjoint s->t node paths.
+
+    Returns exactly max_flow_value(view, s, t) paths; parallel capacity counts
+    as distinct edges, and flow on cycles (if any) is ignored.
+    """
+    flow = Residual(view.node_count, s, t, view.arcs)
+    flow.augment()
+    to, adj = flow.to, flow.adj
+    # The flow pushed over forward arc i sits as capacity on its reverse i + 1.
+    remaining = {i: flow.cap[i + 1] for i in range(0, len(to), 2) if flow.cap[i + 1] > 0}
+    paths = []
+    for _ in range(flow.value):
+        # BFS in the flow graph to find one s->t path
+        via = {s: -1}
+        queue = [s]
+        for u in queue:
+            if t in via:
+                break
+            for i in adj[u]:
+                if remaining.get(i, 0) > 0 and to[i] not in via:
+                    via[to[i]] = i
+                    queue.append(to[i])
+        if t not in via:
+            raise AssertionError("flow decomposition lost a unit of flow")
+        nodes = [t]
+        v = t
+        while v != s:
+            i = via[v]
+            remaining[i] -= 1
+            v = to[i ^ 1]
+            nodes.append(v)
+        paths.append(list(reversed(nodes)))
+    return paths
+
+
+def path_packing_witness(inst: Instance, sol: Solution, terminal: int) -> list[list[int]]:
+    """Extract edge-disjoint root-terminal paths and re-validate them edge by
+    edge against the instance's capacities."""
+    view = instance_view(inst, sol.units())
+    paths = max_flow_paths(view, inst.root, terminal)
+    capacity: dict[tuple[int, int], int] = {}
+    for e in inst.zero_edges:
+        capacity[(e.tail, e.head)] = capacity.get((e.tail, e.head), 0) + e.mult
+    for eid, count in sol.selected.items():
+        e = inst.edge_by_id[eid]
+        capacity[(e.tail, e.head)] = capacity.get((e.tail, e.head), 0) + count
+    used: dict[tuple[int, int], int] = {}
+    for path in paths:
+        for u, v in zip(path, path[1:]):
+            used[(u, v)] = used.get((u, v), 0) + 1
+    for arc, count in used.items():
+        if count > capacity.get(arc, 0):
+            raise AssertionError(f"witness paths overuse arc {arc}")
+    return paths

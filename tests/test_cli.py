@@ -220,3 +220,38 @@ def test_verify_rejects_documents_that_are_not_json_objects(
     argv += [flag, bad] if flag != "--opt" else ["--report", report, "--opt", bad]
     assert run(*argv) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.fixture
+def solved_with_optimum(tmp_path):
+    """Instance (solve cost 44), its solve report, and its optimum document
+    (cost 43), as written by ``rkec brute``."""
+    inst, report, opt = (tmp_path / name for name in ("inst.json", "report.json", "opt.json"))
+    run("gen", "--nodes", "8", "--terminals", "3", "--k", "2", "--seed", "7", "--out", inst)
+    assert run("solve", "--instance", inst, "--out", report, "--no-timestamp") == 0
+    assert run("brute", "--instance", inst, "--out", opt, "--no-timestamp") == 0
+    doc = json.loads(opt.read_text())
+    assert doc["total_cost"] == "43"
+    return inst, report, doc
+
+
+@pytest.mark.parametrize(
+    "edit, code, message",
+    [
+        ({}, 0, None),
+        ({"total_cost": "1000"}, 2, "total_cost 1000 but the selection costs 43"),
+        ({"selected": [], "total_cost": "0"}, 2, "selection is infeasible"),
+    ],
+    ids=["recomputed", "recorded-cost-differs", "infeasible"],
+)
+def test_verify_checks_the_opt_file(solved_with_optimum, tmp_path, capsys, edit, code, message):
+    inst, report, doc = solved_with_optimum
+    opt = tmp_path / "claimed.json"
+    opt.write_text(json.dumps({**doc, **edit}))
+    out = tmp_path / "audit.json"
+    assert run("verify", "--instance", inst, "--report", report, "--opt", opt,
+               "--out", out, "--no-timestamp") == code
+    if message is None:
+        assert json.loads(out.read_text())["ratio"] == "44/43"
+    else:
+        assert message in capsys.readouterr().err

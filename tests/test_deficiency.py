@@ -8,8 +8,6 @@ from rkec.deficiency import (
     ExplicitSetFunction,
     explicit_cores,
     explicit_max_level,
-    explicit_to_json,
-    load_explicit,
     rooted_cores,
     rooted_max_level,
     tabulate_rooted,
@@ -132,14 +130,6 @@ def test_constructor_rejects_supermodularity_violation():
 def test_constructor_rejects_terminal_free_positive_set():
     with pytest.raises(ParseError, match="no terminal"):
         ExplicitSetFunction(3, frozenset({1}), ((frozenset({2}), 1),))
-
-
-def test_explicit_json_round_trip():
-    fn = ExplicitSetFunction(4, frozenset({1, 3}), (
-        (frozenset({1}), 2),
-        (frozenset({1, 3}), 2),
-    ))
-    assert load_explicit(explicit_to_json(fn)) == fn
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,7 +11,6 @@ from rkec.exact import (
     brute_force_ring_cover,
     enumerate_rooted,
     nested_chain_certificate,
-    partition_into_covers,
 )
 from rkec.instance import Edge, InfeasibleError, Instance, SizeRefusalError
 
@@ -211,23 +210,3 @@ def test_chain_certificate_rejects_redundant_cover():
     cover = {"a": (2, 1), "b": (0, 1), "c": (0, 2)}  # b has no private witness
     with pytest.raises(CertificateError):
         nested_chain_certificate(members, cover)
-
-
-def test_partition_into_covers_basic():
-    members = [frozenset({1})]
-    edges = {"a": (0, 1), "b": (2, 1), "c": (3, 1)}
-    groups = partition_into_covers(members, edges, 2)
-    assert groups is not None
-    covered = [
-        any(head in m and tail not in m for key in group for tail, head in [edges[key]])
-        for group in groups
-        for m in members
-    ]
-    assert all(covered)
-
-
-def test_partition_rejects_thin_cover():
-    members = [frozenset({1})]
-    edges = {"a": (0, 1)}
-    with pytest.raises(ValueError):
-        partition_into_covers(members, edges, 2)

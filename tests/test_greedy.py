@@ -10,10 +10,8 @@ from rkec.deficiency import CoreInfo, rooted_cores, rooted_max_level
 from rkec.greedy import (
     PhaseStuckError,
     _best_prefix,
-    best_star,
     candidate_heads,
     cheapest_star,
-    price_star_edges,
     pricing_context,
     run_phase,
     star_units,
@@ -30,6 +28,7 @@ from rkec.rings import (
 )
 
 from conftest import small_random_instance
+from reference import best_star, price_star_edges
 
 
 def test_candidate_heads_skip_selected(instance_a):
@@ -101,7 +100,8 @@ def test_zero_cost_edges_never_priced(instance_a_k2):
 
 
 def test_run_phase_fixture_trace(instance_a):
-    result = run_phase(instance_a, (), 1)
+    result, after = run_phase(instance_a, (), rooted_cores(instance_a, ()))
+    assert after == []
     assert len(result.iterations) == 1
     rec = result.iterations[0]
     assert rec.cores_before == 2 and rec.cores_after == 0
@@ -110,14 +110,9 @@ def test_run_phase_fixture_trace(instance_a):
     assert sorted(result.added) == [(1, 0), (2, 0), (3, 0)]
 
 
-def test_run_phase_rejects_wrong_level(instance_a):
-    with pytest.raises(ValueError):
-        run_phase(instance_a, (), 2)
-
-
 def test_run_phase_k2_variant_matches_fixture(instance_a, instance_a_k2):
-    plain = run_phase(instance_a, (), 1)
-    augmented = run_phase(instance_a_k2, (), 1)
+    plain, _ = run_phase(instance_a, (), rooted_cores(instance_a, ()))
+    augmented, _ = run_phase(instance_a_k2, (), rooted_cores(instance_a_k2, ()))
     assert [r.added_cost for r in plain.iterations] == [r.added_cost for r in augmented.iterations]
     assert sorted(u[0] for u in plain.added) == sorted(u[0] for u in augmented.added)
 
@@ -126,7 +121,7 @@ def test_phase_stuck_on_uncoverable_level():
     # terminal 2 has no incoming edge at all, but terminal 1 keeps a core open
     inst = Instance(3, 0, frozenset({1, 2}), (Edge(1, 0, 1, Fraction(1)),), 1)
     with pytest.raises(PhaseStuckError):
-        run_phase(inst, (), 1)
+        run_phase(inst, (), rooted_cores(inst, ()))
 
 
 def _augmentation_instance(seed):
@@ -270,14 +265,16 @@ def test_best_prefix_early_exit_equals_the_full_scan(head_cost, costs):
 @given(st.integers(0, 100_000))
 def test_phase_invariants(seed):
     inst = small_random_instance(random.Random(seed))
-    level = rooted_max_level(inst, ())
-    if level == 0:
+    cores = rooted_cores(inst, ())
+    if not cores:
         return
+    level = cores[0].deficiency
     try:
-        result = run_phase(inst, (), level)
+        result, after = run_phase(inst, (), cores)
     except PhaseStuckError:
         return
     assert rooted_max_level(inst, result.added) < level
+    assert after == rooted_cores(inst, result.added)
     seen = set()
     for rec in result.iterations:
         assert rec.cores_after < rec.cores_before

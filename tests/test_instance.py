@@ -44,9 +44,6 @@ def test_parse_rejects_edge_into_root():
            "edges": [{"id": 1, "tail": 2, "head": 0, "cost": "1", "mult": 1}]}
     with pytest.raises(ParseError, match="enters root"):
         parse_instance(json.dumps(doc))
-    with pytest.warns(UserWarning, match="enters root"):
-        inst = parse_instance(json.dumps(doc), drop_root_edges=True)
-    assert not inst.edges
 
 
 def test_parse_drops_self_loops():

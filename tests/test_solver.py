@@ -1,24 +1,34 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rkec import greedy, solver
 from rkec.deficiency import rooted_max_level
 from rkec.exact import brute_force_opt
+from rkec.flows import connectivity
+from rkec.generate import GenParams, generate_instance
 from rkec.instance import Edge, InfeasibleError, Instance
-from rkec import solver
 from rkec.solver import (
     harmonic,
-    initial_floor,
     parse_report,
     report_to_json,
     solve,
 )
 from rkec.verify import bound_decision, check_feasible
 
-from conftest import small_random_instance
+from conftest import INSTANCE_A_JSON, small_random_instance
+
+
+def free_floor(inst):
+    """The connectivity the zero-cost subgraph already gives, capped at k."""
+    return min(min(connectivity(inst, ()).values()), inst.k)
 
 
 def test_harmonic_values():
@@ -52,7 +62,8 @@ def test_k2_variant(instance_a_k2):
     assert report.solution.total_cost == 4
     assert report.solution.connectivity == {2: 2, 3: 2}
     assert [ph.level for ph in report.phases] == [1]
-    assert initial_floor(instance_a_k2) == 1
+    assert free_floor(instance_a_k2) == 1
+    assert report.bound_harmonic == harmonic(instance_a_k2.k - free_floor(instance_a_k2))
 
 
 def test_infeasible_instance_raises():
@@ -140,11 +151,58 @@ def test_ratio_bound_against_optimum(seed):
         report.bound_harmonic, report.terminal_count,
     )
     assert holds
-    assert report.bound_harmonic == harmonic(inst.k - initial_floor(inst))
+    assert report.bound_harmonic == harmonic(inst.k - free_floor(inst))
 
 
 def test_solve_checks_final_feasibility(instance_a, monkeypatch):
     # the check must be a raise, not an assert that ``python -O`` strips
-    monkeypatch.setattr(solver, "_connectivity", lambda inst, units: {2: 0, 3: 1})
+    monkeypatch.setattr(solver, "connectivity", lambda inst, units: {2: 0, 3: 1})
     with pytest.raises(AssertionError, match="short of k"):
         solve(instance_a)
+
+
+_FORCED_SHORT_UNDER_O = f"""
+from rkec import solver
+from rkec.instance import parse_instance
+
+assert False, "asserts must be stripped in this interpreter"
+solver.connectivity = lambda inst, units: {{2: 0, 3: 1}}
+try:
+    solver.solve(parse_instance({INSTANCE_A_JSON!r}))
+except AssertionError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_solve_checks_final_feasibility_under_python_O():
+    # the same forced failure in an interpreter that strips ``assert``
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FORCED_SHORT_UNDER_O],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: greedy selection leaves a terminal short of k")
+
+
+def test_solve_queries_the_cores_of_each_state_once(monkeypatch):
+    # one query for the start state and one after each bought star, over
+    # three phases (levels 3, 2 and 1)
+    inst = generate_instance(GenParams(
+        nodes=7, terminals=2, k=3, density=Fraction(9, 20), root_bias=Fraction(2), seed=3,
+    ))
+    real = solver.rooted_cores
+    calls = []
+
+    def counting(inst, units):
+        calls.append(tuple(sorted(units)))
+        return real(inst, units)
+
+    monkeypatch.setattr(solver, "rooted_cores", counting)
+    monkeypatch.setattr(greedy, "rooted_cores", counting)
+    report = solve(inst)
+    assert [ph.level for ph in report.phases] == [3, 2, 1]
+    assert len(calls) == len(report.solution.audit) + 1
+    assert len(set(calls)) == len(calls)

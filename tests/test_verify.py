@@ -2,23 +2,30 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rkec.exact import brute_force_opt
-from rkec.instance import InfeasibleError, IterationRecord, Solution
-from rkec.solver import SolveReport, solve
+from rkec.instance import (
+    InfeasibleError,
+    IterationRecord,
+    ParseError,
+    Solution,
+    frac_from_obj,
+    frac_to_str,
+)
+from rkec.solver import SolveReport, report_from_doc, report_to_doc, solve
 from rkec.verify import (
     audit_run,
     audit_to_json,
     bound_decision,
     check_feasible,
     log_interval,
-    path_packing_witness,
     ratio_bound_interval,
 )
 
 from conftest import small_random_instance
+from reference import path_packing_witness
 
 
 def test_check_feasible_fixture(instance_a):
@@ -159,3 +166,59 @@ def test_audit_is_pure(seed):
     second = audit_run(inst, report, opt, density_max_units=14)
     assert audit_to_json(first) == audit_to_json(second)
     assert first.clean
+
+
+def _tamper_selected(inst, solution, data):
+    """Give one edge id (maybe one the instance lacks) a new unit count; a
+    count of 0 drops the edge."""
+    chosen = dict(solution["selected"])
+    ids = sorted(e.id for e in inst.edges) + [max((e.id for e in inst.edges), default=0) + 1]
+    eid = data.draw(st.sampled_from(ids))
+    count = data.draw(st.integers(0, 3).filter(lambda c: c != chosen.get(eid, 0)))
+    chosen[eid] = count
+    solution["selected"] = [[e, c] for e, c in sorted(chosen.items()) if c]
+
+
+def _tamper_total_cost(inst, solution, data):
+    recorded = frac_from_obj(solution["total_cost"])
+    cost = data.draw(st.fractions(min_value=0, max_value=100, max_denominator=4))
+    solution["total_cost"] = frac_to_str(cost if cost != recorded else recorded + 1)
+
+
+def _tamper_added_units(inst, solution, data):
+    """Drop one recorded unit or add one, so the multiset changes."""
+    records = solution["audit"]
+    assume(records)
+    rec = data.draw(st.sampled_from(records))
+    if rec["added_units"] and data.draw(st.booleans()):
+        rec["added_units"].pop(data.draw(st.integers(0, len(rec["added_units"]) - 1)))
+    else:
+        eid = data.draw(st.sampled_from(sorted(e.id for e in inst.edges) + [0]))
+        rec["added_units"].append([eid, data.draw(st.integers(0, 2))])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 100_000),
+    st.sampled_from([_tamper_selected, _tamper_total_cost, _tamper_added_units]),
+    st.data(),
+)
+def test_tampered_report_never_audits_clean(seed, tamper, data):
+    """A report whose ``selected``, ``total_cost`` or multiset of iteration
+    ``added_units`` was changed is rejected (ParseError) or audits unclean.
+
+    Out of scope until the audit replays the core counts: moving a unit from
+    one iteration to another, and editing ``cores_before``/``cores_after``.
+    """
+    inst = small_random_instance(random.Random(seed))
+    try:
+        report = solve(inst)
+    except InfeasibleError:
+        return
+    doc = report_to_doc(report)
+    tamper(inst, doc["solution"], data)
+    try:
+        audit = audit_run(inst, report_from_doc(doc))
+    except ParseError:
+        return
+    assert not audit.clean
