@@ -3,23 +3,28 @@
 
 Usage: python scripts/ring_cross_check.py [--seeds N] [--per-state HEADS]
 
-Random small instances are driven into random partial-selection states; every
-(core, head) pair gets priced three ways, and the costs must agree as exact
-rationals: by the primal-dual on a fresh ring context (``build_ring_context``),
-by the path the solver runs (``greedy.pricing_context``: the core's shared
-no-head price for a head it calls irrelevant, else a primal-dual on
-``with_head`` of the core's shared ring), and by the exact hitting-set search.
+Random small instances, their positive costs divided by a drawn denominator,
+are driven into random partial-selection states; every (core, head) pair gets
+priced three ways, and the costs must agree as exact rationals: by the
+primal-dual on a fresh ring context (``build_ring_context``), by the path the
+solver runs (``greedy.pricing_context``: the core's shared no-head price for a
+head it calls irrelevant, else a primal-dual on ``with_head`` of the core's
+shared ring), and by the exact hitting-set search over rational costs.  The
+primal-dual covers cost integers in units of 1/``cost_scale``, so they are
+rescaled before the comparison.
 """
 
 import argparse
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from rkec.deficiency import rooted_cores, rooted_max_level
 from rkec.exact import brute_force_ring_cover, enumerate_arc_family
 from rkec.generate import GenParams, generate_instance
 from rkec.greedy import candidate_heads, pricing_context
+from rkec.instance import Instance
 from rkec.rings import build_ring_context, primal_dual_ring_cover, with_head
 
 
@@ -41,6 +46,12 @@ def main(argv=None) -> int:
             seed=seed,
             max_units=18,
         ))
+        denominator = rng.randint(1, 6)
+        inst = Instance(
+            inst.node_count, inst.root, inst.terminals,
+            tuple(replace(e, cost=e.cost / denominator) for e in inst.edges), inst.k,
+        )
+        scale = inst.cost_scale
         universe = [v for v in range(inst.node_count) if v != inst.root]
         units = list(inst.positive_units)
         state = frozenset(u for u in units if rng.random() < 0.3)
@@ -75,7 +86,9 @@ def main(argv=None) -> int:
                     bad = fresh is not None or solver is not None
                 else:
                     bad = any(
-                        cover is None or cover.cost != exact[0] or not cover.certificate_ok
+                        cover is None
+                        or Fraction(cover.cost, scale) != exact[0]
+                        or not cover.certificate_ok
                         for cover in (fresh, solver)
                     )
                 if bad:

@@ -55,7 +55,8 @@ def brute_force_opt(
     earlier siblings to kill permutation duplicates; the admissible bound is
     the deficit-many cheapest entering units.  With ``use_pruning`` disabled
     the search degenerates to a plain enumeration over all unit subsets, kept
-    as a cross-check for the branching search itself.
+    as a cross-check for the branching search itself.  Costs are summed and
+    compared as integers in units of 1/``inst.cost_scale``.
     """
     preselected = frozenset(preselected)
     free = [u for u in inst.positive_units if u not in preselected]
@@ -81,7 +82,8 @@ def brute_force_opt(
                 worst = (k - lam, side)
         return worst
 
-    best_cost: Fraction | None = None
+    cost_of = inst.scaled_cost
+    best_cost: int | None = None
     best_units: tuple = ()
 
     def consider(chosen, cost):
@@ -99,10 +101,10 @@ def brute_force_opt(
                 for u in free
                 if u not in blocked and enters(*inst.unit_arc(u), side)
             ),
-            key=lambda u: (inst.unit_cost(u), u),
+            key=lambda u: (cost_of(u), u),
         )
 
-    def search(chosen: frozenset, excluded: frozenset, cost: Fraction):
+    def search(chosen: frozenset, excluded: frozenset, cost: int):
         if best_cost is not None and cost > best_cost:
             return
         state = worst_cut(chosen)
@@ -113,7 +115,7 @@ def brute_force_opt(
         entering = free_units(chosen, excluded, side)
         if len(entering) < need:
             return
-        bound = cost + sum((inst.unit_cost(u) for u in entering[:need]), Fraction(0))
+        bound = cost + sum(cost_of(u) for u in entering[:need])
         if best_cost is not None and bound > best_cost:
             return
         # Branch only on the lowest free copy of each edge; a later copy turns
@@ -128,7 +130,7 @@ def brute_force_opt(
             search(
                 chosen | {u},
                 excluded | set(branch[:i]),
-                cost + inst.unit_cost(u),
+                cost + cost_of(u),
             )
 
     def enumerate_all():
@@ -136,7 +138,7 @@ def brute_force_opt(
         # skipped copy skips the edge's remaining copies.
         order = sorted(free)
 
-        def walk(idx: int, chosen: frozenset, cost: Fraction):
+        def walk(idx: int, chosen: frozenset, cost: int):
             state = worst_cut(chosen)
             if state is None:
                 consider(chosen, cost)
@@ -144,26 +146,26 @@ def brute_force_opt(
             if idx == len(order):
                 return
             unit = order[idx]
-            walk(idx + 1, chosen | {unit}, cost + inst.unit_cost(unit))
+            walk(idx + 1, chosen | {unit}, cost + cost_of(unit))
             skip = idx
             while skip < len(order) and order[skip][0] == unit[0]:
                 skip += 1
             walk(skip, chosen, cost)
 
-        walk(0, frozenset(), Fraction(0))
+        walk(0, frozenset(), 0)
 
     if use_pruning:
         # Prime the bound with an independent greedy repair: always buy the
         # cheapest unit entering the current worst closest cut.
         chosen: frozenset = frozenset()
-        cost = Fraction(0)
+        cost = 0
         while (state := worst_cut(chosen)) is not None:
             _, side = state
             pick = free_units(chosen, frozenset(), side)[0]
             chosen |= {pick}
-            cost += inst.unit_cost(pick)
+            cost += cost_of(pick)
         consider(chosen, cost)
-        search(frozenset(), frozenset(), Fraction(0))
+        search(frozenset(), frozenset(), 0)
     else:
         enumerate_all()
     if best_cost is None:  # feasibility was pre-checked with all units
@@ -172,7 +174,7 @@ def brute_force_opt(
     conn = connectivity(inst, preselected | set(best_units))
     return Solution(
         selected=selection_from_units(best_units),
-        total_cost=best_cost,
+        total_cost=Fraction(best_cost, inst.cost_scale),
         connectivity=conn,
         feasible=all(v >= k for v in conn.values()),
     )

@@ -5,7 +5,7 @@ any synthetic arcs.  Every flow lives in a ``Residual``: a mutable residual
 network for one source and sink that takes new arcs at any time and resumes
 augmenting from the flow it already carries, by shortest augmenting paths
 (breadth-first, deterministic for a fixed arc order).  The one-shot queries
-on a view (``max_flow_value`` and the two cut sides) build a residual and
+on a view (``max_flow_value``, ``closest_sink_cut``) build a residual and
 augment it without a limit; the ring primal-dual keeps its residuals and
 grows them one leg at a time.  Root connectivity of a selection is answered
 here too, for every terminal (``connectivity``) or up to the first terminal
@@ -163,18 +163,6 @@ def closest_sink_cut(view: FlowView, s: int, t: int) -> tuple[int, frozenset[int
     """
     flow = _maximum(view, s, t)
     return flow.value, flow.closest_sink_side()
-
-
-def farthest_sink_cut(view: FlowView, s: int, t: int) -> tuple[int, frozenset[int]]:
-    """Minimum s-t cut value and its inclusion-maximal sink side.
-
-    The sink side is every node the source cannot reach in the residual
-    network of a maximum flow; like ``closest_sink_cut`` it does not depend on
-    which maximum flow was found.  Every minimum cut's sink side lies inside
-    it.
-    """
-    flow = _maximum(view, s, t)
-    return flow.value, flow.farthest_sink_side()
 
 
 def instance_view(inst: Instance, units, synthetic=()) -> FlowView:

@@ -17,6 +17,10 @@ at the shared no-head price; only the other pairs run a primal-dual of their
 own.  Each head is first
 bounded below from the prices it already knows, and skipped when even that
 bound loses to the best star so far.
+
+Pricing runs in the instance's integer cost units (``Instance.scaled_cost``,
+the unit of ``RingCover.cost``) and compares densities by cross-multiplying;
+only the chosen star's costs become rationals in instance units.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .deficiency import CoreInfo, rooted_cores
 from .flows import instance_view
@@ -71,13 +76,13 @@ def candidate_heads(inst: Instance, units) -> tuple[Unit, ...]:
     return free_leg_candidates(inst, units)
 
 
-def _best_prefix(head_cost: Fraction, costs) -> tuple[Fraction, int]:
-    """Least (head + first j costs) / j over the ascending ``costs``.
+def _best_prefix(head_cost: int, costs) -> tuple[int, int]:
+    """Least (head + first j costs) / j over the ascending integer ``costs``.
 
-    Ties go to the larger j; returns (density, j).  Taking cost c after j
-    costs lowers the average exactly when c * j <= head + sum of those j, and
-    once c * j exceeds it, the average rises for good: it stays below c, and
-    every later cost is at least c.  So the scan stops there.
+    Ties go to the larger j; returns (head + first j costs, j).  Taking cost c
+    after j costs lowers the average exactly when c * j <= head + sum of those
+    j, and once c * j exceeds it, the average rises for good: it stays below
+    c, and every later cost is at least c.  So the scan stops there.
     """
     total = head_cost
     j = 0
@@ -86,32 +91,45 @@ def _best_prefix(head_cost: Fraction, costs) -> tuple[Fraction, int]:
             break
         total += cost
         j += 1
-    return total / j, j
+    return total, j
+
+
+class HeadScan(NamedTuple):
+    """One head's best star, in the instance's integer cost units."""
+
+    total: int  # head cost + the chosen leaves' leg prices
+    leaves: int  # how many leaves; the density is total / leaves
+    tie: tuple  # (head, leaf representatives): the last tie-breaker
+    chosen: tuple[tuple[CoreInfo, RingCover], ...]
+
+    def beats(self, other: HeadScan) -> bool:
+        """Lower density first (compared by cross-multiplying), then more
+        leaves, then the smaller head and leaf representatives."""
+        return (self.total * other.leaves, -self.leaves, self.tie) < (
+            other.total * self.leaves, -other.leaves, other.tie
+        )
+
+    def star(self, scale: int) -> Star:
+        """The star in instance units, ``scale`` being ``Instance.cost_scale``."""
+        leaves = tuple(
+            Leaf(core, cover.legs, Fraction(cover.cost, scale)) for core, cover in self.chosen
+        )
+        total_cost = Fraction(self.total, scale)
+        return Star(self.tie[0], leaves, total_cost, total_cost / self.leaves)
 
 
 def _scan_head(
     head: Unit,
-    head_cost: Fraction,
+    head_cost: int,
     priced: list[tuple[CoreInfo, RingCover]],
-) -> tuple[tuple, Star] | None:
-    """Best leaf prefix for one head, with its global comparison key."""
+) -> HeadScan | None:
+    """Best leaf prefix for one head; ``head_cost`` is its scaled cost."""
     if not priced:
         return None
-    leaves = sorted(
-        (Leaf(core, cover.legs, cover.cost) for core, cover in priced),
-        key=lambda lf: (lf.leg_cost, lf.core.representative),
-    )
-    density, j = _best_prefix(head_cost, [lf.leg_cost for lf in leaves])
-    chosen = tuple(leaves[:j])
-    star = Star(head, chosen, head_cost + sum((lf.leg_cost for lf in chosen), Fraction(0)), density)
-    full_key = (
-        density,
-        -j,
-        head[0],
-        head[1],
-        tuple(lf.core.representative for lf in chosen),
-    )
-    return full_key, star
+    ranked = sorted(priced, key=lambda pc: (pc[1].cost, pc[0].representative))
+    total, j = _best_prefix(head_cost, [cover.cost for _, cover in ranked])
+    chosen = tuple(ranked[:j])
+    return HeadScan(total, j, (head, tuple(core.representative for core, _ in chosen)), chosen)
 
 
 @dataclass(frozen=True)
@@ -168,30 +186,35 @@ def cheapest_star(inst: Instance, units, cores, level: int) -> Star:
     pricing = pricing_context(inst, units, cores, level)
     m = len(cores)
     best = None
-    for head in sorted(candidate_heads(inst, units), key=lambda u: (inst.unit_cost(u), u)):
-        head_cost = inst.unit_cost(head)
-        if best is not None and head_cost / m > best[0][0]:
+    for head in sorted(candidate_heads(inst, units), key=lambda u: (inst.scaled_cost(u), u)):
+        head_cost = inst.scaled_cost(head)
+        # head_cost / m > best density
+        if best is not None and head_cost * best.leaves > best.total * m:
             break
         arc = inst.unit_arc(head)
         relevant = [p.relevant(arc) for p in pricing]
         floor = sorted(
-            Fraction(0) if rel else p.shared.cost
+            0 if rel else p.shared.cost
             for p, rel in zip(pricing, relevant)
             if rel or p.shared is not None
         )
-        if not floor or (best is not None and _best_prefix(head_cost, floor)[0] > best[0][0]):
+        if not floor:
             continue
+        if best is not None:
+            total, j = _best_prefix(head_cost, floor)
+            if total * best.leaves > best.total * j:  # the bound loses to the best density
+                continue
         priced = []
         for p, rel in zip(pricing, relevant):
             cover = primal_dual_ring_cover(with_head(p.ring, head)) if rel else p.shared
             if cover is not None:
                 priced.append((p.core, cover))
         scanned = _scan_head(head, head_cost, priced)
-        if scanned and (best is None or scanned[0] < best[0]):
+        if scanned and (best is None or scanned.beats(best)):
             best = scanned
     if best is None:
         raise PhaseStuckError("no priceable (head, core) pair at this level")
-    return best[1]
+    return best.star(inst.cost_scale)
 
 
 def star_units(star: Star) -> set[Unit]:

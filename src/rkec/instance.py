@@ -5,11 +5,16 @@ terminal set, and a connectivity target k.  The zero-cost edges form the base
 subgraph that is considered already paid for; the solver only ever buys
 positive-cost edges.  Each multiplicity unit of a parallel edge is
 independently selectable, so selections are tracked as (edge id, copy) pairs.
+
+Costs are reported as rationals, but the solver prices in integers: every
+edge cost is an integer multiple of 1/``cost_scale``, the least common
+denominator of the instance's costs, and ``scaled_cost`` gives that multiple.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -135,6 +140,20 @@ class Instance:
 
     def unit_cost(self, unit: Unit) -> Fraction:
         return self.edge_by_id[unit[0]].cost
+
+    @cached_property
+    def cost_scale(self) -> int:
+        """Least common denominator of the edge costs (1 for integer costs)."""
+        return math.lcm(*(e.cost.denominator for e in self.edges))
+
+    @cached_property
+    def _scaled_costs(self) -> dict[int, int]:
+        scale = self.cost_scale
+        return {e.id: e.cost.numerator * (scale // e.cost.denominator) for e in self.edges}
+
+    def scaled_cost(self, unit: Unit) -> int:
+        """The unit's cost in units of 1/``cost_scale``: an exact integer."""
+        return self._scaled_costs[unit[0]]
 
     def unit_arc(self, unit: Unit) -> tuple[int, int]:
         e = self.edge_by_id[unit[0]]
@@ -358,11 +377,3 @@ def solution_from_doc(doc: dict) -> Solution:
         )
     except (KeyError, TypeError, IndexError) as exc:
         raise ParseError(f"malformed solution: {exc}") from exc
-
-
-def solution_to_json(sol: Solution) -> str:
-    return dump_json(solution_to_doc(sol))
-
-
-def parse_solution(text: str) -> Solution:
-    return solution_from_doc(load_object(text, "solution document"))

@@ -23,15 +23,14 @@ violated sets of a shrinking ring form a strictly increasing chain, so the
 duals land on nested sets; the emitted certificate checks that chain and that
 the dual total pays exactly for the surviving legs.  The ascent finds its
 entering legs through an index by head node (``LegIndex``, built once per
-star selection) and keeps reduced costs as scaled integers; the certificate
-checks in exact rationals.
+star selection).  Every cost here (reduced costs, dual amounts, cover costs)
+is an integer in units of 1/``Instance.cost_scale``, so all of it, the
+certificate included, is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .deficiency import CoreInfo
@@ -44,24 +43,20 @@ class LegIndex:
     """The free leg candidates of one selection, indexed for the dual ascent.
 
     ``entering[v]`` lists (unit, tail, scaled cost) for every candidate whose
-    arc ends at node v.  Scaled costs are integers: the unit's cost times
-    ``scale``, the least common multiple of the candidates' cost denominators.
+    arc ends at node v, the cost from ``Instance.scaled_cost``.
     """
 
     units: tuple[Unit, ...]
-    scale: int
     entering: tuple[tuple[tuple[Unit, int, int], ...], ...]
 
 
 def index_legs(inst: Instance, candidates) -> LegIndex:
     """Index ``candidates`` (see ``free_leg_candidates``) by head node."""
-    scale = math.lcm(*(inst.unit_cost(u).denominator for u in candidates))
     entering: list[list] = [[] for _ in range(inst.node_count)]
     for u in candidates:
         tail, head = inst.unit_arc(u)
-        cost = inst.unit_cost(u)
-        entering[head].append((u, tail, cost.numerator * (scale // cost.denominator)))
-    return LegIndex(tuple(candidates), scale, tuple(map(tuple, entering)))
+        entering[head].append((u, tail, inst.scaled_cost(u)))
+    return LegIndex(tuple(candidates), tuple(map(tuple, entering)))
 
 
 @dataclass(frozen=True)
@@ -227,27 +222,27 @@ def min_violated_set(ctx: RingContext, legs) -> frozenset[int] | None:
 @dataclass(frozen=True)
 class DualStep:
     raised: frozenset[int]
-    amount: Fraction
+    amount: int  # in units of 1/cost_scale
     tightened: Unit
 
 
 @dataclass(frozen=True)
 class RingCover:
     legs: tuple[Unit, ...]
-    cost: Fraction
+    cost: int  # in units of 1/cost_scale
     duals: tuple[DualStep, ...]
     certificate_ok: bool
 
 
-def _certificate(ctx: RingContext, legs, duals) -> bool:
+def _certificate(ctx: RingContext, legs, cost: int, duals) -> bool:
     """Strong-duality self-check: nested positive duals, each paid by exactly
-    one surviving leg, dual total equal to the leg cost."""
+    one surviving leg, dual total equal to the legs' ``cost``."""
     prev = None
     for step in duals:
         if prev is not None and not prev < step.raised:
             return False
         prev = step.raised
-    total = Fraction(0)
+    total = 0
     arcs = {u: ctx.inst.unit_arc(u) for u in legs}
     for step in duals:
         if step.amount < 0:
@@ -261,7 +256,7 @@ def _certificate(ctx: RingContext, legs, duals) -> bool:
         if len(entering) != 1:
             return False
         total += step.amount
-    return total == ctx.inst.units_cost(legs)
+    return total == cost
 
 
 def primal_dual_ring_cover(ctx: RingContext) -> RingCover | None:
@@ -273,8 +268,8 @@ def primal_dual_ring_cover(ctx: RingContext) -> RingCover | None:
     member has no entering candidate at all.
 
     Each pick adds one unit arc, so the flow is augmented from where it was
-    rather than recomputed; reduced costs are kept in the index's scaled
-    integers, and only for candidates the ascent has touched.
+    rather than recomputed; reduced costs are kept only for candidates the
+    ascent has touched.
     """
     index = ctx.leg_index
     bound = ctx.bound
@@ -298,7 +293,7 @@ def primal_dual_ring_cover(ctx: RingContext) -> RingCover | None:
         eps, pick, tail, head = min(entering)
         for r, u, _, _ in entering:
             reduced[u] = r - eps
-        duals.append(DualStep(violated, Fraction(eps, index.scale), pick))
+        duals.append(DualStep(violated, eps, pick))
         tight_order.append(pick)
         chosen.add(pick)
         if flow is ctx.flow:
@@ -315,5 +310,5 @@ def primal_dual_ring_cover(ctx: RingContext) -> RingCover | None:
             keep = trial
 
     legs = tuple(sorted(keep))
-    cost = ctx.inst.units_cost(legs)
-    return RingCover(legs, cost, tuple(duals), _certificate(ctx, legs, duals))
+    cost = sum(ctx.inst.scaled_cost(u) for u in legs)
+    return RingCover(legs, cost, tuple(duals), _certificate(ctx, legs, cost, duals))

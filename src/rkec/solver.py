@@ -16,7 +16,6 @@ from .instance import (
     dump_json,
     frac_from_obj,
     frac_to_str,
-    load_object,
     selection_from_units,
     solution_from_doc,
     solution_to_doc,
@@ -157,7 +156,3 @@ def report_from_doc(doc: dict) -> SolveReport:
 
 def report_to_json(report: SolveReport) -> str:
     return dump_json(report_to_doc(report))
-
-
-def parse_report(text: str) -> SolveReport:
-    return report_from_doc(load_object(text, "report document"))

@@ -24,7 +24,6 @@ from .instance import (
     SizeRefusalError,
     Solution,
     check_selection,
-    dump_json,
     frac_to_str,
 )
 from .solver import SolveReport
@@ -220,7 +219,3 @@ def audit_to_doc(report: AuditReport) -> dict:
         "density_violations": report.density_violations,
         "clean": report.clean,
     }
-
-
-def audit_to_json(report: AuditReport) -> str:
-    return dump_json(audit_to_doc(report))

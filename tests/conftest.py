@@ -127,7 +127,11 @@ def oracle_opt_cost(inst: Instance) -> Fraction | None:
 
 
 def small_random_instance(rng, *, max_nodes=6, max_k=2, zero_prob=0.25) -> Instance:
-    """Tiny random rooted instance; used where hand enumeration is the oracle."""
+    """Tiny random rooted instance; used where hand enumeration is the oracle.
+
+    Positive costs are p/q with q in {1, 2, 3, 4}, so the instance's cost
+    scale is rarely 1 and the integer pricing must rescale to be right.
+    """
     n = rng.randint(3, max_nodes)
     k = rng.randint(1, max_k)
     t_count = rng.randint(1, min(3, n - 1))
@@ -142,7 +146,10 @@ def small_random_instance(rng, *, max_nodes=6, max_k=2, zero_prob=0.25) -> Insta
             if u not in anchored and v not in anchored:
                 continue
             if rng.random() < 0.5:
-                cost = Fraction(0) if rng.random() < zero_prob else Fraction(rng.randint(1, 8))
+                if rng.random() < zero_prob:
+                    cost = Fraction(0)
+                else:
+                    cost = Fraction(rng.randint(1, 8), rng.randint(1, 4))
                 mult = 2 if rng.random() < 0.15 else 1
                 edges.append(Edge(next_id, u, v, cost, mult))
                 next_id += 1

@@ -43,12 +43,12 @@ def best_star(inst: Instance, prices) -> Star:
         by_head.setdefault(head, []).append((core, cover))
     best = None
     for head in sorted(by_head):
-        scanned = _scan_head(head, inst.unit_cost(head), by_head[head])
-        if scanned and (best is None or scanned[0] < best[0]):
+        scanned = _scan_head(head, inst.scaled_cost(head), by_head[head])
+        if scanned and (best is None or scanned.beats(best)):
             best = scanned
     if best is None:
         raise PhaseStuckError("no priceable (head, core) pair at this level")
-    return best[1]
+    return best.star(inst.cost_scale)
 
 
 def max_flow_paths(view: FlowView, s: int, t: int) -> list[list[int]]:

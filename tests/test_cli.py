@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -255,3 +256,26 @@ def test_verify_checks_the_opt_file(solved_with_optimum, tmp_path, capsys, edit,
         assert json.loads(out.read_text())["ratio"] == "44/43"
     else:
         assert message in capsys.readouterr().err
+
+
+def test_fractional_costs_round_trip(tmp_path):
+    # costs over different denominators (cost scale 12) survive solve and
+    # verify: the recorded cost is the selection's cost, recomputed here
+    doc = {"n": 4, "root": 0, "terminals": [2, 3], "k": 1, "edges": [
+        {"id": 1, "tail": 0, "head": 1, "cost": "3/4"},
+        {"id": 2, "tail": 1, "head": 2, "cost": "5/6"},
+        {"id": 3, "tail": 1, "head": 3, "cost": "1/3"},
+        {"id": 4, "tail": 0, "head": 2, "cost": "5/2"},
+        {"id": 5, "tail": 0, "head": 3, "cost": "2"},
+    ]}
+    inst, report, audit = (tmp_path / name for name in ("inst.json", "report.json", "audit.json"))
+    inst.write_text(json.dumps(doc))
+    assert run("solve", "--instance", inst, "--out", report, "--no-timestamp") == 0
+    assert run("verify", "--instance", inst, "--report", report, "--brute",
+               "--out", audit, "--no-timestamp") == 0
+    solution = json.loads(report.read_text())["solution"]
+    costs = {e["id"]: Fraction(e["cost"]) for e in doc["edges"]}
+    recomputed = sum(costs[eid] * count for eid, count in solution["selected"])
+    assert Fraction(solution["total_cost"]) == recomputed == Fraction(23, 12)
+    audited = json.loads(audit.read_text())
+    assert audited["cost"] == "23/12" and audited["ratio"] == "1" and audited["clean"]

@@ -9,7 +9,6 @@ from rkec.flows import (
     FlowView,
     Residual,
     closest_sink_cut,
-    farthest_sink_cut,
     instance_view,
     max_flow_value,
 )
@@ -83,6 +82,13 @@ def test_duality_and_minimality_against_enumeration(seed):
     assert value == oracle_value
     # the returned side is the unique minimal minimum cut
     assert minimal_sets(oracle_sides) == [side]
+
+
+def farthest_sink_cut(v, s, t):
+    """Maximum flow value and the farthest sink side of its residual."""
+    flow = Residual(v.node_count, s, t, v.arcs)
+    flow.augment()
+    return flow.value, flow.farthest_sink_side()
 
 
 def test_farthest_cut_simple_chain():

@@ -12,13 +12,15 @@ from rkec.instance import (
     IterationRecord,
     ParseError,
     Solution,
+    dump_json,
     frac_from_obj,
     frac_to_str,
     instance_to_json,
+    load_object,
     parse_instance,
-    parse_solution,
     selection_from_units,
-    solution_to_json,
+    solution_from_doc,
+    solution_to_doc,
     validate_quasi_bipartite,
 )
 
@@ -141,14 +143,15 @@ def test_solution_round_trip(instance_a):
         feasible=True,
         audit=[record],
     )
-    again = parse_solution(solution_to_json(sol))
+    text = dump_json(solution_to_doc(sol))
+    again = solution_from_doc(load_object(text, "solution document"))
     assert again == sol
-    assert solution_to_json(again) == solution_to_json(sol)
+    assert dump_json(solution_to_doc(again)) == text
 
 
 def test_empty_solution_document():
     sol = Solution({}, Fraction(0), {2: 0}, False)
-    doc = json.loads(solution_to_json(sol))
+    doc = json.loads(dump_json(solution_to_doc(sol)))
     assert doc["selected"] == [] and doc["total_cost"] == "0"
 
 

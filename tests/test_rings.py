@@ -177,7 +177,8 @@ def test_primal_dual_exact_against_enumeration(seed):
             assert cover is None
         else:
             assert cover is not None
-            assert cover.cost == oracle[0]  # exact rational equality
+            # the cover's integer cost, back in the instance's rationals
+            assert Fraction(cover.cost, inst.cost_scale) == oracle[0]
             assert cover.certificate_ok
 
 
@@ -217,7 +218,7 @@ def test_dual_certificate_accompanies_every_cover(seed):
         cover = primal_dual_ring_cover(ctx)
         if cover is not None:
             assert cover.certificate_ok
-            assert sum((s.amount for s in cover.duals), Fraction(0)) == cover.cost
+            assert sum(s.amount for s in cover.duals) == cover.cost
 
 
 @settings(max_examples=40, deadline=None)

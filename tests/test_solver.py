@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,11 +14,11 @@ from rkec import greedy, solver
 from rkec.deficiency import rooted_max_level
 from rkec.exact import brute_force_opt
 from rkec.flows import connectivity
-from rkec.generate import GenParams, generate_instance
-from rkec.instance import Edge, InfeasibleError, Instance
+from rkec.generate import GenParams, default_corpus_params, generate_instance
+from rkec.instance import Edge, InfeasibleError, Instance, load_object
 from rkec.solver import (
     harmonic,
-    parse_report,
+    report_from_doc,
     report_to_json,
     solve,
 )
@@ -97,7 +98,7 @@ def test_prune_flag(instance_a):
 
 def test_report_round_trip(instance_a):
     report = solve(instance_a)
-    again = parse_report(report_to_json(report))
+    again = report_from_doc(load_object(report_to_json(report), "report document"))
     assert report_to_json(again) == report_to_json(report)
     assert again.solution == report.solution
     assert [ph.level for ph in again.phases] == [ph.level for ph in report.phases]
@@ -206,3 +207,24 @@ def test_solve_queries_the_cores_of_each_state_once(monkeypatch):
     assert [ph.level for ph in report.phases] == [3, 2, 1]
     assert len(calls) == len(report.solution.audit) + 1
     assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("factor", [Fraction(1, 7), Fraction(5, 3)], ids=str)
+def test_scaling_every_cost_scales_the_run(factor):
+    # pricing runs in integers over the instance's cost scale, so one factor
+    # on every cost must leave every choice (greedy and optimum) as it was
+    for seed in range(1, 21):
+        inst = generate_instance(default_corpus_params(seed))
+        scaled = Instance(
+            inst.node_count, inst.root, inst.terminals,
+            tuple(replace(e, cost=e.cost * factor) for e in inst.edges), inst.k,
+        )
+        assert scaled.cost_scale > 1
+        plain, run = solve(inst).solution, solve(scaled).solution
+        assert run.selected == plain.selected
+        assert run.total_cost == factor * plain.total_cost
+        assert [r.added_units for r in run.audit] == [r.added_units for r in plain.audit]
+        assert [r.added_cost for r in run.audit] == [factor * r.added_cost for r in plain.audit]
+        plain_opt, opt = brute_force_opt(inst), brute_force_opt(scaled)
+        assert opt.selected == plain_opt.selected
+        assert opt.total_cost == factor * plain_opt.total_cost

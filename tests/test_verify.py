@@ -11,13 +11,14 @@ from rkec.instance import (
     IterationRecord,
     ParseError,
     Solution,
+    dump_json,
     frac_from_obj,
     frac_to_str,
 )
 from rkec.solver import SolveReport, report_from_doc, report_to_doc, solve
 from rkec.verify import (
     audit_run,
-    audit_to_json,
+    audit_to_doc,
     bound_decision,
     check_feasible,
     log_interval,
@@ -88,7 +89,7 @@ def test_fixture_audit(instance_a):
     assert audit.bound_hi > Fraction(3386, 1000)
     assert audit.bound_holds
     assert audit.density_checked and audit.density_violations == []
-    assert "\"clean\": true" in audit_to_json(audit)
+    assert "\"clean\": true" in dump_json(audit_to_doc(audit))
 
 
 def test_audit_without_optimum_is_feasibility_only(instance_a):
@@ -164,7 +165,7 @@ def test_audit_is_pure(seed):
     opt = brute_force_opt(inst)
     first = audit_run(inst, report, opt, density_max_units=14)
     second = audit_run(inst, report, opt, density_max_units=14)
-    assert audit_to_json(first) == audit_to_json(second)
+    assert dump_json(audit_to_doc(first)) == dump_json(audit_to_doc(second))
     assert first.clean
 
 
