@@ -6,8 +6,8 @@ Usage: python scripts/ring_cross_check.py [--seeds N] [--per-state HEADS]
 Random small instances, their positive costs divided by a drawn denominator,
 are driven into random partial-selection states; every (core, head) pair gets
 priced three ways, and the costs must agree as exact rationals: by the
-primal-dual on a fresh ring context (``build_ring_context``), by the path the
-solver runs (``greedy.pricing_context``: the core's shared no-head price for a
+primal-dual on a ring context built afresh for the pair (``fresh_context``),
+by the path the solver runs (``greedy.pricing_context``: the core's shared no-head price for a
 head it calls irrelevant, else a primal-dual on ``with_head`` of the core's
 shared ring), and by the exact hitting-set search over rational costs.  The
 primal-dual covers cost integers in units of 1/``cost_scale``, so they are
@@ -20,12 +20,27 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
-from rkec.deficiency import rooted_cores, rooted_max_level
+from rkec.deficiency import rooted_cores
 from rkec.exact import brute_force_ring_cover, enumerate_arc_family
+from rkec.flows import working_arcs
 from rkec.generate import GenParams, generate_instance
-from rkec.greedy import candidate_heads, pricing_context
+from rkec.greedy import pricing_context
 from rkec.instance import Instance
-from rkec.rings import build_ring_context, primal_dual_ring_cover, with_head
+from rkec.rings import (
+    core_ring_context,
+    free_leg_candidates,
+    index_legs,
+    primal_dual_ring_cover,
+    saturating_arcs,
+    with_head,
+)
+
+
+def fresh_context(inst, state, cores, core, head, level):
+    """The (core, head) ring context of ``state``, built from nothing."""
+    legs = index_legs(inst, free_leg_candidates(inst, state))
+    base = core_ring_context(inst, working_arcs(inst, state), legs, cores, core, level)
+    return with_head(base, head)
 
 
 def main(argv=None) -> int:
@@ -55,17 +70,17 @@ def main(argv=None) -> int:
         universe = [v for v in range(inst.node_count) if v != inst.root]
         units = list(inst.positive_units)
         state = frozenset(u for u in units if rng.random() < 0.3)
-        if rooted_max_level(inst, state) == 0:
-            continue
         cores = rooted_cores(inst, state)
+        if not cores:
+            continue
         level = cores[0].deficiency
-        heads = candidate_heads(inst, state)
+        heads = free_leg_candidates(inst, state)
         pricing = pricing_context(inst, state, cores, level)
         for head in heads[: args.per_state]:
             for core, p in zip(cores, pricing):
-                ctx = build_ring_context(inst, state, cores, core, head, level)
-                bare = []
-                for arc in ctx.base_arcs[:-1]:
+                ctx = fresh_context(inst, state, cores, core, head, level)
+                bare = []  # the ring's graph without the head
+                for arc in working_arcs(inst, state) + saturating_arcs(inst, cores, core, level):
                     bare.extend([(arc.tail, arc.head)] * arc.cap)
                 ring = enumerate_arc_family(
                     universe, inst.terminals, inst.k, bare
@@ -73,7 +88,11 @@ def main(argv=None) -> int:
                 exact = brute_force_ring_cover(
                     ring.members,
                     inst.unit_arc(head),
-                    [(u, *inst.unit_arc(u), inst.unit_cost(u)) for u in ctx.candidates],
+                    [
+                        (u, *inst.unit_arc(u), inst.unit_cost(u))
+                        for u in heads
+                        if u[0] != head[0]
+                    ],
                 )
                 fresh = primal_dual_ring_cover(ctx)
                 if p.relevant(inst.unit_arc(head)):

@@ -5,7 +5,7 @@ level by level), exact brute-force oracles, and an audit harness that checks
 the structural guarantees the approximation rests on.
 """
 
-from .deficiency import CoreInfo, ExplicitSetFunction, rooted_cores, rooted_max_level
+from .deficiency import CoreInfo, ExplicitSetFunction, rooted_cores
 from .exact import brute_force_opt, enumerate_rooted
 from .generate import GenParams, generate_instance
 from .instance import (
@@ -42,7 +42,6 @@ __all__ = [
     "instance_to_json",
     "parse_instance",
     "rooted_cores",
-    "rooted_max_level",
     "solve",
     "validate_quasi_bipartite",
 ]

@@ -193,7 +193,11 @@ def cmd_bench(args) -> int:
 
     summary = {"instances": rows, "ratio_summary": _ratio_summary(ratios)}
     _write(args.out, _envelope("bench-summary", summary, args.no_timestamp))
-    _print_table(rows, ratios)
+    ratio = summary["ratio_summary"]
+    line = f"ratios: n={ratio['count']}"
+    if ratios:
+        line += f" min={ratio['min']} max={ratio['max']} mean={ratio['mean']:.4f}"
+    print(line, file=sys.stderr)
     return worst
 
 
@@ -207,24 +211,6 @@ def _ratio_summary(ratios: list[Fraction]) -> dict:
         "mean": float(sum(ratios) / len(ratios)),
         "at_optimum": sum(1 for r in ratios if r == 1),
     }
-
-
-def _print_table(rows: list[dict], ratios: list[Fraction]):
-    header = f"{'file':<28} {'units':>5} {'cost':>8} {'opt':>8} {'ratio':>7}  status"
-    print(header)
-    print("-" * len(header))
-    for row in rows:
-        print(
-            f"{row['file']:<28} {row.get('units', '-')!s:>5} "
-            f"{row.get('cost', '-') or '-':>8} {row.get('opt') or '-':>8} "
-            f"{row.get('ratio', '-') or '-':>7}  {row['status']}"
-        )
-    if ratios:
-        mean = float(sum(ratios) / len(ratios))
-        print(
-            f"\nratios: n={len(ratios)} min={frac_to_str(min(ratios))} "
-            f"max={frac_to_str(max(ratios))} mean={mean:.4f}"
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:

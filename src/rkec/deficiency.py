@@ -1,12 +1,13 @@
-"""Deficiency oracles: residual max level, cores, and explicit set functions.
+"""Deficiency oracles: residual cores, and explicit set functions.
 
 Two backends answer the same queries.  The rooted backend reads deficiencies
-off the instance with max-flow: the deficiency of a terminal t under a partial
-selection I is max(k - lambda(root, t), 0) in the working graph, and the
-tightest witness set around t is the closest-to-t minimum cut.  The explicit
-backend stores a set function as a sparse table and answers by scanning it; it
-exists to cross-check the rooted backend and to exercise the generic theory
-(terminal-anchored supermodularity surviving residuals).
+off the root flows (``flows.root_flows``): the deficiency of a terminal t
+under a partial selection I is max(k - lambda(root, t), 0) in the working
+graph, and the tightest witness set around t is the closest-to-t minimum
+cut.  The explicit backend stores a set function as a sparse table and
+answers by scanning it; it exists to cross-check the rooted backend and to
+exercise the generic theory (terminal-anchored supermodularity surviving
+residuals).
 
 Both backends share the contract: max level is non-increasing as the
 selection grows, cores are returned exactly when the max level is positive,
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .exact import entering_count, enumerate_rooted
-from .flows import closest_sink_cut, instance_view
+from .flows import root_flows
 from .instance import Instance, ParseError
 
 
@@ -32,18 +33,6 @@ class CoreInfo:
     deficiency: int
 
 
-def rooted_cut_data(inst: Instance, units) -> dict[int, tuple[int, frozenset[int]]]:
-    """Per terminal: (edge-disjoint path count, closest minimum-cut sink side)."""
-    view = instance_view(inst, units)
-    return {t: closest_sink_cut(view, inst.root, t) for t in sorted(inst.terminals)}
-
-
-def rooted_max_level(inst: Instance, units) -> int:
-    """Maximum residual deficiency over all terminal-containing sets."""
-    data = rooted_cut_data(inst, units)
-    return max(max(inst.k - lam, 0) for lam, _ in data.values())
-
-
 def rooted_cores(inst: Instance, units) -> list[CoreInfo]:
     """Inclusion-minimal sets of maximum residual deficiency.
 
@@ -52,14 +41,11 @@ def rooted_cores(inst: Instance, units) -> list[CoreInfo]:
     another is discarded.  Every terminal inside a surviving core attains the
     max level, so the representative is just the smallest one.
     """
-    data = rooted_cut_data(inst, units)
-    level = max(max(inst.k - lam, 0) for lam, _ in data.values())
+    flows = [flow for _, flow in root_flows(inst, units)]
+    level = max(max(inst.k - flow.value, 0) for flow in flows)
     if level == 0:
         return []
-    candidates: set[frozenset[int]] = set()
-    for t, (lam, side) in data.items():
-        if inst.k - lam == level:
-            candidates.add(side)
+    candidates = {flow.closest_sink_side() for flow in flows if inst.k - flow.value == level}
     kept = [
         side for side in candidates
         if not any(other < side for other in candidates)

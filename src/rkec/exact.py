@@ -1,9 +1,11 @@
 """Brute-force ground truth: exact optima, family enumeration, certificates.
 
 Everything here is exponential and capped at desk scale.  These routines are
-the oracles the fast paths are measured against, so they stay deliberately
-independent of the flow and primal-dual code: set values are recomputed by
-counting entering arcs over explicit subsets.
+the oracles the fast paths are measured against, so the enumerations and the
+exact ring cover stay deliberately independent of the flow and primal-dual
+code: set values are recomputed by counting entering arcs over explicit
+subsets.  The branch-and-bound optimum only reads path counts and its
+branching cut off the root flows.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flows import closest_sink_cut, connectivity, instance_view, short_terminal
+from .flows import connectivity, root_flows, short_terminal
 from .instance import (
     Instance,
     InfeasibleError,
@@ -69,17 +71,14 @@ def brute_force_opt(
     if short is not None:
         raise InfeasibleError(*short, inst.k)
 
-    root, k = inst.root, inst.k
-    terminals = sorted(inst.terminals)
+    k = inst.k
 
     def worst_cut(chosen):
         """(deficit, closest-cut sink side) of the worst terminal, or None."""
-        view = instance_view(inst, preselected | chosen)
         worst = None
-        for t in terminals:
-            lam, side = closest_sink_cut(view, root, t)
-            if lam < k and (worst is None or k - lam > worst[0]):
-                worst = (k - lam, side)
+        for _, flow in root_flows(inst, preselected | chosen):
+            if flow.value < k and (worst is None or k - flow.value > worst[0]):
+                worst = (k - flow.value, flow.closest_sink_side())
         return worst
 
     cost_of = inst.scaled_cost

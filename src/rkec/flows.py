@@ -1,19 +1,22 @@
 """Unit-capacity max-flow / min-cut primitives over instance subgraphs.
 
-A FlowView is an immutable arc list assembled from a chosen edge subset plus
-any synthetic arcs.  Every flow lives in a ``Residual``: a mutable residual
-network for one source and sink that takes new arcs at any time and resumes
-augmenting from the flow it already carries, by shortest augmenting paths
-(breadth-first, deterministic for a fixed arc order).  The one-shot queries
-on a view (``max_flow_value``, ``closest_sink_cut``) build a residual and
-augment it without a limit; the ring primal-dual keeps its residuals and
-grows them one leg at a time.  Root connectivity of a selection is answered
-here too, for every terminal (``connectivity``) or up to the first terminal
-that falls short (``short_terminal``).
+Every flow lives in a ``Residual``: a mutable residual network for one source
+and sink that takes new arcs at any time and resumes augmenting from the flow
+it already carries, by shortest augmenting paths (breadth-first,
+deterministic for a fixed arc order).  Its value is a path count, its closest
+sink side a core candidate and its farthest sink side a ring maximum.
+
+A selection's working graph is one arc list (``working_arcs``).
+``root_flows`` augments one root->terminal residual over it per terminal, in
+id order and only as far as its caller reads; root connectivity of every
+terminal (``connectivity``), the first terminal that falls short
+(``short_terminal``) and the cores all read those flows.  The ring
+primal-dual keeps its residuals and grows them one leg at a time.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .instance import Instance, selection_from_units
@@ -24,15 +27,6 @@ class Arc:
     tail: int
     head: int
     cap: int
-    synthetic: bool = False  # synthetic arcs never correspond to instance edges
-
-
-class FlowView:
-    """Immutable capacitated digraph; each query builds its own ``Residual``."""
-
-    def __init__(self, node_count: int, arcs):
-        self.node_count = node_count
-        self.arcs = tuple(arcs)
 
 
 class Residual:
@@ -143,56 +137,44 @@ class Residual:
         return frozenset(v for v, r in enumerate(reached) if not r)
 
 
-def _maximum(view: FlowView, s: int, t: int) -> Residual:
-    flow = Residual(view.node_count, s, t, view.arcs)
-    flow.augment()
-    return flow
-
-
-def max_flow_value(view: FlowView, s: int, t: int) -> int:
-    """Maximum number of edge-disjoint s->t paths respecting capacities."""
-    return _maximum(view, s, t).value
-
-
-def closest_sink_cut(view: FlowView, s: int, t: int) -> tuple[int, frozenset[int]]:
-    """Minimum s-t cut value and its inclusion-minimal sink side.
-
-    The sink side is the set of nodes that can still reach t in the residual
-    network of a maximum flow; that set is the same for every maximum flow, so
-    the result is independent of augmentation order.
-    """
-    flow = _maximum(view, s, t)
-    return flow.value, flow.closest_sink_side()
-
-
-def instance_view(inst: Instance, units, synthetic=()) -> FlowView:
-    """Assemble the working graph: zero-cost edges, selected units, extras.
+def working_arcs(inst: Instance, units) -> list[Arc]:
+    """The working graph of ``units``: zero-cost edges, then selected units.
 
     Selected units are grouped per edge id into one arc with the unit count as
-    capacity; synthetic arcs are appended last and keep their tag.
+    capacity.
     """
     arcs = [Arc(e.tail, e.head, e.mult) for e in inst.zero_edges]
     for eid, count in selection_from_units(units).items():
         e = inst.edge_by_id[eid]
         arcs.append(Arc(e.tail, e.head, count))
-    arcs.extend(synthetic)
-    return FlowView(inst.node_count, arcs)
+    return arcs
+
+
+def root_flows(inst: Instance, units) -> Iterator[tuple[int, Residual]]:
+    """Per terminal in id order: a maximum root->terminal flow of the working
+    graph of ``units``.
+
+    Lazy: each residual is built and augmented when its terminal comes up, so
+    a caller that stops early pays for no further terminal.
+    """
+    arcs = working_arcs(inst, units)
+    for t in sorted(inst.terminals):
+        flow = Residual(inst.node_count, inst.root, t, arcs)
+        flow.augment()
+        yield t, flow
 
 
 def connectivity(inst: Instance, units) -> dict[int, int]:
     """Edge-disjoint root paths of every terminal (in id order) in the
     working graph of ``units``."""
-    view = instance_view(inst, units)
-    return {t: max_flow_value(view, inst.root, t) for t in sorted(inst.terminals)}
+    return {t: flow.value for t, flow in root_flows(inst, units)}
 
 
 def short_terminal(inst: Instance, units, need: int) -> tuple[int, int] | None:
     """The first terminal (in id order) with fewer than ``need`` edge-disjoint
     root paths in the working graph of ``units``, with its path count; None
     when every terminal has ``need``.  Stops at that terminal."""
-    view = instance_view(inst, units)
-    for t in sorted(inst.terminals):
-        paths = max_flow_value(view, inst.root, t)
-        if paths < need:
-            return t, paths
+    for t, flow in root_flows(inst, units):
+        if flow.value < need:
+            return t, flow.value
     return None

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .deficiency import CoreInfo, rooted_cores
-from .flows import instance_view
+from .flows import working_arcs
 from .instance import Instance, IterationRecord, Unit
 from .rings import (
     RingContext,
@@ -72,7 +72,8 @@ class PhaseStuckError(RuntimeError):
 
 
 def candidate_heads(inst: Instance, units) -> tuple[Unit, ...]:
-    """Every positive-cost edge with a free unit, lowest copy first."""
+    """``free_leg_candidates`` under the name perfbench's traced run calls to
+    count the (head, core) pairs offered per star; nothing in rkec calls it."""
     return free_leg_candidates(inst, units)
 
 
@@ -153,8 +154,8 @@ def pricing_context(inst: Instance, units, cores, level: int) -> list[CorePricin
     The working arcs and the indexed leg candidates are built once for all
     cores and heads.
     """
-    working = instance_view(inst, units).arcs
-    legs = index_legs(inst, candidate_heads(inst, units))
+    working = working_arcs(inst, units)
+    legs = index_legs(inst, free_leg_candidates(inst, units))
     out = []
     for core in cores:
         ring = core_ring_context(inst, working, legs, cores, core, level)
@@ -186,7 +187,7 @@ def cheapest_star(inst: Instance, units, cores, level: int) -> Star:
     pricing = pricing_context(inst, units, cores, level)
     m = len(cores)
     best = None
-    for head in sorted(candidate_heads(inst, units), key=lambda u: (inst.scaled_cost(u), u)):
+    for head in sorted(free_leg_candidates(inst, units), key=lambda u: (inst.scaled_cost(u), u)):
         head_cost = inst.scaled_cost(head)
         # head_cost / m > best density
         if best is not None and head_cost * best.leaves > best.total * m:

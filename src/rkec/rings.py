@@ -12,11 +12,13 @@ violated set is the closest minimum cut at the core's representative
 terminal, and the union of all ring members is the farthest one
 (``ring_maximum``).
 
-Each context carries one residual flow from the root to the representative,
+Each context owns one residual flow from the root to the representative,
 augmented up to k - l + 1: the ring is covered exactly when the flow gets
-there.  A core's no-head flow is built once; ``with_head`` grows a copy of
-it by the head arc, and the primal-dual grows a copy by one arc per leg it
-picks, so no flow is ever recomputed from scratch.
+there.  The flow is the context's only graph; no arc list is kept beside it.
+A core's no-head flow is built once, over the working arcs plus the
+saturating arcs; ``with_head`` grows a copy of it by the head arc, and the
+primal-dual grows a copy by one arc per leg it picks, so no flow is ever
+recomputed from scratch.
 
 The cover itself comes from dual ascent plus reverse delete.  Minimal
 violated sets of a shrinking ring form a strictly increasing chain, so the
@@ -30,11 +32,10 @@ certificate included, is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .deficiency import CoreInfo
-from .flows import Arc, Residual, instance_view
+from .flows import Arc, Residual
 from .instance import Instance, Unit, selection_from_units
 
 
@@ -46,7 +47,6 @@ class LegIndex:
     arc ends at node v, the cost from ``Instance.scaled_cost``.
     """
 
-    units: tuple[Unit, ...]
     entering: tuple[tuple[tuple[Unit, int, int], ...], ...]
 
 
@@ -56,7 +56,7 @@ def index_legs(inst: Instance, candidates) -> LegIndex:
     for u in candidates:
         tail, head = inst.unit_arc(u)
         entering[head].append((u, tail, inst.scaled_cost(u)))
-    return LegIndex(tuple(candidates), tuple(map(tuple, entering)))
+    return LegIndex(tuple(map(tuple, entering)))
 
 
 @dataclass(frozen=True)
@@ -64,41 +64,22 @@ class RingContext:
     """Implicit ring for (core, head) over a fixed partial selection.
 
     A context without a head (``head is None``) prices the core's ring with
-    the legs alone; ``with_head`` adds a head to it.
+    the legs alone; ``with_head`` adds a head to it.  ``flow`` is the
+    root-representative residual of the working graph, the saturating arcs and
+    the head, augmented to ``bound``; callers copy it before adding arcs.
     """
 
     inst: Instance
     level: int
     target: CoreInfo
     head: Unit | None
-    base_arcs: tuple[Arc, ...]  # working graph + saturating arcs (+ head)
     leg_index: LegIndex  # free units of the selection; the head's edge is never a leg
+    flow: Residual = field(compare=False)
 
     @property
     def bound(self) -> int:
         """Root-representative flow at which the ring counts as covered."""
         return self.inst.k - self.level + 1
-
-    @property
-    def candidates(self) -> tuple[Unit, ...]:
-        """One free unit per positive edge, the head's edge excluded."""
-        units = self.leg_index.units
-        if self.head is None:
-            return units
-        return tuple(u for u in units if u[0] != self.head[0])
-
-    @cached_property
-    def flow(self) -> Residual:
-        """Root-representative residual of ``base_arcs``, augmented to the bound.
-
-        Derived state, not a field: ``dataclasses.replace`` starts it afresh.
-        Callers copy it before adding arcs.
-        """
-        flow = Residual(
-            self.inst.node_count, self.inst.root, self.target.representative, self.base_arcs
-        )
-        flow.augment(self.bound)
-        return flow
 
 
 def saturating_arcs(inst: Instance, all_cores, target: CoreInfo, level: int) -> list[Arc]:
@@ -113,7 +94,7 @@ def saturating_arcs(inst: Instance, all_cores, target: CoreInfo, level: int) -> 
         if core.members == target.members:
             continue
         for t in sorted(core.members & inst.terminals):
-            arcs.append(Arc(inst.root, t, level, synthetic=True))
+            arcs.append(Arc(inst.root, t, level))
     return arcs
 
 
@@ -142,54 +123,27 @@ def core_ring_context(
 ) -> RingContext:
     """The target's ring with no head, over prebuilt working arcs and legs.
 
-    ``working`` is the arc list of ``instance_view`` for the selection and
+    ``working`` is the arc list of ``working_arcs`` for the selection and
     ``leg_index`` indexes its ``free_leg_candidates``; both are shared by
     every core and every head of one star selection.
     """
-    base = tuple(working) + tuple(saturating_arcs(inst, all_cores, target, level))
-    return RingContext(inst, level, target, None, base, leg_index)
+    arcs = [*working, *saturating_arcs(inst, all_cores, target, level)]
+    flow = Residual(inst.node_count, inst.root, target.representative, arcs)
+    flow.augment(inst.k - level + 1)
+    return RingContext(inst, level, target, None, leg_index, flow)
 
 
 def with_head(ctx: RingContext, head: Unit) -> RingContext:
     """The same ring with ``head`` riding along at cost zero.
 
-    The head's arc joins the base at capacity one and its edge stops being a
-    leg: a second copy of it never helps.  The new context's flow starts from
-    a copy of ``ctx``'s, which is a valid flow of the larger base too.
+    The head's arc joins at capacity one and its edge stops being a leg: a
+    second copy of it never helps.  The new context's flow is a copy of
+    ``ctx``'s, a valid flow of the larger graph too, grown by the head arc.
     """
-    tail, head_node = ctx.inst.unit_arc(head)
-    child = RingContext(
-        ctx.inst,
-        ctx.level,
-        ctx.target,
-        head,
-        ctx.base_arcs + (Arc(tail, head_node, 1),),
-        ctx.leg_index,
-    )
     flow = ctx.flow.copy()
-    flow.add(tail, head_node, 1)
-    flow.augment(child.bound)
-    vars(child)["flow"] = flow  # seeds the cached property
-    return child
-
-
-def build_ring_context(
-    inst: Instance,
-    units,
-    all_cores,
-    target: CoreInfo,
-    head: Unit,
-    level: int,
-) -> RingContext:
-    base = core_ring_context(
-        inst,
-        instance_view(inst, units).arcs,
-        index_legs(inst, free_leg_candidates(inst, units)),
-        all_cores,
-        target,
-        level,
-    )
-    return with_head(base, head)
+    flow.add(*ctx.inst.unit_arc(head), 1)
+    flow.augment(ctx.bound)
+    return RingContext(ctx.inst, ctx.level, ctx.target, head, ctx.leg_index, flow)
 
 
 def ring_maximum(ctx: RingContext) -> frozenset[int]:

@@ -13,7 +13,6 @@ from .instance import (
     InfeasibleError,
     ParseError,
     Solution,
-    dump_json,
     frac_from_obj,
     frac_to_str,
     selection_from_units,
@@ -152,7 +151,3 @@ def report_from_doc(doc: dict) -> SolveReport:
         )
     except (KeyError, TypeError, IndexError) as exc:
         raise ParseError(f"malformed solve report: {exc}") from exc
-
-
-def report_to_json(report: SolveReport) -> str:
-    return dump_json(report_to_doc(report))

@@ -26,7 +26,7 @@ from .instance import (
     check_selection,
     frac_to_str,
 )
-from .solver import SolveReport
+from .solver import SolveReport, harmonic
 
 
 def check_feasible(inst: Instance, sol: Solution) -> tuple[dict[int, int], bool]:
@@ -96,6 +96,7 @@ class AuditReport:
     cost: Fraction  # recomputed from the selection; the ratio uses this one
     recorded_cost_ok: bool  # the report's total_cost equals ``cost``
     recorded_units_ok: bool  # the iterations' added_units are exactly the selection
+    recorded_bound_ok: bool  # bound_harmonic and terminal_count match the instance's
     core_drop_violations: list[int] = field(default_factory=list)  # record indexes
     ratio: Fraction | None = None
     bound_lo: Fraction | None = None
@@ -110,6 +111,7 @@ class AuditReport:
             self.feasible
             and self.recorded_cost_ok
             and self.recorded_units_ok
+            and self.recorded_bound_ok
             and not self.core_drop_violations
             and not self.density_violations
             and self.bound_holds is not False
@@ -127,25 +129,32 @@ def audit_run(
 
     Always: feasibility, the cost (recomputed from the selection; a recorded
     total that differs, or iterations whose added units are not exactly the
-    selection, make the audit unclean) and the per-iteration core-drop rule
-    (the core count must fall by at least half the leaf count, rounded up).
-    With an exact optimum: the ratio bound, on the recomputed cost.  With
-    ``density_max_units`` set and the instance small enough: replay the run
-    and check each iteration's density against (2/level) * (residual
-    optimum) / (cores before), brute-forcing the residual optimum from the
-    iteration's own state.
+    selection, make the audit unclean), the guarantee's inputs (H of the
+    first level, from the zero-cost graph's connectivity, and |T|, from the
+    instance; a recorded pair that differs makes the audit unclean) and the
+    per-iteration core-drop rule (the core count must fall by at least half
+    the leaf count, rounded up).  With an exact optimum: the ratio bound, on
+    the recomputed cost and guarantee inputs.  With ``density_max_units`` set
+    and the instance small enough: replay the run and check each iteration's
+    density against (2/level) * (residual optimum) / (cores before),
+    brute-forcing the residual optimum from the iteration's own state.
     """
     solution = report.solution
-    connectivity, feasible = check_feasible(inst, solution)
+    conn, feasible = check_feasible(inst, solution)
     units = solution.units()
     cost = inst.units_cost(units)
     added = sorted(u for rec in solution.audit for u in rec.added_units)
+    first_level = max(max(inst.k - lam, 0) for lam in connectivity(inst, ()).values())
+    bound_harmonic = harmonic(first_level)
+    terminal_count = len(inst.terminals)
     out = AuditReport(
         feasible=feasible,
-        connectivity=connectivity,
+        connectivity=conn,
         cost=cost,
         recorded_cost_ok=solution.total_cost == cost,
         recorded_units_ok=added == list(units),
+        recorded_bound_ok=(report.bound_harmonic, report.terminal_count)
+        == (bound_harmonic, terminal_count),
     )
 
     for idx, rec in enumerate(solution.audit):
@@ -158,12 +167,7 @@ def audit_run(
             out.ratio = None if cost else Fraction(0)
         else:
             out.ratio = cost / opt.total_cost
-        holds, lo, hi = bound_decision(
-            cost,
-            opt.total_cost,
-            report.bound_harmonic,
-            report.terminal_count,
-        )
+        holds, lo, hi = bound_decision(cost, opt.total_cost, bound_harmonic, terminal_count)
         out.bound_holds, out.bound_lo, out.bound_hi = holds, lo, hi
 
     if density_max_units is not None:
@@ -210,6 +214,7 @@ def audit_to_doc(report: AuditReport) -> dict:
         "cost": frac_to_str(report.cost),
         "recorded_cost_ok": report.recorded_cost_ok,
         "recorded_units_ok": report.recorded_units_ok,
+        "recorded_bound_ok": report.recorded_bound_ok,
         "core_drop_violations": report.core_drop_violations,
         "ratio": frac_to_str(report.ratio) if report.ratio is not None else None,
         "bound_lo": frac_to_str(report.bound_lo) if report.bound_lo is not None else None,

@@ -1,17 +1,51 @@
 """Reference implementations the fast paths are compared against.
 
-Each one does its job the plain way: every (head, core) pair priced on a
-fresh ring context, a maximum flow decomposed into paths by search, and the
+Each one does its job the plain way: a ring context built afresh for one
+(core, head) pair, every such pair priced, the max level read off every
+terminal's flow, a maximum flow decomposed into paths by search, and the
 paths re-checked edge by edge against the instance's capacities.  They use
 the package's flow and ring primitives, unlike the enumeration oracles in
 ``conftest``, and only tests call them.
 """
 
 from rkec.deficiency import CoreInfo
-from rkec.flows import FlowView, Residual, instance_view
-from rkec.greedy import PhaseStuckError, Star, _scan_head, candidate_heads
+from rkec.flows import Residual, root_flows, working_arcs
+from rkec.greedy import PhaseStuckError, Star, _scan_head
 from rkec.instance import Instance, Solution, Unit
-from rkec.rings import RingCover, build_ring_context, primal_dual_ring_cover
+from rkec.rings import (
+    RingContext,
+    RingCover,
+    core_ring_context,
+    free_leg_candidates,
+    index_legs,
+    primal_dual_ring_cover,
+    with_head,
+)
+
+
+def rooted_max_level(inst: Instance, units) -> int:
+    """Maximum residual deficiency over all terminal-containing sets."""
+    return max(max(inst.k - flow.value, 0) for _, flow in root_flows(inst, units))
+
+
+def build_ring_context(
+    inst: Instance,
+    units,
+    all_cores,
+    target: CoreInfo,
+    head: Unit,
+    level: int,
+) -> RingContext:
+    """The (target, head) ring context of ``units``, built from nothing."""
+    base = core_ring_context(
+        inst,
+        working_arcs(inst, units),
+        index_legs(inst, free_leg_candidates(inst, units)),
+        all_cores,
+        target,
+        level,
+    )
+    return with_head(base, head)
 
 
 def price_star_edges(inst: Instance, units, cores, level: int) -> dict[tuple[Unit, CoreInfo], RingCover]:
@@ -23,7 +57,7 @@ def price_star_edges(inst: Instance, units, cores, level: int) -> dict[tuple[Uni
     if not cores:
         raise ValueError("pricing needs at least one core")
     prices: dict[tuple[Unit, CoreInfo], RingCover] = {}
-    for head in candidate_heads(inst, units):
+    for head in free_leg_candidates(inst, units):
         for core in cores:
             ctx = build_ring_context(inst, units, cores, core, head, level)
             cover = primal_dual_ring_cover(ctx)
@@ -51,14 +85,20 @@ def best_star(inst: Instance, prices) -> Star:
     return best.star(inst.cost_scale)
 
 
-def max_flow_paths(view: FlowView, s: int, t: int) -> list[list[int]]:
+def maximum_flow(node_count: int, arcs, s: int, t: int) -> Residual:
+    """A maximum s->t flow over ``arcs``, augmented without a limit."""
+    flow = Residual(node_count, s, t, arcs)
+    flow.augment()
+    return flow
+
+
+def max_flow_paths(node_count: int, arcs, s: int, t: int) -> list[list[int]]:
     """Decompose one maximum flow into edge-disjoint s->t node paths.
 
-    Returns exactly max_flow_value(view, s, t) paths; parallel capacity counts
-    as distinct edges, and flow on cycles (if any) is ignored.
+    Returns exactly as many paths as the maximum flow value; parallel capacity
+    counts as distinct edges, and flow on cycles (if any) is ignored.
     """
-    flow = Residual(view.node_count, s, t, view.arcs)
-    flow.augment()
+    flow = maximum_flow(node_count, arcs, s, t)
     to, adj = flow.to, flow.adj
     # The flow pushed over forward arc i sits as capacity on its reverse i + 1.
     remaining = {i: flow.cap[i + 1] for i in range(0, len(to), 2) if flow.cap[i + 1] > 0}
@@ -90,8 +130,7 @@ def max_flow_paths(view: FlowView, s: int, t: int) -> list[list[int]]:
 def path_packing_witness(inst: Instance, sol: Solution, terminal: int) -> list[list[int]]:
     """Extract edge-disjoint root-terminal paths and re-validate them edge by
     edge against the instance's capacities."""
-    view = instance_view(inst, sol.units())
-    paths = max_flow_paths(view, inst.root, terminal)
+    paths = max_flow_paths(inst.node_count, working_arcs(inst, sol.units()), inst.root, terminal)
     capacity: dict[tuple[int, int], int] = {}
     for e in inst.zero_edges:
         capacity[(e.tail, e.head)] = capacity.get((e.tail, e.head), 0) + e.mult

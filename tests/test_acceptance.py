@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from rkec.deficiency import rooted_cores, rooted_max_level, tabulate_rooted
+from rkec.deficiency import rooted_cores, tabulate_rooted
 from rkec.exact import (
     brute_force_opt,
     brute_force_ring_cover,
@@ -22,12 +22,14 @@ from rkec.exact import (
     enumerate_rooted,
     nested_chain_certificate,
 )
+from rkec.flows import working_arcs
 from rkec.generate import default_corpus_params, generate_instance
-from rkec.greedy import candidate_heads
-from rkec.instance import Instance, Solution
-from rkec.rings import build_ring_context, primal_dual_ring_cover
-from rkec.solver import SolveReport, report_to_json, solve
+from rkec.instance import Instance, Solution, dump_json
+from rkec.rings import free_leg_candidates, primal_dual_ring_cover, saturating_arcs
+from rkec.solver import SolveReport, report_to_doc, solve
 from rkec.verify import bound_decision, check_feasible, density_violations
+
+from reference import build_ring_context, rooted_max_level
 
 CORPUS_SEEDS = range(1, 501)
 RING_SAMPLE_TARGET = 2000
@@ -77,21 +79,25 @@ def ring_samples(corpus):
             cores = rooted_cores(inst, state)
             level = cores[0].deficiency
             assert level == rec.phase_level
-            heads = candidate_heads(inst, state)
+            heads = free_leg_candidates(inst, state)
             picked = {heads[0], heads[len(heads) // 2], (rec.star_center, 0)}
             for head in sorted(picked):
                 if head not in heads:
                     continue
                 for core in cores:
                     ctx = build_ring_context(inst, state, cores, core, head, level)
-                    bare_arcs = []
-                    for arc in ctx.base_arcs[:-1]:  # everything except the head
+                    bare_arcs = []  # the ring's graph without the head
+                    for arc in working_arcs(inst, state) + saturating_arcs(
+                        inst, cores, core, level
+                    ):
                         bare_arcs.extend([(arc.tail, arc.head)] * arc.cap)
                     family = enumerate_arc_family(universe, inst.terminals, inst.k, bare_arcs)
                     assert family.level == level
                     ring = family.ring_view(core.members)
                     candidates = [
-                        (u, *inst.unit_arc(u), inst.unit_cost(u)) for u in ctx.candidates
+                        (u, *inst.unit_arc(u), inst.unit_cost(u))
+                        for u in heads
+                        if u[0] != head[0]
                     ]
                     exact = brute_force_ring_cover(
                         ring.members, inst.unit_arc(head), candidates
@@ -324,7 +330,7 @@ def test_c10_determinism(corpus):
     diffs = []
     for run in corpus:
         repeat = solve(run.inst)
-        if report_to_json(repeat) != report_to_json(run.report):
+        if dump_json(report_to_doc(repeat)) != dump_json(report_to_doc(run.report)):
             diffs.append(run.seed)
     print(
         f"[acceptance] C10 determinism: {'PASS' if not diffs else 'FAIL'} "

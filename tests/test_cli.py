@@ -153,12 +153,27 @@ def test_bench_corpus(tmp_path, capsys):
     code = run("bench", "--corpus", corpus, "--out", out,
                "--max-brute-edges", "12", "--no-timestamp")
     assert code == 0
-    captured = capsys.readouterr().out
+    captured = capsys.readouterr().err
     assert "ratios:" in captured
     doc = json.loads(out.read_text())
     statuses = {row["file"]: row["status"] for row in doc["instances"]}
     assert any("brute skipped" in s for s in statuses.values())
     assert doc["ratio_summary"]["count"] >= 2
+
+
+def test_bench_stdout_is_the_json_summary(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    run("gen", "--nodes", "6", "--terminals", "2", "--k", "1", "--seed", "1",
+        "--out", corpus / "inst_1.json")
+    capsys.readouterr()
+    assert run("bench", "--corpus", corpus, "--out", "-", "--no-timestamp") == 0
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["kind"] == "bench-summary"
+    assert [row["file"] for row in doc["instances"]] == ["inst_1.json"]
+    assert doc["ratio_summary"]["count"] == 1
+    assert captured.err.startswith("ratios: n=1 ")
 
 
 def test_bench_flags_parse_failure(tmp_path):
@@ -256,6 +271,31 @@ def test_verify_checks_the_opt_file(solved_with_optimum, tmp_path, capsys, edit,
         assert json.loads(out.read_text())["ratio"] == "44/43"
     else:
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, code",
+    [
+        ({}, 0),
+        ({"bound_harmonic": "1000", "terminal_count": 1000}, 4),
+        ({"bound_harmonic": "1000"}, 4),
+        ({"terminal_count": 1000}, 4),
+        ({"bound_harmonic": "1/1000"}, 4),
+    ],
+    ids=["recorded", "both-inflated", "harmonic-inflated", "count-inflated", "harmonic-shrunk"],
+)
+def test_verify_recomputes_the_guarantee_inputs(solved_with_optimum, tmp_path, edit, code):
+    # an inflated guarantee must not make a report audit clean: the verifier
+    # takes H(first level) and |T| from the instance (H(2) and 3 here)
+    inst, report, _ = solved_with_optimum
+    doc = json.loads(report.read_text())
+    assert (doc["bound_harmonic"], doc["terminal_count"]) == ("3/2", 3)
+    doc.update(edit)
+    got, audit = _verify_doc(tmp_path, inst, doc)
+    assert got == code
+    assert audit["recorded_bound_ok"] is (code == 0)
+    assert audit["clean"] is (code == 0)
+    assert audit["bound_holds"] is True and audit["ratio"] == "44/43"
 
 
 def test_fractional_costs_round_trip(tmp_path):

@@ -9,13 +9,13 @@ from rkec.deficiency import (
     explicit_cores,
     explicit_max_level,
     rooted_cores,
-    rooted_max_level,
     tabulate_rooted,
 )
 from rkec.exact import enumerate_rooted
 from rkec.instance import ParseError
 
 from conftest import small_random_instance
+from reference import rooted_max_level
 
 
 def test_fixture_level_and_cores(instance_a):

@@ -1,24 +1,41 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkec.flows import (
-    Arc,
-    FlowView,
-    Residual,
-    closest_sink_cut,
-    instance_view,
-    max_flow_value,
-)
+from rkec import flows
+from rkec.flows import Arc, Residual, working_arcs
+from rkec.instance import Edge, Instance
 
 from conftest import minimal_sets, oracle_min_cut, small_random_instance
-from reference import max_flow_paths
+from reference import max_flow_paths, maximum_flow
 
 
 def view(n, arcs):
-    return FlowView(n, [Arc(*a) for a in arcs])
+    """A node count and its arc list, (tail, head, cap) triples as ``Arc``s."""
+    return n, [Arc(*a) for a in arcs]
+
+
+def instance_view(inst, units):
+    return inst.node_count, working_arcs(inst, units)
+
+
+def max_flow_value(v, s, t):
+    return maximum_flow(*v, s, t).value
+
+
+def closest_sink_cut(v, s, t):
+    """Maximum flow value and the closest sink side of its residual."""
+    flow = maximum_flow(*v, s, t)
+    return flow.value, flow.closest_sink_side()
+
+
+def farthest_sink_cut(v, s, t):
+    """Maximum flow value and the farthest sink side of its residual."""
+    flow = maximum_flow(*v, s, t)
+    return flow.value, flow.farthest_sink_side()
 
 
 def test_single_path():
@@ -82,13 +99,6 @@ def test_duality_and_minimality_against_enumeration(seed):
     assert value == oracle_value
     # the returned side is the unique minimal minimum cut
     assert minimal_sets(oracle_sides) == [side]
-
-
-def farthest_sink_cut(v, s, t):
-    """Maximum flow value and the farthest sink side of its residual."""
-    flow = Residual(v.node_count, s, t, v.arcs)
-    flow.augment()
-    return flow.value, flow.farthest_sink_side()
 
 
 def test_farthest_cut_simple_chain():
@@ -165,7 +175,7 @@ def test_path_decomposition_is_valid(seed):
     s, t = rng.sample(range(n), 2)
     v = view(n, arcs)
     value = max_flow_value(v, s, t)
-    paths = max_flow_paths(v, s, t)
+    paths = max_flow_paths(*v, s, t)
     assert len(paths) == value
     capacity = {}
     for tail, head, cap in arcs:
@@ -190,12 +200,6 @@ def test_instance_view_zero_cost_graph_empty(instance_a):
     assert max_flow_value(v, 0, 2) == 0
 
 
-def test_synthetic_arcs_tagged():
-    arc = Arc(0, 1, 2, synthetic=True)
-    assert arc.synthetic
-    assert not Arc(0, 1, 2).synthetic
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
 def test_instance_view_matches_oracle(seed):
@@ -211,3 +215,25 @@ def test_instance_view_matches_oracle(seed):
     v = instance_view(inst, units)
     for t in inst.terminals:
         assert max_flow_value(v, inst.root, t) == oracle_min_cut(arcs, inst.node_count, inst.root, t)[0]
+
+
+@pytest.mark.parametrize("short", [0, 1, 2, 3, None])
+def test_short_terminal_stops_at_the_first_short_terminal(monkeypatch, short):
+    # terminal ``short`` (0-based, id order) gets one root arc, the others
+    # two; with need = 2 exactly the residuals up to it may be built
+    terminals = [1, 2, 3, 4]
+    edges = tuple(
+        Edge(t, 0, t, Fraction(1), 1 if i == short else 2) for i, t in enumerate(terminals)
+    )
+    inst = Instance(5, 0, frozenset(terminals), edges, 2)
+    built = []
+
+    class CountingResidual(flows.Residual):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.sink)
+
+    monkeypatch.setattr(flows, "Residual", CountingResidual)
+    expected = None if short is None else (terminals[short], 1)
+    assert flows.short_terminal(inst, inst.positive_units, 2) == expected
+    assert built == (terminals if short is None else terminals[: short + 1])

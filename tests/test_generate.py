@@ -2,9 +2,19 @@ from fractions import Fraction
 
 import pytest
 
-from rkec.flows import instance_view, max_flow_value
+from rkec.flows import working_arcs
 from rkec.generate import GenParams, default_corpus_params, generate_instance
 from rkec.instance import instance_to_json, validate_quasi_bipartite
+
+from reference import maximum_flow
+
+
+def instance_view(inst, units):
+    return inst.node_count, working_arcs(inst, units)
+
+
+def max_flow_value(view, s, t):
+    return maximum_flow(*view, s, t).value
 
 
 def params(**overrides):

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkec.deficiency import CoreInfo, rooted_cores, rooted_max_level
+from rkec.deficiency import CoreInfo, rooted_cores
 from rkec.greedy import (
     PhaseStuckError,
     _best_prefix,
-    candidate_heads,
     cheapest_star,
     pricing_context,
     run_phase,
@@ -20,7 +19,7 @@ from rkec.generate import GenParams, generate_instance
 from rkec.instance import Edge, Instance
 from rkec.rings import (
     RingCover,
-    build_ring_context,
+    free_leg_candidates,
     min_violated_set,
     primal_dual_ring_cover,
     ring_maximum,
@@ -28,12 +27,12 @@ from rkec.rings import (
 )
 
 from conftest import small_random_instance
-from reference import best_star, price_star_edges
+from reference import best_star, build_ring_context, price_star_edges, rooted_max_level
 
 
 def test_candidate_heads_skip_selected(instance_a):
-    assert candidate_heads(instance_a, ()) == tuple((i, 0) for i in range(1, 6))
-    assert candidate_heads(instance_a, [(1, 0)]) == tuple((i, 0) for i in range(2, 6))
+    assert free_leg_candidates(instance_a, ()) == tuple((i, 0) for i in range(1, 6))
+    assert free_leg_candidates(instance_a, [(1, 0)]) == tuple((i, 0) for i in range(2, 6))
 
 
 def test_fixture_prices(instance_a):
@@ -95,7 +94,7 @@ def test_best_star_single_core_arithmetic():
 
 
 def test_zero_cost_edges_never_priced(instance_a_k2):
-    heads = candidate_heads(instance_a_k2, ())
+    heads = free_leg_candidates(instance_a_k2, ())
     assert all(instance_a_k2.unit_cost(h) > 0 for h in heads)
 
 
@@ -211,7 +210,7 @@ def test_irrelevant_heads_keep_the_shared_price(seed, augmentation):
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
     for units, cores, level in _random_states(inst, rng):
         pricing = pricing_context(inst, units, cores, level)
-        for head in candidate_heads(inst, units):
+        for head in free_leg_candidates(inst, units):
             for p in pricing:
                 if p.relevant(inst.unit_arc(head)):
                     continue
@@ -230,7 +229,7 @@ def test_heads_on_a_shared_ring_price_like_a_fresh_context(seed, augmentation):
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
     for units, cores, level in _random_states(inst, rng):
         pricing = pricing_context(inst, units, cores, level)
-        for head in candidate_heads(inst, units):
+        for head in free_leg_candidates(inst, units):
             for p in pricing:
                 fresh = build_ring_context(inst, units, cores, p.core, head, level)
                 assert primal_dual_ring_cover(with_head(p.ring, head)) == primal_dual_ring_cover(fresh)

@@ -1,20 +1,22 @@
 import importlib.util
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkec.deficiency import rooted_cores, rooted_max_level
+from rkec.deficiency import rooted_cores
 from rkec.exact import (
     brute_force_ring_cover,
     enumerate_arc_family,
     nested_chain_certificate,
 )
+from rkec.flows import working_arcs
 from rkec.rings import (
-    build_ring_context,
+    core_ring_context,
+    free_leg_candidates,
+    index_legs,
     min_violated_set,
     primal_dual_ring_cover,
     ring_maximum,
@@ -22,6 +24,7 @@ from rkec.rings import (
 )
 
 from conftest import small_random_instance
+from reference import build_ring_context, rooted_max_level
 
 
 def context_for(inst, units, target_members, head_edge):
@@ -32,25 +35,29 @@ def context_for(inst, units, target_members, head_edge):
     return build_ring_context(inst, units, cores, target, head, level)
 
 
+def saturating_for(inst, units, target_members):
+    cores = rooted_cores(inst, units)
+    target = next(c for c in cores if c.members == frozenset(target_members))
+    return saturating_arcs(inst, cores, target, cores[0].deficiency)
+
+
 def test_context_shape(instance_a):
+    sat = saturating_for(instance_a, (), {2})
+    assert len(sat) == 1 and sat[0].head == 3 and sat[0].cap == 1
     ctx = context_for(instance_a, (), {2}, 1)
-    synthetic = [a for a in ctx.base_arcs if a.synthetic]
-    assert len(synthetic) == 1 and synthetic[0].head == 3 and synthetic[0].cap == 1
-    # head rides in the base with capacity one
-    assert ctx.base_arcs[-1].tail == 0 and ctx.base_arcs[-1].head == 1
-    assert all(u[0] != 1 for u in ctx.candidates)
+    # the head rides in the flow as its last arc, 0 -> 1 with capacity one
+    assert ctx.flow.to[-2:] == [1, 0] and ctx.flow.cap[-2] + ctx.flow.cap[-1] == 1
+    assert all(u[0] != 1 for u in primal_dual_ring_cover(ctx).legs)
 
 
 def test_context_symmetry(instance_a):
-    ctx = context_for(instance_a, (), {3}, 1)
-    synthetic = [a for a in ctx.base_arcs if a.synthetic]
-    assert len(synthetic) == 1 and synthetic[0].head == 2
+    sat = saturating_for(instance_a, (), {3})
+    assert len(sat) == 1 and sat[0].head == 2
 
 
 def test_single_core_no_saturation(instance_a):
     units = [(1, 0), (2, 0)]  # only terminal 3 stays deficient
-    ctx = context_for(instance_a, units, {3}, 4)
-    assert not [a for a in ctx.base_arcs if a.synthetic]
+    assert saturating_for(instance_a, units, {3}) == []
 
 
 def test_min_violated_set_fixture(instance_a):
@@ -124,7 +131,8 @@ def test_primal_dual_unpriceable():
 
 
 def _ring_contexts(inst, rng, per_instance=4):
-    """Sample solver-independent (state, core, head) ring contexts."""
+    """Sample solver-independent (state, core, head) ring contexts; each comes
+    with its state's units and cores."""
     units = list(inst.positive_units)
     out = []
     for _ in range(per_instance):
@@ -138,15 +146,22 @@ def _ring_contexts(inst, rng, per_instance=4):
             continue
         head = free[rng.randrange(len(free))]
         core = cores[rng.randrange(len(cores))]
-        out.append(build_ring_context(inst, sample, cores, core, head, level))
+        ctx = build_ring_context(inst, sample, cores, core, head, level)
+        out.append((ctx, sample, cores))
     return out
 
 
-def _enumerated_ring(ctx):
+def _leg_candidates(ctx, units):
+    """One free unit per positive edge, the head's edge excluded."""
+    return [u for u in free_leg_candidates(ctx.inst, units) if u[0] != ctx.head[0]]
+
+
+def _enumerated_ring(ctx, units, cores):
     inst = ctx.inst
-    # drop the head (last non-synthetic arc appended) to get the bare ring
+    # the bare ring: the working graph and the saturating arcs, no head
+    bare = working_arcs(inst, units) + saturating_arcs(inst, cores, ctx.target, ctx.level)
     arcs = []
-    for arc in ctx.base_arcs[:-1]:
+    for arc in bare:
         arcs.extend([(arc.tail, arc.head)] * arc.cap)
     family = enumerate_arc_family(
         [v for v in range(inst.node_count) if v != inst.root],
@@ -164,12 +179,13 @@ def _enumerated_ring(ctx):
 def test_primal_dual_exact_against_enumeration(seed):
     rng = random.Random(seed)
     inst = small_random_instance(rng)
-    for ctx in _ring_contexts(inst, rng):
-        ring = _enumerated_ring(ctx)
+    for ctx, units, cores in _ring_contexts(inst, rng):
+        ring = _enumerated_ring(ctx, units, cores)
         assert ring is not None and ring.is_ring
         head_arc = ctx.inst.unit_arc(ctx.head)
         candidates = [
-            (u, *ctx.inst.unit_arc(u), ctx.inst.unit_cost(u)) for u in ctx.candidates
+            (u, *ctx.inst.unit_arc(u), ctx.inst.unit_cost(u))
+            for u in _leg_candidates(ctx, units)
         ]
         oracle = brute_force_ring_cover(ring.members, head_arc, candidates)
         cover = primal_dual_ring_cover(ctx)
@@ -180,6 +196,7 @@ def test_primal_dual_exact_against_enumeration(seed):
             # the cover's integer cost, back in the instance's rationals
             assert Fraction(cover.cost, inst.cost_scale) == oracle[0]
             assert cover.certificate_ok
+            assert all(u[0] != ctx.head[0] for u in cover.legs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -187,8 +204,8 @@ def test_primal_dual_exact_against_enumeration(seed):
 def test_minimal_covers_admit_chain_certificate(seed):
     rng = random.Random(seed)
     inst = small_random_instance(rng)
-    for ctx in _ring_contexts(inst, rng):
-        ring = _enumerated_ring(ctx)
+    for ctx, units, cores in _ring_contexts(inst, rng):
+        ring = _enumerated_ring(ctx, units, cores)
         cover = primal_dual_ring_cover(ctx)
         if cover is None or ring is None:
             continue
@@ -214,7 +231,7 @@ def test_minimal_covers_admit_chain_certificate(seed):
 def test_dual_certificate_accompanies_every_cover(seed):
     rng = random.Random(seed)
     inst = small_random_instance(rng)
-    for ctx in _ring_contexts(inst, rng):
+    for ctx, _, _ in _ring_contexts(inst, rng):
         cover = primal_dual_ring_cover(ctx)
         if cover is not None:
             assert cover.certificate_ok
@@ -226,9 +243,16 @@ def test_dual_certificate_accompanies_every_cover(seed):
 def test_ring_maximum_is_the_union_of_ring_members(seed):
     rng = random.Random(seed)
     inst = small_random_instance(rng)
-    for ctx in _ring_contexts(inst, rng):
-        ring = _enumerated_ring(ctx)
-        bare = replace(ctx, head=None, base_arcs=ctx.base_arcs[:-1])
+    for ctx, units, cores in _ring_contexts(inst, rng):
+        ring = _enumerated_ring(ctx, units, cores)
+        bare = core_ring_context(
+            inst,
+            working_arcs(inst, units),
+            index_legs(inst, free_leg_candidates(inst, units)),
+            cores,
+            ctx.target,
+            ctx.level,
+        )
         assert ring_maximum(bare) == ring.maximal
 
 

@@ -11,20 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rkec import greedy, solver
-from rkec.deficiency import rooted_max_level
 from rkec.exact import brute_force_opt
 from rkec.flows import connectivity
 from rkec.generate import GenParams, default_corpus_params, generate_instance
-from rkec.instance import Edge, InfeasibleError, Instance, load_object
+from rkec.instance import Edge, InfeasibleError, Instance, dump_json, load_object
 from rkec.solver import (
     harmonic,
     report_from_doc,
-    report_to_json,
+    report_to_doc,
     solve,
 )
 from rkec.verify import bound_decision, check_feasible
 
 from conftest import INSTANCE_A_JSON, small_random_instance
+from reference import rooted_max_level
 
 
 def free_floor(inst):
@@ -98,8 +98,9 @@ def test_prune_flag(instance_a):
 
 def test_report_round_trip(instance_a):
     report = solve(instance_a)
-    again = report_from_doc(load_object(report_to_json(report), "report document"))
-    assert report_to_json(again) == report_to_json(report)
+    text = dump_json(report_to_doc(report))
+    again = report_from_doc(load_object(text, "report document"))
+    assert dump_json(report_to_doc(again)) == text
     assert again.solution == report.solution
     assert [ph.level for ph in again.phases] == [ph.level for ph in report.phases]
 

@@ -169,9 +169,10 @@ def test_audit_is_pure(seed):
     assert first.clean
 
 
-def _tamper_selected(inst, solution, data):
+def _tamper_selected(inst, doc, data):
     """Give one edge id (maybe one the instance lacks) a new unit count; a
     count of 0 drops the edge."""
+    solution = doc["solution"]
     chosen = dict(solution["selected"])
     ids = sorted(e.id for e in inst.edges) + [max((e.id for e in inst.edges), default=0) + 1]
     eid = data.draw(st.sampled_from(ids))
@@ -180,15 +181,16 @@ def _tamper_selected(inst, solution, data):
     solution["selected"] = [[e, c] for e, c in sorted(chosen.items()) if c]
 
 
-def _tamper_total_cost(inst, solution, data):
+def _tamper_total_cost(inst, doc, data):
+    solution = doc["solution"]
     recorded = frac_from_obj(solution["total_cost"])
     cost = data.draw(st.fractions(min_value=0, max_value=100, max_denominator=4))
     solution["total_cost"] = frac_to_str(cost if cost != recorded else recorded + 1)
 
 
-def _tamper_added_units(inst, solution, data):
+def _tamper_added_units(inst, doc, data):
     """Drop one recorded unit or add one, so the multiset changes."""
-    records = solution["audit"]
+    records = doc["solution"]["audit"]
     assume(records)
     rec = data.draw(st.sampled_from(records))
     if rec["added_units"] and data.draw(st.booleans()):
@@ -198,15 +200,33 @@ def _tamper_added_units(inst, solution, data):
         rec["added_units"].append([eid, data.draw(st.integers(0, 2))])
 
 
-@settings(max_examples=120, deadline=None)
+def _tamper_bound_harmonic(inst, doc, data):
+    recorded = frac_from_obj(doc["bound_harmonic"])
+    value = data.draw(st.fractions(min_value=0, max_value=1000, max_denominator=4))
+    doc["bound_harmonic"] = frac_to_str(value if value != recorded else recorded + 1)
+
+
+def _tamper_terminal_count(inst, doc, data):
+    recorded = doc["terminal_count"]
+    doc["terminal_count"] = data.draw(st.integers(1, 1000).filter(lambda n: n != recorded))
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     st.integers(0, 100_000),
-    st.sampled_from([_tamper_selected, _tamper_total_cost, _tamper_added_units]),
+    st.sampled_from([
+        _tamper_selected,
+        _tamper_total_cost,
+        _tamper_added_units,
+        _tamper_bound_harmonic,
+        _tamper_terminal_count,
+    ]),
     st.data(),
 )
 def test_tampered_report_never_audits_clean(seed, tamper, data):
-    """A report whose ``selected``, ``total_cost`` or multiset of iteration
-    ``added_units`` was changed is rejected (ParseError) or audits unclean.
+    """A report whose ``selected``, ``total_cost``, multiset of iteration
+    ``added_units``, ``bound_harmonic`` or ``terminal_count`` was changed is
+    rejected (ParseError) or audits unclean.
 
     Out of scope until the audit replays the core counts: moving a unit from
     one iteration to another, and editing ``cores_before``/``cores_after``.
@@ -217,7 +237,7 @@ def test_tampered_report_never_audits_clean(seed, tamper, data):
     except InfeasibleError:
         return
     doc = report_to_doc(report)
-    tamper(inst, doc["solution"], data)
+    tamper(inst, doc, data)
     try:
         audit = audit_run(inst, report_from_doc(doc))
     except ParseError:
