@@ -76,7 +76,7 @@ def cmd_solve(args) -> int:
     _write(args.out, _envelope("solve-report", payload, args.no_timestamp))
     print(
         f"solved: cost {frac_to_str(report.solution.total_cost)}, "
-        f"{len(report.phases)} phase(s), {len(report.solution.audit)} iteration(s)",
+        f"{len(payload['phases'])} phase(s), {len(report.solution.audit)} iteration(s)",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -1,11 +1,12 @@
-"""One phase of the solver: price stars, pick the densest, repeat.
+"""The greedy loop: price stars, buy the densest, repeat until no core is left.
 
 A star is a head edge plus, per leaf core, a minimum-cost leg set that
-together with the head covers that core's ring.  The phase repeatedly buys
-the star minimizing (head cost + leg costs) / leaf count until no core is
-left at the phase's level.  Leg sets of different leaves may overlap; the
-duplicates are bought once but the density keeps the summed price, which only
-makes the chosen star look worse, never infeasible.
+together with the head covers that core's ring.  Each iteration buys the star
+minimizing (head cost + leg costs) / leaf count over the cores of the current
+selection, whose deficiency is the iteration's level; once a level has no core
+left the next iteration works one level lower.  Leg sets of different leaves
+may overlap; the duplicates are bought once but the density keeps the summed
+price, which only makes the chosen star look worse, never infeasible.
 
 Pricing every (head, core) pair with a fresh ring context and taking the
 best star is the reference the tests hold ``cheapest_star`` to; it gives the
@@ -19,15 +20,13 @@ bounded below from the prices it already knows, and skipped when even that
 bound loses to the best star so far.
 
 Pricing runs in the instance's integer cost units (``Instance.scaled_cost``,
-the unit of ``RingCover.cost``) and compares densities by cross-multiplying;
-only the chosen star's costs become rationals in instance units.
+the unit of ``RingCover.cost``) and compares densities by cross-multiplying.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .deficiency import CoreInfo, rooted_cores
@@ -43,28 +42,6 @@ from .rings import (
     ring_maximum,
     with_head,
 )
-
-
-@dataclass(frozen=True)
-class Leaf:
-    core: CoreInfo
-    legs: tuple[Unit, ...]
-    leg_cost: Fraction
-
-
-@dataclass(frozen=True)
-class Star:
-    center: Unit
-    leaves: tuple[Leaf, ...]
-    total_cost: Fraction  # head + summed leg prices (overlaps counted per leaf)
-    density: Fraction  # total_cost / leaf count
-
-
-@dataclass
-class PhaseResult:
-    level: int
-    added: list[Unit]
-    iterations: list[IterationRecord]
 
 
 class PhaseStuckError(RuntimeError):
@@ -95,42 +72,45 @@ def _best_prefix(head_cost: int, costs) -> tuple[int, int]:
     return total, j
 
 
-class HeadScan(NamedTuple):
+class Star(NamedTuple):
     """One head's best star, in the instance's integer cost units."""
 
-    total: int  # head cost + the chosen leaves' leg prices
+    total: int  # head cost + the chosen leaves' leg prices (overlaps counted per leaf)
     leaves: int  # how many leaves; the density is total / leaves
     tie: tuple  # (head, leaf representatives): the last tie-breaker
     chosen: tuple[tuple[CoreInfo, RingCover], ...]
 
-    def beats(self, other: HeadScan) -> bool:
+    @property
+    def head(self) -> Unit:
+        return self.tie[0]
+
+    def units(self) -> set[Unit]:
+        """The head and every leaf's legs."""
+        units = {self.head}
+        for _, cover in self.chosen:
+            units.update(cover.legs)
+        return units
+
+    def beats(self, other: Star) -> bool:
         """Lower density first (compared by cross-multiplying), then more
         leaves, then the smaller head and leaf representatives."""
         return (self.total * other.leaves, -self.leaves, self.tie) < (
             other.total * self.leaves, -other.leaves, other.tie
         )
 
-    def star(self, scale: int) -> Star:
-        """The star in instance units, ``scale`` being ``Instance.cost_scale``."""
-        leaves = tuple(
-            Leaf(core, cover.legs, Fraction(cover.cost, scale)) for core, cover in self.chosen
-        )
-        total_cost = Fraction(self.total, scale)
-        return Star(self.tie[0], leaves, total_cost, total_cost / self.leaves)
-
 
 def _scan_head(
     head: Unit,
     head_cost: int,
     priced: list[tuple[CoreInfo, RingCover]],
-) -> HeadScan | None:
+) -> Star | None:
     """Best leaf prefix for one head; ``head_cost`` is its scaled cost."""
     if not priced:
         return None
     ranked = sorted(priced, key=lambda pc: (pc[1].cost, pc[0].representative))
     total, j = _best_prefix(head_cost, [cover.cost for _, cover in ranked])
     chosen = tuple(ranked[:j])
-    return HeadScan(total, j, (head, tuple(core.representative for core, _ in chosen)), chosen)
+    return Star(total, j, (head, tuple(core.representative for core, _ in chosen)), chosen)
 
 
 @dataclass(frozen=True)
@@ -215,55 +195,43 @@ def cheapest_star(inst: Instance, units, cores, level: int) -> Star:
             best = scanned
     if best is None:
         raise PhaseStuckError("no priceable (head, core) pair at this level")
-    return best.star(inst.cost_scale)
+    return best
 
 
-def star_units(star: Star) -> set[Unit]:
-    units = {star.center}
-    for leaf in star.leaves:
-        units.update(leaf.legs)
-    return units
+def cover_levels(inst: Instance, cores) -> list[IterationRecord]:
+    """Buy stars from the empty selection, whose cores are ``cores``, until
+    no core is left; one record per star, in purchase order.
 
-
-def run_phase(inst: Instance, units, cores) -> tuple[PhaseResult, list[CoreInfo]]:
-    """Cover the level of ``cores``, the cores of the state ``units``: iterate
-    star selection until no core remains at that level.
-
-    Returns the phase and the cores of the state it leaves (at a lower level,
-    or none).  Each iteration must retire at least half its leaf count in
-    cores (checked, integrally) and strictly shrink the core count.
+    Each iteration's level is the deficiency of the current cores.  It must
+    retire at least half its leaf count in cores at that level (checked,
+    integrally) and strictly shrink their count, and the max level must never
+    rise.
     """
-    level = cores[0].deficiency
-    selected = set(units)
-    added: list[Unit] = []
+    selected: set[Unit] = set()
     records: list[IterationRecord] = []
     while cores:
+        level = cores[0].deficiency
         star = cheapest_star(inst, selected, cores, level)
-        new_units = sorted(star_units(star) - selected)
+        new_units = sorted(star.units() - selected)
         selected.update(new_units)
-        added.extend(new_units)
-
         after = rooted_cores(inst, selected)
-        # once the level drops, no core is left at this phase's level
-        cores_after = after if after and after[0].deficiency == level else []
-        drop = len(cores) - len(cores_after)
+        if after and after[0].deficiency > level:
+            raise AssertionError(f"the max level rose from {level} to {after[0].deficiency}")
+        # once the level drops, no core is left at this iteration's level
+        left = len(after) if after and after[0].deficiency == level else 0
+        drop = len(cores) - left
         if drop <= 0:
             raise AssertionError("greedy iteration failed to retire any core")
-        if drop < math.ceil(len(star.leaves) / 2):
-            raise AssertionError(
-                f"core count dropped by {drop}, below half of {len(star.leaves)} leaves"
-            )
-        records.append(
-            IterationRecord(
-                phase_level=level,
-                cores_before=len(cores),
-                cores_after=len(cores_after),
-                star_center=star.center[0],
-                leaf_count=len(star.leaves),
-                added_cost=inst.units_cost(new_units),
-                added_units=tuple(new_units),
-            )
-        )
-        cores = cores_after
-
-    return PhaseResult(level, added, records), after
+        if drop < math.ceil(star.leaves / 2):
+            raise AssertionError(f"core count fell by {drop}, below half of {star.leaves} leaves")
+        records.append(IterationRecord(
+            phase_level=level,
+            cores_before=len(cores),
+            cores_after=left,
+            star_center=star.head[0],
+            leaf_count=star.leaves,
+            added_cost=inst.units_cost(new_units),
+            added_units=tuple(new_units),
+        ))
+        cores = after
+    return records

@@ -308,19 +308,29 @@ def _record_to_doc(rec: IterationRecord) -> dict:
     }
 
 
+_COUNTERS = ("phase_level", "cores_before", "cores_after", "star_center", "leaf_count")
+
+
 def _record_from_doc(doc: dict) -> IterationRecord:
+    """Parse one iteration record: integer counters, of which the level and
+    the leaf count are at least 1 and the cores left at least 0, a rational
+    cost and [edge id, copy] integer units."""
     try:
-        return IterationRecord(
-            phase_level=doc["phase_level"],
-            cores_before=doc["cores_before"],
-            cores_after=doc["cores_after"],
-            star_center=doc["star_center"],
-            leaf_count=doc["leaf_count"],
+        rec = IterationRecord(
+            **{name: doc[name] for name in _COUNTERS},
             added_cost=frac_from_obj(doc["added_cost"]),
-            added_units=tuple((u[0], u[1]) for u in doc["added_units"]),
+            added_units=tuple(tuple(u) for u in doc["added_units"]),
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed iteration record: {exc}") from exc
+    if not (
+        all(type(getattr(rec, name)) is int for name in _COUNTERS)
+        and all(len(u) == 2 and all(type(v) is int for v in u) for u in rec.added_units)
+        and min(rec.phase_level, rec.leaf_count) >= 1
+        and rec.cores_after >= 0
+    ):
+        raise ParseError(f"malformed iteration record: {json.dumps(doc)}")
+    return rec
 
 
 def solution_to_doc(sol: Solution) -> dict:

@@ -1,13 +1,19 @@
-"""Outer solver loop: cover deficiency levels from the worst one down to 1."""
+"""Solve an instance into a report, and the report's document codec.
+
+The greedy's iteration records are the only record of a run: the selection
+is their added units in purchase order, and a report's ``phases`` are derived
+from them, one per run of consecutive records at one level.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .deficiency import rooted_cores
 from .flows import connectivity, short_terminal
-from .greedy import PhaseResult, run_phase
+from .greedy import cover_levels
 from .instance import (
     Instance,
     InfeasibleError,
@@ -31,7 +37,6 @@ def harmonic(m: int) -> Fraction:
 @dataclass
 class SolveReport:
     solution: Solution
-    phases: list[PhaseResult] = field(default_factory=list)
     bound_harmonic: Fraction = Fraction(0)  # H(first deficiency level)
     terminal_count: int = 0
     pruned: Solution | None = None  # engineering extra, never used for ratio audits
@@ -67,27 +72,17 @@ def solve(inst: Instance, *, prune: bool = False) -> SolveReport:
     """Run the level-descending greedy; the result is always feasible.
 
     Raises InfeasibleError (with the witness terminal) when even the full
-    edge set cannot reach the target.  Each phase hands back the cores of
-    the state it leaves, so every state is queried once.  The first level
-    is max over terminals of max(k - zero-cost connectivity, 0), so the
-    guarantee's H(k - l0) is the harmonic number of that level.
+    edge set cannot reach the target.  The first level is max over terminals
+    of max(k - zero-cost connectivity, 0), so the guarantee's H(k - l0) is
+    the harmonic number of that level.
     """
     short = short_terminal(inst, inst.positive_units, inst.k)
     if short is not None:
         raise InfeasibleError(*short, inst.k)
 
-    selected: list = []
-    phases: list[PhaseResult] = []
-    cores = rooted_cores(inst, selected)
-    first_level = cores[0].deficiency if cores else 0
-    while cores:
-        result, cores = run_phase(inst, selected, cores)
-        selected.extend(result.added)
-        phases.append(result)
-        if cores and cores[0].deficiency >= result.level:
-            raise AssertionError(f"phase at level {result.level} left the level uncovered")
-
-    records = [rec for ph in phases for rec in ph.iterations]
+    cores = rooted_cores(inst, ())
+    records = cover_levels(inst, cores)
+    selected = [u for rec in records for u in rec.added_units]
     solution = _make_solution(inst, selected, records)
     if not solution.feasible:
         raise AssertionError(
@@ -95,8 +90,7 @@ def solve(inst: Instance, *, prune: bool = False) -> SolveReport:
         )
     report = SolveReport(
         solution=solution,
-        phases=phases,
-        bound_harmonic=harmonic(first_level),
+        bound_harmonic=harmonic(cores[0].deficiency if cores else 0),
         terminal_count=len(inst.terminals),
     )
     if prune:
@@ -108,17 +102,24 @@ def solve(inst: Instance, *, prune: bool = False) -> SolveReport:
 # serialization
 
 
+def phases_doc(records) -> list[dict]:
+    """One entry per run of consecutive records at one level: the level, the
+    units added in purchase order and the number of iterations."""
+    out = []
+    for level, run in itertools.groupby(records, key=lambda rec: rec.phase_level):
+        run = list(run)
+        out.append({
+            "level": level,
+            "added_units": [list(u) for rec in run for u in rec.added_units],
+            "iterations": len(run),
+        })
+    return out
+
+
 def report_to_doc(report: SolveReport) -> dict:
     return {
         "solution": solution_to_doc(report.solution),
-        "phases": [
-            {
-                "level": ph.level,
-                "added_units": [list(u) for u in ph.added],
-                "iterations": len(ph.iterations),
-            }
-            for ph in report.phases
-        ],
+        "phases": phases_doc(report.solution.audit),
         "bound_harmonic": frac_to_str(report.bound_harmonic),
         "terminal_count": report.terminal_count,
         "pruned": solution_to_doc(report.pruned) if report.pruned else None,
@@ -126,25 +127,14 @@ def report_to_doc(report: SolveReport) -> dict:
 
 
 def report_from_doc(doc: dict) -> SolveReport:
+    """Parse a solve report; its ``phases`` must be what its records give."""
     try:
         solution = solution_from_doc(doc["solution"])
-        phases = []
-        cursor = 0
-        for ph in doc["phases"]:
-            count = ph["iterations"]
-            records = solution.audit[cursor:cursor + count]
-            cursor += count
-            phases.append(
-                PhaseResult(
-                    level=ph["level"],
-                    added=[(u[0], u[1]) for u in ph["added_units"]],
-                    iterations=list(records),
-                )
-            )
+        if doc["phases"] != phases_doc(solution.audit):
+            raise ParseError("phases differ from the ones the iteration records give")
         pruned = solution_from_doc(doc["pruned"]) if doc.get("pruned") else None
         return SolveReport(
             solution=solution,
-            phases=phases,
             bound_harmonic=frac_from_obj(doc["bound_harmonic"]),
             terminal_count=doc["terminal_count"],
             pruned=pruned,

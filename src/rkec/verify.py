@@ -25,6 +25,7 @@ from .instance import (
     Solution,
     check_selection,
     frac_to_str,
+    validate_quasi_bipartite,
 )
 from .solver import SolveReport, harmonic
 
@@ -94,9 +95,10 @@ class AuditReport:
     feasible: bool
     connectivity: dict[int, int]
     cost: Fraction  # recomputed from the selection; the ratio uses this one
-    recorded_cost_ok: bool  # the report's total_cost equals ``cost``
+    recorded_cost_ok: bool  # total_cost and every added_cost equal the recomputed ones
     recorded_units_ok: bool  # the iterations' added_units are exactly the selection
     recorded_bound_ok: bool  # bound_harmonic and terminal_count match the instance's
+    guarantee_applies: bool  # the instance is quasi-bipartite; else no bound is decided
     core_drop_violations: list[int] = field(default_factory=list)  # record indexes
     ratio: Fraction | None = None
     bound_lo: Fraction | None = None
@@ -127,23 +129,29 @@ def audit_run(
 ) -> AuditReport:
     """Audit a recorded run.
 
-    Always: feasibility, the cost (recomputed from the selection; a recorded
-    total that differs, or iterations whose added units are not exactly the
-    selection, make the audit unclean), the guarantee's inputs (H of the
-    first level, from the zero-cost graph's connectivity, and |T|, from the
-    instance; a recorded pair that differs makes the audit unclean) and the
-    per-iteration core-drop rule (the core count must fall by at least half
-    the leaf count, rounded up).  With an exact optimum: the ratio bound, on
-    the recomputed cost and guarantee inputs.  With ``density_max_units`` set
-    and the instance small enough: replay the run and check each iteration's
-    density against (2/level) * (residual optimum) / (cores before),
-    brute-forcing the residual optimum from the iteration's own state.
+    Always: feasibility, the costs (the total recomputed from the selection,
+    each iteration's from its added units; a recorded cost that differs, or
+    added units that are not exactly the selection, make the audit unclean),
+    the guarantee's inputs (H of the first level, from the zero-cost graph's
+    connectivity, and |T|, from the instance; a recorded pair that differs
+    makes the audit unclean) and the per-iteration core-drop rule (the core
+    count must fall by at least half the leaf count, rounded up).  With an
+    exact optimum: the ratio and, for a quasi-bipartite instance, the ratio
+    bound.  With ``density_max_units`` set, the added units exactly the
+    selection and the instance small enough: replay the run and check each
+    iteration's density against (2/level) * (residual optimum) / (cores
+    before), brute-forcing the residual optimum from the iteration's state.
     """
     solution = report.solution
     conn, feasible = check_feasible(inst, solution)
     units = solution.units()
     cost = inst.units_cost(units)
     added = sorted(u for rec in solution.audit for u in rec.added_units)
+    costs_ok = all(
+        all(eid in inst.edge_by_id for eid, _ in rec.added_units)
+        and inst.units_cost(rec.added_units) == rec.added_cost
+        for rec in solution.audit
+    )
     first_level = max(max(inst.k - lam, 0) for lam in connectivity(inst, ()).values())
     bound_harmonic = harmonic(first_level)
     terminal_count = len(inst.terminals)
@@ -151,10 +159,11 @@ def audit_run(
         feasible=feasible,
         connectivity=conn,
         cost=cost,
-        recorded_cost_ok=solution.total_cost == cost,
+        recorded_cost_ok=solution.total_cost == cost and costs_ok,
         recorded_units_ok=added == list(units),
         recorded_bound_ok=(report.bound_harmonic, report.terminal_count)
         == (bound_harmonic, terminal_count),
+        guarantee_applies=validate_quasi_bipartite(inst).ok,
     )
 
     for idx, rec in enumerate(solution.audit):
@@ -167,10 +176,11 @@ def audit_run(
             out.ratio = None if cost else Fraction(0)
         else:
             out.ratio = cost / opt.total_cost
-        holds, lo, hi = bound_decision(cost, opt.total_cost, bound_harmonic, terminal_count)
-        out.bound_holds, out.bound_lo, out.bound_hi = holds, lo, hi
+        if out.guarantee_applies:
+            holds, lo, hi = bound_decision(cost, opt.total_cost, bound_harmonic, terminal_count)
+            out.bound_holds, out.bound_lo, out.bound_hi = holds, lo, hi
 
-    if density_max_units is not None:
+    if density_max_units is not None and out.recorded_units_ok:
         try:
             out.density_violations = density_violations(
                 inst, report, max_units=density_max_units
@@ -187,8 +197,10 @@ def density_violations(inst: Instance, report: SolveReport, *, max_units: int = 
 
     Each recorded iteration must satisfy
     added_cost / core_drop <= (2 / level) * residual_opt / cores_before,
-    where residual_opt is the exact cost of completing the instance from the
-    iteration's starting state.
+    where added_cost is recomputed from the added units (each one the
+    instance offers) and residual_opt is the exact cost of completing the
+    instance from the iteration's starting state.  An iteration whose core
+    count does not drop violates the rule.
     """
     if len(inst.positive_units) > max_units:
         raise SizeRefusalError("instance too large for the density replay")
@@ -199,9 +211,9 @@ def density_violations(inst: Instance, report: SolveReport, *, max_units: int = 
             inst, max_units=max_units, preselected=frozenset(selected)
         ).total_cost
         drop = rec.cores_before - rec.cores_after
-        lhs = rec.added_cost / drop
-        rhs = Fraction(2, rec.phase_level) * residual_opt / rec.cores_before
-        if lhs > rhs:
+        cost = inst.units_cost(rec.added_units)
+        # cost / drop > (2 / level) * residual_opt / cores_before, cross-multiplied
+        if drop <= 0 or cost * rec.phase_level * rec.cores_before > 2 * residual_opt * drop:
             violations.append(idx)
         selected.extend(rec.added_units)
     return violations
@@ -215,6 +227,7 @@ def audit_to_doc(report: AuditReport) -> dict:
         "recorded_cost_ok": report.recorded_cost_ok,
         "recorded_units_ok": report.recorded_units_ok,
         "recorded_bound_ok": report.recorded_bound_ok,
+        "guarantee_applies": report.guarantee_applies,
         "core_drop_violations": report.core_drop_violations,
         "ratio": frac_to_str(report.ratio) if report.ratio is not None else None,
         "bound_lo": frac_to_str(report.bound_lo) if report.bound_lo is not None else None,

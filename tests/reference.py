@@ -82,7 +82,7 @@ def best_star(inst: Instance, prices) -> Star:
             best = scanned
     if best is None:
         raise PhaseStuckError("no priceable (head, core) pair at this level")
-    return best.star(inst.cost_scale)
+    return best
 
 
 def maximum_flow(node_count: int, arcs, s: int, t: int) -> Residual:

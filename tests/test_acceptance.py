@@ -6,6 +6,7 @@ session fixtures and shared across the criteria.  Run with ``pytest -s`` to
 see the per-criterion lines.
 """
 
+import itertools
 import math
 import random
 import time
@@ -313,11 +314,14 @@ def test_c9_phase_postcondition(corpus):
     phases = 0
     for run in corpus:
         units: list = []
-        for ph in run.report.phases:
+        # a phase is a run of consecutive records at one level
+        for level, records in itertools.groupby(
+            run.report.solution.audit, key=lambda rec: rec.phase_level
+        ):
             phases += 1
-            units.extend(ph.added)
-            if rooted_max_level(run.inst, units) > ph.level - 1:
-                violations.append((run.seed, ph.level))
+            units.extend(u for rec in records for u in rec.added_units)
+            if rooted_max_level(run.inst, units) > level - 1:
+                violations.append((run.seed, level))
     print(
         f"[acceptance] C9 phase postcondition: "
         f"{'PASS' if not violations else 'FAIL'} ({phases} phases, "

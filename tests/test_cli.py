@@ -5,7 +5,8 @@ import pytest
 
 from rkec.cli import main
 from rkec.generate import default_corpus_params, generate_instance
-from rkec.instance import instance_to_json
+from rkec.instance import frac_to_str, instance_to_json, parse_instance, solution_from_doc
+from rkec.solver import phases_doc
 
 from conftest import INSTANCE_A_JSON
 
@@ -213,14 +214,82 @@ def test_verify_recomputes_the_recorded_cost(corpus_seven, tmp_path):
     assert audit["cost"] == "30" and audit["ratio"] != "1/30"
 
 
+def _rebuild_phases(doc):
+    """Derive the document's phases from its (edited) records again."""
+    doc["phases"] = phases_doc(solution_from_doc(doc["solution"]).audit)
+
+
 def test_verify_checks_added_units_against_the_selection(corpus_seven, tmp_path):
+    # the last record drops a unit and records what the rest cost, so only the
+    # units disagree with the selection
     inst, doc = corpus_seven
     last = doc["solution"]["audit"][-1]
     last["added_units"] = last["added_units"][:-1]
+    units = [tuple(u) for u in last["added_units"]]
+    last["added_cost"] = frac_to_str(parse_instance(inst.read_text()).units_cost(units))
+    _rebuild_phases(doc)
     code, audit = _verify_doc(tmp_path, inst, doc)
     assert code == 4
     assert audit["clean"] is False and audit["recorded_units_ok"] is False
     assert audit["recorded_cost_ok"] is True
+
+
+def _set(**fields):
+    """An edit of the first iteration record."""
+    def edit(doc):
+        doc["solution"]["audit"][0].update(fields)
+    return edit
+
+
+def _mistype_unit(doc):
+    doc["solution"]["audit"][0]["added_units"][0] = ["a", 0]
+
+
+def _tamper_phases(doc):
+    doc["phases"][0].update(level=99, iterations=99)
+    doc["phases"][0]["added_units"].append([12345, 0])
+
+
+# the audit fields an unclean (exit 4) case must show
+_NO_DROP = {"density_violations": [0], "recorded_cost_ok": True}
+_COST_WRONG = {"density_violations": [], "recorded_cost_ok": False}
+
+
+@pytest.mark.parametrize(
+    "edit, code, expected",
+    [
+        (_set(cores_before="3"), 2, "iteration record"),
+        (_mistype_unit, 2, "iteration record"),
+        (_set(cores_before=3, cores_after=3), 4, _NO_DROP),  # parses, but drops by 0
+        (_set(leaf_count=0), 2, "iteration record"),
+        (_set(leaf_count=True), 2, "iteration record"),
+        (_set(phase_level=0), 2, "iteration record"),
+        (_set(cores_after=-1), 2, "iteration record"),
+        (_tamper_phases, 2, "phases differ"),
+        (_set(added_cost="0"), 4, _COST_WRONG),
+        (_set(added_cost="1000"), 4, _COST_WRONG),  # replayed at 1000, a violation
+    ],
+    ids=[
+        "cores-before-string", "unit-string", "no-drop", "no-leaves", "bool-leaves",
+        "level-zero", "negative-cores-after", "phases", "added-cost-zero", "added-cost-inflated",
+    ],
+)
+def test_verify_rejects_mistyped_and_tampered_records(corpus_seven, tmp_path, capsys, edit, code,
+                                                      expected):
+    # run with the density replay, which divides by the level and the drop
+    # and must take each iteration's cost from its units
+    inst, doc = corpus_seven
+    edit(doc)
+    tampered, out = tmp_path / "tampered.json", tmp_path / "audit.json"
+    tampered.write_text(json.dumps(doc))
+    assert run("verify", "--instance", inst, "--report", tampered, "--density-max-units", "16",
+               "--out", out, "--no-timestamp") == code
+    if code == 2:
+        assert expected in capsys.readouterr().err
+    else:
+        audit = json.loads(out.read_text())
+        assert audit["clean"] is False and audit["density_checked"] is True
+        assert {key: audit[key] for key in expected} == expected
 
 
 @pytest.mark.parametrize("flag", ["--report", "--solution", "--opt"])

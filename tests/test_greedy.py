@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,9 +12,8 @@ from rkec.greedy import (
     PhaseStuckError,
     _best_prefix,
     cheapest_star,
+    cover_levels,
     pricing_context,
-    run_phase,
-    star_units,
 )
 from rkec.generate import GenParams, generate_instance
 from rkec.instance import Edge, Instance
@@ -53,10 +53,11 @@ def test_fixture_best_star(instance_a):
     cores = rooted_cores(instance_a, ())
     prices = price_star_edges(instance_a, (), cores, 1)
     star = best_star(instance_a, prices)
-    assert star.center == (1, 0)
-    assert star.density == 2
-    assert star.total_cost == 4
-    assert sorted(sorted(l.core.members) for l in star.leaves) == [[2], [3]]
+    assert instance_a.cost_scale == 1
+    assert star.head == (1, 0)
+    assert Fraction(star.total, star.leaves) == 2
+    assert star.total == 4
+    assert sorted(sorted(core.members) for core, _ in star.chosen) == [[2], [3]]
 
 
 def _fake_cover(cost):
@@ -76,7 +77,8 @@ def test_best_star_prefix_tie_prefers_more_leaves():
         ((9, 0), cores[2]): _fake_cover(5),
     }
     star = best_star(inst, prices)
-    assert star.density == 3 and len(star.leaves) == 2
+    assert inst.cost_scale == 1
+    assert Fraction(star.total, star.leaves) == 3 and star.leaves == len(star.chosen) == 2
 
 
 def test_best_star_single_core_arithmetic():
@@ -90,7 +92,8 @@ def test_best_star_single_core_arithmetic():
         ((2, 0), core): _fake_cover(1),
     }
     star = best_star(inst, prices)
-    assert star.center == (2, 0) and star.density == 3
+    assert inst.cost_scale == 1
+    assert star.head == (2, 0) and Fraction(star.total, star.leaves) == 3
 
 
 def test_zero_cost_edges_never_priced(instance_a_k2):
@@ -98,29 +101,33 @@ def test_zero_cost_edges_never_priced(instance_a_k2):
     assert all(instance_a_k2.unit_cost(h) > 0 for h in heads)
 
 
-def test_run_phase_fixture_trace(instance_a):
-    result, after = run_phase(instance_a, (), rooted_cores(instance_a, ()))
-    assert after == []
-    assert len(result.iterations) == 1
-    rec = result.iterations[0]
+def _added(records):
+    return [u for rec in records for u in rec.added_units]
+
+
+def test_cover_levels_fixture_trace(instance_a):
+    records = cover_levels(instance_a, rooted_cores(instance_a, ()))
+    assert rooted_cores(instance_a, _added(records)) == []
+    assert len(records) == 1
+    rec = records[0]
     assert rec.cores_before == 2 and rec.cores_after == 0
     assert rec.star_center == 1 and rec.leaf_count == 2
     assert rec.added_cost == 4
-    assert sorted(result.added) == [(1, 0), (2, 0), (3, 0)]
+    assert sorted(_added(records)) == [(1, 0), (2, 0), (3, 0)]
 
 
-def test_run_phase_k2_variant_matches_fixture(instance_a, instance_a_k2):
-    plain, _ = run_phase(instance_a, (), rooted_cores(instance_a, ()))
-    augmented, _ = run_phase(instance_a_k2, (), rooted_cores(instance_a_k2, ()))
-    assert [r.added_cost for r in plain.iterations] == [r.added_cost for r in augmented.iterations]
-    assert sorted(u[0] for u in plain.added) == sorted(u[0] for u in augmented.added)
+def test_cover_levels_k2_variant_matches_fixture(instance_a, instance_a_k2):
+    plain = cover_levels(instance_a, rooted_cores(instance_a, ()))
+    augmented = cover_levels(instance_a_k2, rooted_cores(instance_a_k2, ()))
+    assert [r.added_cost for r in plain] == [r.added_cost for r in augmented]
+    assert sorted(u[0] for u in _added(plain)) == sorted(u[0] for u in _added(augmented))
 
 
 def test_phase_stuck_on_uncoverable_level():
     # terminal 2 has no incoming edge at all, but terminal 1 keeps a core open
     inst = Instance(3, 0, frozenset({1, 2}), (Edge(1, 0, 1, Fraction(1)),), 1)
     with pytest.raises(PhaseStuckError):
-        run_phase(inst, (), rooted_cores(inst, ()))
+        cover_levels(inst, rooted_cores(inst, ()))
 
 
 def _augmentation_instance(seed):
@@ -150,7 +157,7 @@ def _star_states(inst):
         first = best_star(inst, price_star_edges(inst, (), cores, level))
     except PhaseStuckError:
         return states
-    units = tuple(sorted(star_units(first)))
+    units = tuple(sorted(first.units()))
     after = rooted_cores(inst, units)
     if after and after[0].deficiency == level:
         states.append((units, after, level))
@@ -169,11 +176,11 @@ def _assert_lazy_matches_full(inst):
                 best_star(inst, price_star_edges(inst, units, cores, level))
             continue
         full = best_star(inst, price_star_edges(inst, units, cores, level))
-        assert lazy.center == full.center
-        assert lazy.density == full.density
-        assert lazy.total_cost == full.total_cost
-        assert [(l.core, l.legs, l.leg_cost) for l in lazy.leaves] == [
-            (l.core, l.legs, l.leg_cost) for l in full.leaves
+        assert lazy.head == full.head
+        assert lazy.total * full.leaves == full.total * lazy.leaves  # the density
+        assert lazy.total == full.total
+        assert [(core, cover.legs, cover.cost) for core, cover in lazy.chosen] == [
+            (core, cover.legs, cover.cost) for core, cover in full.chosen
         ]
     return checked
 
@@ -263,24 +270,31 @@ def test_best_prefix_early_exit_equals_the_full_scan(head_cost, costs):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 100_000))
 def test_phase_invariants(seed):
+    # a phase is a run of consecutive records at one level
     inst = small_random_instance(random.Random(seed))
     cores = rooted_cores(inst, ())
     if not cores:
         return
-    level = cores[0].deficiency
     try:
-        result, after = run_phase(inst, (), cores)
+        records = cover_levels(inst, cores)
     except PhaseStuckError:
         return
-    assert rooted_max_level(inst, result.added) < level
-    assert after == rooted_cores(inst, result.added)
+    units: list = []
     seen = set()
-    for rec in result.iterations:
-        assert rec.cores_after < rec.cores_before
-        assert rec.cores_before - rec.cores_after >= math.ceil(rec.leaf_count / 2)
-        assert not (set(rec.added_units) & seen)
-        seen.update(rec.added_units)
-    assert seen == set(result.added)
+    for level, phase in itertools.groupby(records, key=lambda rec: rec.phase_level):
+        # each phase starts from the cores of the state the last one left
+        phase = list(phase)
+        assert cores and level == cores[0].deficiency
+        assert phase[0].cores_before == len(cores)
+        for rec in phase:
+            assert rec.cores_after < rec.cores_before
+            assert rec.cores_before - rec.cores_after >= math.ceil(rec.leaf_count / 2)
+            assert not (set(rec.added_units) & seen)
+            seen.update(rec.added_units)
+            units.extend(rec.added_units)
+        assert rooted_max_level(inst, units) < level
+        cores = rooted_cores(inst, units)
+    assert cores == []
 
 
 @settings(max_examples=20, deadline=None)
@@ -296,7 +310,7 @@ def test_star_coverage_soundness(seed):
         star = cheapest_star(inst, (), cores, level)
     except PhaseStuckError:
         return
-    bought = star_units(star)
-    for leaf in star.leaves:
-        ctx = build_ring_context(inst, (), cores, leaf.core, star.center, level)
-        assert min_violated_set(ctx, [u for u in bought if u != star.center]) is None
+    bought = star.units()
+    for core, _ in star.chosen:
+        ctx = build_ring_context(inst, (), cores, core, star.head, level)
+        assert min_violated_set(ctx, [u for u in bought if u != star.head]) is None

@@ -17,6 +17,7 @@ from rkec.generate import GenParams, default_corpus_params, generate_instance
 from rkec.instance import Edge, InfeasibleError, Instance, dump_json, load_object
 from rkec.solver import (
     harmonic,
+    phases_doc,
     report_from_doc,
     report_to_doc,
     solve,
@@ -25,6 +26,11 @@ from rkec.verify import bound_decision, check_feasible
 
 from conftest import INSTANCE_A_JSON, small_random_instance
 from reference import rooted_max_level
+
+
+def phases(report):
+    """The report's phases, as its document derives them from the records."""
+    return phases_doc(report.solution.audit)
 
 
 def free_floor(inst):
@@ -44,7 +50,7 @@ def test_fixture_solve(instance_a):
     report = solve(instance_a)
     assert report.solution.total_cost == 4
     assert report.solution.feasible
-    assert len(report.phases) == 1
+    assert len(phases(report)) == 1
     assert len(report.solution.audit) == 1
     assert report.bound_harmonic == 1  # deficiency one, H(1)
     assert report.terminal_count == 2
@@ -54,7 +60,7 @@ def test_already_feasible_graph():
     inst = Instance(2, 0, frozenset({1}), (Edge(1, 0, 1, Fraction(0), 2),), 2)
     report = solve(inst)
     assert report.solution.total_cost == 0
-    assert report.phases == []
+    assert phases(report) == []
     assert report.bound_harmonic == 0
 
 
@@ -62,7 +68,7 @@ def test_k2_variant(instance_a_k2):
     report = solve(instance_a_k2)
     assert report.solution.total_cost == 4
     assert report.solution.connectivity == {2: 2, 3: 2}
-    assert [ph.level for ph in report.phases] == [1]
+    assert [ph["level"] for ph in phases(report)] == [1]
     assert free_floor(instance_a_k2) == 1
     assert report.bound_harmonic == harmonic(instance_a_k2.k - free_floor(instance_a_k2))
 
@@ -102,7 +108,7 @@ def test_report_round_trip(instance_a):
     again = report_from_doc(load_object(text, "report document"))
     assert dump_json(report_to_doc(again)) == text
     assert again.solution == report.solution
-    assert [ph.level for ph in again.phases] == [ph.level for ph in report.phases]
+    assert [ph["level"] for ph in phases(again)] == [ph["level"] for ph in phases(report)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -116,10 +122,10 @@ def test_solution_always_feasible(seed):
     _, ok = check_feasible(inst, report.solution)
     assert ok
     # the union of the phase additions is exactly the selection
-    phase_units = [u for ph in report.phases for u in ph.added]
+    phase_units = [tuple(u) for ph in phases(report) for u in ph["added_units"]]
     assert sorted(phase_units) == list(report.solution.units())
     # phases descend strictly in level
-    levels = [ph.level for ph in report.phases]
+    levels = [ph["level"] for ph in phases(report)]
     assert levels == sorted(levels, reverse=True) and len(set(levels)) == len(levels)
 
 
@@ -132,9 +138,9 @@ def test_phase_postcondition_level_descends(seed):
     except InfeasibleError:
         return
     units: list = []
-    for ph in report.phases:
-        units.extend(ph.added)
-        assert rooted_max_level(inst, units) <= ph.level - 1
+    for ph in phases(report):
+        units.extend(tuple(u) for u in ph["added_units"])
+        assert rooted_max_level(inst, units) <= ph["level"] - 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -205,7 +211,7 @@ def test_solve_queries_the_cores_of_each_state_once(monkeypatch):
     monkeypatch.setattr(solver, "rooted_cores", counting)
     monkeypatch.setattr(greedy, "rooted_cores", counting)
     report = solve(inst)
-    assert [ph.level for ph in report.phases] == [3, 2, 1]
+    assert [ph["level"] for ph in phases(report)] == [3, 2, 1]
     assert len(calls) == len(report.solution.audit) + 1
     assert len(set(calls)) == len(calls)
 

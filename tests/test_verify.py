@@ -7,15 +7,18 @@ from hypothesis import strategies as st
 
 from rkec.exact import brute_force_opt
 from rkec.instance import (
+    Edge,
     InfeasibleError,
+    Instance,
     IterationRecord,
     ParseError,
     Solution,
     dump_json,
     frac_from_obj,
     frac_to_str,
+    solution_from_doc,
 )
-from rkec.solver import SolveReport, report_from_doc, report_to_doc, solve
+from rkec.solver import SolveReport, phases_doc, report_from_doc, report_to_doc, solve
 from rkec.verify import (
     audit_run,
     audit_to_doc,
@@ -87,7 +90,7 @@ def test_fixture_audit(instance_a):
     # 2 * H(1) * (1 + ln 2) is about 3.386
     assert audit.bound_lo < Fraction(3387, 1000)
     assert audit.bound_hi > Fraction(3386, 1000)
-    assert audit.bound_holds
+    assert audit.bound_holds and audit.guarantee_applies
     assert audit.density_checked and audit.density_violations == []
     assert "\"clean\": true" in dump_json(audit_to_doc(audit))
 
@@ -110,7 +113,6 @@ def test_audit_flags_fabricated_core_drop(instance_a):
             True,
             audit=[bad],
         ),
-        phases=report.phases,
         bound_harmonic=report.bound_harmonic,
         terminal_count=report.terminal_count,
     )
@@ -122,12 +124,32 @@ def test_audit_flags_fabricated_core_drop(instance_a):
 def test_audit_infeasible_solution(instance_a):
     broken = SolveReport(
         solution=Solution({1: 1}, Fraction(2), {}, False),
-        phases=[],
         bound_harmonic=Fraction(1),
         terminal_count=2,
     )
     audit = audit_run(instance_a, broken)
     assert not audit.feasible and not audit.clean
+
+
+def test_guarantee_claimed_only_for_quasi_bipartite_instances():
+    # the priced relay edge 1 -> 2 has no end in T + r = {0, 3}: the ratio is
+    # still reported, but no bound is decided
+    inst = Instance(4, 0, frozenset({3}), (
+        Edge(1, 0, 1, Fraction(1)),
+        Edge(2, 1, 2, Fraction(1)),
+        Edge(3, 2, 3, Fraction(1)),
+        Edge(4, 0, 3, Fraction(5)),
+    ), 1)
+    report = solve(inst)
+    opt = brute_force_opt(inst)
+    assert opt.total_cost == 3
+    audit = audit_run(inst, report, opt)
+    assert not audit.guarantee_applies
+    assert audit.ratio == report.solution.total_cost / 3
+    assert audit.bound_holds is None and audit.bound_lo is None and audit.bound_hi is None
+    doc = audit_to_doc(audit)
+    assert doc["guarantee_applies"] is False and doc["bound_holds"] is None
+    assert audit.clean
 
 
 def test_path_packing_witness(instance_a):
@@ -188,6 +210,11 @@ def _tamper_total_cost(inst, doc, data):
     solution["total_cost"] = frac_to_str(cost if cost != recorded else recorded + 1)
 
 
+def _rebuild_phases(doc):
+    """Derive the document's phases from its (edited) records again."""
+    doc["phases"] = phases_doc(solution_from_doc(doc["solution"]).audit)
+
+
 def _tamper_added_units(inst, doc, data):
     """Drop one recorded unit or add one, so the multiset changes."""
     records = doc["solution"]["audit"]
@@ -198,6 +225,30 @@ def _tamper_added_units(inst, doc, data):
     else:
         eid = data.draw(st.sampled_from(sorted(e.id for e in inst.edges) + [0]))
         rec["added_units"].append([eid, data.draw(st.integers(0, 2))])
+    _rebuild_phases(doc)
+
+
+def _tamper_added_cost(inst, doc, data):
+    records = doc["solution"]["audit"]
+    assume(records)
+    rec = data.draw(st.sampled_from(records))
+    recorded = frac_from_obj(rec["added_cost"])
+    cost = data.draw(st.fractions(min_value=0, max_value=100, max_denominator=4))
+    rec["added_cost"] = frac_to_str(cost if cost != recorded else recorded + 1)
+
+
+def _tamper_phases(inst, doc, data):
+    """Change one phase's level, iteration count or units, or add a phase."""
+    phases = doc["phases"]
+    edit = data.draw(st.sampled_from(["level", "iterations", "units", "append"]))
+    if edit == "append" or not phases:
+        phases.append({"level": 1, "added_units": [], "iterations": 1})
+        return
+    ph = data.draw(st.sampled_from(phases))
+    if edit == "units":
+        ph["added_units"].append([data.draw(st.integers(0, 20)), 0])
+    else:
+        ph[edit] = data.draw(st.integers(0, 99).filter(lambda v: v != ph[edit]))
 
 
 def _tamper_bound_harmonic(inst, doc, data):
@@ -211,25 +262,29 @@ def _tamper_terminal_count(inst, doc, data):
     doc["terminal_count"] = data.draw(st.integers(1, 1000).filter(lambda n: n != recorded))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=280, deadline=None)
 @given(
     st.integers(0, 100_000),
     st.sampled_from([
         _tamper_selected,
         _tamper_total_cost,
         _tamper_added_units,
+        _tamper_added_cost,
         _tamper_bound_harmonic,
         _tamper_terminal_count,
+        _tamper_phases,
     ]),
     st.data(),
 )
 def test_tampered_report_never_audits_clean(seed, tamper, data):
     """A report whose ``selected``, ``total_cost``, multiset of iteration
-    ``added_units``, ``bound_harmonic`` or ``terminal_count`` was changed is
-    rejected (ParseError) or audits unclean.
+    ``added_units``, an iteration's ``added_cost``, ``bound_harmonic`` or
+    ``terminal_count`` was changed is rejected (ParseError) or audits
+    unclean; one whose ``phases`` differ from its records is rejected.
 
     Out of scope until the audit replays the core counts: moving a unit from
-    one iteration to another, and editing ``cores_before``/``cores_after``.
+    one iteration to another along with both iterations' ``added_cost``, and
+    editing ``cores_before``/``cores_after``.
     """
     inst = small_random_instance(random.Random(seed))
     try:
@@ -238,6 +293,10 @@ def test_tampered_report_never_audits_clean(seed, tamper, data):
         return
     doc = report_to_doc(report)
     tamper(inst, doc, data)
+    if tamper is _tamper_phases:
+        with pytest.raises(ParseError, match="phases differ"):
+            report_from_doc(doc)
+        return
     try:
         audit = audit_run(inst, report_from_doc(doc))
     except ParseError:
