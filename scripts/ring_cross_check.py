@@ -11,7 +11,8 @@ by the path the solver runs (``greedy.pricing_context``: the core's shared no-he
 head it calls irrelevant, else a primal-dual on ``with_head`` of the core's
 shared ring), and by the exact hitting-set search over rational costs.  The
 primal-dual covers cost integers in units of 1/``cost_scale``, so they are
-rescaled before the comparison.
+rescaled before the comparison.  A cover that fails its certificate raises,
+and counts as a mismatch.
 """
 
 import argparse
@@ -75,7 +76,12 @@ def main(argv=None) -> int:
             continue
         level = cores[0].deficiency
         heads = free_leg_candidates(inst, state)
-        pricing = pricing_context(inst, state, cores, level)
+        try:
+            pricing = pricing_context(inst, state, cores, level)
+        except AssertionError as exc:  # a shared cover failed its certificate
+            mismatches += 1
+            print(f"MISMATCH seed={seed}: {exc}")
+            continue
         for head in heads[: args.per_state]:
             for core, p in zip(cores, pricing):
                 ctx = fresh_context(inst, state, cores, core, head, level)
@@ -94,22 +100,25 @@ def main(argv=None) -> int:
                         if u[0] != head[0]
                     ],
                 )
-                fresh = primal_dual_ring_cover(ctx)
-                if p.relevant(inst.unit_arc(head)):
-                    solver = primal_dual_ring_cover(with_head(p.ring, head))
-                else:
-                    solver = p.shared
                 contexts += 1
-                if exact is None:
-                    unpriceable += 1
-                    bad = fresh is not None or solver is not None
+                try:
+                    fresh = primal_dual_ring_cover(ctx)
+                    if p.relevant(inst.unit_arc(head)):
+                        solver = primal_dual_ring_cover(with_head(p.ring, head))
+                    else:
+                        solver = p.shared
+                except AssertionError as exc:  # a cover failed its certificate
+                    print(f"seed={seed}: {exc}")
+                    bad = True
                 else:
-                    bad = any(
-                        cover is None
-                        or Fraction(cover.cost, scale) != exact[0]
-                        or not cover.certificate_ok
-                        for cover in (fresh, solver)
-                    )
+                    if exact is None:
+                        unpriceable += 1
+                        bad = fresh is not None or solver is not None
+                    else:
+                        bad = any(
+                            cover is None or Fraction(cover.cost, scale) != exact[0]
+                            for cover in (fresh, solver)
+                        )
                 if bad:
                     mismatches += 1
                     print(f"MISMATCH seed={seed} core={sorted(core.members)} head={head}")

@@ -100,17 +100,16 @@ def _read_doc(path: str) -> dict:
 
 def _read_optimum(inst, path: str):
     """The optimum an ``--opt`` file claims, checked like any selection: it
-    must be offered by the instance, feasible, and cost what it records."""
+    must be offered by the instance, feasible, and equal its rebuild."""
     opt = solution_from_doc(_read_doc(path))
-    _, feasible = check_feasible(inst, opt)
-    if not feasible:
+    rebuilt = check_feasible(inst, opt)
+    if not rebuilt.feasible:
         raise ParseError(f"{path}: the optimum's selection is infeasible")
-    cost = inst.units_cost(opt.units())
-    if opt.total_cost != cost:
-        raise ParseError(
-            f"{path}: total_cost {frac_to_str(opt.total_cost)} but the selection "
-            f"costs {frac_to_str(cost)}"
-        )
+    recorded, expected = solution_to_doc(opt), solution_to_doc(rebuilt)
+    for name, value in recorded.items():
+        if value != expected[name]:
+            verb = "costs" if name == "total_cost" else "gives"
+            raise ParseError(f"{path}: {name} {value} but the selection {verb} {expected[name]}")
     return opt
 
 
@@ -123,22 +122,17 @@ def cmd_verify(args) -> int:
         solution = solution_from_doc(_read_doc(args.solution))
         run = None
 
-    connectivity, feasible = check_feasible(inst, solution)
-    if not feasible:
+    rebuilt = check_feasible(inst, solution)
+    if run is None or not rebuilt.feasible:
         payload = {
-            "feasible": False,
-            "connectivity": {str(t): v for t, v in sorted(connectivity.items())},
+            "feasible": rebuilt.feasible,
+            "connectivity": {str(t): v for t, v in sorted(rebuilt.connectivity.items())},
+            "recorded_ok": rebuilt == solution,
         }
         _write(args.out, _envelope("audit-report", payload, args.no_timestamp))
-        return EXIT_INFEASIBLE
-
-    if run is None:
-        payload = {
-            "feasible": True,
-            "connectivity": {str(t): v for t, v in sorted(connectivity.items())},
-        }
-        _write(args.out, _envelope("audit-report", payload, args.no_timestamp))
-        return EXIT_OK
+        if not rebuilt.feasible:
+            return EXIT_INFEASIBLE
+        return EXIT_OK if payload["recorded_ok"] else EXIT_VIOLATION
 
     opt = None
     if args.opt:

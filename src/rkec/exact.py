@@ -14,14 +14,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flows import connectivity, root_flows, short_terminal
-from .instance import (
-    Instance,
-    InfeasibleError,
-    SizeRefusalError,
-    Solution,
-    selection_from_units,
-)
+from .flows import root_flows, short_terminal, solution_of
+from .instance import Instance, InfeasibleError, SizeRefusalError, Solution
 
 _FAMILY_UNIVERSE_CAP = 16
 
@@ -49,7 +43,8 @@ def brute_force_opt(
     """Exact minimum-cost feasible completion by subset search.
 
     ``preselected`` units are treated as already paid for (capacity present,
-    cost not counted); the search runs over the remaining positive units.
+    cost not counted); the search runs over the remaining positive units, and
+    the result is the solution of the completion's units alone.
     Ties are broken toward the lexicographically smallest unit set.
 
     The pruned search branches on the units entering the worst terminal's
@@ -170,13 +165,7 @@ def brute_force_opt(
     if best_cost is None:  # feasibility was pre-checked with all units
         raise AssertionError("search found no feasible selection after a feasible pre-check")
 
-    conn = connectivity(inst, preselected | set(best_units))
-    return Solution(
-        selected=selection_from_units(best_units),
-        total_cost=Fraction(best_cost, inst.cost_scale),
-        connectivity=conn,
-        feasible=all(v >= k for v in conn.values()),
-    )
+    return solution_of(inst, best_units)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ id order and only as far as its caller reads; root connectivity of every
 terminal (``connectivity``), the first terminal that falls short
 (``short_terminal``) and the cores all read those flows.  The ring
 primal-dual keeps its residuals and grows them one leg at a time.
+``solution_of`` is the one builder of a ``Solution``: the solver, brute force
+and the verifier all build theirs with it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .instance import Instance, selection_from_units
+from .instance import Instance, Solution, selection_from_units
 
 
 @dataclass(frozen=True)
@@ -178,3 +180,17 @@ def short_terminal(inst: Instance, units, need: int) -> tuple[int, int] | None:
         if flow.value < need:
             return t, flow.value
     return None
+
+
+def solution_of(inst: Instance, units, audit=()) -> Solution:
+    """The solution ``units`` make: their selection and cost, the
+    connectivity of their working graph and whether every terminal reaches k,
+    with ``audit`` as its iteration records."""
+    conn = connectivity(inst, units)
+    return Solution(
+        selected=selection_from_units(units),
+        total_cost=inst.units_cost(units),
+        connectivity=conn,
+        feasible=all(v >= inst.k for v in conn.values()),
+        audit=list(audit),
+    )

@@ -376,13 +376,19 @@ def check_selection(inst: Instance, selected: dict[int, int]) -> None:
 
 
 def solution_from_doc(doc: dict) -> Solution:
+    """Parse a solution: ``feasible`` a JSON bool, ``connectivity`` an object
+    of terminal ids (written as ``solution_to_doc`` writes them) to integers."""
     try:
-        selected = _selection_from_doc(doc["selected"])
+        conn, feasible = doc["connectivity"], doc["feasible"]
+        if not isinstance(conn, dict) or type(feasible) is not bool or not all(
+            str(t).isdecimal() and str(int(t)) == t and type(v) is int for t, v in conn.items()
+        ):
+            raise ParseError("connectivity must map terminal ids to integers, feasible be a bool")
         return Solution(
-            selected=selected,
+            selected=_selection_from_doc(doc["selected"]),
             total_cost=frac_from_obj(doc["total_cost"]),
-            connectivity={int(t): v for t, v in doc["connectivity"].items()},
-            feasible=bool(doc["feasible"]),
+            connectivity={int(t): v for t, v in conn.items()},
+            feasible=feasible,
             audit=[_record_from_doc(r) for r in doc.get("audit", [])],
         )
     except (KeyError, TypeError, IndexError) as exc:

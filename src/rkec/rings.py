@@ -22,12 +22,12 @@ recomputed from scratch.
 
 The cover itself comes from dual ascent plus reverse delete.  Minimal
 violated sets of a shrinking ring form a strictly increasing chain, so the
-duals land on nested sets; the emitted certificate checks that chain and that
-the dual total pays exactly for the surviving legs.  The ascent finds its
-entering legs through an index by head node (``LegIndex``, built once per
-star selection).  Every cost here (reduced costs, dual amounts, cover costs)
-is an integer in units of 1/``Instance.cost_scale``, so all of it, the
-certificate included, is exact integer arithmetic.
+duals land on nested sets; each cover must pass the certificate that checks
+that chain and that the dual total pays exactly for the surviving legs.  The
+ascent finds its entering legs through an index by head node (``LegIndex``,
+built once per star selection).  Every cost here (reduced costs, dual amounts,
+cover costs) is an integer in units of 1/``Instance.cost_scale``, so all of
+it, the certificate included, is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -185,7 +185,6 @@ class RingCover:
     legs: tuple[Unit, ...]
     cost: int  # in units of 1/cost_scale
     duals: tuple[DualStep, ...]
-    certificate_ok: bool
 
 
 def _certificate(ctx: RingContext, legs, cost: int, duals) -> bool:
@@ -219,7 +218,8 @@ def primal_dual_ring_cover(ctx: RingContext) -> RingCover | None:
     Dual ascent: raise the minimal violated set until some entering candidate
     goes tight (ties to the smallest unit), add it, repeat.  Then delete
     redundant edges in reverse tightening order.  Returns None when some ring
-    member has no entering candidate at all.
+    member has no entering candidate at all; raises AssertionError when the
+    cover fails its strong-duality certificate (``_certificate``).
 
     Each pick adds one unit arc, so the flow is augmented from where it was
     rather than recomputed; reduced costs are kept only for candidates the
@@ -265,4 +265,6 @@ def primal_dual_ring_cover(ctx: RingContext) -> RingCover | None:
 
     legs = tuple(sorted(keep))
     cost = sum(ctx.inst.scaled_cost(u) for u in legs)
-    return RingCover(legs, cost, tuple(duals), _certificate(ctx, legs, cost, duals))
+    if not _certificate(ctx, legs, cost, duals):
+        raise AssertionError(f"ring cover {legs} fails its strong-duality certificate")
+    return RingCover(legs, cost, tuple(duals))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .deficiency import rooted_cores
-from .flows import connectivity, short_terminal
+from .flows import short_terminal, solution_of
 from .greedy import cover_levels
 from .instance import (
     Instance,
@@ -21,7 +21,6 @@ from .instance import (
     Solution,
     frac_from_obj,
     frac_to_str,
-    selection_from_units,
     solution_from_doc,
     solution_to_doc,
 )
@@ -42,17 +41,6 @@ class SolveReport:
     pruned: Solution | None = None  # engineering extra, never used for ratio audits
 
 
-def _make_solution(inst: Instance, units, records) -> Solution:
-    conn = connectivity(inst, units)
-    return Solution(
-        selected=selection_from_units(units),
-        total_cost=inst.units_cost(units),
-        connectivity=conn,
-        feasible=all(v >= inst.k for v in conn.values()),
-        audit=list(records),
-    )
-
-
 def prune_solution(inst: Instance, units) -> Solution:
     """Drop units whose removal keeps the selection feasible, newest first.
 
@@ -62,10 +50,9 @@ def prune_solution(inst: Instance, units) -> Solution:
     kept = list(units)
     for u in reversed(list(units)):
         trial = [v for v in kept if v != u]
-        conn = connectivity(inst, trial)
-        if all(v >= inst.k for v in conn.values()):
+        if short_terminal(inst, trial, inst.k) is None:
             kept = trial
-    return _make_solution(inst, kept, [])
+    return solution_of(inst, kept)
 
 
 def solve(inst: Instance, *, prune: bool = False) -> SolveReport:
@@ -83,7 +70,7 @@ def solve(inst: Instance, *, prune: bool = False) -> SolveReport:
     cores = rooted_cores(inst, ())
     records = cover_levels(inst, cores)
     selected = [u for rec in records for u in rec.added_units]
-    solution = _make_solution(inst, selected, records)
+    solution = solution_of(inst, selected, records)
     if not solution.feasible:
         raise AssertionError(
             f"greedy selection leaves a terminal short of k: {solution.connectivity}"

@@ -1,12 +1,14 @@
 """Independent verification: feasibility, ratio bounds, per-iteration audits.
 
 Everything here recomputes from the instance and the recorded run, never from
-solver internals.  The performance guarantee 2 * H(d) * (1 + ln |T|) mixes a
-rational with a logarithm, so the bound is handled as an outward-rounded
-rational interval: a comparison against the interval's far side is rigorous,
-and a ratio that lands inside triggers re-evaluation at higher precision
-(which must terminate: ln of an integer >= 2 is irrational, ratios are
-rational, and for |T| = 1 the interval is a point).
+solver internals: a recorded solution is correct exactly when it equals its
+rebuild by ``flows.solution_of``, the builder the solver uses too.  The
+performance guarantee 2 * H(d) * (1 + ln |T|) mixes a rational with a
+logarithm, so the bound is handled as an outward-rounded rational interval: a
+comparison against the interval's far side is rigorous, and a ratio that lands
+inside triggers re-evaluation at higher precision (which must terminate: ln
+of an integer >= 2 is irrational, ratios are rational, and for |T| = 1 the
+interval is a point).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 import mpmath
 
 from .exact import brute_force_opt
-from .flows import connectivity
+from .flows import connectivity, solution_of
 from .instance import (
     Instance,
     SizeRefusalError,
@@ -30,16 +32,14 @@ from .instance import (
 from .solver import SolveReport, harmonic
 
 
-def check_feasible(inst: Instance, sol: Solution) -> tuple[dict[int, int], bool]:
-    """Recompute per-terminal connectivity of the zero-cost graph plus the
-    selected units; True iff every terminal reaches the target.
+def check_feasible(inst: Instance, sol: Solution) -> Solution:
+    """``sol`` rebuilt from its selection by ``solution_of``, records kept.
 
     Raises ParseError when the selection names an edge the instance does not
     offer (see ``check_selection``).
     """
     check_selection(inst, sol.selected)
-    conn = connectivity(inst, sol.units())
-    return conn, all(v >= inst.k for v in conn.values())
+    return solution_of(inst, sol.units(), sol.audit)
 
 
 def _mpf_to_fraction(x) -> Fraction:
@@ -96,7 +96,8 @@ class AuditReport:
     connectivity: dict[int, int]
     cost: Fraction  # recomputed from the selection; the ratio uses this one
     recorded_cost_ok: bool  # total_cost and every added_cost equal the recomputed ones
-    recorded_units_ok: bool  # the iterations' added_units are exactly the selection
+    recorded_units_ok: bool  # added_units are exactly the selection, each holding its star_center
+    recorded_solution_ok: bool  # solution and pruned equal their rebuilds, pruned within it
     recorded_bound_ok: bool  # bound_harmonic and terminal_count match the instance's
     guarantee_applies: bool  # the instance is quasi-bipartite; else no bound is decided
     core_drop_violations: list[int] = field(default_factory=list)  # record indexes
@@ -113,6 +114,7 @@ class AuditReport:
             self.feasible
             and self.recorded_cost_ok
             and self.recorded_units_ok
+            and self.recorded_solution_ok
             and self.recorded_bound_ok
             and not self.core_drop_violations
             and not self.density_violations
@@ -129,9 +131,12 @@ def audit_run(
 ) -> AuditReport:
     """Audit a recorded run.
 
-    Always: feasibility, the costs (the total recomputed from the selection,
-    each iteration's from its added units; a recorded cost that differs, or
-    added units that are not exactly the selection, make the audit unclean),
+    Always: the solution and ``pruned`` against their rebuilds (either one
+    differing, or ``pruned`` infeasible or buying an edge more often than the
+    solution, makes the audit unclean), the costs (the total recomputed from
+    the selection, each iteration's from its added units; a recorded cost that
+    differs, or added units that are not exactly the selection or miss their
+    record's ``star_center``, make the audit unclean),
     the guarantee's inputs (H of the first level, from the zero-cost graph's
     connectivity, and |T|, from the instance; a recorded pair that differs
     makes the audit unclean) and the per-iteration core-drop rule (the core
@@ -143,10 +148,15 @@ def audit_run(
     before), brute-forcing the residual optimum from the iteration's state.
     """
     solution = report.solution
-    conn, feasible = check_feasible(inst, solution)
+    rebuilt = check_feasible(inst, solution)
     units = solution.units()
-    cost = inst.units_cost(units)
-    added = sorted(u for rec in solution.audit for u in rec.added_units)
+    solution_ok = rebuilt == solution
+    if report.pruned is not None:
+        pruned = check_feasible(inst, report.pruned)
+        within = set(pruned.units()) <= set(units)
+        solution_ok &= pruned == report.pruned and pruned.feasible and within
+    cost = rebuilt.total_cost
+    units_ok = sorted(u for rec in solution.audit for u in rec.added_units) == list(units)
     costs_ok = all(
         all(eid in inst.edge_by_id for eid, _ in rec.added_units)
         and inst.units_cost(rec.added_units) == rec.added_cost
@@ -156,11 +166,13 @@ def audit_run(
     bound_harmonic = harmonic(first_level)
     terminal_count = len(inst.terminals)
     out = AuditReport(
-        feasible=feasible,
-        connectivity=conn,
+        feasible=rebuilt.feasible,
+        connectivity=rebuilt.connectivity,
         cost=cost,
         recorded_cost_ok=solution.total_cost == cost and costs_ok,
-        recorded_units_ok=added == list(units),
+        recorded_units_ok=units_ok
+        and all(rec.star_center in dict(rec.added_units) for rec in solution.audit),
+        recorded_solution_ok=solution_ok,
         recorded_bound_ok=(report.bound_harmonic, report.terminal_count)
         == (bound_harmonic, terminal_count),
         guarantee_applies=validate_quasi_bipartite(inst).ok,
@@ -180,7 +192,7 @@ def audit_run(
             holds, lo, hi = bound_decision(cost, opt.total_cost, bound_harmonic, terminal_count)
             out.bound_holds, out.bound_lo, out.bound_hi = holds, lo, hi
 
-    if density_max_units is not None and out.recorded_units_ok:
+    if density_max_units is not None and units_ok:
         try:
             out.density_violations = density_violations(
                 inst, report, max_units=density_max_units
@@ -226,6 +238,7 @@ def audit_to_doc(report: AuditReport) -> dict:
         "cost": frac_to_str(report.cost),
         "recorded_cost_ok": report.recorded_cost_ok,
         "recorded_units_ok": report.recorded_units_ok,
+        "recorded_solution_ok": report.recorded_solution_ok,
         "recorded_bound_ok": report.recorded_bound_ok,
         "guarantee_applies": report.guarantee_applies,
         "core_drop_violations": report.core_drop_violations,

@@ -214,6 +214,28 @@ def test_verify_recomputes_the_recorded_cost(corpus_seven, tmp_path):
     assert audit["cost"] == "30" and audit["ratio"] != "1/30"
 
 
+@pytest.mark.parametrize(
+    "edit, code, recorded_ok",
+    [
+        ({}, 0, True),
+        ({"total_cost": "1"}, 4, False),
+        ({"connectivity": {}}, 4, False),
+        ({"selected": []}, 3, False),
+    ],
+    ids=["recorded", "total-cost", "connectivity", "infeasible"],
+)
+def test_verify_compares_a_bare_solution_with_its_rebuild(corpus_seven, tmp_path, edit, code,
+                                                          recorded_ok):
+    inst, doc = corpus_seven
+    sol, out = tmp_path / "sol.json", tmp_path / "audit.json"
+    sol.write_text(json.dumps({"kind": "solution", **doc["solution"], **edit}))
+    assert run("verify", "--instance", inst, "--solution", sol,
+               "--out", out, "--no-timestamp") == code
+    audit = json.loads(out.read_text())
+    assert audit["recorded_ok"] is recorded_ok
+    assert audit["feasible"] is (code != 3)
+
+
 def _rebuild_phases(doc):
     """Derive the document's phases from its (edited) records again."""
     doc["phases"] = phases_doc(solution_from_doc(doc["solution"]).audit)
@@ -241,6 +263,24 @@ def _set(**fields):
     return edit
 
 
+def _set_solution(**fields):
+    """An edit of the solution's own fields."""
+    def edit(doc):
+        doc["solution"].update(fields)
+    return edit
+
+
+def _connectivity_999(doc):
+    doc["solution"]["connectivity"] = {t: 999 for t in doc["solution"]["connectivity"]}
+
+
+def _pruned(**fields):
+    """Record a copy of the solution, with ``fields`` changed, as ``pruned``."""
+    def edit(doc):
+        doc["pruned"] = {**doc["solution"], **fields}
+    return edit
+
+
 def _mistype_unit(doc):
     doc["solution"]["audit"][0]["added_units"][0] = ["a", 0]
 
@@ -253,6 +293,8 @@ def _tamper_phases(doc):
 # the audit fields an unclean (exit 4) case must show
 _NO_DROP = {"density_violations": [0], "recorded_cost_ok": True}
 _COST_WRONG = {"density_violations": [], "recorded_cost_ok": False}
+_HEAD_NOT_BOUGHT = {"density_violations": [], "recorded_cost_ok": True, "recorded_units_ok": False}
+_NOT_REBUILT = {"density_violations": [], "recorded_cost_ok": True, "recorded_solution_ok": False}
 
 
 @pytest.mark.parametrize(
@@ -268,10 +310,18 @@ _COST_WRONG = {"density_violations": [], "recorded_cost_ok": False}
         (_tamper_phases, 2, "phases differ"),
         (_set(added_cost="0"), 4, _COST_WRONG),
         (_set(added_cost="1000"), 4, _COST_WRONG),  # replayed at 1000, a violation
+        (_set(star_center=12345), 4, _HEAD_NOT_BOUGHT),  # no such edge, so not among the units
+        (_connectivity_999, 4, _NOT_REBUILT),
+        (_set_solution(connectivity={}), 4, _NOT_REBUILT),
+        (_set_solution(feasible=False), 4, _NOT_REBUILT),
+        (_pruned(audit=[], total_cost="1"), 4, _NOT_REBUILT),
+        (_pruned(selected=[[999, 1]]), 2, "selected edge 999 is not in the instance"),
     ],
     ids=[
         "cores-before-string", "unit-string", "no-drop", "no-leaves", "bool-leaves",
         "level-zero", "negative-cores-after", "phases", "added-cost-zero", "added-cost-inflated",
+        "star-center", "connectivity-999", "connectivity-empty", "feasible-false", "pruned-cost",
+        "pruned-unknown-edge",
     ],
 )
 def test_verify_rejects_mistyped_and_tampered_records(corpus_seven, tmp_path, capsys, edit, code,
@@ -326,8 +376,11 @@ def solved_with_optimum(tmp_path):
         ({}, 0, None),
         ({"total_cost": "1000"}, 2, "total_cost 1000 but the selection costs 43"),
         ({"selected": [], "total_cost": "0"}, 2, "selection is infeasible"),
+        ({"connectivity": {}}, 2, "connectivity {} but the selection gives {"),
+        ({"feasible": False}, 2, "feasible False but the selection gives True"),
     ],
-    ids=["recomputed", "recorded-cost-differs", "infeasible"],
+    ids=["recomputed", "recorded-cost-differs", "infeasible", "connectivity-differs",
+         "feasible-differs"],
 )
 def test_verify_checks_the_opt_file(solved_with_optimum, tmp_path, capsys, edit, code, message):
     inst, report, doc = solved_with_optimum
@@ -340,6 +393,33 @@ def test_verify_checks_the_opt_file(solved_with_optimum, tmp_path, capsys, edit,
         assert json.loads(out.read_text())["ratio"] == "44/43"
     else:
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--report", "--solution", "--opt"])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("connectivity", [1, 2]),
+        ("connectivity", {"2": True}),
+        ("connectivity", {"02": 1}),
+        ("feasible", "no"),
+        ("feasible", 1),
+    ],
+    ids=["connectivity-list", "connectivity-bool", "connectivity-key", "feasible-string",
+         "feasible-int"],
+)
+def test_verify_rejects_mistyped_solution_fields(solved_with_optimum, tmp_path, capsys, flag,
+                                                 field, value):
+    inst, report, opt = solved_with_optimum
+    doc = json.loads(report.read_text())
+    edited = opt if flag == "--opt" else doc["solution"]
+    edited[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc if flag == "--report" else edited))
+    argv = ["verify", "--instance", inst, "--out", tmp_path / "a.json"]
+    argv += [flag, bad] if flag != "--opt" else ["--report", report, "--opt", bad]
+    assert run(*argv) == 2
+    assert "connectivity must map terminal ids to integers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

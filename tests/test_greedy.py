@@ -61,7 +61,7 @@ def test_fixture_best_star(instance_a):
 
 
 def _fake_cover(cost):
-    return RingCover(legs=(), cost=cost, duals=(), certificate_ok=True)
+    return RingCover(legs=(), cost=cost, duals=())
 
 
 def test_best_star_prefix_tie_prefers_more_leaves():

@@ -64,6 +64,18 @@ def test_package_has_no_test_only_code():
     assert ORACLES <= set(defined), "an allow-listed oracle no longer exists"
 
 
+def test_package_has_no_assert_statements():
+    # an invariant check must still fire under ``python -O``, which strips
+    # ``assert`` statements, so shipped code raises instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements in shipped code: {found}"
+
+
 # Call sites the traced benchmark run names but that no longer exist: the
 # trace skips them and lists them in ``Tracer.missing``.  A refactor that
 # renames or inlines another traced name must add it here, in the open.

@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rkec import rings
 from rkec.deficiency import rooted_cores
 from rkec.exact import (
     brute_force_ring_cover,
@@ -22,6 +24,7 @@ from rkec.rings import (
     ring_maximum,
     saturating_arcs,
 )
+from rkec.solver import solve
 
 from conftest import small_random_instance
 from reference import build_ring_context, rooted_max_level
@@ -99,7 +102,13 @@ def test_primal_dual_fixture_prices(instance_a):
         cover = primal_dual_ring_cover(ctx)
         assert cover is not None
         assert cover.cost == cost and cover.legs == legs
-        assert cover.certificate_ok
+
+
+def test_failed_certificate_stops_the_solve(instance_a, monkeypatch):
+    # the check must be a raise, not an assert that ``python -O`` strips
+    monkeypatch.setattr(rings, "_certificate", lambda ctx, legs, cost, duals: False)
+    with pytest.raises(AssertionError, match="fails its strong-duality certificate"):
+        solve(instance_a)
 
 
 def test_primal_dual_unpriceable():
@@ -195,7 +204,6 @@ def test_primal_dual_exact_against_enumeration(seed):
             assert cover is not None
             # the cover's integer cost, back in the instance's rationals
             assert Fraction(cover.cost, inst.cost_scale) == oracle[0]
-            assert cover.certificate_ok
             assert all(u[0] != ctx.head[0] for u in cover.legs)
 
 
@@ -232,9 +240,9 @@ def test_dual_certificate_accompanies_every_cover(seed):
     rng = random.Random(seed)
     inst = small_random_instance(rng)
     for ctx, _, _ in _ring_contexts(inst, rng):
+        # a cover that failed its certificate would have raised
         cover = primal_dual_ring_cover(ctx)
         if cover is not None:
-            assert cover.certificate_ok
             assert sum(s.amount for s in cover.duals) == cover.cost
 
 

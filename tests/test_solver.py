@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkec import greedy, solver
+from rkec import flows, greedy, solver
 from rkec.exact import brute_force_opt
 from rkec.flows import connectivity
 from rkec.generate import GenParams, default_corpus_params, generate_instance
@@ -119,8 +119,7 @@ def test_solution_always_feasible(seed):
         report = solve(inst)
     except InfeasibleError:
         return
-    _, ok = check_feasible(inst, report.solution)
-    assert ok
+    assert check_feasible(inst, report.solution).feasible
     # the union of the phase additions is exactly the selection
     phase_units = [tuple(u) for ph in phases(report) for u in ph["added_units"]]
     assert sorted(phase_units) == list(report.solution.units())
@@ -164,17 +163,17 @@ def test_ratio_bound_against_optimum(seed):
 
 def test_solve_checks_final_feasibility(instance_a, monkeypatch):
     # the check must be a raise, not an assert that ``python -O`` strips
-    monkeypatch.setattr(solver, "connectivity", lambda inst, units: {2: 0, 3: 1})
+    monkeypatch.setattr(flows, "connectivity", lambda inst, units: {2: 0, 3: 1})
     with pytest.raises(AssertionError, match="short of k"):
         solve(instance_a)
 
 
 _FORCED_SHORT_UNDER_O = f"""
-from rkec import solver
+from rkec import flows, solver
 from rkec.instance import parse_instance
 
 assert False, "asserts must be stripped in this interpreter"
-solver.connectivity = lambda inst, units: {{2: 0, 3: 1}}
+flows.connectivity = lambda inst, units: {{2: 0, 3: 1}}
 try:
     solver.solve(parse_instance({INSTANCE_A_JSON!r}))
 except AssertionError as exc:

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from rkec.instance import (
     dump_json,
     frac_from_obj,
     frac_to_str,
+    selection_from_units,
     solution_from_doc,
 )
 from rkec.solver import SolveReport, phases_doc, report_from_doc, report_to_doc, solve
@@ -34,21 +36,20 @@ from reference import path_packing_witness
 
 def test_check_feasible_fixture(instance_a):
     sol = Solution({1: 1, 2: 1, 3: 1}, Fraction(4), {}, True)
-    conn, ok = check_feasible(instance_a, sol)
-    assert ok and conn == {2: 1, 3: 1}
+    rebuilt = check_feasible(instance_a, sol)
+    assert rebuilt.feasible and rebuilt.connectivity == {2: 1, 3: 1}
 
 
 def test_check_feasible_empty(instance_a):
-    conn, ok = check_feasible(instance_a, Solution({}, Fraction(0), {}, False))
-    assert not ok and conn == {2: 0, 3: 0}
+    rebuilt = check_feasible(instance_a, Solution({}, Fraction(0), {}, False))
+    assert not rebuilt.feasible and rebuilt.connectivity == {2: 0, 3: 0}
 
 
 def test_check_feasible_free_graph(instance_a_k2):
     # k = 1 is already served by the zero-cost arcs
     inst = instance_a_k2
     one = inst.__class__(inst.node_count, inst.root, inst.terminals, inst.edges, 1)
-    _, ok = check_feasible(one, Solution({}, Fraction(0), {}, True))
-    assert ok
+    assert check_feasible(one, Solution({}, Fraction(0), {}, True)).feasible
 
 
 def test_log_interval_brackets():
@@ -131,6 +132,21 @@ def test_audit_infeasible_solution(instance_a):
     assert not audit.feasible and not audit.clean
 
 
+@pytest.mark.parametrize("pruned, clean", [("solution", True), ("every", False), ("none", False)])
+def test_audit_checks_the_pruned_selection(instance_a, pruned, clean):
+    # each ``pruned`` here equals its own rebuild: the audit must still reject
+    # one that buys more than the solution or is infeasible
+    report = solve(instance_a)
+    selected = {
+        "solution": report.solution.selected,
+        "every": selection_from_units(instance_a.positive_units),
+        "none": {},
+    }[pruned]
+    report.pruned = check_feasible(instance_a, Solution(selected, Fraction(0), {}, False))
+    audit = audit_run(instance_a, report)
+    assert audit.recorded_solution_ok is audit.clean is clean
+
+
 def test_guarantee_claimed_only_for_quasi_bipartite_instances():
     # the priced relay edge 1 -> 2 has no end in T + r = {0, 3}: the ratio is
     # still reported, but no bound is decided
@@ -168,10 +184,10 @@ def test_witness_agrees_with_connectivity(seed):
         report = solve(inst)
     except InfeasibleError:
         return
-    conn, ok = check_feasible(inst, report.solution)
-    assert ok
+    rebuilt = check_feasible(inst, report.solution)
+    assert rebuilt.feasible
     for t in inst.terminals:
-        assert len(path_packing_witness(inst, report.solution, t)) == conn[t]
+        assert len(path_packing_witness(inst, report.solution, t)) == rebuilt.connectivity[t]
 
 
 @settings(max_examples=25, deadline=None)
@@ -191,10 +207,9 @@ def test_audit_is_pure(seed):
     assert first.clean
 
 
-def _tamper_selected(inst, doc, data):
+def _edit_selected(inst, solution, data):
     """Give one edge id (maybe one the instance lacks) a new unit count; a
     count of 0 drops the edge."""
-    solution = doc["solution"]
     chosen = dict(solution["selected"])
     ids = sorted(e.id for e in inst.edges) + [max((e.id for e in inst.edges), default=0) + 1]
     eid = data.draw(st.sampled_from(ids))
@@ -203,11 +218,49 @@ def _tamper_selected(inst, doc, data):
     solution["selected"] = [[e, c] for e, c in sorted(chosen.items()) if c]
 
 
-def _tamper_total_cost(inst, doc, data):
-    solution = doc["solution"]
+def _edit_total_cost(inst, solution, data):
     recorded = frac_from_obj(solution["total_cost"])
     cost = data.draw(st.fractions(min_value=0, max_value=100, max_denominator=4))
     solution["total_cost"] = frac_to_str(cost if cost != recorded else recorded + 1)
+
+
+def _tamper_selected(inst, doc, data):
+    _edit_selected(inst, doc["solution"], data)
+
+
+def _tamper_total_cost(inst, doc, data):
+    _edit_total_cost(inst, doc["solution"], data)
+
+
+def _tamper_connectivity(inst, doc, data):
+    """Change one terminal's recorded path count, or drop the terminal."""
+    conn = doc["solution"]["connectivity"]
+    t = data.draw(st.sampled_from(sorted(conn)))
+    if data.draw(st.booleans()):
+        del conn[t]
+    else:
+        conn[t] = data.draw(st.integers(0, 9).filter(lambda v: v != conn[t]))
+
+
+def _tamper_feasible(inst, doc, data):
+    doc["solution"]["feasible"] = not doc["solution"]["feasible"]
+
+
+def _tamper_pruned(inst, doc, data):
+    """Record as ``pruned`` a copy of the solution with its selection or its
+    total cost edited."""
+    pruned = copy.deepcopy(doc["solution"])
+    data.draw(st.sampled_from([_edit_selected, _edit_total_cost]))(inst, pruned, data)
+    doc["pruned"] = pruned
+
+
+def _tamper_star_center(inst, doc, data):
+    """Name as a record's head an edge none of its added units is on."""
+    records = doc["solution"]["audit"]
+    assume(records)
+    rec = data.draw(st.sampled_from(records))
+    bought = {eid for eid, _ in rec["added_units"]}
+    rec["star_center"] = data.draw(st.integers(0, 30).filter(lambda eid: eid not in bought))
 
 
 def _rebuild_phases(doc):
@@ -262,14 +315,18 @@ def _tamper_terminal_count(inst, doc, data):
     doc["terminal_count"] = data.draw(st.integers(1, 1000).filter(lambda n: n != recorded))
 
 
-@settings(max_examples=280, deadline=None)
+@settings(max_examples=440, deadline=None)
 @given(
     st.integers(0, 100_000),
     st.sampled_from([
         _tamper_selected,
         _tamper_total_cost,
+        _tamper_connectivity,
+        _tamper_feasible,
+        _tamper_pruned,
         _tamper_added_units,
         _tamper_added_cost,
+        _tamper_star_center,
         _tamper_bound_harmonic,
         _tamper_terminal_count,
         _tamper_phases,
@@ -277,9 +334,11 @@ def _tamper_terminal_count(inst, doc, data):
     st.data(),
 )
 def test_tampered_report_never_audits_clean(seed, tamper, data):
-    """A report whose ``selected``, ``total_cost``, multiset of iteration
-    ``added_units``, an iteration's ``added_cost``, ``bound_harmonic`` or
-    ``terminal_count`` was changed is rejected (ParseError) or audits
+    """A report whose ``selected``, ``total_cost``, ``connectivity``,
+    ``feasible``, multiset of iteration ``added_units``, an iteration's
+    ``added_cost`` or ``star_center``, ``bound_harmonic`` or ``terminal_count``
+    was changed, or that gained a ``pruned`` copy of its solution with an
+    edited selection or total cost, is rejected (ParseError) or audits
     unclean; one whose ``phases`` differ from its records is rejected.
 
     Out of scope until the audit replays the core counts: moving a unit from
