@@ -12,7 +12,8 @@ head it calls irrelevant, else a primal-dual on ``with_head`` of the core's
 shared ring), and by the exact hitting-set search over rational costs.  The
 primal-dual covers cost integers in units of 1/``cost_scale``, so they are
 rescaled before the comparison.  A cover that fails its certificate raises,
-and counts as a mismatch.
+and counts as a mismatch.  So does a pair whose skip-test floor
+(``CorePricing.floor``, rescaled the same way) exceeds its exact price.
 """
 
 import argparse
@@ -118,7 +119,7 @@ def main(argv=None) -> int:
                         bad = any(
                             cover is None or Fraction(cover.cost, scale) != exact[0]
                             for cover in (fresh, solver)
-                        )
+                        ) or Fraction(p.floor(inst.unit_arc(head)), scale) > exact[0]
                 if bad:
                     mismatches += 1
                     print(f"MISMATCH seed={seed} core={sorted(core.members)} head={head}")

@@ -114,6 +114,16 @@ def _read_optimum(inst, path: str):
 
 
 def cmd_verify(args) -> int:
+    if args.solution:
+        for flag, given in (
+            ("--opt", args.opt is not None),
+            ("--brute", args.brute),
+            ("--density-max-units", args.density_max_units is not None),
+        ):
+            if given:
+                raise ParseError(
+                    f"{flag} needs --report: a bare --solution is only compared with its rebuild"
+                )
     inst = parse_instance(Path(args.instance).read_text())
     if args.report:
         run = report_from_doc(_read_doc(args.report))

@@ -15,9 +15,12 @@ working arcs, the candidate list and, per core, the no-head ring, its price
 and its ring maximum.  A head (u, v) with v outside the ring maximum or u
 inside the core enters no ring member, so it leaves the core's price exactly
 at the shared no-head price; only the other pairs run a primal-dual of their
-own.  Each head is first
-bounded below from the prices it already knows, and skipped when even that
-bound loses to the best star so far.
+own.  Each head is first bounded below, and skipped when even that bound loses
+to the best star so far.  The bound takes every relevant core's price to be at
+least the part of the shared no-head dual that survives the head: the raised
+sets are a nested chain, so the ones the head arc enters form one index
+interval, and by weak duality the dual of the other sets is a lower bound on
+the exact primal-dual price with the head.
 
 Pricing runs in the instance's integer cost units (``Instance.scaled_cost``,
 the unit of ``RingCover.cost``) and compares densities by cross-multiplying.
@@ -121,15 +124,28 @@ class CorePricing:
     ring: RingContext  # the core's ring with no head
     shared: RingCover | None  # its price with no head; None when unpriceable
     ring_max: frozenset[int]  # holds every ring member
+    first: dict[int, int]  # node -> index of the first shared dual step raising it
+    prefix: tuple[int, ...]  # prefix[i]: total amount of the shared dual's first i steps
 
     def relevant(self, arc: tuple[int, int]) -> bool:
         """Whether a head on ``arc`` can enter some member of the ring."""
         tail, head = arc
         return head in self.ring_max and tail not in self.core.members
 
+    def floor(self, arc: tuple[int, int]) -> int:
+        """Lower bound on the price with a head on ``arc``: the shared dual
+        less the steps whose raised set the arc enters, those from the first
+        set holding its head to the first holding its tail (0 if unpriceable)."""
+        tail, head = arc
+        end = len(self.prefix) - 1
+        a, b = self.first.get(head, end), self.first.get(tail, end)
+        entered = self.prefix[b] - self.prefix[a] if a < b else 0
+        return self.prefix[end] - entered
+
 
 def pricing_context(inst: Instance, units, cores, level: int) -> list[CorePricing]:
-    """Per core: the no-head ring, its shared price and its ring maximum.
+    """Per core: the no-head ring, its shared price, its ring maximum and the
+    index of the shared dual that ``CorePricing.floor`` reads.
 
     The working arcs and the indexed leg candidates are built once for all
     cores and heads.
@@ -139,7 +155,14 @@ def pricing_context(inst: Instance, units, cores, level: int) -> list[CorePricin
     out = []
     for core in cores:
         ring = core_ring_context(inst, working, legs, cores, core, level)
-        out.append(CorePricing(core, ring, primal_dual_ring_cover(ring), ring_maximum(ring)))
+        shared = primal_dual_ring_cover(ring)
+        first: dict[int, int] = {}
+        prefix = [0]
+        for i, step in enumerate(shared.duals if shared else ()):
+            for v in step.raised:
+                first.setdefault(v, i)
+            prefix.append(prefix[-1] + step.amount)
+        out.append(CorePricing(core, ring, shared, ring_maximum(ring), first, tuple(prefix)))
     return out
 
 
@@ -161,8 +184,16 @@ def cheapest_star(inst: Instance, units, cores, level: int) -> Star:
     density at least cost(h) / |cores|, so once that exceeds the best density
     seen the remaining heads cannot win (nor tie, the bound is strict).
     Before pricing a head, its best density is bounded below by the best
-    prefix over its known leaf prices, 0 standing in for every relevant core;
-    a head whose bound is strictly above the best density is skipped.
+    prefix over per-core floors (``CorePricing.floor``); a head whose bound is
+    strictly above the best density is skipped.  The shared no-head cover's
+    duals are feasible for the ring-cover LP, and its raised sets form a
+    strictly nested chain, so the sets a head (u, v) enters are one index
+    interval: from the first set holding v to the first holding u.  Dropping
+    that interval leaves a feasible dual of the with-head LP (its ring is the
+    no-head ring minus the members the head enters, its legs a subset), so by
+    weak duality the rest bounds the LP optimum, and so the exact primal-dual
+    price, from below.  An irrelevant pair's floor is the whole dual total,
+    which is exactly its shared price; an unpriceable core's floor is 0.
     """
     pricing = pricing_context(inst, units, cores, level)
     m = len(cores)
@@ -175,9 +206,7 @@ def cheapest_star(inst: Instance, units, cores, level: int) -> Star:
         arc = inst.unit_arc(head)
         relevant = [p.relevant(arc) for p in pricing]
         floor = sorted(
-            0 if rel else p.shared.cost
-            for p, rel in zip(pricing, relevant)
-            if rel or p.shared is not None
+            p.floor(arc) for p, rel in zip(pricing, relevant) if rel or p.shared is not None
         )
         if not floor:
             continue

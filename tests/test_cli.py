@@ -236,6 +236,24 @@ def test_verify_compares_a_bare_solution_with_its_rebuild(corpus_seven, tmp_path
     assert audit["feasible"] is (code != 3)
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--brute", "--max-brute-edges", "1"], ["--opt", "missing.json"],
+     ["--density-max-units", "0"]],
+    ids=["brute", "opt", "density-max-units"],
+)
+def test_verify_refuses_report_flags_on_a_bare_solution(corpus_seven, tmp_path, capsys, flags):
+    # a bare solution gets no ratio or density replay, so asking for one is an
+    # error, not a silent omission
+    inst, doc = corpus_seven
+    sol, out = tmp_path / "sol.json", tmp_path / "audit.json"
+    sol.write_text(json.dumps({"kind": "solution", **doc["solution"]}))
+    assert run("verify", "--instance", inst, "--solution", sol, *flags,
+               "--out", out, "--no-timestamp") == 2
+    assert flags[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _rebuild_phases(doc):
     """Derive the document's phases from its (edited) records again."""
     doc["phases"] = phases_doc(solution_from_doc(doc["solution"]).audit)

@@ -245,6 +245,32 @@ def test_heads_on_a_shared_ring_price_like_a_fresh_context(seed, augmentation):
             assert ring_maximum(p.ring) == p.ring_max
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 100_000), st.booleans())
+def test_the_floor_bounds_every_head_price_from_below(seed, augmentation):
+    # the skip test's per-core floor: the shared no-head dual less the steps
+    # whose raised set the head arc enters, read off an index interval
+    rng = random.Random(seed)
+    inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
+    for units, cores, level in _random_states(inst, rng):
+        pricing = pricing_context(inst, units, cores, level)
+        for head in free_leg_candidates(inst, units):
+            u, v = arc = inst.unit_arc(head)
+            for p in pricing:
+                floor = p.floor(arc)
+                duals = p.shared.duals if p.shared else ()
+                assert floor == sum(
+                    step.amount for step in duals
+                    if not (v in step.raised and u not in step.raised)
+                )
+                if not p.relevant(arc):
+                    assert floor == (p.shared.cost if p.shared else 0)
+                    continue
+                cover = primal_dual_ring_cover(with_head(p.ring, head))
+                if cover is not None:
+                    assert floor <= cover.cost
+
+
 def _best_prefix_by_full_scan(head_cost, costs):
     # the scan over every prefix that the early exit replaces, in rationals
     best = None
