@@ -4,16 +4,21 @@
 Usage: python scripts/ring_cross_check.py [--seeds N] [--per-state HEADS]
 
 Random small instances, their positive costs divided by a drawn denominator,
-are driven into random partial-selection states; every (core, head) pair gets
-priced three ways, and the costs must agree as exact rationals: by the
-primal-dual on a ring context built afresh for the pair (``fresh_context``),
-by the path the solver runs (``greedy.pricing_context``: the core's shared no-head price for a
-head it calls irrelevant, else a primal-dual on ``with_head`` of the core's
-shared ring), and by the exact hitting-set search over rational costs.  The
-primal-dual covers cost integers in units of 1/``cost_scale``, so they are
-rescaled before the comparison.  A cover that fails its certificate raises,
-and counts as a mismatch.  So does a pair whose skip-test floor
-(``CorePricing.floor``, rescaled the same way) exceeds its exact price.
+are driven into random partial-selection states: one of the instance itself
+and one of the instance with a drawn positive edge removed, where a ring
+member can lose its last entering leg and so exercise the unpriceable case.
+Every (core, head) pair gets priced three ways: by the primal-dual on a ring
+context built afresh for the pair (``fresh_context``), by the path the solver
+runs (``greedy.pricing_context``: the core's shared no-head cover when
+``CorePricing.floor`` says the head enters none of its raised sets, else a
+primal-dual on ``with_head`` of the core's shared ring), and by the exact
+hitting-set search over rational costs.  The solver's cover must equal the
+fresh one whole (legs, cost and duals), and their cost must equal the exact
+one as a rational: the primal-dual covers cost integers in units of
+1/``cost_scale``, so they are rescaled before the comparison.  A cover that
+fails its certificate raises, and counts as a mismatch.  So does a pair
+whose skip-test floor (rescaled the same way) exceeds its exact price, and
+an unpriceable pair that either primal-dual still prices.
 """
 
 import argparse
@@ -45,6 +50,65 @@ def fresh_context(inst, state, cores, core, head, level):
     return with_head(base, head)
 
 
+def check_state(inst, state, per_state, seed):
+    """Price the first ``per_state`` heads of ``state`` against every core;
+    returns (contexts, mismatches, unpriceable)."""
+    contexts = mismatches = unpriceable = 0
+    scale = inst.cost_scale
+    universe = [v for v in range(inst.node_count) if v != inst.root]
+    cores = rooted_cores(inst, state)
+    if not cores:
+        return contexts, mismatches, unpriceable
+    level = cores[0].deficiency
+    heads = free_leg_candidates(inst, state)
+    try:
+        pricing = pricing_context(inst, state, cores, level)
+    except AssertionError as exc:  # a shared cover failed its certificate
+        print(f"MISMATCH seed={seed}: {exc}")
+        return contexts, 1, unpriceable
+    for head in heads[:per_state]:
+        arc = inst.unit_arc(head)
+        for core, p in zip(cores, pricing):
+            ctx = fresh_context(inst, state, cores, core, head, level)
+            bare = []  # the ring's graph without the head
+            for a in working_arcs(inst, state) + saturating_arcs(inst, cores, core, level):
+                bare.extend([(a.tail, a.head)] * a.cap)
+            ring = enumerate_arc_family(
+                universe, inst.terminals, inst.k, bare
+            ).ring_view(core.members)
+            exact = brute_force_ring_cover(
+                ring.members,
+                arc,
+                [(u, *inst.unit_arc(u), inst.unit_cost(u)) for u in heads if u[0] != head[0]],
+            )
+            contexts += 1
+            floor = p.floor(arc)
+            try:
+                fresh = primal_dual_ring_cover(ctx)
+                if floor is None:
+                    solver = p.shared
+                else:
+                    solver = primal_dual_ring_cover(with_head(p.ring, head))
+            except AssertionError as exc:  # a cover failed its certificate
+                print(f"seed={seed}: {exc}")
+                bad = True
+            else:
+                if exact is None:
+                    unpriceable += 1
+                    bad = fresh is not None or solver is not None
+                else:
+                    bad = (
+                        solver != fresh
+                        or fresh is None
+                        or Fraction(fresh.cost, scale) != exact[0]
+                        or (floor is not None and Fraction(floor, scale) > exact[0])
+                    )
+            if bad:
+                mismatches += 1
+                print(f"MISMATCH seed={seed} core={sorted(core.members)} head={head}")
+    return contexts, mismatches, unpriceable
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=200)
@@ -68,61 +132,16 @@ def main(argv=None) -> int:
             inst.node_count, inst.root, inst.terminals,
             tuple(replace(e, cost=e.cost / denominator) for e in inst.edges), inst.k,
         )
-        scale = inst.cost_scale
-        universe = [v for v in range(inst.node_count) if v != inst.root]
-        units = list(inst.positive_units)
-        state = frozenset(u for u in units if rng.random() < 0.3)
-        cores = rooted_cores(inst, state)
-        if not cores:
-            continue
-        level = cores[0].deficiency
-        heads = free_leg_candidates(inst, state)
-        try:
-            pricing = pricing_context(inst, state, cores, level)
-        except AssertionError as exc:  # a shared cover failed its certificate
-            mismatches += 1
-            print(f"MISMATCH seed={seed}: {exc}")
-            continue
-        for head in heads[: args.per_state]:
-            for core, p in zip(cores, pricing):
-                ctx = fresh_context(inst, state, cores, core, head, level)
-                bare = []  # the ring's graph without the head
-                for arc in working_arcs(inst, state) + saturating_arcs(inst, cores, core, level):
-                    bare.extend([(arc.tail, arc.head)] * arc.cap)
-                ring = enumerate_arc_family(
-                    universe, inst.terminals, inst.k, bare
-                ).ring_view(core.members)
-                exact = brute_force_ring_cover(
-                    ring.members,
-                    inst.unit_arc(head),
-                    [
-                        (u, *inst.unit_arc(u), inst.unit_cost(u))
-                        for u in heads
-                        if u[0] != head[0]
-                    ],
-                )
-                contexts += 1
-                try:
-                    fresh = primal_dual_ring_cover(ctx)
-                    if p.relevant(inst.unit_arc(head)):
-                        solver = primal_dual_ring_cover(with_head(p.ring, head))
-                    else:
-                        solver = p.shared
-                except AssertionError as exc:  # a cover failed its certificate
-                    print(f"seed={seed}: {exc}")
-                    bad = True
-                else:
-                    if exact is None:
-                        unpriceable += 1
-                        bad = fresh is not None or solver is not None
-                    else:
-                        bad = any(
-                            cover is None or Fraction(cover.cost, scale) != exact[0]
-                            for cover in (fresh, solver)
-                        ) or Fraction(p.floor(inst.unit_arc(head)), scale) > exact[0]
-                if bad:
-                    mismatches += 1
-                    print(f"MISMATCH seed={seed} core={sorted(core.members)} head={head}")
+        cases = [(inst, frozenset(u for u in inst.positive_units if rng.random() < 0.3))]
+        if inst.positive_edges:
+            dropped = rng.choice(inst.positive_edges)
+            cut = replace(inst, edges=tuple(e for e in inst.edges if e != dropped))
+            cases.append((cut, frozenset(u for u in cut.positive_units if rng.random() < 0.3)))
+        for case, state in cases:
+            counts = check_state(case, state, args.per_state, seed)
+            contexts += counts[0]
+            mismatches += counts[1]
+            unpriceable += counts[2]
 
     print(
         f"{contexts} contexts in {time.time() - t0:.1f}s: "

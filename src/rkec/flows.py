@@ -3,8 +3,8 @@
 Every flow lives in a ``Residual``: a mutable residual network for one source
 and sink that takes new arcs at any time and resumes augmenting from the flow
 it already carries, by shortest augmenting paths (breadth-first,
-deterministic for a fixed arc order).  Its value is a path count, its closest
-sink side a core candidate and its farthest sink side a ring maximum.
+deterministic for a fixed arc order).  Its value is a path count and its
+closest sink side a core candidate or a ring's minimal violated set.
 
 A selection's working graph is one arc list (``working_arcs``).
 ``root_flows`` augments one root->terminal residual over it per terminal, in
@@ -38,8 +38,8 @@ class Residual:
     head of each in ``to`` and the residual capacity in ``cap``; ``adj`` lists
     the arc indexes leaving each node.  Arcs can be added at any time and
     ``augment`` resumes from the current flow, so a flow grows with its graph
-    instead of being recomputed.  Both cut sides are the same for every
-    maximum flow, so they are only read once ``augment`` has run out of paths.
+    instead of being recomputed.  The closest sink side is the same for every
+    maximum flow, so it is only read once ``augment`` has run out of paths.
     """
 
     def __init__(self, node_count: int, source: int, sink: int, arcs=()):
@@ -121,22 +121,6 @@ class Residual:
         if self.source in reach:
             raise AssertionError("source still reaches the sink after a maximum flow")
         return frozenset(reach)
-
-    def farthest_sink_side(self) -> frozenset[int]:
-        """Nodes the source no longer reaches: the inclusion-maximal sink side
-        of a minimum cut."""
-        to, cap = self.to, self.cap
-        reached = [False] * len(self.adj)
-        reached[self.source] = True
-        queue = [self.source]
-        for x in queue:
-            for i in self.adj[x]:
-                if cap[i] > 0 and not reached[to[i]]:
-                    reached[to[i]] = True
-                    queue.append(to[i])
-        if reached[self.sink]:
-            raise AssertionError("source still reaches the sink after a maximum flow")
-        return frozenset(v for v, r in enumerate(reached) if not r)
 
 
 def working_arcs(inst: Instance, units) -> list[Arc]:

@@ -12,15 +12,13 @@ Pricing every (head, core) pair with a fresh ring context and taking the
 best star is the reference the tests hold ``cheapest_star`` to; it gives the
 same star with far less work.  It builds one pricing context per star: the
 working arcs, the candidate list and, per core, the no-head ring, its price
-and its ring maximum.  A head (u, v) with v outside the ring maximum or u
-inside the core enters no ring member, so it leaves the core's price exactly
-at the shared no-head price; only the other pairs run a primal-dual of their
-own.  Each head is first bounded below, and skipped when even that bound loses
-to the best star so far.  The bound takes every relevant core's price to be at
-least the part of the shared no-head dual that survives the head: the raised
-sets are a nested chain, so the ones the head arc enters form one index
-interval, and by weak duality the dual of the other sets is a lower bound on
-the exact primal-dual price with the head.
+and one index of that price's dual.  The dual's raised sets are a nested
+chain, so the ones a head arc enters form one index interval.  A head that
+enters none of them leaves the core's price exactly at the shared no-head
+price; only the other pairs run a primal-dual of their own.  Each head is
+first bounded below, and skipped when even that bound loses to the best star
+so far: by weak duality, the part of the shared dual the head does not enter
+bounds the exact primal-dual price with the head from below.
 
 Pricing runs in the instance's integer cost units (``Instance.scaled_cost``,
 the unit of ``RingCover.cost``) and compares densities by cross-multiplying.
@@ -42,7 +40,6 @@ from .rings import (
     free_leg_candidates,
     index_legs,
     primal_dual_ring_cover,
-    ring_maximum,
     with_head,
 )
 
@@ -123,29 +120,26 @@ class CorePricing:
     core: CoreInfo
     ring: RingContext  # the core's ring with no head
     shared: RingCover | None  # its price with no head; None when unpriceable
-    ring_max: frozenset[int]  # holds every ring member
     first: dict[int, int]  # node -> index of the first shared dual step raising it
     prefix: tuple[int, ...]  # prefix[i]: total amount of the shared dual's first i steps
 
-    def relevant(self, arc: tuple[int, int]) -> bool:
-        """Whether a head on ``arc`` can enter some member of the ring."""
-        tail, head = arc
-        return head in self.ring_max and tail not in self.core.members
-
-    def floor(self, arc: tuple[int, int]) -> int:
-        """Lower bound on the price with a head on ``arc``: the shared dual
-        less the steps whose raised set the arc enters, those from the first
-        set holding its head to the first holding its tail (0 if unpriceable)."""
+    def floor(self, arc: tuple[int, int]) -> int | None:
+        """None when a head on ``arc`` enters no raised set of the shared
+        dual, so the shared cover is its price; else a lower bound on that
+        price: the shared dual less the steps the arc enters, those from the
+        first set holding its head to the first holding its tail (0 when
+        the core has no shared cover)."""
         tail, head = arc
         end = len(self.prefix) - 1
         a, b = self.first.get(head, end), self.first.get(tail, end)
-        entered = self.prefix[b] - self.prefix[a] if a < b else 0
-        return self.prefix[end] - entered
+        if a >= b and self.shared is not None:
+            return None
+        return self.prefix[end] - self.prefix[b] + self.prefix[a]
 
 
 def pricing_context(inst: Instance, units, cores, level: int) -> list[CorePricing]:
-    """Per core: the no-head ring, its shared price, its ring maximum and the
-    index of the shared dual that ``CorePricing.floor`` reads.
+    """Per core: the no-head ring, its shared price and the index of the
+    shared dual that ``CorePricing.floor`` reads.
 
     The working arcs and the indexed leg candidates are built once for all
     cores and heads.
@@ -162,38 +156,38 @@ def pricing_context(inst: Instance, units, cores, level: int) -> list[CorePricin
             for v in step.raised:
                 first.setdefault(v, i)
             prefix.append(prefix[-1] + step.amount)
-        out.append(CorePricing(core, ring, shared, ring_maximum(ring), first, tuple(prefix)))
+        out.append(CorePricing(core, ring, shared, first, tuple(prefix)))
     return out
 
 
 def cheapest_star(inst: Instance, units, cores, level: int) -> Star:
     """Same selection as price-everything + best_star, pricing lazily.
 
-    Relevance: a head (u, v) can only change core C's price if it enters a
-    member of C's ring, which needs v inside the ring maximum (the farthest
-    minimum cut around C's representative, which holds every member) and u
-    outside C (the closest one, inside every member).  For any other pair the
-    ring's violated sets are the same with and without the head, so the dual
-    ascent raises the same sets, picks the same legs and reverse-deletes the
-    same ones; the head's own edge never enters a violated set either, so
-    leaving it among the candidates changes nothing.  Such a pair reuses the
-    core's shared no-head cover exactly, and only relevant pairs run a
-    primal-dual of their own.
+    Both the reuse and the bound read the shared no-head cover's dual.  It is
+    feasible for the ring-cover LP, and its raised sets form a strictly
+    nested chain, so the sets a head (u, v) enters are one index interval:
+    from the first set holding v to the first holding u
+    (``CorePricing.floor``).
+
+    Reuse: when that interval is empty, the whole shared dual stays feasible
+    for the with-head LP (its ring is the no-head ring minus the members the
+    head enters, its legs a subset), so by weak duality no cover with the
+    head costs less than the shared cover, which still covers the ring.  The
+    pair reuses it; every other pair runs a primal-dual of its own, and so
+    does every head of a core with no shared cover.  With the head the dual
+    ascent raises the same sets (each is still the minimal violated one);
+    that the reverse delete then keeps the same legs is not proven but
+    checked, cover for cover, by the tests and ``scripts/ring_cross_check.py``.
 
     Bounds: heads are visited in ascending cost.  Any star with head h has
     density at least cost(h) / |cores|, so once that exceeds the best density
     seen the remaining heads cannot win (nor tie, the bound is strict).
     Before pricing a head, its best density is bounded below by the best
-    prefix over per-core floors (``CorePricing.floor``); a head whose bound is
-    strictly above the best density is skipped.  The shared no-head cover's
-    duals are feasible for the ring-cover LP, and its raised sets form a
-    strictly nested chain, so the sets a head (u, v) enters are one index
-    interval: from the first set holding v to the first holding u.  Dropping
-    that interval leaves a feasible dual of the with-head LP (its ring is the
-    no-head ring minus the members the head enters, its legs a subset), so by
-    weak duality the rest bounds the LP optimum, and so the exact primal-dual
-    price, from below.  An irrelevant pair's floor is the whole dual total,
-    which is exactly its shared price; an unpriceable core's floor is 0.
+    prefix over per-core floors; a head whose bound is strictly above the
+    best density is skipped.  Dropping the entered interval leaves a feasible
+    dual of the with-head LP, so by weak duality the rest bounds the exact
+    primal-dual price from below; a reusing pair's floor is its shared price
+    and a core with no shared cover has floor 0.
     """
     pricing = pricing_context(inst, units, cores, level)
     m = len(cores)
@@ -204,19 +198,16 @@ def cheapest_star(inst: Instance, units, cores, level: int) -> Star:
         if best is not None and head_cost * best.leaves > best.total * m:
             break
         arc = inst.unit_arc(head)
-        relevant = [p.relevant(arc) for p in pricing]
-        floor = sorted(
-            p.floor(arc) for p, rel in zip(pricing, relevant) if rel or p.shared is not None
-        )
-        if not floor:
-            continue
+        floors = [p.floor(arc) for p in pricing]
         if best is not None:
-            total, j = _best_prefix(head_cost, floor)
+            total, j = _best_prefix(head_cost, sorted(
+                p.shared.cost if floor is None else floor for p, floor in zip(pricing, floors)
+            ))
             if total * best.leaves > best.total * j:  # the bound loses to the best density
                 continue
         priced = []
-        for p, rel in zip(pricing, relevant):
-            cover = primal_dual_ring_cover(with_head(p.ring, head)) if rel else p.shared
+        for p, floor in zip(pricing, floors):
+            cover = p.shared if floor is None else primal_dual_ring_cover(with_head(p.ring, head))
             if cover is not None:
                 priced.append((p.core, cover))
         scanned = _scan_head(head, head_cost, priced)

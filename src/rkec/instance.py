@@ -206,8 +206,9 @@ def dump_json(doc) -> str:
 def parse_instance(text: str) -> Instance:
     """Parse an instance document.
 
-    Edges entering the root never help any cut and are rejected.  Self-loops
-    are dropped silently.
+    Every integer field must be a JSON integer (``true`` is not 1).  Edges
+    entering the root never help any cut and are rejected.  Self-loops are
+    dropped silently.
     """
     doc = load_object(text, "instance document")
     try:
@@ -218,9 +219,9 @@ def parse_instance(text: str) -> Instance:
         raw_edges = doc["edges"]
     except KeyError as exc:
         raise ParseError(f"missing field {exc.args[0]!r}") from exc
-    if not isinstance(n, int) or not isinstance(root, int) or not isinstance(k, int):
+    if not all(type(v) is int for v in (n, root, k)):
         raise ParseError("n, root and k must be integers")
-    if not isinstance(terminals, list) or not all(isinstance(t, int) for t in terminals):
+    if not isinstance(terminals, list) or not all(type(t) is int for t in terminals):
         raise ParseError("terminals must be a list of integers")
     if not isinstance(raw_edges, list):
         raise ParseError("edges must be a list")
@@ -235,7 +236,7 @@ def parse_instance(text: str) -> Instance:
         except KeyError as exc:
             raise ParseError(f"edge record missing field {exc.args[0]!r}") from exc
         mult = rec.get("mult", 1)
-        if not all(isinstance(v, int) for v in (eid, tail, head, mult)):
+        if not all(type(v) is int for v in (eid, tail, head, mult)):
             raise ParseError("edge id, endpoints and mult must be integers")
         if tail == head:
             continue  # self-loops cover nothing

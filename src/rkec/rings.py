@@ -9,8 +9,7 @@ the core's context with no head (``core_ring_context``).  ``with_head`` adds
 the candidate head edge at capacity one.  The remaining top-level sets are
 exactly the ring members not already covered by the head, so the minimal
 violated set is the closest minimum cut at the core's representative
-terminal, and the union of all ring members is the farthest one
-(``ring_maximum``).
+terminal.
 
 Each context owns one residual flow from the root to the representative,
 augmented up to k - l + 1: the ring is covered exactly when the flow gets
@@ -24,6 +23,8 @@ The cover itself comes from dual ascent plus reverse delete.  Minimal
 violated sets of a shrinking ring form a strictly increasing chain, so the
 duals land on nested sets; each cover must pass the certificate that checks
 that chain and that the dual total pays exactly for the surviving legs.  The
+star pricing indexes the chain of a core's no-head cover once, and reads
+from it which heads reuse that cover and a lower bound on the others.  The
 ascent finds its entering legs through an index by head node (``LegIndex``,
 built once per star selection).  Every cost here (reduced costs, dual amounts,
 cover costs) is an integer in units of 1/``Instance.cost_scale``, so all of
@@ -144,18 +145,6 @@ def with_head(ctx: RingContext, head: Unit) -> RingContext:
     flow.add(*ctx.inst.unit_arc(head), 1)
     flow.augment(ctx.bound)
     return RingContext(ctx.inst, ctx.level, ctx.target, head, ctx.leg_index, flow)
-
-
-def ring_maximum(ctx: RingContext) -> frozenset[int]:
-    """A node set holding every member of the context's ring.
-
-    Ring members are the minimum root-representative cuts of the base graph,
-    so all of them lie inside the farthest one's sink side; when the base
-    already meets the bound there are no members at all.
-    """
-    if ctx.flow.value >= ctx.bound:
-        return frozenset()
-    return ctx.flow.farthest_sink_side()
 
 
 def min_violated_set(ctx: RingContext, legs) -> frozenset[int] | None:

@@ -120,6 +120,8 @@ def report_from_doc(doc: dict) -> SolveReport:
         if doc["phases"] != phases_doc(solution.audit):
             raise ParseError("phases differ from the ones the iteration records give")
         pruned = solution_from_doc(doc["pruned"]) if doc.get("pruned") else None
+        if type(doc["terminal_count"]) is not int:
+            raise ParseError("terminal_count must be an integer")
         return SolveReport(
             solution=solution,
             bound_harmonic=frac_from_obj(doc["bound_harmonic"]),

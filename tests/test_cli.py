@@ -334,12 +334,14 @@ _NOT_REBUILT = {"density_violations": [], "recorded_cost_ok": True, "recorded_so
         (_set_solution(feasible=False), 4, _NOT_REBUILT),
         (_pruned(audit=[], total_cost="1"), 4, _NOT_REBUILT),
         (_pruned(selected=[[999, 1]]), 2, "selected edge 999 is not in the instance"),
+        (lambda d: d.update(terminal_count=True), 2, "terminal_count must be an integer"),
+        (lambda d: d.update(terminal_count="1"), 2, "terminal_count must be an integer"),
     ],
     ids=[
         "cores-before-string", "unit-string", "no-drop", "no-leaves", "bool-leaves",
         "level-zero", "negative-cores-after", "phases", "added-cost-zero", "added-cost-inflated",
         "star-center", "connectivity-999", "connectivity-empty", "feasible-false", "pruned-cost",
-        "pruned-unknown-edge",
+        "pruned-unknown-edge", "bool-terminal-count", "string-terminal-count",
     ],
 )
 def test_verify_rejects_mistyped_and_tampered_records(corpus_seven, tmp_path, capsys, edit, code,

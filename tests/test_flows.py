@@ -32,12 +32,6 @@ def closest_sink_cut(v, s, t):
     return flow.value, flow.closest_sink_side()
 
 
-def farthest_sink_cut(v, s, t):
-    """Maximum flow value and the farthest sink side of its residual."""
-    flow = maximum_flow(*v, s, t)
-    return flow.value, flow.farthest_sink_side()
-
-
 def test_single_path():
     v = view(3, [(0, 1, 1), (1, 2, 1)])
     assert max_flow_value(v, 0, 2) == 1
@@ -101,24 +95,6 @@ def test_duality_and_minimality_against_enumeration(seed):
     assert minimal_sets(oracle_sides) == [side]
 
 
-def test_farthest_cut_simple_chain():
-    v = view(3, [(0, 1, 1), (1, 2, 1)])
-    assert farthest_sink_cut(v, 0, 2) == (1, frozenset({1, 2}))
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10_000))
-def test_farthest_cut_is_the_maximal_minimum_cut(seed):
-    rng = random.Random(seed)
-    n = rng.randint(2, 6)
-    arcs = _random_view(rng, n)
-    s, t = rng.sample(range(n), 2)
-    value, side = farthest_sink_cut(view(n, arcs), s, t)
-    oracle_value, oracle_sides = oracle_min_cut(arcs, n, t=t, s=s)
-    assert value == oracle_value
-    assert [m for m in oracle_sides if not any(m < o for o in oracle_sides)] == [side]
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10_000))
 def test_incremental_flow_matches_a_fresh_view(seed):
@@ -140,7 +116,6 @@ def test_incremental_flow_matches_a_fresh_view(seed):
         if flow.value < limit:
             assert flow.value == value
             assert flow.closest_sink_side() == closest_sink_cut(v, s, t)[1]
-            assert flow.farthest_sink_side() == farthest_sink_cut(v, s, t)[1]
 
 
 def test_copied_flow_grows_alone():
@@ -151,7 +126,6 @@ def test_copied_flow_grows_alone():
     assert grown.augment() == 2
     assert flow.value == 1 and flow.augment() == 1
     assert flow.closest_sink_side() == frozenset({2})
-    assert flow.farthest_sink_side() == frozenset({1, 2})
 
 
 @settings(max_examples=40, deadline=None)

@@ -22,7 +22,6 @@ from rkec.rings import (
     free_leg_candidates,
     min_violated_set,
     primal_dual_ring_cover,
-    ring_maximum,
     with_head,
 )
 
@@ -208,19 +207,28 @@ def _random_states(inst, rng, count=3):
             yield sample, cores, cores[0].deficiency
 
 
+def _enters(arc, step):
+    tail, head = arc
+    return head in step.raised and tail not in step.raised
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 100_000), st.booleans())
 def test_irrelevant_heads_keep_the_shared_price(seed, augmentation):
-    # the relevance rule: a head entering no ring member prices the core
-    # exactly like no head at all
+    # the reuse rule: a head whose arc enters no raised set of the shared
+    # no-head dual prices the core to the very shared cover (legs, cost and
+    # duals) a context built from scratch gives
     rng = random.Random(seed)
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
     for units, cores, level in _random_states(inst, rng):
         pricing = pricing_context(inst, units, cores, level)
         for head in free_leg_candidates(inst, units):
+            arc = inst.unit_arc(head)
             for p in pricing:
-                if p.relevant(inst.unit_arc(head)):
+                if p.shared is None or any(_enters(arc, step) for step in p.shared.duals):
+                    assert p.floor(arc) is not None
                     continue
+                assert p.floor(arc) is None
                 ctx = build_ring_context(inst, units, cores, p.core, head, level)
                 assert primal_dual_ring_cover(ctx) == p.shared
 
@@ -242,7 +250,6 @@ def test_heads_on_a_shared_ring_price_like_a_fresh_context(seed, augmentation):
                 assert primal_dual_ring_cover(with_head(p.ring, head)) == primal_dual_ring_cover(fresh)
         for p in pricing:
             assert primal_dual_ring_cover(p.ring) == p.shared
-            assert ring_maximum(p.ring) == p.ring_max
 
 
 @settings(max_examples=40, deadline=None)
@@ -255,17 +262,13 @@ def test_the_floor_bounds_every_head_price_from_below(seed, augmentation):
     for units, cores, level in _random_states(inst, rng):
         pricing = pricing_context(inst, units, cores, level)
         for head in free_leg_candidates(inst, units):
-            u, v = arc = inst.unit_arc(head)
+            arc = inst.unit_arc(head)
             for p in pricing:
                 floor = p.floor(arc)
-                duals = p.shared.duals if p.shared else ()
-                assert floor == sum(
-                    step.amount for step in duals
-                    if not (v in step.raised and u not in step.raised)
-                )
-                if not p.relevant(arc):
-                    assert floor == (p.shared.cost if p.shared else 0)
+                if floor is None:  # the pair reuses the shared cover
                     continue
+                duals = p.shared.duals if p.shared else ()
+                assert floor == sum(step.amount for step in duals if not _enters(arc, step))
                 cover = primal_dual_ring_cover(with_head(p.ring, head))
                 if cover is not None:
                     assert floor <= cover.cost

@@ -62,6 +62,15 @@ def test_parse_drops_self_loops():
     (lambda d: d["edges"][0].update(id=2), "duplicate edge id"),
     (lambda d: d.update(k=0), "k must be positive"),
     (lambda d: d.update(terminals=[]), "nonempty"),
+    # JSON true/false are not the integers 1/0, wherever the instance wants one
+    (lambda d: d.update(n=True), "integers"),
+    (lambda d: d.update(root=False), "integers"),
+    (lambda d: d.update(k=True), "integers"),
+    (lambda d: d.update(terminals=[True, 2, 3]), "integers"),
+    (lambda d: d["edges"][0].update(id=True), "integers"),
+    (lambda d: d["edges"][0].update(tail=False), "integers"),
+    (lambda d: d["edges"][0].update(head=True), "integers"),
+    (lambda d: d["edges"][0].update(mult=True), "integers"),
 ])
 def test_parse_invariant_errors(mutate, message):
     doc = json.loads(INSTANCE_A_JSON)

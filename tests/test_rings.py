@@ -16,12 +16,9 @@ from rkec.exact import (
 )
 from rkec.flows import working_arcs
 from rkec.rings import (
-    core_ring_context,
     free_leg_candidates,
-    index_legs,
     min_violated_set,
     primal_dual_ring_cover,
-    ring_maximum,
     saturating_arcs,
 )
 from rkec.solver import solve
@@ -244,24 +241,6 @@ def test_dual_certificate_accompanies_every_cover(seed):
         cover = primal_dual_ring_cover(ctx)
         if cover is not None:
             assert sum(s.amount for s in cover.duals) == cover.cost
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 100_000))
-def test_ring_maximum_is_the_union_of_ring_members(seed):
-    rng = random.Random(seed)
-    inst = small_random_instance(rng)
-    for ctx, units, cores in _ring_contexts(inst, rng):
-        ring = _enumerated_ring(ctx, units, cores)
-        bare = core_ring_context(
-            inst,
-            working_arcs(inst, units),
-            index_legs(inst, free_leg_candidates(inst, units)),
-            cores,
-            ctx.target,
-            ctx.level,
-        )
-        assert ring_maximum(bare) == ring.maximal
 
 
 def test_ring_cross_check_script_passes():
