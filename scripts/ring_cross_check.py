@@ -62,7 +62,7 @@ def check_state(inst, state, per_state, seed):
     level = cores[0].deficiency
     heads = free_leg_candidates(inst, state)
     try:
-        pricing = pricing_context(inst, state, cores, level)
+        pricing = pricing_context(inst, state, heads, cores, level)
     except AssertionError as exc:  # a shared cover failed its certificate
         print(f"MISMATCH seed={seed}: {exc}")
         return contexts, 1, unpriceable

@@ -1,13 +1,14 @@
 """Command-line surface: generate, solve, brute-force, verify, bench.
 
-Exit codes: 0 ok, 2 parse failure, 3 infeasible, 4 audit violation,
-5 size refusal.
+Exit codes: 0 ok, 2 parse failure (or an unreadable or unwritable file),
+3 infeasible, 4 audit violation, 5 size refusal.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -156,6 +157,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if not Path(args.corpus).is_dir():
+        raise ParseError(f"--corpus {args.corpus}: not a directory")
     corpus = sorted(Path(args.corpus).glob("*.json"))
     rows = []
     ratios: list[Fraction] = []
@@ -217,7 +220,11 @@ def _ratio_summary(ratios: list[Fraction]) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: building it costs
+    about as much as solving a corpus instance.  ``parse_args`` returns a
+    fresh namespace per call, so calls share no state."""
     parser = argparse.ArgumentParser(
         prog="rkec",
         description="Rooted subset k-edge-connectivity solver and audit tools",
@@ -290,7 +297,7 @@ def main(argv=None) -> int:
     except SizeRefusalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -10,8 +10,10 @@ A selection's working graph is one arc list (``working_arcs``).
 ``root_flows`` augments one root->terminal residual over it per terminal, in
 id order and only as far as its caller reads; root connectivity of every
 terminal (``connectivity``), the first terminal that falls short
-(``short_terminal``) and the cores all read those flows.  The ring
-primal-dual keeps its residuals and grows them one leg at a time.
+(``short_terminal``) and the cores all read those flows.  The feasibility
+pre-check only asks whether each terminal reaches ``need``, so its flows stop
+at ``need``; ``connectivity`` augments without a limit and stays exact.  The
+ring primal-dual keeps its residuals and grows them one leg at a time.
 ``solution_of`` is the one builder of a ``Solution``: the solver, brute force
 and the verifier all build theirs with it.
 """
@@ -136,9 +138,10 @@ def working_arcs(inst: Instance, units) -> list[Arc]:
     return arcs
 
 
-def root_flows(inst: Instance, units) -> Iterator[tuple[int, Residual]]:
-    """Per terminal in id order: a maximum root->terminal flow of the working
-    graph of ``units``.
+def root_flows(inst: Instance, units, limit: int | None = None) -> Iterator[tuple[int, Residual]]:
+    """Per terminal in id order: a root->terminal flow of the working graph
+    of ``units``, augmented until it reaches ``limit`` (a maximum flow when
+    None).  A value below ``limit`` is the exact maximum.
 
     Lazy: each residual is built and augmented when its terminal comes up, so
     a caller that stops early pays for no further terminal.
@@ -146,7 +149,7 @@ def root_flows(inst: Instance, units) -> Iterator[tuple[int, Residual]]:
     arcs = working_arcs(inst, units)
     for t in sorted(inst.terminals):
         flow = Residual(inst.node_count, inst.root, t, arcs)
-        flow.augment()
+        flow.augment(limit)
         yield t, flow
 
 
@@ -159,8 +162,9 @@ def connectivity(inst: Instance, units) -> dict[int, int]:
 def short_terminal(inst: Instance, units, need: int) -> tuple[int, int] | None:
     """The first terminal (in id order) with fewer than ``need`` edge-disjoint
     root paths in the working graph of ``units``, with its path count; None
-    when every terminal has ``need``.  Stops at that terminal."""
-    for t, flow in root_flows(inst, units):
+    when every terminal has ``need``.  Stops at that terminal, and each flow
+    stops at ``need``: a count below it is exact, as ``connectivity`` gives."""
+    for t, flow in root_flows(inst, units, need):
         if flow.value < need:
             return t, flow.value
     return None

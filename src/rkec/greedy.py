@@ -137,15 +137,16 @@ class CorePricing:
         return self.prefix[end] - self.prefix[b] + self.prefix[a]
 
 
-def pricing_context(inst: Instance, units, cores, level: int) -> list[CorePricing]:
+def pricing_context(inst: Instance, units, candidates, cores, level: int) -> list[CorePricing]:
     """Per core: the no-head ring, its shared price and the index of the
     shared dual that ``CorePricing.floor`` reads.
 
-    The working arcs and the indexed leg candidates are built once for all
-    cores and heads.
+    ``candidates`` are the selection's ``free_leg_candidates``, the star's
+    heads as well as its legs.  The working arcs and the indexed legs are
+    built once for all cores and heads.
     """
     working = working_arcs(inst, units)
-    legs = index_legs(inst, free_leg_candidates(inst, units))
+    legs = index_legs(inst, candidates)
     out = []
     for core in cores:
         ring = core_ring_context(inst, working, legs, cores, core, level)
@@ -189,10 +190,11 @@ def cheapest_star(inst: Instance, units, cores, level: int) -> Star:
     primal-dual price from below; a reusing pair's floor is its shared price
     and a core with no shared cover has floor 0.
     """
-    pricing = pricing_context(inst, units, cores, level)
+    candidates = free_leg_candidates(inst, units)
+    pricing = pricing_context(inst, units, candidates, cores, level)
     m = len(cores)
     best = None
-    for head in sorted(free_leg_candidates(inst, units), key=lambda u: (inst.scaled_cost(u), u)):
+    for head in sorted(candidates, key=lambda u: (inst.scaled_cost(u), u)):
         head_cost = inst.scaled_cost(head)
         # head_cost / m > best density
         if best is not None and head_cost * best.leaves > best.total * m:

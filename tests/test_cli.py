@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rkec.cli import main
+from rkec.cli import build_parser, main
 from rkec.generate import default_corpus_params, generate_instance
 from rkec.instance import frac_to_str, instance_to_json, parse_instance, solution_from_doc
 from rkec.solver import phases_doc
@@ -78,6 +78,55 @@ def test_parse_error_exit(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert run("solve", "--instance", path, "--out", tmp_path / "r.json") == 2
+
+
+@pytest.fixture
+def report_file(instance_file, tmp_path):
+    path = tmp_path / "report.json"
+    assert run("solve", "--instance", instance_file, "--out", path, "--no-timestamp") == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["solve", "--instance", "{dir}/missing.json", "--out", "{dir}/r.json"],
+         "missing.json"),
+        (["verify", "--instance", "{instance}", "--report", "{dir}/missing.json"],
+         "missing.json"),
+        (["verify", "--instance", "{instance}", "--report", "{report}",
+          "--opt", "{dir}/missing.json"], "missing.json"),
+        (["solve", "--instance", "{instance}", "--out", "{dir}/no-such-dir/r.json"],
+         "no-such-dir"),
+    ],
+    ids=["instance", "report", "opt", "out-dir"],
+)
+def test_unreadable_or_unwritable_file_is_exit_2(instance_file, report_file, tmp_path, capsys,
+                                                 argv, missing):
+    paths = {"dir": tmp_path, "instance": instance_file, "report": report_file}
+    capsys.readouterr()
+    assert run(*(a.format(**paths) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err
+    assert "Traceback" not in err
+
+
+def test_calls_in_one_process_share_no_state(instance_file, tmp_path, capsys):
+    def solve_bytes(*flags):
+        out = tmp_path / "r.json"
+        assert run("solve", "--instance", instance_file, "--out", out,
+                   "--no-timestamp", *flags) == 0
+        return out.read_bytes()
+
+    assert build_parser() is build_parser()
+    fresh = solve_bytes()
+    assert json.loads(solve_bytes("--prune"))["pruned"] is not None
+    assert json.loads(solve_bytes())["pruned"] is None
+    with pytest.raises(SystemExit) as exc:
+        run("solve", "--no-such-flag")
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert solve_bytes() == fresh
 
 
 def test_verify_report_ok(instance_file, tmp_path):
@@ -182,6 +231,26 @@ def test_bench_flags_parse_failure(tmp_path):
     corpus.mkdir()
     (corpus / "broken.json").write_text("{oops")
     assert run("bench", "--corpus", corpus, "--out", tmp_path / "s.json") == 2
+
+
+@pytest.mark.parametrize("make", [None, "touch"], ids=["missing", "file"])
+def test_bench_corpus_must_be_a_directory(tmp_path, capsys, make):
+    corpus = tmp_path / "corpus"
+    if make:
+        corpus.touch()
+    assert run("bench", "--corpus", corpus, "--out", tmp_path / "s.json") == 2
+    assert str(corpus) in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_bench_empty_corpus_directory(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    assert run("bench", "--corpus", corpus, "--out", "-", "--no-timestamp") == 0
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["instances"] == [] and doc["ratio_summary"] == {"count": 0}
+    assert captured.err == "ratios: n=0\n"
 
 
 @pytest.fixture

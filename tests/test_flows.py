@@ -193,11 +193,14 @@ def test_instance_view_matches_oracle(seed):
 
 @pytest.mark.parametrize("short", [0, 1, 2, 3, None])
 def test_short_terminal_stops_at_the_first_short_terminal(monkeypatch, short):
-    # terminal ``short`` (0-based, id order) gets one root arc, the others
-    # two; with need = 2 exactly the residuals up to it may be built
+    # terminal ``short`` (0-based, id order) gets one root edge, the others
+    # three; with need = 2 exactly the residuals up to it may be built, and
+    # none may carry more than need paths
     terminals = [1, 2, 3, 4]
     edges = tuple(
-        Edge(t, 0, t, Fraction(1), 1 if i == short else 2) for i, t in enumerate(terminals)
+        Edge(3 * t + j, 0, t, Fraction(1))
+        for i, t in enumerate(terminals)
+        for j in range(1 if i == short else 3)
     )
     inst = Instance(5, 0, frozenset(terminals), edges, 2)
     built = []
@@ -205,9 +208,22 @@ def test_short_terminal_stops_at_the_first_short_terminal(monkeypatch, short):
     class CountingResidual(flows.Residual):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            built.append(self.sink)
+            built.append(self)
 
     monkeypatch.setattr(flows, "Residual", CountingResidual)
     expected = None if short is None else (terminals[short], 1)
     assert flows.short_terminal(inst, inst.positive_units, 2) == expected
-    assert built == (terminals if short is None else terminals[: short + 1])
+    assert [flow.sink for flow in built] == (terminals if short is None else terminals[: short + 1])
+    assert all(flow.value <= 2 for flow in built)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.data())
+def test_short_terminal_is_the_first_terminal_below_need(seed, data):
+    inst = small_random_instance(random.Random(seed))
+    units = data.draw(st.lists(st.sampled_from(inst.positive_units), unique=True)
+                      if inst.positive_units else st.just([]))
+    need = data.draw(st.integers(0, inst.k + 1))
+    conn = flows.connectivity(inst, units)
+    expected = next(((t, v) for t, v in conn.items() if v < need), None)
+    assert flows.short_terminal(inst, units, need) == expected

@@ -221,8 +221,9 @@ def test_irrelevant_heads_keep_the_shared_price(seed, augmentation):
     rng = random.Random(seed)
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
     for units, cores, level in _random_states(inst, rng):
-        pricing = pricing_context(inst, units, cores, level)
-        for head in free_leg_candidates(inst, units):
+        heads = free_leg_candidates(inst, units)
+        pricing = pricing_context(inst, units, heads, cores, level)
+        for head in heads:
             arc = inst.unit_arc(head)
             for p in pricing:
                 if p.shared is None or any(_enters(arc, step) for step in p.shared.duals):
@@ -243,8 +244,9 @@ def test_heads_on_a_shared_ring_price_like_a_fresh_context(seed, augmentation):
     rng = random.Random(seed)
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
     for units, cores, level in _random_states(inst, rng):
-        pricing = pricing_context(inst, units, cores, level)
-        for head in free_leg_candidates(inst, units):
+        heads = free_leg_candidates(inst, units)
+        pricing = pricing_context(inst, units, heads, cores, level)
+        for head in heads:
             for p in pricing:
                 fresh = build_ring_context(inst, units, cores, p.core, head, level)
                 assert primal_dual_ring_cover(with_head(p.ring, head)) == primal_dual_ring_cover(fresh)
@@ -260,8 +262,9 @@ def test_the_floor_bounds_every_head_price_from_below(seed, augmentation):
     rng = random.Random(seed)
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
     for units, cores, level in _random_states(inst, rng):
-        pricing = pricing_context(inst, units, cores, level)
-        for head in free_leg_candidates(inst, units):
+        heads = free_leg_candidates(inst, units)
+        pricing = pricing_context(inst, units, heads, cores, level)
+        for head in heads:
             arc = inst.unit_arc(head)
             for p in pricing:
                 floor = p.floor(arc)
