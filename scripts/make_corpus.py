@@ -8,10 +8,13 @@ The per-seed parameters match the acceptance corpus, so
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from rkec.generate import default_corpus_params, generate_instance
-from rkec.instance import instance_to_json
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from rkec.generate import default_corpus_params, generate_instance  # noqa: E402
+from rkec.instance import instance_to_json  # noqa: E402
 
 
 def main() -> int:

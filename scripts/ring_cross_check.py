@@ -8,33 +8,38 @@ are driven into random partial-selection states: one of the instance itself
 and one of the instance with a drawn positive edge removed, where a ring
 member can lose its last entering leg and so exercise the unpriceable case.
 Every (core, head) pair gets priced three ways: by the primal-dual on a ring
-context built afresh for the pair (``fresh_context``), by the path the solver
-runs (``greedy.pricing_context``: the core's shared no-head cover when
-``CorePricing.floor`` says the head enters none of its raised sets, else a
-primal-dual on ``with_head`` of the core's shared ring), and by the exact
-hitting-set search over rational costs.  The solver's cover must equal the
-fresh one whole (legs, cost and duals), and their cost must equal the exact
-one as a rational: the primal-dual covers cost integers in units of
-1/``cost_scale``, so they are rescaled before the comparison.  A cover that
-fails its certificate raises, and counts as a mismatch.  So does a pair
-whose skip-test floor (rescaled the same way) exceeds its exact price, and
-an unpriceable pair that either primal-dual still prices.
+context built afresh for the pair (``fresh_context``: a new residual over the
+working and saturating arcs), by the path the solver runs
+(``greedy.pricing_context`` over the state's root flows: the core's shared
+no-head cover when ``CorePricing.floor`` says the head enters none of its
+raised sets, else a primal-dual on ``with_head`` of the core's shared ring),
+and by the exact hitting-set search over rational costs.  The solver's cover
+must equal the fresh one whole (legs, cost and duals), and their cost must
+equal the exact one as a rational: the primal-dual covers cost integers in
+units of 1/``cost_scale``, so they are rescaled before the comparison.  A
+cover that fails its certificate raises, and counts as a mismatch.  So does
+a pair whose skip-test floor (rescaled the same way) exceeds its exact
+price, and an unpriceable pair that either primal-dual still prices.
 """
 
 import argparse
 import random
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
-from rkec.deficiency import rooted_cores
-from rkec.exact import brute_force_ring_cover, enumerate_arc_family
-from rkec.flows import working_arcs
-from rkec.generate import GenParams, generate_instance
-from rkec.greedy import pricing_context
-from rkec.instance import Instance
-from rkec.rings import (
-    core_ring_context,
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from rkec.deficiency import cores_of  # noqa: E402
+from rkec.exact import brute_force_ring_cover, enumerate_arc_family  # noqa: E402
+from rkec.flows import Residual, root_flows, working_arcs  # noqa: E402
+from rkec.generate import GenParams, generate_instance  # noqa: E402
+from rkec.greedy import pricing_context  # noqa: E402
+from rkec.instance import Instance  # noqa: E402
+from rkec.rings import (  # noqa: E402
+    RingContext,
     free_leg_candidates,
     index_legs,
     primal_dual_ring_cover,
@@ -43,10 +48,13 @@ from rkec.rings import (
 )
 
 
-def fresh_context(inst, state, cores, core, head, level):
+def fresh_context(inst, state, cores, core, head):
     """The (core, head) ring context of ``state``, built from nothing."""
+    arcs = working_arcs(inst, state) + saturating_arcs(inst, cores, core)
+    flow = Residual(inst.node_count, inst.root, core.representative, arcs)
     legs = index_legs(inst, free_leg_candidates(inst, state))
-    base = core_ring_context(inst, working_arcs(inst, state), legs, cores, core, level)
+    base = RingContext(inst, core, None, legs, flow)
+    flow.augment(base.bound)
     return with_head(base, head)
 
 
@@ -56,22 +64,22 @@ def check_state(inst, state, per_state, seed):
     contexts = mismatches = unpriceable = 0
     scale = inst.cost_scale
     universe = [v for v in range(inst.node_count) if v != inst.root]
-    cores = rooted_cores(inst, state)
+    flows = dict(root_flows(inst, state, inst.k))  # as the greedy carries them
+    cores = cores_of(inst, flows)
     if not cores:
         return contexts, mismatches, unpriceable
-    level = cores[0].deficiency
     heads = free_leg_candidates(inst, state)
     try:
-        pricing = pricing_context(inst, state, heads, cores, level)
+        pricing = pricing_context(inst, flows, heads, cores)
     except AssertionError as exc:  # a shared cover failed its certificate
         print(f"MISMATCH seed={seed}: {exc}")
         return contexts, 1, unpriceable
     for head in heads[:per_state]:
         arc = inst.unit_arc(head)
         for core, p in zip(cores, pricing):
-            ctx = fresh_context(inst, state, cores, core, head, level)
+            ctx = fresh_context(inst, state, cores, core, head)
             bare = []  # the ring's graph without the head
-            for a in working_arcs(inst, state) + saturating_arcs(inst, cores, core, level):
+            for a in working_arcs(inst, state) + saturating_arcs(inst, cores, core):
                 bare.extend([(a.tail, a.head)] * a.cap)
             ring = enumerate_arc_family(
                 universe, inst.terminals, inst.k, bare

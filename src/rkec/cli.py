@@ -20,6 +20,7 @@ from .instance import (
     ParseError,
     SizeRefusalError,
     dump_json,
+    frac_from_obj,
     frac_to_str,
     instance_to_json,
     load_object,
@@ -57,7 +58,7 @@ def cmd_gen(args) -> int:
         nodes=args.nodes,
         terminals=args.terminals,
         k=args.k,
-        density=Fraction(args.density),
+        density=frac_from_obj(args.density),
         cost_lo=args.cost_lo,
         cost_hi=args.cost_hi,
         seed=args.seed,

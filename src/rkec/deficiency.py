@@ -1,13 +1,13 @@
 """Deficiency oracles: residual cores, and explicit set functions.
 
 Two backends answer the same queries.  The rooted backend reads deficiencies
-off the root flows (``flows.root_flows``): the deficiency of a terminal t
-under a partial selection I is max(k - lambda(root, t), 0) in the working
-graph, and the tightest witness set around t is the closest-to-t minimum
-cut.  The explicit backend stores a set function as a sparse table and
-answers by scanning it; it exists to cross-check the rooted backend and to
-exercise the generic theory (terminal-anchored supermodularity surviving
-residuals).
+off one root flow per terminal (``cores_of``, the greedy's carried flows):
+the deficiency of a terminal t under a partial selection I is
+max(k - lambda(root, t), 0) in the working graph, and the tightest witness
+set around t is the closest-to-t minimum cut.  The explicit backend stores a
+set function as a sparse table and answers by scanning it; it exists to
+cross-check the rooted backend and to exercise the generic theory
+(terminal-anchored supermodularity surviving residuals).
 
 Both backends share the contract: max level is non-increasing as the
 selection grows, cores are returned exactly when the max level is positive,
@@ -34,14 +34,20 @@ class CoreInfo:
 
 
 def rooted_cores(inst: Instance, units) -> list[CoreInfo]:
-    """Inclusion-minimal sets of maximum residual deficiency.
+    """The cores of the working graph of ``units`` (see ``cores_of``)."""
+    return cores_of(inst, dict(root_flows(inst, units)))
+
+
+def cores_of(inst: Instance, flows) -> list[CoreInfo]:
+    """Inclusion-minimal sets of maximum residual deficiency, read off
+    ``flows``, each terminal's root flow (exact below k).
 
     Candidates are the closest-cut sink sides of the terminals attaining the
     max level; identical sets are merged and any candidate strictly containing
     another is discarded.  Every terminal inside a surviving core attains the
     max level, so the representative is just the smallest one.
     """
-    flows = [flow for _, flow in root_flows(inst, units)]
+    flows = flows.values()
     level = max(max(inst.k - flow.value, 0) for flow in flows)
     if level == 0:
         return []

@@ -7,13 +7,12 @@ deterministic for a fixed arc order).  Its value is a path count and its
 closest sink side a core candidate or a ring's minimal violated set.
 
 A selection's working graph is one arc list (``working_arcs``).
-``root_flows`` augments one root->terminal residual over it per terminal, in
-id order and only as far as its caller reads; root connectivity of every
-terminal (``connectivity``), the first terminal that falls short
-(``short_terminal``) and the cores all read those flows.  The feasibility
-pre-check only asks whether each terminal reaches ``need``, so its flows stop
-at ``need``; ``connectivity`` augments without a limit and stays exact.  The
-ring primal-dual keeps its residuals and grows them one leg at a time.
+``root_flows``, the only code that builds a residual, augments one
+root->terminal flow over it per terminal, in id order and only as far as its
+caller reads; root connectivity (``connectivity``, exact), the first short
+terminal (``short_terminal``, whose flows stop at ``need``) and the cores all
+read those flows.  The greedy grows its root flows (stopped at k) by each
+star, and every ring flow is a copy of one, grown one leg at a time.
 ``solution_of`` is the one builder of a ``Solution``: the solver, brute force
 and the verifier all build theirs with it.
 """

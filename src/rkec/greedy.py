@@ -3,22 +3,23 @@
 A star is a head edge plus, per leaf core, a minimum-cost leg set that
 together with the head covers that core's ring.  Each iteration buys the star
 minimizing (head cost + leg costs) / leaf count over the cores of the current
-selection, whose deficiency is the iteration's level; once a level has no core
-left the next iteration works one level lower.  Leg sets of different leaves
-may overlap; the duplicates are bought once but the density keeps the summed
-price, which only makes the chosen star look worse, never infeasible.
+selection, read off one root flow per terminal that grows with each bought
+star; the cores' deficiency is the iteration's level, and once a level has no
+core left the next iteration works one level lower.  Leg sets of different
+leaves may overlap; the duplicates are bought once but the density keeps the
+summed price, which only makes the chosen star look worse, never infeasible.
 
 Pricing every (head, core) pair with a fresh ring context and taking the
 best star is the reference the tests hold ``cheapest_star`` to; it gives the
 same star with far less work.  It builds one pricing context per star: the
-working arcs, the candidate list and, per core, the no-head ring, its price
-and one index of that price's dual.  The dual's raised sets are a nested
-chain, so the ones a head arc enters form one index interval.  A head that
-enters none of them leaves the core's price exactly at the shared no-head
-price; only the other pairs run a primal-dual of their own.  Each head is
-first bounded below, and skipped when even that bound loses to the best star
-so far: by weak duality, the part of the shared dual the head does not enter
-bounds the exact primal-dual price with the head from below.
+candidate list and, per core, the no-head ring, its price and one index of
+that price's dual.  The dual's raised sets are a nested chain, so the ones a
+head arc enters form one index interval.  A head that enters none of them
+leaves the core's price exactly at the shared no-head price; only the other
+pairs run a primal-dual of their own.  Each head is first bounded below, and
+skipped when even that bound loses to the best star so far: by weak duality,
+the part of the shared dual the head does not enter bounds the exact
+primal-dual price with the head from below.
 
 Pricing runs in the instance's integer cost units (``Instance.scaled_cost``,
 the unit of ``RingCover.cost``) and compares densities by cross-multiplying.
@@ -30,8 +31,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .deficiency import CoreInfo, rooted_cores
-from .flows import working_arcs
+from .deficiency import CoreInfo, cores_of
+from .flows import root_flows
 from .instance import Instance, IterationRecord, Unit
 from .rings import (
     RingContext,
@@ -137,19 +138,18 @@ class CorePricing:
         return self.prefix[end] - self.prefix[b] + self.prefix[a]
 
 
-def pricing_context(inst: Instance, units, candidates, cores, level: int) -> list[CorePricing]:
+def pricing_context(inst: Instance, flows, candidates, cores) -> list[CorePricing]:
     """Per core: the no-head ring, its shared price and the index of the
     shared dual that ``CorePricing.floor`` reads.
 
-    ``candidates`` are the selection's ``free_leg_candidates``, the star's
-    heads as well as its legs.  The working arcs and the indexed legs are
-    built once for all cores and heads.
+    ``flows`` are the selection's root flows and ``candidates`` its
+    ``free_leg_candidates``, the star's heads as well as its legs.  The
+    indexed legs are built once for all cores and heads.
     """
-    working = working_arcs(inst, units)
     legs = index_legs(inst, candidates)
     out = []
     for core in cores:
-        ring = core_ring_context(inst, working, legs, cores, core, level)
+        ring = core_ring_context(inst, flows[core.representative], legs, cores, core)
         shared = primal_dual_ring_cover(ring)
         first: dict[int, int] = {}
         prefix = [0]
@@ -161,8 +161,8 @@ def pricing_context(inst: Instance, units, candidates, cores, level: int) -> lis
     return out
 
 
-def cheapest_star(inst: Instance, units, cores, level: int) -> Star:
-    """Same selection as price-everything + best_star, pricing lazily.
+def cheapest_star(inst: Instance, units, cores, flows) -> Star:
+    """Same selection as price-everything + best_star, pricing lazily off ``flows``.
 
     Both the reuse and the bound read the shared no-head cover's dual.  It is
     feasible for the ring-cover LP, and its raised sets form a strictly
@@ -191,7 +191,7 @@ def cheapest_star(inst: Instance, units, cores, level: int) -> Star:
     and a core with no shared cover has floor 0.
     """
     candidates = free_leg_candidates(inst, units)
-    pricing = pricing_context(inst, units, candidates, cores, level)
+    pricing = pricing_context(inst, flows, candidates, cores)
     m = len(cores)
     best = None
     for head in sorted(candidates, key=lambda u: (inst.scaled_cost(u), u)):
@@ -220,23 +220,29 @@ def cheapest_star(inst: Instance, units, cores, level: int) -> Star:
     return best
 
 
-def cover_levels(inst: Instance, cores) -> list[IterationRecord]:
-    """Buy stars from the empty selection, whose cores are ``cores``, until
-    no core is left; one record per star, in purchase order.
+def cover_levels(inst: Instance) -> list[IterationRecord]:
+    """Buy stars from the empty selection until no core is left; one record
+    per star, in purchase order.
 
-    Each iteration's level is the deficiency of the current cores.  It must
-    retire at least half its leaf count in cores at that level (checked,
-    integrally) and strictly shrink their count, and the max level must never
-    rise.
+    Every terminal's root flow, stopped at k, grows with the selection.  An
+    iteration's level is the deficiency of the current cores; it must retire
+    at least half its leaf count in cores at that level (checked, integrally)
+    and strictly shrink their count, and the max level must never rise.
     """
+    flows = dict(root_flows(inst, (), inst.k))
+    cores = cores_of(inst, flows)
     selected: set[Unit] = set()
     records: list[IterationRecord] = []
     while cores:
         level = cores[0].deficiency
-        star = cheapest_star(inst, selected, cores, level)
+        star = cheapest_star(inst, selected, cores, flows)
         new_units = sorted(star.units() - selected)
         selected.update(new_units)
-        after = rooted_cores(inst, selected)
+        for flow in flows.values():
+            for u in new_units:
+                flow.add(*inst.unit_arc(u), 1)
+            flow.augment(inst.k)
+        after = cores_of(inst, flows)
         if after and after[0].deficiency > level:
             raise AssertionError(f"the max level rose from {level} to {after[0].deficiency}")
         # once the level drops, no core is left at this iteration's level

@@ -14,9 +14,9 @@ terminal.
 Each context owns one residual flow from the root to the representative,
 augmented up to k - l + 1: the ring is covered exactly when the flow gets
 there.  The flow is the context's only graph; no arc list is kept beside it.
-A core's no-head flow is built once, over the working arcs plus the
-saturating arcs; ``with_head`` grows a copy of it by the head arc, and the
-primal-dual grows a copy by one arc per leg it picks, so no flow is ever
+A core's no-head flow is a copy of its representative's root flow grown by
+the saturating arcs; ``with_head`` grows a copy of it by the head arc, and
+the primal-dual grows a copy by one arc per leg it picks, so no flow is ever
 recomputed from scratch.
 
 The cover itself comes from dual ascent plus reverse delete.  Minimal
@@ -71,8 +71,7 @@ class RingContext:
     """
 
     inst: Instance
-    level: int
-    target: CoreInfo
+    target: CoreInfo  # its deficiency is the ring's level
     head: Unit | None
     leg_index: LegIndex  # free units of the selection; the head's edge is never a leg
     flow: Residual = field(compare=False)
@@ -80,11 +79,11 @@ class RingContext:
     @property
     def bound(self) -> int:
         """Root-representative flow at which the ring counts as covered."""
-        return self.inst.k - self.level + 1
+        return self.inst.k - self.target.deficiency + 1
 
 
-def saturating_arcs(inst: Instance, all_cores, target: CoreInfo, level: int) -> list[Arc]:
-    """Capacity-``level`` root arcs onto every terminal of every other core.
+def saturating_arcs(inst: Instance, all_cores, target: CoreInfo) -> list[Arc]:
+    """Root arcs at the target's level onto every terminal of every other core.
 
     A saturated terminal drags every set containing it below the top level,
     and a top-level set free of other cores' terminals contains no other core,
@@ -95,7 +94,7 @@ def saturating_arcs(inst: Instance, all_cores, target: CoreInfo, level: int) -> 
         if core.members == target.members:
             continue
         for t in sorted(core.members & inst.terminals):
-            arcs.append(Arc(inst.root, t, level))
+            arcs.append(Arc(inst.root, t, target.deficiency))
     return arcs
 
 
@@ -116,22 +115,20 @@ def free_leg_candidates(inst: Instance, units) -> tuple[Unit, ...]:
 
 def core_ring_context(
     inst: Instance,
-    working,
+    root_flow: Residual,
     leg_index: LegIndex,
     all_cores,
     target: CoreInfo,
-    level: int,
 ) -> RingContext:
-    """The target's ring with no head, over prebuilt working arcs and legs.
-
-    ``working`` is the arc list of ``working_arcs`` for the selection and
-    ``leg_index`` indexes its ``free_leg_candidates``; both are shared by
-    every core and every head of one star selection.
+    """The target's ring with no head: a copy of ``root_flow``, the
+    selection's maximum flow to the representative, grown by the saturating
+    arcs.  ``leg_index`` indexes the selection's ``free_leg_candidates``.
     """
-    arcs = [*working, *saturating_arcs(inst, all_cores, target, level)]
-    flow = Residual(inst.node_count, inst.root, target.representative, arcs)
-    flow.augment(inst.k - level + 1)
-    return RingContext(inst, level, target, None, leg_index, flow)
+    ctx = RingContext(inst, target, None, leg_index, root_flow.copy())
+    for arc in saturating_arcs(inst, all_cores, target):
+        ctx.flow.add(arc.tail, arc.head, arc.cap)
+    ctx.flow.augment(ctx.bound)
+    return ctx
 
 
 def with_head(ctx: RingContext, head: Unit) -> RingContext:
@@ -144,7 +141,7 @@ def with_head(ctx: RingContext, head: Unit) -> RingContext:
     flow = ctx.flow.copy()
     flow.add(*ctx.inst.unit_arc(head), 1)
     flow.augment(ctx.bound)
-    return RingContext(ctx.inst, ctx.level, ctx.target, head, ctx.leg_index, flow)
+    return RingContext(ctx.inst, ctx.target, head, ctx.leg_index, flow)
 
 
 def min_violated_set(ctx: RingContext, legs) -> frozenset[int] | None:

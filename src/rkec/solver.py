@@ -1,8 +1,9 @@
 """Solve an instance into a report, and the report's document codec.
 
 The greedy's iteration records are the only record of a run: the selection
-is their added units in purchase order, and a report's ``phases`` are derived
-from them, one per run of consecutive records at one level.
+is their added units in purchase order, the guarantee's first level is the
+first record's level, and a report's ``phases`` are derived from them, one per
+run of consecutive records at one level.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .deficiency import rooted_cores
 from .flows import short_terminal, solution_of
 from .greedy import cover_levels
 from .instance import (
@@ -60,15 +60,15 @@ def solve(inst: Instance, *, prune: bool = False) -> SolveReport:
 
     Raises InfeasibleError (with the witness terminal) when even the full
     edge set cannot reach the target.  The first level is max over terminals
-    of max(k - zero-cost connectivity, 0), so the guarantee's H(k - l0) is
-    the harmonic number of that level.
+    of max(k - zero-cost connectivity, 0), the level of the first record (0
+    with none), so the guarantee's H(k - l0) is the harmonic number of that
+    level.
     """
     short = short_terminal(inst, inst.positive_units, inst.k)
     if short is not None:
         raise InfeasibleError(*short, inst.k)
 
-    cores = rooted_cores(inst, ())
-    records = cover_levels(inst, cores)
+    records = cover_levels(inst)
     selected = [u for rec in records for u in rec.added_units]
     solution = solution_of(inst, selected, records)
     if not solution.feasible:
@@ -77,7 +77,7 @@ def solve(inst: Instance, *, prune: bool = False) -> SolveReport:
         )
     report = SolveReport(
         solution=solution,
-        bound_harmonic=harmonic(cores[0].deficiency if cores else 0),
+        bound_harmonic=harmonic(records[0].phase_level if records else 0),
         terminal_count=len(inst.terminals),
     )
     if prune:

@@ -141,7 +141,8 @@ def audit_run(
     connectivity, and |T|, from the instance; a recorded pair that differs
     makes the audit unclean) and the per-iteration core-drop rule (the core
     count must fall by at least half the leaf count, rounded up).  With an
-    exact optimum: the ratio and, for a quasi-bipartite instance, the ratio
+    exact optimum: the ratio (1 when cost and optimum are both 0, None when
+    only the optimum is) and, for a quasi-bipartite instance, the ratio
     bound.  With ``density_max_units`` set, the added units exactly the
     selection and the instance small enough: replay the run and check each
     iteration's density against (2/level) * (residual optimum) / (cores
@@ -185,7 +186,7 @@ def audit_run(
 
     if opt is not None:
         if opt.total_cost == 0:
-            out.ratio = None if cost else Fraction(0)
+            out.ratio = None if cost else Fraction(1)
         else:
             out.ratio = cost / opt.total_cost
         if out.guarantee_applies:

@@ -15,10 +15,10 @@ from rkec.instance import Instance, Solution, Unit
 from rkec.rings import (
     RingContext,
     RingCover,
-    core_ring_context,
     free_leg_candidates,
     index_legs,
     primal_dual_ring_cover,
+    saturating_arcs,
     with_head,
 )
 
@@ -29,26 +29,20 @@ def rooted_max_level(inst: Instance, units) -> int:
 
 
 def build_ring_context(
-    inst: Instance,
-    units,
-    all_cores,
-    target: CoreInfo,
-    head: Unit,
-    level: int,
+    inst: Instance, units, all_cores, target: CoreInfo, head: Unit
 ) -> RingContext:
-    """The (target, head) ring context of ``units``, built from nothing."""
-    base = core_ring_context(
-        inst,
-        working_arcs(inst, units),
-        index_legs(inst, free_leg_candidates(inst, units)),
-        all_cores,
-        target,
-        level,
-    )
+    """The (target, head) ring context of ``units``, built from nothing: a
+    fresh residual over the working and saturating arcs, not a copy of any
+    flow the solver carries."""
+    arcs = working_arcs(inst, units) + saturating_arcs(inst, all_cores, target)
+    flow = Residual(inst.node_count, inst.root, target.representative, arcs)
+    legs = index_legs(inst, free_leg_candidates(inst, units))
+    base = RingContext(inst, target, None, legs, flow)
+    flow.augment(base.bound)
     return with_head(base, head)
 
 
-def price_star_edges(inst: Instance, units, cores, level: int) -> dict[tuple[Unit, CoreInfo], RingCover]:
+def price_star_edges(inst: Instance, units, cores) -> dict[tuple[Unit, CoreInfo], RingCover]:
     """Exact leg price for every (candidate head, core) pair.
 
     Unpriceable pairs are simply absent.  A head that covers nothing of a
@@ -59,7 +53,7 @@ def price_star_edges(inst: Instance, units, cores, level: int) -> dict[tuple[Uni
     prices: dict[tuple[Unit, CoreInfo], RingCover] = {}
     for head in free_leg_candidates(inst, units):
         for core in cores:
-            ctx = build_ring_context(inst, units, cores, core, head, level)
+            ctx = build_ring_context(inst, units, cores, core, head)
             cover = primal_dual_ring_cover(ctx)
             if cover is not None:
                 prices[(head, core)] = cover

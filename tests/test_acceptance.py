@@ -86,11 +86,9 @@ def ring_samples(corpus):
                 if head not in heads:
                     continue
                 for core in cores:
-                    ctx = build_ring_context(inst, state, cores, core, head, level)
+                    ctx = build_ring_context(inst, state, cores, core, head)
                     bare_arcs = []  # the ring's graph without the head
-                    for arc in working_arcs(inst, state) + saturating_arcs(
-                        inst, cores, core, level
-                    ):
+                    for arc in working_arcs(inst, state) + saturating_arcs(inst, cores, core):
                         bare_arcs.extend([(arc.tail, arc.head)] * arc.cap)
                     family = enumerate_arc_family(universe, inst.terminals, inst.k, bare_arcs)
                     assert family.level == level

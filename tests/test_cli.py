@@ -35,6 +35,15 @@ def test_gen_rejects_bad_params(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("density", ["1/0", "abc", "nan"])
+def test_gen_rejects_a_density_that_is_not_a_rational(density, capsys):
+    args = ["gen", "--nodes", "6", "--terminals", "2", "--k", "1", "--density", density]
+    assert run(*args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_solve_fixture(instance_file, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run("solve", "--instance", instance_file, "--out", out, "--no-timestamp") == 0

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rkec import greedy
 from rkec.deficiency import CoreInfo, rooted_cores
+from rkec.flows import root_flows
 from rkec.greedy import (
     PhaseStuckError,
     _best_prefix,
@@ -37,7 +39,7 @@ def test_candidate_heads_skip_selected(instance_a):
 def test_fixture_prices(instance_a):
     cores = rooted_cores(instance_a, ())
     by_rep = {c.representative: c for c in cores}
-    prices = price_star_edges(instance_a, (), cores, 1)
+    prices = price_star_edges(instance_a, (), cores)
     expected = {
         ((1, 0), 2): Fraction(1),
         ((1, 0), 3): Fraction(1),
@@ -50,7 +52,7 @@ def test_fixture_prices(instance_a):
 
 def test_fixture_best_star(instance_a):
     cores = rooted_cores(instance_a, ())
-    prices = price_star_edges(instance_a, (), cores, 1)
+    prices = price_star_edges(instance_a, (), cores)
     star = best_star(instance_a, prices)
     assert instance_a.cost_scale == 1
     assert star.head == (1, 0)
@@ -104,8 +106,14 @@ def _added(records):
     return [u for rec in records for u in rec.added_units]
 
 
+def carried_flows(inst, units):
+    """The root flows the greedy carries at ``units``: one per terminal,
+    augmented up to k."""
+    return dict(root_flows(inst, units, inst.k))
+
+
 def test_cover_levels_fixture_trace(instance_a):
-    records = cover_levels(instance_a, rooted_cores(instance_a, ()))
+    records = cover_levels(instance_a)
     assert rooted_cores(instance_a, _added(records)) == []
     assert len(records) == 1
     rec = records[0]
@@ -116,8 +124,8 @@ def test_cover_levels_fixture_trace(instance_a):
 
 
 def test_cover_levels_k2_variant_matches_fixture(instance_a, instance_a_k2):
-    plain = cover_levels(instance_a, rooted_cores(instance_a, ()))
-    augmented = cover_levels(instance_a_k2, rooted_cores(instance_a_k2, ()))
+    plain = cover_levels(instance_a)
+    augmented = cover_levels(instance_a_k2)
     assert [r.added_cost for r in plain] == [r.added_cost for r in augmented]
     assert sorted(u[0] for u in _added(plain)) == sorted(u[0] for u in _added(augmented))
 
@@ -126,7 +134,7 @@ def test_phase_stuck_on_uncoverable_level():
     # terminal 2 has no incoming edge at all, but terminal 1 keeps a core open
     inst = Instance(3, 0, frozenset({1, 2}), (Edge(1, 0, 1, Fraction(1)),), 1)
     with pytest.raises(PhaseStuckError):
-        cover_levels(inst, rooted_cores(inst, ()))
+        cover_levels(inst)
 
 
 def _augmentation_instance(seed):
@@ -153,7 +161,7 @@ def _star_states(inst):
     level = cores[0].deficiency
     states = [((), cores, level)]
     try:
-        first = best_star(inst, price_star_edges(inst, (), cores, level))
+        first = best_star(inst, price_star_edges(inst, (), cores))
     except PhaseStuckError:
         return states
     units = tuple(sorted(first.units()))
@@ -169,12 +177,12 @@ def _assert_lazy_matches_full(inst):
     for units, cores, level in _star_states(inst):
         checked.append((level, bool(units)))
         try:
-            lazy = cheapest_star(inst, units, cores, level)
+            lazy = cheapest_star(inst, units, cores, carried_flows(inst, units))
         except PhaseStuckError:
             with pytest.raises(PhaseStuckError):
-                best_star(inst, price_star_edges(inst, units, cores, level))
+                best_star(inst, price_star_edges(inst, units, cores))
             continue
-        full = best_star(inst, price_star_edges(inst, units, cores, level))
+        full = best_star(inst, price_star_edges(inst, units, cores))
         assert lazy.head == full.head
         assert lazy.total * full.leaves == full.total * lazy.leaves  # the density
         assert lazy.total == full.total
@@ -204,7 +212,7 @@ def _random_states(inst, rng, count=3):
         sample = tuple(u for u in units if rng.random() < 0.3)
         cores = rooted_cores(inst, sample)
         if cores:
-            yield sample, cores, cores[0].deficiency
+            yield sample, cores
 
 
 def _enters(arc, step):
@@ -220,9 +228,9 @@ def test_irrelevant_heads_keep_the_shared_price(seed, augmentation):
     # duals) a context built from scratch gives
     rng = random.Random(seed)
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
-    for units, cores, level in _random_states(inst, rng):
+    for units, cores in _random_states(inst, rng):
         heads = free_leg_candidates(inst, units)
-        pricing = pricing_context(inst, units, heads, cores, level)
+        pricing = pricing_context(inst, carried_flows(inst, units), heads, cores)
         for head in heads:
             arc = inst.unit_arc(head)
             for p in pricing:
@@ -230,7 +238,7 @@ def test_irrelevant_heads_keep_the_shared_price(seed, augmentation):
                     assert p.floor(arc) is not None
                     continue
                 assert p.floor(arc) is None
-                ctx = build_ring_context(inst, units, cores, p.core, head, level)
+                ctx = build_ring_context(inst, units, cores, p.core, head)
                 assert primal_dual_ring_cover(ctx) == p.shared
 
 
@@ -243,12 +251,12 @@ def test_heads_on_a_shared_ring_price_like_a_fresh_context(seed, augmentation):
     # the shared flow as it was
     rng = random.Random(seed)
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
-    for units, cores, level in _random_states(inst, rng):
+    for units, cores in _random_states(inst, rng):
         heads = free_leg_candidates(inst, units)
-        pricing = pricing_context(inst, units, heads, cores, level)
+        pricing = pricing_context(inst, carried_flows(inst, units), heads, cores)
         for head in heads:
             for p in pricing:
-                fresh = build_ring_context(inst, units, cores, p.core, head, level)
+                fresh = build_ring_context(inst, units, cores, p.core, head)
                 assert primal_dual_ring_cover(with_head(p.ring, head)) == primal_dual_ring_cover(fresh)
         for p in pricing:
             assert primal_dual_ring_cover(p.ring) == p.shared
@@ -261,9 +269,9 @@ def test_the_floor_bounds_every_head_price_from_below(seed, augmentation):
     # whose raised set the head arc enters, read off an index interval
     rng = random.Random(seed)
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
-    for units, cores, level in _random_states(inst, rng):
+    for units, cores in _random_states(inst, rng):
         heads = free_leg_candidates(inst, units)
-        pricing = pricing_context(inst, units, heads, cores, level)
+        pricing = pricing_context(inst, carried_flows(inst, units), heads, cores)
         for head in heads:
             arc = inst.unit_arc(head)
             for p in pricing:
@@ -308,7 +316,7 @@ def test_phase_invariants(seed):
     if not cores:
         return
     try:
-        records = cover_levels(inst, cores)
+        records = cover_levels(inst)
     except PhaseStuckError:
         return
     units: list = []
@@ -337,12 +345,48 @@ def test_star_coverage_soundness(seed):
     if rooted_max_level(inst, ()) == 0:
         return
     cores = rooted_cores(inst, ())
-    level = cores[0].deficiency
     try:
-        star = cheapest_star(inst, (), cores, level)
+        star = cheapest_star(inst, (), cores, carried_flows(inst, ()))
     except PhaseStuckError:
         return
     bought = star.units()
     for core, _ in star.chosen:
-        ctx = build_ring_context(inst, (), cores, core, star.head, level)
+        ctx = build_ring_context(inst, (), cores, core, star.head)
         assert min_violated_set(ctx, [u for u in bought if u != star.head]) is None
+
+
+def _carried_and_fresh_cores(inst):
+    """Every ``cores_of`` read of a ``cover_levels`` run, each with the
+    units bought by then."""
+    reads, bought = [], [()]
+    real_cores, real_star = greedy.cores_of, greedy.cheapest_star
+
+    def reading(inst, flows):
+        reads.append(real_cores(inst, flows))
+        return reads[-1]
+
+    def buying(inst, units, cores, flows):
+        star = real_star(inst, units, cores, flows)
+        bought.append(tuple(sorted(set(units) | star.units())))
+        return star
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(greedy, "cores_of", reading)
+        mp.setattr(greedy, "cheapest_star", buying)
+        try:
+            cover_levels(inst)
+        except PhaseStuckError:
+            pass
+    assert len(reads) == len(bought)
+    return zip(reads, bought)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 100_000), st.booleans())
+def test_carried_cores_equal_fresh_cores(seed, augmentation):
+    # the greedy grows one root flow per terminal by each star it buys; the
+    # cores it reads off them must be the cores of the selection built afresh
+    rng = random.Random(seed)
+    inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
+    for cores, units in _carried_and_fresh_cores(inst):
+        assert cores == rooted_cores(inst, units)

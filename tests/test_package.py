@@ -2,8 +2,13 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import rkec
 
@@ -86,6 +91,7 @@ MISSING_TRACE_SITES = {
     ("rkec.exact", "instance_view"),
     ("rkec.exact", "max_flow_value"),
     ("rkec.greedy", "build_ring_context"),
+    ("rkec.greedy", "rooted_cores"),
     ("rkec.greedy", "rooted_max_level"),
     ("rkec.rings", "min_violated_cut"),
     ("rkec.solver", "instance_view"),
@@ -115,3 +121,19 @@ def test_trace_call_sites_exist():
     assert missing == MISSING_TRACE_SITES
     # the traced star span counts the offered pairs through this name
     assert callable(getattr(importlib.import_module("rkec.greedy"), "candidate_heads", None))
+
+
+@pytest.mark.parametrize("script, args", [
+    ("ring_cross_check.py", ["--seeds", "1"]),
+    ("make_corpus.py", ["corpus", "--count", "1"]),
+])
+def test_scripts_run_without_an_installed_package(tmp_path, script, args):
+    # each script finds the package under the checkout's src/ on its own
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if script == "make_corpus.py":
+        assert (tmp_path / "corpus" / "inst_0001.json").is_file()

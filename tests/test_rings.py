@@ -29,16 +29,15 @@ from reference import build_ring_context, rooted_max_level
 
 def context_for(inst, units, target_members, head_edge):
     cores = rooted_cores(inst, units)
-    level = cores[0].deficiency
     target = next(c for c in cores if c.members == frozenset(target_members))
     head = (head_edge, 0)
-    return build_ring_context(inst, units, cores, target, head, level)
+    return build_ring_context(inst, units, cores, target, head)
 
 
 def saturating_for(inst, units, target_members):
     cores = rooted_cores(inst, units)
     target = next(c for c in cores if c.members == frozenset(target_members))
-    return saturating_arcs(inst, cores, target, cores[0].deficiency)
+    return saturating_arcs(inst, cores, target)
 
 
 def test_context_shape(instance_a):
@@ -79,7 +78,7 @@ def test_ring_family_realization_matches_enumeration(instance_a):
     family = enumerate_arc_family(universe, instance_a.terminals, instance_a.k, [])
     ring = family.ring_view(frozenset({2}))
     cores = rooted_cores(instance_a, ())
-    sat = saturating_arcs(instance_a, cores, cores[0], 1)  # cores[0] is {2}
+    sat = saturating_arcs(instance_a, cores, cores[0])  # cores[0] is {2}, at level 1
     saturated = enumerate_arc_family(
         universe, instance_a.terminals, instance_a.k,
         [(a.tail, a.head) for a in sat for _ in range(a.cap)],
@@ -120,10 +119,10 @@ def test_primal_dual_unpriceable():
     target = next(c for c in cores if c.members == frozenset({2}))
     # head is the only arc entering {2}: as a head it is excluded from legs,
     # so the ring of the *other* core cannot be covered when priced there
-    ctx = build_ring_context(inst, (), cores, target, (2, 0), 1)
+    ctx = build_ring_context(inst, (), cores, target, (2, 0))
     assert primal_dual_ring_cover(ctx) is not None  # head alone suffices here
     other = next(c for c in cores if c.members == frozenset({1}))
-    ctx2 = build_ring_context(inst, (), cores, other, (2, 0), 1)
+    ctx2 = build_ring_context(inst, (), cores, other, (2, 0))
     # ring around {1} needs edge 1, which is available; edge 2 is the head
     cover = primal_dual_ring_cover(ctx2)
     assert cover is not None and cover.legs == ((1, 0),)
@@ -132,7 +131,7 @@ def test_primal_dual_unpriceable():
     inst2 = Instance(3, 0, frozenset({1, 2}), (Edge(2, 0, 2, Fraction(1)),), 1)
     cores2 = rooted_cores(inst2, ())
     target2 = next(c for c in cores2 if c.members == frozenset({1}))
-    ctx3 = build_ring_context(inst2, (), cores2, target2, (2, 0), 1)
+    ctx3 = build_ring_context(inst2, (), cores2, target2, (2, 0))
     assert primal_dual_ring_cover(ctx3) is None
 
 
@@ -146,13 +145,12 @@ def _ring_contexts(inst, rng, per_instance=4):
         if rooted_max_level(inst, sample) == 0:
             continue
         cores = rooted_cores(inst, sample)
-        level = cores[0].deficiency
         free = [u for u in units if u not in sample]
         if not free:
             continue
         head = free[rng.randrange(len(free))]
         core = cores[rng.randrange(len(cores))]
-        ctx = build_ring_context(inst, sample, cores, core, head, level)
+        ctx = build_ring_context(inst, sample, cores, core, head)
         out.append((ctx, sample, cores))
     return out
 
@@ -165,7 +163,7 @@ def _leg_candidates(ctx, units):
 def _enumerated_ring(ctx, units, cores):
     inst = ctx.inst
     # the bare ring: the working graph and the saturating arcs, no head
-    bare = working_arcs(inst, units) + saturating_arcs(inst, cores, ctx.target, ctx.level)
+    bare = working_arcs(inst, units) + saturating_arcs(inst, cores, ctx.target)
     arcs = []
     for arc in bare:
         arcs.extend([(arc.tail, arc.head)] * arc.cap)
@@ -175,7 +173,7 @@ def _enumerated_ring(ctx, units, cores):
         inst.k,
         arcs,
     )
-    if family.level != ctx.level:
+    if family.level != ctx.target.deficiency:
         return None
     return family.ring_view(ctx.target.members)
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkec import flows, greedy, solver
+from rkec import flows, greedy
 from rkec.exact import brute_force_opt
 from rkec.flows import connectivity
 from rkec.generate import GenParams, default_corpus_params, generate_instance
@@ -196,23 +196,33 @@ def test_solve_checks_final_feasibility_under_python_O():
 
 def test_solve_queries_the_cores_of_each_state_once(monkeypatch):
     # one query for the start state and one after each bought star, over
-    # three phases (levels 3, 2 and 1)
+    # three phases (levels 3, 2 and 1).  The queries read the flows the
+    # greedy carries, so a solve builds 3 |T| residuals: the pre-check's,
+    # the carried ones and those of ``solution_of``.
     inst = generate_instance(GenParams(
         nodes=7, terminals=2, k=3, density=Fraction(9, 20), root_bias=Fraction(2), seed=3,
     ))
-    real = solver.rooted_cores
+    real = greedy.cores_of
     calls = []
+    built = []
 
-    def counting(inst, units):
-        calls.append(tuple(sorted(units)))
-        return real(inst, units)
+    def counting(inst, carried):
+        # a state is told apart by its flows' arc counts: each star adds arcs
+        calls.append(tuple(len(flow.to) for flow in carried.values()))
+        return real(inst, carried)
 
-    monkeypatch.setattr(solver, "rooted_cores", counting)
-    monkeypatch.setattr(greedy, "rooted_cores", counting)
+    class CountingResidual(flows.Residual):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(greedy, "cores_of", counting)
+    monkeypatch.setattr(flows, "Residual", CountingResidual)
     report = solve(inst)
     assert [ph["level"] for ph in phases(report)] == [3, 2, 1]
     assert len(calls) == len(report.solution.audit) + 1
     assert len(set(calls)) == len(calls)
+    assert len(built) == 3 * len(inst.terminals)
 
 
 @pytest.mark.parametrize("factor", [Fraction(1, 7), Fraction(5, 3)], ids=str)

@@ -96,6 +96,30 @@ def test_fixture_audit(instance_a):
     assert "\"clean\": true" in dump_json(audit_to_doc(audit))
 
 
+def _zero_optimum_instance():
+    # the zero-cost edges alone give both terminals their path; the priced
+    # edge 1 -> 2 is never needed
+    edges = (Edge(1, 0, 1, Fraction(0)), Edge(2, 0, 2, Fraction(0)), Edge(3, 1, 2, Fraction(5)))
+    return Instance(3, 0, frozenset({1, 2}), edges, 1)
+
+
+def test_audit_ratio_of_a_zero_optimum_met_at_zero_cost_is_one():
+    inst = _zero_optimum_instance()
+    report = solve(inst)
+    opt = brute_force_opt(inst)
+    assert report.solution.total_cost == opt.total_cost == 0
+    audit = audit_run(inst, report, opt)
+    assert audit.clean and audit.ratio == 1
+    assert audit_to_doc(audit)["ratio"] == "1"
+
+
+def test_audit_ratio_of_a_zero_optimum_met_at_a_cost_is_none():
+    inst = _zero_optimum_instance()
+    report = SolveReport(check_feasible(inst, Solution({3: 1}, Fraction(5), {}, True)))
+    audit = audit_run(inst, report, brute_force_opt(inst))
+    assert audit.cost == 5 and audit.ratio is None
+
+
 def test_audit_without_optimum_is_feasibility_only(instance_a):
     report = solve(instance_a)
     audit = audit_run(instance_a, report)
