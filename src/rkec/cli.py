@@ -221,6 +221,13 @@ def _ratio_summary(ratios: list[Fraction]) -> dict:
     }
 
 
+def _size_cap(text: str) -> int:
+    """A size cap: an integer that is not negative."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use: building it costs
@@ -257,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     brt = sub.add_parser("brute", help="exact optimum by branch and bound")
     brt.add_argument("--instance", required=True)
     brt.add_argument("--out", default="-")
-    brt.add_argument("--max-brute-edges", type=int, default=22)
+    brt.add_argument("--max-brute-edges", type=_size_cap, default=22)
     brt.add_argument("--no-timestamp", action="store_true")
     brt.set_defaults(func=cmd_brute)
 
@@ -268,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--solution", help="bare solution JSON to feasibility-check")
     ver.add_argument("--opt", help="known optimum solution JSON")
     ver.add_argument("--brute", action="store_true", help="brute-force the optimum")
-    ver.add_argument("--max-brute-edges", type=int, default=22)
-    ver.add_argument("--density-max-units", type=int, default=None)
+    ver.add_argument("--max-brute-edges", type=_size_cap, default=22)
+    ver.add_argument("--density-max-units", type=_size_cap, default=None)
     ver.add_argument("--out", default="-")
     ver.add_argument("--no-timestamp", action="store_true")
     ver.set_defaults(func=cmd_verify)
@@ -277,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben = sub.add_parser("bench", help="solve and audit a corpus directory")
     ben.add_argument("--corpus", required=True)
     ben.add_argument("--out", default="-")
-    ben.add_argument("--max-brute-edges", type=int, default=22)
+    ben.add_argument("--max-brute-edges", type=_size_cap, default=22)
     ben.add_argument("--no-timestamp", action="store_true")
     ben.set_defaults(func=cmd_bench)
 

@@ -4,8 +4,9 @@ Everything here is exponential and capped at desk scale.  These routines are
 the oracles the fast paths are measured against, so the enumerations and the
 exact ring cover stay deliberately independent of the flow and primal-dual
 code: set values are recomputed by counting entering arcs over explicit
-subsets.  The branch-and-bound optimum only reads path counts and its
-branching cut off the root flows.
+subsets.  The branch-and-bound optimum reads path counts and its branching
+cut off one root flow per deficient terminal, built once and grown down the
+search; the plain enumeration it is checked against lives in the tests.
 """
 
 from __future__ import annotations
@@ -33,30 +34,33 @@ def entering_count(arcs, members) -> int:
 # exact optimum
 
 
-def brute_force_opt(
-    inst: Instance,
-    *,
-    max_units: int = 22,
-    preselected=(),
-    use_pruning: bool = True,
-) -> Solution:
-    """Exact minimum-cost feasible completion by subset search.
+def brute_force_opt(inst: Instance, *, max_units: int = 22, preselected=()) -> Solution:
+    """Exact minimum-cost feasible completion by branch and bound.
 
     ``preselected`` units are treated as already paid for (capacity present,
     cost not counted); the search runs over the remaining positive units, and
     the result is the solution of the completion's units alone.
     Ties are broken toward the lexicographically smallest unit set.
 
-    The pruned search branches on the units entering the worst terminal's
-    closest minimum cut (every feasible completion must pick one), excluding
-    earlier siblings to kill permutation duplicates; the admissible bound is
-    the deficit-many cheapest entering units.  With ``use_pruning`` disabled
-    the search degenerates to a plain enumeration over all unit subsets, kept
-    as a cross-check for the branching search itself.  Costs are summed and
-    compared as integers in units of 1/``inst.cost_scale``.
+    The search branches on the units entering the worst terminal's closest
+    minimum cut (every feasible completion must pick one), excluding earlier
+    siblings to kill permutation duplicates; the admissible bound is the
+    deficit-many cheapest entering units.  It carries one root flow per
+    deficient terminal, stopped at k: the root builds them once, and each
+    child grows a copy of its parent's by the branched unit and drops the
+    terminals that reach k.  Below k a flow is a maximum flow, so its closest
+    sink side is the one a fresh flow would give.  The plain enumeration it is
+    checked against lives with the tests.  Costs are summed and compared as
+    integers in units of 1/``inst.cost_scale``.
     """
     preselected = frozenset(preselected)
-    free = [u for u in inst.positive_units if u not in preselected]
+    cost_of = inst.scaled_cost
+    # (scaled cost, unit, arc) of every free unit, cheapest first
+    free = sorted(
+        (cost_of(u), u, inst.unit_arc(u))
+        for u in inst.positive_units
+        if u not in preselected
+    )
     if len(free) > max_units:
         raise SizeRefusalError(
             f"{len(free)} positive edge units exceed the enumeration cap {max_units}"
@@ -68,102 +72,73 @@ def brute_force_opt(
 
     k = inst.k
 
-    def worst_cut(chosen):
-        """(deficit, closest-cut sink side) of the worst terminal, or None."""
-        worst = None
-        for _, flow in root_flows(inst, preselected | chosen):
-            if flow.value < k and (worst is None or k - flow.value > worst[0]):
-                worst = (k - flow.value, flow.closest_sink_side())
-        return worst
+    def grown(flows, arc):
+        """Copies of the deficient ``flows`` with ``arc`` added, augmented to
+        k; the terminals that reach k drop out (an arc never lowers a flow)."""
+        out = []
+        for flow in flows:
+            flow = flow.copy()
+            flow.add(*arc, 1)
+            if flow.augment(k) < k:
+                out.append(flow)
+        return out
 
-    cost_of = inst.scaled_cost
-    best_cost: int | None = None
-    best_units: tuple = ()
+    def worst_cut(flows):
+        """(deficit, closest-cut sink side) of the first worst terminal."""
+        worst = min(flows, key=lambda flow: flow.value)
+        return k - worst.value, worst.closest_sink_side()
 
     def consider(chosen, cost):
         nonlocal best_cost, best_units
         key = tuple(sorted(chosen))
-        if best_cost is None or cost < best_cost or (cost == best_cost and key < best_units):
+        if cost < best_cost or (cost == best_cost and key < best_units):
             best_cost, best_units = cost, key
 
-    def free_units(chosen, excluded, side):
-        """Every selectable unit entering ``side``, cheapest first."""
-        blocked = preselected | chosen | excluded
-        return sorted(
-            (
-                u
-                for u in free
-                if u not in blocked and enters(*inst.unit_arc(u), side)
-            ),
-            key=lambda u: (cost_of(u), u),
-        )
+    def free_units(blocked, side):
+        """Every unblocked free unit entering ``side``, cheapest first."""
+        return [
+            (c, u, arc) for c, u, arc in free
+            if u not in blocked and enters(*arc, side)
+        ]
 
-    def search(chosen: frozenset, excluded: frozenset, cost: int):
-        if best_cost is not None and cost > best_cost:
-            return
-        state = worst_cut(chosen)
-        if state is None:
+    def search(flows, chosen: frozenset, excluded: frozenset, cost: int):
+        if not flows:
             consider(chosen, cost)
             return  # costs are strictly positive, supersets cannot improve
-        need, side = state
-        entering = free_units(chosen, excluded, side)
+        need, side = worst_cut(flows)
+        entering = free_units(chosen | excluded, side)
         if len(entering) < need:
             return
-        bound = cost + sum(cost_of(u) for u in entering[:need])
-        if best_cost is not None and bound > best_cost:
+        bound = cost + sum(c for c, _, _ in entering[:need])
+        if bound > best_cost:
             return
         # Branch only on the lowest free copy of each edge; a later copy turns
         # up again once its predecessor is chosen, so nothing is lost.
         branch = []
         seen_edges = set()
-        for u in entering:
+        for c, u, arc in entering:
             if u[0] not in seen_edges:
                 seen_edges.add(u[0])
-                branch.append(u)
-        for i, u in enumerate(branch):
+                branch.append((c, u, arc))
+        for i, (c, u, arc) in enumerate(branch):
+            if cost + c > best_cost:
+                break  # the branch is cheapest first
             search(
+                grown(flows, arc),
                 chosen | {u},
-                excluded | set(branch[:i]),
-                cost + cost_of(u),
+                excluded | {b for _, b, _ in branch[:i]},
+                cost + c,
             )
 
-    def enumerate_all():
-        # Plain power-set sweep; copy symmetry broken by requiring that a
-        # skipped copy skips the edge's remaining copies.
-        order = sorted(free)
-
-        def walk(idx: int, chosen: frozenset, cost: int):
-            state = worst_cut(chosen)
-            if state is None:
-                consider(chosen, cost)
-                return
-            if idx == len(order):
-                return
-            unit = order[idx]
-            walk(idx + 1, chosen | {unit}, cost + cost_of(unit))
-            skip = idx
-            while skip < len(order) and order[skip][0] == unit[0]:
-                skip += 1
-            walk(skip, chosen, cost)
-
-        walk(0, frozenset(), 0)
-
-    if use_pruning:
-        # Prime the bound with an independent greedy repair: always buy the
-        # cheapest unit entering the current worst closest cut.
-        chosen: frozenset = frozenset()
-        cost = 0
-        while (state := worst_cut(chosen)) is not None:
-            _, side = state
-            pick = free_units(chosen, frozenset(), side)[0]
-            chosen |= {pick}
-            cost += cost_of(pick)
-        consider(chosen, cost)
-        search(frozenset(), frozenset(), 0)
-    else:
-        enumerate_all()
-    if best_cost is None:  # feasibility was pre-checked with all units
-        raise AssertionError("search found no feasible selection after a feasible pre-check")
+    root = [flow for _, flow in root_flows(inst, preselected, k) if flow.value < k]
+    # Prime the bound with a greedy repair: always buy the cheapest unit
+    # entering the current worst closest cut.
+    flows, chosen, best_cost = root, frozenset(), 0
+    while flows:
+        c, pick, arc = free_units(chosen, worst_cut(flows)[1])[0]
+        flows, chosen, best_cost = grown(flows, arc), chosen | {pick}, best_cost + c
+    best_units = tuple(sorted(chosen))
+    search(root, frozenset(), frozenset(), 0)
 
     return solution_of(inst, best_units)
 

@@ -2,14 +2,15 @@
 
 Each one does its job the plain way: a ring context built afresh for one
 (core, head) pair, every such pair priced, the max level read off every
-terminal's flow, a maximum flow decomposed into paths by search, and the
-paths re-checked edge by edge against the instance's capacities.  They use
+terminal's flow, an exact optimum by enumerating every unit subset, a maximum
+flow decomposed into paths by search, and the paths re-checked edge by edge
+against the instance's capacities.  They use
 the package's flow and ring primitives, unlike the enumeration oracles in
 ``conftest``, and only tests call them.
 """
 
 from rkec.deficiency import CoreInfo
-from rkec.flows import Residual, root_flows, working_arcs
+from rkec.flows import Residual, root_flows, short_terminal, solution_of, working_arcs
 from rkec.greedy import PhaseStuckError, Star, _scan_head
 from rkec.instance import Instance, Solution, Unit
 from rkec.rings import (
@@ -77,6 +78,41 @@ def best_star(inst: Instance, prices) -> Star:
     if best is None:
         raise PhaseStuckError("no priceable (head, core) pair at this level")
     return best
+
+
+def enumerated_opt(inst: Instance, preselected=()) -> Solution | None:
+    """Exact minimum-cost feasible completion of ``preselected`` by plain
+    enumeration over the other positive units; None when even all of them
+    fall short.
+
+    Every subset is decided afresh by ``short_terminal``, so no flow is
+    carried from one subset to the next.  Copies of an edge are taken lowest
+    first (skipping a copy skips the edge's later copies), and a feasible set
+    ends its branch, since every superset costs more.  Ties go to the
+    lexicographically smallest unit set, as in ``brute_force_opt``.
+    """
+    preselected = frozenset(preselected)
+    order = sorted(u for u in inst.positive_units if u not in preselected)
+    best = None
+
+    def walk(idx: int, chosen: tuple):
+        nonlocal best
+        if short_terminal(inst, preselected | set(chosen), inst.k) is None:
+            key = (inst.units_cost(chosen), tuple(sorted(chosen)))
+            if best is None or key < best:
+                best = key
+            return
+        if idx == len(order):
+            return
+        unit = order[idx]
+        walk(idx + 1, chosen + (unit,))
+        skip = idx
+        while skip < len(order) and order[skip][0] == unit[0]:
+            skip += 1
+        walk(skip, chosen)
+
+    walk(0, ())
+    return None if best is None else solution_of(inst, best[1])
 
 
 def maximum_flow(node_count: int, arcs, s: int, t: int) -> Residual:

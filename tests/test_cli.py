@@ -120,6 +120,27 @@ def test_unreadable_or_unwritable_file_is_exit_2(instance_file, report_file, tmp
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["brute", "--instance", "{instance}", "--max-brute-edges", "-1"],
+    ["verify", "--instance", "{instance}", "--report", "{report}", "--brute",
+     "--max-brute-edges", "-1"],
+    ["verify", "--instance", "{instance}", "--report", "{report}",
+     "--density-max-units", "-5"],
+    ["bench", "--corpus", "{dir}", "--max-brute-edges", "-1"],
+    ["brute", "--instance", "{instance}", "--max-brute-edges", "2.5"],
+], ids=["brute", "verify-brute", "verify-density", "bench", "not-an-integer"])
+def test_negative_size_caps_fail_at_parse_time(instance_file, report_file, tmp_path, capsys,
+                                                argv):
+    paths = {"dir": tmp_path, "instance": instance_file, "report": report_file}
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(*(a.format(**paths) for a in argv), "--out", tmp_path / "out.json")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: {argv[-1]!r} is not a non-negative integer" in err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_calls_in_one_process_share_no_state(instance_file, tmp_path, capsys):
     def solve_bytes(*flags):
         out = tmp_path / "r.json"

@@ -12,9 +12,12 @@ from rkec.exact import (
     enumerate_rooted,
     nested_chain_certificate,
 )
+from rkec.flows import Residual, connectivity
+from rkec.generate import default_corpus_params, generate_instance
 from rkec.instance import Edge, InfeasibleError, Instance, SizeRefusalError
 
 from conftest import oracle_opt_cost, small_random_instance
+from reference import enumerated_opt
 
 
 def test_fixture_optimum(instance_a):
@@ -58,21 +61,46 @@ def test_preselected_units_are_free(instance_a):
     assert sol.selected == {3: 1}
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10_000))
 def test_pruned_search_equals_plain_enumeration(seed):
-    inst = small_random_instance(random.Random(seed), max_nodes=5)
-    if len(inst.positive_units) > 12:
+    # a random preselected part is the state the density replay starts from
+    rng = random.Random(seed)
+    inst = small_random_instance(rng, max_nodes=5, max_k=3)
+    # lower k to what all the units reach, so that most draws have an optimum
+    reach = min(connectivity(inst, inst.positive_units).values())
+    inst = Instance(inst.node_count, inst.root, inst.terminals, inst.edges,
+                    max(1, min(inst.k, reach)))
+    preselected = frozenset(u for u in sorted(inst.positive_units) if rng.random() < 0.3)
+    if len(inst.positive_units) - len(preselected) > 12:
         return
-    try:
-        fast = brute_force_opt(inst)
-    except InfeasibleError:
+    slow = enumerated_opt(inst, preselected)
+    if slow is None:
         with pytest.raises(InfeasibleError):
-            brute_force_opt(inst, use_pruning=False)
+            brute_force_opt(inst, preselected=preselected)
         return
-    slow = brute_force_opt(inst, use_pruning=False)
+    fast = brute_force_opt(inst, preselected=preselected)
     assert fast.total_cost == slow.total_cost
     assert fast.selected == slow.selected  # identical lexicographic tie-break
+
+
+@pytest.mark.parametrize("seed", [1, 7, 232, 424])
+def test_search_builds_three_residuals_per_terminal(seed, monkeypatch):
+    # the pre-check, the search root and ``solution_of``; every search node
+    # grows copies of its parent's flows instead of building its own (seed
+    # 424 is the corpus's deepest search, 2,619 builds per terminal afresh)
+    inst = generate_instance(default_corpus_params(seed))
+    builds = 0
+    build = Residual.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal builds
+        builds += 1
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(Residual, "__init__", counted)
+    assert brute_force_opt(inst).feasible
+    assert builds <= 3 * len(inst.terminals)
 
 
 @settings(max_examples=25, deadline=None)
