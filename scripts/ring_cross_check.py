@@ -11,8 +11,8 @@ Every (core, head) pair gets priced three ways: by the primal-dual on a ring
 context built afresh for the pair (``fresh_context``: a new residual over the
 working and saturating arcs), by the path the solver runs
 (``greedy.pricing_context`` over the state's root flows: the core's shared
-no-head cover when ``CorePricing.floor`` says the head enters none of its
-raised sets, else a primal-dual on ``with_head`` of the core's shared ring),
+no-head cover unless the context's node index lists the core as touched by
+the head, else a primal-dual on ``with_head`` of the core's shared ring),
 and by the exact hitting-set search over rational costs.  The solver's cover
 must equal the fresh one whole (legs, cost and duals), and their cost must
 equal the exact one as a rational: the primal-dual covers cost integers in
@@ -76,7 +76,8 @@ def check_state(inst, state, per_state, seed):
         return contexts, 1, unpriceable
     for head in heads[:per_state]:
         arc = inst.unit_arc(head)
-        for core, p in zip(cores, pricing):
+        floors = {p.core: floor for p, floor in pricing.touched(arc)}
+        for core, p in zip(cores, pricing.cores):
             ctx = fresh_context(inst, state, cores, core, head)
             bare = []  # the ring's graph without the head
             for a in working_arcs(inst, state) + saturating_arcs(inst, cores, core):
@@ -90,7 +91,7 @@ def check_state(inst, state, per_state, seed):
                 [(u, *inst.unit_arc(u), inst.unit_cost(u)) for u in heads if u[0] != head[0]],
             )
             contexts += 1
-            floor = p.floor(arc)
+            floor = floors.get(core)  # None: the pair reuses the shared cover
             try:
                 fresh = primal_dual_ring_cover(ctx)
                 if floor is None:

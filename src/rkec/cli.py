@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--mode", choices=["quasi-bipartite", "augmentation"],
                      default="quasi-bipartite")
     gen.add_argument("--base-level", type=int, default=0)
-    gen.add_argument("--max-units", type=int, default=None)
+    gen.add_argument("--max-units", type=_size_cap, default=None)
     gen.set_defaults(func=cmd_gen)
 
     slv = sub.add_parser("solve", help="run the approximation solver")

@@ -35,14 +35,35 @@ def entering_count(arcs, members) -> int:
 
 
 def brute_force_opt(inst: Instance, *, max_units: int = 22, preselected=()) -> Solution:
-    """Exact minimum-cost feasible completion by branch and bound.
+    """Exact minimum-cost feasible completion of ``preselected``: the
+    solution of the units ``cheapest_completion`` picks.
 
     ``preselected`` units are treated as already paid for (capacity present,
-    cost not counted); the search runs over the remaining positive units, and
-    the result is the solution of the completion's units alone.
-    Ties are broken toward the lexicographically smallest unit set.
+    cost not counted), and the result is the solution of the completion's
+    units alone.  Raises SizeRefusalError when more than ``max_units`` free
+    positive units remain, and InfeasibleError when even every unit leaves a
+    terminal short.
+    """
+    preselected = frozenset(preselected)
+    free = sum(1 for u in inst.positive_units if u not in preselected)
+    if free > max_units:
+        raise SizeRefusalError(
+            f"{free} positive edge units exceed the enumeration cap {max_units}"
+        )
+    short = short_terminal(inst, inst.positive_units, inst.k)
+    if short is not None:
+        raise InfeasibleError(*short, inst.k)
+    return solution_of(inst, cheapest_completion(inst, preselected)[1])
 
-    The search branches on the units entering the worst terminal's closest
+
+def cheapest_completion(inst: Instance, preselected) -> tuple[int, tuple]:
+    """(cost, sorted units) of the cheapest completion of ``preselected``, by
+    branch and bound over the other positive units; the instance must be
+    feasible with every unit.  The cost is an integer in units of
+    1/``inst.cost_scale``, the preselected units not counted.
+
+    Ties are broken toward the lexicographically smallest unit set.  The
+    search branches on the units entering the worst terminal's closest
     minimum cut (every feasible completion must pick one), excluding earlier
     siblings to kill permutation duplicates; the admissible bound is the
     deficit-many cheapest entering units.  It carries one root flow per
@@ -50,8 +71,7 @@ def brute_force_opt(inst: Instance, *, max_units: int = 22, preselected=()) -> S
     child grows a copy of its parent's by the branched unit and drops the
     terminals that reach k.  Below k a flow is a maximum flow, so its closest
     sink side is the one a fresh flow would give.  The plain enumeration it is
-    checked against lives with the tests.  Costs are summed and compared as
-    integers in units of 1/``inst.cost_scale``.
+    checked against lives with the tests.
     """
     preselected = frozenset(preselected)
     cost_of = inst.scaled_cost
@@ -61,15 +81,6 @@ def brute_force_opt(inst: Instance, *, max_units: int = 22, preselected=()) -> S
         for u in inst.positive_units
         if u not in preselected
     )
-    if len(free) > max_units:
-        raise SizeRefusalError(
-            f"{len(free)} positive edge units exceed the enumeration cap {max_units}"
-        )
-
-    short = short_terminal(inst, inst.positive_units, inst.k)
-    if short is not None:
-        raise InfeasibleError(*short, inst.k)
-
     k = inst.k
 
     def grown(flows, arc):
@@ -139,8 +150,7 @@ def brute_force_opt(inst: Instance, *, max_units: int = 22, preselected=()) -> S
         flows, chosen, best_cost = grown(flows, arc), chosen | {pick}, best_cost + c
     best_units = tuple(sorted(chosen))
     search(root, frozenset(), frozenset(), 0)
-
-    return solution_of(inst, best_units)
+    return best_cost, best_units
 
 
 # ---------------------------------------------------------------------------

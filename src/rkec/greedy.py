@@ -13,13 +13,14 @@ Pricing every (head, core) pair with a fresh ring context and taking the
 best star is the reference the tests hold ``cheapest_star`` to; it gives the
 same star with far less work.  It builds one pricing context per star: the
 candidate list and, per core, the no-head ring, its price and one index of
-that price's dual.  The dual's raised sets are a nested chain, so the ones a
-head arc enters form one index interval.  A head that enters none of them
-leaves the core's price exactly at the shared no-head price; only the other
-pairs run a primal-dual of their own.  Each head is first bounded below, and
-skipped when even that bound loses to the best star so far: by weak duality,
-the part of the shared dual the head does not enter bounds the exact
-primal-dual price with the head from below.
+that price's dual, listed under the nodes it raises.  The dual's raised sets
+are a nested chain, so the ones a head arc (u, v) enters form one index
+interval, empty unless v is on the chain.  A head looks up only the cores
+listed under v; every other core keeps exactly its shared no-head price, and
+only the touched pairs run a primal-dual of their own.  Each head is first
+bounded below, and skipped when even that bound loses to the best star so
+far: by weak duality, the part of the shared dual the head does not enter
+bounds the exact primal-dual price with the head from below.
 
 Pricing runs in the instance's integer cost units (``Instance.scaled_cost``,
 the unit of ``RingCover.cost``) and compares densities by cross-multiplying.
@@ -28,6 +29,8 @@ the unit of ``RingCover.cost``) and compares densities by cross-multiplying.
 from __future__ import annotations
 
 import math
+from bisect import insort
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -100,16 +103,17 @@ class Star(NamedTuple):
         )
 
 
-def _scan_head(
-    head: Unit,
-    head_cost: int,
-    priced: list[tuple[CoreInfo, RingCover]],
-) -> Star | None:
-    """Best leaf prefix for one head; ``head_cost`` is its scaled cost."""
-    if not priced:
+def _rank(pc: tuple[CoreInfo, RingCover]) -> tuple[int, int]:
+    """A priced (core, cover) pair's place in a head's scan."""
+    return pc[1].cost, pc[0].representative
+
+
+def _scan_head(head: Unit, head_cost: int, ranked) -> Star | None:
+    """Best leaf prefix for one head; ``head_cost`` is its scaled cost and
+    ``ranked`` its priced (core, cover) pairs, a sequence in ``_rank`` order."""
+    total, j = _best_prefix(head_cost, (cover.cost for _, cover in ranked))
+    if not j:
         return None
-    ranked = sorted(priced, key=lambda pc: (pc[1].cost, pc[0].representative))
-    total, j = _best_prefix(head_cost, [cover.cost for _, cover in ranked])
     chosen = tuple(ranked[:j])
     return Star(total, j, (head, tuple(core.representative for core, _ in chosen)), chosen)
 
@@ -124,23 +128,35 @@ class CorePricing:
     first: dict[int, int]  # node -> index of the first shared dual step raising it
     prefix: tuple[int, ...]  # prefix[i]: total amount of the shared dual's first i steps
 
-    def floor(self, arc: tuple[int, int]) -> int | None:
-        """None when a head on ``arc`` enters no raised set of the shared
-        dual, so the shared cover is its price; else a lower bound on that
-        price: the shared dual less the steps the arc enters, those from the
-        first set holding its head to the first holding its tail (0 when
-        the core has no shared cover)."""
+
+class StarPricing(NamedTuple):
+    """Every core's ``CorePricing`` for one star selection, indexed by node."""
+
+    cores: tuple[CorePricing, ...]  # in the order of the star's cores
+    by_node: dict[int, list[tuple[CorePricing, int]]]  # v -> (core, first[v]) per chain holding v
+    unpriced: tuple[CorePricing, ...]  # the cores with no shared cover
+    ranked: tuple[tuple[CoreInfo, RingCover], ...]  # the shared covers, in ``_rank`` order
+    costs: tuple[int, ...]  # their costs, in the same order
+
+    def touched(self, arc: tuple[int, int]) -> list[tuple[CorePricing, int]]:
+        """(core, floor) for every core a head on ``arc`` = (u, v) touches:
+        each core with no shared cover (floor 0), and each listed under v
+        with first[v] < first[u], whose shared dual has raised sets the arc
+        enters (floor: the dual less those steps).  Every other core's price
+        with the head is its shared cover."""
         tail, head = arc
-        end = len(self.prefix) - 1
-        a, b = self.first.get(head, end), self.first.get(tail, end)
-        if a >= b and self.shared is not None:
-            return None
-        return self.prefix[end] - self.prefix[b] + self.prefix[a]
+        out = [(p, 0) for p in self.unpriced]
+        for p, a in self.by_node.get(head, ()):
+            b = p.first.get(tail, len(p.prefix) - 1)
+            if a < b:
+                out.append((p, p.prefix[-1] - p.prefix[b] + p.prefix[a]))
+        return out
 
 
-def pricing_context(inst: Instance, flows, candidates, cores) -> list[CorePricing]:
+def pricing_context(inst: Instance, flows, candidates, cores) -> StarPricing:
     """Per core: the no-head ring, its shared price and the index of the
-    shared dual that ``CorePricing.floor`` reads.
+    shared dual that ``StarPricing.touched`` reads; the shared covers ranked
+    once for every head.
 
     ``flows`` are the selection's root flows and ``candidates`` its
     ``free_leg_candidates``, the star's heads as well as its legs.  The
@@ -148,6 +164,7 @@ def pricing_context(inst: Instance, flows, candidates, cores) -> list[CorePricin
     """
     legs = index_legs(inst, candidates)
     out = []
+    by_node = defaultdict(list)
     for core in cores:
         ring = core_ring_context(inst, flows[core.representative], legs, cores, core)
         shared = primal_dual_ring_cover(ring)
@@ -157,8 +174,18 @@ def pricing_context(inst: Instance, flows, candidates, cores) -> list[CorePricin
             for v in step.raised:
                 first.setdefault(v, i)
             prefix.append(prefix[-1] + step.amount)
-        out.append(CorePricing(core, ring, shared, first, tuple(prefix)))
-    return out
+        p = CorePricing(core, ring, shared, first, tuple(prefix))
+        out.append(p)
+        for v, i in first.items():
+            by_node[v].append((p, i))
+    ranked = sorted([(p.core, p.shared) for p in out if p.shared is not None], key=_rank)
+    return StarPricing(
+        tuple(out),
+        by_node,
+        tuple(p for p in out if p.shared is None),
+        tuple(ranked),
+        tuple(cover.cost for _, cover in ranked),
+    )
 
 
 def cheapest_star(inst: Instance, units, cores, flows) -> Star:
@@ -167,52 +194,69 @@ def cheapest_star(inst: Instance, units, cores, flows) -> Star:
     Both the reuse and the bound read the shared no-head cover's dual.  It is
     feasible for the ring-cover LP, and its raised sets form a strictly
     nested chain, so the sets a head (u, v) enters are one index interval:
-    from the first set holding v to the first holding u
-    (``CorePricing.floor``).
+    from the first set holding v to the first holding u.  Only cores whose
+    chain holds v can have a nonempty interval, so the pricing context lists
+    each core under the nodes of its chain, and a head looks up only the
+    cores listed under its v (``StarPricing.touched``).
 
     Reuse: when that interval is empty, the whole shared dual stays feasible
     for the with-head LP (its ring is the no-head ring minus the members the
     head enters, its legs a subset), so by weak duality no cover with the
     head costs less than the shared cover, which still covers the ring.  The
-    pair reuses it; every other pair runs a primal-dual of its own, and so
+    pair reuses it; every touched pair runs a primal-dual of its own, and so
     does every head of a core with no shared cover.  With the head the dual
     ascent raises the same sets (each is still the minimal violated one);
     that the reverse delete then keeps the same legs is not proven but
     checked, cover for cover, by the tests and ``scripts/ring_cross_check.py``.
 
-    Bounds: heads are visited in ascending cost.  Any star with head h has
-    density at least cost(h) / |cores|, so once that exceeds the best density
-    seen the remaining heads cannot win (nor tie, the bound is strict).
-    Before pricing a head, its best density is bounded below by the best
-    prefix over per-core floors; a head whose bound is strictly above the
-    best density is skipped.  Dropping the entered interval leaves a feasible
-    dual of the with-head LP, so by weak duality the rest bounds the exact
-    primal-dual price from below; a reusing pair's floor is its shared price
-    and a core with no shared cover has floor 0.
+    Bounds: heads are visited in ascending (cost, unit).  Any star with head
+    h has density at least cost(h) / |cores|, so once that exceeds the best
+    density seen the remaining heads cannot win (nor tie, the bound is
+    strict).  Before pricing a head, its best density is bounded below by the
+    best prefix over the shared costs, ranked once per star, with the
+    touched cores' floors in their place; a head whose bound is strictly
+    above the best density is skipped.  Dropping the entered interval leaves
+    a feasible dual of the with-head LP, so by weak duality the rest bounds
+    the exact primal-dual price from below; a core with no shared cover has
+    floor 0.  The scan merges the touched prices into the same ranked list.
+
+    A head that touches no core gets the shared prices alone, so the first
+    such head in the visiting order beats every later one (lower density, or
+    the same star with a smaller head); the later ones are skipped.
     """
     candidates = free_leg_candidates(inst, units)
     pricing = pricing_context(inst, flows, candidates, cores)
     m = len(cores)
     best = None
+    untouched_seen = False
     for head in sorted(candidates, key=lambda u: (inst.scaled_cost(u), u)):
         head_cost = inst.scaled_cost(head)
         # head_cost / m > best density
         if best is not None and head_cost * best.leaves > best.total * m:
             break
-        arc = inst.unit_arc(head)
-        floors = [p.floor(arc) for p in pricing]
+        touched = pricing.touched(inst.unit_arc(head))
+        if not touched:
+            if untouched_seen:
+                continue  # an earlier untouched head beats this one
+            untouched_seen = True
         if best is not None:
-            total, j = _best_prefix(head_cost, sorted(
-                p.shared.cost if floor is None else floor for p, floor in zip(pricing, floors)
-            ))
+            # the shared costs, the touched cores' floors in place of theirs
+            costs = list(pricing.costs)
+            for p, floor in touched:
+                if p.shared is not None:
+                    costs.remove(p.shared.cost)
+                insort(costs, floor)
+            total, j = _best_prefix(head_cost, costs)
             if total * best.leaves > best.total * j:  # the bound loses to the best density
                 continue
-        priced = []
-        for p, floor in zip(pricing, floors):
-            cover = p.shared if floor is None else primal_dual_ring_cover(with_head(p.ring, head))
+        ranked = list(pricing.ranked)
+        for p, _ in touched:
+            if p.shared is not None:
+                ranked.remove((p.core, p.shared))
+            cover = primal_dual_ring_cover(with_head(p.ring, head))
             if cover is not None:
-                priced.append((p.core, cover))
-        scanned = _scan_head(head, head_cost, priced)
+                insort(ranked, (p.core, cover), key=_rank)
+        scanned = _scan_head(head, head_cost, ranked)
         if scanned and (best is None or scanned.beats(best)):
             best = scanned
     if best is None:

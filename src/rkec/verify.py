@@ -19,9 +19,10 @@ from fractions import Fraction
 
 import mpmath
 
-from .exact import brute_force_opt
-from .flows import connectivity, solution_of
+from .exact import cheapest_completion
+from .flows import connectivity, short_terminal, solution_of
 from .instance import (
+    InfeasibleError,
     Instance,
     SizeRefusalError,
     Solution,
@@ -212,17 +213,21 @@ def density_violations(inst: Instance, report: SolveReport, *, max_units: int = 
     added_cost / core_drop <= (2 / level) * residual_opt / cores_before,
     where added_cost is recomputed from the added units (each one the
     instance offers) and residual_opt is the exact cost of completing the
-    instance from the iteration's starting state.  An iteration whose core
-    count does not drop violates the rule.
+    instance from the iteration's starting state (``cheapest_completion``;
+    the whole instance's feasibility is checked once, before the first
+    record).  An iteration whose core count does not drop violates the rule.
     """
     if len(inst.positive_units) > max_units:
         raise SizeRefusalError("instance too large for the density replay")
+    records = report.solution.audit
+    if records:  # every record's optimum needs the whole instance feasible
+        short = short_terminal(inst, inst.positive_units, inst.k)
+        if short is not None:
+            raise InfeasibleError(*short, inst.k)
     violations = []
     selected: list = []
-    for idx, rec in enumerate(report.solution.audit):
-        residual_opt = brute_force_opt(
-            inst, max_units=max_units, preselected=frozenset(selected)
-        ).total_cost
+    for idx, rec in enumerate(records):
+        residual_opt = Fraction(cheapest_completion(inst, selected)[0], inst.cost_scale)
         drop = rec.cores_before - rec.cores_after
         cost = inst.units_cost(rec.added_units)
         # cost / drop > (2 / level) * residual_opt / cores_before, cross-multiplied

@@ -11,7 +11,7 @@ the package's flow and ring primitives, unlike the enumeration oracles in
 
 from rkec.deficiency import CoreInfo
 from rkec.flows import Residual, root_flows, short_terminal, solution_of, working_arcs
-from rkec.greedy import PhaseStuckError, Star, _scan_head
+from rkec.greedy import PhaseStuckError, Star, _rank, _scan_head
 from rkec.instance import Instance, Solution, Unit
 from rkec.rings import (
     RingContext,
@@ -72,7 +72,7 @@ def best_star(inst: Instance, prices) -> Star:
         by_head.setdefault(head, []).append((core, cover))
     best = None
     for head in sorted(by_head):
-        scanned = _scan_head(head, inst.scaled_cost(head), by_head[head])
+        scanned = _scan_head(head, inst.scaled_cost(head), sorted(by_head[head], key=_rank))
         if scanned and (best is None or scanned.beats(best)):
             best = scanned
     if best is None:

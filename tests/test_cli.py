@@ -128,7 +128,8 @@ def test_unreadable_or_unwritable_file_is_exit_2(instance_file, report_file, tmp
      "--density-max-units", "-5"],
     ["bench", "--corpus", "{dir}", "--max-brute-edges", "-1"],
     ["brute", "--instance", "{instance}", "--max-brute-edges", "2.5"],
-], ids=["brute", "verify-brute", "verify-density", "bench", "not-an-integer"])
+    ["gen", "--nodes", "8", "--terminals", "3", "--k", "2", "--seed", "7", "--max-units", "-1"],
+], ids=["brute", "verify-brute", "verify-density", "bench", "not-an-integer", "gen"])
 def test_negative_size_caps_fail_at_parse_time(instance_file, report_file, tmp_path, capsys,
                                                 argv):
     paths = {"dir": tmp_path, "instance": instance_file, "report": report_file}

@@ -176,20 +176,28 @@ def _assert_lazy_matches_full(inst):
     checked = []
     for units, cores, level in _star_states(inst):
         checked.append((level, bool(units)))
-        try:
-            lazy = cheapest_star(inst, units, cores, carried_flows(inst, units))
-        except PhaseStuckError:
-            with pytest.raises(PhaseStuckError):
-                best_star(inst, price_star_edges(inst, units, cores))
-            continue
-        full = best_star(inst, price_star_edges(inst, units, cores))
-        assert lazy.head == full.head
-        assert lazy.total * full.leaves == full.total * lazy.leaves  # the density
-        assert lazy.total == full.total
-        assert [(core, cover.legs, cover.cost) for core, cover in lazy.chosen] == [
-            (core, cover.legs, cover.cost) for core, cover in full.chosen
-        ]
+        _assert_lazy_matches_full_at(inst, units, cores)
     return checked
+
+
+def _assert_lazy_matches_full_at(inst, units, cores):
+    """Compare ``cheapest_star`` with the reference at one state; returns
+    the star, or None when the level is stuck."""
+    try:
+        lazy = cheapest_star(inst, units, cores, carried_flows(inst, units))
+    except PhaseStuckError:
+        with pytest.raises(PhaseStuckError):
+            best_star(inst, price_star_edges(inst, units, cores))
+        return None
+    full = best_star(inst, price_star_edges(inst, units, cores))
+    assert lazy.head == full.head
+    assert lazy.total * full.leaves == full.total * lazy.leaves  # the density
+    assert lazy.total == full.total
+    assert lazy.leaves == full.leaves
+    assert [(core, cover.legs, cover.cost) for core, cover in lazy.chosen] == [
+        (core, cover.legs, cover.cost) for core, cover in full.chosen
+    ]
+    return lazy
 
 
 @settings(max_examples=30, deadline=None)
@@ -204,6 +212,58 @@ def test_lazy_selection_equals_full_pricing_at_level_two():
         checked += _assert_lazy_matches_full(_augmentation_instance(seed))
     # the seeds must reach level 2 both at a first star and mid-phase
     assert (2, False) in checked and (2, True) in checked
+
+
+def _wide_instance(seed):
+    """An instance shaped like the benchmark's ``wide`` pool: many cores per
+    star, most heads entering none of their shared dual chains."""
+    return generate_instance(GenParams(
+        nodes=24, terminals=12, k=1, density=Fraction(3, 10), seed=seed,
+    ))
+
+
+def _untouched_visited_heads(inst, units, cores, star):
+    """Heads that touch no core and that ``cheapest_star`` must reach: their
+    cost alone is no worse than ``star``'s density times the core count."""
+    heads = free_leg_candidates(inst, units)
+    pricing = pricing_context(inst, carried_flows(inst, units), heads, cores)
+    return [
+        head for head in heads
+        if not pricing.touched(inst.unit_arc(head))
+        and inst.scaled_cost(head) * star.leaves <= star.total * len(cores)
+    ]
+
+
+def test_sparse_pricing_equals_full_pricing_on_many_cores():
+    # the untouched-head skip needs stars with several cores and several
+    # heads entering none of their chains, which small instances seldom give
+    untouched = []
+    for seed in (1, 2, 3):
+        inst = _wide_instance(seed)
+        for units, cores, _ in _star_states(inst):
+            assert len(cores) >= 2
+            star = _assert_lazy_matches_full_at(inst, units, cores)
+            untouched.append(len(_untouched_visited_heads(inst, units, cores, star)))
+    assert max(untouched) >= 2, untouched
+
+
+def test_a_wide_solve_prices_the_same_pairs():
+    # sparse lookup must not change which (head, core) pairs run a
+    # primal-dual: the shared no-head covers plus the touched pairs that
+    # survive the bound, 425 over one solve of each wide pool instance
+    calls = 0
+    real = greedy.primal_dual_ring_cover
+
+    def counting(ctx):
+        nonlocal calls
+        calls += 1
+        return real(ctx)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(greedy, "primal_dual_ring_cover", counting)
+        for seed in range(1, 7):
+            cover_levels(_wide_instance(seed))
+    assert calls == 425
 
 
 def _random_states(inst, rng, count=3):
@@ -223,9 +283,10 @@ def _enters(arc, step):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 100_000), st.booleans())
 def test_irrelevant_heads_keep_the_shared_price(seed, augmentation):
-    # the reuse rule: a head whose arc enters no raised set of the shared
-    # no-head dual prices the core to the very shared cover (legs, cost and
-    # duals) a context built from scratch gives
+    # the reuse rule: the node index lists a core as touched by a head
+    # exactly when the head arc enters a raised set of its shared no-head
+    # dual (or it has none); an untouched core prices to the very shared
+    # cover (legs, cost and duals) a context built from scratch gives
     rng = random.Random(seed)
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
     for units, cores in _random_states(inst, rng):
@@ -233,11 +294,13 @@ def test_irrelevant_heads_keep_the_shared_price(seed, augmentation):
         pricing = pricing_context(inst, carried_flows(inst, units), heads, cores)
         for head in heads:
             arc = inst.unit_arc(head)
-            for p in pricing:
+            touched = [p.core for p, _ in pricing.touched(arc)]
+            assert len(touched) == len(set(touched))
+            for p in pricing.cores:
                 if p.shared is None or any(_enters(arc, step) for step in p.shared.duals):
-                    assert p.floor(arc) is not None
+                    assert p.core in touched
                     continue
-                assert p.floor(arc) is None
+                assert p.core not in touched
                 ctx = build_ring_context(inst, units, cores, p.core, head)
                 assert primal_dual_ring_cover(ctx) == p.shared
 
@@ -255,18 +318,19 @@ def test_heads_on_a_shared_ring_price_like_a_fresh_context(seed, augmentation):
         heads = free_leg_candidates(inst, units)
         pricing = pricing_context(inst, carried_flows(inst, units), heads, cores)
         for head in heads:
-            for p in pricing:
+            for p in pricing.cores:
                 fresh = build_ring_context(inst, units, cores, p.core, head)
                 assert primal_dual_ring_cover(with_head(p.ring, head)) == primal_dual_ring_cover(fresh)
-        for p in pricing:
+        for p in pricing.cores:
             assert primal_dual_ring_cover(p.ring) == p.shared
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 100_000), st.booleans())
 def test_the_floor_bounds_every_head_price_from_below(seed, augmentation):
-    # the skip test's per-core floor: the shared no-head dual less the steps
-    # whose raised set the head arc enters, read off an index interval
+    # the skip test's floor of a touched core: the shared no-head dual less
+    # the steps whose raised set the head arc enters, read off an index
+    # interval; 0 for a core with no shared cover
     rng = random.Random(seed)
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
     for units, cores in _random_states(inst, rng):
@@ -274,10 +338,7 @@ def test_the_floor_bounds_every_head_price_from_below(seed, augmentation):
         pricing = pricing_context(inst, carried_flows(inst, units), heads, cores)
         for head in heads:
             arc = inst.unit_arc(head)
-            for p in pricing:
-                floor = p.floor(arc)
-                if floor is None:  # the pair reuses the shared cover
-                    continue
+            for p, floor in pricing.touched(arc):
                 duals = p.shared.duals if p.shared else ()
                 assert floor == sum(step.amount for step in duals if not _enters(arc, step))
                 cover = primal_dual_ring_cover(with_head(p.ring, head))

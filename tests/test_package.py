@@ -98,6 +98,7 @@ MISSING_TRACE_SITES = {
     ("rkec.solver", "max_flow_value"),
     ("rkec.solver", "rooted_max_level"),
     ("rkec.solver", "run_phase"),
+    ("rkec.verify", "brute_force_opt"),
     ("rkec.verify", "instance_view"),
     ("rkec.verify", "max_flow_paths"),
     ("rkec.verify", "max_flow_value"),

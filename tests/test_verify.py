@@ -7,6 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rkec.exact import brute_force_opt
+from rkec.flows import Residual
+from rkec.generate import default_corpus_params, generate_instance
 from rkec.instance import (
     Edge,
     InfeasibleError,
@@ -26,6 +28,7 @@ from rkec.verify import (
     audit_to_doc,
     bound_decision,
     check_feasible,
+    density_violations,
     log_interval,
     ratio_bound_interval,
 )
@@ -190,6 +193,27 @@ def test_guarantee_claimed_only_for_quasi_bipartite_instances():
     doc = audit_to_doc(audit)
     assert doc["guarantee_applies"] is False and doc["bound_holds"] is None
     assert audit.clean
+
+
+@pytest.mark.parametrize("seed", [3, 11, 15, 39])
+def test_density_replay_builds_one_flow_set_per_record(seed, monkeypatch):
+    # one feasibility check of the whole instance, then one search root per
+    # record: no per-record check, and no solution rebuilt from the optimum
+    inst = generate_instance(default_corpus_params(seed))
+    report = solve(inst)
+    records = len(report.solution.audit)
+    assert records >= 3
+    builds = 0
+    build = Residual.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal builds
+        builds += 1
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(Residual, "__init__", counted)
+    assert density_violations(inst, report, max_units=22) == []
+    assert builds <= len(inst.terminals) * (records + 1)
 
 
 def test_path_packing_witness(instance_a):
