@@ -5,8 +5,11 @@ the oracles the fast paths are measured against, so the enumerations and the
 exact ring cover stay deliberately independent of the flow and primal-dual
 code: set values are recomputed by counting entering arcs over explicit
 subsets.  The branch-and-bound optimum reads path counts and its branching
-cut off one root flow per deficient terminal, built once and grown down the
-search; the plain enumeration it is checked against lives in the tests.
+cut off one root flow per deficient terminal, built once, grown in place down
+the search and rolled back up it (``Residual.mark``/``rollback``, no copies);
+its bound adds up the deficits of disjoint closest cuts, a packing that no
+arc enters twice.  The plain enumeration it is checked against lives in the
+tests.
 """
 
 from __future__ import annotations
@@ -65,13 +68,17 @@ def cheapest_completion(inst: Instance, preselected) -> tuple[int, tuple]:
     Ties are broken toward the lexicographically smallest unit set.  The
     search branches on the units entering the worst terminal's closest
     minimum cut (every feasible completion must pick one), excluding earlier
-    siblings to kill permutation duplicates; the admissible bound is the
-    deficit-many cheapest entering units.  It carries one root flow per
-    deficient terminal, stopped at k: the root builds them once, and each
-    child grows a copy of its parent's by the branched unit and drops the
-    terminals that reach k.  Below k a flow is a maximum flow, so its closest
-    sink side is the one a fresh flow would give.  The plain enumeration it is
-    checked against lives with the tests.
+    siblings to kill permutation duplicates.  The admissible bound packs
+    disjoint cuts: the worst terminal's deficit-many cheapest entering units,
+    plus, for each other deficient terminal in id order whose closest sink
+    side is disjoint from every side taken so far, its own deficit-many
+    cheapest entering units (no arc enters two disjoint sets).  It carries
+    one root flow per deficient terminal, stopped at k, built once at the
+    root: each child grows its parent's flows in place by the branched unit,
+    recurses on the terminals still below k, and rolls every flow back to
+    its ``mark`` when it returns.  Below k a flow is a maximum flow, so its
+    closest sink side is the one a fresh flow would give.  The plain
+    enumeration it is checked against lives with the tests.
     """
     preselected = frozenset(preselected)
     cost_of = inst.scaled_cost
@@ -83,21 +90,19 @@ def cheapest_completion(inst: Instance, preselected) -> tuple[int, tuple]:
     )
     k = inst.k
 
-    def grown(flows, arc):
-        """Copies of the deficient ``flows`` with ``arc`` added, augmented to
-        k; the terminals that reach k drop out (an arc never lowers a flow)."""
+    def grow(flows, arc):
+        """Add ``arc`` to each deficient flow in place and augment it to k;
+        returns the flows still below k (an arc never lowers a flow)."""
         out = []
         for flow in flows:
-            flow = flow.copy()
             flow.add(*arc, 1)
             if flow.augment(k) < k:
                 out.append(flow)
         return out
 
-    def worst_cut(flows):
-        """(deficit, closest-cut sink side) of the first worst terminal."""
-        worst = min(flows, key=lambda flow: flow.value)
-        return k - worst.value, worst.closest_sink_side()
+    def worst_flow(flows):
+        """The first flow of the largest deficit."""
+        return min(flows, key=lambda flow: flow.value)
 
     def consider(chosen, cost):
         nonlocal best_cost, best_units
@@ -108,21 +113,37 @@ def cheapest_completion(inst: Instance, preselected) -> tuple[int, tuple]:
     def free_units(blocked, side):
         """Every unblocked free unit entering ``side``, cheapest first."""
         return [
-            (c, u, arc) for c, u, arc in free
-            if u not in blocked and enters(*arc, side)
+            (c, u, arc) for c, u, arc in free  # arc is (tail, head)
+            if arc[1] in side and arc[0] not in side and u not in blocked
         ]
 
     def search(flows, chosen: frozenset, excluded: frozenset, cost: int):
         if not flows:
             consider(chosen, cost)
             return  # costs are strictly positive, supersets cannot improve
-        need, side = worst_cut(flows)
-        entering = free_units(chosen | excluded, side)
-        if len(entering) < need:
-            return
-        bound = cost + sum(c for c, _, _ in entering[:need])
-        if bound > best_cost:
-            return
+        blocked = chosen | excluded
+        worst = worst_flow(flows)
+        side = worst.closest_sink_side()
+        entering = free_units(blocked, side)
+        taken = set(side)
+        bound = cost
+        for flow in flows:
+            if flow is not worst:
+                if flow.sink in taken:
+                    continue  # its sink side meets a side already taken
+                side = flow.closest_sink_side()
+                if not taken.isdisjoint(side):
+                    continue
+                taken |= side
+                units = free_units(blocked, side)
+            else:
+                units = entering
+            need = k - flow.value
+            if len(units) < need:
+                return
+            bound += sum(c for c, _, _ in units[:need])
+            if bound > best_cost:
+                return
         # Branch only on the lowest free copy of each edge; a later copy turns
         # up again once its predecessor is chosen, so nothing is lost.
         branch = []
@@ -134,20 +155,27 @@ def cheapest_completion(inst: Instance, preselected) -> tuple[int, tuple]:
         for i, (c, u, arc) in enumerate(branch):
             if cost + c > best_cost:
                 break  # the branch is cheapest first
+            marks = [flow.mark() for flow in flows]
             search(
-                grown(flows, arc),
+                grow(flows, arc),
                 chosen | {u},
                 excluded | {b for _, b, _ in branch[:i]},
                 cost + c,
             )
+            for flow, mark in zip(flows, marks):
+                flow.rollback(mark)
 
     root = [flow for _, flow in root_flows(inst, preselected, k) if flow.value < k]
     # Prime the bound with a greedy repair: always buy the cheapest unit
-    # entering the current worst closest cut.
+    # entering the current worst closest cut.  It grows the root flows in
+    # place, so they are rolled back before the search starts from them.
+    marks = [flow.mark() for flow in root]
     flows, chosen, best_cost = root, frozenset(), 0
     while flows:
-        c, pick, arc = free_units(chosen, worst_cut(flows)[1])[0]
-        flows, chosen, best_cost = grown(flows, arc), chosen | {pick}, best_cost + c
+        c, pick, arc = free_units(chosen, worst_flow(flows).closest_sink_side())[0]
+        flows, chosen, best_cost = grow(flows, arc), chosen | {pick}, best_cost + c
+    for flow, mark in zip(root, marks):
+        flow.rollback(mark)
     best_units = tuple(sorted(chosen))
     search(root, frozenset(), frozenset(), 0)
     return best_cost, best_units

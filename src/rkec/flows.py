@@ -12,7 +12,8 @@ root->terminal flow over it per terminal, in id order and only as far as its
 caller reads; root connectivity (``connectivity``, exact), the first short
 terminal (``short_terminal``, whose flows stop at ``need``) and the cores all
 read those flows.  The greedy grows its root flows (stopped at k) by each
-star, and every ring flow is a copy of one, grown one leg at a time.
+star, and every ring flow is a copy of one, grown one leg at a time; the
+brute-force search grows its root flows in place and rolls them back.
 ``solution_of`` is the one builder of a ``Solution``: the solver, brute force
 and the verifier all build theirs with it.
 """
@@ -39,8 +40,9 @@ class Residual:
     head of each in ``to`` and the residual capacity in ``cap``; ``adj`` lists
     the arc indexes leaving each node.  Arcs can be added at any time and
     ``augment`` resumes from the current flow, so a flow grows with its graph
-    instead of being recomputed.  The closest sink side is the same for every
-    maximum flow, so it is only read once ``augment`` has run out of paths.
+    instead of being recomputed; ``mark`` and ``rollback`` undo such growth
+    without a copy.  The closest sink side is the same for every maximum
+    flow, so it is only read once ``augment`` has run out of paths.
     """
 
     def __init__(self, node_count: int, source: int, sink: int, arcs=()):
@@ -71,6 +73,22 @@ class Residual:
         other.to = self.to[:]
         other.cap = self.cap[:]
         return other
+
+    def mark(self) -> tuple[int, list[int], int]:
+        """A snapshot for ``rollback``: the arc count, the capacities and the
+        value."""
+        return len(self.to), self.cap[:], self.value
+
+    def rollback(self, mark: tuple[int, list[int], int]) -> None:
+        """Undo every ``add`` and ``augment`` since ``mark``: pop the arcs
+        added since, newest first (each is the last entry of its ``adj``
+        row), and restore the capacities and the value."""
+        count, cap, self.value = mark
+        to, adj = self.to, self.adj
+        for i in range(len(to) - 1, count - 1, -1):
+            adj[to[i ^ 1]].pop()
+        del to[count:]
+        self.cap[:] = cap
 
     def augment(self, limit: int | None = None) -> int:
         """Push shortest augmenting paths until the value reaches ``limit``

@@ -20,7 +20,7 @@ from fractions import Fraction
 import mpmath
 
 from .exact import cheapest_completion
-from .flows import connectivity, short_terminal, solution_of
+from .flows import root_flows, short_terminal, solution_of
 from .instance import (
     InfeasibleError,
     Instance,
@@ -164,7 +164,8 @@ def audit_run(
         and inst.units_cost(rec.added_units) == rec.added_cost
         for rec in solution.audit
     )
-    first_level = max(max(inst.k - lam, 0) for lam in connectivity(inst, ()).values())
+    # the level reads min(lambda, k) only, and a flow stopped below k is exact
+    first_level = max(max(inst.k - flow.value, 0) for _, flow in root_flows(inst, (), inst.k))
     bound_harmonic = harmonic(first_level)
     terminal_count = len(inst.terminals)
     out = AuditReport(

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rkec.exact import (
@@ -61,19 +61,7 @@ def test_preselected_units_are_free(instance_a):
     assert sol.selected == {3: 1}
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10_000))
-def test_pruned_search_equals_plain_enumeration(seed):
-    # a random preselected part is the state the density replay starts from
-    rng = random.Random(seed)
-    inst = small_random_instance(rng, max_nodes=5, max_k=3)
-    # lower k to what all the units reach, so that most draws have an optimum
-    reach = min(connectivity(inst, inst.positive_units).values())
-    inst = Instance(inst.node_count, inst.root, inst.terminals, inst.edges,
-                    max(1, min(inst.k, reach)))
-    preselected = frozenset(u for u in sorted(inst.positive_units) if rng.random() < 0.3)
-    if len(inst.positive_units) - len(preselected) > 12:
-        return
+def assert_search_equals_plain_enumeration(inst, preselected=frozenset()):
     slow = enumerated_opt(inst, preselected)
     if slow is None:
         with pytest.raises(InfeasibleError):
@@ -84,23 +72,69 @@ def test_pruned_search_equals_plain_enumeration(seed):
     assert fast.selected == slow.selected  # identical lexicographic tie-break
 
 
+def reachable_k(inst, terminals):
+    """The instance on ``terminals`` with k lowered to what all the units
+    reach, so that most draws have an optimum."""
+    inst = Instance(inst.node_count, inst.root, terminals, inst.edges, inst.k)
+    reach = min(connectivity(inst, inst.positive_units).values())
+    return Instance(inst.node_count, inst.root, terminals, inst.edges,
+                    max(1, min(inst.k, reach)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000))
+def test_pruned_search_equals_plain_enumeration(seed):
+    # a random preselected part is the state the density replay starts from
+    rng = random.Random(seed)
+    inst = small_random_instance(rng, max_nodes=5, max_k=3)
+    inst = reachable_k(inst, inst.terminals)
+    preselected = frozenset(u for u in sorted(inst.positive_units) if rng.random() < 0.3)
+    if len(inst.positive_units) - len(preselected) > 12:
+        return
+    assert_search_equals_plain_enumeration(inst, preselected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000))
+@example(480)  # summing overlapping closest cuts finds cost 115/12, not 91/12
+@example(734)  # ... and 17/3, not 5
+def test_packed_bound_search_equals_plain_enumeration(seed):
+    # two or three terminals and k <= 3, so that the bound can add the
+    # deficits of further closest cuts disjoint from the worst one
+    rng = random.Random(seed)
+    inst = small_random_instance(rng, max_nodes=6, max_k=3)
+    n = inst.node_count
+    inst = reachable_k(inst, frozenset(rng.sample(range(1, n), rng.randint(2, min(3, n - 1)))))
+    if len(inst.positive_units) > 12:
+        return
+    assert_search_equals_plain_enumeration(inst)
+
+
 @pytest.mark.parametrize("seed", [1, 7, 232, 424])
 def test_search_builds_three_residuals_per_terminal(seed, monkeypatch):
     # the pre-check, the search root and ``solution_of``; every search node
-    # grows copies of its parent's flows instead of building its own (seed
-    # 424 is the corpus's deepest search, 2,619 builds per terminal afresh)
+    # grows its parent's flows in place and rolls them back, so it neither
+    # builds nor copies one (seed 424 is the corpus's deepest search, 2,619
+    # builds per terminal afresh)
     inst = generate_instance(default_corpus_params(seed))
-    builds = 0
-    build = Residual.__init__
+    builds = copies = 0
+    build, copy = Residual.__init__, Residual.copy
 
-    def counted(self, *args, **kwargs):
+    def counted_build(self, *args, **kwargs):
         nonlocal builds
         builds += 1
         build(self, *args, **kwargs)
 
-    monkeypatch.setattr(Residual, "__init__", counted)
+    def counted_copy(self):
+        nonlocal copies
+        copies += 1
+        return copy(self)
+
+    monkeypatch.setattr(Residual, "__init__", counted_build)
+    monkeypatch.setattr(Residual, "copy", counted_copy)
     assert brute_force_opt(inst).feasible
     assert builds <= 3 * len(inst.terminals)
+    assert copies == 0
 
 
 @settings(max_examples=25, deadline=None)

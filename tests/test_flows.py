@@ -128,6 +128,30 @@ def test_copied_flow_grows_alone():
     assert flow.closest_sink_side() == frozenset({2})
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000))
+def test_rollback_restores_the_marked_flow(seed):
+    # random adds and bounded augments after a mark, then a rollback: the
+    # residual must equal a copy taken at the mark, and grow on like it
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    s, t = rng.sample(range(n), 2)
+    flow = Residual(n, s, t, [Arc(*a) for a in _random_view(rng, n)])
+    flow.augment(rng.choice([None, 1, 2]))
+    mark, at_mark = flow.mark(), flow.copy()
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < 0.6:
+            tail, head = rng.sample(range(n), 2)
+            flow.add(tail, head, rng.randint(1, 3))
+        else:
+            flow.augment(rng.randint(0, 5))
+    flow.rollback(mark)
+    assert (flow.to, flow.cap, flow.adj, flow.value) == (
+        at_mark.to, at_mark.cap, at_mark.adj, at_mark.value)
+    assert flow.augment() == at_mark.augment()
+    assert flow.closest_sink_side() == at_mark.closest_sink_side()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
 def test_determinism(seed):
