@@ -8,11 +8,12 @@ are driven into random partial-selection states: one of the instance itself
 and one of the instance with a drawn positive edge removed, where a ring
 member can lose its last entering leg and so exercise the unpriceable case.
 Every (core, head) pair gets priced three ways: by the primal-dual on a ring
-context built afresh for the pair (``fresh_context``: a new residual over the
-working and saturating arcs), by the path the solver runs
-(``greedy.pricing_context`` over the state's root flows: the core's shared
-no-head cover unless the context's node index lists the core as touched by
-the head, else a primal-dual on ``with_head`` of the core's shared ring),
+context built afresh for the pair (``build_ring_context`` of the tests'
+``reference``: a new residual over the working and saturating arcs), by the
+path the solver runs (``greedy.pricing_context`` over the state's root flows:
+the core's shared no-head cover unless the context's node index lists the
+core as touched by the head, else a primal-dual on the core's shared ring
+with the head),
 and by the exact hitting-set search over rational costs.  The solver's cover
 must equal the fresh one whole (legs, cost and duals), and their cost must
 equal the exact one as a rational: the primal-dual covers cost integers in
@@ -30,32 +31,18 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from rkec.deficiency import cores_of  # noqa: E402
 from rkec.exact import brute_force_ring_cover, enumerate_arc_family  # noqa: E402
-from rkec.flows import Residual, root_flows, working_arcs  # noqa: E402
+from rkec.flows import root_flows, working_arcs  # noqa: E402
 from rkec.generate import GenParams, generate_instance  # noqa: E402
 from rkec.greedy import pricing_context  # noqa: E402
 from rkec.instance import Instance  # noqa: E402
-from rkec.rings import (  # noqa: E402
-    RingContext,
-    free_leg_candidates,
-    index_legs,
-    primal_dual_ring_cover,
-    saturating_arcs,
-    with_head,
-)
+from rkec.rings import free_leg_candidates, primal_dual_ring_cover, saturating_arcs  # noqa: E402
 
-
-def fresh_context(inst, state, cores, core, head):
-    """The (core, head) ring context of ``state``, built from nothing."""
-    arcs = working_arcs(inst, state) + saturating_arcs(inst, cores, core)
-    flow = Residual(inst.node_count, inst.root, core.representative, arcs)
-    legs = index_legs(inst, free_leg_candidates(inst, state))
-    base = RingContext(inst, core, None, legs, flow)
-    flow.augment(base.bound)
-    return with_head(base, head)
+from reference import build_ring_context  # noqa: E402
 
 
 def check_state(inst, state, per_state, seed):
@@ -78,7 +65,7 @@ def check_state(inst, state, per_state, seed):
         arc = inst.unit_arc(head)
         floors = {p.core: floor for p, floor in pricing.touched(arc)}
         for core, p in zip(cores, pricing.cores):
-            ctx = fresh_context(inst, state, cores, core, head)
+            ctx = build_ring_context(inst, state, cores, core, head)
             bare = []  # the ring's graph without the head
             for a in working_arcs(inst, state) + saturating_arcs(inst, cores, core):
                 bare.extend([(a.tail, a.head)] * a.cap)
@@ -97,7 +84,7 @@ def check_state(inst, state, per_state, seed):
                 if floor is None:
                     solver = p.shared
                 else:
-                    solver = primal_dual_ring_cover(with_head(p.ring, head))
+                    solver = primal_dual_ring_cover(replace(p.ring, head=head))
             except AssertionError as exc:  # a cover failed its certificate
                 print(f"seed={seed}: {exc}")
                 bad = True

@@ -273,8 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     group = ver.add_mutually_exclusive_group(required=True)
     group.add_argument("--report", help="solve-report JSON to audit")
     group.add_argument("--solution", help="bare solution JSON to feasibility-check")
-    ver.add_argument("--opt", help="known optimum solution JSON")
-    ver.add_argument("--brute", action="store_true", help="brute-force the optimum")
+    optimum = ver.add_mutually_exclusive_group()
+    optimum.add_argument("--opt", help="known optimum solution JSON")
+    optimum.add_argument("--brute", action="store_true", help="brute-force the optimum")
     ver.add_argument("--max-brute-edges", type=_size_cap, default=22)
     ver.add_argument("--density-max-units", type=_size_cap, default=None)
     ver.add_argument("--out", default="-")

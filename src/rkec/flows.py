@@ -12,8 +12,9 @@ root->terminal flow over it per terminal, in id order and only as far as its
 caller reads; root connectivity (``connectivity``, exact), the first short
 terminal (``short_terminal``, whose flows stop at ``need``) and the cores all
 read those flows.  The greedy grows its root flows (stopped at k) by each
-star, and every ring flow is a copy of one, grown one leg at a time; the
-brute-force search grows its root flows in place and rolls them back.
+star; a star's rings and the brute-force search grow them in place and roll
+them back (``Residual.mark``, ``Residual.rollback``), the one way any flow's
+growth is undone.
 ``solution_of`` is the one builder of a ``Solution``: the solver, brute force
 and the verifier all build theirs with it.
 """
@@ -40,8 +41,8 @@ class Residual:
     head of each in ``to`` and the residual capacity in ``cap``; ``adj`` lists
     the arc indexes leaving each node.  Arcs can be added at any time and
     ``augment`` resumes from the current flow, so a flow grows with its graph
-    instead of being recomputed; ``mark`` and ``rollback`` undo such growth
-    without a copy.  The closest sink side is the same for every maximum
+    instead of being recomputed; ``mark`` and ``rollback`` undo such growth,
+    last in, first out.  The closest sink side is the same for every maximum
     flow, so it is only read once ``augment`` has run out of paths.
     """
 
@@ -65,14 +66,6 @@ class Residual:
         self.cap += (cap, 0)
         self.adj[tail].append(i)
         self.adj[head].append(i + 1)
-
-    def copy(self) -> Residual:
-        other = Residual.__new__(Residual)
-        other.source, other.sink, other.value = self.source, self.sink, self.value
-        other.adj = [row[:] for row in self.adj]
-        other.to = self.to[:]
-        other.cap = self.cap[:]
-        return other
 
     def mark(self) -> tuple[int, list[int], int]:
         """A snapshot for ``rollback``: the arc count, the capacities and the

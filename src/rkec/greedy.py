@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .deficiency import CoreInfo, cores_of
@@ -44,7 +44,6 @@ from .rings import (
     free_leg_candidates,
     index_legs,
     primal_dual_ring_cover,
-    with_head,
 )
 
 
@@ -160,7 +159,9 @@ def pricing_context(inst: Instance, flows, candidates, cores) -> StarPricing:
 
     ``flows`` are the selection's root flows and ``candidates`` its
     ``free_leg_candidates``, the star's heads as well as its legs.  The
-    indexed legs are built once for all cores and heads.
+    indexed legs are built once for all cores and heads.  Each core's ring
+    grows its representative's flow in place (``core_ring_context``); cores
+    are terminal-disjoint, so no two rings share a flow.
     """
     legs = index_legs(inst, candidates)
     out = []
@@ -223,42 +224,50 @@ def cheapest_star(inst: Instance, units, cores, flows) -> Star:
     A head that touches no core gets the shared prices alone, so the first
     such head in the visiting order beats every later one (lower density, or
     the same star with a smaller head); the later ones are skipped.
+
+    The rings grow the cores' representative flows in place; every one is
+    rolled back before this returns or raises.
     """
     candidates = free_leg_candidates(inst, units)
-    pricing = pricing_context(inst, flows, candidates, cores)
-    m = len(cores)
-    best = None
-    untouched_seen = False
-    for head in sorted(candidates, key=lambda u: (inst.scaled_cost(u), u)):
-        head_cost = inst.scaled_cost(head)
-        # head_cost / m > best density
-        if best is not None and head_cost * best.leaves > best.total * m:
-            break
-        touched = pricing.touched(inst.unit_arc(head))
-        if not touched:
-            if untouched_seen:
-                continue  # an earlier untouched head beats this one
-            untouched_seen = True
-        if best is not None:
-            # the shared costs, the touched cores' floors in place of theirs
-            costs = list(pricing.costs)
-            for p, floor in touched:
+    marks = [(flow, flow.mark()) for flow in (flows[c.representative] for c in cores)]
+    try:
+        pricing = pricing_context(inst, flows, candidates, cores)
+        m = len(cores)
+        best = None
+        untouched_seen = False
+        for head in sorted(candidates, key=lambda u: (inst.scaled_cost(u), u)):
+            head_cost = inst.scaled_cost(head)
+            # head_cost / m > best density
+            if best is not None and head_cost * best.leaves > best.total * m:
+                break
+            touched = pricing.touched(inst.unit_arc(head))
+            if not touched:
+                if untouched_seen:
+                    continue  # an earlier untouched head beats this one
+                untouched_seen = True
+            if best is not None:
+                # the shared costs, the touched cores' floors in place of theirs
+                costs = list(pricing.costs)
+                for p, floor in touched:
+                    if p.shared is not None:
+                        costs.remove(p.shared.cost)
+                    insort(costs, floor)
+                total, j = _best_prefix(head_cost, costs)
+                if total * best.leaves > best.total * j:  # the bound loses to the best density
+                    continue
+            ranked = list(pricing.ranked)
+            for p, _ in touched:
                 if p.shared is not None:
-                    costs.remove(p.shared.cost)
-                insort(costs, floor)
-            total, j = _best_prefix(head_cost, costs)
-            if total * best.leaves > best.total * j:  # the bound loses to the best density
-                continue
-        ranked = list(pricing.ranked)
-        for p, _ in touched:
-            if p.shared is not None:
-                ranked.remove((p.core, p.shared))
-            cover = primal_dual_ring_cover(with_head(p.ring, head))
-            if cover is not None:
-                insort(ranked, (p.core, cover), key=_rank)
-        scanned = _scan_head(head, head_cost, ranked)
-        if scanned and (best is None or scanned.beats(best)):
-            best = scanned
+                    ranked.remove((p.core, p.shared))
+                cover = primal_dual_ring_cover(replace(p.ring, head=head))
+                if cover is not None:
+                    insort(ranked, (p.core, cover), key=_rank)
+            scanned = _scan_head(head, head_cost, ranked)
+            if scanned and (best is None or scanned.beats(best)):
+                best = scanned
+    finally:
+        for flow, mark in marks:
+            flow.rollback(mark)
     if best is None:
         raise PhaseStuckError("no priceable (head, core) pair at this level")
     return best

@@ -5,19 +5,18 @@ core form a ring: they all contain C, and union/intersection stay inside.
 The ring is never materialized.  Instead the working graph is extended with
 saturating root arcs (capacity l) to every terminal of every other core,
 which pushes all sets containing such terminals below the top level; that is
-the core's context with no head (``core_ring_context``).  ``with_head`` adds
-the candidate head edge at capacity one.  The remaining top-level sets are
-exactly the ring members not already covered by the head, so the minimal
-violated set is the closest minimum cut at the core's representative
-terminal.
+the core's context with no head (``core_ring_context``).  A context's head
+edge joins at capacity one.  The remaining top-level sets are exactly the
+ring members not already covered by the head, so the minimal violated set is
+the closest minimum cut at the core's representative terminal.
 
-Each context owns one residual flow from the root to the representative,
+Each context reads one residual flow from the root to the representative,
 augmented up to k - l + 1: the ring is covered exactly when the flow gets
 there.  The flow is the context's only graph; no arc list is kept beside it.
-A core's no-head flow is a copy of its representative's root flow grown by
-the saturating arcs; ``with_head`` grows a copy of it by the head arc, and
-the primal-dual grows a copy by one arc per leg it picks, so no flow is ever
-recomputed from scratch.
+It is the representative's carried root flow itself, grown in place by the
+saturating arcs; the primal-dual and each reverse-delete trial grow it by the
+head and the legs after a ``Residual.mark`` and roll it back to the mark, so
+no flow is ever copied or recomputed from scratch.
 
 The cover itself comes from dual ascent plus reverse delete.  Minimal
 violated sets of a shrinking ring form a strictly increasing chain, so the
@@ -25,7 +24,7 @@ duals land on nested sets; each cover must pass the certificate that checks
 that chain and that the dual total pays exactly for the surviving legs.  The
 star pricing indexes the chain of a core's no-head cover once, and reads
 from it which heads reuse that cover and a lower bound on the others.  The
-ascent finds its entering legs through an index by head node (``LegIndex``,
+ascent finds its entering legs through an index by head node (``index_legs``,
 built once per star selection).  Every cost here (reduced costs, dual amounts,
 cover costs) is an integer in units of 1/``Instance.cost_scale``, so all of
 it, the certificate included, is exact integer arithmetic.
@@ -40,24 +39,18 @@ from .flows import Arc, Residual
 from .instance import Instance, Unit, selection_from_units
 
 
-@dataclass(frozen=True)
-class LegIndex:
-    """The free leg candidates of one selection, indexed for the dual ascent.
-
-    ``entering[v]`` lists (unit, tail, scaled cost) for every candidate whose
-    arc ends at node v, the cost from ``Instance.scaled_cost``.
-    """
-
-    entering: tuple[tuple[tuple[Unit, int, int], ...], ...]
+# per node v: (unit, tail, scaled cost) of every leg candidate whose arc ends at v
+EnteringLegs = tuple[tuple[tuple[Unit, int, int], ...], ...]
 
 
-def index_legs(inst: Instance, candidates) -> LegIndex:
-    """Index ``candidates`` (see ``free_leg_candidates``) by head node."""
+def index_legs(inst: Instance, candidates) -> EnteringLegs:
+    """Index ``candidates`` (see ``free_leg_candidates``) by head node, each
+    with its cost from ``Instance.scaled_cost``."""
     entering: list[list] = [[] for _ in range(inst.node_count)]
     for u in candidates:
         tail, head = inst.unit_arc(u)
         entering[head].append((u, tail, inst.scaled_cost(u)))
-    return LegIndex(tuple(map(tuple, entering)))
+    return tuple(map(tuple, entering))
 
 
 @dataclass(frozen=True)
@@ -65,15 +58,16 @@ class RingContext:
     """Implicit ring for (core, head) over a fixed partial selection.
 
     A context without a head (``head is None``) prices the core's ring with
-    the legs alone; ``with_head`` adds a head to it.  ``flow`` is the
-    root-representative residual of the working graph, the saturating arcs and
-    the head, augmented to ``bound``; callers copy it before adding arcs.
+    the legs alone; ``dataclasses.replace(ctx, head=head)`` adds a head.
+    ``flow`` is the root-representative residual of the working graph and
+    the saturating arcs, augmented to ``bound``, whatever the head: readers
+    add the head and legs after a ``mark`` and roll back to it.
     """
 
     inst: Instance
     target: CoreInfo  # its deficiency is the ring's level
     head: Unit | None
-    leg_index: LegIndex  # free units of the selection; the head's edge is never a leg
+    leg_index: EnteringLegs  # free units of the selection; the head's edge is never a leg
     flow: Residual = field(compare=False)
 
     @property
@@ -116,32 +110,21 @@ def free_leg_candidates(inst: Instance, units) -> tuple[Unit, ...]:
 def core_ring_context(
     inst: Instance,
     root_flow: Residual,
-    leg_index: LegIndex,
+    leg_index: EnteringLegs,
     all_cores,
     target: CoreInfo,
 ) -> RingContext:
-    """The target's ring with no head: a copy of ``root_flow``, the
-    selection's maximum flow to the representative, grown by the saturating
-    arcs.  ``leg_index`` indexes the selection's ``free_leg_candidates``.
+    """The target's ring with no head, on ``root_flow`` itself: the
+    selection's maximum flow to the representative, grown in place by the
+    saturating arcs.  Callers mark ``root_flow`` first and roll it back once
+    done with the ring.  ``leg_index`` indexes the selection's
+    ``free_leg_candidates``.
     """
-    ctx = RingContext(inst, target, None, leg_index, root_flow.copy())
+    ctx = RingContext(inst, target, None, leg_index, root_flow)
     for arc in saturating_arcs(inst, all_cores, target):
-        ctx.flow.add(arc.tail, arc.head, arc.cap)
-    ctx.flow.augment(ctx.bound)
+        root_flow.add(arc.tail, arc.head, arc.cap)
+    root_flow.augment(ctx.bound)
     return ctx
-
-
-def with_head(ctx: RingContext, head: Unit) -> RingContext:
-    """The same ring with ``head`` riding along at cost zero.
-
-    The head's arc joins at capacity one and its edge stops being a leg: a
-    second copy of it never helps.  The new context's flow is a copy of
-    ``ctx``'s, a valid flow of the larger graph too, grown by the head arc.
-    """
-    flow = ctx.flow.copy()
-    flow.add(*ctx.inst.unit_arc(head), 1)
-    flow.augment(ctx.bound)
-    return RingContext(ctx.inst, ctx.target, head, ctx.leg_index, flow)
 
 
 def min_violated_set(ctx: RingContext, legs) -> frozenset[int] | None:
@@ -149,14 +132,19 @@ def min_violated_set(ctx: RingContext, legs) -> frozenset[int] | None:
 
     The representative terminal sits in every ring member, so the closest
     cut at it decides coverage: the ring is covered exactly when the flow has
-    climbed past k - level.  Runs on a copy of the context's flow.
+    climbed past k - level.  Grows the context's flow by the head and the
+    legs, and rolls it back.
     """
-    flow = ctx.flow.copy()
-    for u in legs:
-        flow.add(*ctx.inst.unit_arc(u), 1)
-    if flow.augment(ctx.bound) >= ctx.bound:
-        return None
-    return flow.closest_sink_side()
+    flow = ctx.flow
+    mark = flow.mark()
+    try:
+        for u in legs if ctx.head is None else (ctx.head, *legs):
+            flow.add(*ctx.inst.unit_arc(u), 1)
+        if flow.augment(ctx.bound) >= ctx.bound:
+            return None
+        return flow.closest_sink_side()
+    finally:
+        flow.rollback(mark)
 
 
 @dataclass(frozen=True)
@@ -207,8 +195,9 @@ def primal_dual_ring_cover(ctx: RingContext) -> RingCover | None:
     member has no entering candidate at all; raises AssertionError when the
     cover fails its strong-duality certificate (``_certificate``).
 
-    Each pick adds one unit arc, so the flow is augmented from where it was
-    rather than recomputed; reduced costs are kept only for candidates the
+    The head and each pick add one unit arc to the context's flow, so it is
+    augmented from where it was rather than recomputed, and rolled back
+    before the reverse delete; reduced costs are kept only for candidates the
     ascent has touched.
     """
     index = ctx.leg_index
@@ -220,26 +209,31 @@ def primal_dual_ring_cover(ctx: RingContext) -> RingCover | None:
     duals: list[DualStep] = []
 
     flow = ctx.flow
-    while flow.value < bound:
-        violated = flow.closest_sink_side()
-        entering = [
-            (reduced.get(u, cost), u, tail, v)
-            for v in violated
-            for u, tail, cost in index.entering[v]
-            if tail not in violated and u[0] != head_edge and u not in chosen
-        ]
-        if not entering:
-            return None  # unpriceable: the ring cannot be covered from here
-        eps, pick, tail, head = min(entering)
-        for r, u, _, _ in entering:
-            reduced[u] = r - eps
-        duals.append(DualStep(violated, eps, pick))
-        tight_order.append(pick)
-        chosen.add(pick)
-        if flow is ctx.flow:
-            flow = flow.copy()
-        flow.add(tail, head, 1)
-        flow.augment(bound)
+    mark = flow.mark()
+    try:
+        if ctx.head is not None:
+            flow.add(*ctx.inst.unit_arc(ctx.head), 1)
+            flow.augment(bound)
+        while flow.value < bound:
+            violated = flow.closest_sink_side()
+            entering = [
+                (reduced.get(u, cost), u, tail, v)
+                for v in violated
+                for u, tail, cost in index[v]
+                if tail not in violated and u[0] != head_edge and u not in chosen
+            ]
+            if not entering:
+                return None  # unpriceable: the ring cannot be covered from here
+            eps, pick, tail, head = min(entering)
+            for r, u, _, _ in entering:
+                reduced[u] = r - eps
+            duals.append(DualStep(violated, eps, pick))
+            tight_order.append(pick)
+            chosen.add(pick)
+            flow.add(tail, head, 1)
+            flow.augment(bound)
+    finally:
+        flow.rollback(mark)
 
     # The last pick is never redundant: without it the legs are exactly the
     # ones its violated set was raised against.

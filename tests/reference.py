@@ -20,7 +20,6 @@ from rkec.rings import (
     index_legs,
     primal_dual_ring_cover,
     saturating_arcs,
-    with_head,
 )
 
 
@@ -33,14 +32,14 @@ def build_ring_context(
     inst: Instance, units, all_cores, target: CoreInfo, head: Unit
 ) -> RingContext:
     """The (target, head) ring context of ``units``, built from nothing: a
-    fresh residual over the working and saturating arcs, not a copy of any
-    flow the solver carries."""
+    fresh residual over the working and saturating arcs, not any flow the
+    solver carries."""
     arcs = working_arcs(inst, units) + saturating_arcs(inst, all_cores, target)
     flow = Residual(inst.node_count, inst.root, target.representative, arcs)
     legs = index_legs(inst, free_leg_candidates(inst, units))
-    base = RingContext(inst, target, None, legs, flow)
-    flow.augment(base.bound)
-    return with_head(base, head)
+    ctx = RingContext(inst, target, head, legs, flow)
+    flow.augment(ctx.bound)
+    return ctx
 
 
 def price_star_edges(inst: Instance, units, cores) -> dict[tuple[Unit, CoreInfo], RingCover]:

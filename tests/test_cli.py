@@ -129,7 +129,11 @@ def test_unreadable_or_unwritable_file_is_exit_2(instance_file, report_file, tmp
     ["bench", "--corpus", "{dir}", "--max-brute-edges", "-1"],
     ["brute", "--instance", "{instance}", "--max-brute-edges", "2.5"],
     ["gen", "--nodes", "8", "--terminals", "3", "--k", "2", "--seed", "7", "--max-units", "-1"],
-], ids=["brute", "verify-brute", "verify-density", "bench", "not-an-integer", "gen"])
+    # two sources of the optimum are refused together, before any file is read
+    ["verify", "--instance", "{instance}", "--report", "{report}", "--opt", "{report}",
+     "--brute"],
+], ids=["brute", "verify-brute", "verify-density", "bench", "not-an-integer", "gen",
+        "verify-opt-and-brute"])
 def test_negative_size_caps_fail_at_parse_time(instance_file, report_file, tmp_path, capsys,
                                                 argv):
     paths = {"dir": tmp_path, "instance": instance_file, "report": report_file}
@@ -138,7 +142,10 @@ def test_negative_size_caps_fail_at_parse_time(instance_file, report_file, tmp_p
         run(*(a.format(**paths) for a in argv), "--out", tmp_path / "out.json")
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument {argv[-2]}: {argv[-1]!r} is not a non-negative integer" in err
+    if argv[-1] == "--brute":
+        assert "argument --brute: not allowed with argument --opt" in err
+    else:
+        assert f"argument {argv[-2]}: {argv[-1]!r} is not a non-negative integer" in err
     assert not (tmp_path / "out.json").exists()
 
 

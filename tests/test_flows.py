@@ -118,27 +118,20 @@ def test_incremental_flow_matches_a_fresh_view(seed):
             assert flow.closest_sink_side() == closest_sink_cut(v, s, t)[1]
 
 
-def test_copied_flow_grows_alone():
-    flow = Residual(3, 0, 2, [Arc(0, 1, 1), Arc(1, 2, 1)])
-    assert flow.augment() == 1
-    grown = flow.copy()
-    grown.add(0, 2, 1)
-    assert grown.augment() == 2
-    assert flow.value == 1 and flow.augment() == 1
-    assert flow.closest_sink_side() == frozenset({2})
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10_000))
 def test_rollback_restores_the_marked_flow(seed):
     # random adds and bounded augments after a mark, then a rollback: the
-    # residual must equal a copy taken at the mark, and grow on like it
+    # residual must equal its state at the mark, and grow on like a residual
+    # built from the same arcs
     rng = random.Random(seed)
     n = rng.randint(2, 6)
     s, t = rng.sample(range(n), 2)
-    flow = Residual(n, s, t, [Arc(*a) for a in _random_view(rng, n)])
+    arcs = [Arc(*a) for a in _random_view(rng, n)]
+    flow = Residual(n, s, t, arcs)
     flow.augment(rng.choice([None, 1, 2]))
-    mark, at_mark = flow.mark(), flow.copy()
+    mark = flow.mark()
+    at_mark = flow.to[:], [row[:] for row in flow.adj], flow.cap[:], flow.value
     for _ in range(rng.randint(0, 6)):
         if rng.random() < 0.6:
             tail, head = rng.sample(range(n), 2)
@@ -146,10 +139,10 @@ def test_rollback_restores_the_marked_flow(seed):
         else:
             flow.augment(rng.randint(0, 5))
     flow.rollback(mark)
-    assert (flow.to, flow.cap, flow.adj, flow.value) == (
-        at_mark.to, at_mark.cap, at_mark.adj, at_mark.value)
-    assert flow.augment() == at_mark.augment()
-    assert flow.closest_sink_side() == at_mark.closest_sink_side()
+    assert (flow.to, flow.adj, flow.cap, flow.value) == at_mark
+    fresh = Residual(n, s, t, arcs)
+    assert flow.augment() == fresh.augment()
+    assert flow.closest_sink_side() == fresh.closest_sink_side()
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,10 +1,11 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rkec import greedy
@@ -24,7 +25,6 @@ from rkec.rings import (
     free_leg_candidates,
     min_violated_set,
     primal_dual_ring_cover,
-    with_head,
 )
 
 from conftest import small_random_instance
@@ -280,6 +280,30 @@ def _enters(arc, step):
     return head in step.raised and tail not in step.raised
 
 
+def _flow_state(flow):
+    """Everything a rollback must restore: arcs, adjacency rows, capacities
+    and value."""
+    return flow.to[:], [row[:] for row in flow.adj], flow.cap[:], flow.value
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 100_000), st.booleans())
+@example(2, False)  # one of its states raises PhaseStuckError
+def test_cheapest_star_leaves_the_carried_flows_as_it_found_them(seed, augmentation):
+    # each core's ring grows its representative's carried flow in place; the
+    # star rolls every flow back, whether it returns or raises
+    rng = random.Random(seed)
+    inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
+    for units, cores in _random_states(inst, rng):
+        flows = carried_flows(inst, units)
+        before = {t: _flow_state(flow) for t, flow in flows.items()}
+        try:
+            cheapest_star(inst, units, cores, flows)
+        except PhaseStuckError:
+            pass
+        assert {t: _flow_state(flow) for t, flow in flows.items()} == before
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 100_000), st.booleans())
 def test_irrelevant_heads_keep_the_shared_price(seed, augmentation):
@@ -308,21 +332,28 @@ def test_irrelevant_heads_keep_the_shared_price(seed, augmentation):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 100_000), st.booleans())
 def test_heads_on_a_shared_ring_price_like_a_fresh_context(seed, augmentation):
-    # every head's context grows a copy of the core's one flow (``with_head``
-    # on the ``core_ring_context`` in the pricing context); pricing it must
-    # give the very cover a context built from scratch gives, and must leave
-    # the shared flow as it was
+    # every head prices on the core's one flow (the ``core_ring_context`` in
+    # the pricing context, with the head attached); pricing it and reading
+    # its violated sets must give what a context built from scratch gives,
+    # and must leave the shared flow as it was, unpriceable rings included
     rng = random.Random(seed)
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
     for units, cores in _random_states(inst, rng):
         heads = free_leg_candidates(inst, units)
         pricing = pricing_context(inst, carried_flows(inst, units), heads, cores)
-        for head in heads:
-            for p in pricing.cores:
-                fresh = build_ring_context(inst, units, cores, p.core, head)
-                assert primal_dual_ring_cover(with_head(p.ring, head)) == primal_dual_ring_cover(fresh)
         for p in pricing.cores:
+            before = _flow_state(p.ring.flow)
+            for head in heads:
+                ring = replace(p.ring, head=head)
+                fresh = build_ring_context(inst, units, cores, p.core, head)
+                cover = primal_dual_ring_cover(ring)
+                assert cover == primal_dual_ring_cover(fresh)
+                assert min_violated_set(ring, ()) == min_violated_set(fresh, ())
+                if cover is not None:
+                    assert min_violated_set(ring, cover.legs) is None
+                assert _flow_state(p.ring.flow) == before
             assert primal_dual_ring_cover(p.ring) == p.shared
+            assert _flow_state(p.ring.flow) == before
 
 
 @settings(max_examples=40, deadline=None)
@@ -341,7 +372,7 @@ def test_the_floor_bounds_every_head_price_from_below(seed, augmentation):
             for p, floor in pricing.touched(arc):
                 duals = p.shared.duals if p.shared else ()
                 assert floor == sum(step.amount for step in duals if not _enters(arc, step))
-                cover = primal_dual_ring_cover(with_head(p.ring, head))
+                cover = primal_dual_ring_cover(replace(p.ring, head=head))
                 if cover is not None:
                     assert floor <= cover.cost
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import rkec
+from rkec.flows import Residual
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rkec"
@@ -79,6 +80,30 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in shipped code: {found}"
+
+
+def _calls(tree):
+    """(enclosing top-level definition, called expression) for every call."""
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call):
+                yield getattr(stmt, "name", None), node.func
+
+
+def test_flows_are_built_in_one_place_and_never_copied():
+    # every flow is a root flow of ``flows.root_flows``, grown in place and
+    # undone by ``Residual.mark``/``rollback``; no code builds a second one
+    # beside it or copies one (nothing in the package calls a ``copy``)
+    builds, copies = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner, func in _calls(ast.parse(path.read_text())):
+            if ast.unparse(func) in ("Residual", "Residual.__new__"):
+                builds.append(f"{path.stem}.{owner}")
+            if isinstance(func, ast.Attribute) and func.attr == "copy":
+                copies.append(f"{path.stem}.{owner}:{func.lineno}")
+    assert builds == ["flows.root_flows"]
+    assert not copies, f"copy calls in shipped code: {copies}"
+    assert not hasattr(Residual, "copy")
 
 
 # Call sites the traced benchmark run names but that no longer exist: the

@@ -44,8 +44,10 @@ def test_context_shape(instance_a):
     sat = saturating_for(instance_a, (), {2})
     assert len(sat) == 1 and sat[0].head == 3 and sat[0].cap == 1
     ctx = context_for(instance_a, (), {2}, 1)
-    # the head rides in the flow as its last arc, 0 -> 1 with capacity one
-    assert ctx.flow.to[-2:] == [1, 0] and ctx.flow.cap[-2] + ctx.flow.cap[-1] == 1
+    # the flow ends at the saturating arc, 0 -> 3 with capacity one; the head
+    # 0 -> 1 joins it only while a primal-dual or a trial runs
+    assert ctx.head == (1, 0)
+    assert ctx.flow.to[-2:] == [3, 0] and ctx.flow.cap[-2] + ctx.flow.cap[-1] == 1
     assert all(u[0] != 1 for u in primal_dual_ring_cover(ctx).legs)
 
 
