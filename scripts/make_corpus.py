@@ -13,6 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from rkec.cli import _size_cap  # noqa: E402
 from rkec.generate import default_corpus_params, generate_instance  # noqa: E402
 from rkec.instance import instance_to_json  # noqa: E402
 
@@ -20,7 +21,7 @@ from rkec.instance import instance_to_json  # noqa: E402
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("outdir")
-    parser.add_argument("--count", type=int, default=500)
+    parser.add_argument("--count", type=_size_cap, default=500)
     args = parser.parse_args()
 
     outdir = Path(args.outdir)

@@ -14,7 +14,9 @@ path the solver runs (``greedy.pricing_context`` over the state's root flows:
 the core's shared no-head cover unless the context's node index lists the
 core as touched by the head, else a primal-dual on the core's shared ring
 with the head),
-and by the exact hitting-set search over rational costs.  The solver's cover
+and by the exact hitting-set search over rational costs (the tests'
+``oracles.brute_force_ring_cover``, on the ring that
+``reference.enumerated_ring_family`` enumerates).  The solver's cover
 must equal the fresh one whole (legs, cost and duals), and their cost must
 equal the exact one as a rational: the primal-dual covers cost integers in
 units of 1/``cost_scale``, so they are rescaled before the comparison.  A
@@ -34,15 +36,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from rkec.cli import _size_cap  # noqa: E402
 from rkec.deficiency import cores_of  # noqa: E402
-from rkec.exact import brute_force_ring_cover, enumerate_arc_family  # noqa: E402
-from rkec.flows import root_flows, working_arcs  # noqa: E402
+from rkec.flows import root_flows  # noqa: E402
 from rkec.generate import GenParams, generate_instance  # noqa: E402
 from rkec.greedy import pricing_context  # noqa: E402
 from rkec.instance import Instance  # noqa: E402
-from rkec.rings import free_leg_candidates, primal_dual_ring_cover, saturating_arcs  # noqa: E402
+from rkec.rings import free_leg_candidates, primal_dual_ring_cover  # noqa: E402
 
-from reference import build_ring_context  # noqa: E402
+from oracles import brute_force_ring_cover  # noqa: E402
+from reference import build_ring_context, enumerated_ring_family  # noqa: E402
 
 
 def check_state(inst, state, per_state, seed):
@@ -50,7 +53,6 @@ def check_state(inst, state, per_state, seed):
     returns (contexts, mismatches, unpriceable)."""
     contexts = mismatches = unpriceable = 0
     scale = inst.cost_scale
-    universe = [v for v in range(inst.node_count) if v != inst.root]
     flows = dict(root_flows(inst, state, inst.k))  # as the greedy carries them
     cores = cores_of(inst, flows)
     if not cores:
@@ -66,12 +68,7 @@ def check_state(inst, state, per_state, seed):
         floors = {p.core: floor for p, floor in pricing.touched(arc)}
         for core, p in zip(cores, pricing.cores):
             ctx = build_ring_context(inst, state, cores, core, head)
-            bare = []  # the ring's graph without the head
-            for a in working_arcs(inst, state) + saturating_arcs(inst, cores, core):
-                bare.extend([(a.tail, a.head)] * a.cap)
-            ring = enumerate_arc_family(
-                universe, inst.terminals, inst.k, bare
-            ).ring_view(core.members)
+            ring = enumerated_ring_family(inst, state, cores, core).ring_view(core.members)
             exact = brute_force_ring_cover(
                 ring.members,
                 arc,
@@ -107,8 +104,8 @@ def check_state(inst, state, per_state, seed):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=200)
-    parser.add_argument("--per-state", type=int, default=3)
+    parser.add_argument("--seeds", type=_size_cap, default=200)
+    parser.add_argument("--per-state", type=_size_cap, default=3)
     args = parser.parse_args(argv)
 
     t0 = time.time()

@@ -1,12 +1,13 @@
 """Rooted subset k-edge-connectivity on quasi-bipartite digraphs.
 
 A greedy approximation solver (spider stars over deficient-set rings, covered
-level by level), exact brute-force oracles, and an audit harness that checks
-the structural guarantees the approximation rests on.
+level by level), an exact branch-and-bound optimum, and an audit harness that
+checks the structural guarantees the approximation rests on.  The enumeration
+oracles these are tested against live with the tests.
 """
 
-from .deficiency import CoreInfo, ExplicitSetFunction, rooted_cores
-from .exact import brute_force_opt, enumerate_rooted
+from .deficiency import CoreInfo
+from .exact import brute_force_opt
 from .generate import GenParams, generate_instance
 from .instance import (
     Edge,
@@ -25,7 +26,6 @@ from .verify import audit_run, check_feasible
 __all__ = [
     "CoreInfo",
     "Edge",
-    "ExplicitSetFunction",
     "GenParams",
     "InfeasibleError",
     "Instance",
@@ -36,12 +36,10 @@ __all__ = [
     "audit_run",
     "brute_force_opt",
     "check_feasible",
-    "enumerate_rooted",
     "generate_instance",
     "harmonic",
     "instance_to_json",
     "parse_instance",
-    "rooted_cores",
     "solve",
     "validate_quasi_bipartite",
 ]

@@ -62,15 +62,16 @@ def _draw(rng: random.Random, p: GenParams) -> Instance:
 
     if p.mode == "augmentation":
         # One zero-cost route per required unit; distinct relays keep the
-        # routes edge-disjoint, repeated picks just stack multiplicity.
+        # routes edge-disjoint, repeated picks just stack multiplicity.  With
+        # no relay besides the terminal, every route is a direct root arc.
         zero: dict[tuple[int, int], int] = {}
-        relays = [v for v in range(1, p.nodes)]
         for t in terminals:
+            relays = [v for v in range(1, p.nodes) if v != t]
             for _ in range(p.base_level):
-                if rng.random() < 0.5:
+                if rng.random() < 0.5 or not relays:
                     zero[(root, t)] = zero.get((root, t), 0) + 1
                 else:
-                    x = rng.choice([v for v in relays if v != t])
+                    x = rng.choice(relays)
                     zero[(root, x)] = zero.get((root, x), 0) + 1
                     zero[(x, t)] = zero.get((x, t), 0) + 1
         for (tail, head), mult in sorted(zero.items()):

@@ -1,13 +1,7 @@
-"""Shared fixtures and independent brute-force oracles.
-
-The oracle helpers here deliberately avoid the package's flow and search
-code: connectivity is computed by minimizing in-capacity over explicitly
-enumerated vertex subsets, and optima by scanning all unit subsets.  They are
-only usable on tiny inputs, which is the point.
-"""
+"""Shared fixtures and the tiny random instances the oracles in ``oracles``
+are run on."""
 
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -52,78 +46,6 @@ INSTANCE_A_JSON = """{
     {"id": 5, "tail": 0, "head": 3, "cost": "4", "mult": 1}
   ]
 }"""
-
-
-# ---------------------------------------------------------------------------
-# independent oracles (enumeration only)
-
-
-def subsets_containing(n: int, include: int, exclude: int):
-    rest = [v for v in range(n) if v not in (include, exclude)]
-    for r in range(len(rest) + 1):
-        for combo in combinations(rest, r):
-            yield frozenset((include,) + combo)
-
-
-def in_capacity(arcs, members) -> int:
-    return sum(cap for tail, head, cap in arcs if head in members and tail not in members)
-
-
-def oracle_min_cut(arcs, n: int, s: int, t: int):
-    """(cut value, all minimum sink sides) by subset enumeration."""
-    best = None
-    sides = []
-    for members in subsets_containing(n, t, s):
-        cap = in_capacity(arcs, members)
-        if best is None or cap < best:
-            best, sides = cap, [members]
-        elif cap == best:
-            sides.append(members)
-    return best, sides
-
-
-def oracle_lambda(arcs, n: int, s: int, t: int) -> int:
-    return oracle_min_cut(arcs, n, s, t)[0]
-
-
-def minimal_sets(sets):
-    sets = list(sets)
-    return [a for a in sets if not any(b < a for b in sets)]
-
-
-def instance_arcs(inst: Instance, units=()) -> list[tuple[int, int, int]]:
-    arcs = [(e.tail, e.head, e.mult) for e in inst.zero_edges]
-    counts = {}
-    for eid, _ in units:
-        counts[eid] = counts.get(eid, 0) + 1
-    for eid, cnt in sorted(counts.items()):
-        e = inst.edge_by_id[eid]
-        arcs.append((e.tail, e.head, cnt))
-    return arcs
-
-
-def oracle_feasible(inst: Instance, units) -> bool:
-    arcs = instance_arcs(inst, units)
-    return all(
-        oracle_lambda(arcs, inst.node_count, inst.root, t) >= inst.k
-        for t in inst.terminals
-    )
-
-
-def oracle_opt_cost(inst: Instance) -> Fraction | None:
-    """Exact optimum by scanning every subset of positive units."""
-    units = list(inst.positive_units)
-    best = None
-    for r in range(len(units) + 1):
-        for combo in combinations(units, r):
-            if oracle_feasible(inst, combo):
-                cost = inst.units_cost(combo)
-                if best is None or cost < best:
-                    best = cost
-        # all supersets of a feasible set stay feasible but cost more, so the
-        # first feasible layer already contains an optimum only for uniform
-        # costs; keep scanning every size to stay a true oracle
-    return best
 
 
 def small_random_instance(rng, *, max_nodes=6, max_k=2, zero_prob=0.25) -> Instance:

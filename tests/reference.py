@@ -1,15 +1,15 @@
 """Reference implementations the fast paths are compared against.
 
-Each one does its job the plain way: a ring context built afresh for one
-(core, head) pair, every such pair priced, the max level read off every
-terminal's flow, an exact optimum by enumerating every unit subset, a maximum
-flow decomposed into paths by search, and the paths re-checked edge by edge
-against the instance's capacities.  They use
-the package's flow and ring primitives, unlike the enumeration oracles in
-``conftest``, and only tests call them.
+Each one does its job the plain way: the cores and the max level read off
+root flows built afresh, a ring context built afresh for one (core, head)
+pair, every such pair priced, an exact optimum by enumerating every unit
+subset, a maximum flow decomposed into paths by search, and the paths
+re-checked edge by edge against the instance's capacities.  They use the
+package's flow and ring primitives, unlike the enumeration oracles in
+``oracles``, and only tests and ``scripts/ring_cross_check.py`` call them.
 """
 
-from rkec.deficiency import CoreInfo
+from rkec.deficiency import CoreInfo, cores_of
 from rkec.flows import Residual, root_flows, short_terminal, solution_of, working_arcs
 from rkec.greedy import PhaseStuckError, Star, _rank, _scan_head
 from rkec.instance import Instance, Solution, Unit
@@ -21,6 +21,13 @@ from rkec.rings import (
     primal_dual_ring_cover,
     saturating_arcs,
 )
+
+from oracles import EnumeratedFamily, enumerate_arc_family
+
+
+def rooted_cores(inst: Instance, units) -> list[CoreInfo]:
+    """The cores of the working graph of ``units``, off fresh root flows."""
+    return cores_of(inst, dict(root_flows(inst, units)))
 
 
 def rooted_max_level(inst: Instance, units) -> int:
@@ -40,6 +47,18 @@ def build_ring_context(
     ctx = RingContext(inst, target, head, legs, flow)
     flow.augment(ctx.bound)
     return ctx
+
+
+def enumerated_ring_family(inst: Instance, units, all_cores, target: CoreInfo) -> EnumeratedFamily:
+    """The enumerated family of the target's ring graph without a head: the
+    working arcs of ``units`` and the arcs saturating the other cores."""
+    arcs = working_arcs(inst, units) + saturating_arcs(inst, all_cores, target)
+    return enumerate_arc_family(
+        [v for v in range(inst.node_count) if v != inst.root],
+        inst.terminals,
+        inst.k,
+        [(a.tail, a.head, a.cap) for a in arcs],
+    )
 
 
 def price_star_edges(inst: Instance, units, cores) -> dict[tuple[Unit, CoreInfo], RingCover]:

@@ -30,6 +30,17 @@ def test_gen_is_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_gen_plants_a_root_arc_without_a_relay(tmp_path, seed):
+    # two nodes leave no relay besides the terminal, so the planted route
+    # is the root arc itself (this drew from an empty relay list)
+    out = tmp_path / "inst.json"
+    assert run("gen", "--nodes", "2", "--terminals", "1", "--k", "2", "--seed", seed,
+               "--mode", "augmentation", "--base-level", "1", "--out", out) == 0
+    inst = parse_instance(out.read_text())
+    assert [(e.tail, e.head) for e in inst.zero_edges] == [(0, 1)]
+
+
 def test_gen_rejects_bad_params(capsys):
     assert run("gen", "--nodes", "3", "--terminals", "3", "--k", "1") == 2
     assert "error" in capsys.readouterr().err

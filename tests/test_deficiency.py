@@ -4,18 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkec.deficiency import (
-    ExplicitSetFunction,
-    explicit_cores,
-    explicit_max_level,
-    rooted_cores,
-    tabulate_rooted,
-)
-from rkec.exact import enumerate_rooted
 from rkec.instance import ParseError
 
 from conftest import small_random_instance
-from reference import rooted_max_level
+from oracles import ExplicitSetFunction, enumerate_explicit, enumerate_rooted, tabulate_rooted
+from reference import rooted_cores, rooted_max_level
 
 
 def test_fixture_level_and_cores(instance_a):
@@ -74,7 +67,7 @@ def test_cores_match_enumeration(seed, data):
     family = enumerate_rooted(inst, sample)
     cores = rooted_cores(inst, sample)
     assert rooted_max_level(inst, sample) == family.level
-    assert [c.members for c in cores] == sorted(family.cores, key=lambda m: min(m & inst.terminals))
+    assert [c.members for c in cores] == family.cores
 
 
 @settings(max_examples=50, deadline=None)
@@ -92,16 +85,16 @@ def test_every_member_contains_a_core(seed, data):
 
 
 def test_zero_function_has_no_cores():
-    fn = ExplicitSetFunction(3, frozenset({1}), ())
-    assert explicit_max_level(fn, ()) == 0
-    assert explicit_cores(fn, ()) == []
+    family = enumerate_explicit(ExplicitSetFunction(3, frozenset({1}), ()))
+    assert family.level == 0
+    assert family.cores == []
 
 
 def test_singleton_function():
     fn = ExplicitSetFunction(4, frozenset({2}), ((frozenset({2}), 1),))
-    cores = explicit_cores(fn, ())
-    assert len(cores) == 1 and cores[0].members == frozenset({2})
-    assert cores[0].representative == 2
+    cores = enumerate_explicit(fn).cores
+    assert len(cores) == 1 and cores[0] == frozenset({2})
+    assert min(cores[0] & fn.terminals) == 2
 
 
 def test_residual_arcs_lower_level():
@@ -110,10 +103,10 @@ def test_residual_arcs_lower_level():
         (frozenset({2}), 1),
         (frozenset({1, 2}), 2),
     ))
-    assert explicit_max_level(fn, ()) == 2
-    assert explicit_max_level(fn, [(0, 1)]) == 1
-    cores = explicit_cores(fn, [(0, 1)])
-    assert {c.members for c in cores} == {frozenset({1}), frozenset({2})}
+    assert enumerate_explicit(fn).level == 2
+    family = enumerate_explicit(fn, [(0, 1, 1)])
+    assert family.level == 1
+    assert set(family.cores) == {frozenset({1}), frozenset({2})}
 
 
 def test_constructor_rejects_supermodularity_violation():
@@ -144,13 +137,13 @@ def test_cross_backend_equivalence(seed, data):
     # remaining selections act as arcs on top of the tabulated state
     rest = [u for u in units if u not in sample]
     extra = sorted(data.draw(st.sets(st.sampled_from(rest)) if rest else st.just(set())))
-    arcs = [inst.unit_arc(u) for u in extra]
+    arcs = [(*inst.unit_arc(u), 1) for u in extra]
     combined = sample + extra
-    assert explicit_max_level(fn, arcs) == rooted_max_level(inst, combined)
+    explicit = enumerate_explicit(fn, arcs)
+    assert explicit.level == rooted_max_level(inst, combined)
     rooted = rooted_cores(inst, combined)
-    explicit = explicit_cores(fn, arcs)
     assert [(c.members, c.representative) for c in rooted] == [
-        (c.members, c.representative) for c in explicit
+        (m, min(m & inst.terminals)) for m in explicit.cores
     ]
 
 
@@ -162,6 +155,6 @@ def test_residual_stays_supermodular(seed, data):
     fn = tabulate_rooted(inst, ())
     units = list(inst.positive_units)
     sample = data.draw(st.sets(st.sampled_from(units)) if units else st.just(set()))
-    arcs = [inst.unit_arc(u) for u in sample]
+    arcs = [(*inst.unit_arc(u), 1) for u in sample]
     residual = fn.residual(arcs)  # constructor re-checks
-    assert explicit_max_level(residual, ()) == explicit_max_level(fn, arcs)
+    assert enumerate_explicit(residual).level == enumerate_explicit(fn, arcs).level

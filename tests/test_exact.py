@@ -5,18 +5,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rkec.exact import (
-    CertificateError,
-    brute_force_opt,
-    brute_force_ring_cover,
-    enumerate_rooted,
-    nested_chain_certificate,
-)
+from rkec.exact import brute_force_opt
 from rkec.flows import Residual, connectivity
 from rkec.generate import default_corpus_params, generate_instance
 from rkec.instance import Edge, InfeasibleError, Instance, SizeRefusalError
 
-from conftest import oracle_opt_cost, small_random_instance
+from conftest import small_random_instance
+from oracles import (
+    CertificateError,
+    ExplicitSetFunction,
+    brute_force_ring_cover,
+    enumerate_explicit,
+    enumerate_rooted,
+    nested_chain_certificate,
+    oracle_opt_cost,
+)
 from reference import enumerated_opt
 
 
@@ -167,9 +170,6 @@ def test_enumerated_family_after_optimum(instance_a):
 
 
 def test_explicit_single_set_family():
-    from rkec.deficiency import ExplicitSetFunction
-    from rkec.exact import enumerate_explicit
-
     fn = ExplicitSetFunction(3, frozenset({1}), ((frozenset({1}), 1),))
     family = enumerate_explicit(fn)
     assert family.members == [frozenset({1})]

@@ -9,7 +9,8 @@ from rkec import flows
 from rkec.flows import Arc, Residual, working_arcs
 from rkec.instance import Edge, Instance
 
-from conftest import minimal_sets, oracle_min_cut, small_random_instance
+from conftest import small_random_instance
+from oracles import instance_arcs, minimal_sets, oracle_min_cut
 from reference import max_flow_paths, maximum_flow
 
 
@@ -196,13 +197,7 @@ def test_instance_view_zero_cost_graph_empty(instance_a):
 def test_instance_view_matches_oracle(seed):
     inst = small_random_instance(random.Random(seed))
     units = inst.positive_units[: len(inst.positive_units) // 2]
-    arcs = [(e.tail, e.head, e.mult) for e in inst.zero_edges]
-    counts = {}
-    for eid, _ in units:
-        counts[eid] = counts.get(eid, 0) + 1
-    for eid, cnt in counts.items():
-        e = inst.edge_by_id[eid]
-        arcs.append((e.tail, e.head, cnt))
+    arcs = instance_arcs(inst, units)
     v = instance_view(inst, units)
     for t in inst.terminals:
         assert max_flow_value(v, inst.root, t) == oracle_min_cut(arcs, inst.node_count, inst.root, t)[0]

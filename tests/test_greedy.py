@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rkec import greedy
-from rkec.deficiency import CoreInfo, rooted_cores
+from rkec.deficiency import CoreInfo
 from rkec.flows import root_flows
 from rkec.greedy import (
     PhaseStuckError,
@@ -28,7 +28,13 @@ from rkec.rings import (
 )
 
 from conftest import small_random_instance
-from reference import best_star, build_ring_context, price_star_edges, rooted_max_level
+from reference import (
+    best_star,
+    build_ring_context,
+    price_star_edges,
+    rooted_cores,
+    rooted_max_level,
+)
 
 
 def test_candidate_heads_skip_selected(instance_a):

@@ -16,17 +16,6 @@ from rkec.flows import Residual
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rkec"
 
-# Exact and explicit oracles: the package's ground truth, kept importable for
-# cross-checks although the solver, the CLI and the verifier never call them.
-ORACLES = {
-    "explicit_max_level",
-    "explicit_cores",
-    "tabulate_rooted",
-    "enumerate_explicit",
-    "brute_force_ring_cover",
-    "nested_chain_certificate",
-}
-
 
 def _names(node) -> set[str]:
     """Every name ``node`` refers to, bare or as an attribute."""
@@ -60,14 +49,29 @@ def test_package_has_no_test_only_code():
             used |= names
     pyproject = (ROOT / "pyproject.toml").read_text()
     used |= set(re.findall(r'"rkec\.\w+:(\w+)"', pyproject))
-    allowed = set(rkec.__all__) | ORACLES
     unused = sorted(
         f"{module}:{name}"
         for name, module in defined.items()
-        if name not in used and name not in allowed
+        if name not in used and name not in rkec.__all__
     )
     assert not unused, f"shipped code that nothing outside tests calls: {unused}"
-    assert ORACLES <= set(defined), "an allow-listed oracle no longer exists"
+
+
+def test_oracles_are_independent_of_the_code_they_check():
+    # the enumeration oracles recount entering arcs themselves; they may read
+    # the instance types, but no flow, ring, greedy, search, solver or
+    # verifier code, or a bug there would agree with itself
+    checked = {f"rkec.{name}" for name in ("flows", "rings", "greedy", "exact", "solver", "verify")}
+    modules = set()
+    for node in ast.walk(ast.parse((ROOT / "tests" / "oracles.py").read_text())):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+            if node.module == "rkec":  # from rkec import flows
+                modules |= {f"rkec.{alias.name}" for alias in node.names}
+    assert "rkec.instance" in modules
+    assert not modules & checked, sorted(modules & checked)
 
 
 def test_package_has_no_assert_statements():
@@ -163,3 +167,20 @@ def test_scripts_run_without_an_installed_package(tmp_path, script, args):
     assert proc.returncode == 0, proc.stderr
     if script == "make_corpus.py":
         assert (tmp_path / "corpus" / "inst_0001.json").is_file()
+
+
+@pytest.mark.parametrize("script, args", [
+    ("make_corpus.py", ["corpus", "--count", "-1"]),
+    ("ring_cross_check.py", ["--seeds", "-3"]),
+    ("ring_cross_check.py", ["--per-state", "-1"]),
+])
+def test_scripts_reject_negative_counts(tmp_path, script, args):
+    # a negative count used to run nothing and exit 0; it is a usage error
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "is not a non-negative integer" in proc.stderr
+    assert proc.stdout == ""
+    assert not (tmp_path / "corpus").exists()

@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,13 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rkec import rings
-from rkec.deficiency import rooted_cores
-from rkec.exact import (
-    brute_force_ring_cover,
-    enumerate_arc_family,
-    nested_chain_certificate,
-)
-from rkec.flows import working_arcs
 from rkec.rings import (
     free_leg_candidates,
     min_violated_set,
@@ -24,7 +18,8 @@ from rkec.rings import (
 from rkec.solver import solve
 
 from conftest import small_random_instance
-from reference import build_ring_context, rooted_max_level
+from oracles import brute_force_ring_cover, enumerate_arc_family, nested_chain_certificate
+from reference import build_ring_context, enumerated_ring_family, rooted_cores, rooted_max_level
 
 
 def context_for(inst, units, target_members, head_edge):
@@ -82,8 +77,7 @@ def test_ring_family_realization_matches_enumeration(instance_a):
     cores = rooted_cores(instance_a, ())
     sat = saturating_arcs(instance_a, cores, cores[0])  # cores[0] is {2}, at level 1
     saturated = enumerate_arc_family(
-        universe, instance_a.terminals, instance_a.k,
-        [(a.tail, a.head) for a in sat for _ in range(a.cap)],
+        universe, instance_a.terminals, instance_a.k, [(a.tail, a.head, a.cap) for a in sat]
     )
     assert saturated.level == family.level
     assert set(saturated.members) == set(ring.members)
@@ -163,18 +157,7 @@ def _leg_candidates(ctx, units):
 
 
 def _enumerated_ring(ctx, units, cores):
-    inst = ctx.inst
-    # the bare ring: the working graph and the saturating arcs, no head
-    bare = working_arcs(inst, units) + saturating_arcs(inst, cores, ctx.target)
-    arcs = []
-    for arc in bare:
-        arcs.extend([(arc.tail, arc.head)] * arc.cap)
-    family = enumerate_arc_family(
-        [v for v in range(inst.node_count) if v != inst.root],
-        inst.terminals,
-        inst.k,
-        arcs,
-    )
+    family = enumerated_ring_family(ctx.inst, units, cores, ctx.target)
     if family.level != ctx.target.deficiency:
         return None
     return family.ring_view(ctx.target.members)
@@ -243,11 +226,16 @@ def test_dual_certificate_accompanies_every_cover(seed):
             assert sum(s.amount for s in cover.duals) == cover.cost
 
 
-def test_ring_cross_check_script_passes():
+def test_ring_cross_check_script_passes(capsys):
     # scripts/ring_cross_check.py prices each pair fresh, through the
-    # solver's shared pricing context, and exhaustively; all must agree
+    # solver's shared pricing context, and exhaustively; all must agree, over
+    # the script's default run, whose counts are pinned
     path = Path(__file__).resolve().parents[1] / "scripts" / "ring_cross_check.py"
     spec = importlib.util.spec_from_file_location("ring_cross_check", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    assert script.main(["--seeds", "30"]) == 0
+    assert script.main([]) == 0
+    out = capsys.readouterr().out
+    assert re.fullmatch(
+        r"1496 contexts in \d+\.\ds: 0 mismatches, 51 unpriceable\n", out
+    ), out
