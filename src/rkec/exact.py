@@ -12,30 +12,26 @@ tests.
 
 from __future__ import annotations
 
-from .flows import root_flows, short_terminal, solution_of
-from .instance import Instance, InfeasibleError, SizeRefusalError, Solution
+import math
+
+from .flows import require_feasible, root_flows, solution_of
+from .instance import Instance, SizeRefusalError, Solution
 
 
-def brute_force_opt(inst: Instance, *, max_units: int = 22, preselected=()) -> Solution:
-    """Exact minimum-cost feasible completion of ``preselected``: the
-    solution of the units ``cheapest_completion`` picks.
+def brute_force_opt(inst: Instance, *, max_units: int = 22) -> Solution:
+    """Exact minimum-cost feasible selection: the solution of the units
+    ``cheapest_completion`` picks from nothing.
 
-    ``preselected`` units are treated as already paid for (capacity present,
-    cost not counted), and the result is the solution of the completion's
-    units alone.  Raises SizeRefusalError when more than ``max_units`` free
-    positive units remain, and InfeasibleError when even every unit leaves a
-    terminal short.
+    Raises SizeRefusalError when there are more than ``max_units`` positive
+    units, and InfeasibleError when even every unit leaves a terminal short.
     """
-    preselected = frozenset(preselected)
-    free = sum(1 for u in inst.positive_units if u not in preselected)
-    if free > max_units:
+    count = len(inst.positive_units)
+    if count > max_units:
         raise SizeRefusalError(
-            f"{free} positive edge units exceed the enumeration cap {max_units}"
+            f"{count} positive edge units exceed the enumeration cap {max_units}"
         )
-    short = short_terminal(inst, inst.positive_units, inst.k)
-    if short is not None:
-        raise InfeasibleError(*short, inst.k)
-    return solution_of(inst, cheapest_completion(inst, preselected)[1])
+    require_feasible(inst)
+    return solution_of(inst, cheapest_completion(inst, ())[1])
 
 
 def cheapest_completion(inst: Instance, preselected) -> tuple[int, tuple]:
@@ -53,35 +49,26 @@ def cheapest_completion(inst: Instance, preselected) -> tuple[int, tuple]:
     side is disjoint from every side taken so far, its own deficit-many
     cheapest entering units (no arc enters two disjoint sets).  It carries
     one root flow per deficient terminal, stopped at k, built once at the
-    root: each child grows its parent's flows in place by the branched unit,
-    recurses on the terminals still below k, and rolls every flow back to
-    its ``mark`` when it returns.  Below k a flow is a maximum flow, so its
-    closest sink side is the one a fresh flow would give.  The plain
-    enumeration it is checked against lives with the tests.
+    root: each child grows its parent's flows in place by the branched unit
+    (``Residual.grow``), recurses on the terminals still below k, and rolls
+    every flow back to its ``mark`` when it returns.  Below k a flow is a
+    maximum flow, so its closest sink side is the one a fresh flow would
+    give.  The search starts with no incumbent: its first dive, always down
+    the cheapest branch and never cut by the bound, is a greedy repair that
+    reaches a leaf, and with no deficient terminal the root itself is the
+    leaf (cost 0, no units).  The plain enumeration it is checked against
+    lives with the tests.
     """
     preselected = frozenset(preselected)
     cost_of = inst.scaled_cost
-    # (scaled cost, unit, arc) of every free unit, cheapest first
+    # (scaled cost, unit, arc) of every free unit, cheapest first, its arc
+    # the (tail, head, 1) triple that grows a flow by the unit
     free = sorted(
-        (cost_of(u), u, inst.unit_arc(u))
+        (cost_of(u), u, (*inst.unit_arc(u), 1))
         for u in inst.positive_units
         if u not in preselected
     )
     k = inst.k
-
-    def grow(flows, arc):
-        """Add ``arc`` to each deficient flow in place and augment it to k;
-        returns the flows still below k (an arc never lowers a flow)."""
-        out = []
-        for flow in flows:
-            flow.add(*arc, 1)
-            if flow.augment(k) < k:
-                out.append(flow)
-        return out
-
-    def worst_flow(flows):
-        """The first flow of the largest deficit."""
-        return min(flows, key=lambda flow: flow.value)
 
     def consider(chosen, cost):
         nonlocal best_cost, best_units
@@ -92,7 +79,7 @@ def cheapest_completion(inst: Instance, preselected) -> tuple[int, tuple]:
     def free_units(blocked, side):
         """Every unblocked free unit entering ``side``, cheapest first."""
         return [
-            (c, u, arc) for c, u, arc in free  # arc is (tail, head)
+            (c, u, arc) for c, u, arc in free  # arc is (tail, head, 1)
             if arc[1] in side and arc[0] not in side and u not in blocked
         ]
 
@@ -101,7 +88,7 @@ def cheapest_completion(inst: Instance, preselected) -> tuple[int, tuple]:
             consider(chosen, cost)
             return  # costs are strictly positive, supersets cannot improve
         blocked = chosen | excluded
-        worst = worst_flow(flows)
+        worst = min(flows, key=lambda flow: flow.value)  # the first largest deficit
         side = worst.closest_sink_side()
         entering = free_units(blocked, side)
         taken = set(side)
@@ -136,7 +123,8 @@ def cheapest_completion(inst: Instance, preselected) -> tuple[int, tuple]:
                 break  # the branch is cheapest first
             marks = [flow.mark() for flow in flows]
             search(
-                grow(flows, arc),
+                # an arc never lowers a flow: the ones still below k stay
+                [flow for flow in flows if flow.grow((arc,), k) < k],
                 chosen | {u},
                 excluded | {b for _, b, _ in branch[:i]},
                 cost + c,
@@ -144,18 +132,8 @@ def cheapest_completion(inst: Instance, preselected) -> tuple[int, tuple]:
             for flow, mark in zip(flows, marks):
                 flow.rollback(mark)
 
+    best_cost, best_units = math.inf, ()
     root = [flow for _, flow in root_flows(inst, preselected, k) if flow.value < k]
-    # Prime the bound with a greedy repair: always buy the cheapest unit
-    # entering the current worst closest cut.  It grows the root flows in
-    # place, so they are rolled back before the search starts from them.
-    marks = [flow.mark() for flow in root]
-    flows, chosen, best_cost = root, frozenset(), 0
-    while flows:
-        c, pick, arc = free_units(chosen, worst_flow(flows).closest_sink_side())[0]
-        flows, chosen, best_cost = grow(flows, arc), chosen | {pick}, best_cost + c
-    for flow, mark in zip(root, marks):
-        flow.rollback(mark)
-    best_units = tuple(sorted(chosen))
     search(root, frozenset(), frozenset(), 0)
     return best_cost, best_units
 

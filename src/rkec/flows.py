@@ -1,15 +1,16 @@
 """Unit-capacity max-flow / min-cut primitives over instance subgraphs.
 
 Every flow lives in a ``Residual``: a mutable residual network for one source
-and sink that takes new arcs at any time and resumes augmenting from the flow
-it already carries, by shortest augmenting paths (breadth-first,
-deterministic for a fixed arc order).  Its value is a path count and its
-closest sink side a core candidate or a ring's minimal violated set.
+and sink that grows by ``Residual.grow`` alone, which adds (tail, head, cap)
+arc triples and resumes augmenting from the flow it already carries, by
+shortest augmenting paths (breadth-first, deterministic for a fixed arc
+order).  Its value is a path count and its closest sink side a core
+candidate or a ring's minimal violated set.
 
-A selection's working graph is one arc list (``working_arcs``).
-``root_flows``, the only code that builds a residual, augments one
-root->terminal flow over it per terminal, in id order and only as far as its
-caller reads; root connectivity (``connectivity``, exact), the first short
+A selection's working graph is one list of arc triples (``working_arcs``).
+``root_flows``, the only code that builds a residual, grows one
+root->terminal flow by it per terminal, in id order and only as far as its
+caller reads; root connectivity (``solution_of``, exact), the first short
 terminal (``short_terminal``, whose flows stop at ``need``) and the cores all
 read those flows.  The greedy grows its root flows (stopped at k) by each
 star; a star's rings and the brute-force search grow them in place and roll
@@ -22,16 +23,8 @@ and the verifier all build theirs with it.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
-from .instance import Instance, Solution, selection_from_units
-
-
-@dataclass(frozen=True)
-class Arc:
-    tail: int
-    head: int
-    cap: int
+from .instance import Instance, InfeasibleError, Solution, selection_from_units
 
 
 class Residual:
@@ -39,14 +32,15 @@ class Residual:
 
     Arcs are stored in pairs: arc ``i`` and its reverse ``i ^ 1``, with the
     head of each in ``to`` and the residual capacity in ``cap``; ``adj`` lists
-    the arc indexes leaving each node.  Arcs can be added at any time and
-    ``augment`` resumes from the current flow, so a flow grows with its graph
-    instead of being recomputed; ``mark`` and ``rollback`` undo such growth,
-    last in, first out.  The closest sink side is the same for every maximum
-    flow, so it is only read once ``augment`` has run out of paths.
+    the arc indexes leaving each node.  A residual starts with no arcs and
+    ``grow`` adds arcs and resumes from the current flow, so a flow grows
+    with its graph instead of being recomputed; ``mark`` and ``rollback``
+    undo such growth, last in, first out.  The closest sink side is the same
+    for every maximum flow, so it is only read once ``grow`` has run out of
+    paths.
     """
 
-    def __init__(self, node_count: int, source: int, sink: int, arcs=()):
+    def __init__(self, node_count: int, source: int, sink: int):
         if source == sink:
             raise ValueError("source and sink must differ")
         self.source = source
@@ -55,17 +49,6 @@ class Residual:
         self.adj: list[list[int]] = [[] for _ in range(node_count)]
         self.to: list[int] = []
         self.cap: list[int] = []
-        for a in arcs:
-            self.add(a.tail, a.head, a.cap)
-
-    def add(self, tail: int, head: int, cap: int) -> None:
-        if cap <= 0 or tail == head:
-            return
-        i = len(self.to)
-        self.to += (head, tail)
-        self.cap += (cap, 0)
-        self.adj[tail].append(i)
-        self.adj[head].append(i + 1)
 
     def mark(self) -> tuple[int, list[int], int]:
         """A snapshot for ``rollback``: the arc count, the capacities and the
@@ -73,9 +56,9 @@ class Residual:
         return len(self.to), self.cap[:], self.value
 
     def rollback(self, mark: tuple[int, list[int], int]) -> None:
-        """Undo every ``add`` and ``augment`` since ``mark``: pop the arcs
-        added since, newest first (each is the last entry of its ``adj``
-        row), and restore the capacities and the value."""
+        """Undo every ``grow`` since ``mark``: pop the arcs added since,
+        newest first (each is the last entry of its ``adj`` row), and restore
+        the capacities and the value."""
         count, cap, self.value = mark
         to, adj = self.to, self.adj
         for i in range(len(to) - 1, count - 1, -1):
@@ -83,13 +66,21 @@ class Residual:
         del to[count:]
         self.cap[:] = cap
 
-    def augment(self, limit: int | None = None) -> int:
-        """Push shortest augmenting paths until the value reaches ``limit``
-        (unbounded when None) or no path is left; returns the value.
+    def grow(self, arcs, limit: int | None = None) -> int:
+        """Add each (tail, head, cap) triple of ``arcs`` (loops and empty
+        arcs skipped), then push shortest augmenting paths until the value
+        reaches ``limit`` (unbounded when None) or no path is left; returns
+        the value.
 
         Breadth-first search in arc order makes the flow deterministic.
         """
         s, t, adj, to, cap = self.source, self.sink, self.adj, self.to, self.cap
+        for tail, head, c in arcs:
+            if c > 0 and tail != head:
+                adj[tail].append(len(to))
+                adj[head].append(len(to) + 1)
+                to += (head, tail)
+                cap += (c, 0)
         while limit is None or self.value < limit:
             via = [-1] * len(adj)  # arc that discovered each node
             via[s] = -2
@@ -135,56 +126,59 @@ class Residual:
         return frozenset(reach)
 
 
-def working_arcs(inst: Instance, units) -> list[Arc]:
-    """The working graph of ``units``: zero-cost edges, then selected units.
+def working_arcs(inst: Instance, units) -> list[tuple[int, int, int]]:
+    """The working graph of ``units`` as (tail, head, cap) triples: zero-cost
+    edges, then selected units.
 
     Selected units are grouped per edge id into one arc with the unit count as
     capacity.
     """
-    arcs = [Arc(e.tail, e.head, e.mult) for e in inst.zero_edges]
+    arcs = [(e.tail, e.head, e.mult) for e in inst.zero_edges]
     for eid, count in selection_from_units(units).items():
         e = inst.edge_by_id[eid]
-        arcs.append(Arc(e.tail, e.head, count))
+        arcs.append((e.tail, e.head, count))
     return arcs
 
 
 def root_flows(inst: Instance, units, limit: int | None = None) -> Iterator[tuple[int, Residual]]:
     """Per terminal in id order: a root->terminal flow of the working graph
-    of ``units``, augmented until it reaches ``limit`` (a maximum flow when
+    of ``units``, grown until it reaches ``limit`` (a maximum flow when
     None).  A value below ``limit`` is the exact maximum.
 
-    Lazy: each residual is built and augmented when its terminal comes up, so
+    Lazy: each residual is built and grown when its terminal comes up, so
     a caller that stops early pays for no further terminal.
     """
     arcs = working_arcs(inst, units)
     for t in sorted(inst.terminals):
-        flow = Residual(inst.node_count, inst.root, t, arcs)
-        flow.augment(limit)
+        flow = Residual(inst.node_count, inst.root, t)
+        flow.grow(arcs, limit)
         yield t, flow
-
-
-def connectivity(inst: Instance, units) -> dict[int, int]:
-    """Edge-disjoint root paths of every terminal (in id order) in the
-    working graph of ``units``."""
-    return {t: flow.value for t, flow in root_flows(inst, units)}
 
 
 def short_terminal(inst: Instance, units, need: int) -> tuple[int, int] | None:
     """The first terminal (in id order) with fewer than ``need`` edge-disjoint
     root paths in the working graph of ``units``, with its path count; None
     when every terminal has ``need``.  Stops at that terminal, and each flow
-    stops at ``need``: a count below it is exact, as ``connectivity`` gives."""
+    stops at ``need``: a count below it is exact, as a maximum flow gives."""
     for t, flow in root_flows(inst, units, need):
         if flow.value < need:
             return t, flow.value
     return None
 
 
+def require_feasible(inst: Instance) -> None:
+    """Raise InfeasibleError for the first terminal that even every positive
+    unit leaves short of k."""
+    short = short_terminal(inst, inst.positive_units, inst.k)
+    if short is not None:
+        raise InfeasibleError(*short, inst.k)
+
+
 def solution_of(inst: Instance, units, audit=()) -> Solution:
     """The solution ``units`` make: their selection and cost, the
     connectivity of their working graph and whether every terminal reaches k,
     with ``audit`` as its iteration records."""
-    conn = connectivity(inst, units)
+    conn = {t: flow.value for t, flow in root_flows(inst, units)}
     return Solution(
         selected=selection_from_units(units),
         total_cost=inst.units_cost(units),

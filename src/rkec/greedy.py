@@ -291,10 +291,9 @@ def cover_levels(inst: Instance) -> list[IterationRecord]:
         star = cheapest_star(inst, selected, cores, flows)
         new_units = sorted(star.units() - selected)
         selected.update(new_units)
+        arcs = [(*inst.unit_arc(u), 1) for u in new_units]
         for flow in flows.values():
-            for u in new_units:
-                flow.add(*inst.unit_arc(u), 1)
-            flow.augment(inst.k)
+            flow.grow(arcs, inst.k)
         after = cores_of(inst, flows)
         if after and after[0].deficiency > level:
             raise AssertionError(f"the max level rose from {level} to {after[0].deficiency}")

@@ -11,12 +11,13 @@ ring members not already covered by the head, so the minimal violated set is
 the closest minimum cut at the core's representative terminal.
 
 Each context reads one residual flow from the root to the representative,
-augmented up to k - l + 1: the ring is covered exactly when the flow gets
-there.  The flow is the context's only graph; no arc list is kept beside it.
-It is the representative's carried root flow itself, grown in place by the
+grown up to k - l + 1: the ring is covered exactly when the flow gets there.
+The flow is the context's only graph; no arc list is kept beside it.  It is
+the representative's carried root flow itself, grown in place by the
 saturating arcs; the primal-dual and each reverse-delete trial grow it by the
 head and the legs after a ``Residual.mark`` and roll it back to the mark, so
-no flow is ever copied or recomputed from scratch.
+no flow is ever copied or recomputed from scratch.  Every growth is one
+``Residual.grow`` call over (tail, head, cap) triples.
 
 The cover itself comes from dual ascent plus reverse delete.  Minimal
 violated sets of a shrinking ring form a strictly increasing chain, so the
@@ -35,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .deficiency import CoreInfo
-from .flows import Arc, Residual
+from .flows import Residual
 from .instance import Instance, Unit, selection_from_units
 
 
@@ -60,8 +61,8 @@ class RingContext:
     A context without a head (``head is None``) prices the core's ring with
     the legs alone; ``dataclasses.replace(ctx, head=head)`` adds a head.
     ``flow`` is the root-representative residual of the working graph and
-    the saturating arcs, augmented to ``bound``, whatever the head: readers
-    add the head and legs after a ``mark`` and roll back to it.
+    the saturating arcs, grown to ``bound``, whatever the head: readers grow
+    it by the head and legs after a ``mark`` and roll back to it.
     """
 
     inst: Instance
@@ -76,8 +77,9 @@ class RingContext:
         return self.inst.k - self.target.deficiency + 1
 
 
-def saturating_arcs(inst: Instance, all_cores, target: CoreInfo) -> list[Arc]:
-    """Root arcs at the target's level onto every terminal of every other core.
+def saturating_arcs(inst: Instance, all_cores, target: CoreInfo) -> list[tuple[int, int, int]]:
+    """Root arcs at the target's level onto every terminal of every other
+    core, as (tail, head, cap) triples.
 
     A saturated terminal drags every set containing it below the top level,
     and a top-level set free of other cores' terminals contains no other core,
@@ -88,7 +90,7 @@ def saturating_arcs(inst: Instance, all_cores, target: CoreInfo) -> list[Arc]:
         if core.members == target.members:
             continue
         for t in sorted(core.members & inst.terminals):
-            arcs.append(Arc(inst.root, t, target.deficiency))
+            arcs.append((inst.root, t, target.deficiency))
     return arcs
 
 
@@ -121,9 +123,7 @@ def core_ring_context(
     ``free_leg_candidates``.
     """
     ctx = RingContext(inst, target, None, leg_index, root_flow)
-    for arc in saturating_arcs(inst, all_cores, target):
-        root_flow.add(arc.tail, arc.head, arc.cap)
-    root_flow.augment(ctx.bound)
+    root_flow.grow(saturating_arcs(inst, all_cores, target), ctx.bound)
     return ctx
 
 
@@ -137,10 +137,9 @@ def min_violated_set(ctx: RingContext, legs) -> frozenset[int] | None:
     """
     flow = ctx.flow
     mark = flow.mark()
+    units = legs if ctx.head is None else (ctx.head, *legs)
     try:
-        for u in legs if ctx.head is None else (ctx.head, *legs):
-            flow.add(*ctx.inst.unit_arc(u), 1)
-        if flow.augment(ctx.bound) >= ctx.bound:
+        if flow.grow([(*ctx.inst.unit_arc(u), 1) for u in units], ctx.bound) >= ctx.bound:
             return None
         return flow.closest_sink_side()
     finally:
@@ -151,7 +150,6 @@ def min_violated_set(ctx: RingContext, legs) -> frozenset[int] | None:
 class DualStep:
     raised: frozenset[int]
     amount: int  # in units of 1/cost_scale
-    tightened: Unit
 
 
 @dataclass(frozen=True)
@@ -195,7 +193,7 @@ def primal_dual_ring_cover(ctx: RingContext) -> RingCover | None:
     member has no entering candidate at all; raises AssertionError when the
     cover fails its strong-duality certificate (``_certificate``).
 
-    The head and each pick add one unit arc to the context's flow, so it is
+    The head and each pick grow the context's flow by one unit arc, so it is
     augmented from where it was rather than recomputed, and rolled back
     before the reverse delete; reduced costs are kept only for candidates the
     ascent has touched.
@@ -212,8 +210,7 @@ def primal_dual_ring_cover(ctx: RingContext) -> RingCover | None:
     mark = flow.mark()
     try:
         if ctx.head is not None:
-            flow.add(*ctx.inst.unit_arc(ctx.head), 1)
-            flow.augment(bound)
+            flow.grow([(*ctx.inst.unit_arc(ctx.head), 1)], bound)
         while flow.value < bound:
             violated = flow.closest_sink_side()
             entering = [
@@ -227,11 +224,10 @@ def primal_dual_ring_cover(ctx: RingContext) -> RingCover | None:
             eps, pick, tail, head = min(entering)
             for r, u, _, _ in entering:
                 reduced[u] = r - eps
-            duals.append(DualStep(violated, eps, pick))
+            duals.append(DualStep(violated, eps))
             tight_order.append(pick)
             chosen.add(pick)
-            flow.add(tail, head, 1)
-            flow.augment(bound)
+            flow.grow([(tail, head, 1)], bound)
     finally:
         flow.rollback(mark)
 

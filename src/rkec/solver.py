@@ -12,11 +12,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flows import short_terminal, solution_of
+from .flows import require_feasible, short_terminal, solution_of
 from .greedy import cover_levels
 from .instance import (
     Instance,
-    InfeasibleError,
     ParseError,
     Solution,
     frac_from_obj,
@@ -64,10 +63,7 @@ def solve(inst: Instance, *, prune: bool = False) -> SolveReport:
     with none), so the guarantee's H(k - l0) is the harmonic number of that
     level.
     """
-    short = short_terminal(inst, inst.positive_units, inst.k)
-    if short is not None:
-        raise InfeasibleError(*short, inst.k)
-
+    require_feasible(inst)
     records = cover_levels(inst)
     selected = [u for rec in records for u in rec.added_units]
     solution = solution_of(inst, selected, records)
@@ -119,7 +115,9 @@ def report_from_doc(doc: dict) -> SolveReport:
         solution = solution_from_doc(doc["solution"])
         if doc["phases"] != phases_doc(solution.audit):
             raise ParseError("phases differ from the ones the iteration records give")
-        pruned = solution_from_doc(doc["pruned"]) if doc.get("pruned") else None
+        pruned = doc.get("pruned")
+        if pruned is not None:
+            pruned = solution_from_doc(pruned)
         if type(doc["terminal_count"]) is not int:
             raise ParseError("terminal_count must be an integer")
         return SolveReport(

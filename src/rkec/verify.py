@@ -20,9 +20,8 @@ from fractions import Fraction
 import mpmath
 
 from .exact import cheapest_completion
-from .flows import root_flows, short_terminal, solution_of
+from .flows import require_feasible, root_flows, solution_of
 from .instance import (
-    InfeasibleError,
     Instance,
     SizeRefusalError,
     Solution,
@@ -207,7 +206,7 @@ def audit_run(
     return out
 
 
-def density_violations(inst: Instance, report: SolveReport, *, max_units: int = 16) -> list[int]:
+def density_violations(inst: Instance, report: SolveReport, *, max_units: int) -> list[int]:
     """Replay a run checking each iteration against the density rule.
 
     Each recorded iteration must satisfy
@@ -222,9 +221,7 @@ def density_violations(inst: Instance, report: SolveReport, *, max_units: int = 
         raise SizeRefusalError("instance too large for the density replay")
     records = report.solution.audit
     if records:  # every record's optimum needs the whole instance feasible
-        short = short_terminal(inst, inst.positive_units, inst.k)
-        if short is not None:
-            raise InfeasibleError(*short, inst.k)
+        require_feasible(inst)
     violations = []
     selected: list = []
     for idx, rec in enumerate(records):

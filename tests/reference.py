@@ -42,22 +42,21 @@ def build_ring_context(
     fresh residual over the working and saturating arcs, not any flow the
     solver carries."""
     arcs = working_arcs(inst, units) + saturating_arcs(inst, all_cores, target)
-    flow = Residual(inst.node_count, inst.root, target.representative, arcs)
+    flow = Residual(inst.node_count, inst.root, target.representative)
     legs = index_legs(inst, free_leg_candidates(inst, units))
     ctx = RingContext(inst, target, head, legs, flow)
-    flow.augment(ctx.bound)
+    flow.grow(arcs, ctx.bound)
     return ctx
 
 
 def enumerated_ring_family(inst: Instance, units, all_cores, target: CoreInfo) -> EnumeratedFamily:
     """The enumerated family of the target's ring graph without a head: the
     working arcs of ``units`` and the arcs saturating the other cores."""
-    arcs = working_arcs(inst, units) + saturating_arcs(inst, all_cores, target)
     return enumerate_arc_family(
         [v for v in range(inst.node_count) if v != inst.root],
         inst.terminals,
         inst.k,
-        [(a.tail, a.head, a.cap) for a in arcs],
+        working_arcs(inst, units) + saturating_arcs(inst, all_cores, target),
     )
 
 
@@ -134,9 +133,9 @@ def enumerated_opt(inst: Instance, preselected=()) -> Solution | None:
 
 
 def maximum_flow(node_count: int, arcs, s: int, t: int) -> Residual:
-    """A maximum s->t flow over ``arcs``, augmented without a limit."""
-    flow = Residual(node_count, s, t, arcs)
-    flow.augment()
+    """A maximum s->t flow over ``arcs``, grown without a limit."""
+    flow = Residual(node_count, s, t)
+    flow.grow(arcs)
     return flow
 
 

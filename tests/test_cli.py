@@ -480,6 +480,23 @@ def test_verify_rejects_mistyped_and_tampered_records(corpus_seven, tmp_path, ca
         assert {key: audit[key] for key in expected} == expected
 
 
+@pytest.mark.parametrize("pruned", [[], {}, 0, False, ""],
+                         ids=["list", "object", "zero", "false", "string"])
+def test_verify_rejects_a_pruned_that_is_neither_null_nor_a_solution(corpus_seven, tmp_path,
+                                                                     capsys, pruned):
+    # only null means "not pruned"; a falsy value used to be skipped and
+    # audit clean
+    inst, doc = corpus_seven
+    doc["pruned"] = pruned
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("verify", "--instance", inst, "--report", tampered, "--no-timestamp") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("flag", ["--report", "--solution", "--opt"])
 @pytest.mark.parametrize("text", ["{not json", "[1, 2]"], ids=["malformed", "not-an-object"])
 def test_verify_rejects_documents_that_are_not_json_objects(

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rkec.exact import brute_force_opt
-from rkec.flows import Residual, connectivity
+from rkec.exact import brute_force_opt, cheapest_completion
+from rkec.flows import Residual, require_feasible, solution_of
 from rkec.generate import default_corpus_params, generate_instance
 from rkec.instance import Edge, InfeasibleError, Instance, SizeRefusalError
 
@@ -58,28 +58,39 @@ def test_infeasible_instance_reports_witness():
 
 
 def test_preselected_units_are_free(instance_a):
-    sol = brute_force_opt(instance_a, preselected={(1, 0), (2, 0)})
     # only terminal 3 is open; cheapest completion is the relay arc onto it
-    assert sol.total_cost == 1
-    assert sol.selected == {3: 1}
+    cost, units = cheapest_completion(instance_a, {(1, 0), (2, 0)})
+    assert Fraction(cost, instance_a.cost_scale) == 1
+    assert units == ((3, 0),)
+
+
+def test_a_feasible_start_needs_no_completion(instance_a):
+    # every terminal already reaches k: the search root is its only leaf
+    assert cheapest_completion(instance_a, {(1, 0), (2, 0), (3, 0)}) == (0, ())
+    free = Instance(3, 0, frozenset({1, 2}), (Edge(1, 0, 1, Fraction(0)), Edge(2, 1, 2, Fraction(0))), 1)
+    assert cheapest_completion(free, ()) == (0, ())
+    assert brute_force_opt(free).total_cost == 0
 
 
 def assert_search_equals_plain_enumeration(inst, preselected=frozenset()):
     slow = enumerated_opt(inst, preselected)
     if slow is None:
         with pytest.raises(InfeasibleError):
-            brute_force_opt(inst, preselected=preselected)
+            require_feasible(inst)
         return
-    fast = brute_force_opt(inst, preselected=preselected)
-    assert fast.total_cost == slow.total_cost
+    cost, units = cheapest_completion(inst, preselected)
+    fast = solution_of(inst, units)
+    assert Fraction(cost, inst.cost_scale) == fast.total_cost == slow.total_cost
     assert fast.selected == slow.selected  # identical lexicographic tie-break
+    if not preselected:
+        assert brute_force_opt(inst).selected == slow.selected
 
 
 def reachable_k(inst, terminals):
     """The instance on ``terminals`` with k lowered to what all the units
     reach, so that most draws have an optimum."""
     inst = Instance(inst.node_count, inst.root, terminals, inst.edges, inst.k)
-    reach = min(connectivity(inst, inst.positive_units).values())
+    reach = min(solution_of(inst, inst.positive_units).connectivity.values())
     return Instance(inst.node_count, inst.root, terminals, inst.edges,
                     max(1, min(inst.k, reach)))
 

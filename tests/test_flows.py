@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rkec import flows
-from rkec.flows import Arc, Residual, working_arcs
+from rkec.flows import Residual, solution_of, working_arcs
 from rkec.instance import Edge, Instance
 
 from conftest import small_random_instance
@@ -15,8 +15,8 @@ from reference import max_flow_paths, maximum_flow
 
 
 def view(n, arcs):
-    """A node count and its arc list, (tail, head, cap) triples as ``Arc``s."""
-    return n, [Arc(*a) for a in arcs]
+    """A node count and its arc list of (tail, head, cap) triples."""
+    return n, list(arcs)
 
 
 def instance_view(inst, units):
@@ -99,8 +99,8 @@ def test_duality_and_minimality_against_enumeration(seed):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10_000))
 def test_incremental_flow_matches_a_fresh_view(seed):
-    # arcs join one at a time, each followed by a bounded augment; the
-    # residual must then agree with a maximum flow computed from scratch
+    # arcs join one at a time, each by a bounded grow; the residual must
+    # then agree with a maximum flow computed from scratch
     rng = random.Random(seed)
     n = rng.randint(2, 6)
     arcs = _random_view(rng, n)
@@ -109,8 +109,7 @@ def test_incremental_flow_matches_a_fresh_view(seed):
     limit = rng.randint(1, 4)
     flow = Residual(n, s, t)
     for i, arc in enumerate(arcs, start=1):
-        flow.add(*arc)
-        flow.augment(limit)
+        flow.grow([arc], limit)
         v = view(n, arcs[:i])
         value = max_flow_value(v, s, t)
         assert (flow.value >= limit) == (value >= limit)
@@ -122,28 +121,39 @@ def test_incremental_flow_matches_a_fresh_view(seed):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10_000))
 def test_rollback_restores_the_marked_flow(seed):
-    # random adds and bounded augments after a mark, then a rollback: the
-    # residual must equal its state at the mark, and grow on like a residual
-    # built from the same arcs
+    # random bounded grows after a mark, then a rollback: the residual must
+    # equal its state at the mark, and grow on like a residual built fresh
     rng = random.Random(seed)
     n = rng.randint(2, 6)
     s, t = rng.sample(range(n), 2)
-    arcs = [Arc(*a) for a in _random_view(rng, n)]
-    flow = Residual(n, s, t, arcs)
-    flow.augment(rng.choice([None, 1, 2]))
+    arcs = _random_view(rng, n)
+
+    def fresh():
+        return maximum_flow(n, arcs, s, t)
+
+    # growing the list in one call or one arc at a time (each grow bounded,
+    # then one unbounded) gives the enumerated minimum cut and its closest
+    # sink side
+    one_at_a_time = Residual(n, s, t)
+    for arc in arcs:
+        one_at_a_time.grow([arc], rng.choice([None, 1, 2]))
+    one_at_a_time.grow(())
+    value, sides = oracle_min_cut(arcs, n, t=t, s=s)
+    for flow in (fresh(), one_at_a_time):
+        assert flow.value == value
+        assert [flow.closest_sink_side()] == minimal_sets(sides)
+
+    flow = Residual(n, s, t)
+    flow.grow(arcs, rng.choice([None, 1, 2]))
     mark = flow.mark()
     at_mark = flow.to[:], [row[:] for row in flow.adj], flow.cap[:], flow.value
     for _ in range(rng.randint(0, 6)):
-        if rng.random() < 0.6:
-            tail, head = rng.sample(range(n), 2)
-            flow.add(tail, head, rng.randint(1, 3))
-        else:
-            flow.augment(rng.randint(0, 5))
+        extra = [(*rng.sample(range(n), 2), rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
+        flow.grow(extra, rng.randint(0, 5))
     flow.rollback(mark)
     assert (flow.to, flow.adj, flow.cap, flow.value) == at_mark
-    fresh = Residual(n, s, t, arcs)
-    assert flow.augment() == fresh.augment()
-    assert flow.closest_sink_side() == fresh.closest_sink_side()
+    assert flow.grow(()) == fresh().value
+    assert flow.closest_sink_side() == fresh().closest_sink_side()
 
 
 @settings(max_examples=40, deadline=None)
@@ -236,6 +246,6 @@ def test_short_terminal_is_the_first_terminal_below_need(seed, data):
     units = data.draw(st.lists(st.sampled_from(inst.positive_units), unique=True)
                       if inst.positive_units else st.just([]))
     need = data.draw(st.integers(0, inst.k + 1))
-    conn = flows.connectivity(inst, units)
+    conn = solution_of(inst, units).connectivity
     expected = next(((t, v) for t, v in conn.items() if v < need), None)
     assert flows.short_terminal(inst, units, need) == expected

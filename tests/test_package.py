@@ -11,7 +11,12 @@ from pathlib import Path
 import pytest
 
 import rkec
+from rkec import flows
+from rkec.exact import brute_force_opt
 from rkec.flows import Residual
+from rkec.generate import default_corpus_params, generate_instance
+from rkec.solver import solve
+from rkec.verify import audit_run
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rkec"
@@ -94,10 +99,17 @@ def _calls(tree):
                 yield getattr(stmt, "name", None), node.func
 
 
-def test_flows_are_built_in_one_place_and_never_copied():
-    # every flow is a root flow of ``flows.root_flows``, grown in place and
-    # undone by ``Residual.mark``/``rollback``; no code builds a second one
-    # beside it or copies one (nothing in the package calls a ``copy``)
+# the whole interface of a flow outside ``flows.py``: it grows by ``grow``
+# alone, is undone by ``mark``/``rollback`` and is read through the rest
+RESIDUAL_METHODS = {"grow", "mark", "rollback", "closest_sink_side"}
+RESIDUAL_INTERFACE = RESIDUAL_METHODS | {"value", "sink"}
+
+
+def test_flows_are_built_in_one_place_and_never_copied(monkeypatch):
+    # every flow is a root flow of ``flows.root_flows``, grown in place by
+    # ``Residual.grow`` and undone by ``Residual.mark``/``rollback``; no code
+    # builds a second one beside it or copies one (nothing in the package
+    # calls a ``copy``), and there is one arc type, the plain triple
     builds, copies = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         for owner, func in _calls(ast.parse(path.read_text())):
@@ -107,7 +119,39 @@ def test_flows_are_built_in_one_place_and_never_copied():
                 copies.append(f"{path.stem}.{owner}:{func.lineno}")
     assert builds == ["flows.root_flows"]
     assert not copies, f"copy calls in shipped code: {copies}"
-    assert not hasattr(Residual, "copy")
+    assert not hasattr(flows, "Arc") and not hasattr(flows, "connectivity")
+    assert {name for name in vars(Residual) if not name.startswith("_")} == RESIDUAL_METHODS
+
+    # outside ``flows.py`` a residual is grown, marked, rolled back and read
+    # (``value``, ``sink``, its closest sink side), and nothing else.  The
+    # names only a residual's internals carry never appear there, and every
+    # attribute that code touches on a residual over a pruned solve, its
+    # audit with the density replay, and the brute force is in the interface.
+    internals = {"augment", "adj", "to", "cap", "source"}
+    named = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "flows.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in internals
+    ]
+    assert not named, f"a residual's internals named outside flows.py: {named}"
+
+    touched = set()
+
+    def spy(real):
+        def access(self, name, *value):
+            if sys._getframe(1).f_code.co_filename != flows.__file__:
+                touched.add(name)
+            return real(self, name, *value)
+        return access
+
+    monkeypatch.setattr(Residual, "__getattribute__", spy(object.__getattribute__))
+    monkeypatch.setattr(Residual, "__setattr__", spy(object.__setattr__))
+    inst = generate_instance(default_corpus_params(7))
+    report = solve(inst, prune=True)
+    audit = audit_run(inst, report, brute_force_opt(inst), density_max_units=16)
+    assert audit.clean and audit.density_checked
+    assert RESIDUAL_METHODS <= touched <= RESIDUAL_INTERFACE, sorted(touched)
 
 
 # Call sites the traced benchmark run names but that no longer exist: the

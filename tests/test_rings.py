@@ -37,7 +37,7 @@ def saturating_for(inst, units, target_members):
 
 def test_context_shape(instance_a):
     sat = saturating_for(instance_a, (), {2})
-    assert len(sat) == 1 and sat[0].head == 3 and sat[0].cap == 1
+    assert sat == [(0, 3, 1)]  # (tail, head, cap)
     ctx = context_for(instance_a, (), {2}, 1)
     # the flow ends at the saturating arc, 0 -> 3 with capacity one; the head
     # 0 -> 1 joins it only while a primal-dual or a trial runs
@@ -48,7 +48,7 @@ def test_context_shape(instance_a):
 
 def test_context_symmetry(instance_a):
     sat = saturating_for(instance_a, (), {3})
-    assert len(sat) == 1 and sat[0].head == 2
+    assert sat == [(0, 2, 1)]
 
 
 def test_single_core_no_saturation(instance_a):
@@ -76,9 +76,7 @@ def test_ring_family_realization_matches_enumeration(instance_a):
     ring = family.ring_view(frozenset({2}))
     cores = rooted_cores(instance_a, ())
     sat = saturating_arcs(instance_a, cores, cores[0])  # cores[0] is {2}, at level 1
-    saturated = enumerate_arc_family(
-        universe, instance_a.terminals, instance_a.k, [(a.tail, a.head, a.cap) for a in sat]
-    )
+    saturated = enumerate_arc_family(universe, instance_a.terminals, instance_a.k, sat)
     assert saturated.level == family.level
     assert set(saturated.members) == set(ring.members)
 

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkec import flows, greedy
+from rkec import flows, greedy, solver
 from rkec.exact import brute_force_opt
-from rkec.flows import connectivity
+from rkec.flows import solution_of
 from rkec.generate import GenParams, default_corpus_params, generate_instance
 from rkec.instance import Edge, InfeasibleError, Instance, dump_json, load_object
 from rkec.solver import (
@@ -35,7 +35,7 @@ def phases(report):
 
 def free_floor(inst):
     """The connectivity the zero-cost subgraph already gives, capped at k."""
-    return min(min(connectivity(inst, ()).values()), inst.k)
+    return min(min(solution_of(inst, ()).connectivity.values()), inst.k)
 
 
 def test_harmonic_values():
@@ -163,17 +163,21 @@ def test_ratio_bound_against_optimum(seed):
 
 def test_solve_checks_final_feasibility(instance_a, monkeypatch):
     # the check must be a raise, not an assert that ``python -O`` strips
-    monkeypatch.setattr(flows, "connectivity", lambda inst, units: {2: 0, 3: 1})
+    real = solver.solution_of
+    monkeypatch.setattr(solver, "solution_of", lambda *args: replace(
+        real(*args), connectivity={2: 0, 3: 1}, feasible=False))
     with pytest.raises(AssertionError, match="short of k"):
         solve(instance_a)
 
 
 _FORCED_SHORT_UNDER_O = f"""
-from rkec import flows, solver
+from dataclasses import replace
+from rkec import solver
 from rkec.instance import parse_instance
 
 assert False, "asserts must be stripped in this interpreter"
-flows.connectivity = lambda inst, units: {{2: 0, 3: 1}}
+real = solver.solution_of
+solver.solution_of = lambda *args: replace(real(*args), connectivity={{2: 0, 3: 1}}, feasible=False)
 try:
     solver.solve(parse_instance({INSTANCE_A_JSON!r}))
 except AssertionError as exc:
