@@ -8,15 +8,14 @@ are driven into random partial-selection states: one of the instance itself
 and one of the instance with a drawn positive edge removed, where a ring
 member can lose its last entering leg and so exercise the unpriceable case.
 Every (core, head) pair gets priced three ways: by the primal-dual on a ring
-context built afresh for the pair (``build_ring_context`` of the tests'
-``reference``: a new residual over the working and saturating arcs), by the
-path the solver runs (``greedy.pricing_context`` over the state's root flows:
-the core's shared no-head cover unless the context's node index lists the
-core as touched by the head, else a primal-dual on the core's shared ring
-with the head),
-and by the exact hitting-set search over rational costs (the tests'
-``oracles.brute_force_ring_cover``, on the ring that
-``reference.enumerated_ring_family`` enumerates).  The solver's cover
+flow built afresh for the pair (``fresh_cover`` of the tests' ``reference``:
+a new residual over the working and saturating arcs), by the path the solver
+runs (``greedy.pricing_context`` over the state's root flows: the core's
+shared no-head cover unless the context's node index lists the core as
+touched by the head, else a primal-dual with the head on the core's carried
+flow, grown by ``rings.ring_flow``), and by the exact hitting-set search over
+rational costs (the tests' ``oracles.brute_force_ring_cover``, on the ring
+that ``reference.enumerated_ring_family`` enumerates).  The solver's cover
 must equal the fresh one whole (legs, cost and duals), and their cost must
 equal the exact one as a rational: the primal-dual covers cost integers in
 units of 1/``cost_scale``, so they are rescaled before the comparison.  A
@@ -42,10 +41,10 @@ from rkec.flows import root_flows  # noqa: E402
 from rkec.generate import GenParams, generate_instance  # noqa: E402
 from rkec.greedy import pricing_context  # noqa: E402
 from rkec.instance import Instance  # noqa: E402
-from rkec.rings import free_leg_candidates, primal_dual_ring_cover  # noqa: E402
+from rkec.rings import free_leg_candidates, index_legs, primal_dual_ring_cover  # noqa: E402
 
 from oracles import brute_force_ring_cover  # noqa: E402
-from reference import build_ring_context, enumerated_ring_family  # noqa: E402
+from reference import enumerated_ring_family, fresh_cover  # noqa: E402
 
 
 def check_state(inst, state, per_state, seed):
@@ -58,8 +57,9 @@ def check_state(inst, state, per_state, seed):
     if not cores:
         return contexts, mismatches, unpriceable
     heads = free_leg_candidates(inst, state)
+    legs = index_legs(inst, heads)
     try:
-        pricing = pricing_context(inst, flows, heads, cores)
+        pricing = pricing_context(inst, flows, legs, cores)
     except AssertionError as exc:  # a shared cover failed its certificate
         print(f"MISMATCH seed={seed}: {exc}")
         return contexts, 1, unpriceable
@@ -67,7 +67,6 @@ def check_state(inst, state, per_state, seed):
         arc = inst.unit_arc(head)
         floors = {p.core: floor for p, floor in pricing.touched(arc)}
         for core, p in zip(cores, pricing.cores):
-            ctx = build_ring_context(inst, state, cores, core, head)
             ring = enumerated_ring_family(inst, state, cores, core).ring_view(core.members)
             exact = brute_force_ring_cover(
                 ring.members,
@@ -77,11 +76,12 @@ def check_state(inst, state, per_state, seed):
             contexts += 1
             floor = floors.get(core)  # None: the pair reuses the shared cover
             try:
-                fresh = primal_dual_ring_cover(ctx)
+                fresh = fresh_cover(inst, state, cores, core, head)
                 if floor is None:
                     solver = p.shared
                 else:
-                    solver = primal_dual_ring_cover(replace(p.ring, head=head))
+                    flow = flows[core.representative]
+                    solver = primal_dual_ring_cover(inst, flow, p.bound, legs, head)
             except AssertionError as exc:  # a cover failed its certificate
                 print(f"seed={seed}: {exc}")
                 bad = True

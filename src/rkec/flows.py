@@ -13,9 +13,10 @@ root->terminal flow by it per terminal, in id order and only as far as its
 caller reads; root connectivity (``solution_of``, exact), the first short
 terminal (``short_terminal``, whose flows stop at ``need``) and the cores all
 read those flows.  The greedy grows its root flows (stopped at k) by each
-star; a star's rings and the brute-force search grow them in place and roll
-them back (``Residual.mark``, ``Residual.rollback``), the one way any flow's
-growth is undone.
+star.  A star's rings are those flows themselves, handed to the ring pricing
+as they are (``rings.ring_flow``); the rings and the brute-force search grow
+them in place and roll them back (``Residual.mark``, ``Residual.rollback``),
+the one way any flow's growth is undone.
 ``solution_of`` is the one builder of a ``Solution``: the solver, brute force
 and the verifier all build theirs with it.
 """

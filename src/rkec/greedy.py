@@ -9,11 +9,12 @@ core left the next iteration works one level lower.  Leg sets of different
 leaves may overlap; the duplicates are bought once but the density keeps the
 summed price, which only makes the chosen star look worse, never infeasible.
 
-Pricing every (head, core) pair with a fresh ring context and taking the
+Pricing every (head, core) pair on a ring flow built afresh and taking the
 best star is the reference the tests hold ``cheapest_star`` to; it gives the
-same star with far less work.  It builds one pricing context per star: the
-candidate list and, per core, the no-head ring, its price and one index of
-that price's dual, listed under the nodes it raises.  The dual's raised sets
+same star with far less work.  It indexes the candidate legs once per star
+and builds one pricing context: per core, the no-head ring on the
+representative's carried flow, its price and one index of that price's dual,
+listed under the nodes it raises.  The dual's raised sets
 are a nested chain, so the ones a head arc (u, v) enters form one index
 interval, empty unless v is on the chain.  A head looks up only the cores
 listed under v; every other core keeps exactly its shared no-head price, and
@@ -31,19 +32,19 @@ from __future__ import annotations
 import math
 from bisect import insort
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .deficiency import CoreInfo, cores_of
 from .flows import root_flows
 from .instance import Instance, IterationRecord, Unit
 from .rings import (
-    RingContext,
+    EnteringLegs,
     RingCover,
-    core_ring_context,
     free_leg_candidates,
     index_legs,
     primal_dual_ring_cover,
+    ring_flow,
 )
 
 
@@ -122,7 +123,7 @@ class CorePricing:
     """What pricing one core shares across every head of a star selection."""
 
     core: CoreInfo
-    ring: RingContext  # the core's ring with no head
+    bound: int  # the representative's flow at which the core's ring is covered
     shared: RingCover | None  # its price with no head; None when unpriceable
     first: dict[int, int]  # node -> index of the first shared dual step raising it
     prefix: tuple[int, ...]  # prefix[i]: total amount of the shared dual's first i steps
@@ -152,30 +153,29 @@ class StarPricing(NamedTuple):
         return out
 
 
-def pricing_context(inst: Instance, flows, candidates, cores) -> StarPricing:
+def pricing_context(inst: Instance, flows, legs: EnteringLegs, cores) -> StarPricing:
     """Per core: the no-head ring, its shared price and the index of the
     shared dual that ``StarPricing.touched`` reads; the shared covers ranked
     once for every head.
 
-    ``flows`` are the selection's root flows and ``candidates`` its
-    ``free_leg_candidates``, the star's heads as well as its legs.  The
-    indexed legs are built once for all cores and heads.  Each core's ring
-    grows its representative's flow in place (``core_ring_context``); cores
-    are terminal-disjoint, so no two rings share a flow.
+    ``flows`` are the selection's root flows and ``legs`` indexes its
+    ``free_leg_candidates``, the star's heads as well as its legs.  Each
+    core's ring grows its representative's flow in place (``ring_flow``);
+    cores are terminal-disjoint, so no two rings share a flow.
     """
-    legs = index_legs(inst, candidates)
     out = []
     by_node = defaultdict(list)
     for core in cores:
-        ring = core_ring_context(inst, flows[core.representative], legs, cores, core)
-        shared = primal_dual_ring_cover(ring)
+        flow = flows[core.representative]
+        bound = ring_flow(inst, flow, cores, core)
+        shared = primal_dual_ring_cover(inst, flow, bound, legs)
         first: dict[int, int] = {}
         prefix = [0]
         for i, step in enumerate(shared.duals if shared else ()):
             for v in step.raised:
                 first.setdefault(v, i)
             prefix.append(prefix[-1] + step.amount)
-        p = CorePricing(core, ring, shared, first, tuple(prefix))
+        p = CorePricing(core, bound, shared, first, tuple(prefix))
         out.append(p)
         for v, i in first.items():
             by_node[v].append((p, i))
@@ -221,30 +221,22 @@ def cheapest_star(inst: Instance, units, cores, flows) -> Star:
     the exact primal-dual price from below; a core with no shared cover has
     floor 0.  The scan merges the touched prices into the same ranked list.
 
-    A head that touches no core gets the shared prices alone, so the first
-    such head in the visiting order beats every later one (lower density, or
-    the same star with a smaller head); the later ones are skipped.
-
     The rings grow the cores' representative flows in place; every one is
     rolled back before this returns or raises.
     """
     candidates = free_leg_candidates(inst, units)
+    legs = index_legs(inst, candidates)
     marks = [(flow, flow.mark()) for flow in (flows[c.representative] for c in cores)]
     try:
-        pricing = pricing_context(inst, flows, candidates, cores)
+        pricing = pricing_context(inst, flows, legs, cores)
         m = len(cores)
         best = None
-        untouched_seen = False
         for head in sorted(candidates, key=lambda u: (inst.scaled_cost(u), u)):
             head_cost = inst.scaled_cost(head)
             # head_cost / m > best density
             if best is not None and head_cost * best.leaves > best.total * m:
                 break
             touched = pricing.touched(inst.unit_arc(head))
-            if not touched:
-                if untouched_seen:
-                    continue  # an earlier untouched head beats this one
-                untouched_seen = True
             if best is not None:
                 # the shared costs, the touched cores' floors in place of theirs
                 costs = list(pricing.costs)
@@ -259,7 +251,8 @@ def cheapest_star(inst: Instance, units, cores, flows) -> Star:
             for p, _ in touched:
                 if p.shared is not None:
                     ranked.remove((p.core, p.shared))
-                cover = primal_dual_ring_cover(replace(p.ring, head=head))
+                flow = flows[p.core.representative]
+                cover = primal_dual_ring_cover(inst, flow, p.bound, legs, head)
                 if cover is not None:
                     insort(ranked, (p.core, cover), key=_rank)
             scanned = _scan_head(head, head_cost, ranked)

@@ -4,20 +4,19 @@ For a core C at residual level l, the deficient sets that contain no other
 core form a ring: they all contain C, and union/intersection stay inside.
 The ring is never materialized.  Instead the working graph is extended with
 saturating root arcs (capacity l) to every terminal of every other core,
-which pushes all sets containing such terminals below the top level; that is
-the core's context with no head (``core_ring_context``).  A context's head
+which pushes all sets containing such terminals below the top level.  A head
 edge joins at capacity one.  The remaining top-level sets are exactly the
 ring members not already covered by the head, so the minimal violated set is
 the closest minimum cut at the core's representative terminal.
 
-Each context reads one residual flow from the root to the representative,
-grown up to k - l + 1: the ring is covered exactly when the flow gets there.
-The flow is the context's only graph; no arc list is kept beside it.  It is
-the representative's carried root flow itself, grown in place by the
-saturating arcs; the primal-dual and each reverse-delete trial grow it by the
-head and the legs after a ``Residual.mark`` and roll it back to the mark, so
-no flow is ever copied or recomputed from scratch.  Every growth is one
-``Residual.grow`` call over (tail, head, cap) triples.
+A ring is read off one residual flow from the root to the representative,
+grown up to a bound of k - l + 1: the ring is covered exactly when the flow
+gets there.  The flow is the ring's only graph; no arc list is kept beside
+it.  It is the representative's carried root flow itself, grown in place by
+the saturating arcs (``ring_flow``); the primal-dual and each reverse-delete
+trial grow it by the head and the legs after a ``Residual.mark`` and roll it
+back to the mark, so no flow is ever copied or recomputed from scratch.
+Every growth is one ``Residual.grow`` call over (tail, head, cap) triples.
 
 The cover itself comes from dual ascent plus reverse delete.  Minimal
 violated sets of a shrinking ring form a strictly increasing chain, so the
@@ -33,7 +32,7 @@ it, the certificate included, is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .deficiency import CoreInfo
 from .flows import Residual
@@ -52,29 +51,6 @@ def index_legs(inst: Instance, candidates) -> EnteringLegs:
         tail, head = inst.unit_arc(u)
         entering[head].append((u, tail, inst.scaled_cost(u)))
     return tuple(map(tuple, entering))
-
-
-@dataclass(frozen=True)
-class RingContext:
-    """Implicit ring for (core, head) over a fixed partial selection.
-
-    A context without a head (``head is None``) prices the core's ring with
-    the legs alone; ``dataclasses.replace(ctx, head=head)`` adds a head.
-    ``flow`` is the root-representative residual of the working graph and
-    the saturating arcs, grown to ``bound``, whatever the head: readers grow
-    it by the head and legs after a ``mark`` and roll back to it.
-    """
-
-    inst: Instance
-    target: CoreInfo  # its deficiency is the ring's level
-    head: Unit | None
-    leg_index: EnteringLegs  # free units of the selection; the head's edge is never a leg
-    flow: Residual = field(compare=False)
-
-    @property
-    def bound(self) -> int:
-        """Root-representative flow at which the ring counts as covered."""
-        return self.inst.k - self.target.deficiency + 1
 
 
 def saturating_arcs(inst: Instance, all_cores, target: CoreInfo) -> list[tuple[int, int, int]]:
@@ -109,37 +85,28 @@ def free_leg_candidates(inst: Instance, units) -> tuple[Unit, ...]:
     return tuple(out)
 
 
-def core_ring_context(
-    inst: Instance,
-    root_flow: Residual,
-    leg_index: EnteringLegs,
-    all_cores,
-    target: CoreInfo,
-) -> RingContext:
-    """The target's ring with no head, on ``root_flow`` itself: the
-    selection's maximum flow to the representative, grown in place by the
-    saturating arcs.  Callers mark ``root_flow`` first and roll it back once
-    done with the ring.  ``leg_index`` indexes the selection's
-    ``free_leg_candidates``.
+def ring_flow(inst: Instance, flow: Residual, all_cores, target: CoreInfo) -> int:
+    """Grow ``flow``, the selection's maximum flow to the target's
+    representative, in place by the saturating arcs up to k - level + 1, and
+    return that bound: the flow at which the ring counts as covered.  Callers
+    mark ``flow`` first and roll it back once done with the ring.
     """
-    ctx = RingContext(inst, target, None, leg_index, root_flow)
-    root_flow.grow(saturating_arcs(inst, all_cores, target), ctx.bound)
-    return ctx
+    bound = inst.k - target.deficiency + 1
+    flow.grow(saturating_arcs(inst, all_cores, target), bound)
+    return bound
 
 
-def min_violated_set(ctx: RingContext, legs) -> frozenset[int] | None:
-    """Inclusion-minimal ring member not covered by the head or ``legs``.
+def min_violated_set(inst: Instance, flow: Residual, bound: int, units) -> frozenset[int] | None:
+    """Inclusion-minimal ring member not covered by ``units`` (the head, if
+    any, and the legs) on a ring's ``flow`` (see ``ring_flow``).
 
     The representative terminal sits in every ring member, so the closest
-    cut at it decides coverage: the ring is covered exactly when the flow has
-    climbed past k - level.  Grows the context's flow by the head and the
-    legs, and rolls it back.
+    cut at it decides coverage: the ring is covered exactly when the flow
+    reaches ``bound``.  Grows the flow by the units and rolls it back.
     """
-    flow = ctx.flow
     mark = flow.mark()
-    units = legs if ctx.head is None else (ctx.head, *legs)
     try:
-        if flow.grow([(*ctx.inst.unit_arc(u), 1) for u in units], ctx.bound) >= ctx.bound:
+        if flow.grow([(*inst.unit_arc(u), 1) for u in units], bound) >= bound:
             return None
         return flow.closest_sink_side()
     finally:
@@ -159,7 +126,7 @@ class RingCover:
     duals: tuple[DualStep, ...]
 
 
-def _certificate(ctx: RingContext, legs, cost: int, duals) -> bool:
+def _certificate(inst: Instance, legs, cost: int, duals) -> bool:
     """Strong-duality self-check: nested positive duals, each paid by exactly
     one surviving leg, dual total equal to the legs' ``cost``."""
     prev = None
@@ -168,7 +135,7 @@ def _certificate(ctx: RingContext, legs, cost: int, duals) -> bool:
             return False
         prev = step.raised
     total = 0
-    arcs = {u: ctx.inst.unit_arc(u) for u in legs}
+    arcs = {u: inst.unit_arc(u) for u in legs}
     for step in duals:
         if step.amount < 0:
             return False
@@ -184,8 +151,12 @@ def _certificate(ctx: RingContext, legs, cost: int, duals) -> bool:
     return total == cost
 
 
-def primal_dual_ring_cover(ctx: RingContext) -> RingCover | None:
-    """Exact minimum-cost legs so that legs + head cover the ring.
+def primal_dual_ring_cover(
+    inst: Instance, flow: Residual, bound: int, legs: EnteringLegs, head: Unit | None = None
+) -> RingCover | None:
+    """Exact minimum-cost legs, drawn from the index ``legs`` (``index_legs``),
+    so that legs + ``head`` cover the ring of ``flow`` and ``bound`` (see
+    ``ring_flow``); the head's edge is never a leg.
 
     Dual ascent: raise the minimal violated set until some entering candidate
     goes tight (ties to the smallest unit), add it, repeat.  Then delete
@@ -193,54 +164,52 @@ def primal_dual_ring_cover(ctx: RingContext) -> RingCover | None:
     member has no entering candidate at all; raises AssertionError when the
     cover fails its strong-duality certificate (``_certificate``).
 
-    The head and each pick grow the context's flow by one unit arc, so it is
-    augmented from where it was rather than recomputed, and rolled back
-    before the reverse delete; reduced costs are kept only for candidates the
-    ascent has touched.
+    The head and each pick grow the flow by one unit arc, so it is augmented
+    from where it was rather than recomputed, and rolled back before the
+    reverse delete; reduced costs are kept only for candidates the ascent has
+    touched.
     """
-    index = ctx.leg_index
-    bound = ctx.bound
-    head_edge = ctx.head[0] if ctx.head is not None else None
+    head_edge = head[0] if head is not None else None
     reduced: dict[Unit, int] = {}
     tight_order: list[Unit] = []
     chosen: set[Unit] = set()
     duals: list[DualStep] = []
 
-    flow = ctx.flow
     mark = flow.mark()
     try:
-        if ctx.head is not None:
-            flow.grow([(*ctx.inst.unit_arc(ctx.head), 1)], bound)
+        if head is not None:
+            flow.grow([(*inst.unit_arc(head), 1)], bound)
         while flow.value < bound:
             violated = flow.closest_sink_side()
             entering = [
                 (reduced.get(u, cost), u, tail, v)
                 for v in violated
-                for u, tail, cost in index[v]
+                for u, tail, cost in legs[v]
                 if tail not in violated and u[0] != head_edge and u not in chosen
             ]
             if not entering:
                 return None  # unpriceable: the ring cannot be covered from here
-            eps, pick, tail, head = min(entering)
+            eps, pick, tail, v = min(entering)
             for r, u, _, _ in entering:
                 reduced[u] = r - eps
             duals.append(DualStep(violated, eps))
             tight_order.append(pick)
             chosen.add(pick)
-            flow.grow([(tail, head, 1)], bound)
+            flow.grow([(tail, v, 1)], bound)
     finally:
         flow.rollback(mark)
 
     # The last pick is never redundant: without it the legs are exactly the
     # ones its violated set was raised against.
+    fixed = [] if head is None else [head]
     keep = list(tight_order)
     for u in reversed(tight_order[:-1]):
         trial = [v for v in keep if v != u]
-        if min_violated_set(ctx, trial) is None:
+        if min_violated_set(inst, flow, bound, fixed + trial) is None:
             keep = trial
 
-    legs = tuple(sorted(keep))
-    cost = sum(ctx.inst.scaled_cost(u) for u in legs)
-    if not _certificate(ctx, legs, cost, duals):
-        raise AssertionError(f"ring cover {legs} fails its strong-duality certificate")
-    return RingCover(legs, cost, tuple(duals))
+    picked = tuple(sorted(keep))
+    cost = sum(inst.scaled_cost(u) for u in picked)
+    if not _certificate(inst, picked, cost, duals):
+        raise AssertionError(f"ring cover {picked} fails its strong-duality certificate")
+    return RingCover(picked, cost, tuple(duals))

@@ -1,8 +1,8 @@
 """Reference implementations the fast paths are compared against.
 
 Each one does its job the plain way: the cores and the max level read off
-root flows built afresh, a ring context built afresh for one (core, head)
-pair, every such pair priced, an exact optimum by enumerating every unit
+root flows built afresh, a ring flow built afresh for one core, every
+(head, core) pair priced on one, an exact optimum by enumerating every unit
 subset, a maximum flow decomposed into paths by search, and the paths
 re-checked edge by edge against the instance's capacities.  They use the
 package's flow and ring primitives, unlike the enumeration oracles in
@@ -14,7 +14,6 @@ from rkec.flows import Residual, root_flows, short_terminal, solution_of, workin
 from rkec.greedy import PhaseStuckError, Star, _rank, _scan_head
 from rkec.instance import Instance, Solution, Unit
 from rkec.rings import (
-    RingContext,
     RingCover,
     free_leg_candidates,
     index_legs,
@@ -35,18 +34,22 @@ def rooted_max_level(inst: Instance, units) -> int:
     return max(max(inst.k - flow.value, 0) for _, flow in root_flows(inst, units))
 
 
-def build_ring_context(
-    inst: Instance, units, all_cores, target: CoreInfo, head: Unit
-) -> RingContext:
-    """The (target, head) ring context of ``units``, built from nothing: a
-    fresh residual over the working and saturating arcs, not any flow the
-    solver carries."""
-    arcs = working_arcs(inst, units) + saturating_arcs(inst, all_cores, target)
+def build_ring_context(inst: Instance, units, all_cores, target: CoreInfo) -> tuple[Residual, int]:
+    """The target's ring flow of ``units`` and its bound (as ``ring_flow``
+    gives them), built from nothing: a fresh residual over the working and
+    saturating arcs, not any flow the solver carries."""
+    bound = inst.k - target.deficiency + 1
     flow = Residual(inst.node_count, inst.root, target.representative)
+    flow.grow(working_arcs(inst, units) + saturating_arcs(inst, all_cores, target), bound)
+    return flow, bound
+
+
+def fresh_cover(inst: Instance, units, all_cores, target: CoreInfo, head: Unit) -> RingCover | None:
+    """The primal-dual price of (target, head) at ``units``, on a ring flow
+    and a leg index built afresh."""
+    flow, bound = build_ring_context(inst, units, all_cores, target)
     legs = index_legs(inst, free_leg_candidates(inst, units))
-    ctx = RingContext(inst, target, head, legs, flow)
-    flow.grow(arcs, ctx.bound)
-    return ctx
+    return primal_dual_ring_cover(inst, flow, bound, legs, head)
 
 
 def enumerated_ring_family(inst: Instance, units, all_cores, target: CoreInfo) -> EnumeratedFamily:
@@ -69,10 +72,12 @@ def price_star_edges(inst: Instance, units, cores) -> dict[tuple[Unit, CoreInfo]
     if not cores:
         raise ValueError("pricing needs at least one core")
     prices: dict[tuple[Unit, CoreInfo], RingCover] = {}
-    for head in free_leg_candidates(inst, units):
+    heads = free_leg_candidates(inst, units)
+    legs = index_legs(inst, heads)
+    for head in heads:
         for core in cores:
-            ctx = build_ring_context(inst, units, cores, core, head)
-            cover = primal_dual_ring_cover(ctx)
+            flow, bound = build_ring_context(inst, units, cores, core)
+            cover = primal_dual_ring_cover(inst, flow, bound, legs, head)
             if cover is not None:
                 prices[(head, core)] = cover
     return prices

@@ -6,6 +6,7 @@ session fixtures and shared across the criteria.  Run with ``pytest -s`` to
 see the per-criterion lines.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -18,7 +19,7 @@ import pytest
 from rkec.exact import brute_force_opt
 from rkec.generate import default_corpus_params, generate_instance
 from rkec.instance import Instance, Solution, dump_json
-from rkec.rings import free_leg_candidates, primal_dual_ring_cover
+from rkec.rings import free_leg_candidates
 from rkec.solver import SolveReport, report_to_doc, solve
 from rkec.verify import bound_decision, check_feasible, density_violations
 
@@ -28,7 +29,7 @@ from oracles import (
     nested_chain_certificate,
     tabulate_rooted,
 )
-from reference import build_ring_context, enumerated_ring_family, rooted_cores, rooted_max_level
+from reference import enumerated_ring_family, fresh_cover, rooted_cores, rooted_max_level
 
 CORPUS_SEEDS = range(1, 501)
 RING_SAMPLE_TARGET = 2000
@@ -66,7 +67,8 @@ def iteration_states(run: Run):
 
 @pytest.fixture(scope="session")
 def ring_samples(corpus):
-    """Deterministic (context, primal-dual cover, exact cover) triples."""
+    """Deterministic (instance, head, enumerated ring, primal-dual cover,
+    exact cover) samples."""
     t0 = time.perf_counter()
     samples = []
     for run in corpus:
@@ -83,7 +85,6 @@ def ring_samples(corpus):
                 if head not in heads:
                     continue
                 for core in cores:
-                    ctx = build_ring_context(inst, state, cores, core, head)
                     family = enumerated_ring_family(inst, state, cores, core)
                     assert family.level == level
                     ring = family.ring_view(core.members)
@@ -95,7 +96,8 @@ def ring_samples(corpus):
                     exact = brute_force_ring_cover(
                         ring.members, inst.unit_arc(head), candidates
                     )
-                    samples.append((ctx, ring, primal_dual_ring_cover(ctx), exact))
+                    cover = fresh_cover(inst, state, cores, core, head)
+                    samples.append((inst, head, ring, cover, exact))
     return samples, time.perf_counter() - t0
 
 
@@ -144,10 +146,10 @@ def test_c2_ratio_bound(corpus):
 def test_c3_ring_cover_exactness(ring_samples):
     samples, elapsed = ring_samples
     mismatches = 0
-    for ctx, _, cover, exact in samples:
+    for inst, _, _, cover, exact in samples:
         if exact is None:
             mismatches += cover is not None
-        elif cover is None or Fraction(cover.cost, ctx.inst.cost_scale) != exact[0]:
+        elif cover is None or Fraction(cover.cost, inst.cost_scale) != exact[0]:
             mismatches += 1
     ok = len(samples) >= RING_SAMPLE_TARGET and mismatches == 0 and elapsed < 120
     print(
@@ -269,11 +271,11 @@ def test_c8_chain_certificates(ring_samples):
     samples, _ = ring_samples
     built = 0
     failures = []
-    for ctx, ring, cover, _ in samples:
+    for inst, head, ring, cover, _ in samples:
         if cover is None:
             continue
-        edges = {("leg", u): ctx.inst.unit_arc(u) for u in cover.legs}
-        edges[("head", ctx.head)] = ctx.inst.unit_arc(ctx.head)
+        edges = {("leg", u): inst.unit_arc(u) for u in cover.legs}
+        edges[("head", head)] = inst.unit_arc(head)
         # minimalize over the bare ring before certifying
         for key in sorted(edges):
             rest = {k: v for k, v in edges.items() if k != key}
@@ -319,14 +321,25 @@ def test_c9_phase_postcondition(corpus):
     assert not violations
 
 
+# sha256 of every corpus report, ``dump_json(report_to_doc(...))``,
+# concatenated in seed order: a refactor must not move one byte of them
+CORPUS_REPORTS_SHA256 = "bd8f43a18b8297a1921937de5f65ab6b79d3eb4ad848741cd5a123803b5087f7"
+
+
 def test_c10_determinism(corpus):
     diffs = []
+    digest = hashlib.sha256()
     for run in corpus:
         repeat = solve(run.inst)
-        if dump_json(report_to_doc(repeat)) != dump_json(report_to_doc(run.report)):
+        text = dump_json(report_to_doc(run.report))
+        if dump_json(report_to_doc(repeat)) != text:
             diffs.append(run.seed)
+        digest.update(text.encode())
+    pinned = digest.hexdigest() == CORPUS_REPORTS_SHA256
     print(
-        f"[acceptance] C10 determinism: {'PASS' if not diffs else 'FAIL'} "
-        f"({len(corpus)} re-solves byte-compared, {len(diffs)} diffs)"
+        f"[acceptance] C10 determinism: {'PASS' if not diffs and pinned else 'FAIL'} "
+        f"({len(corpus)} re-solves byte-compared, {len(diffs)} diffs, "
+        f"reports sha256 {digest.hexdigest()[:8]}…)"
     )
     assert not diffs
+    assert pinned, digest.hexdigest()

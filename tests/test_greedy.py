@@ -1,14 +1,13 @@
 import itertools
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rkec import greedy
+from rkec import greedy, rings
 from rkec.deficiency import CoreInfo
 from rkec.flows import root_flows
 from rkec.greedy import (
@@ -23,6 +22,7 @@ from rkec.instance import Edge, Instance
 from rkec.rings import (
     RingCover,
     free_leg_candidates,
+    index_legs,
     min_violated_set,
     primal_dual_ring_cover,
 )
@@ -31,6 +31,7 @@ from conftest import small_random_instance
 from reference import (
     best_star,
     build_ring_context,
+    fresh_cover,
     price_star_edges,
     rooted_cores,
     rooted_max_level,
@@ -232,7 +233,7 @@ def _untouched_visited_heads(inst, units, cores, star):
     """Heads that touch no core and that ``cheapest_star`` must reach: their
     cost alone is no worse than ``star``'s density times the core count."""
     heads = free_leg_candidates(inst, units)
-    pricing = pricing_context(inst, carried_flows(inst, units), heads, cores)
+    pricing = pricing_context(inst, carried_flows(inst, units), index_legs(inst, heads), cores)
     return [
         head for head in heads
         if not pricing.touched(inst.unit_arc(head))
@@ -241,8 +242,10 @@ def _untouched_visited_heads(inst, units, cores, star):
 
 
 def test_sparse_pricing_equals_full_pricing_on_many_cores():
-    # the untouched-head skip needs stars with several cores and several
-    # heads entering none of their chains, which small instances seldom give
+    # every head after the first that touches no core must lose to it, by
+    # the strict per-head bound or on head order; seeing that needs stars with
+    # several cores and several heads entering none of their chains, which
+    # small instances seldom give
     untouched = []
     for seed in (1, 2, 3):
         inst = _wide_instance(seed)
@@ -256,20 +259,22 @@ def test_sparse_pricing_equals_full_pricing_on_many_cores():
 def test_a_wide_solve_prices_the_same_pairs():
     # sparse lookup must not change which (head, core) pairs run a
     # primal-dual: the shared no-head covers plus the touched pairs that
-    # survive the bound, 425 over one solve of each wide pool instance
-    calls = 0
-    real = greedy.primal_dual_ring_cover
+    # survive the bound, 425 over one solve of each wide pool instance; nor
+    # which reverse-delete trials run, one per pick but a cover's last, 522
+    calls = {"pd": 0, "mvs": 0}
 
-    def counting(ctx):
-        nonlocal calls
-        calls += 1
-        return real(ctx)
+    def counting(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(greedy, "primal_dual_ring_cover", counting)
+        mp.setattr(greedy, "primal_dual_ring_cover", counting("pd", greedy.primal_dual_ring_cover))
+        mp.setattr(rings, "min_violated_set", counting("mvs", rings.min_violated_set))
         for seed in range(1, 7):
             cover_levels(_wide_instance(seed))
-    assert calls == 425
+    assert calls == {"pd": 425, "mvs": 522}
 
 
 def _random_states(inst, rng, count=3):
@@ -316,12 +321,12 @@ def test_irrelevant_heads_keep_the_shared_price(seed, augmentation):
     # the reuse rule: the node index lists a core as touched by a head
     # exactly when the head arc enters a raised set of its shared no-head
     # dual (or it has none); an untouched core prices to the very shared
-    # cover (legs, cost and duals) a context built from scratch gives
+    # cover (legs, cost and duals) a ring flow built from scratch gives
     rng = random.Random(seed)
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
     for units, cores in _random_states(inst, rng):
         heads = free_leg_candidates(inst, units)
-        pricing = pricing_context(inst, carried_flows(inst, units), heads, cores)
+        pricing = pricing_context(inst, carried_flows(inst, units), index_legs(inst, heads), cores)
         for head in heads:
             arc = inst.unit_arc(head)
             touched = [p.core for p, _ in pricing.touched(arc)]
@@ -331,35 +336,40 @@ def test_irrelevant_heads_keep_the_shared_price(seed, augmentation):
                     assert p.core in touched
                     continue
                 assert p.core not in touched
-                ctx = build_ring_context(inst, units, cores, p.core, head)
-                assert primal_dual_ring_cover(ctx) == p.shared
+                assert fresh_cover(inst, units, cores, p.core, head) == p.shared
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 100_000), st.booleans())
 def test_heads_on_a_shared_ring_price_like_a_fresh_context(seed, augmentation):
-    # every head prices on the core's one flow (the ``core_ring_context`` in
-    # the pricing context, with the head attached); pricing it and reading
-    # its violated sets must give what a context built from scratch gives,
-    # and must leave the shared flow as it was, unpriceable rings included
+    # every head prices on the core's one flow (its carried flow, grown by
+    # ``ring_flow`` in the pricing context); pricing it and reading its
+    # violated sets must give what a ring flow built from scratch gives, and
+    # must leave the shared flow as it was, unpriceable rings included
     rng = random.Random(seed)
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
     for units, cores in _random_states(inst, rng):
         heads = free_leg_candidates(inst, units)
-        pricing = pricing_context(inst, carried_flows(inst, units), heads, cores)
+        legs = index_legs(inst, heads)
+        flows = carried_flows(inst, units)
+        pricing = pricing_context(inst, flows, legs, cores)
         for p in pricing.cores:
-            before = _flow_state(p.ring.flow)
+            flow = flows[p.core.representative]
+            fresh, bound = build_ring_context(inst, units, cores, p.core)
+            assert p.bound == bound
+            before = _flow_state(flow)
             for head in heads:
-                ring = replace(p.ring, head=head)
-                fresh = build_ring_context(inst, units, cores, p.core, head)
-                cover = primal_dual_ring_cover(ring)
-                assert cover == primal_dual_ring_cover(fresh)
-                assert min_violated_set(ring, ()) == min_violated_set(fresh, ())
+                cover = primal_dual_ring_cover(inst, flow, bound, legs, head)
+                assert cover == primal_dual_ring_cover(inst, fresh, bound, legs, head)
+                assert min_violated_set(inst, flow, bound, [head]) == min_violated_set(
+                    inst, fresh, bound, [head]
+                )
                 if cover is not None:
-                    assert min_violated_set(ring, cover.legs) is None
-                assert _flow_state(p.ring.flow) == before
-            assert primal_dual_ring_cover(p.ring) == p.shared
-            assert _flow_state(p.ring.flow) == before
+                    assert all(u[0] != head[0] for u in cover.legs)
+                    assert min_violated_set(inst, flow, bound, [head, *cover.legs]) is None
+                assert _flow_state(flow) == before
+            assert primal_dual_ring_cover(inst, flow, bound, legs) == p.shared
+            assert _flow_state(flow) == before
 
 
 @settings(max_examples=40, deadline=None)
@@ -372,13 +382,16 @@ def test_the_floor_bounds_every_head_price_from_below(seed, augmentation):
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
     for units, cores in _random_states(inst, rng):
         heads = free_leg_candidates(inst, units)
-        pricing = pricing_context(inst, carried_flows(inst, units), heads, cores)
+        legs = index_legs(inst, heads)
+        flows = carried_flows(inst, units)
+        pricing = pricing_context(inst, flows, legs, cores)
         for head in heads:
             arc = inst.unit_arc(head)
             for p, floor in pricing.touched(arc):
                 duals = p.shared.duals if p.shared else ()
                 assert floor == sum(step.amount for step in duals if not _enters(arc, step))
-                cover = primal_dual_ring_cover(replace(p.ring, head=head))
+                flow = flows[p.core.representative]
+                cover = primal_dual_ring_cover(inst, flow, p.bound, legs, head)
                 if cover is not None:
                     assert floor <= cover.cost
 
@@ -449,8 +462,8 @@ def test_star_coverage_soundness(seed):
         return
     bought = star.units()
     for core, _ in star.chosen:
-        ctx = build_ring_context(inst, (), cores, core, star.head)
-        assert min_violated_set(ctx, [u for u in bought if u != star.head]) is None
+        flow, bound = build_ring_context(inst, (), cores, core)
+        assert min_violated_set(inst, flow, bound, [star.head, *(bought - {star.head})]) is None
 
 
 def _carried_and_fresh_cores(inst):

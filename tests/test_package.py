@@ -91,6 +91,23 @@ def test_package_has_no_assert_statements():
     assert not found, f"assert statements in shipped code: {found}"
 
 
+def test_rings_are_priced_on_the_flow_itself():
+    # a ring is its core representative's flow and a bound; no context object
+    # wraps them and no copy of one is made per head
+    rings = importlib.import_module("rkec.rings")
+    assert not hasattr(rings, "RingContext") and not hasattr(rings, "core_ring_context")
+    imported = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+            and any(alias.name == "replace" for alias in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr == "replace"
+            and isinstance(node.value, ast.Name) and node.value.id == "dataclasses")
+    ]
+    assert not imported, f"dataclasses.replace used in shipped code: {imported}"
+
+
 def _calls(tree):
     """(enclosing top-level definition, called expression) for every call."""
     for stmt in tree.body:

@@ -11,22 +11,33 @@ from hypothesis import strategies as st
 from rkec import rings
 from rkec.rings import (
     free_leg_candidates,
+    index_legs,
     min_violated_set,
     primal_dual_ring_cover,
+    ring_flow,
     saturating_arcs,
 )
+from rkec.flows import root_flows
 from rkec.solver import solve
 
 from conftest import small_random_instance
 from oracles import brute_force_ring_cover, enumerate_arc_family, nested_chain_certificate
-from reference import build_ring_context, enumerated_ring_family, rooted_cores, rooted_max_level
+from reference import (
+    build_ring_context,
+    enumerated_ring_family,
+    fresh_cover,
+    rooted_cores,
+    rooted_max_level,
+)
 
 
-def context_for(inst, units, target_members, head_edge):
+def ring_for(inst, units, target_members):
+    """(flow, bound, leg index) of the ring around ``target_members``, built
+    afresh."""
     cores = rooted_cores(inst, units)
     target = next(c for c in cores if c.members == frozenset(target_members))
-    head = (head_edge, 0)
-    return build_ring_context(inst, units, cores, target, head)
+    flow, bound = build_ring_context(inst, units, cores, target)
+    return flow, bound, index_legs(inst, free_leg_candidates(inst, units))
 
 
 def saturating_for(inst, units, target_members):
@@ -38,12 +49,27 @@ def saturating_for(inst, units, target_members):
 def test_context_shape(instance_a):
     sat = saturating_for(instance_a, (), {2})
     assert sat == [(0, 3, 1)]  # (tail, head, cap)
-    ctx = context_for(instance_a, (), {2}, 1)
+    flow, bound, legs = ring_for(instance_a, (), {2})
+    assert bound == 1  # k - level + 1, with k = 1 and the core {2} at level 1
     # the flow ends at the saturating arc, 0 -> 3 with capacity one; the head
     # 0 -> 1 joins it only while a primal-dual or a trial runs
-    assert ctx.head == (1, 0)
-    assert ctx.flow.to[-2:] == [3, 0] and ctx.flow.cap[-2] + ctx.flow.cap[-1] == 1
-    assert all(u[0] != 1 for u in primal_dual_ring_cover(ctx).legs)
+    assert flow.to[-2:] == [3, 0] and flow.cap[-2] + flow.cap[-1] == 1
+    before = (flow.to[:], flow.cap[:], flow.value)
+    cover = primal_dual_ring_cover(instance_a, flow, bound, legs, (1, 0))
+    assert all(u[0] != 1 for u in cover.legs)  # the head's edge is never a leg
+    assert (flow.to, flow.cap, flow.value) == before
+
+
+def test_ring_flow_grows_the_carried_flow_in_place(instance_a):
+    # the solver's ring is the representative's carried flow grown by the
+    # saturating arcs: the same bound and cut as a ring flow built afresh
+    cores = rooted_cores(instance_a, ())
+    target = next(c for c in cores if c.members == frozenset({2}))
+    flow = dict(root_flows(instance_a, (), instance_a.k))[2]
+    fresh, bound = build_ring_context(instance_a, (), cores, target)
+    assert ring_flow(instance_a, flow, cores, target) == bound
+    assert flow.to[-2:] == [3, 0] and flow.value == fresh.value
+    assert flow.closest_sink_side() == fresh.closest_sink_side()
 
 
 def test_context_symmetry(instance_a):
@@ -57,15 +83,18 @@ def test_single_core_no_saturation(instance_a):
 
 
 def test_min_violated_set_fixture(instance_a):
-    ctx = context_for(instance_a, (), {2}, 1)
-    assert min_violated_set(ctx, ()) == frozenset({2})
+    flow, bound, _ = ring_for(instance_a, (), {2})
+    head = (1, 0)
+    assert min_violated_set(instance_a, flow, bound, [head]) == frozenset({2})
     # the relay leg covers {2}; the head covers {1, 2}
-    assert min_violated_set(ctx, [(2, 0)]) is None
+    assert min_violated_set(instance_a, flow, bound, [head, (2, 0)]) is None
+    # with no head at all, the ring's core is the minimal violated set
+    assert min_violated_set(instance_a, flow, bound, ()) == frozenset({2})
 
 
 def test_min_violated_set_head_alone(instance_a):
-    ctx = context_for(instance_a, (), {2}, 4)  # head goes straight onto 2
-    assert min_violated_set(ctx, ()) is None
+    flow, bound, _ = ring_for(instance_a, (), {2})
+    assert min_violated_set(instance_a, flow, bound, [(4, 0)]) is None  # head straight onto 2
 
 
 def test_ring_family_realization_matches_enumeration(instance_a):
@@ -88,15 +117,15 @@ def test_primal_dual_fixture_prices(instance_a):
         ({3}, 2, Fraction(3), ((1, 0), (3, 0))),  # head misses the ring entirely
     ]
     for target, head_edge, cost, legs in cases:
-        ctx = context_for(instance_a, (), target, head_edge)
-        cover = primal_dual_ring_cover(ctx)
+        ring = ring_for(instance_a, (), target)
+        cover = primal_dual_ring_cover(instance_a, *ring, (head_edge, 0))
         assert cover is not None
         assert cover.cost == cost and cover.legs == legs
 
 
 def test_failed_certificate_stops_the_solve(instance_a, monkeypatch):
     # the check must be a raise, not an assert that ``python -O`` strips
-    monkeypatch.setattr(rings, "_certificate", lambda ctx, legs, cost, duals: False)
+    monkeypatch.setattr(rings, "_certificate", lambda inst, legs, cost, duals: False)
     with pytest.raises(AssertionError, match="fails its strong-duality certificate"):
         solve(instance_a)
 
@@ -113,25 +142,23 @@ def test_primal_dual_unpriceable():
     target = next(c for c in cores if c.members == frozenset({2}))
     # head is the only arc entering {2}: as a head it is excluded from legs,
     # so the ring of the *other* core cannot be covered when priced there
-    ctx = build_ring_context(inst, (), cores, target, (2, 0))
-    assert primal_dual_ring_cover(ctx) is not None  # head alone suffices here
+    assert fresh_cover(inst, (), cores, target, (2, 0)) is not None  # head alone suffices here
     other = next(c for c in cores if c.members == frozenset({1}))
-    ctx2 = build_ring_context(inst, (), cores, other, (2, 0))
     # ring around {1} needs edge 1, which is available; edge 2 is the head
-    cover = primal_dual_ring_cover(ctx2)
+    cover = fresh_cover(inst, (), cores, other, (2, 0))
     assert cover is not None and cover.legs == ((1, 0),)
 
     # now drop edge 1 entirely: the ring around {1} has no candidate left
     inst2 = Instance(3, 0, frozenset({1, 2}), (Edge(2, 0, 2, Fraction(1)),), 1)
     cores2 = rooted_cores(inst2, ())
     target2 = next(c for c in cores2 if c.members == frozenset({1}))
-    ctx3 = build_ring_context(inst2, (), cores2, target2, (2, 0))
-    assert primal_dual_ring_cover(ctx3) is None
+    assert fresh_cover(inst2, (), cores2, target2, (2, 0)) is None
 
 
-def _ring_contexts(inst, rng, per_instance=4):
-    """Sample solver-independent (state, core, head) ring contexts; each comes
-    with its state's units and cores."""
+def _ring_samples(inst, rng, per_instance=4):
+    """Sample solver-independent (state, core, head) rings: each as its
+    state's units and cores, the core, the head and the head's fresh
+    primal-dual cover."""
     units = list(inst.positive_units)
     out = []
     for _ in range(per_instance):
@@ -144,21 +171,20 @@ def _ring_contexts(inst, rng, per_instance=4):
             continue
         head = free[rng.randrange(len(free))]
         core = cores[rng.randrange(len(cores))]
-        ctx = build_ring_context(inst, sample, cores, core, head)
-        out.append((ctx, sample, cores))
+        out.append((sample, cores, core, head, fresh_cover(inst, sample, cores, core, head)))
     return out
 
 
-def _leg_candidates(ctx, units):
+def _leg_candidates(inst, units, head):
     """One free unit per positive edge, the head's edge excluded."""
-    return [u for u in free_leg_candidates(ctx.inst, units) if u[0] != ctx.head[0]]
+    return [u for u in free_leg_candidates(inst, units) if u[0] != head[0]]
 
 
-def _enumerated_ring(ctx, units, cores):
-    family = enumerated_ring_family(ctx.inst, units, cores, ctx.target)
-    if family.level != ctx.target.deficiency:
+def _enumerated_ring(inst, units, cores, core):
+    family = enumerated_ring_family(inst, units, cores, core)
+    if family.level != core.deficiency:
         return None
-    return family.ring_view(ctx.target.members)
+    return family.ring_view(core.members)
 
 
 @settings(max_examples=50, deadline=None)
@@ -166,23 +192,22 @@ def _enumerated_ring(ctx, units, cores):
 def test_primal_dual_exact_against_enumeration(seed):
     rng = random.Random(seed)
     inst = small_random_instance(rng)
-    for ctx, units, cores in _ring_contexts(inst, rng):
-        ring = _enumerated_ring(ctx, units, cores)
+    for units, cores, core, head, cover in _ring_samples(inst, rng):
+        ring = _enumerated_ring(inst, units, cores, core)
         assert ring is not None and ring.is_ring
-        head_arc = ctx.inst.unit_arc(ctx.head)
+        head_arc = inst.unit_arc(head)
         candidates = [
-            (u, *ctx.inst.unit_arc(u), ctx.inst.unit_cost(u))
-            for u in _leg_candidates(ctx, units)
+            (u, *inst.unit_arc(u), inst.unit_cost(u))
+            for u in _leg_candidates(inst, units, head)
         ]
         oracle = brute_force_ring_cover(ring.members, head_arc, candidates)
-        cover = primal_dual_ring_cover(ctx)
         if oracle is None:
             assert cover is None
         else:
             assert cover is not None
             # the cover's integer cost, back in the instance's rationals
             assert Fraction(cover.cost, inst.cost_scale) == oracle[0]
-            assert all(u[0] != ctx.head[0] for u in cover.legs)
+            assert all(u[0] != head[0] for u in cover.legs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -190,15 +215,14 @@ def test_primal_dual_exact_against_enumeration(seed):
 def test_minimal_covers_admit_chain_certificate(seed):
     rng = random.Random(seed)
     inst = small_random_instance(rng)
-    for ctx, units, cores in _ring_contexts(inst, rng):
-        ring = _enumerated_ring(ctx, units, cores)
-        cover = primal_dual_ring_cover(ctx)
+    for units, cores, core, head, cover in _ring_samples(inst, rng):
+        ring = _enumerated_ring(inst, units, cores, core)
         if cover is None or ring is None:
             continue
         # make the cover minimal over the bare ring: head first, then legs
-        edges = {u: ctx.inst.unit_arc(u) for u in cover.legs}
-        head_key = ("head", ctx.head)
-        edges[head_key] = ctx.inst.unit_arc(ctx.head)
+        edges = {u: inst.unit_arc(u) for u in cover.legs}
+        head_key = ("head", head)
+        edges[head_key] = inst.unit_arc(head)
         for key in [head_key, *cover.legs]:
             rest = {k: v for k, v in edges.items() if k != key}
             if rest and all(
@@ -217,9 +241,8 @@ def test_minimal_covers_admit_chain_certificate(seed):
 def test_dual_certificate_accompanies_every_cover(seed):
     rng = random.Random(seed)
     inst = small_random_instance(rng)
-    for ctx, _, _ in _ring_contexts(inst, rng):
+    for *_, cover in _ring_samples(inst, rng):
         # a cover that failed its certificate would have raised
-        cover = primal_dual_ring_cover(ctx)
         if cover is not None:
             assert sum(s.amount for s in cover.duals) == cover.cost
 
