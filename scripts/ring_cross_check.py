@@ -16,12 +16,14 @@ touched by the head, else a primal-dual with the head on the core's carried
 flow, grown by ``rings.ring_flow``), and by the exact hitting-set search over
 rational costs (the tests' ``oracles.brute_force_ring_cover``, on the ring
 that ``reference.enumerated_ring_family`` enumerates).  The solver's cover
-must equal the fresh one whole (legs, cost and duals), and their cost must
-equal the exact one as a rational: the primal-dual covers cost integers in
-units of 1/``cost_scale``, so they are rescaled before the comparison.  A
+must equal the fresh one whole (legs, cost and dual chain), and their cost
+must equal the exact one as a rational: the primal-dual covers cost integers
+in units of 1/``cost_scale``, so they are rescaled before the comparison.  A
 cover that fails its certificate raises, and counts as a mismatch.  So does
-a pair whose skip-test floor (rescaled the same way) exceeds its exact
-price, and an unpriceable pair that either primal-dual still prices.
+a cover whose dual overpays some candidate leg (``overpaid_candidates`` of
+the tests' ``reference``), a pair whose skip-test floor (rescaled the same
+way) exceeds its exact price, and an unpriceable pair that either
+primal-dual still prices.
 """
 
 import argparse
@@ -44,7 +46,7 @@ from rkec.instance import Instance  # noqa: E402
 from rkec.rings import free_leg_candidates, index_legs, primal_dual_ring_cover  # noqa: E402
 
 from oracles import brute_force_ring_cover  # noqa: E402
-from reference import enumerated_ring_family, fresh_cover  # noqa: E402
+from reference import enumerated_ring_family, fresh_cover, overpaid_candidates  # noqa: E402
 
 
 def check_state(inst, state, per_state, seed):
@@ -94,6 +96,7 @@ def check_state(inst, state, per_state, seed):
                         solver != fresh
                         or fresh is None
                         or Fraction(fresh.cost, scale) != exact[0]
+                        or overpaid_candidates(inst, state, fresh, head) != []
                         or (floor is not None and Fraction(floor, scale) > exact[0])
                     )
             if bad:

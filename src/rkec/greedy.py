@@ -13,10 +13,10 @@ Pricing every (head, core) pair on a ring flow built afresh and taking the
 best star is the reference the tests hold ``cheapest_star`` to; it gives the
 same star with far less work.  It indexes the candidate legs once per star
 and builds one pricing context: per core, the no-head ring on the
-representative's carried flow, its price and one index of that price's dual,
-listed under the nodes it raises.  The dual's raised sets
-are a nested chain, so the ones a head arc (u, v) enters form one index
-interval, empty unless v is on the chain.  A head looks up only the cores
+representative's carried flow and its price, listed under the nodes of that
+price's dual chain.  The dual's raised sets are a nested chain, so the ones
+a head arc (u, v) enters form one interval of steps, empty unless v is on
+the chain.  A head looks up only the cores
 listed under v; every other core keeps exactly its shared no-head price, and
 only the touched pairs run a primal-dual of their own.  Each head is first
 bounded below, and skipped when even that bound loses to the best star so
@@ -125,12 +125,11 @@ class CorePricing:
     core: CoreInfo
     bound: int  # the representative's flow at which the core's ring is covered
     shared: RingCover | None  # its price with no head; None when unpriceable
-    first: dict[int, int]  # node -> index of the first shared dual step raising it
-    prefix: tuple[int, ...]  # prefix[i]: total amount of the shared dual's first i steps
 
 
 class StarPricing(NamedTuple):
-    """Every core's ``CorePricing`` for one star selection, indexed by node."""
+    """Every core's ``CorePricing`` for one star selection, each priced core
+    listed under the nodes of its shared cover's chain (``RingCover.first``)."""
 
     cores: tuple[CorePricing, ...]  # in the order of the star's cores
     by_node: dict[int, list[tuple[CorePricing, int]]]  # v -> (core, first[v]) per chain holding v
@@ -141,22 +140,23 @@ class StarPricing(NamedTuple):
     def touched(self, arc: tuple[int, int]) -> list[tuple[CorePricing, int]]:
         """(core, floor) for every core a head on ``arc`` = (u, v) touches:
         each core with no shared cover (floor 0), and each listed under v
-        with first[v] < first[u], whose shared dual has raised sets the arc
-        enters (floor: the dual less those steps).  Every other core's price
-        with the head is its shared cover."""
+        whose shared cover's chain has first[v] < first[u], so that the arc
+        enters the steps in between (floor: the dual less those steps).
+        Every other core's price with the head is its shared cover."""
         tail, head = arc
         out = [(p, 0) for p in self.unpriced]
         for p, a in self.by_node.get(head, ()):
-            b = p.first.get(tail, len(p.prefix) - 1)
+            prefix = p.shared.prefix
+            b = p.shared.first.get(tail, len(prefix) - 1)
             if a < b:
-                out.append((p, p.prefix[-1] - p.prefix[b] + p.prefix[a]))
+                out.append((p, prefix[-1] - prefix[b] + prefix[a]))
         return out
 
 
 def pricing_context(inst: Instance, flows, legs: EnteringLegs, cores) -> StarPricing:
-    """Per core: the no-head ring, its shared price and the index of the
-    shared dual that ``StarPricing.touched`` reads; the shared covers ranked
-    once for every head.
+    """Per core: the no-head ring and its shared price, whose dual chain
+    ``StarPricing.touched`` reads; each core listed under the nodes of its
+    chain, and the shared covers ranked once for every head.
 
     ``flows`` are the selection's root flows and ``legs`` indexes its
     ``free_leg_candidates``, the star's heads as well as its legs.  Each
@@ -168,17 +168,11 @@ def pricing_context(inst: Instance, flows, legs: EnteringLegs, cores) -> StarPri
     for core in cores:
         flow = flows[core.representative]
         bound = ring_flow(inst, flow, cores, core)
-        shared = primal_dual_ring_cover(inst, flow, bound, legs)
-        first: dict[int, int] = {}
-        prefix = [0]
-        for i, step in enumerate(shared.duals if shared else ()):
-            for v in step.raised:
-                first.setdefault(v, i)
-            prefix.append(prefix[-1] + step.amount)
-        p = CorePricing(core, bound, shared, first, tuple(prefix))
+        p = CorePricing(core, bound, primal_dual_ring_cover(inst, flow, bound, legs))
         out.append(p)
-        for v, i in first.items():
-            by_node[v].append((p, i))
+        if p.shared is not None:
+            for v, i in p.shared.first.items():
+                by_node[v].append((p, i))
     ranked = sorted([(p.core, p.shared) for p in out if p.shared is not None], key=_rank)
     return StarPricing(
         tuple(out),
@@ -194,11 +188,12 @@ def cheapest_star(inst: Instance, units, cores, flows) -> Star:
 
     Both the reuse and the bound read the shared no-head cover's dual.  It is
     feasible for the ring-cover LP, and its raised sets form a strictly
-    nested chain, so the sets a head (u, v) enters are one index interval:
-    from the first set holding v to the first holding u.  Only cores whose
-    chain holds v can have a nonempty interval, so the pricing context lists
-    each core under the nodes of its chain, and a head looks up only the
-    cores listed under its v (``StarPricing.touched``).
+    nested chain, so a head (u, v) enters one interval of its steps: from
+    the one where v joins the chain to the one where u does
+    (``RingCover.first``), raising a difference of ``RingCover.prefix``.
+    Only cores whose chain holds v can have a nonempty interval, so the
+    pricing context lists each core under the nodes of its chain, and a head
+    looks up only the cores listed under its v (``StarPricing.touched``).
 
     Reuse: when that interval is empty, the whole shared dual stays feasible
     for the with-head LP (its ring is the no-head ring minus the members the

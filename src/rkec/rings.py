@@ -20,19 +20,23 @@ Every growth is one ``Residual.grow`` call over (tail, head, cap) triples.
 
 The cover itself comes from dual ascent plus reverse delete.  Minimal
 violated sets of a shrinking ring form a strictly increasing chain, so the
-duals land on nested sets; each cover must pass the certificate that checks
-that chain and that the dual total pays exactly for the surviving legs.  The
-star pricing indexes the chain of a core's no-head cover once, and reads
-from it which heads reuse that cover and a lower bound on the others.  The
-ascent finds its entering legs through an index by head node (``index_legs``,
-built once per star selection).  Every cost here (reduced costs, dual amounts,
-cover costs) is an integer in units of 1/``Instance.cost_scale``, so all of
-it, the certificate included, is exact integer arithmetic.
+duals land on nested sets, and a cover carries its dual as that chain: the
+step at which each node joins it and the dual raised by each prefix of
+steps.  The ascent raises if a violated set fails to grow the chain, and
+each cover must pass the certificate that the dual total pays exactly for
+the surviving legs.  The star pricing reads a core's no-head chain to tell
+which heads reuse that cover and to bound the others from below.  The
+ascent finds its entering legs through an index by head node
+(``index_legs``, built once per star selection) and queues them on a heap.
+Every cost here (heap keys, dual amounts, cover costs) is an integer in
+units of 1/``Instance.cost_scale``, so all of it, the certificate included,
+is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .deficiency import CoreInfo
 from .flows import Residual
@@ -114,41 +118,32 @@ def min_violated_set(inst: Instance, flow: Residual, bound: int, units) -> froze
 
 
 @dataclass(frozen=True)
-class DualStep:
-    raised: frozenset[int]
-    amount: int  # in units of 1/cost_scale
-
-
-@dataclass(frozen=True)
 class RingCover:
+    """Legs and their cost, with the dual that prices them: a nested chain
+    of raised sets, step i raising {v : first[v] <= i} by
+    prefix[i + 1] - prefix[i]."""
+
     legs: tuple[Unit, ...]
     cost: int  # in units of 1/cost_scale
-    duals: tuple[DualStep, ...]
+    first: dict[int, int]  # node -> the step whose raised set it joins first
+    prefix: tuple[int, ...]  # prefix[i]: the dual raised by the first i steps
 
 
-def _certificate(inst: Instance, legs, cost: int, duals) -> bool:
-    """Strong-duality self-check: nested positive duals, each paid by exactly
-    one surviving leg, dual total equal to the legs' ``cost``."""
-    prev = None
-    for step in duals:
-        if prev is not None and not prev < step.raised:
+def _certificate(inst: Instance, cover: RingCover) -> bool:
+    """Strong-duality self-check: no negative step, each positive step paid
+    by exactly one surviving leg, dual total equal to the legs' cost.  A leg
+    (tail, head) enters the steps i with first[head] <= i < first[tail]."""
+    first, prefix = cover.first, cover.prefix
+    steps = len(prefix) - 1
+    spans = [
+        (first.get(head, steps), first.get(tail, steps))
+        for tail, head in map(inst.unit_arc, cover.legs)
+    ]
+    for i in range(steps):
+        amount = prefix[i + 1] - prefix[i]
+        if amount < 0 or (amount > 0 and sum(a <= i < b for a, b in spans) != 1):
             return False
-        prev = step.raised
-    total = 0
-    arcs = {u: inst.unit_arc(u) for u in legs}
-    for step in duals:
-        if step.amount < 0:
-            return False
-        if step.amount == 0:
-            continue
-        entering = [
-            u for u, (tail, head) in arcs.items()
-            if head in step.raised and tail not in step.raised
-        ]
-        if len(entering) != 1:
-            return False
-        total += step.amount
-    return total == cost
+    return prefix[-1] == cover.cost
 
 
 def primal_dual_ring_cover(
@@ -161,19 +156,24 @@ def primal_dual_ring_cover(
     Dual ascent: raise the minimal violated set until some entering candidate
     goes tight (ties to the smallest unit), add it, repeat.  Then delete
     redundant edges in reverse tightening order.  Returns None when some ring
-    member has no entering candidate at all; raises AssertionError when the
-    cover fails its strong-duality certificate (``_certificate``).
+    member has no entering candidate at all; raises AssertionError when a
+    violated set fails to strictly grow the chain or the cover fails its
+    strong-duality certificate (``_certificate``).
 
-    The head and each pick grow the flow by one unit arc, so it is augmented
-    from where it was rather than recomputed, and rolled back before the
-    reverse delete; reduced costs are kept only for candidates the ascent has
-    touched.
+    The violated sets form a strictly nested chain, so a leg enters a
+    contiguous run of steps, from the one its head joins to the one its tail
+    joins.  Each leg is pushed on a heap once, when its head joins, keyed by
+    its cost plus the dual raised so far; less the dual raised by now, that
+    key is its reduced cost, so the heap's top is the next tight leg, and a
+    leg whose tail has joined is popped as stale.  The head and each pick
+    grow the flow by one unit arc, so it is augmented from where it was
+    rather than recomputed, and rolled back before the reverse delete.
     """
     head_edge = head[0] if head is not None else None
-    reduced: dict[Unit, int] = {}
+    first: dict[int, int] = {}
+    prefix = [0]
+    heap: list[tuple[int, Unit, int, int]] = []
     tight_order: list[Unit] = []
-    chosen: set[Unit] = set()
-    duals: list[DualStep] = []
 
     mark = flow.mark()
     try:
@@ -181,20 +181,20 @@ def primal_dual_ring_cover(
             flow.grow([(*inst.unit_arc(head), 1)], bound)
         while flow.value < bound:
             violated = flow.closest_sink_side()
-            entering = [
-                (reduced.get(u, cost), u, tail, v)
-                for v in violated
-                for u, tail, cost in legs[v]
-                if tail not in violated and u[0] != head_edge and u not in chosen
-            ]
-            if not entering:
+            if not first.keys() < violated:
+                raise AssertionError("a violated set fails to strictly grow the dual chain")
+            for v in violated - first.keys():
+                first[v] = len(tight_order)
+                for u, tail, cost in legs[v]:
+                    if tail not in violated and u[0] != head_edge:
+                        heappush(heap, (cost + prefix[-1], u, tail, v))
+            while heap and heap[0][2] in first:
+                heappop(heap)
+            if not heap:
                 return None  # unpriceable: the ring cannot be covered from here
-            eps, pick, tail, v = min(entering)
-            for r, u, _, _ in entering:
-                reduced[u] = r - eps
-            duals.append(DualStep(violated, eps))
+            raised, pick, tail, v = heappop(heap)  # the step's amount: raised - prefix[-1]
+            prefix.append(raised)
             tight_order.append(pick)
-            chosen.add(pick)
             flow.grow([(tail, v, 1)], bound)
     finally:
         flow.rollback(mark)
@@ -209,7 +209,7 @@ def primal_dual_ring_cover(
             keep = trial
 
     picked = tuple(sorted(keep))
-    cost = sum(inst.scaled_cost(u) for u in picked)
-    if not _certificate(inst, picked, cost, duals):
+    cover = RingCover(picked, sum(inst.scaled_cost(u) for u in picked), first, tuple(prefix))
+    if not _certificate(inst, cover):
         raise AssertionError(f"ring cover {picked} fails its strong-duality certificate")
-    return RingCover(picked, cost, tuple(duals))
+    return cover

@@ -44,12 +44,32 @@ def build_ring_context(inst: Instance, units, all_cores, target: CoreInfo) -> tu
     return flow, bound
 
 
-def fresh_cover(inst: Instance, units, all_cores, target: CoreInfo, head: Unit) -> RingCover | None:
+def fresh_cover(
+    inst: Instance, units, all_cores, target: CoreInfo, head: Unit | None
+) -> RingCover | None:
     """The primal-dual price of (target, head) at ``units``, on a ring flow
-    and a leg index built afresh."""
+    and a leg index built afresh; a head of None prices the bare ring."""
     flow, bound = build_ring_context(inst, units, all_cores, target)
     legs = index_legs(inst, free_leg_candidates(inst, units))
     return primal_dual_ring_cover(inst, flow, bound, legs, head)
+
+
+def overpaid_candidates(inst: Instance, units, cover: RingCover, head: Unit | None) -> list[Unit]:
+    """The candidate legs of ``units`` (``free_leg_candidates``, the head's
+    edge excluded) that ``cover``'s dual overpays: the steps a leg
+    (tail, head) enters, i with first[head] <= i < first[tail], raise more
+    than its scaled cost.  Empty for a dual-feasible cover."""
+    first, prefix = cover.first, cover.prefix
+    steps = len(prefix) - 1
+    out = []
+    for u in free_leg_candidates(inst, units):
+        tail, v = inst.unit_arc(u)
+        if (head is not None and u[0] == head[0]) or v not in first:
+            continue
+        b = first.get(tail, steps)
+        if first[v] < b and prefix[b] - prefix[first[v]] > inst.scaled_cost(u):
+            out.append(u)
+    return out
 
 
 def enumerated_ring_family(inst: Instance, units, all_cores, target: CoreInfo) -> EnumeratedFamily:

@@ -69,7 +69,7 @@ def test_fixture_best_star(instance_a):
 
 
 def _fake_cover(cost):
-    return RingCover(legs=(), cost=cost, duals=())
+    return RingCover(legs=(), cost=cost, first={}, prefix=(0,))
 
 
 def test_best_star_prefix_tie_prefers_more_leaves():
@@ -286,9 +286,18 @@ def _random_states(inst, rng, count=3):
             yield sample, cores
 
 
-def _enters(arc, step):
+def _entered_steps(arc, cover):
+    """The steps of ``cover``'s dual whose raised set, step i's being
+    {v : first[v] <= i}, ``arc`` enters; an empty list for no cover."""
+    if cover is None:
+        return []
     tail, head = arc
-    return head in step.raised and tail not in step.raised
+    out = []
+    for i in range(len(cover.prefix) - 1):
+        raised = {v for v, j in cover.first.items() if j <= i}
+        if head in raised and tail not in raised:
+            out.append(i)
+    return out
 
 
 def _flow_state(flow):
@@ -321,7 +330,7 @@ def test_irrelevant_heads_keep_the_shared_price(seed, augmentation):
     # the reuse rule: the node index lists a core as touched by a head
     # exactly when the head arc enters a raised set of its shared no-head
     # dual (or it has none); an untouched core prices to the very shared
-    # cover (legs, cost and duals) a ring flow built from scratch gives
+    # cover (legs, cost and dual chain) a ring flow built from scratch gives
     rng = random.Random(seed)
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
     for units, cores in _random_states(inst, rng):
@@ -332,7 +341,7 @@ def test_irrelevant_heads_keep_the_shared_price(seed, augmentation):
             touched = [p.core for p, _ in pricing.touched(arc)]
             assert len(touched) == len(set(touched))
             for p in pricing.cores:
-                if p.shared is None or any(_enters(arc, step) for step in p.shared.duals):
+                if p.shared is None or _entered_steps(arc, p.shared):
                     assert p.core in touched
                     continue
                 assert p.core not in touched
@@ -388,8 +397,9 @@ def test_the_floor_bounds_every_head_price_from_below(seed, augmentation):
         for head in heads:
             arc = inst.unit_arc(head)
             for p, floor in pricing.touched(arc):
-                duals = p.shared.duals if p.shared else ()
-                assert floor == sum(step.amount for step in duals if not _enters(arc, step))
+                prefix = p.shared.prefix if p.shared else (0,)
+                entered = _entered_steps(arc, p.shared)
+                assert floor == prefix[-1] - sum(prefix[i + 1] - prefix[i] for i in entered)
                 flow = flows[p.core.representative]
                 cover = primal_dual_ring_cover(inst, flow, p.bound, legs, head)
                 if cover is not None:

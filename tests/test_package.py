@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,17 @@ def test_rings_are_priced_on_the_flow_itself():
             and isinstance(node.value, ast.Name) and node.value.id == "dataclasses")
     ]
     assert not imported, f"dataclasses.replace used in shipped code: {imported}"
+
+
+def test_ring_covers_carry_their_dual_chain():
+    # a cover's dual is its nested chain: the step each node joins and the
+    # dual raised by each prefix of steps; no per-step record and no second
+    # index of the chain in the star pricing
+    rings = importlib.import_module("rkec.rings")
+    greedy = importlib.import_module("rkec.greedy")
+    assert not hasattr(rings, "DualStep")
+    assert [f.name for f in fields(rings.RingCover)] == ["legs", "cost", "first", "prefix"]
+    assert not {"first", "prefix"} & {f.name for f in fields(greedy.CorePricing)}
 
 
 def _calls(tree):

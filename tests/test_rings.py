@@ -17,7 +17,7 @@ from rkec.rings import (
     ring_flow,
     saturating_arcs,
 )
-from rkec.flows import root_flows
+from rkec.flows import Residual, root_flows
 from rkec.solver import solve
 
 from conftest import small_random_instance
@@ -26,6 +26,7 @@ from reference import (
     build_ring_context,
     enumerated_ring_family,
     fresh_cover,
+    overpaid_candidates,
     rooted_cores,
     rooted_max_level,
 )
@@ -125,9 +126,28 @@ def test_primal_dual_fixture_prices(instance_a):
 
 def test_failed_certificate_stops_the_solve(instance_a, monkeypatch):
     # the check must be a raise, not an assert that ``python -O`` strips
-    monkeypatch.setattr(rings, "_certificate", lambda inst, legs, cost, duals: False)
+    monkeypatch.setattr(rings, "_certificate", lambda inst, cover: False)
     with pytest.raises(AssertionError, match="fails its strong-duality certificate"):
         solve(instance_a)
+
+
+def test_a_violated_set_that_stops_growing_stops_the_ascent(instance_a, monkeypatch):
+    # the ring around {3} with head 2 takes two ascent steps; when the second
+    # violated set is the first again, the dual chain stops growing, and the
+    # ascent must raise rather than raise the same set twice
+    flow, bound, legs = ring_for(instance_a, (), {3})
+    assert primal_dual_ring_cover(instance_a, flow, bound, legs, (2, 0)).legs == ((1, 0), (3, 0))
+    real = Residual.closest_sink_side
+    seen = []
+
+    def stuck(self):
+        seen.append(seen[0] if seen else real(self))
+        return seen[-1]
+
+    monkeypatch.setattr(Residual, "closest_sink_side", stuck)
+    with pytest.raises(AssertionError, match="fails to strictly grow the dual chain"):
+        primal_dual_ring_cover(instance_a, flow, bound, legs, (2, 0))
+    assert len(seen) == 2
 
 
 def test_primal_dual_unpriceable():
@@ -242,9 +262,29 @@ def test_dual_certificate_accompanies_every_cover(seed):
     rng = random.Random(seed)
     inst = small_random_instance(rng)
     for *_, cover in _ring_samples(inst, rng):
-        # a cover that failed its certificate would have raised
+        # a cover that failed its certificate would have raised; its chain
+        # gains a node at every step, and its dual total pays for its legs
         if cover is not None:
-            assert sum(s.amount for s in cover.duals) == cover.cost
+            steps = len(cover.prefix) - 1
+            assert set(cover.first.values()) == set(range(steps))
+            assert cover.prefix[0] == 0 and cover.prefix[-1] == cover.cost
+            assert all(a <= b for a, b in zip(cover.prefix, cover.prefix[1:]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 100_000))
+def test_every_candidate_is_dual_feasible(seed):
+    # weak duality, the premise of the certificate and of the pricing
+    # floors: no candidate leg, kept or not, is overpaid by the steps it
+    # enters, with the head or without it
+    rng = random.Random(seed)
+    inst = small_random_instance(rng)
+    for units, cores, core, head, cover in _ring_samples(inst, rng):
+        if cover is not None:
+            assert overpaid_candidates(inst, units, cover, head) == []
+        shared = fresh_cover(inst, units, cores, core, None)
+        if shared is not None:
+            assert overpaid_candidates(inst, units, shared, None) == []
 
 
 def test_ring_cross_check_script_passes(capsys):

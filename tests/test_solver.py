@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -109,6 +110,16 @@ def test_report_round_trip(instance_a):
     assert dump_json(report_to_doc(again)) == text
     assert again.solution == report.solution
     assert [ph["level"] for ph in phases(again)] == [ph["level"] for ph in phases(report)]
+
+
+def test_a_ladder_report_is_pinned():
+    # the corpus never reaches rings of 40 terminals, so a tie-break slip
+    # there would pass the corpus digest; this report's bytes are pinned
+    inst = generate_instance(GenParams(120, 40, 3, density=Fraction(3, 10), root_bias=2, seed=1))
+    text = dump_json(report_to_doc(solve(inst)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "128dd007ee6f9e2e7cf4ff9481f14ff72f6231d8bd87fff0f02220967856baac"
+    )
 
 
 @settings(max_examples=40, deadline=None)
