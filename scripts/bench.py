@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Time the in-process solve and write BENCH_<LABEL>.json in the current directory.
+
+Usage: python scripts/bench.py LABEL [--rounds N]
+
+Three rows: the 500-seed acceptance corpus, solved instance by instance in
+seed order, and two ladder instances,
+``GenParams(n, T, k, density=3/10, root_bias=2, seed=1)`` at (120, 40, 3)
+and (200, 60, 3).  Each row's instances are generated once, then solved
+``--rounds`` times (default 5) in this process; only the ``solve`` calls are
+timed.  Per row the file holds the wall-time median, min and max over the
+rounds, the total cost, and the sha256 of the report bytes
+``dump_json(report_to_doc(...))``, concatenated in seed order for the corpus
+as the acceptance test C10 hashes them.  Every round must give the same
+bytes; a round that does not exits 1.  The times are uncalibrated wall time
+of the host it runs on.
+"""
+
+import argparse
+import hashlib
+import json
+import platform
+import statistics
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from rkec.generate import GenParams, default_corpus_params, generate_instance  # noqa: E402
+from rkec.instance import dump_json, frac_to_str  # noqa: E402
+from rkec.solver import report_to_doc, solve  # noqa: E402
+
+LADDER = ((120, 40, 3), (200, 60, 3))
+
+
+def rows() -> list[tuple[str, list]]:
+    """(row name, its instances in solve order) for every row."""
+    out = [("corpus", [generate_instance(default_corpus_params(s)) for s in range(1, 501)])]
+    for n, t, k in LADDER:
+        params = GenParams(n, t, k, density=Fraction(3, 10), root_bias=2, seed=1)
+        out.append((f"ladder-{n}-{t}-{k}", [generate_instance(params)]))
+    return out
+
+
+def _rounds(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("label")
+    parser.add_argument("--rounds", type=_rounds, default=5)
+    args = parser.parse_args(argv)
+
+    out = []
+    for name, instances in rows():
+        times, digests = [], set()
+        for _ in range(args.rounds):
+            t0 = time.perf_counter()
+            reports = [solve(inst) for inst in instances]
+            times.append(time.perf_counter() - t0)
+            digest = hashlib.sha256()
+            for report in reports:
+                digest.update(dump_json(report_to_doc(report)).encode())
+            digests.add(digest.hexdigest())
+        if len(digests) != 1:
+            print(f"{name}: the rounds gave {len(digests)} different reports", file=sys.stderr)
+            return 1
+        row = {
+            "name": name,
+            "instances": len(instances),
+            "wall_s": {
+                "median": statistics.median(times), "min": min(times), "max": max(times),
+            },
+            "cost": frac_to_str(sum(r.solution.total_cost for r in reports)),
+            "report_sha256": digests.pop(),
+        }
+        out.append(row)
+        print(f"{name}: median {row['wall_s']['median']:.3f} s over {args.rounds} rounds, "
+              f"cost {row['cost']}, sha256 {row['report_sha256'][:8]}")
+
+    doc = {
+        "label": args.label,
+        "rounds": args.rounds,
+        "python": platform.python_version(),
+        "rows": out,
+    }
+    path = Path(f"BENCH_{args.label}.json")
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -42,11 +42,16 @@ from rkec.deficiency import cores_of  # noqa: E402
 from rkec.flows import root_flows  # noqa: E402
 from rkec.generate import GenParams, generate_instance  # noqa: E402
 from rkec.greedy import pricing_context  # noqa: E402
-from rkec.instance import Instance  # noqa: E402
-from rkec.rings import free_leg_candidates, index_legs, primal_dual_ring_cover  # noqa: E402
+from rkec.instance import Instance, selection_from_units  # noqa: E402
+from rkec.rings import primal_dual_ring_cover  # noqa: E402
 
 from oracles import brute_force_ring_cover  # noqa: E402
-from reference import enumerated_ring_family, fresh_cover, overpaid_candidates  # noqa: E402
+from reference import (  # noqa: E402
+    enumerated_ring_family,
+    free_leg_candidates,
+    fresh_cover,
+    overpaid_candidates,
+)
 
 
 def check_state(inst, state, per_state, seed):
@@ -59,9 +64,9 @@ def check_state(inst, state, per_state, seed):
     if not cores:
         return contexts, mismatches, unpriceable
     heads = free_leg_candidates(inst, state)
-    legs = index_legs(inst, heads)
+    taken = selection_from_units(state)
     try:
-        pricing = pricing_context(inst, flows, legs, cores)
+        pricing = pricing_context(inst, flows, taken, cores)
     except AssertionError as exc:  # a shared cover failed its certificate
         print(f"MISMATCH seed={seed}: {exc}")
         return contexts, 1, unpriceable
@@ -73,7 +78,10 @@ def check_state(inst, state, per_state, seed):
             exact = brute_force_ring_cover(
                 ring.members,
                 arc,
-                [(u, *inst.unit_arc(u), inst.unit_cost(u)) for u in heads if u[0] != head[0]],
+                [
+                    (u, *inst.unit_arc(u), inst.edge_by_id[u[0]].cost)
+                    for u in heads if u[0] != head[0]
+                ],
             )
             contexts += 1
             floor = floors.get(core)  # None: the pair reuses the shared cover
@@ -83,7 +91,7 @@ def check_state(inst, state, per_state, seed):
                     solver = p.shared
                 else:
                     flow = flows[core.representative]
-                    solver = primal_dual_ring_cover(inst, flow, p.bound, legs, head)
+                    solver = primal_dual_ring_cover(inst, flow, p.bound, taken, head)
             except AssertionError as exc:  # a cover failed its certificate
                 print(f"seed={seed}: {exc}")
                 bad = True

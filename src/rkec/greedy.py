@@ -11,17 +11,18 @@ summed price, which only makes the chosen star look worse, never infeasible.
 
 Pricing every (head, core) pair on a ring flow built afresh and taking the
 best star is the reference the tests hold ``cheapest_star`` to; it gives the
-same star with far less work.  It indexes the candidate legs once per star
-and builds one pricing context: per core, the no-head ring on the
-representative's carried flow and its price, listed under the nodes of that
-price's dual chain.  The dual's raised sets are a nested chain, so the ones
-a head arc (u, v) enters form one interval of steps, empty unless v is on
-the chain.  A head looks up only the cores
-listed under v; every other core keeps exactly its shared no-head price, and
-only the touched pairs run a primal-dual of their own.  Each head is first
-bounded below, and skipped when even that bound loses to the best star so
-far: by weak duality, the part of the shared dual the head does not enter
-bounds the exact primal-dual price with the head from below.
+same star with far less work.  Heads and legs are the lowest free copies of
+the positive edges, read off the instance's own edge orders and the
+selection's per-edge counts, so nothing is indexed per star.  It builds one
+pricing context: per core, the no-head ring on the representative's carried
+flow and its price, listed under the nodes of that price's dual chain.  The
+dual's raised sets are a nested chain, so the ones a head arc (u, v) enters
+form one interval of steps, empty unless v is on the chain.  A head looks up
+only the cores listed under v; every other core keeps exactly its shared
+no-head price, and only the touched pairs run a primal-dual of their own.
+Each head is first bounded below, and skipped when even that bound loses to
+the best star so far: by weak duality, the part of the shared dual the head
+does not enter bounds the exact primal-dual price with the head from below.
 
 Pricing runs in the instance's integer cost units (``Instance.scaled_cost``,
 the unit of ``RingCover.cost``) and compares densities by cross-multiplying.
@@ -37,15 +38,8 @@ from typing import NamedTuple
 
 from .deficiency import CoreInfo, cores_of
 from .flows import root_flows
-from .instance import Instance, IterationRecord, Unit
-from .rings import (
-    EnteringLegs,
-    RingCover,
-    free_leg_candidates,
-    index_legs,
-    primal_dual_ring_cover,
-    ring_flow,
-)
+from .instance import Instance, IterationRecord, Unit, selection_from_units
+from .rings import RingCover, primal_dual_ring_cover, ring_flow
 
 
 class PhaseStuckError(RuntimeError):
@@ -53,9 +47,13 @@ class PhaseStuckError(RuntimeError):
 
 
 def candidate_heads(inst: Instance, units) -> tuple[Unit, ...]:
-    """``free_leg_candidates`` under the name perfbench's traced run calls to
-    count the (head, core) pairs offered per star; nothing in rkec calls it."""
-    return free_leg_candidates(inst, units)
+    """The star's heads: the lowest free copy of each positive edge under the
+    selection ``units``, in the instance's (scaled cost, id) order, the order
+    ``cheapest_star`` visits them in."""
+    taken = selection_from_units(units)
+    return tuple(
+        (e.id, c) for e in inst.positive_by_cost if (c := taken.get(e.id, 0)) < e.mult
+    )
 
 
 def _best_prefix(head_cost: int, costs) -> tuple[int, int]:
@@ -153,22 +151,23 @@ class StarPricing(NamedTuple):
         return out
 
 
-def pricing_context(inst: Instance, flows, legs: EnteringLegs, cores) -> StarPricing:
+def pricing_context(inst: Instance, flows, taken, cores) -> StarPricing:
     """Per core: the no-head ring and its shared price, whose dual chain
     ``StarPricing.touched`` reads; each core listed under the nodes of its
     chain, and the shared covers ranked once for every head.
 
-    ``flows`` are the selection's root flows and ``legs`` indexes its
-    ``free_leg_candidates``, the star's heads as well as its legs.  Each
-    core's ring grows its representative's flow in place (``ring_flow``);
-    cores are terminal-disjoint, so no two rings share a flow.
+    ``flows`` are the selection's root flows and ``taken`` its per-edge
+    counts (``selection_from_units``), which the primal-dual reads its legs
+    against.  Each core's ring grows its representative's flow in place
+    (``ring_flow``); cores are terminal-disjoint, so no two rings share a
+    flow.
     """
     out = []
     by_node = defaultdict(list)
     for core in cores:
         flow = flows[core.representative]
         bound = ring_flow(inst, flow, cores, core)
-        p = CorePricing(core, bound, primal_dual_ring_cover(inst, flow, bound, legs))
+        p = CorePricing(core, bound, primal_dual_ring_cover(inst, flow, bound, taken))
         out.append(p)
         if p.shared is not None:
             for v, i in p.shared.first.items():
@@ -205,28 +204,28 @@ def cheapest_star(inst: Instance, units, cores, flows) -> Star:
     that the reverse delete then keeps the same legs is not proven but
     checked, cover for cover, by the tests and ``scripts/ring_cross_check.py``.
 
-    Bounds: heads are visited in ascending (cost, unit).  Any star with head
-    h has density at least cost(h) / |cores|, so once that exceeds the best
-    density seen the remaining heads cannot win (nor tie, the bound is
-    strict).  Before pricing a head, its best density is bounded below by the
-    best prefix over the shared costs, ranked once per star, with the
-    touched cores' floors in their place; a head whose bound is strictly
-    above the best density is skipped.  Dropping the entered interval leaves
-    a feasible dual of the with-head LP, so by weak duality the rest bounds
-    the exact primal-dual price from below; a core with no shared cover has
-    floor 0.  The scan merges the touched prices into the same ranked list.
+    Bounds: heads are visited in ascending (cost, unit),
+    ``candidate_heads``' order.  Any star with head h has density at least
+    cost(h) / |cores|, so once that exceeds the best density seen the
+    remaining heads cannot win (nor tie, the bound is strict).  Before
+    pricing a head, its best density is bounded below by the best prefix
+    over the shared costs, ranked once per star, with the touched cores'
+    floors in their place; a head whose bound is strictly above the best
+    density is skipped.  Dropping the entered interval leaves a feasible
+    dual of the with-head LP, so by weak duality the rest bounds the exact
+    primal-dual price from below; a core with no shared cover has floor 0.
+    The scan merges the touched prices into the same ranked list.
 
     The rings grow the cores' representative flows in place; every one is
     rolled back before this returns or raises.
     """
-    candidates = free_leg_candidates(inst, units)
-    legs = index_legs(inst, candidates)
+    taken = selection_from_units(units)
     marks = [(flow, flow.mark()) for flow in (flows[c.representative] for c in cores)]
     try:
-        pricing = pricing_context(inst, flows, legs, cores)
+        pricing = pricing_context(inst, flows, taken, cores)
         m = len(cores)
         best = None
-        for head in sorted(candidates, key=lambda u: (inst.scaled_cost(u), u)):
+        for head in candidate_heads(inst, units):
             head_cost = inst.scaled_cost(head)
             # head_cost / m > best density
             if best is not None and head_cost * best.leaves > best.total * m:
@@ -247,7 +246,7 @@ def cheapest_star(inst: Instance, units, cores, flows) -> Star:
                 if p.shared is not None:
                     ranked.remove((p.core, p.shared))
                 flow = flows[p.core.representative]
-                cover = primal_dual_ring_cover(inst, flow, p.bound, legs, head)
+                cover = primal_dual_ring_cover(inst, flow, p.bound, taken, head)
                 if cover is not None:
                     insort(ranked, (p.core, cover), key=_rank)
             scanned = _scan_head(head, head_cost, ranked)

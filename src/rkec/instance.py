@@ -138,9 +138,6 @@ class Instance:
             units.extend((e.id, c) for c in range(e.mult))
         return tuple(units)
 
-    def unit_cost(self, unit: Unit) -> Fraction:
-        return self.edge_by_id[unit[0]].cost
-
     @cached_property
     def cost_scale(self) -> int:
         """Least common denominator of the edge costs (1 for integer costs)."""
@@ -151,6 +148,20 @@ class Instance:
         scale = self.cost_scale
         return {e.id: e.cost.numerator * (scale // e.cost.denominator) for e in self.edges}
 
+    @cached_property
+    def positive_entering(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+        """Per node v: (edge id, tail, scaled cost, multiplicity) of every
+        positive edge into v, in id order."""
+        entering: list[list] = [[] for _ in range(self.node_count)]
+        for e in sorted(self.positive_edges, key=lambda e: e.id):
+            entering[e.head].append((e.id, e.tail, self._scaled_costs[e.id], e.mult))
+        return tuple(map(tuple, entering))
+
+    @cached_property
+    def positive_by_cost(self) -> tuple[Edge, ...]:
+        """The positive edges in (scaled cost, id) order."""
+        return tuple(sorted(self.positive_edges, key=lambda e: (self._scaled_costs[e.id], e.id)))
+
     def scaled_cost(self, unit: Unit) -> int:
         """The unit's cost in units of 1/``cost_scale``: an exact integer."""
         return self._scaled_costs[unit[0]]
@@ -160,7 +171,7 @@ class Instance:
         return e.tail, e.head
 
     def units_cost(self, units) -> Fraction:
-        return sum((self.unit_cost(u) for u in units), Fraction(0))
+        return Fraction(sum(self.scaled_cost(u) for u in units), self.cost_scale)
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,11 @@ steps.  The ascent raises if a violated set fails to grow the chain, and
 each cover must pass the certificate that the dual total pays exactly for
 the surviving legs.  The star pricing reads a core's no-head chain to tell
 which heads reuse that cover and to bound the others from below.  The
-ascent finds its entering legs through an index by head node
-(``index_legs``, built once per star selection) and queues them on a heap.
-Every cost here (heap keys, dual amounts, cover costs) is an integer in
-units of 1/``Instance.cost_scale``, so all of it, the certificate included,
-is exact integer arithmetic.
+ascent reads the legs entering a node off the instance's own per-node edge
+lists (``Instance.positive_entering``) and the selection's per-edge counts,
+and queues them on a heap.  Every cost here (heap keys, dual amounts, cover
+costs) is an integer in units of 1/``Instance.cost_scale``, so all of it,
+the certificate included, is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -40,21 +40,7 @@ from heapq import heappop, heappush
 
 from .deficiency import CoreInfo
 from .flows import Residual
-from .instance import Instance, Unit, selection_from_units
-
-
-# per node v: (unit, tail, scaled cost) of every leg candidate whose arc ends at v
-EnteringLegs = tuple[tuple[tuple[Unit, int, int], ...], ...]
-
-
-def index_legs(inst: Instance, candidates) -> EnteringLegs:
-    """Index ``candidates`` (see ``free_leg_candidates``) by head node, each
-    with its cost from ``Instance.scaled_cost``."""
-    entering: list[list] = [[] for _ in range(inst.node_count)]
-    for u in candidates:
-        tail, head = inst.unit_arc(u)
-        entering[head].append((u, tail, inst.scaled_cost(u)))
-    return tuple(map(tuple, entering))
+from .instance import Instance, Unit
 
 
 def saturating_arcs(inst: Instance, all_cores, target: CoreInfo) -> list[tuple[int, int, int]]:
@@ -72,21 +58,6 @@ def saturating_arcs(inst: Instance, all_cores, target: CoreInfo) -> list[tuple[i
         for t in sorted(core.members & inst.terminals):
             arcs.append((inst.root, t, target.deficiency))
     return arcs
-
-
-def free_leg_candidates(inst: Instance, units) -> tuple[Unit, ...]:
-    """Lowest free copy of each positive edge.
-
-    A second parallel copy can never help cover a ring (each member only needs
-    one entering edge), so one candidate per edge id suffices.
-    """
-    taken = selection_from_units(units)
-    out = []
-    for e in sorted(inst.positive_edges, key=lambda e: e.id):
-        used = taken.get(e.id, 0)
-        if used < e.mult:
-            out.append((e.id, used))
-    return tuple(out)
 
 
 def ring_flow(inst: Instance, flow: Residual, all_cores, target: CoreInfo) -> int:
@@ -147,11 +118,14 @@ def _certificate(inst: Instance, cover: RingCover) -> bool:
 
 
 def primal_dual_ring_cover(
-    inst: Instance, flow: Residual, bound: int, legs: EnteringLegs, head: Unit | None = None
+    inst: Instance, flow: Residual, bound: int, taken, head: Unit | None = None
 ) -> RingCover | None:
-    """Exact minimum-cost legs, drawn from the index ``legs`` (``index_legs``),
-    so that legs + ``head`` cover the ring of ``flow`` and ``bound`` (see
-    ``ring_flow``); the head's edge is never a leg.
+    """Exact minimum-cost legs so that legs + ``head`` cover the ring of
+    ``flow`` and ``bound`` (see ``ring_flow``); the head's edge is never a
+    leg.  ``taken`` maps an edge id to its copies already selected
+    (``selection_from_units``).  The legs are drawn from the lowest free copy
+    of each positive edge: a second parallel copy never helps cover a ring,
+    since each member needs only one entering edge.
 
     Dual ascent: raise the minimal violated set until some entering candidate
     goes tight (ties to the smallest unit), add it, repeat.  Then delete
@@ -185,9 +159,10 @@ def primal_dual_ring_cover(
                 raise AssertionError("a violated set fails to strictly grow the dual chain")
             for v in violated - first.keys():
                 first[v] = len(tight_order)
-                for u, tail, cost in legs[v]:
-                    if tail not in violated and u[0] != head_edge:
-                        heappush(heap, (cost + prefix[-1], u, tail, v))
+                for eid, tail, cost, mult in inst.positive_entering[v]:
+                    c = taken.get(eid, 0)
+                    if c < mult and tail not in violated and eid != head_edge:
+                        heappush(heap, (cost + prefix[-1], (eid, c), tail, v))
             while heap and heap[0][2] in first:
                 heappop(heap)
             if not heap:

@@ -1,27 +1,36 @@
 """Reference implementations the fast paths are compared against.
 
-Each one does its job the plain way: the cores and the max level read off
-root flows built afresh, a ring flow built afresh for one core, every
-(head, core) pair priced on one, an exact optimum by enumerating every unit
-subset, a maximum flow decomposed into paths by search, and the paths
-re-checked edge by edge against the instance's capacities.  They use the
-package's flow and ring primitives, unlike the enumeration oracles in
-``oracles``, and only tests and ``scripts/ring_cross_check.py`` call them.
+Each one does its job the plain way: the free heads and legs listed edge by
+edge, the cores and the max level read off root flows built afresh, a ring
+flow built afresh for one core, every (head, core) pair priced on one, an
+exact optimum by enumerating every unit subset, a maximum flow decomposed
+into paths by search, and the paths re-checked edge by edge against the
+instance's capacities.  They use the package's flow and ring primitives,
+unlike the enumeration oracles in ``oracles``, and only tests and
+``scripts/ring_cross_check.py`` call them.
 """
+
+from collections import Counter
 
 from rkec.deficiency import CoreInfo, cores_of
 from rkec.flows import Residual, root_flows, short_terminal, solution_of, working_arcs
 from rkec.greedy import PhaseStuckError, Star, _rank, _scan_head
-from rkec.instance import Instance, Solution, Unit
-from rkec.rings import (
-    RingCover,
-    free_leg_candidates,
-    index_legs,
-    primal_dual_ring_cover,
-    saturating_arcs,
-)
+from rkec.instance import Instance, Solution, Unit, selection_from_units
+from rkec.rings import RingCover, primal_dual_ring_cover, saturating_arcs
 
 from oracles import EnumeratedFamily, enumerate_arc_family
+
+
+def free_leg_candidates(inst: Instance, units) -> tuple[Unit, ...]:
+    """Lowest free copy of each positive edge under ``units``, in id order:
+    the heads and legs a star draws from."""
+    taken = Counter(eid for eid, _ in units)
+    out = []
+    for e in sorted(inst.positive_edges, key=lambda e: e.id):
+        used = taken[e.id]
+        if used < e.mult:
+            out.append((e.id, used))
+    return tuple(out)
 
 
 def rooted_cores(inst: Instance, units) -> list[CoreInfo]:
@@ -48,10 +57,9 @@ def fresh_cover(
     inst: Instance, units, all_cores, target: CoreInfo, head: Unit | None
 ) -> RingCover | None:
     """The primal-dual price of (target, head) at ``units``, on a ring flow
-    and a leg index built afresh; a head of None prices the bare ring."""
+    built afresh; a head of None prices the bare ring."""
     flow, bound = build_ring_context(inst, units, all_cores, target)
-    legs = index_legs(inst, free_leg_candidates(inst, units))
-    return primal_dual_ring_cover(inst, flow, bound, legs, head)
+    return primal_dual_ring_cover(inst, flow, bound, selection_from_units(units), head)
 
 
 def overpaid_candidates(inst: Instance, units, cover: RingCover, head: Unit | None) -> list[Unit]:
@@ -92,12 +100,11 @@ def price_star_edges(inst: Instance, units, cores) -> dict[tuple[Unit, CoreInfo]
     if not cores:
         raise ValueError("pricing needs at least one core")
     prices: dict[tuple[Unit, CoreInfo], RingCover] = {}
-    heads = free_leg_candidates(inst, units)
-    legs = index_legs(inst, heads)
-    for head in heads:
+    taken = selection_from_units(units)
+    for head in free_leg_candidates(inst, units):
         for core in cores:
             flow, bound = build_ring_context(inst, units, cores, core)
-            cover = primal_dual_ring_cover(inst, flow, bound, legs, head)
+            cover = primal_dual_ring_cover(inst, flow, bound, taken, head)
             if cover is not None:
                 prices[(head, core)] = cover
     return prices

@@ -19,7 +19,6 @@ import pytest
 from rkec.exact import brute_force_opt
 from rkec.generate import default_corpus_params, generate_instance
 from rkec.instance import Instance, Solution, dump_json
-from rkec.rings import free_leg_candidates
 from rkec.solver import SolveReport, report_to_doc, solve
 from rkec.verify import bound_decision, check_feasible, density_violations
 
@@ -29,7 +28,13 @@ from oracles import (
     nested_chain_certificate,
     tabulate_rooted,
 )
-from reference import enumerated_ring_family, fresh_cover, rooted_cores, rooted_max_level
+from reference import (
+    enumerated_ring_family,
+    free_leg_candidates,
+    fresh_cover,
+    rooted_cores,
+    rooted_max_level,
+)
 
 CORPUS_SEEDS = range(1, 501)
 RING_SAMPLE_TARGET = 2000
@@ -89,7 +94,7 @@ def ring_samples(corpus):
                     assert family.level == level
                     ring = family.ring_view(core.members)
                     candidates = [
-                        (u, *inst.unit_arc(u), inst.unit_cost(u))
+                        (u, *inst.unit_arc(u), inst.edge_by_id[u[0]].cost)
                         for u in heads
                         if u[0] != head[0]
                     ]

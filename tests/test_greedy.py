@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import random
@@ -13,24 +14,20 @@ from rkec.flows import root_flows
 from rkec.greedy import (
     PhaseStuckError,
     _best_prefix,
+    candidate_heads,
     cheapest_star,
     cover_levels,
     pricing_context,
 )
 from rkec.generate import GenParams, generate_instance
-from rkec.instance import Edge, Instance
-from rkec.rings import (
-    RingCover,
-    free_leg_candidates,
-    index_legs,
-    min_violated_set,
-    primal_dual_ring_cover,
-)
+from rkec.instance import Edge, Instance, selection_from_units
+from rkec.rings import RingCover, min_violated_set, primal_dual_ring_cover
 
 from conftest import small_random_instance
 from reference import (
     best_star,
     build_ring_context,
+    free_leg_candidates,
     fresh_cover,
     price_star_edges,
     rooted_cores,
@@ -39,8 +36,30 @@ from reference import (
 
 
 def test_candidate_heads_skip_selected(instance_a):
-    assert free_leg_candidates(instance_a, ()) == tuple((i, 0) for i in range(1, 6))
-    assert free_leg_candidates(instance_a, [(1, 0)]) == tuple((i, 0) for i in range(2, 6))
+    # in (scaled cost, id) order: edges 2 and 3 cost 1, edge 1 costs 2
+    assert candidate_heads(instance_a, ()) == ((2, 0), (3, 0), (1, 0), (4, 0), (5, 0))
+    assert candidate_heads(instance_a, [(1, 0)]) == ((2, 0), (3, 0), (4, 0), (5, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 100_000))
+def test_candidate_heads_are_the_free_copies_in_cost_order(seed):
+    # the solver's head order is the reference's free copies sorted by
+    # (scaled cost, unit), over random selections of random instances
+    rng = random.Random(seed)
+    inst = small_random_instance(rng)
+    units = list(inst.positive_units)
+    for _ in range(3):
+        state = [u for u in units if rng.random() < 0.4]
+        expected = sorted(free_leg_candidates(inst, state), key=lambda u: (inst.scaled_cost(u), u))
+        assert candidate_heads(inst, state) == tuple(expected)
+
+
+def test_cheapest_star_keeps_the_parameters_the_trace_reads():
+    # perfbench's star observer reads cheapest_star's first three arguments
+    # positionally as (inst, units, cores)
+    params = list(inspect.signature(cheapest_star).parameters)
+    assert params == ["inst", "units", "cores", "flows"]
 
 
 def test_fixture_prices(instance_a):
@@ -105,8 +124,8 @@ def test_best_star_single_core_arithmetic():
 
 
 def test_zero_cost_edges_never_priced(instance_a_k2):
-    heads = free_leg_candidates(instance_a_k2, ())
-    assert all(instance_a_k2.unit_cost(h) > 0 for h in heads)
+    heads = candidate_heads(instance_a_k2, ())
+    assert heads and all(instance_a_k2.scaled_cost(h) > 0 for h in heads)
 
 
 def _added(records):
@@ -233,7 +252,7 @@ def _untouched_visited_heads(inst, units, cores, star):
     """Heads that touch no core and that ``cheapest_star`` must reach: their
     cost alone is no worse than ``star``'s density times the core count."""
     heads = free_leg_candidates(inst, units)
-    pricing = pricing_context(inst, carried_flows(inst, units), index_legs(inst, heads), cores)
+    pricing = pricing_context(inst, carried_flows(inst, units), selection_from_units(units), cores)
     return [
         head for head in heads
         if not pricing.touched(inst.unit_arc(head))
@@ -335,7 +354,8 @@ def test_irrelevant_heads_keep_the_shared_price(seed, augmentation):
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
     for units, cores in _random_states(inst, rng):
         heads = free_leg_candidates(inst, units)
-        pricing = pricing_context(inst, carried_flows(inst, units), index_legs(inst, heads), cores)
+        taken = selection_from_units(units)
+        pricing = pricing_context(inst, carried_flows(inst, units), taken, cores)
         for head in heads:
             arc = inst.unit_arc(head)
             touched = [p.core for p, _ in pricing.touched(arc)]
@@ -359,17 +379,17 @@ def test_heads_on_a_shared_ring_price_like_a_fresh_context(seed, augmentation):
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
     for units, cores in _random_states(inst, rng):
         heads = free_leg_candidates(inst, units)
-        legs = index_legs(inst, heads)
+        taken = selection_from_units(units)
         flows = carried_flows(inst, units)
-        pricing = pricing_context(inst, flows, legs, cores)
+        pricing = pricing_context(inst, flows, taken, cores)
         for p in pricing.cores:
             flow = flows[p.core.representative]
             fresh, bound = build_ring_context(inst, units, cores, p.core)
             assert p.bound == bound
             before = _flow_state(flow)
             for head in heads:
-                cover = primal_dual_ring_cover(inst, flow, bound, legs, head)
-                assert cover == primal_dual_ring_cover(inst, fresh, bound, legs, head)
+                cover = primal_dual_ring_cover(inst, flow, bound, taken, head)
+                assert cover == primal_dual_ring_cover(inst, fresh, bound, taken, head)
                 assert min_violated_set(inst, flow, bound, [head]) == min_violated_set(
                     inst, fresh, bound, [head]
                 )
@@ -377,7 +397,7 @@ def test_heads_on_a_shared_ring_price_like_a_fresh_context(seed, augmentation):
                     assert all(u[0] != head[0] for u in cover.legs)
                     assert min_violated_set(inst, flow, bound, [head, *cover.legs]) is None
                 assert _flow_state(flow) == before
-            assert primal_dual_ring_cover(inst, flow, bound, legs) == p.shared
+            assert primal_dual_ring_cover(inst, flow, bound, taken) == p.shared
             assert _flow_state(flow) == before
 
 
@@ -391,9 +411,9 @@ def test_the_floor_bounds_every_head_price_from_below(seed, augmentation):
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
     for units, cores in _random_states(inst, rng):
         heads = free_leg_candidates(inst, units)
-        legs = index_legs(inst, heads)
+        taken = selection_from_units(units)
         flows = carried_flows(inst, units)
-        pricing = pricing_context(inst, flows, legs, cores)
+        pricing = pricing_context(inst, flows, taken, cores)
         for head in heads:
             arc = inst.unit_arc(head)
             for p, floor in pricing.touched(arc):
@@ -401,7 +421,7 @@ def test_the_floor_bounds_every_head_price_from_below(seed, augmentation):
                 entered = _entered_steps(arc, p.shared)
                 assert floor == prefix[-1] - sum(prefix[i + 1] - prefix[i] for i in entered)
                 flow = flows[p.core.representative]
-                cover = primal_dual_ring_cover(inst, flow, p.bound, legs, head)
+                cover = primal_dual_ring_cover(inst, flow, p.bound, taken, head)
                 if cover is not None:
                     assert floor <= cover.cost
 

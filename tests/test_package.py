@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -118,6 +120,18 @@ def test_ring_covers_carry_their_dual_chain():
     assert not hasattr(rings, "DualStep")
     assert [f.name for f in fields(rings.RingCover)] == ["legs", "cost", "first", "prefix"]
     assert not {"first", "prefix"} & {f.name for f in fields(greedy.CorePricing)}
+
+
+def test_stars_read_their_candidates_off_the_instance():
+    # heads and legs come from the instance's own edge orders and the
+    # selection's per-edge counts: no per-star candidate list, leg index or
+    # head sort
+    rings = importlib.import_module("rkec.rings")
+    for name in ("EnteringLegs", "index_legs", "free_leg_candidates"):
+        assert not hasattr(rings, name), name
+    tree = ast.parse((PACKAGE / "greedy.py").read_text())
+    star = next(s for s in tree.body if getattr(s, "name", None) == "cheapest_star")
+    assert "sorted" not in _names(star)
 
 
 def _calls(tree):
@@ -257,3 +271,38 @@ def test_scripts_reject_negative_counts(tmp_path, script, args):
     assert "is not a non-negative integer" in proc.stderr
     assert proc.stdout == ""
     assert not (tmp_path / "corpus").exists()
+
+
+# report digests of the bench rows: C10's corpus digest, the pinned
+# (120, 40, 3) ladder report, and the (200, 60, 3) one, pinned only here
+BENCH_DIGESTS = {
+    "corpus": "bd8f43a18b8297a1921937de5f65ab6b79d3eb4ad848741cd5a123803b5087f7",
+    "ladder-120-40-3": "128dd007ee6f9e2e7cf4ff9481f14ff72f6231d8bd87fff0f02220967856baac",
+    "ladder-200-60-3": "4d8ebf3b5a686537e58054633a044ee77af1d69901b0348a33cf7c1bd638bb45",
+}
+
+
+def test_bench_script_writes_its_rows(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.chdir(tmp_path)
+    assert script.main(["smoke", "--rounds", "1"]) == 0
+    doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert doc["label"] == "smoke" and doc["rounds"] == 1
+    assert {row["name"]: row["report_sha256"] for row in doc["rows"]} == BENCH_DIGESTS
+    for row in doc["rows"]:
+        wall = row["wall_s"]
+        assert 0 < wall["min"] <= wall["median"] <= wall["max"]
+    assert [row["instances"] for row in doc["rows"]] == [500, 1, 1]
+    assert doc["rows"][0]["cost"] == "11341"
+
+
+def test_bench_script_rejects_fewer_than_one_round(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "x", "--rounds", "0"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "is not a positive integer" in proc.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -9,15 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rkec import rings
-from rkec.rings import (
-    free_leg_candidates,
-    index_legs,
-    min_violated_set,
-    primal_dual_ring_cover,
-    ring_flow,
-    saturating_arcs,
-)
+from rkec.greedy import candidate_heads
+from rkec.rings import min_violated_set, primal_dual_ring_cover, ring_flow, saturating_arcs
 from rkec.flows import Residual, root_flows
+from rkec.instance import selection_from_units
 from rkec.solver import solve
 
 from conftest import small_random_instance
@@ -25,6 +20,7 @@ from oracles import brute_force_ring_cover, enumerate_arc_family, nested_chain_c
 from reference import (
     build_ring_context,
     enumerated_ring_family,
+    free_leg_candidates,
     fresh_cover,
     overpaid_candidates,
     rooted_cores,
@@ -33,12 +29,12 @@ from reference import (
 
 
 def ring_for(inst, units, target_members):
-    """(flow, bound, leg index) of the ring around ``target_members``, built
-    afresh."""
+    """(flow, bound, per-edge counts of ``units``) of the ring around
+    ``target_members``, built afresh."""
     cores = rooted_cores(inst, units)
     target = next(c for c in cores if c.members == frozenset(target_members))
     flow, bound = build_ring_context(inst, units, cores, target)
-    return flow, bound, index_legs(inst, free_leg_candidates(inst, units))
+    return flow, bound, selection_from_units(units)
 
 
 def saturating_for(inst, units, target_members):
@@ -50,13 +46,13 @@ def saturating_for(inst, units, target_members):
 def test_context_shape(instance_a):
     sat = saturating_for(instance_a, (), {2})
     assert sat == [(0, 3, 1)]  # (tail, head, cap)
-    flow, bound, legs = ring_for(instance_a, (), {2})
+    flow, bound, taken = ring_for(instance_a, (), {2})
     assert bound == 1  # k - level + 1, with k = 1 and the core {2} at level 1
     # the flow ends at the saturating arc, 0 -> 3 with capacity one; the head
     # 0 -> 1 joins it only while a primal-dual or a trial runs
     assert flow.to[-2:] == [3, 0] and flow.cap[-2] + flow.cap[-1] == 1
     before = (flow.to[:], flow.cap[:], flow.value)
-    cover = primal_dual_ring_cover(instance_a, flow, bound, legs, (1, 0))
+    cover = primal_dual_ring_cover(instance_a, flow, bound, taken, (1, 0))
     assert all(u[0] != 1 for u in cover.legs)  # the head's edge is never a leg
     assert (flow.to, flow.cap, flow.value) == before
 
@@ -135,8 +131,8 @@ def test_a_violated_set_that_stops_growing_stops_the_ascent(instance_a, monkeypa
     # the ring around {3} with head 2 takes two ascent steps; when the second
     # violated set is the first again, the dual chain stops growing, and the
     # ascent must raise rather than raise the same set twice
-    flow, bound, legs = ring_for(instance_a, (), {3})
-    assert primal_dual_ring_cover(instance_a, flow, bound, legs, (2, 0)).legs == ((1, 0), (3, 0))
+    flow, bound, taken = ring_for(instance_a, (), {3})
+    assert primal_dual_ring_cover(instance_a, flow, bound, taken, (2, 0)).legs == ((1, 0), (3, 0))
     real = Residual.closest_sink_side
     seen = []
 
@@ -146,7 +142,7 @@ def test_a_violated_set_that_stops_growing_stops_the_ascent(instance_a, monkeypa
 
     monkeypatch.setattr(Residual, "closest_sink_side", stuck)
     with pytest.raises(AssertionError, match="fails to strictly grow the dual chain"):
-        primal_dual_ring_cover(instance_a, flow, bound, legs, (2, 0))
+        primal_dual_ring_cover(instance_a, flow, bound, taken, (2, 0))
     assert len(seen) == 2
 
 
@@ -217,7 +213,7 @@ def test_primal_dual_exact_against_enumeration(seed):
         assert ring is not None and ring.is_ring
         head_arc = inst.unit_arc(head)
         candidates = [
-            (u, *inst.unit_arc(u), inst.unit_cost(u))
+            (u, *inst.unit_arc(u), inst.edge_by_id[u[0]].cost)
             for u in _leg_candidates(inst, units, head)
         ]
         oracle = brute_force_ring_cover(ring.members, head_arc, candidates)
@@ -228,6 +224,39 @@ def test_primal_dual_exact_against_enumeration(seed):
             # the cover's integer cost, back in the instance's rationals
             assert Fraction(cover.cost, inst.cost_scale) == oracle[0]
             assert all(u[0] != head[0] for u in cover.legs)
+            # every leg is its edge's lowest free copy
+            taken = selection_from_units(units)
+            for eid, c in cover.legs:
+                assert c == taken.get(eid, 0) < inst.edge_by_id[eid].mult
+
+
+def test_a_parallel_edge_offers_its_lowest_free_copy():
+    # edge 1 (0 -> 1) has two copies: with one selected, copy 1 is offered
+    # both as a head and as a leg; with both selected, as neither, and the
+    # ring around {1} is covered by the dearer edges instead
+    from rkec.instance import Edge, Instance
+
+    inst = Instance(
+        3, 0, frozenset({1}),
+        (
+            Edge(1, 0, 1, Fraction(1), mult=2),
+            Edge(2, 0, 2, Fraction(1)),
+            Edge(3, 2, 1, Fraction(3)),
+        ),
+        3,
+    )
+    one = [(1, 0)]
+    assert candidate_heads(inst, one) == ((1, 1), (2, 0), (3, 0))
+    cores = rooted_cores(inst, one)
+    assert [c.members for c in cores] == [frozenset({1})]
+    assert fresh_cover(inst, one, cores, cores[0], (2, 0)).legs == ((1, 1),)
+
+    both = [(1, 0), (1, 1)]
+    assert candidate_heads(inst, both) == ((2, 0), (3, 0))
+    cores = rooted_cores(inst, both)
+    assert [c.members for c in cores] == [frozenset({1})]
+    assert fresh_cover(inst, both, cores, cores[0], (2, 0)).legs == ((3, 0),)
+    assert fresh_cover(inst, both, cores, cores[0], (3, 0)).legs == ((2, 0),)
 
 
 @settings(max_examples=40, deadline=None)
