@@ -4,11 +4,10 @@ Everything here recomputes from the instance and the recorded run, never from
 solver internals: a recorded solution is correct exactly when it equals its
 rebuild by ``flows.solution_of``, the builder the solver uses too.  The
 performance guarantee 2 * H(d) * (1 + ln |T|) mixes a rational with a
-logarithm, so the bound is handled as an outward-rounded rational interval: a
-comparison against the interval's far side is rigorous, and a ratio that lands
-inside triggers re-evaluation at higher precision (which must terminate: ln
-of an integer >= 2 is irrational, ratios are rational, and for |T| = 1 the
-interval is a point).
+logarithm, so ln |T| is enclosed in a proven dyadic interval: a comparison
+against its far side is rigorous, and a ratio inside doubles its bits until
+it lands outside (as it must: ln of an integer >= 2 is irrational, ratios
+are rational, and for |T| = 1 the interval is a point).
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import mpmath
 
 from .exact import cheapest_completion
 from .flows import require_feasible, root_flows, solution_of
@@ -42,52 +39,55 @@ def check_feasible(inst: Instance, sol: Solution) -> Solution:
     return solution_of(inst, sol.units(), sol.audit)
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
-    mantissa = Fraction(-man if sign else man)
-    return mantissa * Fraction(2) ** exp
+def _atanh_scaled(a: int, b: int, p: int) -> tuple[int, int]:
+    """(s, s + 3 * terms + 2), enclosing 2^p * atanh(a / b) for 0 <= a / b <= 1/3.
+
+    s sums y^(2j+1) / (2j+1) in ``terms`` terms, until a power of y floors to
+    0, each power floored from the one before and each term floored.  Every
+    floor lowers; as y^2 <= 1/9 a power runs at most 1 + 1/9 + ... = 9/8 low,
+    a floored term less than 9/8 + 1 < 3, and once a power floors to 0 the
+    dropped tail is below 9/8 / (1 - y^2) <= 81/64 < 2.
+    """
+    power, s, terms = (a << p) // b, 0, 0
+    while power:
+        s += power // (2 * terms + 1)
+        terms += 1
+        power = power * a * a // (b * b)
+    return s, s + 3 * terms + 2
 
 
-def log_interval(n: int, dps: int = 50) -> tuple[Fraction, Fraction]:
-    """Outward-rounded rational interval around ln(n)."""
+def log_interval(n: int, bits: int = 64) -> tuple[Fraction, Fraction]:
+    """Proven dyadic interval around ln(n), at most 2^-bits wide for bits >= 64.
+
+    n = 2^e * m, m in [1, 2): ln n = 2e * atanh(1/3) + 2 * atanh((m - 1) / (m + 1)).
+    The slack is at most 2(e + 1)p units of 2^-p (a series has <= 0.32p + 1/2 terms).
+    """
     if n < 1:
         raise ValueError("logarithm of a non-positive count")
     if n == 1:
         return Fraction(0), Fraction(0)
-    with mpmath.workdps(dps):
-        center = _mpf_to_fraction(mpmath.ln(n))
-    guard = Fraction(1, 10 ** (dps - 10))
-    return center - guard, center + guard
-
-
-def ratio_bound_interval(
-    bound_harmonic: Fraction, terminal_count: int, dps: int = 50
-) -> tuple[Fraction, Fraction]:
-    """Interval for 2 * H * (1 + ln |T|)."""
-    lo, hi = log_interval(terminal_count, dps)
-    return 2 * bound_harmonic * (1 + lo), 2 * bound_harmonic * (1 + hi)
+    e = n.bit_length() - 1
+    p = bits + bits.bit_length() + e.bit_length() + 4
+    lo2, hi2 = _atanh_scaled(1, 3, p)
+    lom, him = _atanh_scaled(n - (1 << e), n + (1 << e), p)
+    return Fraction(2 * (e * lo2 + lom), 1 << p), Fraction(2 * (e * hi2 + him), 1 << p)
 
 
 def bound_decision(
-    cost: Fraction,
-    opt_cost: Fraction,
-    bound_harmonic: Fraction,
-    terminal_count: int,
+    cost: Fraction, opt_cost: Fraction, bound_harmonic: Fraction, terminal_count: int
 ) -> tuple[bool, Fraction, Fraction]:
     """Decide cost <= bound * opt rigorously; returns (holds, lo, hi)."""
     if opt_cost == 0:
         return cost == 0, Fraction(0), Fraction(0)
-    ratio = cost / opt_cost
-    dps = 50
+    ratio, bits = cost / opt_cost, 64
+    # ends: ln |T| is irrational for |T| >= 2, the ratio rational, and |T| = 1 exact
     while True:
-        lo, hi = ratio_bound_interval(bound_harmonic, terminal_count, dps)
+        lo, hi = (2 * bound_harmonic * (1 + x) for x in log_interval(terminal_count, bits))
         if ratio <= lo:
             return True, lo, hi
         if ratio > hi:
             return False, lo, hi
-        if dps >= 800:  # unreachable for rational ratios; defensive ceiling
-            return ratio <= lo, lo, hi
-        dps *= 2
+        bits *= 2
 
 
 @dataclass

@@ -94,6 +94,30 @@ def test_package_has_no_assert_statements():
     assert not found, f"assert statements in shipped code: {found}"
 
 
+def test_package_runs_on_the_standard_library_alone():
+    # every import of src/rkec is relative or a standard-library module, and
+    # pyproject.toml declares no runtime dependency (a regex, as tomllib is
+    # not in every Python that requires-python admits)
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert not outside, f"non-standard imports in shipped code: {outside}"
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r"^dependencies = \[\]$", pyproject, re.MULTILINE)
+    assert len(re.findall(r"^dependencies\b", pyproject, re.MULTILINE)) == 1
+
+
 def test_rings_are_priced_on_the_flow_itself():
     # a ring is its core representative's flow and a bound; no context object
     # wraps them and no copy of one is made per head

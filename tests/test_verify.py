@@ -2,6 +2,7 @@ import copy
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -30,7 +31,6 @@ from rkec.verify import (
     check_feasible,
     density_violations,
     log_interval,
-    ratio_bound_interval,
 )
 
 from conftest import small_random_instance
@@ -55,6 +55,13 @@ def test_check_feasible_free_graph(instance_a_k2):
     assert check_feasible(one, Solution({}, Fraction(0), {}, True)).feasible
 
 
+def _mp_ln(n: int) -> Fraction:
+    """ln n from mpmath at 100 digits, as an exact rational."""
+    with mpmath.workdps(100):
+        man, exp = mpmath.log(n).man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
 def test_log_interval_brackets():
     import math
 
@@ -67,6 +74,18 @@ def test_log_interval_brackets():
     assert log_interval(1) == (Fraction(0), Fraction(0))
     with pytest.raises(ValueError):
         log_interval(0)
+    # the sweep: every interval holds mpmath's value and is at most 2^-bits wide
+    for bits in (64, 128, 256):
+        for n in [*range(1, 2001), 2**40 - 1, 2**40, 2**40 + 1]:
+            lo, hi = log_interval(n, bits)
+            assert lo <= _mp_ln(n) <= hi, (n, bits)
+            assert hi - lo <= Fraction(1, 2**bits), (n, bits)
+        assert log_interval(1, bits) == (Fraction(0), Fraction(0))
+
+
+def _first_bound(bound_harmonic, terminal_count):
+    # the interval bound_decision evaluates first, at log_interval's default bits
+    return tuple(2 * bound_harmonic * (1 + x) for x in log_interval(terminal_count))
 
 
 def test_bound_decision_exact_for_single_terminal():
@@ -78,11 +97,30 @@ def test_bound_decision_exact_for_single_terminal():
 
 
 def test_bound_decision_resolves_tight_rational():
-    # pick a ratio squeezed inside the first interval: forces re-evaluation
-    lo, hi = ratio_bound_interval(Fraction(1), 2, 50)
-    squeezed = (lo + hi) / 2
-    holds, _, _ = bound_decision(squeezed, Fraction(1), Fraction(1), 2)
-    assert isinstance(holds, bool)  # decision must land, not loop forever
+    # a ratio at the midpoint of the first interval forces refinement: the
+    # decision must come from a narrower interval strictly inside the first
+    first_lo, first_hi = _first_bound(Fraction(1), 2)
+    squeezed = (first_lo + first_hi) / 2
+    holds, lo, hi = bound_decision(squeezed, Fraction(1), Fraction(1), 2)
+    assert first_lo < lo <= hi < first_hi
+    assert holds == (squeezed <= lo)
+    assert holds == (squeezed <= 2 * (1 + _mp_ln(2)))
+
+
+@pytest.mark.parametrize(
+    "bound_harmonic, terminal_count",
+    [(Fraction(0), 5), (Fraction(3, 2), 8), (Fraction(1), 2**20)],
+)
+def test_bound_decision_decides_on_its_first_interval(bound_harmonic, terminal_count):
+    # H = 0 gives a point (as |T| = 1 does, above); a power of two has an
+    # exactly-0 m-series
+    first = _first_bound(bound_harmonic, terminal_count)
+    exact = 2 * bound_harmonic * (1 + _mp_ln(terminal_count))
+    assert first[0] <= exact <= first[1]
+    for ratio in (Fraction(0), exact / 2, first[0], exact * 2 + 1):
+        holds, lo, hi = bound_decision(ratio, Fraction(1), bound_harmonic, terminal_count)
+        assert (lo, hi) == first
+        assert holds == (ratio <= exact)
 
 
 def test_fixture_audit(instance_a):
@@ -91,9 +129,8 @@ def test_fixture_audit(instance_a):
     audit = audit_run(instance_a, report, opt, density_max_units=16)
     assert audit.clean
     assert audit.ratio == 1
-    # 2 * H(1) * (1 + ln 2) is about 3.386
-    assert audit.bound_lo < Fraction(3387, 1000)
-    assert audit.bound_hi > Fraction(3386, 1000)
+    # 2 * H(1) * (1 + ln 2), from mpmath at 100 digits
+    assert audit.bound_lo <= 2 * (1 + _mp_ln(2)) <= audit.bound_hi
     assert audit.bound_holds and audit.guarantee_applies
     assert audit.density_checked and audit.density_violations == []
     assert "\"clean\": true" in dump_json(audit_to_doc(audit))
