@@ -15,9 +15,13 @@ shared no-head cover unless the context's node index lists the core as
 touched by the head, else a primal-dual with the head on the core's carried
 flow, grown by ``rings.ring_flow``), and by the exact hitting-set search over
 rational costs (the tests' ``oracles.brute_force_ring_cover``, on the ring
-that ``reference.enumerated_ring_family`` enumerates).  The solver's cover
-must equal the fresh one whole (legs, cost and dual chain), and their cost
-must equal the exact one as a rational: the primal-dual covers cost integers
+that ``reference.enumerated_ring_family`` enumerates).  A state whose
+pricing context raises ``InfeasibleError`` has no solver path: the raise
+must name the instance's first short terminal and its path count
+(``flows.short_terminal`` over every positive unit), and its pairs are
+priced fresh and exactly only.  The solver's cover must equal the fresh one
+whole (legs, cost and dual chain), and their cost must equal the exact one
+as a rational: the primal-dual covers cost integers
 in units of 1/``cost_scale``, so they are rescaled before the comparison.  A
 cover that fails its certificate raises, and counts as a mismatch.  So does
 a cover whose dual overpays some candidate leg (``overpaid_candidates`` of
@@ -39,10 +43,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from rkec.cli import _size_cap  # noqa: E402
 from rkec.deficiency import cores_of  # noqa: E402
-from rkec.flows import root_flows  # noqa: E402
+from rkec.flows import root_flows, short_terminal  # noqa: E402
 from rkec.generate import GenParams, generate_instance  # noqa: E402
 from rkec.greedy import pricing_context  # noqa: E402
-from rkec.instance import Instance, selection_from_units  # noqa: E402
+from rkec.instance import InfeasibleError, Instance, selection_from_units  # noqa: E402
 from rkec.rings import primal_dual_ring_cover  # noqa: E402
 
 from oracles import brute_force_ring_cover  # noqa: E402
@@ -70,10 +74,16 @@ def check_state(inst, state, per_state, seed):
     except AssertionError as exc:  # a shared cover failed its certificate
         print(f"MISMATCH seed={seed}: {exc}")
         return contexts, 1, unpriceable
+    except InfeasibleError as exc:  # some core's ring is uncoverable
+        pricing = None
+        if (exc.terminal, exc.achieved) != short_terminal(inst, inst.positive_units, inst.k):
+            print(f"MISMATCH seed={seed}: {exc}")
+            mismatches += 1
+    shared = dict(pricing.ranked) if pricing else {}
     for head in heads[:per_state]:
         arc = inst.unit_arc(head)
-        floors = {p.core: floor for p, floor in pricing.touched(arc)}
-        for core, p in zip(cores, pricing.cores):
+        floors = {core: floor for (core, _), floor in pricing.touched(arc)} if pricing else {}
+        for core in cores:
             ring = enumerated_ring_family(inst, state, cores, core).ring_view(core.members)
             exact = brute_force_ring_cover(
                 ring.members,
@@ -87,11 +97,13 @@ def check_state(inst, state, per_state, seed):
             floor = floors.get(core)  # None: the pair reuses the shared cover
             try:
                 fresh = fresh_cover(inst, state, cores, core, head)
-                if floor is None:
-                    solver = p.shared
+                if pricing is None:
+                    solver = fresh  # no solver path to compare
+                elif floor is None:
+                    solver = shared[core]
                 else:
                     flow = flows[core.representative]
-                    solver = primal_dual_ring_cover(inst, flow, p.bound, taken, head)
+                    solver = primal_dual_ring_cover(inst, flow, pricing.bound, taken, head)
             except AssertionError as exc:  # a cover failed its certificate
                 print(f"seed={seed}: {exc}")
                 bad = True

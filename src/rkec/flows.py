@@ -169,7 +169,8 @@ def short_terminal(inst: Instance, units, need: int) -> tuple[int, int] | None:
 
 def require_feasible(inst: Instance) -> None:
     """Raise InfeasibleError for the first terminal that even every positive
-    unit leaves short of k."""
+    unit leaves short of k.  Brute force and the density replay run it
+    first; the greedy runs it only once it meets a ring it cannot cover."""
     short = short_terminal(inst, inst.positive_units, inst.k)
     if short is not None:
         raise InfeasibleError(*short, inst.k)

@@ -10,19 +10,24 @@ leaves may overlap; the duplicates are bought once but the density keeps the
 summed price, which only makes the chosen star look worse, never infeasible.
 
 Pricing every (head, core) pair on a ring flow built afresh and taking the
-best star is the reference the tests hold ``cheapest_star`` to; it gives the
-same star with far less work.  Heads and legs are the lowest free copies of
-the positive edges, read off the instance's own edge orders and the
-selection's per-edge counts, so nothing is indexed per star.  It builds one
-pricing context: per core, the no-head ring on the representative's carried
-flow and its price, listed under the nodes of that price's dual chain.  The
-dual's raised sets are a nested chain, so the ones a head arc (u, v) enters
-form one interval of steps, empty unless v is on the chain.  A head looks up
-only the cores listed under v; every other core keeps exactly its shared
-no-head price, and only the touched pairs run a primal-dual of their own.
-Each head is first bounded below, and skipped when even that bound loses to
-the best star so far: by weak duality, the part of the shared dual the head
-does not enter bounds the exact primal-dual price with the head from below.
+best star is the reference the tests hold ``cheapest_star`` to; on a
+feasible state it gives the same star with far less work.  Heads and legs
+are the lowest free copies of the positive edges, read off the instance's
+own edge orders and the selection's per-edge counts, so nothing is indexed
+per star.  It builds one pricing context: per core, the no-head ring on the
+representative's carried flow and its price, listed under the nodes of that
+price's dual chain.  The dual's raised sets are a nested chain, so the ones
+a head arc (u, v) enters form one interval of steps, empty unless v is on
+the chain.  A head looks up only the cores listed under v; every other core
+keeps exactly its shared no-head price, and only the touched pairs run a
+primal-dual of their own.  Each head is first bounded below, and skipped
+when even that bound loses to the best star so far: by weak duality, the
+part of the shared dual the head does not enter bounds the exact primal-dual
+price with the head from below.
+
+The greedy is its own feasibility check: on a feasible instance every ring
+it prices is coverable, and on an infeasible one it cannot finish, so its
+first uncoverable ring raises ``InfeasibleError`` (``_cover``).
 
 Pricing runs in the instance's integer cost units (``Instance.scaled_cost``,
 the unit of ``RingCover.cost``) and compares densities by cross-multiplying.
@@ -33,17 +38,12 @@ from __future__ import annotations
 import math
 from bisect import insort
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .deficiency import CoreInfo, cores_of
-from .flows import root_flows
+from .flows import require_feasible, root_flows
 from .instance import Instance, IterationRecord, Unit, selection_from_units
 from .rings import RingCover, primal_dual_ring_cover, ring_flow
-
-
-class PhaseStuckError(RuntimeError):
-    """No (head, core) pair is priceable; the instance cannot be completed."""
 
 
 def candidate_heads(inst: Instance, units) -> tuple[Unit, ...]:
@@ -106,48 +106,58 @@ def _rank(pc: tuple[CoreInfo, RingCover]) -> tuple[int, int]:
     return pc[1].cost, pc[0].representative
 
 
-def _scan_head(head: Unit, head_cost: int, ranked) -> Star | None:
-    """Best leaf prefix for one head; ``head_cost`` is its scaled cost and
-    ``ranked`` its priced (core, cover) pairs, a sequence in ``_rank`` order."""
+def _scan_head(head: Unit, head_cost: int, ranked) -> Star:
+    """Best leaf prefix for one head of scaled cost ``head_cost``; ``ranked``
+    holds its priced (core, cover) pairs, nonempty and in ``_rank`` order."""
     total, j = _best_prefix(head_cost, (cover.cost for _, cover in ranked))
-    if not j:
-        return None
     chosen = tuple(ranked[:j])
     return Star(total, j, (head, tuple(core.representative for core, _ in chosen)), chosen)
 
 
-@dataclass(frozen=True)
-class CorePricing:
-    """What pricing one core shares across every head of a star selection."""
+def _cover(inst: Instance, flow, bound: int, taken, head: Unit | None = None) -> RingCover:
+    """The primal-dual price of a ring (``primal_dual_ring_cover``); an
+    uncoverable ring raises the instance's ``InfeasibleError``.
 
-    core: CoreInfo
-    bound: int  # the representative's flow at which the core's ring is covered
-    shared: RingCover | None  # its price with no head; None when unpriceable
+    Why a feasible instance has one: take the carried root flows and cores
+    at level l >= 1, and a violated set S of a ring's ascent, with or
+    without a head.  Its capacity is k - l, since the representative already
+    has k - l paths, so no saturated terminal, no head and no picked leg
+    enters S.  S has at least k entering units in all, so at least l >= 1
+    free units enter it, on edges other than the head's and the picks', and
+    each such edge's lowest free copy is on the ascent's heap.  Conversely,
+    an uncoverable ring exhibits a set S that holds the representative and
+    has fewer than k entering units in all, so ``require_feasible`` raises.
+    """
+    cover = primal_dual_ring_cover(inst, flow, bound, taken, head)
+    if cover is None:
+        require_feasible(inst)
+        raise AssertionError("a ring is uncoverable on a feasible instance")
+    return cover
 
 
 class StarPricing(NamedTuple):
-    """Every core's ``CorePricing`` for one star selection, each priced core
-    listed under the nodes of its shared cover's chain (``RingCover.first``)."""
+    """The no-head ring price of every core of one star selection, each
+    (core, cover) pair listed under the nodes of its cover's chain
+    (``RingCover.first``)."""
 
-    cores: tuple[CorePricing, ...]  # in the order of the star's cores
-    by_node: dict[int, list[tuple[CorePricing, int]]]  # v -> (core, first[v]) per chain holding v
-    unpriced: tuple[CorePricing, ...]  # the cores with no shared cover
-    ranked: tuple[tuple[CoreInfo, RingCover], ...]  # the shared covers, in ``_rank`` order
+    bound: int  # the representatives' flow at which a ring is covered, k - level + 1
+    by_node: dict[int, list[tuple[tuple[CoreInfo, RingCover], int]]]  # v -> (pair, first[v])
+    ranked: tuple[tuple[CoreInfo, RingCover], ...]  # the pairs, in ``_rank`` order
     costs: tuple[int, ...]  # their costs, in the same order
 
-    def touched(self, arc: tuple[int, int]) -> list[tuple[CorePricing, int]]:
-        """(core, floor) for every core a head on ``arc`` = (u, v) touches:
-        each core with no shared cover (floor 0), and each listed under v
-        whose shared cover's chain has first[v] < first[u], so that the arc
-        enters the steps in between (floor: the dual less those steps).
-        Every other core's price with the head is its shared cover."""
+    def touched(self, arc: tuple[int, int]) -> list[tuple[tuple[CoreInfo, RingCover], int]]:
+        """((core, cover), floor) for every core a head on ``arc`` = (u, v)
+        touches: each listed under v whose shared cover's chain has
+        first[v] < first[u], so that the arc enters the steps in between
+        (floor: the dual less those steps).  Every other core's price with
+        the head is its shared cover."""
         tail, head = arc
-        out = [(p, 0) for p in self.unpriced]
-        for p, a in self.by_node.get(head, ()):
-            prefix = p.shared.prefix
-            b = p.shared.first.get(tail, len(prefix) - 1)
+        out = []
+        for pc, a in self.by_node.get(head, ()):
+            prefix = pc[1].prefix
+            b = pc[1].first.get(tail, len(prefix) - 1)
             if a < b:
-                out.append((p, prefix[-1] - prefix[b] + prefix[a]))
+                out.append((pc, prefix[-1] - prefix[b] + prefix[a]))
         return out
 
 
@@ -162,24 +172,17 @@ def pricing_context(inst: Instance, flows, taken, cores) -> StarPricing:
     (``ring_flow``); cores are terminal-disjoint, so no two rings share a
     flow.
     """
-    out = []
+    pairs = []
     by_node = defaultdict(list)
     for core in cores:
         flow = flows[core.representative]
-        bound = ring_flow(inst, flow, cores, core)
-        p = CorePricing(core, bound, primal_dual_ring_cover(inst, flow, bound, taken))
-        out.append(p)
-        if p.shared is not None:
-            for v, i in p.shared.first.items():
-                by_node[v].append((p, i))
-    ranked = sorted([(p.core, p.shared) for p in out if p.shared is not None], key=_rank)
-    return StarPricing(
-        tuple(out),
-        by_node,
-        tuple(p for p in out if p.shared is None),
-        tuple(ranked),
-        tuple(cover.cost for _, cover in ranked),
-    )
+        bound = ring_flow(inst, flow, cores, core)  # k - level + 1 for every core
+        pc = (core, _cover(inst, flow, bound, taken))
+        pairs.append(pc)
+        for v, i in pc[1].first.items():
+            by_node[v].append((pc, i))
+    ranked = tuple(sorted(pairs, key=_rank))
+    return StarPricing(bound, by_node, ranked, tuple(cover.cost for _, cover in ranked))
 
 
 def cheapest_star(inst: Instance, units, cores, flows) -> Star:
@@ -198,11 +201,11 @@ def cheapest_star(inst: Instance, units, cores, flows) -> Star:
     for the with-head LP (its ring is the no-head ring minus the members the
     head enters, its legs a subset), so by weak duality no cover with the
     head costs less than the shared cover, which still covers the ring.  The
-    pair reuses it; every touched pair runs a primal-dual of its own, and so
-    does every head of a core with no shared cover.  With the head the dual
-    ascent raises the same sets (each is still the minimal violated one);
-    that the reverse delete then keeps the same legs is not proven but
-    checked, cover for cover, by the tests and ``scripts/ring_cross_check.py``.
+    pair reuses it; every touched pair runs a primal-dual of its own.  With
+    the head the dual ascent raises the same sets (each is still the minimal
+    violated one); that the reverse delete then keeps the same legs is not
+    proven but checked, cover for cover, by the tests and
+    ``scripts/ring_cross_check.py``.
 
     Bounds: heads are visited in ascending (cost, unit),
     ``candidate_heads``' order.  Any star with head h has density at least
@@ -213,11 +216,12 @@ def cheapest_star(inst: Instance, units, cores, flows) -> Star:
     floors in their place; a head whose bound is strictly above the best
     density is skipped.  Dropping the entered interval leaves a feasible
     dual of the with-head LP, so by weak duality the rest bounds the exact
-    primal-dual price from below; a core with no shared cover has floor 0.
-    The scan merges the touched prices into the same ranked list.
+    primal-dual price from below.  The scan merges the touched prices into
+    the same ranked list.
 
-    The rings grow the cores' representative flows in place; every one is
-    rolled back before this returns or raises.
+    An uncoverable ring raises ``InfeasibleError`` (``_cover``).  The rings
+    grow the cores' representative flows in place; every one is rolled back
+    before this returns or raises.
     """
     taken = selection_from_units(units)
     marks = [(flow, flow.mark()) for flow in (flows[c.representative] for c in cores)]
@@ -234,29 +238,23 @@ def cheapest_star(inst: Instance, units, cores, flows) -> Star:
             if best is not None:
                 # the shared costs, the touched cores' floors in place of theirs
                 costs = list(pricing.costs)
-                for p, floor in touched:
-                    if p.shared is not None:
-                        costs.remove(p.shared.cost)
+                for pc, floor in touched:
+                    costs.remove(pc[1].cost)
                     insort(costs, floor)
                 total, j = _best_prefix(head_cost, costs)
                 if total * best.leaves > best.total * j:  # the bound loses to the best density
                     continue
             ranked = list(pricing.ranked)
-            for p, _ in touched:
-                if p.shared is not None:
-                    ranked.remove((p.core, p.shared))
-                flow = flows[p.core.representative]
-                cover = primal_dual_ring_cover(inst, flow, p.bound, taken, head)
-                if cover is not None:
-                    insort(ranked, (p.core, cover), key=_rank)
+            for pc, _ in touched:
+                ranked.remove(pc)
+                cover = _cover(inst, flows[pc[0].representative], pricing.bound, taken, head)
+                insort(ranked, (pc[0], cover), key=_rank)
             scanned = _scan_head(head, head_cost, ranked)
-            if scanned and (best is None or scanned.beats(best)):
+            if best is None or scanned.beats(best):
                 best = scanned
     finally:
         for flow, mark in marks:
             flow.rollback(mark)
-    if best is None:
-        raise PhaseStuckError("no priceable (head, core) pair at this level")
     return best
 
 

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flows import require_feasible, short_terminal, solution_of
+from .flows import short_terminal, solution_of
 from .greedy import cover_levels
 from .instance import (
     Instance,
@@ -58,12 +58,11 @@ def solve(inst: Instance, *, prune: bool = False) -> SolveReport:
     """Run the level-descending greedy; the result is always feasible.
 
     Raises InfeasibleError (with the witness terminal) when even the full
-    edge set cannot reach the target.  The first level is max over terminals
-    of max(k - zero-cost connectivity, 0), the level of the first record (0
-    with none), so the guarantee's H(k - l0) is the harmonic number of that
-    level.
+    edge set cannot reach the target, found by the greedy itself.  The first
+    level is max over terminals of max(k - zero-cost connectivity, 0), the
+    level of the first record (0 with none), so the guarantee's H(k - l0) is
+    the harmonic number of that level.
     """
-    require_feasible(inst)
     records = cover_levels(inst)
     selected = [u for rec in records for u in rec.added_units]
     solution = solution_of(inst, selected, records)

@@ -14,7 +14,7 @@ from collections import Counter
 
 from rkec.deficiency import CoreInfo, cores_of
 from rkec.flows import Residual, root_flows, short_terminal, solution_of, working_arcs
-from rkec.greedy import PhaseStuckError, Star, _rank, _scan_head
+from rkec.greedy import Star, _rank, _scan_head
 from rkec.instance import Instance, Solution, Unit, selection_from_units
 from rkec.rings import RingCover, primal_dual_ring_cover, saturating_arcs
 
@@ -114,18 +114,18 @@ def best_star(inst: Instance, prices) -> Star:
     """Global minimum-density star from a full price map.
 
     Ties prefer more leaves, then the smaller head edge id, then smaller leaf
-    representatives.
+    representatives.  Raises ValueError when ``prices`` holds no pair.
     """
+    if not prices:
+        raise ValueError("no priced (head, core) pair to choose a star from")
     by_head: dict[Unit, list[tuple[CoreInfo, RingCover]]] = {}
     for (head, core), cover in prices.items():
         by_head.setdefault(head, []).append((core, cover))
     best = None
     for head in sorted(by_head):
         scanned = _scan_head(head, inst.scaled_cost(head), sorted(by_head[head], key=_rank))
-        if scanned and (best is None or scanned.beats(best)):
+        if best is None or scanned.beats(best):
             best = scanned
-    if best is None:
-        raise PhaseStuckError("no priceable (head, core) pair at this level")
     return best
 
 

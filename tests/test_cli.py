@@ -86,12 +86,16 @@ def test_brute_size_refusal(instance_file, tmp_path):
     ) == 5
 
 
-def test_solve_infeasible(tmp_path):
+def test_solve_infeasible(tmp_path, capsys):
     doc = {"n": 3, "root": 0, "terminals": [1, 2], "k": 1,
            "edges": [{"id": 1, "tail": 0, "head": 1, "cost": "1", "mult": 1}]}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert run("solve", "--instance", path, "--out", tmp_path / "r.json") == 3
+    assert capsys.readouterr().err == (
+        "error: terminal 2 reaches only 0 < 1 edge-disjoint root paths "
+        "even with every edge selected\n"
+    )
 
 
 def test_parse_error_exit(tmp_path):

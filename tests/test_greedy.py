@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from rkec import greedy, rings
 from rkec.deficiency import CoreInfo
-from rkec.flows import root_flows
+from rkec.flows import root_flows, short_terminal
 from rkec.greedy import (
-    PhaseStuckError,
     _best_prefix,
     candidate_heads,
     cheapest_star,
@@ -20,7 +19,7 @@ from rkec.greedy import (
     pricing_context,
 )
 from rkec.generate import GenParams, generate_instance
-from rkec.instance import Edge, Instance, selection_from_units
+from rkec.instance import Edge, InfeasibleError, Instance, selection_from_units
 from rkec.rings import RingCover, min_violated_set, primal_dual_ring_cover
 
 from conftest import small_random_instance
@@ -108,6 +107,11 @@ def test_best_star_prefix_tie_prefers_more_leaves():
     assert Fraction(star.total, star.leaves) == 3 and star.leaves == len(star.chosen) == 2
 
 
+def test_best_star_needs_a_priced_pair(instance_a):
+    with pytest.raises(ValueError):
+        best_star(instance_a, {})
+
+
 def test_best_star_single_core_arithmetic():
     inst = Instance(
         4, 0, frozenset({1}),
@@ -156,11 +160,26 @@ def test_cover_levels_k2_variant_matches_fixture(instance_a, instance_a_k2):
     assert sorted(u[0] for u in _added(plain)) == sorted(u[0] for u in _added(augmented))
 
 
-def test_phase_stuck_on_uncoverable_level():
-    # terminal 2 has no incoming edge at all, but terminal 1 keeps a core open
+def test_an_uncoverable_level_raises_infeasible():
+    # terminal 2 has no incoming edge at all, but terminal 1 keeps a core
+    # open: the greedy's first ring at {2} is uncoverable
     inst = Instance(3, 0, frozenset({1, 2}), (Edge(1, 0, 1, Fraction(1)),), 1)
-    with pytest.raises(PhaseStuckError):
+    with pytest.raises(InfeasibleError) as exc:
         cover_levels(inst)
+    assert (exc.value.terminal, exc.value.achieved, exc.value.required) == (2, 0, 1)
+
+
+def test_the_fallback_of_an_uncoverable_ring_on_a_feasible_instance_raises(instance_a):
+    # an uncoverable ring on a feasible instance contradicts the argument in
+    # ``greedy._cover``: the greedy must fail loudly, not report the instance
+    # infeasible, and still roll back every carried flow
+    flows = carried_flows(instance_a, ())
+    before = {t: _flow_state(flow) for t, flow in flows.items()}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(greedy, "primal_dual_ring_cover", lambda *args: None)
+        with pytest.raises(AssertionError, match="uncoverable on a feasible instance"):
+            cheapest_star(instance_a, (), rooted_cores(instance_a, ()), flows)
+    assert {t: _flow_state(flow) for t, flow in flows.items()} == before
 
 
 def _augmentation_instance(seed):
@@ -188,7 +207,7 @@ def _star_states(inst):
     states = [((), cores, level)]
     try:
         first = best_star(inst, price_star_edges(inst, (), cores))
-    except PhaseStuckError:
+    except ValueError:  # no pair is priceable
         return states
     units = tuple(sorted(first.units()))
     after = rooted_cores(inst, units)
@@ -206,14 +225,23 @@ def _assert_lazy_matches_full(inst):
     return checked
 
 
+def _assert_unpriceable(inst, units, cores, exc):
+    """What star pricing raising ``exc`` at a state must mean: the instance
+    is infeasible, ``exc`` names its first short terminal, and some core's
+    no-head ring, built afresh, is uncoverable."""
+    short = short_terminal(inst, inst.positive_units, inst.k)
+    assert short is not None
+    assert (exc.terminal, exc.achieved, exc.required) == (*short, inst.k)
+    assert any(fresh_cover(inst, units, cores, core, None) is None for core in cores)
+
+
 def _assert_lazy_matches_full_at(inst, units, cores):
     """Compare ``cheapest_star`` with the reference at one state; returns
-    the star, or None when the level is stuck."""
+    the star, or None when the state's pricing raises ``InfeasibleError``."""
     try:
         lazy = cheapest_star(inst, units, cores, carried_flows(inst, units))
-    except PhaseStuckError:
-        with pytest.raises(PhaseStuckError):
-            best_star(inst, price_star_edges(inst, units, cores))
+    except InfeasibleError as exc:
+        _assert_unpriceable(inst, units, cores, exc)
         return None
     full = best_star(inst, price_star_edges(inst, units, cores))
     assert lazy.head == full.head
@@ -296,6 +324,22 @@ def test_a_wide_solve_prices_the_same_pairs():
     assert calls == {"pd": 425, "mvs": 522}
 
 
+def _priced_states(inst, rng):
+    """(units, cores, taken, flows, pricing) for each of ``_random_states``
+    whose ``pricing_context`` returns; a state where it raises is checked
+    with ``_assert_unpriceable`` instead.  ``flows`` are the carried flows
+    the context grew its rings on."""
+    for units, cores in _random_states(inst, rng):
+        taken = selection_from_units(units)
+        flows = carried_flows(inst, units)
+        try:
+            pricing = pricing_context(inst, flows, taken, cores)
+        except InfeasibleError as exc:
+            _assert_unpriceable(inst, units, cores, exc)
+            continue
+        yield units, cores, taken, flows, pricing
+
+
 def _random_states(inst, rng, count=3):
     units = list(inst.positive_units)
     for _ in range(count):
@@ -307,9 +351,7 @@ def _random_states(inst, rng, count=3):
 
 def _entered_steps(arc, cover):
     """The steps of ``cover``'s dual whose raised set, step i's being
-    {v : first[v] <= i}, ``arc`` enters; an empty list for no cover."""
-    if cover is None:
-        return []
+    {v : first[v] <= i}, ``arc`` enters."""
     tail, head = arc
     out = []
     for i in range(len(cover.prefix) - 1):
@@ -327,7 +369,7 @@ def _flow_state(flow):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 100_000), st.booleans())
-@example(2, False)  # one of its states raises PhaseStuckError
+@example(2, False)  # one of its states raises InfeasibleError
 def test_cheapest_star_leaves_the_carried_flows_as_it_found_them(seed, augmentation):
     # each core's ring grows its representative's carried flow in place; the
     # star rolls every flow back, whether it returns or raises
@@ -338,7 +380,7 @@ def test_cheapest_star_leaves_the_carried_flows_as_it_found_them(seed, augmentat
         before = {t: _flow_state(flow) for t, flow in flows.items()}
         try:
             cheapest_star(inst, units, cores, flows)
-        except PhaseStuckError:
+        except InfeasibleError:
             pass
         assert {t: _flow_state(flow) for t, flow in flows.items()} == before
 
@@ -348,24 +390,24 @@ def test_cheapest_star_leaves_the_carried_flows_as_it_found_them(seed, augmentat
 def test_irrelevant_heads_keep_the_shared_price(seed, augmentation):
     # the reuse rule: the node index lists a core as touched by a head
     # exactly when the head arc enters a raised set of its shared no-head
-    # dual (or it has none); an untouched core prices to the very shared
-    # cover (legs, cost and dual chain) a ring flow built from scratch gives
+    # dual; an untouched core prices to the very shared cover (legs, cost
+    # and dual chain) a ring flow built from scratch gives
     rng = random.Random(seed)
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
-    for units, cores in _random_states(inst, rng):
-        heads = free_leg_candidates(inst, units)
-        taken = selection_from_units(units)
-        pricing = pricing_context(inst, carried_flows(inst, units), taken, cores)
-        for head in heads:
+    for units, cores, _, _, pricing in _priced_states(inst, rng):
+        assert [core for core, _ in pricing.ranked] == sorted(
+            cores, key=lambda core: (fresh_cover(inst, units, cores, core, None).cost,
+                                     core.representative))
+        for head in free_leg_candidates(inst, units):
             arc = inst.unit_arc(head)
-            touched = [p.core for p, _ in pricing.touched(arc)]
+            touched = [core for (core, _), _ in pricing.touched(arc)]
             assert len(touched) == len(set(touched))
-            for p in pricing.cores:
-                if p.shared is None or _entered_steps(arc, p.shared):
-                    assert p.core in touched
+            for core, shared in pricing.ranked:
+                if _entered_steps(arc, shared):
+                    assert core in touched
                     continue
-                assert p.core not in touched
-                assert fresh_cover(inst, units, cores, p.core, head) == p.shared
+                assert core not in touched
+                assert fresh_cover(inst, units, cores, core, head) == shared
 
 
 @settings(max_examples=30, deadline=None)
@@ -374,18 +416,16 @@ def test_heads_on_a_shared_ring_price_like_a_fresh_context(seed, augmentation):
     # every head prices on the core's one flow (its carried flow, grown by
     # ``ring_flow`` in the pricing context); pricing it and reading its
     # violated sets must give what a ring flow built from scratch gives, and
-    # must leave the shared flow as it was, unpriceable rings included
+    # must leave the shared flow as it was.  A ring with a shared cover is
+    # coverable with every head too, so no head of it raises in the greedy
     rng = random.Random(seed)
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
-    for units, cores in _random_states(inst, rng):
+    for units, cores, taken, flows, pricing in _priced_states(inst, rng):
         heads = free_leg_candidates(inst, units)
-        taken = selection_from_units(units)
-        flows = carried_flows(inst, units)
-        pricing = pricing_context(inst, flows, taken, cores)
-        for p in pricing.cores:
-            flow = flows[p.core.representative]
-            fresh, bound = build_ring_context(inst, units, cores, p.core)
-            assert p.bound == bound
+        for core, shared in pricing.ranked:
+            flow = flows[core.representative]
+            fresh, bound = build_ring_context(inst, units, cores, core)
+            assert pricing.bound == bound
             before = _flow_state(flow)
             for head in heads:
                 cover = primal_dual_ring_cover(inst, flow, bound, taken, head)
@@ -393,11 +433,11 @@ def test_heads_on_a_shared_ring_price_like_a_fresh_context(seed, augmentation):
                 assert min_violated_set(inst, flow, bound, [head]) == min_violated_set(
                     inst, fresh, bound, [head]
                 )
-                if cover is not None:
-                    assert all(u[0] != head[0] for u in cover.legs)
-                    assert min_violated_set(inst, flow, bound, [head, *cover.legs]) is None
+                assert cover is not None
+                assert all(u[0] != head[0] for u in cover.legs)
+                assert min_violated_set(inst, flow, bound, [head, *cover.legs]) is None
                 assert _flow_state(flow) == before
-            assert primal_dual_ring_cover(inst, flow, bound, taken) == p.shared
+            assert primal_dual_ring_cover(inst, flow, bound, taken) == shared
             assert _flow_state(flow) == before
 
 
@@ -406,24 +446,20 @@ def test_heads_on_a_shared_ring_price_like_a_fresh_context(seed, augmentation):
 def test_the_floor_bounds_every_head_price_from_below(seed, augmentation):
     # the skip test's floor of a touched core: the shared no-head dual less
     # the steps whose raised set the head arc enters, read off an index
-    # interval; 0 for a core with no shared cover
+    # interval
     rng = random.Random(seed)
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
-    for units, cores in _random_states(inst, rng):
-        heads = free_leg_candidates(inst, units)
-        taken = selection_from_units(units)
-        flows = carried_flows(inst, units)
-        pricing = pricing_context(inst, flows, taken, cores)
-        for head in heads:
+    for units, _, taken, flows, pricing in _priced_states(inst, rng):
+        for head in free_leg_candidates(inst, units):
             arc = inst.unit_arc(head)
-            for p, floor in pricing.touched(arc):
-                prefix = p.shared.prefix if p.shared else (0,)
-                entered = _entered_steps(arc, p.shared)
+            for (core, shared), floor in pricing.touched(arc):
+                prefix = shared.prefix
+                entered = _entered_steps(arc, shared)
+                assert entered
                 assert floor == prefix[-1] - sum(prefix[i + 1] - prefix[i] for i in entered)
-                flow = flows[p.core.representative]
-                cover = primal_dual_ring_cover(inst, flow, p.bound, taken, head)
-                if cover is not None:
-                    assert floor <= cover.cost
+                flow = flows[core.representative]
+                cover = primal_dual_ring_cover(inst, flow, pricing.bound, taken, head)
+                assert floor <= cover.cost
 
 
 def _best_prefix_by_full_scan(head_cost, costs):
@@ -458,7 +494,7 @@ def test_phase_invariants(seed):
         return
     try:
         records = cover_levels(inst)
-    except PhaseStuckError:
+    except InfeasibleError:
         return
     units: list = []
     seen = set()
@@ -488,7 +524,7 @@ def test_star_coverage_soundness(seed):
     cores = rooted_cores(inst, ())
     try:
         star = cheapest_star(inst, (), cores, carried_flows(inst, ()))
-    except PhaseStuckError:
+    except InfeasibleError:
         return
     bought = star.units()
     for core, _ in star.chosen:
@@ -516,7 +552,7 @@ def _carried_and_fresh_cores(inst):
         mp.setattr(greedy, "cheapest_star", buying)
         try:
             cover_levels(inst)
-        except PhaseStuckError:
+        except InfeasibleError:
             pass
     assert len(reads) == len(bought)
     return zip(reads, bought)

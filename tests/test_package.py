@@ -143,7 +143,18 @@ def test_ring_covers_carry_their_dual_chain():
     greedy = importlib.import_module("rkec.greedy")
     assert not hasattr(rings, "DualStep")
     assert [f.name for f in fields(rings.RingCover)] == ["legs", "cost", "first", "prefix"]
-    assert not {"first", "prefix"} & {f.name for f in fields(greedy.CorePricing)}
+    assert greedy.StarPricing._fields == ("bound", "by_node", "ranked", "costs")
+
+
+def test_the_greedy_is_the_solvers_feasibility_check():
+    # an uncoverable ring raises the instance's InfeasibleError; no stuck
+    # state, no per-core pricing record and no pre-check pass in ``solve``
+    greedy = importlib.import_module("rkec.greedy")
+    for name in ("PhaseStuckError", "CorePricing"):
+        assert not hasattr(greedy, name), name
+    tree = ast.parse((PACKAGE / "solver.py").read_text())
+    called = {ast.unparse(func) for owner, func in _calls(tree) if owner == "solve"}
+    assert called and "require_feasible" not in called
 
 
 def test_stars_read_their_candidates_off_the_instance():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from rkec import flows, greedy, solver
 from rkec.exact import brute_force_opt
-from rkec.flows import solution_of
+from rkec.flows import short_terminal, solution_of
 from rkec.generate import GenParams, default_corpus_params, generate_instance
 from rkec.instance import Edge, InfeasibleError, Instance, dump_json, load_object
 from rkec.solver import (
@@ -79,6 +79,45 @@ def test_infeasible_instance_raises():
     with pytest.raises(InfeasibleError) as exc:
         solve(inst)
     assert exc.value.terminal == 2
+    short = short_terminal(inst, inst.positive_units, inst.k)
+    assert (exc.value.terminal, exc.value.achieved, exc.value.required) == (*short, inst.k)
+
+
+def test_an_instance_can_fail_after_a_bought_star(monkeypatch):
+    # level 2 prices both rings, and a star is bought; at level 1 the ring
+    # of terminal 2 needs a second entering unit that no edge has
+    inst = Instance(3, 0, frozenset({1, 2}), (
+        Edge(1, 0, 1, Fraction(1), 2),
+        Edge(2, 0, 2, Fraction(1), 1),
+    ), 2)
+    stars = []
+    real = greedy.cheapest_star
+
+    def spy(*args):
+        stars.append(real(*args))
+        return stars[-1]
+
+    monkeypatch.setattr(greedy, "cheapest_star", spy)
+    with pytest.raises(InfeasibleError) as exc:
+        solve(inst)
+    assert (exc.value.terminal, exc.value.achieved, exc.value.required) == (2, 1, 2)
+    assert len(stars) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 100_000))
+def test_solve_raises_exactly_on_an_infeasible_instance(seed):
+    # the greedy is the solver's only feasibility check: it raises exactly
+    # when every positive unit leaves some terminal short, naming the first
+    # such terminal and its path count
+    inst = small_random_instance(random.Random(seed), max_nodes=7, max_k=3)
+    short = short_terminal(inst, inst.positive_units, inst.k)
+    try:
+        solve(inst)
+    except InfeasibleError as exc:
+        assert (exc.terminal, exc.achieved, exc.required) == (*short, inst.k)
+    else:
+        assert short is None
 
 
 def test_idempotence(instance_a):
@@ -212,8 +251,8 @@ def test_solve_checks_final_feasibility_under_python_O():
 def test_solve_queries_the_cores_of_each_state_once(monkeypatch):
     # one query for the start state and one after each bought star, over
     # three phases (levels 3, 2 and 1).  The queries read the flows the
-    # greedy carries, so a solve builds 3 |T| residuals: the pre-check's,
-    # the carried ones and those of ``solution_of``.
+    # greedy carries, so a solve builds 2 |T| residuals: the carried ones
+    # and those of ``solution_of``.
     inst = generate_instance(GenParams(
         nodes=7, terminals=2, k=3, density=Fraction(9, 20), root_bias=Fraction(2), seed=3,
     ))
@@ -237,7 +276,7 @@ def test_solve_queries_the_cores_of_each_state_once(monkeypatch):
     assert [ph["level"] for ph in phases(report)] == [3, 2, 1]
     assert len(calls) == len(report.solution.audit) + 1
     assert len(set(calls)) == len(calls)
-    assert len(built) == 3 * len(inst.terminals)
+    assert len(built) == 2 * len(inst.terminals)
 
 
 @pytest.mark.parametrize("factor", [Fraction(1, 7), Fraction(5, 3)], ids=str)
