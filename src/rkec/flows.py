@@ -4,8 +4,11 @@ Every flow lives in a ``Residual``: a mutable residual network for one source
 and sink that grows by ``Residual.grow`` alone, which adds (tail, head, cap)
 arc triples and resumes augmenting from the flow it already carries, by
 shortest augmenting paths (breadth-first, deterministic for a fixed arc
-order).  Its value is a path count and its closest sink side a core
-candidate or a ring's minimal violated set.
+order).  Its value is a path count.  ``Residual.reach`` is its one
+reachability read: the nodes that reach the sink, through its residual arcs
+and any extra (tail, head) arcs at spare capacity, with the flow left as it
+is.  With no extra arcs that is the closest sink side, a core candidate;
+with a ring's units it is the ring's minimal violated set.
 
 A selection's working graph is one list of arc triples (``working_arcs``).
 ``root_flows``, the only code that builds a residual, grows one
@@ -13,10 +16,11 @@ root->terminal flow by it per terminal, in id order and only as far as its
 caller reads; root connectivity (``solution_of``, exact), the first short
 terminal (``short_terminal``, whose flows stop at ``need``) and the cores all
 read those flows.  The greedy grows its root flows (stopped at k) by each
-star.  A star's rings are those flows themselves, handed to the ring pricing
-as they are (``rings.ring_flow``); the rings and the brute-force search grow
-them in place and roll them back (``Residual.mark``, ``Residual.rollback``),
-the one way any flow's growth is undone.
+star.  A star's rings are those flows themselves, grown in place by the
+saturating arcs alone (``rings.ring_flow``) and read by ``Residual.reach``
+from then on; the star rolls them back once priced, and the brute-force
+search grows its flows in place and rolls them back too (``Residual.mark``,
+``Residual.rollback``, the one way any flow's growth is undone).
 ``solution_of`` is the one builder of a ``Solution``: the solver, brute force
 and the verifier all build theirs with it.
 """
@@ -36,8 +40,9 @@ class Residual:
     the arc indexes leaving each node.  A residual starts with no arcs and
     ``grow`` adds arcs and resumes from the current flow, so a flow grows
     with its graph instead of being recomputed; ``mark`` and ``rollback``
-    undo such growth, last in, first out.  The closest sink side is the same
-    for every maximum flow, so it is only read once ``grow`` has run out of
+    undo such growth, last in, first out.  ``reach`` reads which nodes reach
+    the sink and changes nothing.  The closest sink side is the same for
+    every maximum flow, so it is only read once ``grow`` has run out of
     paths.
     """
 
@@ -109,22 +114,56 @@ class Residual:
             self.value += bottleneck
         return self.value
 
+    def reach(self, side: set[int], arcs=()) -> list[int]:
+        """Extend ``side``, a set of nodes that reach the sink (empty: start
+        at the sink), in place by every node that reaches it in the residual
+        network plus the (tail, head) ``arcs`` at spare capacity; return the
+        nodes added, in the order they joined.  Stops once the source joins:
+        then one more augmenting path exists.
+
+        ``side`` must already hold every node that reaches it without the
+        arcs, as every side this returned does; so only an arc whose head is
+        in it starts the search, from its tail.  The flow itself is never
+        changed.
+        """
+        to, cap, adj, source = self.to, self.cap, self.adj, self.source
+        added = []
+        if not side:
+            side.add(self.sink)
+            added.append(self.sink)
+        waiting = None  # head -> tails of the arcs whose head is not in side yet
+        for tail, head in arcs:
+            if head not in side:
+                if waiting is None:
+                    waiting = {}
+                waiting.setdefault(head, []).append(tail)
+            elif tail not in side:
+                side.add(tail)
+                added.append(tail)
+        for x in added:
+            if source in side:
+                break
+            for i in adj[x]:
+                y = to[i]
+                # the residual arc y -> x is the reverse of arc i
+                if cap[i ^ 1] > 0 and y not in side:
+                    side.add(y)
+                    added.append(y)
+            if waiting and x in waiting:
+                for y in waiting.pop(x):
+                    if y not in side:
+                        side.add(y)
+                        added.append(y)
+        return added
+
     def closest_sink_side(self) -> frozenset[int]:
         """Nodes that still reach the sink: the inclusion-minimal sink side of
         a minimum cut."""
-        to, cap = self.to, self.cap
-        reach = {self.sink}
-        queue = [self.sink]
-        for x in queue:
-            for i in self.adj[x]:
-                y = to[i]
-                # the residual arc y -> x is the reverse of arc i
-                if cap[i ^ 1] > 0 and y not in reach:
-                    reach.add(y)
-                    queue.append(y)
-        if self.source in reach:
+        side: set[int] = set()
+        self.reach(side)
+        if self.source in side:
             raise AssertionError("source still reaches the sink after a maximum flow")
-        return frozenset(reach)
+        return frozenset(side)
 
 
 def working_arcs(inst: Instance, units) -> list[tuple[int, int, int]]:

@@ -23,7 +23,8 @@ keeps exactly its shared no-head price, and only the touched pairs run a
 primal-dual of their own.  Each head is first bounded below, and skipped
 when even that bound loses to the best star so far: by weak duality, the
 part of the shared dual the head does not enter bounds the exact primal-dual
-price with the head from below.
+price with the head from below.  A bound per head node comes first: once it
+loses for a node, every later head into that node is skipped at once.
 
 The greedy is its own feasibility check: on a feasible instance every ring
 it prices is coverable, and on an infeasible one it cannot finish, so its
@@ -160,6 +161,17 @@ class StarPricing(NamedTuple):
                 out.append((pc, prefix[-1] - prefix[b] + prefix[a]))
         return out
 
+    def node_floors(self, node: int) -> list[int]:
+        """The shared costs, ascending, with every core listed under
+        ``node`` at prefix[first[node]] instead: elementwise no higher than
+        the costs any head into ``node`` is bounded with.  A touched core's
+        floor drops prefix[b] <= prefix[-1] from the dual, an untouched one
+        keeps its whole cost prefix[-1], and neither is below prefix[a]."""
+        return sorted(
+            cover.prefix[cover.first[node]] if node in cover.first else cover.cost
+            for _, cover in self.ranked
+        )
+
 
 def pricing_context(inst: Instance, flows, taken, cores) -> StarPricing:
     """Per core: the no-head ring and its shared price, whose dual chain
@@ -219,9 +231,19 @@ def cheapest_star(inst: Instance, units, cores, flows) -> Star:
     primal-dual price from below.  The scan merges the touched prices into
     the same ranked list.
 
-    An uncoverable ring raises ``InfeasibleError`` (``_cover``).  The rings
-    grow the cores' representative flows in place; every one is rolled back
-    before this returns or raises.
+    Before that, a node bound per head node v (``StarPricing.node_floors``):
+    the shared costs with every core listed under v at prefix[first[v]] are
+    elementwise no higher than the costs any head into v is bounded with,
+    and ``_best_prefix`` is monotone in the costs, so their best prefix
+    bounds every head into v from below.  The floors are sorted once per
+    star and node.  Once that bound loses for v, every later head into v
+    costs at least as much against a best star at least as good, so v is
+    marked dead and its later heads are skipped at once.
+
+    An uncoverable ring raises ``InfeasibleError`` (``_cover``).  Only
+    ``ring_flow`` grows a carried flow, each core's representative flow by
+    its saturating arcs; the primal-dual only reads it.  Every one is rolled
+    back before this returns or raises.
     """
     taken = selection_from_units(units)
     marks = [(flow, flow.mark()) for flow in (flows[c.representative] for c in cores)]
@@ -229,12 +251,25 @@ def cheapest_star(inst: Instance, units, cores, flows) -> Star:
         pricing = pricing_context(inst, flows, taken, cores)
         m = len(cores)
         best = None
+        floors = {}  # head node -> its node floors, once per star
+        dead = set()  # head nodes whose every later head loses
         for head in candidate_heads(inst, units):
             head_cost = inst.scaled_cost(head)
             # head_cost / m > best density
             if best is not None and head_cost * best.leaves > best.total * m:
                 break
-            touched = pricing.touched(inst.unit_arc(head))
+            arc = inst.unit_arc(head)
+            node = arc[1]
+            if node in dead:
+                continue
+            if best is not None:
+                if node not in floors:
+                    floors[node] = pricing.node_floors(node)
+                total, j = _best_prefix(head_cost, floors[node])
+                if total * best.leaves > best.total * j:  # so does every later head into node
+                    dead.add(node)
+                    continue
+            touched = pricing.touched(arc)
             if best is not None:
                 # the shared costs, the touched cores' floors in place of theirs
                 costs = list(pricing.costs)

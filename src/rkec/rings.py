@@ -10,27 +10,32 @@ ring members not already covered by the head, so the minimal violated set is
 the closest minimum cut at the core's representative terminal.
 
 A ring is read off one residual flow from the root to the representative,
-grown up to a bound of k - l + 1: the ring is covered exactly when the flow
-gets there.  The flow is the ring's only graph; no arc list is kept beside
+with a bound of k - l + 1: the ring is covered exactly when a flow that
+large exists.  The flow is the ring's only graph; no arc list is kept beside
 it.  It is the representative's carried root flow itself, grown in place by
-the saturating arcs (``ring_flow``); the primal-dual and each reverse-delete
-trial grow it by the head and the legs after a ``Residual.mark`` and roll it
-back to the mark, so no flow is ever copied or recomputed from scratch.
-Every growth is one ``Residual.grow`` call over (tail, head, cap) triples.
+the saturating arcs (``ring_flow``), and never grown again: its value is
+k - l, one path below the bound, since the core's cut has capacity k - l and
+no saturating arc enters it.  So a set of units covers the ring exactly when
+one augmenting path exists through the fixed residual network and the
+units' arcs, that is when the root reaches the representative there; and
+when it does not, the nodes that do reach it are the closest sink side, the
+minimal violated set.  Every question the ring layer asks is that one read
+(``Residual.reach``); no flow is grown, copied or rolled back for it.
 
 The cover itself comes from dual ascent plus reverse delete.  Minimal
 violated sets of a shrinking ring form a strictly increasing chain, so the
 duals land on nested sets, and a cover carries its dual as that chain: the
 step at which each node joins it and the dual raised by each prefix of
-steps.  The ascent raises if a violated set fails to grow the chain, and
-each cover must pass the certificate that the dual total pays exactly for
-the surviving legs.  The star pricing reads a core's no-head chain to tell
-which heads reuse that cover and to bound the others from below.  The
-ascent reads the legs entering a node off the instance's own per-node edge
-lists (``Instance.positive_entering``) and the selection's per-edge counts,
-and queues them on a heap.  Every cost here (heap keys, dual amounts, cover
-costs) is an integer in units of 1/``Instance.cost_scale``, so all of it,
-the certificate included, is exact integer arithmetic.
+steps.  The chain grows by construction: each pick's tail joins the next
+violated set.  Each cover must pass the certificate that the dual total pays
+exactly for the surviving legs.  The star pricing reads a core's no-head
+chain to tell which heads reuse that cover and to bound the others from
+below.  The ascent reads the legs entering a node off the instance's own
+per-node edge lists (``Instance.positive_entering``) and the selection's
+per-edge counts, and queues them on a heap.  Every cost here (heap keys,
+dual amounts, cover costs) is an integer in units of
+1/``Instance.cost_scale``, so all of it, the certificate included, is exact
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -63,12 +68,21 @@ def saturating_arcs(inst: Instance, all_cores, target: CoreInfo) -> list[tuple[i
 def ring_flow(inst: Instance, flow: Residual, all_cores, target: CoreInfo) -> int:
     """Grow ``flow``, the selection's maximum flow to the target's
     representative, in place by the saturating arcs up to k - level + 1, and
-    return that bound: the flow at which the ring counts as covered.  Callers
-    mark ``flow`` first and roll it back once done with the ring.
+    return that bound: the flow at which the ring counts as covered.  The
+    value stays one path below it, and nothing after this grows ``flow``:
+    the ring is only read (``min_violated_set``, ``primal_dual_ring_cover``).
+    Callers mark ``flow`` first and roll it back once done with the ring.
     """
     bound = inst.k - target.deficiency + 1
     flow.grow(saturating_arcs(inst, all_cores, target), bound)
     return bound
+
+
+def _check_one_short(flow: Residual, bound: int) -> None:
+    """A ring flow is one augmenting path below its bound, so one
+    reachability read decides coverage; raise if it is not."""
+    if flow.value != bound - 1:
+        raise AssertionError(f"a ring flow of value {flow.value} is not one path below {bound}")
 
 
 def min_violated_set(inst: Instance, flow: Residual, bound: int, units) -> frozenset[int] | None:
@@ -76,16 +90,16 @@ def min_violated_set(inst: Instance, flow: Residual, bound: int, units) -> froze
     any, and the legs) on a ring's ``flow`` (see ``ring_flow``).
 
     The representative terminal sits in every ring member, so the closest
-    cut at it decides coverage: the ring is covered exactly when the flow
-    reaches ``bound``.  Grows the flow by the units and rolls it back.
+    cut at it decides coverage.  The flow is one path below ``bound``, so
+    the units cover the ring exactly when the root reaches the sink through
+    the residual network and the units' arcs, and otherwise the nodes that
+    reach it are the closest sink side: one read (``Residual.reach``), and
+    the flow is left as it is.
     """
-    mark = flow.mark()
-    try:
-        if flow.grow([(*inst.unit_arc(u), 1) for u in units], bound) >= bound:
-            return None
-        return flow.closest_sink_side()
-    finally:
-        flow.rollback(mark)
+    _check_one_short(flow, bound)
+    side: set[int] = set()
+    flow.reach(side, [inst.unit_arc(u) for u in units])
+    return None if inst.root in side else frozenset(side)
 
 
 @dataclass(frozen=True)
@@ -129,50 +143,48 @@ def primal_dual_ring_cover(
 
     Dual ascent: raise the minimal violated set until some entering candidate
     goes tight (ties to the smallest unit), add it, repeat.  Then delete
-    redundant edges in reverse tightening order.  Returns None when some ring
-    member has no entering candidate at all; raises AssertionError when a
-    violated set fails to strictly grow the chain or the cover fails its
-    strong-duality certificate (``_certificate``).
+    redundant edges in reverse tightening order, each trial one
+    ``min_violated_set`` read.  Returns None when some ring member has no
+    entering candidate at all; raises AssertionError when the flow is not
+    one path below ``bound`` or the cover fails its strong-duality
+    certificate (``_certificate``).
 
-    The violated sets form a strictly nested chain, so a leg enters a
-    contiguous run of steps, from the one its head joins to the one its tail
-    joins.  Each leg is pushed on a heap once, when its head joins, keyed by
-    its cost plus the dual raised so far; less the dual raised by now, that
-    key is its reduced cost, so the heap's top is the next tight leg, and a
-    leg whose tail has joined is popped as stale.  The head and each pick
-    grow the flow by one unit arc, so it is augmented from where it was
-    rather than recomputed, and rolled back before the reverse delete.
+    The violated set is one growing side of the flow's fixed residual
+    network (``Residual.reach``): it starts as the nodes that reach the
+    representative through the head's arc, and each pick extends it from
+    the pick's tail, so the sets form a strictly nested chain and the ring
+    is covered once the root joins.  A leg enters a contiguous run of steps,
+    from the one its head joins to the one its tail joins.  Each leg is
+    pushed on a heap once, when its head joins, keyed by its cost plus the
+    dual raised so far; less the dual raised by now, that key is its reduced
+    cost, so the heap's top is the next tight leg, and a leg whose tail has
+    joined is popped as stale.  The flow is only read, never changed.
     """
+    _check_one_short(flow, bound)
     head_edge = head[0] if head is not None else None
+    head_arcs = [] if head is None else [inst.unit_arc(head)]
     first: dict[int, int] = {}
     prefix = [0]
     heap: list[tuple[int, Unit, int, int]] = []
     tight_order: list[Unit] = []
 
-    mark = flow.mark()
-    try:
-        if head is not None:
-            flow.grow([(*inst.unit_arc(head), 1)], bound)
-        while flow.value < bound:
-            violated = flow.closest_sink_side()
-            if not first.keys() < violated:
-                raise AssertionError("a violated set fails to strictly grow the dual chain")
-            for v in violated - first.keys():
-                first[v] = len(tight_order)
-                for eid, tail, cost, mult in inst.positive_entering[v]:
-                    c = taken.get(eid, 0)
-                    if c < mult and tail not in violated and eid != head_edge:
-                        heappush(heap, (cost + prefix[-1], (eid, c), tail, v))
-            while heap and heap[0][2] in first:
-                heappop(heap)
-            if not heap:
-                return None  # unpriceable: the ring cannot be covered from here
-            raised, pick, tail, v = heappop(heap)  # the step's amount: raised - prefix[-1]
-            prefix.append(raised)
-            tight_order.append(pick)
-            flow.grow([(tail, v, 1)], bound)
-    finally:
-        flow.rollback(mark)
+    violated: set[int] = set()  # the chain's current top: every node that reaches the sink
+    joined = flow.reach(violated, head_arcs)
+    while inst.root not in violated:
+        for v in joined:
+            first[v] = len(tight_order)
+            for eid, tail, cost, mult in inst.positive_entering[v]:
+                c = taken.get(eid, 0)
+                if c < mult and tail not in violated and eid != head_edge:
+                    heappush(heap, (cost + prefix[-1], (eid, c), tail, v))
+        while heap and heap[0][2] in violated:
+            heappop(heap)
+        if not heap:
+            return None  # unpriceable: the ring cannot be covered from here
+        raised, pick, tail, v = heappop(heap)  # the step's amount: raised - prefix[-1]
+        prefix.append(raised)
+        tight_order.append(pick)
+        joined = flow.reach(violated, [*head_arcs, (tail, v)])
 
     # The last pick is never redundant: without it the legs are exactly the
     # ones its violated set was raised against.

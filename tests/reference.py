@@ -2,12 +2,12 @@
 
 Each one does its job the plain way: the free heads and legs listed edge by
 edge, the cores and the max level read off root flows built afresh, a ring
-flow built afresh for one core, every (head, core) pair priced on one, an
-exact optimum by enumerating every unit subset, a maximum flow decomposed
-into paths by search, and the paths re-checked edge by edge against the
-instance's capacities.  They use the package's flow and ring primitives,
-unlike the enumeration oracles in ``oracles``, and only tests and
-``scripts/ring_cross_check.py`` call them.
+flow built afresh for one core, its violated set read by growing it, every
+(head, core) pair priced on one, an exact optimum by enumerating every unit
+subset, a maximum flow decomposed into paths by search, and the paths
+re-checked edge by edge against the instance's capacities.  They use the
+package's flow and ring primitives, unlike the enumeration oracles in
+``oracles``, and only tests and ``scripts/ring_cross_check.py`` call them.
 """
 
 from collections import Counter
@@ -60,6 +60,21 @@ def fresh_cover(
     built afresh; a head of None prices the bare ring."""
     flow, bound = build_ring_context(inst, units, all_cores, target)
     return primal_dual_ring_cover(inst, flow, bound, selection_from_units(units), head)
+
+
+def grown_min_violated_set(
+    inst: Instance, flow: Residual, bound: int, units
+) -> frozenset[int] | None:
+    """``rings.min_violated_set`` the plain way: grow the ring flow by the
+    units' arcs up to ``bound`` after a mark, read its closest sink side if
+    it falls short, and roll it back."""
+    mark = flow.mark()
+    try:
+        if flow.grow([(*inst.unit_arc(u), 1) for u in units], bound) >= bound:
+            return None
+        return flow.closest_sink_side()
+    finally:
+        flow.rollback(mark)
 
 
 def overpaid_candidates(inst: Instance, units, cover: RingCover, head: Unit | None) -> list[Unit]:

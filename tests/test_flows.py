@@ -156,6 +156,38 @@ def test_rollback_restores_the_marked_flow(seed):
     assert flow.closest_sink_side() == fresh().closest_sink_side()
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000))
+def test_reach_reads_what_a_grow_would_find(seed):
+    # on a maximum flow, unit arcs join a side one at a time: the side
+    # extended in place equals a read from nothing through every arc so
+    # far, the source joins exactly when a grow by those arcs finds a path,
+    # and until then the side is the grown flow's closest sink side
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    s, t = rng.sample(range(n), 2)
+    arcs = _random_view(rng, n)
+    flow = maximum_flow(n, arcs, s, t)
+    at_rest = flow.to[:], flow.cap[:], flow.value
+    side, extra = set(), []
+    added = flow.reach(side)
+    assert added[0] == t and sorted(added) == sorted(side)
+    assert frozenset(side) == flow.closest_sink_side()
+    for _ in range(rng.randint(1, 6)):
+        extra.append(tuple(rng.sample(range(n), 2)))
+        before = set(side)
+        added = flow.reach(side, extra)
+        assert set(added) == side - before and len(added) == len(set(added))
+        fresh = set()
+        flow.reach(fresh, extra)
+        grown = maximum_flow(n, arcs + [(a, b, 1) for a, b in extra], s, t)
+        assert (s in side) == (s in fresh) == (grown.value > flow.value)
+        if s in side:
+            break
+        assert side == fresh == grown.closest_sink_side()
+    assert (flow.to, flow.cap, flow.value) == at_rest
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
 def test_determinism(seed):

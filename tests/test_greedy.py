@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rkec import greedy, rings
 from rkec.deficiency import CoreInfo
-from rkec.flows import root_flows, short_terminal
+from rkec.flows import Residual, root_flows, short_terminal
 from rkec.greedy import (
     _best_prefix,
     candidate_heads,
@@ -324,6 +324,45 @@ def test_a_wide_solve_prices_the_same_pairs():
     assert calls == {"pd": 425, "mvs": 522}
 
 
+def test_ring_reads_neither_grow_nor_undo_a_flow():
+    # after ``ring_flow`` a ring is read by reachability alone: over one
+    # solve of each wide pool instance, no primal-dual and no violated-set
+    # read grows, marks or rolls back a flow, and each leaves its flow's
+    # arcs, capacities and value exactly as it found them
+    reads = {"pd": 0, "mvs": 0}
+    inside, calls = [], []
+
+    def reading(name, real):
+        def call(inst, flow, *args):
+            before = _flow_state(flow)
+            reads[name] += 1
+            inside.append(name)
+            try:
+                result = real(inst, flow, *args)
+            finally:
+                inside.pop()
+            assert _flow_state(flow) == before
+            return result
+        return call
+
+    def counted(name, real):
+        def call(self, *args):
+            if inside:
+                calls.append((inside[-1], name))
+            return real(self, *args)
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(greedy, "primal_dual_ring_cover", reading("pd", greedy.primal_dual_ring_cover))
+        mp.setattr(rings, "min_violated_set", reading("mvs", rings.min_violated_set))
+        for name in ("grow", "mark", "rollback"):
+            mp.setattr(Residual, name, counted(name, getattr(Residual, name)))
+        for seed in range(1, 7):
+            cover_levels(_wide_instance(seed))
+    assert reads == {"pd": 425, "mvs": 522}
+    assert calls == []
+
+
 def _priced_states(inst, rng):
     """(units, cores, taken, flows, pricing) for each of ``_random_states``
     whose ``pricing_context`` returns; a state where it raises is checked
@@ -460,6 +499,36 @@ def test_the_floor_bounds_every_head_price_from_below(seed, augmentation):
                 flow = flows[core.representative]
                 cover = primal_dual_ring_cover(inst, flow, pricing.bound, taken, head)
                 assert floor <= cover.cost
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 100_000), st.booleans())
+def test_a_node_floor_bounds_every_head_into_the_node(seed, augmentation):
+    # the node bound: a core listed under v sits at prefix[first[v]] in the
+    # node floors, at most its floor under any head into v that touches it;
+    # so the node floors lie elementwise below any such head's bound list,
+    # and their best prefix density bounds the head's from below
+    rng = random.Random(seed)
+    inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
+    for units, _, _, _, pricing in _priced_states(inst, rng):
+        for head in free_leg_candidates(inst, units):
+            arc = inst.unit_arc(head)
+            node = arc[1]
+            floors = pricing.node_floors(node)
+            costs = list(pricing.costs)
+            for (_, shared), floor in pricing.touched(arc):
+                assert shared.prefix[shared.first[node]] <= floor
+                costs.remove(shared.cost)
+                costs.append(floor)
+            costs.sort()
+            assert len(floors) == len(costs)
+            assert all(a <= b for a, b in zip(floors, costs))
+            head_cost = inst.scaled_cost(head)
+            node_total, node_j = _best_prefix(head_cost, floors)
+            total, j = _best_prefix(head_cost, costs)
+            assert node_total * j <= total * node_j
+            if node not in {v for _, shared in pricing.ranked for v in shared.first}:
+                assert floors == list(pricing.costs)
 
 
 def _best_prefix_by_full_scan(head_cost, costs):

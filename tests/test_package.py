@@ -179,7 +179,8 @@ def _calls(tree):
 
 # the whole interface of a flow outside ``flows.py``: it grows by ``grow``
 # alone, is undone by ``mark``/``rollback`` and is read through the rest
-RESIDUAL_METHODS = {"grow", "mark", "rollback", "closest_sink_side"}
+# (``reach``, the one reachability read, and ``closest_sink_side``)
+RESIDUAL_METHODS = {"grow", "mark", "rollback", "reach", "closest_sink_side"}
 RESIDUAL_INTERFACE = RESIDUAL_METHODS | {"value", "sink"}
 
 
@@ -201,7 +202,8 @@ def test_flows_are_built_in_one_place_and_never_copied(monkeypatch):
     assert {name for name in vars(Residual) if not name.startswith("_")} == RESIDUAL_METHODS
 
     # outside ``flows.py`` a residual is grown, marked, rolled back and read
-    # (``value``, ``sink``, its closest sink side), and nothing else.  The
+    # (``value``, ``sink``, ``reach``, its closest sink side), and nothing
+    # else.  The
     # names only a residual's internals carry never appear there, and every
     # attribute that code touches on a residual over a pruned solve, its
     # audit with the density replay, and the brute force is in the interface.

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from rkec import rings
 from rkec.greedy import candidate_heads
 from rkec.rings import min_violated_set, primal_dual_ring_cover, ring_flow, saturating_arcs
-from rkec.flows import Residual, root_flows
+from rkec.flows import root_flows
 from rkec.instance import selection_from_units
 from rkec.solver import solve
 
@@ -22,6 +22,7 @@ from reference import (
     enumerated_ring_family,
     free_leg_candidates,
     fresh_cover,
+    grown_min_violated_set,
     overpaid_candidates,
     rooted_cores,
     rooted_max_level,
@@ -49,7 +50,7 @@ def test_context_shape(instance_a):
     flow, bound, taken = ring_for(instance_a, (), {2})
     assert bound == 1  # k - level + 1, with k = 1 and the core {2} at level 1
     # the flow ends at the saturating arc, 0 -> 3 with capacity one; the head
-    # 0 -> 1 joins it only while a primal-dual or a trial runs
+    # 0 -> 1 never joins it, a primal-dual only reads through it
     assert flow.to[-2:] == [3, 0] and flow.cap[-2] + flow.cap[-1] == 1
     before = (flow.to[:], flow.cap[:], flow.value)
     cover = primal_dual_ring_cover(instance_a, flow, bound, taken, (1, 0))
@@ -127,23 +128,19 @@ def test_failed_certificate_stops_the_solve(instance_a, monkeypatch):
         solve(instance_a)
 
 
-def test_a_violated_set_that_stops_growing_stops_the_ascent(instance_a, monkeypatch):
-    # the ring around {3} with head 2 takes two ascent steps; when the second
-    # violated set is the first again, the dual chain stops growing, and the
-    # ascent must raise rather than raise the same set twice
+def test_a_ring_flow_two_paths_short_is_refused(instance_a):
+    # a ring is read by reachability alone, which decides one augmenting
+    # path; a flow two paths below its bound must raise (not assert, which
+    # ``python -O`` strips) rather than be read as if one were enough
     flow, bound, taken = ring_for(instance_a, (), {3})
-    assert primal_dual_ring_cover(instance_a, flow, bound, taken, (2, 0)).legs == ((1, 0), (3, 0))
-    real = Residual.closest_sink_side
-    seen = []
-
-    def stuck(self):
-        seen.append(seen[0] if seen else real(self))
-        return seen[-1]
-
-    monkeypatch.setattr(Residual, "closest_sink_side", stuck)
-    with pytest.raises(AssertionError, match="fails to strictly grow the dual chain"):
-        primal_dual_ring_cover(instance_a, flow, bound, taken, (2, 0))
-    assert len(seen) == 2
+    assert flow.value == bound - 1
+    for read in (
+        lambda: primal_dual_ring_cover(instance_a, flow, bound + 1, taken, (2, 0)),
+        lambda: primal_dual_ring_cover(instance_a, flow, bound + 1, taken),
+        lambda: min_violated_set(instance_a, flow, bound + 1, [(2, 0)]),
+    ):
+        with pytest.raises(AssertionError, match="is not one path below"):
+            read()
 
 
 def test_primal_dual_unpriceable():
@@ -189,6 +186,27 @@ def _ring_samples(inst, rng, per_instance=4):
         core = cores[rng.randrange(len(cores))]
         out.append((sample, cores, core, head, fresh_cover(inst, sample, cores, core, head)))
     return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 100_000))
+def test_a_ring_read_matches_growing_the_ring_flow(seed):
+    # reading a ring by reachability must give the side, or None, that
+    # growing its flow by the units and reading the closest cut gives, for
+    # every core of random states and random unit sets, head or not
+    rng = random.Random(seed)
+    inst = small_random_instance(rng)
+    units = list(inst.positive_units)
+    for _ in range(3):
+        state = [u for u in units if rng.random() < 0.3]
+        cores = rooted_cores(inst, state)
+        free = free_leg_candidates(inst, state)
+        for core in cores:
+            flow, bound = build_ring_context(inst, state, cores, core)
+            for p in (0.0, 0.2, 0.4, 0.7):
+                trial = [u for u in free if rng.random() < p]
+                expected = grown_min_violated_set(inst, flow, bound, trial)
+                assert min_violated_set(inst, flow, bound, trial) == expected
 
 
 def _leg_candidates(inst, units, head):
