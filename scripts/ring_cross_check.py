@@ -13,7 +13,8 @@ a new residual over the working and saturating arcs), by the path the solver
 runs (``greedy.pricing_context`` over the state's root flows: the core's
 shared no-head cover unless the context's node index lists the core as
 touched by the head, else a primal-dual with the head on the core's carried
-flow, grown by ``rings.ring_flow``), and by the exact hitting-set search over
+flow as it stands, read with the other cores' terminals as stops,
+``StarPricing.stops``), and by the exact hitting-set search over
 rational costs (the tests' ``oracles.brute_force_ring_cover``, on the ring
 that ``reference.enumerated_ring_family`` enumerates).  A state whose
 pricing context raises ``InfeasibleError`` has no solver path: the raise
@@ -103,7 +104,8 @@ def check_state(inst, state, per_state, seed):
                     solver = shared[core]
                 else:
                     flow = flows[core.representative]
-                    solver = primal_dual_ring_cover(inst, flow, pricing.bound, taken, head)
+                    stops = pricing.stops[core.representative]
+                    solver = primal_dual_ring_cover(inst, flow, pricing.bound, stops, taken, head)
             except AssertionError as exc:  # a cover failed its certificate
                 print(f"seed={seed}: {exc}")
                 bad = True

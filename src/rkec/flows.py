@@ -7,8 +7,10 @@ shortest augmenting paths (breadth-first, deterministic for a fixed arc
 order).  Its value is a path count.  ``Residual.reach`` is its one
 reachability read: the nodes that reach the sink, through its residual arcs
 and any extra (tail, head) arcs at spare capacity, with the flow left as it
-is.  With no extra arcs that is the closest sink side, a core candidate;
-with a ring's units it is the ring's minimal violated set.
+is; a stop node stands for an arc from the source at spare capacity, so
+the source joins through it and the read ends.  With no extra arcs and
+no stops that is the closest sink side, a core candidate; with a ring's
+units and stops it is the ring's minimal violated set.
 
 A selection's working graph is one list of arc triples (``working_arcs``).
 ``root_flows``, the only code that builds a residual, grows one
@@ -16,13 +18,13 @@ root->terminal flow by it per terminal, in id order and only as far as its
 caller reads; root connectivity (``solution_of``, exact), the first short
 terminal (``short_terminal``, whose flows stop at ``need``) and the cores all
 read those flows.  The greedy grows its root flows (stopped at k) by each
-star.  A star's rings are those flows themselves, grown in place by the
-saturating arcs alone (``rings.ring_flow``) and read by ``Residual.reach``
-from then on; the star rolls them back once priced, and the brute-force
-search grows its flows in place and rolls them back too (``Residual.mark``,
-``Residual.rollback``, the one way any flow's growth is undone).
-``solution_of`` is the one builder of a ``Solution``: the solver, brute force
-and the verifier all build theirs with it.
+star.  A star's rings are those flows as they stand, read by
+``Residual.reach`` with the other cores' terminals as stops
+(``rings.ring_stops``): pricing a star grows, marks and rolls back no flow.
+The brute-force search grows its flows in place and rolls them back
+(``Residual.mark``, ``Residual.rollback``, the one way any flow's growth is
+undone).  ``solution_of`` is the one builder of a ``Solution``: the solver,
+brute force and the verifier all build theirs with it.
 """
 
 from __future__ import annotations
@@ -114,12 +116,14 @@ class Residual:
             self.value += bottleneck
         return self.value
 
-    def reach(self, side: set[int], arcs=()) -> list[int]:
+    def reach(self, side: set[int], arcs=(), stops=frozenset()) -> list[int]:
         """Extend ``side``, a set of nodes that reach the sink (empty: start
         at the sink), in place by every node that reaches it in the residual
         network plus the (tail, head) ``arcs`` at spare capacity; return the
         nodes added, in the order they joined.  Stops once the source joins:
-        then one more augmenting path exists.
+        then one more augmenting path exists.  A node of ``stops`` stands
+        for an arc into it from the source at spare capacity: the search
+        reaches the source through it, and the read ends.
 
         ``side`` must already hold every node that reaches it without the
         arcs, as every side this returned does; so only an arc whose head is
@@ -142,6 +146,10 @@ class Residual:
                 added.append(tail)
         for x in added:
             if source in side:
+                break
+            if x in stops:
+                side.add(source)
+                added.append(source)
                 break
             for i in adj[x]:
                 y = to[i]

@@ -44,7 +44,7 @@ from typing import NamedTuple
 from .deficiency import CoreInfo, cores_of
 from .flows import require_feasible, root_flows
 from .instance import Instance, IterationRecord, Unit, selection_from_units
-from .rings import RingCover, primal_dual_ring_cover, ring_flow
+from .rings import RingCover, primal_dual_ring_cover, ring_stops
 
 
 def candidate_heads(inst: Instance, units) -> tuple[Unit, ...]:
@@ -115,21 +115,22 @@ def _scan_head(head: Unit, head_cost: int, ranked) -> Star:
     return Star(total, j, (head, tuple(core.representative for core, _ in chosen)), chosen)
 
 
-def _cover(inst: Instance, flow, bound: int, taken, head: Unit | None = None) -> RingCover:
+def _cover(inst: Instance, flow, bound: int, stops, taken, head: Unit | None = None) -> RingCover:
     """The primal-dual price of a ring (``primal_dual_ring_cover``); an
     uncoverable ring raises the instance's ``InfeasibleError``.
 
     Why a feasible instance has one: take the carried root flows and cores
     at level l >= 1, and a violated set S of a ring's ascent, with or
     without a head.  Its capacity is k - l, since the representative already
-    has k - l paths, so no saturated terminal, no head and no picked leg
-    enters S.  S has at least k entering units in all, so at least l >= 1
-    free units enter it, on edges other than the head's and the picks', and
-    each such edge's lowest free copy is on the ascent's heap.  Conversely,
-    an uncoverable ring exhibits a set S that holds the representative and
-    has fewer than k entering units in all, so ``require_feasible`` raises.
+    has k - l paths, so S holds no stop (one would count as the root) and
+    no head and no picked leg enters S.  S has at least k entering units in
+    all, so at least l >= 1 free units enter it, on edges other than the
+    head's and the picks', and each such edge's lowest free copy is on the
+    ascent's heap.  Conversely, an uncoverable ring exhibits a set S that
+    holds the representative and has fewer than k entering units in all, so
+    ``require_feasible`` raises.
     """
-    cover = primal_dual_ring_cover(inst, flow, bound, taken, head)
+    cover = primal_dual_ring_cover(inst, flow, bound, stops, taken, head)
     if cover is None:
         require_feasible(inst)
         raise AssertionError("a ring is uncoverable on a feasible instance")
@@ -142,6 +143,7 @@ class StarPricing(NamedTuple):
     (``RingCover.first``)."""
 
     bound: int  # the representatives' flow at which a ring is covered, k - level + 1
+    stops: dict[int, frozenset[int]]  # representative -> its ring's stops (``ring_stops``)
     by_node: dict[int, list[tuple[tuple[CoreInfo, RingCover], int]]]  # v -> (pair, first[v])
     ranked: tuple[tuple[CoreInfo, RingCover], ...]  # the pairs, in ``_rank`` order
     costs: tuple[int, ...]  # their costs, in the same order
@@ -180,21 +182,21 @@ def pricing_context(inst: Instance, flows, taken, cores) -> StarPricing:
 
     ``flows`` are the selection's root flows and ``taken`` its per-edge
     counts (``selection_from_units``), which the primal-dual reads its legs
-    against.  Each core's ring grows its representative's flow in place
-    (``ring_flow``); cores are terminal-disjoint, so no two rings share a
-    flow.
+    against.  Each core's ring is its representative's flow as it stands,
+    read with the other cores' terminals as stops (``ring_stops``).
     """
+    bound = inst.k - cores[0].deficiency + 1  # every core is at the same level
+    stops = ring_stops(inst, cores)
     pairs = []
     by_node = defaultdict(list)
     for core in cores:
-        flow = flows[core.representative]
-        bound = ring_flow(inst, flow, cores, core)  # k - level + 1 for every core
-        pc = (core, _cover(inst, flow, bound, taken))
+        rep = core.representative
+        pc = (core, _cover(inst, flows[rep], bound, stops[rep], taken))
         pairs.append(pc)
         for v, i in pc[1].first.items():
             by_node[v].append((pc, i))
     ranked = tuple(sorted(pairs, key=_rank))
-    return StarPricing(bound, by_node, ranked, tuple(cover.cost for _, cover in ranked))
+    return StarPricing(bound, stops, by_node, ranked, tuple(cover.cost for _, cover in ranked))
 
 
 def cheapest_star(inst: Instance, units, cores, flows) -> Star:
@@ -240,56 +242,52 @@ def cheapest_star(inst: Instance, units, cores, flows) -> Star:
     costs at least as much against a best star at least as good, so v is
     marked dead and its later heads are skipped at once.
 
-    An uncoverable ring raises ``InfeasibleError`` (``_cover``).  Only
-    ``ring_flow`` grows a carried flow, each core's representative flow by
-    its saturating arcs; the primal-dual only reads it.  Every one is rolled
-    back before this returns or raises.
+    An uncoverable ring raises ``InfeasibleError`` (``_cover``).  Every
+    ring is read off its representative's carried flow as it stands, so
+    pricing a star grows, marks and rolls back no flow: ``flows`` are left
+    exactly as they were, whether this returns or raises.
     """
     taken = selection_from_units(units)
-    marks = [(flow, flow.mark()) for flow in (flows[c.representative] for c in cores)]
-    try:
-        pricing = pricing_context(inst, flows, taken, cores)
-        m = len(cores)
-        best = None
-        floors = {}  # head node -> its node floors, once per star
-        dead = set()  # head nodes whose every later head loses
-        for head in candidate_heads(inst, units):
-            head_cost = inst.scaled_cost(head)
-            # head_cost / m > best density
-            if best is not None and head_cost * best.leaves > best.total * m:
-                break
-            arc = inst.unit_arc(head)
-            node = arc[1]
-            if node in dead:
+    pricing = pricing_context(inst, flows, taken, cores)
+    m = len(cores)
+    best = None
+    floors = {}  # head node -> its node floors, once per star
+    dead = set()  # head nodes whose every later head loses
+    for head in candidate_heads(inst, units):
+        head_cost = inst.scaled_cost(head)
+        # head_cost / m > best density
+        if best is not None and head_cost * best.leaves > best.total * m:
+            break
+        arc = inst.unit_arc(head)
+        node = arc[1]
+        if node in dead:
+            continue
+        if best is not None:
+            if node not in floors:
+                floors[node] = pricing.node_floors(node)
+            total, j = _best_prefix(head_cost, floors[node])
+            if total * best.leaves > best.total * j:  # so does every later head into node
+                dead.add(node)
                 continue
-            if best is not None:
-                if node not in floors:
-                    floors[node] = pricing.node_floors(node)
-                total, j = _best_prefix(head_cost, floors[node])
-                if total * best.leaves > best.total * j:  # so does every later head into node
-                    dead.add(node)
-                    continue
-            touched = pricing.touched(arc)
-            if best is not None:
-                # the shared costs, the touched cores' floors in place of theirs
-                costs = list(pricing.costs)
-                for pc, floor in touched:
-                    costs.remove(pc[1].cost)
-                    insort(costs, floor)
-                total, j = _best_prefix(head_cost, costs)
-                if total * best.leaves > best.total * j:  # the bound loses to the best density
-                    continue
-            ranked = list(pricing.ranked)
-            for pc, _ in touched:
-                ranked.remove(pc)
-                cover = _cover(inst, flows[pc[0].representative], pricing.bound, taken, head)
-                insort(ranked, (pc[0], cover), key=_rank)
-            scanned = _scan_head(head, head_cost, ranked)
-            if best is None or scanned.beats(best):
-                best = scanned
-    finally:
-        for flow, mark in marks:
-            flow.rollback(mark)
+        touched = pricing.touched(arc)
+        if best is not None:
+            # the shared costs, the touched cores' floors in place of theirs
+            costs = list(pricing.costs)
+            for pc, floor in touched:
+                costs.remove(pc[1].cost)
+                insort(costs, floor)
+            total, j = _best_prefix(head_cost, costs)
+            if total * best.leaves > best.total * j:  # the bound loses to the best density
+                continue
+        ranked = list(pricing.ranked)
+        for pc, _ in touched:
+            ranked.remove(pc)
+            rep = pc[0].representative
+            cover = _cover(inst, flows[rep], pricing.bound, pricing.stops[rep], taken, head)
+            insort(ranked, (pc[0], cover), key=_rank)
+        scanned = _scan_head(head, head_cost, ranked)
+        if best is None or scanned.beats(best):
+            best = scanned
     return best
 
 

@@ -1,26 +1,26 @@
-"""Ring realization around a single core and its exact primal-dual cover.
+"""A core's ring, read off its carried flow, and its exact primal-dual cover.
 
 For a core C at residual level l, the deficient sets that contain no other
 core form a ring: they all contain C, and union/intersection stay inside.
-The ring is never materialized.  Instead the working graph is extended with
-saturating root arcs (capacity l) to every terminal of every other core,
-which pushes all sets containing such terminals below the top level.  A head
-edge joins at capacity one.  The remaining top-level sets are exactly the
-ring members not already covered by the head, so the minimal violated set is
-the closest minimum cut at the core's representative terminal.
+The ring is never materialized.  It is read off one residual flow from the
+root to the core's representative, the representative's carried root flow
+as it stands, with a bound of k - l + 1 and the terminals of every other
+core as stops (``ring_stops``): a stop that reaches the representative
+counts as the root reaching it, which pushes every set containing another
+core's terminal below the top level.  A head edge joins at capacity one.
+The remaining top-level sets are exactly the ring members not already
+covered by the head, so the minimal violated set is the closest minimum cut
+at the representative.
 
-A ring is read off one residual flow from the root to the representative,
-with a bound of k - l + 1: the ring is covered exactly when a flow that
-large exists.  The flow is the ring's only graph; no arc list is kept beside
-it.  It is the representative's carried root flow itself, grown in place by
-the saturating arcs (``ring_flow``), and never grown again: its value is
-k - l, one path below the bound, since the core's cut has capacity k - l and
-no saturating arc enters it.  So a set of units covers the ring exactly when
-one augmenting path exists through the fixed residual network and the
-units' arcs, that is when the root reaches the representative there; and
-when it does not, the nodes that do reach it are the closest sink side, the
-minimal violated set.  Every question the ring layer asks is that one read
-(``Residual.reach``); no flow is grown, copied or rolled back for it.
+The flow's value is k - l, one path below the bound, since the core's cut
+has capacity k - l and no stop lies inside it.  So a set of units covers the
+ring exactly when the root or a stop reaches the representative through the
+residual network and the units' arcs; and when neither does, the nodes that
+do reach it are the closest sink side, the minimal violated set.  Every
+question the ring layer asks is that one read (``Residual.reach``); no flow
+is grown, copied or rolled back for it.  With no unit at all, neither the
+root nor a stop may reach the representative; a primal-dual that finds a
+ring covered by nothing raises.
 
 The cover itself comes from dual ascent plus reverse delete.  Minimal
 violated sets of a shrinking ring form a strictly increasing chain, so the
@@ -43,39 +43,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .deficiency import CoreInfo
 from .flows import Residual
 from .instance import Instance, Unit
 
 
-def saturating_arcs(inst: Instance, all_cores, target: CoreInfo) -> list[tuple[int, int, int]]:
-    """Root arcs at the target's level onto every terminal of every other
-    core, as (tail, head, cap) triples.
+def ring_stops(inst: Instance, cores) -> dict[int, frozenset[int]]:
+    """The stops of each core's ring, by representative: every terminal of
+    every other core (cores are terminal-disjoint).
 
-    A saturated terminal drags every set containing it below the top level,
-    and a top-level set free of other cores' terminals contains no other core,
-    so exactly the target's ring survives at the top.
+    A stop that joins a read counts as the root joining, so every set
+    containing one is covered, and a top-level set free of other cores'
+    terminals contains no other core: exactly the core's ring is left.
     """
-    arcs = []
-    for core in all_cores:
-        if core.members == target.members:
-            continue
-        for t in sorted(core.members & inst.terminals):
-            arcs.append((inst.root, t, target.deficiency))
-    return arcs
-
-
-def ring_flow(inst: Instance, flow: Residual, all_cores, target: CoreInfo) -> int:
-    """Grow ``flow``, the selection's maximum flow to the target's
-    representative, in place by the saturating arcs up to k - level + 1, and
-    return that bound: the flow at which the ring counts as covered.  The
-    value stays one path below it, and nothing after this grows ``flow``:
-    the ring is only read (``min_violated_set``, ``primal_dual_ring_cover``).
-    Callers mark ``flow`` first and roll it back once done with the ring.
-    """
-    bound = inst.k - target.deficiency + 1
-    flow.grow(saturating_arcs(inst, all_cores, target), bound)
-    return bound
+    terminals = frozenset().union(*(core.members & inst.terminals for core in cores))
+    return {core.representative: terminals - core.members for core in cores}
 
 
 def _check_one_short(flow: Residual, bound: int) -> None:
@@ -85,20 +66,22 @@ def _check_one_short(flow: Residual, bound: int) -> None:
         raise AssertionError(f"a ring flow of value {flow.value} is not one path below {bound}")
 
 
-def min_violated_set(inst: Instance, flow: Residual, bound: int, units) -> frozenset[int] | None:
+def min_violated_set(
+    inst: Instance, flow: Residual, bound: int, stops, units
+) -> frozenset[int] | None:
     """Inclusion-minimal ring member not covered by ``units`` (the head, if
-    any, and the legs) on a ring's ``flow`` (see ``ring_flow``).
+    any, and the legs) on the ring of ``flow``, ``bound`` and ``stops``.
 
     The representative terminal sits in every ring member, so the closest
     cut at it decides coverage.  The flow is one path below ``bound``, so
-    the units cover the ring exactly when the root reaches the sink through
-    the residual network and the units' arcs, and otherwise the nodes that
-    reach it are the closest sink side: one read (``Residual.reach``), and
-    the flow is left as it is.
+    the units cover the ring exactly when the root or a stop reaches the
+    sink through the residual network and the units' arcs, and otherwise
+    the nodes that reach it are the closest sink side: one read
+    (``Residual.reach``), and the flow is left as it is.
     """
     _check_one_short(flow, bound)
     side: set[int] = set()
-    flow.reach(side, [inst.unit_arc(u) for u in units])
+    flow.reach(side, [inst.unit_arc(u) for u in units], stops)
     return None if inst.root in side else frozenset(side)
 
 
@@ -132,11 +115,11 @@ def _certificate(inst: Instance, cover: RingCover) -> bool:
 
 
 def primal_dual_ring_cover(
-    inst: Instance, flow: Residual, bound: int, taken, head: Unit | None = None
+    inst: Instance, flow: Residual, bound: int, stops, taken, head: Unit | None = None
 ) -> RingCover | None:
     """Exact minimum-cost legs so that legs + ``head`` cover the ring of
-    ``flow`` and ``bound`` (see ``ring_flow``); the head's edge is never a
-    leg.  ``taken`` maps an edge id to its copies already selected
+    ``flow``, ``bound`` and ``stops``; the head's edge is never a leg.
+    ``taken`` maps an edge id to its copies already selected
     (``selection_from_units``).  The legs are drawn from the lowest free copy
     of each positive edge: a second parallel copy never helps cover a ring,
     since each member needs only one entering edge.
@@ -146,19 +129,21 @@ def primal_dual_ring_cover(
     redundant edges in reverse tightening order, each trial one
     ``min_violated_set`` read.  Returns None when some ring member has no
     entering candidate at all; raises AssertionError when the flow is not
-    one path below ``bound`` or the cover fails its strong-duality
-    certificate (``_certificate``).
+    one path below ``bound``, when the root or a stop reaches the
+    representative with no unit at all, or when the cover fails its
+    strong-duality certificate (``_certificate``).
 
     The violated set is one growing side of the flow's fixed residual
     network (``Residual.reach``): it starts as the nodes that reach the
     representative through the head's arc, and each pick extends it from
     the pick's tail, so the sets form a strictly nested chain and the ring
-    is covered once the root joins.  A leg enters a contiguous run of steps,
-    from the one its head joins to the one its tail joins.  Each leg is
-    pushed on a heap once, when its head joins, keyed by its cost plus the
-    dual raised so far; less the dual raised by now, that key is its reduced
-    cost, so the heap's top is the next tight leg, and a leg whose tail has
-    joined is popped as stale.  The flow is only read, never changed.
+    is covered once the root or a stop joins.  A leg enters a contiguous run
+    of steps, from the one its head joins to the one its tail joins.  Each
+    leg is pushed on a heap once, when its head joins, keyed by its cost
+    plus the dual raised so far; less the dual raised by now, that key is
+    its reduced cost, so the heap's top is the next tight leg, and a leg
+    whose tail has joined is popped as stale.  The flow is only read, never
+    changed.
     """
     _check_one_short(flow, bound)
     head_edge = head[0] if head is not None else None
@@ -169,7 +154,11 @@ def primal_dual_ring_cover(
     tight_order: list[Unit] = []
 
     violated: set[int] = set()  # the chain's current top: every node that reaches the sink
-    joined = flow.reach(violated, head_arcs)
+    joined = flow.reach(violated, head_arcs, stops)
+    # covered at once: by the head alone, or by nothing at all, which no
+    # ring is (a stop on the core's own side would read that way)
+    if inst.root in violated and inst.root in flow.reach(set(), (), stops):
+        raise AssertionError("a ring's core side reaches the root or a stop with no unit at all")
     while inst.root not in violated:
         for v in joined:
             first[v] = len(tight_order)
@@ -184,7 +173,7 @@ def primal_dual_ring_cover(
         raised, pick, tail, v = heappop(heap)  # the step's amount: raised - prefix[-1]
         prefix.append(raised)
         tight_order.append(pick)
-        joined = flow.reach(violated, [*head_arcs, (tail, v)])
+        joined = flow.reach(violated, [*head_arcs, (tail, v)], stops)
 
     # The last pick is never redundant: without it the legs are exactly the
     # ones its violated set was raised against.
@@ -192,7 +181,7 @@ def primal_dual_ring_cover(
     keep = list(tight_order)
     for u in reversed(tight_order[:-1]):
         trial = [v for v in keep if v != u]
-        if min_violated_set(inst, flow, bound, fixed + trial) is None:
+        if min_violated_set(inst, flow, bound, stops, fixed + trial) is None:
             keep = trial
 
     picked = tuple(sorted(keep))

@@ -2,10 +2,12 @@
 
 Each one does its job the plain way: the free heads and legs listed edge by
 edge, the cores and the max level read off root flows built afresh, a ring
-flow built afresh for one core, its violated set read by growing it, every
-(head, core) pair priced on one, an exact optimum by enumerating every unit
-subset, a maximum flow decomposed into paths by search, and the paths
-re-checked edge by edge against the instance's capacities.  They use the
+flow built afresh for one core (its working arcs plus root arcs saturating
+every other core's terminals, in place of the solver's stops), its violated
+set read by growing it, every (head, core) pair priced on one, an exact
+optimum by enumerating every unit subset, a maximum flow decomposed into
+paths by search, and the paths re-checked edge by edge against the
+instance's capacities.  They use the
 package's flow and ring primitives, unlike the enumeration oracles in
 ``oracles``, and only tests and ``scripts/ring_cross_check.py`` call them.
 """
@@ -16,7 +18,7 @@ from rkec.deficiency import CoreInfo, cores_of
 from rkec.flows import Residual, root_flows, short_terminal, solution_of, working_arcs
 from rkec.greedy import Star, _rank, _scan_head
 from rkec.instance import Instance, Solution, Unit, selection_from_units
-from rkec.rings import RingCover, primal_dual_ring_cover, saturating_arcs
+from rkec.rings import RingCover, primal_dual_ring_cover, ring_stops
 
 from oracles import EnumeratedFamily, enumerate_arc_family
 
@@ -43,10 +45,40 @@ def rooted_max_level(inst: Instance, units) -> int:
     return max(max(inst.k - flow.value, 0) for _, flow in root_flows(inst, units))
 
 
+def saturating_arcs(inst: Instance, all_cores, target: CoreInfo) -> list[tuple[int, int, int]]:
+    """Root arcs at the target's level onto every terminal of every other
+    core, as (tail, head, cap) triples: what the solver reads as the ring's
+    stops (``rings.ring_stops``), as arcs of the graph.
+
+    A saturated terminal drags every set containing it below the top level,
+    and a top-level set free of other cores' terminals contains no other core,
+    so exactly the target's ring survives at the top.
+    """
+    arcs = []
+    for core in all_cores:
+        if core.members == target.members:
+            continue
+        for t in sorted(core.members & inst.terminals):
+            arcs.append((inst.root, t, target.deficiency))
+    return arcs
+
+
+def carried_ring(
+    inst: Instance, units, all_cores, target: CoreInfo
+) -> tuple[Residual, int, frozenset[int]]:
+    """The target's ring as the solver reads it: the representative's root
+    flow of ``units`` stopped at k, as the greedy carries it, the bound
+    k - level + 1 and the other cores' terminals as stops."""
+    rep = target.representative
+    flow = dict(root_flows(inst, units, inst.k))[rep]
+    return flow, inst.k - target.deficiency + 1, ring_stops(inst, all_cores)[rep]
+
+
 def build_ring_context(inst: Instance, units, all_cores, target: CoreInfo) -> tuple[Residual, int]:
-    """The target's ring flow of ``units`` and its bound (as ``ring_flow``
-    gives them), built from nothing: a fresh residual over the working and
-    saturating arcs, not any flow the solver carries."""
+    """The target's ring flow of ``units`` and its bound, built from
+    nothing: a fresh residual over the working and saturating arcs, so it is
+    read with no stops, and not any flow the solver carries.  Its value is
+    k - level, one path below the bound."""
     bound = inst.k - target.deficiency + 1
     flow = Residual(inst.node_count, inst.root, target.representative)
     flow.grow(working_arcs(inst, units) + saturating_arcs(inst, all_cores, target), bound)
@@ -59,13 +91,15 @@ def fresh_cover(
     """The primal-dual price of (target, head) at ``units``, on a ring flow
     built afresh; a head of None prices the bare ring."""
     flow, bound = build_ring_context(inst, units, all_cores, target)
-    return primal_dual_ring_cover(inst, flow, bound, selection_from_units(units), head)
+    taken = selection_from_units(units)
+    return primal_dual_ring_cover(inst, flow, bound, frozenset(), taken, head)
 
 
 def grown_min_violated_set(
     inst: Instance, flow: Residual, bound: int, units
 ) -> frozenset[int] | None:
-    """``rings.min_violated_set`` the plain way: grow the ring flow by the
+    """``rings.min_violated_set`` the plain way, on a ring flow built afresh
+    (``build_ring_context``, so with no stops): grow the ring flow by the
     units' arcs up to ``bound`` after a mark, read its closest sink side if
     it falls short, and roll it back."""
     mark = flow.mark()
@@ -119,7 +153,7 @@ def price_star_edges(inst: Instance, units, cores) -> dict[tuple[Unit, CoreInfo]
     for head in free_leg_candidates(inst, units):
         for core in cores:
             flow, bound = build_ring_context(inst, units, cores, core)
-            cover = primal_dual_ring_cover(inst, flow, bound, taken, head)
+            cover = primal_dual_ring_cover(inst, flow, bound, frozenset(), taken, head)
             if cover is not None:
                 prices[(head, core)] = cover
     return prices

@@ -188,6 +188,32 @@ def test_reach_reads_what_a_grow_would_find(seed):
     assert (flow.to, flow.cap, flow.value) == at_rest
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000))
+def test_a_stop_reads_as_an_arc_from_the_source(seed):
+    # a stop stands for an arc from the source at spare capacity: on a
+    # maximum flow, a read through extra arcs with stops finds the source
+    # exactly when a grow by those arcs and a source arc onto each stop finds
+    # a path, and otherwise it is the grown flow's closest sink side
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    s, t = rng.sample(range(n), 2)
+    arcs = _random_view(rng, n)
+    flow = maximum_flow(n, arcs, s, t)
+    at_rest = flow.to[:], flow.cap[:], flow.value
+    stops = frozenset(v for v in range(n) if v != s and rng.random() < 0.3)
+    extra = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))]
+    side = set()
+    flow.reach(side, extra, stops)
+    grown = maximum_flow(
+        n, arcs + [(a, b, 1) for a, b in extra] + [(s, v, 1) for v in sorted(stops)], s, t
+    )
+    assert (s in side) == (grown.value > flow.value)
+    if s not in side:
+        assert side == grown.closest_sink_side()
+    assert (flow.to, flow.cap, flow.value) == at_rest
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
 def test_determinism(seed):

@@ -325,11 +325,12 @@ def test_a_wide_solve_prices_the_same_pairs():
 
 
 def test_ring_reads_neither_grow_nor_undo_a_flow():
-    # after ``ring_flow`` a ring is read by reachability alone: over one
-    # solve of each wide pool instance, no primal-dual and no violated-set
-    # read grows, marks or rolls back a flow, and each leaves its flow's
-    # arcs, capacities and value exactly as it found them
-    reads = {"pd": 0, "mvs": 0}
+    # a ring is read off its carried flow as it stands, by reachability
+    # alone: over one solve of each wide pool instance, nothing inside a
+    # star's pricing (``cheapest_star``), ring reads or not, grows, marks or
+    # rolls back a flow, and each primal-dual and violated-set read leaves
+    # its flow's arcs, capacities and value exactly as it found them
+    reads = {"star": 0, "pd": 0, "mvs": 0}
     inside, calls = [], []
 
     def reading(name, real):
@@ -352,14 +353,25 @@ def test_ring_reads_neither_grow_nor_undo_a_flow():
             return real(self, *args)
         return call
 
+    def starring(real):
+        def call(*args):
+            reads["star"] += 1
+            inside.append("star")
+            try:
+                return real(*args)
+            finally:
+                inside.pop()
+        return call
+
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(greedy, "cheapest_star", starring(greedy.cheapest_star))
         mp.setattr(greedy, "primal_dual_ring_cover", reading("pd", greedy.primal_dual_ring_cover))
         mp.setattr(rings, "min_violated_set", reading("mvs", rings.min_violated_set))
         for name in ("grow", "mark", "rollback"):
             mp.setattr(Residual, name, counted(name, getattr(Residual, name)))
         for seed in range(1, 7):
             cover_levels(_wide_instance(seed))
-    assert reads == {"pd": 425, "mvs": 522}
+    assert reads["star"] > 0 and (reads["pd"], reads["mvs"]) == (425, 522)
     assert calls == []
 
 
@@ -367,7 +379,7 @@ def _priced_states(inst, rng):
     """(units, cores, taken, flows, pricing) for each of ``_random_states``
     whose ``pricing_context`` returns; a state where it raises is checked
     with ``_assert_unpriceable`` instead.  ``flows`` are the carried flows
-    the context grew its rings on."""
+    the context read its rings off."""
     for units, cores in _random_states(inst, rng):
         taken = selection_from_units(units)
         flows = carried_flows(inst, units)
@@ -410,8 +422,9 @@ def _flow_state(flow):
 @given(st.integers(0, 100_000), st.booleans())
 @example(2, False)  # one of its states raises InfeasibleError
 def test_cheapest_star_leaves_the_carried_flows_as_it_found_them(seed, augmentation):
-    # each core's ring grows its representative's carried flow in place; the
-    # star rolls every flow back, whether it returns or raises
+    # each core's ring is read off its representative's carried flow as it
+    # stands, with nothing to roll back: every flow is left as it was,
+    # whether the star returns or raises
     rng = random.Random(seed)
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
     for units, cores in _random_states(inst, rng):
@@ -452,8 +465,8 @@ def test_irrelevant_heads_keep_the_shared_price(seed, augmentation):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 100_000), st.booleans())
 def test_heads_on_a_shared_ring_price_like_a_fresh_context(seed, augmentation):
-    # every head prices on the core's one flow (its carried flow, grown by
-    # ``ring_flow`` in the pricing context); pricing it and reading its
+    # every head prices on the core's one flow (its carried flow, read with
+    # the other cores' terminals as stops); pricing it and reading its
     # violated sets must give what a ring flow built from scratch gives, and
     # must leave the shared flow as it was.  A ring with a shared cover is
     # coverable with every head too, so no head of it raises in the greedy
@@ -463,20 +476,21 @@ def test_heads_on_a_shared_ring_price_like_a_fresh_context(seed, augmentation):
         heads = free_leg_candidates(inst, units)
         for core, shared in pricing.ranked:
             flow = flows[core.representative]
+            stops = pricing.stops[core.representative]
             fresh, bound = build_ring_context(inst, units, cores, core)
             assert pricing.bound == bound
             before = _flow_state(flow)
             for head in heads:
-                cover = primal_dual_ring_cover(inst, flow, bound, taken, head)
-                assert cover == primal_dual_ring_cover(inst, fresh, bound, taken, head)
-                assert min_violated_set(inst, flow, bound, [head]) == min_violated_set(
-                    inst, fresh, bound, [head]
+                cover = primal_dual_ring_cover(inst, flow, bound, stops, taken, head)
+                assert cover == primal_dual_ring_cover(inst, fresh, bound, frozenset(), taken, head)
+                assert min_violated_set(inst, flow, bound, stops, [head]) == min_violated_set(
+                    inst, fresh, bound, frozenset(), [head]
                 )
                 assert cover is not None
                 assert all(u[0] != head[0] for u in cover.legs)
-                assert min_violated_set(inst, flow, bound, [head, *cover.legs]) is None
+                assert min_violated_set(inst, flow, bound, stops, [head, *cover.legs]) is None
                 assert _flow_state(flow) == before
-            assert primal_dual_ring_cover(inst, flow, bound, taken) == shared
+            assert primal_dual_ring_cover(inst, flow, bound, stops, taken) == shared
             assert _flow_state(flow) == before
 
 
@@ -497,7 +511,8 @@ def test_the_floor_bounds_every_head_price_from_below(seed, augmentation):
                 assert entered
                 assert floor == prefix[-1] - sum(prefix[i + 1] - prefix[i] for i in entered)
                 flow = flows[core.representative]
-                cover = primal_dual_ring_cover(inst, flow, pricing.bound, taken, head)
+                stops = pricing.stops[core.representative]
+                cover = primal_dual_ring_cover(inst, flow, pricing.bound, stops, taken, head)
                 assert floor <= cover.cost
 
 
@@ -598,7 +613,8 @@ def test_star_coverage_soundness(seed):
     bought = star.units()
     for core, _ in star.chosen:
         flow, bound = build_ring_context(inst, (), cores, core)
-        assert min_violated_set(inst, flow, bound, [star.head, *(bought - {star.head})]) is None
+        bought_units = [star.head, *(bought - {star.head})]
+        assert min_violated_set(inst, flow, bound, frozenset(), bought_units) is None
 
 
 def _carried_and_fresh_cores(inst):

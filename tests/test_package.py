@@ -143,7 +143,7 @@ def test_ring_covers_carry_their_dual_chain():
     greedy = importlib.import_module("rkec.greedy")
     assert not hasattr(rings, "DualStep")
     assert [f.name for f in fields(rings.RingCover)] == ["legs", "cost", "first", "prefix"]
-    assert greedy.StarPricing._fields == ("bound", "by_node", "ranked", "costs")
+    assert greedy.StarPricing._fields == ("bound", "stops", "by_node", "ranked", "costs")
 
 
 def test_the_greedy_is_the_solvers_feasibility_check():
@@ -232,6 +232,20 @@ def test_flows_are_built_in_one_place_and_never_copied(monkeypatch):
     audit = audit_run(inst, report, brute_force_opt(inst), density_max_units=16)
     assert audit.clean and audit.density_checked
     assert RESIDUAL_METHODS <= touched <= RESIDUAL_INTERFACE, sorted(touched)
+
+
+def test_only_brute_force_undoes_a_flow():
+    # rings are read off the carried flows as they stand, so the brute-force
+    # search is the one code that marks a flow and rolls it back
+    undoing = {
+        (path.stem, owner, func.attr)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner, func in _calls(ast.parse(path.read_text()))
+        if isinstance(func, ast.Attribute) and func.attr in ("mark", "rollback")
+    }
+    assert undoing == {
+        ("exact", "cheapest_completion", "mark"), ("exact", "cheapest_completion", "rollback")
+    }
 
 
 # Call sites the traced benchmark run names but that no longer exist: the

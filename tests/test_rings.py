@@ -1,6 +1,9 @@
 import importlib.util
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,15 +13,15 @@ from hypothesis import strategies as st
 
 from rkec import rings
 from rkec.greedy import candidate_heads
-from rkec.rings import min_violated_set, primal_dual_ring_cover, ring_flow, saturating_arcs
-from rkec.flows import root_flows
+from rkec.rings import min_violated_set, primal_dual_ring_cover, ring_stops
 from rkec.instance import selection_from_units
 from rkec.solver import solve
 
-from conftest import small_random_instance
+from conftest import INSTANCE_A_JSON, small_random_instance
 from oracles import brute_force_ring_cover, enumerate_arc_family, nested_chain_certificate
 from reference import (
     build_ring_context,
+    carried_ring,
     enumerated_ring_family,
     free_leg_candidates,
     fresh_cover,
@@ -26,73 +29,65 @@ from reference import (
     overpaid_candidates,
     rooted_cores,
     rooted_max_level,
+    saturating_arcs,
 )
 
 
 def ring_for(inst, units, target_members):
-    """(flow, bound, per-edge counts of ``units``) of the ring around
-    ``target_members``, built afresh."""
+    """(flow, bound, stops, per-edge counts of ``units``) of the ring around
+    ``target_members``, as the solver reads it: off the carried flow."""
     cores = rooted_cores(inst, units)
     target = next(c for c in cores if c.members == frozenset(target_members))
-    flow, bound = build_ring_context(inst, units, cores, target)
-    return flow, bound, selection_from_units(units)
+    return (*carried_ring(inst, units, cores, target), selection_from_units(units))
 
 
-def saturating_for(inst, units, target_members):
+def stops_for(inst, units, target_members):
     cores = rooted_cores(inst, units)
     target = next(c for c in cores if c.members == frozenset(target_members))
-    return saturating_arcs(inst, cores, target)
+    return ring_stops(inst, cores)[target.representative]
+
+
+def _flow_state(flow):
+    return flow.to[:], [row[:] for row in flow.adj], flow.cap[:], flow.value
 
 
 def test_context_shape(instance_a):
-    sat = saturating_for(instance_a, (), {2})
-    assert sat == [(0, 3, 1)]  # (tail, head, cap)
-    flow, bound, taken = ring_for(instance_a, (), {2})
+    assert stops_for(instance_a, (), {2}) == {3}  # the other core's terminal
+    flow, bound, stops, taken = ring_for(instance_a, (), {2})
     assert bound == 1  # k - level + 1, with k = 1 and the core {2} at level 1
-    # the flow ends at the saturating arc, 0 -> 3 with capacity one; the head
+    # the flow is the carried root flow as it stands, over the zero-cost
+    # edges alone (there are none): no arc onto the stop, and the head
     # 0 -> 1 never joins it, a primal-dual only reads through it
-    assert flow.to[-2:] == [3, 0] and flow.cap[-2] + flow.cap[-1] == 1
-    before = (flow.to[:], flow.cap[:], flow.value)
-    cover = primal_dual_ring_cover(instance_a, flow, bound, taken, (1, 0))
+    assert flow.to == [] and flow.value == 0
+    before = _flow_state(flow)
+    cover = primal_dual_ring_cover(instance_a, flow, bound, stops, taken, (1, 0))
     assert all(u[0] != 1 for u in cover.legs)  # the head's edge is never a leg
-    assert (flow.to, flow.cap, flow.value) == before
-
-
-def test_ring_flow_grows_the_carried_flow_in_place(instance_a):
-    # the solver's ring is the representative's carried flow grown by the
-    # saturating arcs: the same bound and cut as a ring flow built afresh
-    cores = rooted_cores(instance_a, ())
-    target = next(c for c in cores if c.members == frozenset({2}))
-    flow = dict(root_flows(instance_a, (), instance_a.k))[2]
-    fresh, bound = build_ring_context(instance_a, (), cores, target)
-    assert ring_flow(instance_a, flow, cores, target) == bound
-    assert flow.to[-2:] == [3, 0] and flow.value == fresh.value
-    assert flow.closest_sink_side() == fresh.closest_sink_side()
+    assert _flow_state(flow) == before
 
 
 def test_context_symmetry(instance_a):
-    sat = saturating_for(instance_a, (), {3})
-    assert sat == [(0, 2, 1)]
+    assert stops_for(instance_a, (), {3}) == {2}
 
 
 def test_single_core_no_saturation(instance_a):
     units = [(1, 0), (2, 0)]  # only terminal 3 stays deficient
-    assert saturating_for(instance_a, units, {3}) == []
+    assert stops_for(instance_a, units, {3}) == frozenset()
 
 
 def test_min_violated_set_fixture(instance_a):
-    flow, bound, _ = ring_for(instance_a, (), {2})
+    flow, bound, stops, _ = ring_for(instance_a, (), {2})
     head = (1, 0)
-    assert min_violated_set(instance_a, flow, bound, [head]) == frozenset({2})
+    assert min_violated_set(instance_a, flow, bound, stops, [head]) == frozenset({2})
     # the relay leg covers {2}; the head covers {1, 2}
-    assert min_violated_set(instance_a, flow, bound, [head, (2, 0)]) is None
+    assert min_violated_set(instance_a, flow, bound, stops, [head, (2, 0)]) is None
     # with no head at all, the ring's core is the minimal violated set
-    assert min_violated_set(instance_a, flow, bound, ()) == frozenset({2})
+    assert min_violated_set(instance_a, flow, bound, stops, ()) == frozenset({2})
 
 
 def test_min_violated_set_head_alone(instance_a):
-    flow, bound, _ = ring_for(instance_a, (), {2})
-    assert min_violated_set(instance_a, flow, bound, [(4, 0)]) is None  # head straight onto 2
+    flow, bound, stops, _ = ring_for(instance_a, (), {2})
+    # head straight onto 2
+    assert min_violated_set(instance_a, flow, bound, stops, [(4, 0)]) is None
 
 
 def test_ring_family_realization_matches_enumeration(instance_a):
@@ -132,15 +127,56 @@ def test_a_ring_flow_two_paths_short_is_refused(instance_a):
     # a ring is read by reachability alone, which decides one augmenting
     # path; a flow two paths below its bound must raise (not assert, which
     # ``python -O`` strips) rather than be read as if one were enough
-    flow, bound, taken = ring_for(instance_a, (), {3})
+    flow, bound, stops, taken = ring_for(instance_a, (), {3})
     assert flow.value == bound - 1
     for read in (
-        lambda: primal_dual_ring_cover(instance_a, flow, bound + 1, taken, (2, 0)),
-        lambda: primal_dual_ring_cover(instance_a, flow, bound + 1, taken),
-        lambda: min_violated_set(instance_a, flow, bound + 1, [(2, 0)]),
+        lambda: primal_dual_ring_cover(instance_a, flow, bound + 1, stops, taken, (2, 0)),
+        lambda: primal_dual_ring_cover(instance_a, flow, bound + 1, stops, taken),
+        lambda: min_violated_set(instance_a, flow, bound + 1, stops, [(2, 0)]),
     ):
         with pytest.raises(AssertionError, match="is not one path below"):
             read()
+
+
+_STOP_IN_THE_CORE_UNDER_O = f"""
+from rkec import greedy
+from rkec.instance import parse_instance
+
+assert False, "asserts must be stripped in this interpreter"
+real = greedy.ring_stops
+greedy.ring_stops = lambda inst, cores: {{r: s | {{r}} for r, s in real(inst, cores).items()}}
+try:
+    greedy.cover_levels(parse_instance({INSTANCE_A_JSON!r}))
+except AssertionError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_a_ring_whose_stops_reach_its_core_is_refused(instance_a):
+    # a stop on the core's own side would reach the representative with no
+    # unit at all: the ring's first read must raise (an ``if``, so it fires
+    # under ``python -O``) rather than price the ring as covered by nothing
+    for target, head in (({2}, (1, 0)), ({3}, (2, 0))):
+        flow, bound, stops, taken = ring_for(instance_a, (), target)
+        side = min_violated_set(instance_a, flow, bound, stops, ())
+        assert flow.sink in side and stops.isdisjoint(side)
+        for node in side:
+            for reading_head in (None, head):
+                with pytest.raises(AssertionError, match="reaches the root or a stop"):
+                    primal_dual_ring_cover(
+                        instance_a, flow, bound, stops | {node}, taken, reading_head
+                    )
+
+    # the same through the greedy, in an interpreter that strips ``assert``
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _STOP_IN_THE_CORE_UNDER_O],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: a ring's core side reaches the root or a stop")
 
 
 def test_primal_dual_unpriceable():
@@ -190,6 +226,40 @@ def _ring_samples(inst, rng, per_instance=4):
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 100_000))
+def test_a_ring_read_on_the_carried_flow_matches_a_fresh_ring_flow(seed):
+    # the solver reads a ring off the carried flow as it stands, with the
+    # other cores' terminals as stops; the reference grows a fresh flow by
+    # root arcs saturating them.  Over random states, cores, unit sets and
+    # heads (none included), the violated set or None and the primal-dual
+    # cover, field for field, must be the same, and the carried flow must be
+    # left as it was
+    rng = random.Random(seed)
+    inst = small_random_instance(rng)
+    units = list(inst.positive_units)
+    for _ in range(3):
+        state = [u for u in units if rng.random() < 0.3]
+        cores = rooted_cores(inst, state)
+        free = free_leg_candidates(inst, state)
+        taken = selection_from_units(state)
+        for core in cores:
+            flow, bound, stops = carried_ring(inst, state, cores, core)
+            fresh, fresh_bound = build_ring_context(inst, state, cores, core)
+            assert (bound, flow.value) == (fresh_bound, fresh.value)
+            before = _flow_state(flow)
+            for p in (0.0, 0.2, 0.4, 0.7):
+                trial = [u for u in free if rng.random() < p]
+                assert min_violated_set(inst, flow, bound, stops, trial) == min_violated_set(
+                    inst, fresh, bound, frozenset(), trial
+                )
+            for head in (None, *free):
+                assert primal_dual_ring_cover(
+                    inst, flow, bound, stops, taken, head
+                ) == primal_dual_ring_cover(inst, fresh, bound, frozenset(), taken, head)
+            assert _flow_state(flow) == before
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 100_000))
 def test_a_ring_read_matches_growing_the_ring_flow(seed):
     # reading a ring by reachability must give the side, or None, that
     # growing its flow by the units and reading the closest cut gives, for
@@ -206,7 +276,7 @@ def test_a_ring_read_matches_growing_the_ring_flow(seed):
             for p in (0.0, 0.2, 0.4, 0.7):
                 trial = [u for u in free if rng.random() < p]
                 expected = grown_min_violated_set(inst, flow, bound, trial)
-                assert min_violated_set(inst, flow, bound, trial) == expected
+                assert min_violated_set(inst, flow, bound, frozenset(), trial) == expected
 
 
 def _leg_candidates(inst, units, head):
