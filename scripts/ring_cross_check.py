@@ -11,9 +11,9 @@ Every (core, head) pair gets priced three ways: by the primal-dual on a ring
 flow built afresh for the pair (``fresh_cover`` of the tests' ``reference``:
 a new residual over the working and saturating arcs), by the path the solver
 runs (``greedy.pricing_context`` over the state's root flows: the core's
-shared no-head cover unless the context's node index lists the core as
-touched by the head, else a primal-dual with the head on the core's carried
-flow as it stands, read with the other cores' terminals as stops,
+shared no-head cover unless ``StarPricing.touched`` finds the core touched
+by the head, else a primal-dual with the head on the core's carried flow as
+it stands, read with the other cores' terminals as stops,
 ``StarPricing.stops``), and by the exact hitting-set search over
 rational costs (the tests' ``oracles.brute_force_ring_cover``, on the ring
 that ``reference.enumerated_ring_family`` enumerates).  A state whose

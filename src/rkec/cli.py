@@ -173,7 +173,7 @@ def cmd_bench(args) -> int:
             worst = max(worst, EXIT_PARSE)
             rows.append(row)
             continue
-        row["units"] = len(inst.positive_units)
+        row["units"] = inst.positive_unit_count
         try:
             report = solve(inst)
         except InfeasibleError as exc:
@@ -183,7 +183,7 @@ def cmd_bench(args) -> int:
             continue
         row["cost"] = frac_to_str(report.solution.total_cost)
         opt = None
-        if len(inst.positive_units) <= args.max_brute_edges:
+        if row["units"] <= args.max_brute_edges:
             opt = brute_force_opt(inst, max_units=args.max_brute_edges)
             row["opt"] = frac_to_str(opt.total_cost)
         else:

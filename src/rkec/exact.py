@@ -25,7 +25,7 @@ def brute_force_opt(inst: Instance, *, max_units: int = 22) -> Solution:
     Raises SizeRefusalError when there are more than ``max_units`` positive
     units, and InfeasibleError when even every unit leaves a terminal short.
     """
-    count = len(inst.positive_units)
+    count = inst.positive_unit_count
     if count > max_units:
         raise SizeRefusalError(
             f"{count} positive edge units exceed the enumeration cap {max_units}"
@@ -42,22 +42,25 @@ def cheapest_completion(inst: Instance, preselected) -> tuple[int, tuple]:
 
     Ties are broken toward the lexicographically smallest unit set.  The
     search branches on the units entering the worst terminal's closest
-    minimum cut (every feasible completion must pick one), excluding earlier
-    siblings to kill permutation duplicates.  The admissible bound packs
-    disjoint cuts: the worst terminal's deficit-many cheapest entering units,
-    plus, for each other deficient terminal in id order whose closest sink
-    side is disjoint from every side taken so far, its own deficit-many
-    cheapest entering units (no arc enters two disjoint sets).  It carries
-    one root flow per deficient terminal, stopped at k, built once at the
-    root: each child grows its parent's flows in place by the branched unit
-    (``Residual.grow``), recurses on the terminals still below k, and rolls
-    every flow back to its ``mark`` when it returns.  Below k a flow is a
-    maximum flow, so its closest sink side is the one a fresh flow would
-    give.  The search starts with no incumbent: its first dive, always down
-    the cheapest branch and never cut by the bound, is a greedy repair that
-    reaches a leaf, and with no deficient terminal the root itself is the
-    leaf (cost 0, no units).  The plain enumeration it is checked against
-    lives with the tests.
+    minimum cut (every feasible completion must pick one), one branch per
+    edge on its lowest free copy.  A branch excludes every copy of its
+    earlier siblings' edges, which kills permutation duplicates and loses
+    nothing: a completion that uses such an edge is reached in that
+    sibling's branch, through the edge's lowest free copy.  The admissible
+    bound packs disjoint cuts: the worst terminal's deficit-many cheapest
+    entering units, plus, for each other deficient terminal in id order
+    whose closest sink side is disjoint from every side taken so far, its
+    own deficit-many cheapest entering units (no arc enters two disjoint
+    sets).  It carries one root flow per deficient terminal, stopped at k,
+    built once at the root: each child grows its parent's flows in place by
+    the branched unit (``Residual.grow``), recurses on the terminals still
+    below k, and rolls every flow back to its ``mark`` when it returns.
+    Below k a flow is a maximum flow, so its closest sink side is the one a
+    fresh flow would give.  The search starts with no incumbent: its first
+    dive, always down the cheapest branch and never cut by the bound, is a
+    greedy repair that reaches a leaf, and with no deficient terminal the
+    root itself is the leaf (cost 0, no units).  The plain enumeration it is
+    checked against lives with the tests.
     """
     preselected = frozenset(preselected)
     cost_of = inst.scaled_cost
@@ -76,21 +79,22 @@ def cheapest_completion(inst: Instance, preselected) -> tuple[int, tuple]:
         if cost < best_cost or (cost == best_cost and key < best_units):
             best_cost, best_units = cost, key
 
-    def free_units(blocked, side):
-        """Every unblocked free unit entering ``side``, cheapest first."""
+    def free_units(chosen, excluded, side):
+        """Every free unit entering ``side`` that is not chosen and not a
+        copy of an excluded edge, cheapest first."""
         return [
             (c, u, arc) for c, u, arc in free  # arc is (tail, head, 1)
-            if arc[1] in side and arc[0] not in side and u not in blocked
+            if arc[1] in side and arc[0] not in side
+            and u not in chosen and u[0] not in excluded
         ]
 
     def search(flows, chosen: frozenset, excluded: frozenset, cost: int):
         if not flows:
             consider(chosen, cost)
             return  # costs are strictly positive, supersets cannot improve
-        blocked = chosen | excluded
         worst = min(flows, key=lambda flow: flow.value)  # the first largest deficit
         side = worst.closest_sink_side()
-        entering = free_units(blocked, side)
+        entering = free_units(chosen, excluded, side)
         taken = set(side)
         bound = cost
         for flow in flows:
@@ -101,7 +105,7 @@ def cheapest_completion(inst: Instance, preselected) -> tuple[int, tuple]:
                 if not taken.isdisjoint(side):
                     continue
                 taken |= side
-                units = free_units(blocked, side)
+                units = free_units(chosen, excluded, side)
             else:
                 units = entering
             need = k - flow.value
@@ -126,7 +130,7 @@ def cheapest_completion(inst: Instance, preselected) -> tuple[int, tuple]:
                 # an arc never lowers a flow: the ones still below k stay
                 [flow for flow in flows if flow.grow((arc,), k) < k],
                 chosen | {u},
-                excluded | {b for _, b, _ in branch[:i]},
+                excluded | {b[0] for _, b, _ in branch[:i]},
                 cost + c,
             )
             for flow, mark in zip(flows, marks):

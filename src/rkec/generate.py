@@ -97,7 +97,7 @@ def _draw(rng: random.Random, p: GenParams) -> Instance:
 
 
 def _acceptable(inst: Instance, p: GenParams) -> bool:
-    if p.max_units is not None and len(inst.positive_units) > p.max_units:
+    if p.max_units is not None and inst.positive_unit_count > p.max_units:
         return False
     if short_terminal(inst, inst.positive_units, inst.k) is not None:
         return False

@@ -15,16 +15,17 @@ feasible state it gives the same star with far less work.  Heads and legs
 are the lowest free copies of the positive edges, read off the instance's
 own edge orders and the selection's per-edge counts, so nothing is indexed
 per star.  It builds one pricing context: per core, the no-head ring on the
-representative's carried flow and its price, listed under the nodes of that
-price's dual chain.  The dual's raised sets are a nested chain, so the ones
-a head arc (u, v) enters form one interval of steps, empty unless v is on
-the chain.  A head looks up only the cores listed under v; every other core
-keeps exactly its shared no-head price, and only the touched pairs run a
-primal-dual of their own.  Each head is first bounded below, and skipped
-when even that bound loses to the best star so far: by weak duality, the
-part of the shared dual the head does not enter bounds the exact primal-dual
-price with the head from below.  A bound per head node comes first: once it
-loses for a node, every later head into that node is skipped at once.
+representative's carried flow and its price, the prices ranked once.  The
+dual's raised sets are a nested chain, so the ones a head arc (u, v) enters
+form one interval of steps, empty unless v is on the chain.  A head that
+reaches pricing scans the ranked covers for the cores whose interval is
+nonempty; every other core keeps exactly its shared no-head price, and only
+the touched pairs run a primal-dual of their own.  Each head is first
+bounded below, and skipped when even that bound loses to the best star so
+far: by weak duality, the part of the shared dual the head does not enter
+bounds the exact primal-dual price with the head from below.  A bound per
+head node comes first: once it loses for a node, every later head into that
+node is skipped at once.
 
 The greedy is its own feasibility check: on a feasible instance every ring
 it prices is coverable, and on an infeasible one it cannot finish, so its
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from collections import defaultdict
 from typing import NamedTuple
 
 from .deficiency import CoreInfo, cores_of
@@ -138,33 +138,34 @@ def _cover(inst: Instance, flow, bound: int, stops, taken, head: Unit | None = N
 
 
 class StarPricing(NamedTuple):
-    """The no-head ring price of every core of one star selection, each
-    (core, cover) pair listed under the nodes of its cover's chain
-    (``RingCover.first``)."""
+    """The no-head ring price of every core of one star selection, as
+    (core, cover) pairs ranked once for every head."""
 
     bound: int  # the representatives' flow at which a ring is covered, k - level + 1
     stops: dict[int, frozenset[int]]  # representative -> its ring's stops (``ring_stops``)
-    by_node: dict[int, list[tuple[tuple[CoreInfo, RingCover], int]]]  # v -> (pair, first[v])
     ranked: tuple[tuple[CoreInfo, RingCover], ...]  # the pairs, in ``_rank`` order
     costs: tuple[int, ...]  # their costs, in the same order
 
     def touched(self, arc: tuple[int, int]) -> list[tuple[tuple[CoreInfo, RingCover], int]]:
         """((core, cover), floor) for every core a head on ``arc`` = (u, v)
-        touches: each listed under v whose shared cover's chain has
-        first[v] < first[u], so that the arc enters the steps in between
-        (floor: the dual less those steps).  Every other core's price with
-        the head is its shared cover."""
+        touches: each whose shared cover's chain holds v with first[v] <
+        first[u], so that the arc enters the steps in between (floor: the
+        dual less those steps).  Every other core's price with the head is
+        its shared cover."""
         tail, head = arc
         out = []
-        for pc, a in self.by_node.get(head, ()):
-            prefix = pc[1].prefix
-            b = pc[1].first.get(tail, len(prefix) - 1)
-            if a < b:
-                out.append((pc, prefix[-1] - prefix[b] + prefix[a]))
+        for pc in self.ranked:
+            first = pc[1].first
+            if head in first:
+                a = first[head]
+                prefix = pc[1].prefix
+                b = first.get(tail, len(prefix) - 1)
+                if a < b:
+                    out.append((pc, prefix[-1] - prefix[b] + prefix[a]))
         return out
 
     def node_floors(self, node: int) -> list[int]:
-        """The shared costs, ascending, with every core listed under
+        """The shared costs, ascending, with every core whose chain holds
         ``node`` at prefix[first[node]] instead: elementwise no higher than
         the costs any head into ``node`` is bounded with.  A touched core's
         floor drops prefix[b] <= prefix[-1] from the dual, an untouched one
@@ -177,8 +178,8 @@ class StarPricing(NamedTuple):
 
 def pricing_context(inst: Instance, flows, taken, cores) -> StarPricing:
     """Per core: the no-head ring and its shared price, whose dual chain
-    ``StarPricing.touched`` reads; each core listed under the nodes of its
-    chain, and the shared covers ranked once for every head.
+    ``StarPricing.touched`` reads; the shared covers ranked once for every
+    head.
 
     ``flows`` are the selection's root flows and ``taken`` its per-edge
     counts (``selection_from_units``), which the primal-dual reads its legs
@@ -187,16 +188,12 @@ def pricing_context(inst: Instance, flows, taken, cores) -> StarPricing:
     """
     bound = inst.k - cores[0].deficiency + 1  # every core is at the same level
     stops = ring_stops(inst, cores)
-    pairs = []
-    by_node = defaultdict(list)
-    for core in cores:
-        rep = core.representative
-        pc = (core, _cover(inst, flows[rep], bound, stops[rep], taken))
-        pairs.append(pc)
-        for v, i in pc[1].first.items():
-            by_node[v].append((pc, i))
-    ranked = tuple(sorted(pairs, key=_rank))
-    return StarPricing(bound, stops, by_node, ranked, tuple(cover.cost for _, cover in ranked))
+    ranked = tuple(sorted(
+        ((core, _cover(inst, flows[core.representative], bound, stops[core.representative], taken))
+         for core in cores),
+        key=_rank,
+    ))
+    return StarPricing(bound, stops, ranked, tuple(cover.cost for _, cover in ranked))
 
 
 def cheapest_star(inst: Instance, units, cores, flows) -> Star:
@@ -207,9 +204,9 @@ def cheapest_star(inst: Instance, units, cores, flows) -> Star:
     nested chain, so a head (u, v) enters one interval of its steps: from
     the one where v joins the chain to the one where u does
     (``RingCover.first``), raising a difference of ``RingCover.prefix``.
-    Only cores whose chain holds v can have a nonempty interval, so the
-    pricing context lists each core under the nodes of its chain, and a head
-    looks up only the cores listed under its v (``StarPricing.touched``).
+    Only cores whose chain holds v can have a nonempty interval; a head
+    that survives the node bound scans the ranked shared covers for them
+    (``StarPricing.touched``).
 
     Reuse: when that interval is empty, the whole shared dual stays feasible
     for the with-head LP (its ring is the no-head ring minus the members the
@@ -234,11 +231,11 @@ def cheapest_star(inst: Instance, units, cores, flows) -> Star:
     the same ranked list.
 
     Before that, a node bound per head node v (``StarPricing.node_floors``):
-    the shared costs with every core listed under v at prefix[first[v]] are
-    elementwise no higher than the costs any head into v is bounded with,
-    and ``_best_prefix`` is monotone in the costs, so their best prefix
-    bounds every head into v from below.  The floors are sorted once per
-    star and node.  Once that bound loses for v, every later head into v
+    the shared costs with every core whose chain holds v at prefix[first[v]]
+    are elementwise no higher than the costs any head into v is bounded
+    with, and ``_best_prefix`` is monotone in the costs, so their best
+    prefix bounds every head into v from below.  The floors are sorted once
+    per star and node.  Once that bound loses for v, every later head into v
     costs at least as much against a best star at least as good, so v is
     marked dead and its later heads are skipped at once.
 

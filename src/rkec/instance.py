@@ -138,6 +138,12 @@ class Instance:
             units.extend((e.id, c) for c in range(e.mult))
         return tuple(units)
 
+    @property
+    def positive_unit_count(self) -> int:
+        """How many positive units there are, counted off the multiplicities
+        without building them: what the size caps compare."""
+        return sum(e.mult for e in self.positive_edges)
+
     @cached_property
     def cost_scale(self) -> int:
         """Least common denominator of the edge costs (1 for integer costs)."""

@@ -217,7 +217,7 @@ def density_violations(inst: Instance, report: SolveReport, *, max_units: int) -
     the whole instance's feasibility is checked once, before the first
     record).  An iteration whose core count does not drop violates the rule.
     """
-    if len(inst.positive_units) > max_units:
+    if inst.positive_unit_count > max_units:
         raise SizeRefusalError("instance too large for the density replay")
     records = report.solution.audit
     if records:  # every record's optimum needs the whole instance feasible

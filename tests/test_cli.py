@@ -5,7 +5,9 @@ import pytest
 
 from rkec.cli import build_parser, main
 from rkec.generate import default_corpus_params, generate_instance
-from rkec.instance import frac_to_str, instance_to_json, parse_instance, solution_from_doc
+from rkec.instance import (
+    Instance, frac_to_str, instance_to_json, parse_instance, solution_from_doc,
+)
 from rkec.solver import phases_doc
 
 from conftest import INSTANCE_A_JSON
@@ -193,6 +195,28 @@ def test_verify_report_ok(instance_file, tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["clean"] is True and doc["ratio"] == "1"
+
+
+def test_verify_brute_refuses_by_multiplicity(tmp_path, capsys, monkeypatch):
+    # one edge of 30 copies: the cap counts them off the multiplicity and
+    # refuses with exit 5 before any unit is built
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"n": 2, "root": 0, "terminals": [1], "k": 1, "edges": [
+        {"id": 1, "tail": 0, "head": 1, "cost": "1", "mult": 30}]}))
+    report = tmp_path / "report.json"
+    assert run("solve", "--instance", inst, "--out", report, "--no-timestamp") == 0
+    capsys.readouterr()
+
+    def built(self):
+        raise AssertionError("positive units built")
+
+    monkeypatch.setattr(Instance, "positive_units", property(built))
+    code = run("verify", "--instance", inst, "--report", report, "--brute",
+               "--out", tmp_path / "audit.json", "--no-timestamp")
+    assert code == 5
+    assert capsys.readouterr().err == (
+        "error: 30 positive edge units exceed the enumeration cap 22\n"
+    )
 
 
 def test_verify_tampered_solution_is_infeasible(instance_file, tmp_path):

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from rkec.exact import brute_force_opt, cheapest_completion
 from rkec.flows import Residual, require_feasible, solution_of
-from rkec.generate import default_corpus_params, generate_instance
+from rkec.generate import GenParams, _acceptable, default_corpus_params, generate_instance
 from rkec.instance import Edge, InfeasibleError, Instance, SizeRefusalError
+from rkec.solver import solve
+from rkec.verify import density_violations
 
 from conftest import small_random_instance
 from oracles import (
@@ -122,6 +124,55 @@ def test_packed_bound_search_equals_plain_enumeration(seed):
     if len(inst.positive_units) > 12:
         return
     assert_search_equals_plain_enumeration(inst)
+
+
+def lowest_free_copies(inst, preselected, selected):
+    """Per edge, the first ``selected[id]`` copies not in ``preselected``."""
+    units = []
+    for edge_id, count in selected.items():
+        copies = (u for c in range(inst.edge_by_id[edge_id].mult)
+                  if (u := (edge_id, c)) not in preselected)
+        units.extend(next(copies) for _ in range(count))
+    return tuple(sorted(units))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000))
+def test_parallel_copies_search_equals_plain_enumeration(seed):
+    # every positive edge has two or three copies, so at nearly every node a
+    # branch excludes every copy of its earlier siblings' edges; the search
+    # must still find the enumeration's cost and units, lowest copies first
+    rng = random.Random(seed)
+    inst = small_random_instance(rng, max_nodes=4, max_k=3)
+    edges = tuple(
+        Edge(e.id, e.tail, e.head, e.cost, rng.randint(2, 3)) if e.cost > 0 else e
+        for e in inst.edges
+    )
+    inst = Instance(inst.node_count, inst.root, inst.terminals, edges, inst.k)
+    inst = reachable_k(inst, inst.terminals)
+    preselected = frozenset(u for u in sorted(inst.positive_units) if rng.random() < 0.3)
+    if len(inst.positive_units) - len(preselected) > 12:
+        return
+    slow = enumerated_opt(inst, preselected)
+    if slow is None:
+        return
+    cost, units = cheapest_completion(inst, preselected)
+    assert Fraction(cost, inst.cost_scale) == slow.total_cost
+    assert units == lowest_free_copies(inst, preselected, slow.selected)
+
+
+def test_size_caps_count_units_without_building_them():
+    # one edge of 30 copies against caps of 22: every cap refuses it from
+    # the multiplicities alone, and no unit is ever built
+    inst = Instance(2, 0, frozenset({1}), (Edge(1, 0, 1, Fraction(1), 30),), 1)
+    report = solve(inst)
+    assert inst.positive_unit_count == 30
+    with pytest.raises(SizeRefusalError):
+        brute_force_opt(inst)
+    with pytest.raises(SizeRefusalError):
+        density_violations(inst, report, max_units=22)
+    assert not _acceptable(inst, GenParams(2, 1, 1, max_units=22))
+    assert "positive_units" not in vars(inst)
 
 
 @pytest.mark.parametrize("seed", [1, 7, 232, 424])

@@ -440,10 +440,10 @@ def test_cheapest_star_leaves_the_carried_flows_as_it_found_them(seed, augmentat
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 100_000), st.booleans())
 def test_irrelevant_heads_keep_the_shared_price(seed, augmentation):
-    # the reuse rule: the node index lists a core as touched by a head
-    # exactly when the head arc enters a raised set of its shared no-head
-    # dual; an untouched core prices to the very shared cover (legs, cost
-    # and dual chain) a ring flow built from scratch gives
+    # the reuse rule: a head touches a core exactly when the head arc
+    # enters a raised set of the core's shared no-head dual; an untouched
+    # core prices to the very shared cover (legs, cost and dual chain) a
+    # ring flow built from scratch gives
     rng = random.Random(seed)
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
     for units, cores, _, _, pricing in _priced_states(inst, rng):
@@ -519,10 +519,10 @@ def test_the_floor_bounds_every_head_price_from_below(seed, augmentation):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 100_000), st.booleans())
 def test_a_node_floor_bounds_every_head_into_the_node(seed, augmentation):
-    # the node bound: a core listed under v sits at prefix[first[v]] in the
-    # node floors, at most its floor under any head into v that touches it;
-    # so the node floors lie elementwise below any such head's bound list,
-    # and their best prefix density bounds the head's from below
+    # the node bound: a core whose chain holds v sits at prefix[first[v]]
+    # in the node floors, at most its floor under any head into v that
+    # touches it; so the node floors lie elementwise below any such head's
+    # bound list, and their best prefix density bounds the head's from below
     rng = random.Random(seed)
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
     for units, _, _, _, pricing in _priced_states(inst, rng):

@@ -138,12 +138,13 @@ def test_rings_are_priced_on_the_flow_itself():
 def test_ring_covers_carry_their_dual_chain():
     # a cover's dual is its nested chain: the step each node joins and the
     # dual raised by each prefix of steps; no per-step record and no second
-    # index of the chain in the star pricing
+    # index of the chain in the star pricing, which keeps only the ranked
+    # shared covers
     rings = importlib.import_module("rkec.rings")
     greedy = importlib.import_module("rkec.greedy")
     assert not hasattr(rings, "DualStep")
     assert [f.name for f in fields(rings.RingCover)] == ["legs", "cost", "first", "prefix"]
-    assert greedy.StarPricing._fields == ("bound", "stops", "by_node", "ranked", "costs")
+    assert greedy.StarPricing._fields == ("bound", "stops", "ranked", "costs")
 
 
 def test_the_greedy_is_the_solvers_feasibility_check():
