@@ -19,8 +19,8 @@ rational costs (the tests' ``oracles.brute_force_ring_cover``, on the ring
 that ``reference.enumerated_ring_family`` enumerates).  A state whose
 pricing context raises ``InfeasibleError`` has no solver path: the raise
 must name the instance's first short terminal and its path count
-(``flows.short_terminal`` over every positive unit), and its pairs are
-priced fresh and exactly only.  The solver's cover must equal the fresh one
+(``flows.short_terminal`` over every positive edge at its multiplicity),
+and its pairs are priced fresh and exactly only.  The solver's cover must equal the fresh one
 whole (legs, cost and dual chain), and their cost must equal the exact one
 as a rational: the primal-dual covers cost integers
 in units of 1/``cost_scale``, so they are rescaled before the comparison.  A
@@ -64,12 +64,12 @@ def check_state(inst, state, per_state, seed):
     returns (contexts, mismatches, unpriceable)."""
     contexts = mismatches = unpriceable = 0
     scale = inst.cost_scale
-    flows = dict(root_flows(inst, state, inst.k))  # as the greedy carries them
+    taken = selection_from_units(state)
+    flows = dict(root_flows(inst, taken, inst.k))  # as the greedy carries them
     cores = cores_of(inst, flows)
     if not cores:
         return contexts, mismatches, unpriceable
     heads = free_leg_candidates(inst, state)
-    taken = selection_from_units(state)
     try:
         pricing = pricing_context(inst, flows, taken, cores)
     except AssertionError as exc:  # a shared cover failed its certificate
@@ -77,7 +77,8 @@ def check_state(inst, state, per_state, seed):
         return contexts, 1, unpriceable
     except InfeasibleError as exc:  # some core's ring is uncoverable
         pricing = None
-        if (exc.terminal, exc.achieved) != short_terminal(inst, inst.positive_units, inst.k):
+        every = {e.id: e.mult for e in inst.positive_edges}
+        if (exc.terminal, exc.achieved) != short_terminal(inst, every, inst.k):
             print(f"MISMATCH seed={seed}: {exc}")
             mismatches += 1
     shared = dict(pricing.ranked) if pricing else {}

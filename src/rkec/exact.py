@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .flows import require_feasible, root_flows, solution_of
-from .instance import Instance, SizeRefusalError, Solution
+from .instance import Instance, SizeRefusalError, Solution, selection_from_units
 
 
 def brute_force_opt(inst: Instance, *, max_units: int = 22) -> Solution:
@@ -31,7 +31,7 @@ def brute_force_opt(inst: Instance, *, max_units: int = 22) -> Solution:
             f"{count} positive edge units exceed the enumeration cap {max_units}"
         )
     require_feasible(inst)
-    return solution_of(inst, cheapest_completion(inst, ())[1])
+    return solution_of(inst, selection_from_units(cheapest_completion(inst, ())[1]))
 
 
 def cheapest_completion(inst: Instance, preselected) -> tuple[int, tuple]:
@@ -137,7 +137,7 @@ def cheapest_completion(inst: Instance, preselected) -> tuple[int, tuple]:
                 flow.rollback(mark)
 
     best_cost, best_units = math.inf, ()
-    root = [flow for _, flow in root_flows(inst, preselected, k) if flow.value < k]
+    root = [f for _, f in root_flows(inst, selection_from_units(preselected), k) if f.value < k]
     search(root, frozenset(), frozenset(), 0)
     return best_cost, best_units
 

@@ -12,16 +12,17 @@ the source joins through it and the read ends.  With no extra arcs and
 no stops that is the closest sink side, a core candidate; with a ring's
 units and stops it is the ring's minimal violated set.
 
-A selection's working graph is one list of arc triples (``working_arcs``).
-``root_flows``, the only code that builds a residual, grows one
-root->terminal flow by it per terminal, in id order and only as far as its
-caller reads; root connectivity (``solution_of``, exact), the first short
-terminal (``short_terminal``, whose flows stop at ``need``) and the cores all
-read those flows.  The greedy grows its root flows (stopped at k) by each
-star.  A star's rings are those flows as they stand, read by
-``Residual.reach`` with the other cores' terminals as stops
-(``rings.ring_stops``): pricing a star grows, marks and rolls back no flow.
-The brute-force search grows its flows in place and rolls them back
+A selection is per-edge counts, edge id -> copies bought (as in
+``Solution.selected``), and its working graph one arc triple per edge, its
+count as capacity (``working_arcs``).  ``root_flows``, the only code that
+builds a residual, grows one root->terminal flow by it per terminal, in id
+order and only as far as its caller reads; root connectivity
+(``solution_of``, exact), the first short terminal (``short_terminal``,
+whose flows stop at ``need``) and the cores all read those flows.  The
+greedy grows its root flows (stopped at k) by each star.  A star's rings
+are those flows as they stand, read by ``Residual.reach`` with the other
+cores' terminals as stops (``rings.ring_stops``): pricing a star grows,
+marks and rolls back no flow.  The brute-force search grows its flows in place and rolls them back
 (``Residual.mark``, ``Residual.rollback``, the one way any flow's growth is
 undone).  ``solution_of`` is the one builder of a ``Solution``: the solver,
 brute force and the verifier all build theirs with it.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .instance import Instance, InfeasibleError, Solution, selection_from_units
+from .instance import Instance, InfeasibleError, Solution
 
 
 class Residual:
@@ -174,41 +175,40 @@ class Residual:
         return frozenset(side)
 
 
-def working_arcs(inst: Instance, units) -> list[tuple[int, int, int]]:
-    """The working graph of ``units`` as (tail, head, cap) triples: zero-cost
-    edges, then selected units.
-
-    Selected units are grouped per edge id into one arc with the unit count as
-    capacity.
-    """
+def working_arcs(inst: Instance, selected) -> list[tuple[int, int, int]]:
+    """The working graph of ``selected`` (edge id -> copies bought) as
+    (tail, head, cap) triples: the zero-cost edges, then one arc per
+    selected edge in id order, its count as capacity."""
     arcs = [(e.tail, e.head, e.mult) for e in inst.zero_edges]
-    for eid, count in selection_from_units(units).items():
+    for eid, count in sorted(selected.items()):
         e = inst.edge_by_id[eid]
         arcs.append((e.tail, e.head, count))
     return arcs
 
 
-def root_flows(inst: Instance, units, limit: int | None = None) -> Iterator[tuple[int, Residual]]:
+def root_flows(
+    inst: Instance, selected, limit: int | None = None
+) -> Iterator[tuple[int, Residual]]:
     """Per terminal in id order: a root->terminal flow of the working graph
-    of ``units``, grown until it reaches ``limit`` (a maximum flow when
+    of ``selected``, grown until it reaches ``limit`` (a maximum flow when
     None).  A value below ``limit`` is the exact maximum.
 
     Lazy: each residual is built and grown when its terminal comes up, so
     a caller that stops early pays for no further terminal.
     """
-    arcs = working_arcs(inst, units)
+    arcs = working_arcs(inst, selected)
     for t in sorted(inst.terminals):
         flow = Residual(inst.node_count, inst.root, t)
         flow.grow(arcs, limit)
         yield t, flow
 
 
-def short_terminal(inst: Instance, units, need: int) -> tuple[int, int] | None:
+def short_terminal(inst: Instance, selected, need: int) -> tuple[int, int] | None:
     """The first terminal (in id order) with fewer than ``need`` edge-disjoint
-    root paths in the working graph of ``units``, with its path count; None
-    when every terminal has ``need``.  Stops at that terminal, and each flow
-    stops at ``need``: a count below it is exact, as a maximum flow gives."""
-    for t, flow in root_flows(inst, units, need):
+    root paths in the working graph of ``selected``, with its path count;
+    None when every terminal has ``need``.  Stops at that terminal, and each
+    flow stops at ``need``: a count below it is exact."""
+    for t, flow in root_flows(inst, selected, need):
         if flow.value < need:
             return t, flow.value
     return None
@@ -216,21 +216,22 @@ def short_terminal(inst: Instance, units, need: int) -> tuple[int, int] | None:
 
 def require_feasible(inst: Instance) -> None:
     """Raise InfeasibleError for the first terminal that even every positive
-    unit leaves short of k.  Brute force and the density replay run it
-    first; the greedy runs it only once it meets a ring it cannot cover."""
-    short = short_terminal(inst, inst.positive_units, inst.k)
+    edge at its multiplicity leaves short of k.  Brute force and the density
+    replay run it first; the greedy, once it meets an uncoverable ring."""
+    short = short_terminal(inst, {e.id: e.mult for e in inst.positive_edges}, inst.k)
     if short is not None:
         raise InfeasibleError(*short, inst.k)
 
 
-def solution_of(inst: Instance, units, audit=()) -> Solution:
-    """The solution ``units`` make: their selection and cost, the
-    connectivity of their working graph and whether every terminal reaches k,
-    with ``audit`` as its iteration records."""
-    conn = {t: flow.value for t, flow in root_flows(inst, units)}
+def solution_of(inst: Instance, selected, audit=()) -> Solution:
+    """The solution ``selected`` makes: its nonzero counts in id order and
+    their cost, the connectivity of its working graph and whether every
+    terminal reaches k, with ``audit`` as its iteration records."""
+    conn = {t: flow.value for t, flow in root_flows(inst, selected)}
+    selected = {eid: c for eid, c in sorted(selected.items()) if c}
     return Solution(
-        selected=selection_from_units(units),
-        total_cost=inst.units_cost(units),
+        selected=selected,
+        total_cost=inst.selection_cost(selected),
         connectivity=conn,
         feasible=all(v >= inst.k for v in conn.values()),
         audit=list(audit),

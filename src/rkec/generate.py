@@ -99,9 +99,9 @@ def _draw(rng: random.Random, p: GenParams) -> Instance:
 def _acceptable(inst: Instance, p: GenParams) -> bool:
     if p.max_units is not None and inst.positive_unit_count > p.max_units:
         return False
-    if short_terminal(inst, inst.positive_units, inst.k) is not None:
+    if short_terminal(inst, {e.id: e.mult for e in inst.positive_edges}, inst.k) is not None:
         return False
-    return p.mode != "augmentation" or short_terminal(inst, (), p.base_level) is None
+    return p.mode != "augmentation" or short_terminal(inst, {}, p.base_level) is None
 
 
 def generate_instance(p: GenParams) -> Instance:

@@ -39,19 +39,19 @@ from __future__ import annotations
 
 import math
 from bisect import insort
+from collections import Counter
 from typing import NamedTuple
 
 from .deficiency import CoreInfo, cores_of
 from .flows import require_feasible, root_flows
-from .instance import Instance, IterationRecord, Unit, selection_from_units
+from .instance import Instance, IterationRecord, Unit
 from .rings import RingCover, primal_dual_ring_cover, ring_stops
 
 
-def candidate_heads(inst: Instance, units) -> tuple[Unit, ...]:
+def candidate_heads(inst: Instance, taken) -> tuple[Unit, ...]:
     """The star's heads: the lowest free copy of each positive edge under the
-    selection ``units``, in the instance's (scaled cost, id) order, the order
-    ``cheapest_star`` visits them in."""
-    taken = selection_from_units(units)
+    selection ``taken`` (edge id -> copies bought), in the instance's
+    (scaled cost, id) order, the order ``cheapest_star`` visits them in."""
     return tuple(
         (e.id, c) for e in inst.positive_by_cost if (c := taken.get(e.id, 0)) < e.mult
     )
@@ -88,7 +88,7 @@ class Star(NamedTuple):
         return self.tie[0]
 
     def units(self) -> set[Unit]:
-        """The head and every leaf's legs."""
+        """The head and every leaf's legs, each its edge's lowest free copy."""
         units = {self.head}
         for _, cover in self.chosen:
             units.update(cover.legs)
@@ -181,8 +181,8 @@ def pricing_context(inst: Instance, flows, taken, cores) -> StarPricing:
     ``StarPricing.touched`` reads; the shared covers ranked once for every
     head.
 
-    ``flows`` are the selection's root flows and ``taken`` its per-edge
-    counts (``selection_from_units``), which the primal-dual reads its legs
+    ``flows`` are the selection's root flows and ``taken`` the selection
+    itself, edge id -> copies bought, which the primal-dual reads its legs
     against.  Each core's ring is its representative's flow as it stands,
     read with the other cores' terminals as stops (``ring_stops``).
     """
@@ -196,8 +196,9 @@ def pricing_context(inst: Instance, flows, taken, cores) -> StarPricing:
     return StarPricing(bound, stops, ranked, tuple(cover.cost for _, cover in ranked))
 
 
-def cheapest_star(inst: Instance, units, cores, flows) -> Star:
-    """Same selection as price-everything + best_star, pricing lazily off ``flows``.
+def cheapest_star(inst: Instance, taken, cores, flows) -> Star:
+    """Same selection as price-everything + best_star at the selection
+    ``taken`` (edge id -> copies bought), pricing lazily off its ``flows``.
 
     Both the reuse and the bound read the shared no-head cover's dual.  It is
     feasible for the ring-cover LP, and its raised sets form a strictly
@@ -244,13 +245,12 @@ def cheapest_star(inst: Instance, units, cores, flows) -> Star:
     pricing a star grows, marks and rolls back no flow: ``flows`` are left
     exactly as they were, whether this returns or raises.
     """
-    taken = selection_from_units(units)
     pricing = pricing_context(inst, flows, taken, cores)
     m = len(cores)
     best = None
     floors = {}  # head node -> its node floors, once per star
     dead = set()  # head nodes whose every later head loses
-    for head in candidate_heads(inst, units):
+    for head in candidate_heads(inst, taken):
         head_cost = inst.scaled_cost(head)
         # head_cost / m > best density
         if best is not None and head_cost * best.leaves > best.total * m:
@@ -292,20 +292,22 @@ def cover_levels(inst: Instance) -> list[IterationRecord]:
     """Buy stars from the empty selection until no core is left; one record
     per star, in purchase order.
 
-    Every terminal's root flow, stopped at k, grows with the selection.  An
-    iteration's level is the deficiency of the current cores; it must retire
-    at least half its leaf count in cores at that level (checked, integrally)
-    and strictly shrink their count, and the max level must never rise.
+    Every terminal's root flow, stopped at k, grows with the selection
+    ``taken`` (edge id -> copies bought).  An iteration's level is the
+    deficiency of the current cores; it must retire at least half its leaf
+    count in cores at that level (checked, integrally) and strictly shrink
+    their count, and the max level must never rise.
     """
-    flows = dict(root_flows(inst, (), inst.k))
+    flows = dict(root_flows(inst, {}, inst.k))
     cores = cores_of(inst, flows)
-    selected: set[Unit] = set()
+    taken: Counter[int] = Counter()
     records: list[IterationRecord] = []
     while cores:
         level = cores[0].deficiency
-        star = cheapest_star(inst, selected, cores, flows)
-        new_units = sorted(star.units() - selected)
-        selected.update(new_units)
+        star = cheapest_star(inst, taken, cores, flows)
+        new_units = sorted(star.units())
+        bought = Counter(eid for eid, _ in new_units)
+        taken.update(bought)
         arcs = [(*inst.unit_arc(u), 1) for u in new_units]
         for flow in flows.values():
             flow.grow(arcs, inst.k)
@@ -325,7 +327,7 @@ def cover_levels(inst: Instance) -> list[IterationRecord]:
             cores_after=left,
             star_center=star.head[0],
             leaf_count=star.leaves,
-            added_cost=inst.units_cost(new_units),
+            added_cost=inst.selection_cost(bought),
             added_units=tuple(new_units),
         ))
         cores = after

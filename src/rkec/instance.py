@@ -3,8 +3,8 @@
 An instance is a rooted digraph with per-edge nonnegative rational costs, a
 terminal set, and a connectivity target k.  The zero-cost edges form the base
 subgraph that is considered already paid for; the solver only ever buys
-positive-cost edges.  Each multiplicity unit of a parallel edge is
-independently selectable, so selections are tracked as (edge id, copy) pairs.
+positive-cost edges.  A selection counts the copies bought per edge id; one
+copy, a unit, is an (edge id, copy index) pair, as the records list them.
 
 Costs are reported as rationals, but the solver prices in integers: every
 edge cost is an integer multiple of 1/``cost_scale``, the least common
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -133,10 +134,8 @@ class Instance:
 
     @cached_property
     def positive_units(self) -> tuple[Unit, ...]:
-        units = []
-        for e in sorted(self.positive_edges, key=lambda e: e.id):
-            units.extend((e.id, c) for c in range(e.mult))
-        return tuple(units)
+        edges = sorted(self.positive_edges, key=lambda e: e.id)
+        return tuple((e.id, c) for e in edges for c in range(e.mult))
 
     @property
     def positive_unit_count(self) -> int:
@@ -176,8 +175,9 @@ class Instance:
         e = self.edge_by_id[unit[0]]
         return e.tail, e.head
 
-    def units_cost(self, units) -> Fraction:
-        return Fraction(sum(self.scaled_cost(u) for u in units), self.cost_scale)
+    def selection_cost(self, selected: dict[int, int]) -> Fraction:
+        scaled = sum(self._scaled_costs[e] * c for e, c in selected.items())
+        return Fraction(scaled, self.cost_scale)
 
 
 @dataclass(frozen=True)
@@ -301,17 +301,11 @@ class Solution:
     audit: list[IterationRecord] = field(default_factory=list)
 
     def units(self) -> tuple[Unit, ...]:
-        out = []
-        for eid in sorted(self.selected):
-            out.extend((eid, c) for c in range(self.selected[eid]))
-        return tuple(out)
+        return tuple((e, c) for e in sorted(self.selected) for c in range(self.selected[e]))
 
 
 def selection_from_units(units) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for eid, _ in units:
-        counts[eid] = counts.get(eid, 0) + 1
-    return dict(sorted(counts.items()))
+    return dict(sorted(Counter(eid for eid, _ in units).items()))
 
 
 def _record_to_doc(rec: IterationRecord) -> dict:

@@ -119,10 +119,10 @@ def primal_dual_ring_cover(
 ) -> RingCover | None:
     """Exact minimum-cost legs so that legs + ``head`` cover the ring of
     ``flow``, ``bound`` and ``stops``; the head's edge is never a leg.
-    ``taken`` maps an edge id to its copies already selected
-    (``selection_from_units``).  The legs are drawn from the lowest free copy
-    of each positive edge: a second parallel copy never helps cover a ring,
-    since each member needs only one entering edge.
+    ``taken`` is the selection the greedy carries, edge id -> copies
+    bought.  The legs are drawn from the lowest free copy of each positive
+    edge: a second parallel copy never helps cover a ring, since each member
+    needs only one entering edge.
 
     Dual ascent: raise the minimal violated set until some entering candidate
     goes tight (ties to the smallest unit), add it, repeat.  Then delete

@@ -20,6 +20,7 @@ from .instance import (
     Solution,
     frac_from_obj,
     frac_to_str,
+    selection_from_units,
     solution_from_doc,
     solution_to_doc,
 )
@@ -46,11 +47,11 @@ def prune_solution(inst: Instance, units) -> Solution:
     Purely an engineering post-pass; the guarantee and all audits apply to the
     unpruned selection.
     """
-    kept = list(units)
-    for u in reversed(list(units)):
-        trial = [v for v in kept if v != u]
-        if short_terminal(inst, trial, inst.k) is None:
-            kept = trial
+    kept = selection_from_units(units)
+    for eid, _ in reversed(units):
+        kept[eid] -= 1
+        if short_terminal(inst, kept, inst.k) is not None:
+            kept[eid] += 1
     return solution_of(inst, kept)
 
 
@@ -65,7 +66,7 @@ def solve(inst: Instance, *, prune: bool = False) -> SolveReport:
     """
     records = cover_levels(inst)
     selected = [u for rec in records for u in rec.added_units]
-    solution = solution_of(inst, selected, records)
+    solution = solution_of(inst, selection_from_units(selected), records)
     if not solution.feasible:
         raise AssertionError(
             f"greedy selection leaves a terminal short of k: {solution.connectivity}"

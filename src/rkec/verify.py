@@ -24,6 +24,7 @@ from .instance import (
     Solution,
     check_selection,
     frac_to_str,
+    selection_from_units,
     validate_quasi_bipartite,
 )
 from .solver import SolveReport, harmonic
@@ -36,7 +37,7 @@ def check_feasible(inst: Instance, sol: Solution) -> Solution:
     offer (see ``check_selection``).
     """
     check_selection(inst, sol.selected)
-    return solution_of(inst, sol.units(), sol.audit)
+    return solution_of(inst, sol.selected, sol.audit)
 
 
 def _atanh_scaled(a: int, b: int, p: int) -> tuple[int, int]:
@@ -135,12 +136,12 @@ def audit_run(
     differing, or ``pruned`` infeasible or buying an edge more often than the
     solution, makes the audit unclean), the costs (the total recomputed from
     the selection, each iteration's from its added units; a recorded cost that
-    differs, or added units that are not exactly the selection or miss their
-    record's ``star_center``, make the audit unclean),
-    the guarantee's inputs (H of the first level, from the zero-cost graph's
-    connectivity, and |T|, from the instance; a recorded pair that differs
-    makes the audit unclean) and the per-iteration core-drop rule (the core
-    count must fall by at least half the leaf count, rounded up).  With an
+    differs, or added units that are not exactly the selection, counted before
+    it is expanded, or miss their record's ``star_center``, make the audit
+    unclean), the guarantee's inputs (H of the first level, from the zero-cost
+    graph's connectivity, and |T|, from the instance; a recorded pair that
+    differs makes the audit unclean) and the per-iteration core-drop rule (the
+    core count must fall by at least half the leaf count, rounded up).  With an
     exact optimum: the ratio (1 when cost and optimum are both 0, None when
     only the optimum is) and, for a quasi-bipartite instance, the ratio
     bound.  With ``density_max_units`` set, the added units exactly the
@@ -149,22 +150,23 @@ def audit_run(
     before), brute-forcing the residual optimum from the iteration's state.
     """
     solution = report.solution
+    selected = solution.selected
     rebuilt = check_feasible(inst, solution)
-    units = solution.units()
     solution_ok = rebuilt == solution
     if report.pruned is not None:
         pruned = check_feasible(inst, report.pruned)
-        within = set(pruned.units()) <= set(units)
+        within = all(c <= selected.get(e, 0) for e, c in pruned.selected.items())
         solution_ok &= pruned == report.pruned and pruned.feasible and within
     cost = rebuilt.total_cost
-    units_ok = sorted(u for rec in solution.audit for u in rec.added_units) == list(units)
+    recorded = sorted(u for rec in solution.audit for u in rec.added_units)
+    units_ok = len(recorded) == sum(selected.values()) and recorded == list(solution.units())
     costs_ok = all(
         all(eid in inst.edge_by_id for eid, _ in rec.added_units)
-        and inst.units_cost(rec.added_units) == rec.added_cost
+        and inst.selection_cost(selection_from_units(rec.added_units)) == rec.added_cost
         for rec in solution.audit
     )
     # the level reads min(lambda, k) only, and a flow stopped below k is exact
-    first_level = max(max(inst.k - flow.value, 0) for _, flow in root_flows(inst, (), inst.k))
+    first_level = max(max(inst.k - flow.value, 0) for _, flow in root_flows(inst, {}, inst.k))
     bound_harmonic = harmonic(first_level)
     terminal_count = len(inst.terminals)
     out = AuditReport(
@@ -227,7 +229,7 @@ def density_violations(inst: Instance, report: SolveReport, *, max_units: int) -
     for idx, rec in enumerate(records):
         residual_opt = Fraction(cheapest_completion(inst, selected)[0], inst.cost_scale)
         drop = rec.cores_before - rec.cores_after
-        cost = inst.units_cost(rec.added_units)
+        cost = inst.selection_cost(selection_from_units(rec.added_units))
         # cost / drop > (2 / level) * residual_opt / cores_before, cross-multiplied
         if drop <= 0 or cost * rec.phase_level * rec.cores_before > 2 * residual_opt * drop:
             violations.append(idx)

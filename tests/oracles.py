@@ -68,7 +68,7 @@ def oracle_opt_cost(inst: Instance) -> Fraction | None:
     when no set is deficient); None when none is feasible."""
     return min(
         (
-            inst.units_cost(units)
+            sum((inst.edge_by_id[eid].cost for eid, _ in units), Fraction(0))
             for units in subsets(inst.positive_units)
             if enumerate_rooted(inst, units).level == 0
         ),

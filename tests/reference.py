@@ -5,11 +5,13 @@ edge, the cores and the max level read off root flows built afresh, a ring
 flow built afresh for one core (its working arcs plus root arcs saturating
 every other core's terminals, in place of the solver's stops), its violated
 set read by growing it, every (head, core) pair priced on one, an exact
-optimum by enumerating every unit subset, a maximum flow decomposed into
-paths by search, and the paths re-checked edge by edge against the
-instance's capacities.  They use the
-package's flow and ring primitives, unlike the enumeration oracles in
-``oracles``, and only tests and ``scripts/ring_cross_check.py`` call them.
+optimum by enumerating every unit subset, the prune pass dropping units
+from a list, a maximum flow decomposed into paths by search, and the paths
+re-checked edge by edge against the instance's capacities.  They take
+selections as unit lists and convert them (``selection_from_units``) where
+they call the package's flow and ring primitives, unlike the enumeration
+oracles in ``oracles``, and only tests and ``scripts/ring_cross_check.py``
+call them.
 """
 
 from collections import Counter
@@ -37,12 +39,13 @@ def free_leg_candidates(inst: Instance, units) -> tuple[Unit, ...]:
 
 def rooted_cores(inst: Instance, units) -> list[CoreInfo]:
     """The cores of the working graph of ``units``, off fresh root flows."""
-    return cores_of(inst, dict(root_flows(inst, units)))
+    return cores_of(inst, dict(root_flows(inst, selection_from_units(units))))
 
 
 def rooted_max_level(inst: Instance, units) -> int:
     """Maximum residual deficiency over all terminal-containing sets."""
-    return max(max(inst.k - flow.value, 0) for _, flow in root_flows(inst, units))
+    flows = root_flows(inst, selection_from_units(units))
+    return max(max(inst.k - flow.value, 0) for _, flow in flows)
 
 
 def saturating_arcs(inst: Instance, all_cores, target: CoreInfo) -> list[tuple[int, int, int]]:
@@ -70,7 +73,7 @@ def carried_ring(
     flow of ``units`` stopped at k, as the greedy carries it, the bound
     k - level + 1 and the other cores' terminals as stops."""
     rep = target.representative
-    flow = dict(root_flows(inst, units, inst.k))[rep]
+    flow = dict(root_flows(inst, selection_from_units(units), inst.k))[rep]
     return flow, inst.k - target.deficiency + 1, ring_stops(inst, all_cores)[rep]
 
 
@@ -81,7 +84,8 @@ def build_ring_context(inst: Instance, units, all_cores, target: CoreInfo) -> tu
     k - level, one path below the bound."""
     bound = inst.k - target.deficiency + 1
     flow = Residual(inst.node_count, inst.root, target.representative)
-    flow.grow(working_arcs(inst, units) + saturating_arcs(inst, all_cores, target), bound)
+    arcs = working_arcs(inst, selection_from_units(units))
+    flow.grow(arcs + saturating_arcs(inst, all_cores, target), bound)
     return flow, bound
 
 
@@ -136,7 +140,7 @@ def enumerated_ring_family(inst: Instance, units, all_cores, target: CoreInfo) -
         [v for v in range(inst.node_count) if v != inst.root],
         inst.terminals,
         inst.k,
-        working_arcs(inst, units) + saturating_arcs(inst, all_cores, target),
+        working_arcs(inst, selection_from_units(units)) + saturating_arcs(inst, all_cores, target),
     )
 
 
@@ -195,8 +199,8 @@ def enumerated_opt(inst: Instance, preselected=()) -> Solution | None:
 
     def walk(idx: int, chosen: tuple):
         nonlocal best
-        if short_terminal(inst, preselected | set(chosen), inst.k) is None:
-            key = (inst.units_cost(chosen), tuple(sorted(chosen)))
+        if short_terminal(inst, selection_from_units(preselected | set(chosen)), inst.k) is None:
+            key = (inst.selection_cost(selection_from_units(chosen)), tuple(sorted(chosen)))
             if best is None or key < best:
                 best = key
             return
@@ -210,7 +214,19 @@ def enumerated_opt(inst: Instance, preselected=()) -> Solution | None:
         walk(skip, chosen)
 
     walk(0, ())
-    return None if best is None else solution_of(inst, best[1])
+    return None if best is None else solution_of(inst, selection_from_units(best[1]))
+
+
+def pruned_by_units(inst: Instance, units) -> Solution:
+    """``solver.prune_solution`` the plain way: drop each unit of ``units``,
+    newest first, whose removal from the unit list keeps every terminal at
+    k, each trial decided afresh on the list without it."""
+    kept = list(units)
+    for u in reversed(list(units)):
+        trial = [v for v in kept if v != u]
+        if short_terminal(inst, selection_from_units(trial), inst.k) is None:
+            kept = trial
+    return solution_of(inst, selection_from_units(kept))
 
 
 def maximum_flow(node_count: int, arcs, s: int, t: int) -> Residual:
@@ -258,7 +274,7 @@ def max_flow_paths(node_count: int, arcs, s: int, t: int) -> list[list[int]]:
 def path_packing_witness(inst: Instance, sol: Solution, terminal: int) -> list[list[int]]:
     """Extract edge-disjoint root-terminal paths and re-validate them edge by
     edge against the instance's capacities."""
-    paths = max_flow_paths(inst.node_count, working_arcs(inst, sol.units()), inst.root, terminal)
+    paths = max_flow_paths(inst.node_count, working_arcs(inst, sol.selected), inst.root, terminal)
     capacity: dict[tuple[int, int], int] = {}
     for e in inst.zero_edges:
         capacity[(e.tail, e.head)] = capacity.get((e.tail, e.head), 0) + e.mult

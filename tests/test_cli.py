@@ -6,7 +6,13 @@ import pytest
 from rkec.cli import build_parser, main
 from rkec.generate import default_corpus_params, generate_instance
 from rkec.instance import (
-    Instance, frac_to_str, instance_to_json, parse_instance, solution_from_doc,
+    Instance,
+    frac_to_str,
+    instance_to_json,
+    Solution,
+    parse_instance,
+    selection_from_units,
+    solution_from_doc,
 )
 from rkec.solver import phases_doc
 
@@ -197,6 +203,10 @@ def test_verify_report_ok(instance_file, tmp_path):
     assert doc["clean"] is True and doc["ratio"] == "1"
 
 
+def _units_built(self):
+    raise AssertionError("positive units built")
+
+
 def test_verify_brute_refuses_by_multiplicity(tmp_path, capsys, monkeypatch):
     # one edge of 30 copies: the cap counts them off the multiplicity and
     # refuses with exit 5 before any unit is built
@@ -206,17 +216,52 @@ def test_verify_brute_refuses_by_multiplicity(tmp_path, capsys, monkeypatch):
     report = tmp_path / "report.json"
     assert run("solve", "--instance", inst, "--out", report, "--no-timestamp") == 0
     capsys.readouterr()
-
-    def built(self):
-        raise AssertionError("positive units built")
-
-    monkeypatch.setattr(Instance, "positive_units", property(built))
+    monkeypatch.setattr(Instance, "positive_units", property(_units_built))
     code = run("verify", "--instance", inst, "--report", report, "--brute",
                "--out", tmp_path / "audit.json", "--no-timestamp")
     assert code == 5
     assert capsys.readouterr().err == (
         "error: 30 positive edge units exceed the enumeration cap 22\n"
     )
+
+
+def test_solve_refuses_a_huge_infeasible_instance_without_units(tmp_path, capsys, monkeypatch):
+    # terminal 2 is unreachable and edge 0 -> 1 has 10^9 copies: the
+    # greedy's feasibility check reads one arc per edge, its multiplicity as
+    # capacity, so no unit is built
+    doc = {"n": 3, "root": 0, "terminals": [2], "k": 1,
+           "edges": [{"id": 1, "tail": 0, "head": 1, "cost": "1", "mult": 10**9}]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(Instance, "positive_units", property(_units_built))
+    assert run("solve", "--instance", path, "--out", tmp_path / "r.json") == 3
+    assert capsys.readouterr().err == (
+        "error: terminal 2 reaches only 0 < 1 edge-disjoint root paths "
+        "even with every edge selected\n"
+    )
+
+
+def test_verify_counts_a_claimed_selection_before_expanding_it(tmp_path, monkeypatch):
+    # a report that claims all 10^9 copies of its one edge, consistently in
+    # cost and connectivity, but records one unit bought: the audit compares
+    # the counts before it expands the claimed selection into units
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"n": 2, "root": 0, "terminals": [1], "k": 1, "edges": [
+        {"id": 1, "tail": 0, "head": 1, "cost": "1", "mult": 10**9}]}))
+    report = tmp_path / "report.json"
+    assert run("solve", "--instance", inst, "--out", report, "--no-timestamp") == 0
+    doc = json.loads(report.read_text())
+    assert doc["solution"]["audit"][0]["added_units"] == [[1, 0]]
+    doc["solution"].update(selected=[[1, 10**9]], total_cost=str(10**9),
+                           connectivity={"1": 10**9})
+    report.write_text(json.dumps(doc))
+    monkeypatch.setattr(Solution, "units", _units_built)
+    out = tmp_path / "audit.json"
+    assert run("verify", "--instance", inst, "--report", report,
+               "--out", out, "--no-timestamp") == 4
+    audit = json.loads(out.read_text())
+    assert audit["recorded_units_ok"] is False
+    assert audit["recorded_solution_ok"] is True and audit["recorded_cost_ok"] is True
 
 
 def test_verify_tampered_solution_is_infeasible(instance_file, tmp_path):
@@ -412,7 +457,8 @@ def test_verify_checks_added_units_against_the_selection(corpus_seven, tmp_path)
     last = doc["solution"]["audit"][-1]
     last["added_units"] = last["added_units"][:-1]
     units = [tuple(u) for u in last["added_units"]]
-    last["added_cost"] = frac_to_str(parse_instance(inst.read_text()).units_cost(units))
+    selected = selection_from_units(units)
+    last["added_cost"] = frac_to_str(parse_instance(inst.read_text()).selection_cost(selected))
     _rebuild_phases(doc)
     code, audit = _verify_doc(tmp_path, inst, doc)
     assert code == 4

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rkec.exact import brute_force_opt, cheapest_completion
 from rkec.flows import Residual, require_feasible, solution_of
 from rkec.generate import GenParams, _acceptable, default_corpus_params, generate_instance
-from rkec.instance import Edge, InfeasibleError, Instance, SizeRefusalError
+from rkec.instance import Edge, InfeasibleError, Instance, SizeRefusalError, selection_from_units
 from rkec.solver import solve
 from rkec.verify import density_violations
 
@@ -81,7 +81,7 @@ def assert_search_equals_plain_enumeration(inst, preselected=frozenset()):
             require_feasible(inst)
         return
     cost, units = cheapest_completion(inst, preselected)
-    fast = solution_of(inst, units)
+    fast = solution_of(inst, selection_from_units(units))
     assert Fraction(cost, inst.cost_scale) == fast.total_cost == slow.total_cost
     assert fast.selected == slow.selected  # identical lexicographic tie-break
     if not preselected:
@@ -92,7 +92,7 @@ def reachable_k(inst, terminals):
     """The instance on ``terminals`` with k lowered to what all the units
     reach, so that most draws have an optimum."""
     inst = Instance(inst.node_count, inst.root, terminals, inst.edges, inst.k)
-    reach = min(solution_of(inst, inst.positive_units).connectivity.values())
+    reach = min(solution_of(inst, selection_from_units(inst.positive_units)).connectivity.values())
     return Instance(inst.node_count, inst.root, terminals, inst.edges,
                     max(1, min(inst.k, reach)))
 

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rkec import flows
-from rkec.flows import Residual, solution_of, working_arcs
-from rkec.instance import Edge, Instance
+from rkec.flows import Residual, require_feasible, solution_of, working_arcs
+from rkec.generate import GenParams, _acceptable
+from rkec.instance import Edge, InfeasibleError, Instance, selection_from_units
 
 from conftest import small_random_instance
 from oracles import instance_arcs, minimal_sets, oracle_min_cut
@@ -20,7 +21,7 @@ def view(n, arcs):
 
 
 def instance_view(inst, units):
-    return inst.node_count, working_arcs(inst, units)
+    return inst.node_count, working_arcs(inst, selection_from_units(units))
 
 
 def max_flow_value(v, s, t):
@@ -292,7 +293,7 @@ def test_short_terminal_stops_at_the_first_short_terminal(monkeypatch, short):
 
     monkeypatch.setattr(flows, "Residual", CountingResidual)
     expected = None if short is None else (terminals[short], 1)
-    assert flows.short_terminal(inst, inst.positive_units, 2) == expected
+    assert flows.short_terminal(inst, selection_from_units(inst.positive_units), 2) == expected
     assert [flow.sink for flow in built] == (terminals if short is None else terminals[: short + 1])
     assert all(flow.value <= 2 for flow in built)
 
@@ -304,6 +305,19 @@ def test_short_terminal_is_the_first_terminal_below_need(seed, data):
     units = data.draw(st.lists(st.sampled_from(inst.positive_units), unique=True)
                       if inst.positive_units else st.just([]))
     need = data.draw(st.integers(0, inst.k + 1))
-    conn = solution_of(inst, units).connectivity
+    selected = selection_from_units(units)
+    conn = solution_of(inst, selected).connectivity
     expected = next(((t, v) for t, v in conn.items() if v < need), None)
-    assert flows.short_terminal(inst, units, need) == expected
+    assert flows.short_terminal(inst, selected, need) == expected
+
+
+def test_feasibility_checks_build_no_unit():
+    # terminal 2 is unreachable and edge 0 -> 1 has 10^9 copies: the checks
+    # over every positive edge read it as one arc at its multiplicity, so
+    # neither builds (nor caches) a unit
+    inst = Instance(3, 0, frozenset({2}), (Edge(1, 0, 1, Fraction(1), 10**9),), 1)
+    with pytest.raises(InfeasibleError) as exc:
+        require_feasible(inst)
+    assert (exc.value.terminal, exc.value.achieved) == (2, 0)
+    assert not _acceptable(inst, GenParams(3, 1, 1))
+    assert "positive_units" not in vars(inst)

@@ -4,13 +4,13 @@ import pytest
 
 from rkec.flows import working_arcs
 from rkec.generate import GenParams, default_corpus_params, generate_instance
-from rkec.instance import instance_to_json, validate_quasi_bipartite
+from rkec.instance import instance_to_json, selection_from_units, validate_quasi_bipartite
 
 from reference import maximum_flow
 
 
 def instance_view(inst, units):
-    return inst.node_count, working_arcs(inst, units)
+    return inst.node_count, working_arcs(inst, selection_from_units(units))
 
 
 def max_flow_value(view, s, t):

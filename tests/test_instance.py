@@ -140,7 +140,7 @@ def test_positive_units_expand_multiplicity():
     edges = (Edge(1, 0, 1, Fraction(3), 2), Edge(2, 0, 1, Fraction(0), 3))
     inst = Instance(2, 0, frozenset({1}), edges, 1)
     assert inst.positive_units == ((1, 0), (1, 1))
-    assert inst.units_cost(inst.positive_units) == 6
+    assert inst.selection_cost(selection_from_units(inst.positive_units)) == 6
 
 
 def test_solution_round_trip(instance_a):

@@ -178,6 +178,20 @@ def _calls(tree):
                 yield getattr(stmt, "name", None), node.func
 
 
+def test_below_the_report_a_selection_is_per_edge_counts():
+    # flows and the greedy take a selection as edge id -> copies bought and
+    # convert no unit list into it; the verifier rebuilds a solution from its
+    # counts without expanding them into units
+    for name in ("flows.py", "greedy.py"):
+        called = {ast.unparse(func) for _, func in _calls(ast.parse((PACKAGE / name).read_text()))}
+        assert "selection_from_units" not in called, name
+    verify = ast.parse((PACKAGE / "verify.py").read_text())
+    assert not [
+        func for owner, func in _calls(verify)
+        if owner == "check_feasible" and isinstance(func, ast.Attribute) and func.attr == "units"
+    ]
+
+
 # the whole interface of a flow outside ``flows.py``: it grows by ``grow``
 # alone, is undone by ``mark``/``rollback`` and is read through the rest
 # (``reach``, the one reachability read, and ``closest_sink_side``)

@@ -334,13 +334,13 @@ def test_a_parallel_edge_offers_its_lowest_free_copy():
         3,
     )
     one = [(1, 0)]
-    assert candidate_heads(inst, one) == ((1, 1), (2, 0), (3, 0))
+    assert candidate_heads(inst, selection_from_units(one)) == ((1, 1), (2, 0), (3, 0))
     cores = rooted_cores(inst, one)
     assert [c.members for c in cores] == [frozenset({1})]
     assert fresh_cover(inst, one, cores, cores[0], (2, 0)).legs == ((1, 1),)
 
     both = [(1, 0), (1, 1)]
-    assert candidate_heads(inst, both) == ((2, 0), (3, 0))
+    assert candidate_heads(inst, selection_from_units(both)) == ((2, 0), (3, 0))
     cores = rooted_cores(inst, both)
     assert [c.members for c in cores] == [frozenset({1})]
     assert fresh_cover(inst, both, cores, cores[0], (2, 0)).legs == ((3, 0),)

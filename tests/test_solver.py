@@ -15,10 +15,18 @@ from rkec import flows, greedy, solver
 from rkec.exact import brute_force_opt
 from rkec.flows import short_terminal, solution_of
 from rkec.generate import GenParams, default_corpus_params, generate_instance
-from rkec.instance import Edge, InfeasibleError, Instance, dump_json, load_object
+from rkec.instance import (
+    Edge,
+    InfeasibleError,
+    Instance,
+    dump_json,
+    load_object,
+    selection_from_units,
+)
 from rkec.solver import (
     harmonic,
     phases_doc,
+    prune_solution,
     report_from_doc,
     report_to_doc,
     solve,
@@ -26,7 +34,7 @@ from rkec.solver import (
 from rkec.verify import bound_decision, check_feasible
 
 from conftest import INSTANCE_A_JSON, small_random_instance
-from reference import rooted_max_level
+from reference import pruned_by_units, rooted_max_level
 
 
 def phases(report):
@@ -36,7 +44,7 @@ def phases(report):
 
 def free_floor(inst):
     """The connectivity the zero-cost subgraph already gives, capped at k."""
-    return min(min(solution_of(inst, ()).connectivity.values()), inst.k)
+    return min(min(solution_of(inst, {}).connectivity.values()), inst.k)
 
 
 def test_harmonic_values():
@@ -79,7 +87,7 @@ def test_infeasible_instance_raises():
     with pytest.raises(InfeasibleError) as exc:
         solve(inst)
     assert exc.value.terminal == 2
-    short = short_terminal(inst, inst.positive_units, inst.k)
+    short = short_terminal(inst, selection_from_units(inst.positive_units), inst.k)
     assert (exc.value.terminal, exc.value.achieved, exc.value.required) == (*short, inst.k)
 
 
@@ -111,7 +119,7 @@ def test_solve_raises_exactly_on_an_infeasible_instance(seed):
     # when every positive unit leaves some terminal short, naming the first
     # such terminal and its path count
     inst = small_random_instance(random.Random(seed), max_nodes=7, max_k=3)
-    short = short_terminal(inst, inst.positive_units, inst.k)
+    short = short_terminal(inst, selection_from_units(inst.positive_units), inst.k)
     try:
         solve(inst)
     except InfeasibleError as exc:
@@ -140,6 +148,30 @@ def test_prune_flag(instance_a):
     assert report.pruned is not None
     assert report.pruned.feasible
     assert report.pruned.total_cost <= report.solution.total_cost
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_count_prune_equals_the_unit_list_prune(seed):
+    # every positive edge has two or three copies, so a trial often takes
+    # one copy off an edge whose other copies stay: the count decrements
+    # must keep the selection (and cost) that dropping units from a list
+    # keeps, on the greedy's units and on every unit in a random order
+    rng = random.Random(seed)
+    inst = small_random_instance(rng, max_nodes=5, max_k=3)
+    inst = replace(inst, edges=tuple(
+        replace(e, mult=rng.randint(2, 3)) if e.cost > 0 else e for e in inst.edges
+    ))
+    try:
+        records = solve(inst).solution.audit
+    except InfeasibleError:
+        return
+    every = list(inst.positive_units)
+    rng.shuffle(every)
+    for units in ([u for rec in records for u in rec.added_units], every):
+        fast, slow = prune_solution(inst, units), pruned_by_units(inst, units)
+        assert fast.selected == slow.selected and fast.total_cost == slow.total_cost
+        assert fast == slow
 
 
 def test_report_round_trip(instance_a):
