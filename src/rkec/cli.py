@@ -115,6 +115,22 @@ def _read_optimum(inst, path: str):
     return opt
 
 
+def _optimum(inst, args):
+    """The exact optimum ``--opt`` names or ``--brute`` finds, else None."""
+    if args.opt:
+        return _read_optimum(inst, args.opt)
+    return brute_force_opt(inst, max_units=args.max_brute_edges) if args.brute else None
+
+
+def _short_audit(args, rebuilt, solution) -> int:
+    """Write the short audit of ``solution`` off its rebuild; returns the exit code."""
+    ok, connectivity = rebuilt == solution, sorted(rebuilt.connectivity.items())
+    payload = {"feasible": rebuilt.feasible, "recorded_ok": ok,
+               "connectivity": {str(t): v for t, v in connectivity}}
+    _write(args.out, _envelope("audit-report", payload, args.no_timestamp))
+    return EXIT_INFEASIBLE if not rebuilt.feasible else EXIT_OK if ok else EXIT_VIOLATION
+
+
 def cmd_verify(args) -> int:
     if args.solution:
         for flag, given in (
@@ -127,32 +143,15 @@ def cmd_verify(args) -> int:
                     f"{flag} needs --report: a bare --solution is only compared with its rebuild"
                 )
     inst = parse_instance(Path(args.instance).read_text())
-    if args.report:
-        run = report_from_doc(_read_doc(args.report))
-        solution = run.solution
-    else:
+    if args.solution:
         solution = solution_from_doc(_read_doc(args.solution))
-        run = None
+        return _short_audit(args, check_feasible(inst, solution), solution)
 
-    rebuilt = check_feasible(inst, solution)
-    if run is None or not rebuilt.feasible:
-        payload = {
-            "feasible": rebuilt.feasible,
-            "connectivity": {str(t): v for t, v in sorted(rebuilt.connectivity.items())},
-            "recorded_ok": rebuilt == solution,
-        }
-        _write(args.out, _envelope("audit-report", payload, args.no_timestamp))
-        if not rebuilt.feasible:
-            return EXIT_INFEASIBLE
-        return EXIT_OK if payload["recorded_ok"] else EXIT_VIOLATION
-
-    opt = None
-    if args.opt:
-        opt = _read_optimum(inst, args.opt)
-    elif args.brute:
-        opt = brute_force_opt(inst, max_units=args.max_brute_edges)
-
-    audit = audit_run(inst, run, opt, density_max_units=args.density_max_units)
+    run = report_from_doc(_read_doc(args.report))
+    optimum = functools.partial(_optimum, inst, args)
+    audit = audit_run(inst, run, optimum, density_max_units=args.density_max_units)
+    if not audit.rebuilt.feasible:
+        return _short_audit(args, audit.rebuilt, run.solution)
     _write(args.out, _envelope("audit-report", audit_to_doc(audit), args.no_timestamp))
     return EXIT_OK if audit.clean else EXIT_VIOLATION
 
@@ -188,7 +187,7 @@ def cmd_bench(args) -> int:
             row["opt"] = frac_to_str(opt.total_cost)
         else:
             row["opt"] = None
-        audit = audit_run(inst, report, opt)
+        audit = audit_run(inst, report, lambda: opt)
         if not audit.clean:
             row["status"] = "audit violation"
             worst = max(worst, EXIT_VIOLATION)

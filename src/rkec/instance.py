@@ -52,12 +52,11 @@ def frac_to_str(x: Fraction) -> str:
 
 
 def frac_from_obj(obj) -> Fraction:
-    """Parse a rational from a JSON value: "p/q" string or plain integer."""
-    if isinstance(obj, bool):
-        raise ParseError(f"not a rational: {obj!r}")
-    if isinstance(obj, int):
+    """Parse a rational from a JSON value: a "p/q" or decimal string, or an
+    int.  No exponent: ``Fraction`` builds 10**exp past every digit limit."""
+    if type(obj) is int:
         return Fraction(obj)
-    if isinstance(obj, str):
+    if isinstance(obj, str) and "e" not in obj.lower():
         try:
             return Fraction(obj)
         except (ValueError, ZeroDivisionError) as exc:

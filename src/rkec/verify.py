@@ -13,6 +13,7 @@ are rational, and for |T| = 1 the interval is a point).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -93,9 +94,7 @@ def bound_decision(
 
 @dataclass
 class AuditReport:
-    feasible: bool
-    connectivity: dict[int, int]
-    cost: Fraction  # recomputed from the selection; the ratio uses this one
+    rebuilt: Solution  # the solution rebuilt from its selection; the ratio uses its cost
     recorded_cost_ok: bool  # total_cost and every added_cost equal the recomputed ones
     recorded_units_ok: bool  # added_units are exactly the selection, each holding its star_center
     recorded_solution_ok: bool  # solution and pruned equal their rebuilds, pruned within it
@@ -112,7 +111,7 @@ class AuditReport:
     @property
     def clean(self) -> bool:
         return (
-            self.feasible
+            self.rebuilt.feasible
             and self.recorded_cost_ok
             and self.recorded_units_ok
             and self.recorded_solution_ok
@@ -126,34 +125,37 @@ class AuditReport:
 def audit_run(
     inst: Instance,
     report: SolveReport,
-    opt: Solution | None = None,
+    optimum: Callable[[], Solution | None] | None = None,
     *,
     density_max_units: int | None = None,
 ) -> AuditReport:
-    """Audit a recorded run.
+    """Audit a recorded run off one rebuild of its solution.
 
-    Always: the solution and ``pruned`` against their rebuilds (either one
-    differing, or ``pruned`` infeasible or buying an edge more often than the
-    solution, makes the audit unclean), the costs (the total recomputed from
-    the selection, each iteration's from its added units; a recorded cost that
-    differs, or added units that are not exactly the selection, counted before
-    it is expanded, or miss their record's ``star_center``, make the audit
-    unclean), the guarantee's inputs (H of the first level, from the zero-cost
-    graph's connectivity, and |T|, from the instance; a recorded pair that
-    differs makes the audit unclean) and the per-iteration core-drop rule (the
-    core count must fall by at least half the leaf count, rounded up).  With an
-    exact optimum: the ratio (1 when cost and optimum are both 0, None when
-    only the optimum is) and, for a quasi-bipartite instance, the ratio
-    bound.  With ``density_max_units`` set, the added units exactly the
-    selection and the instance small enough: replay the run and check each
-    iteration's density against (2/level) * (residual optimum) / (cores
-    before), brute-forcing the residual optimum from the iteration's state.
+    Always: the solution against its rebuild, the costs (the total recomputed
+    from the selection, each iteration's from its added units; a recorded cost
+    that differs, or added units that are not exactly the selection, counted
+    before it is expanded, or miss their record's ``star_center``, make the
+    audit unclean), the guarantee's inputs (H of the first level and |T|, from
+    the instance; a recorded pair that differs makes the audit unclean) and
+    the per-iteration core-drop rule (the core count must fall by at least half
+    the leaf count, rounded up).  An infeasible rebuild is unclean, and only a
+    feasible one goes on: ``optimum`` (if given) is called once, straight
+    after the rebuild, for the exact optimum or None, and ``pruned`` is
+    checked against its own rebuild (differing, infeasible or buying an edge
+    more often than the solution is unclean).  With an optimum: the ratio (1
+    when cost and optimum are both 0, None when only the optimum is) and, for
+    a quasi-bipartite instance, the ratio bound.  With ``density_max_units``
+    set, the added units exactly the selection and the instance small enough:
+    replay the run, checking each iteration's density against (2/level) *
+    (residual optimum) / (cores before), the residual optimum brute-forced
+    from the iteration's state.
     """
     solution = report.solution
     selected = solution.selected
     rebuilt = check_feasible(inst, solution)
+    opt = optimum() if optimum is not None and rebuilt.feasible else None
     solution_ok = rebuilt == solution
-    if report.pruned is not None:
+    if report.pruned is not None and rebuilt.feasible:
         pruned = check_feasible(inst, report.pruned)
         within = all(c <= selected.get(e, 0) for e, c in pruned.selected.items())
         solution_ok &= pruned == report.pruned and pruned.feasible and within
@@ -170,9 +172,7 @@ def audit_run(
     bound_harmonic = harmonic(first_level)
     terminal_count = len(inst.terminals)
     out = AuditReport(
-        feasible=rebuilt.feasible,
-        connectivity=rebuilt.connectivity,
-        cost=cost,
+        rebuilt=rebuilt,
         recorded_cost_ok=solution.total_cost == cost and costs_ok,
         recorded_units_ok=units_ok
         and all(rec.star_center in dict(rec.added_units) for rec in solution.audit),
@@ -196,7 +196,7 @@ def audit_run(
             holds, lo, hi = bound_decision(cost, opt.total_cost, bound_harmonic, terminal_count)
             out.bound_holds, out.bound_lo, out.bound_hi = holds, lo, hi
 
-    if density_max_units is not None and units_ok:
+    if density_max_units is not None and units_ok and rebuilt.feasible:
         try:
             out.density_violations = density_violations(
                 inst, report, max_units=density_max_units
@@ -239,9 +239,9 @@ def density_violations(inst: Instance, report: SolveReport, *, max_units: int) -
 
 def audit_to_doc(report: AuditReport) -> dict:
     return {
-        "feasible": report.feasible,
-        "connectivity": {str(t): v for t, v in sorted(report.connectivity.items())},
-        "cost": frac_to_str(report.cost),
+        "feasible": report.rebuilt.feasible,
+        "connectivity": {str(t): v for t, v in sorted(report.rebuilt.connectivity.items())},
+        "cost": frac_to_str(report.rebuilt.total_cost),
         "recorded_cost_ok": report.recorded_cost_ok,
         "recorded_units_ok": report.recorded_units_ok,
         "recorded_solution_ok": report.recorded_solution_ok,

@@ -5,7 +5,23 @@ from fractions import Fraction
 
 import pytest
 
+from rkec.flows import Residual
 from rkec.instance import Edge, Instance
+
+
+@pytest.fixture
+def residual_builds(monkeypatch) -> list:
+    """Every ``Residual`` built while the test runs, in build order; clear it
+    to count from a later point."""
+    built = []
+    build = Residual.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(Residual, "__init__", counted)
+    return built
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,18 @@ def test_gen_rejects_a_density_that_is_not_a_rational(density, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_an_exponent_cost_is_refused_before_it_is_expanded(tmp_path, capsys):
+    # Fraction would build 10**100000000 itself, past any digit limit
+    doc = json.loads(INSTANCE_A_JSON)
+    doc["edges"][0]["cost"] = "1e-100000000"
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert run("solve", "--instance", path, "--out", tmp_path / "r.json") == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == "error: not a rational: '1e-100000000'\n"
 
 
 def test_solve_fixture(instance_file, tmp_path, capsys):
@@ -403,6 +416,91 @@ def test_verify_recomputes_the_recorded_cost(corpus_seven, tmp_path):
     assert code == 4
     assert audit["clean"] is False and audit["recorded_cost_ok"] is False
     assert audit["cost"] == "30" and audit["ratio"] != "1/30"
+
+
+@pytest.mark.parametrize("flags, per_terminal", [([], 2), (["--brute"], 5)],
+                         ids=["no-optimum", "brute"])
+def test_verify_report_rebuilds_its_solution_once(corpus_seven, tmp_path, residual_builds, flags,
+                                                  per_terminal):
+    # |T| residuals for the solution's one rebuild and |T| for the first
+    # level's root flows; brute force adds its pre-check, its search root and
+    # its optimum's rebuild
+    inst, doc = corpus_seven
+    assert doc["pruned"] is None
+    report = tmp_path / "untouched.json"
+    report.write_text(json.dumps(doc))
+    residual_builds.clear()
+    assert run("verify", "--instance", inst, "--report", report, *flags,
+               "--out", tmp_path / "audit.json", "--no-timestamp") == 0
+    terminals = len(parse_instance(inst.read_text()).terminals)
+    assert len(residual_builds) == per_terminal * terminals
+
+
+def _brute_force_asked(*args, **kwargs):
+    raise AssertionError("brute force asked for")
+
+
+@pytest.mark.parametrize(
+    "flags, pruned",
+    [
+        ([], None),
+        (["--brute"], None),
+        (["--opt", "{dir}/missing.json"], None),
+        (["--density-max-units", "16"], None),
+        ([], [[999, 1]]),
+    ],
+    ids=["plain", "brute", "opt-missing", "density", "pruned-unknown-edge"],
+)
+def test_an_infeasible_report_gets_the_short_audit_of_its_solution(
+    corpus_seven, tmp_path, capsys, monkeypatch, flags, pruned
+):
+    # the audit's own rebuild decides it: no optimum is asked for, and
+    # neither ``pruned`` nor the density replay is read
+    inst, doc = corpus_seven
+    doc["solution"]["selected"] = []
+    if pruned is not None:
+        doc["pruned"] = {**doc["solution"], "selected": pruned}
+    report, sol = tmp_path / "infeasible.json", tmp_path / "sol.json"
+    report.write_text(json.dumps(doc))
+    sol.write_text(json.dumps({"kind": "solution", **doc["solution"]}))
+    monkeypatch.setattr("rkec.cli.brute_force_opt", _brute_force_asked)
+    flags = [flag.format(dir=tmp_path) for flag in flags]
+    capsys.readouterr()
+    outcomes = []
+    for argv in (["--report", report, *flags], ["--solution", sol]):
+        code = run("verify", "--instance", inst, *argv, "--out", "-", "--no-timestamp")
+        outcomes.append((code, capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    code, captured = outcomes[0]
+    assert code == 3 and captured.err == ""
+    assert json.loads(captured.out)["feasible"] is False
+
+
+@pytest.mark.parametrize("optimum", ["bad-opt", "brute-refused"])
+def test_a_feasible_report_asks_for_its_optimum_before_reading_pruned(
+    corpus_seven, tmp_path, capsys, optimum
+):
+    # a ``pruned`` naming an unknown edge is a parse failure too, but the
+    # optimum is asked for first, straight after the solution's rebuild
+    inst, doc = corpus_seven
+    doc["pruned"] = {**doc["solution"], "selected": [[999, 1]]}
+    report, opt, out = tmp_path / "bad-pruned.json", tmp_path / "opt.json", tmp_path / "a.json"
+    report.write_text(json.dumps(doc))
+    if optimum == "bad-opt":
+        assert run("brute", "--instance", inst, "--out", opt, "--no-timestamp") == 0
+        opt.write_text(json.dumps({**json.loads(opt.read_text()), "total_cost": "1000"}))
+        flags, code = ["--opt", opt], 2
+        message = f"error: {opt}: total_cost 1000 but the selection costs "
+    else:
+        flags, code = ["--brute", "--max-brute-edges", "1"], 5
+        units = parse_instance(inst.read_text()).positive_unit_count
+        message = f"error: {units} positive edge units exceed the enumeration cap 1\n"
+    capsys.readouterr()
+    assert run("verify", "--instance", inst, "--report", report, *flags,
+               "--out", out, "--no-timestamp") == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

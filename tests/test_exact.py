@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rkec.exact import brute_force_opt, cheapest_completion
-from rkec.flows import Residual, require_feasible, solution_of
+from rkec.flows import require_feasible, solution_of
 from rkec.generate import GenParams, _acceptable, default_corpus_params, generate_instance
 from rkec.instance import Edge, InfeasibleError, Instance, SizeRefusalError, selection_from_units
 from rkec.solver import solve
@@ -176,23 +176,15 @@ def test_size_caps_count_units_without_building_them():
 
 
 @pytest.mark.parametrize("seed", [1, 7, 232, 424])
-def test_search_builds_three_residuals_per_terminal(seed, monkeypatch):
+def test_search_builds_three_residuals_per_terminal(seed, residual_builds):
     # the pre-check, the search root and ``solution_of``; every search node
     # grows its parent's flows in place and rolls them back, so it builds
     # none (seed 424 is the corpus's deepest search, 2,619 builds per
     # terminal afresh)
     inst = generate_instance(default_corpus_params(seed))
-    builds = 0
-    build = Residual.__init__
-
-    def counted_build(self, *args, **kwargs):
-        nonlocal builds
-        builds += 1
-        build(self, *args, **kwargs)
-
-    monkeypatch.setattr(Residual, "__init__", counted_build)
+    residual_builds.clear()
     assert brute_force_opt(inst).feasible
-    assert builds <= 3 * len(inst.terminals)
+    assert len(residual_builds) <= 3 * len(inst.terminals)
 
 
 @settings(max_examples=25, deadline=None)

@@ -92,8 +92,16 @@ def test_rational_round_trip():
     for text in ["0", "7", "3/2", "22/7"]:
         assert frac_to_str(frac_from_obj(text)) == text
     assert frac_from_obj(5) == Fraction(5)
+    assert frac_from_obj("2.5") == Fraction(5, 2)
     with pytest.raises(ParseError):
         frac_from_obj(1.5)
+
+
+@pytest.mark.parametrize("text", ["1e3", "1E3", "2.5e-1"])
+def test_exponent_strings_are_not_rationals(text):
+    # Fraction expands an exponent into 10**exp itself, however long it takes
+    with pytest.raises(ParseError, match="not a rational"):
+        frac_from_obj(text)
 
 
 def test_instance_round_trip(instance_a):

@@ -244,7 +244,7 @@ def test_flows_are_built_in_one_place_and_never_copied(monkeypatch):
     monkeypatch.setattr(Residual, "__setattr__", spy(object.__setattr__))
     inst = generate_instance(default_corpus_params(7))
     report = solve(inst, prune=True)
-    audit = audit_run(inst, report, brute_force_opt(inst), density_max_units=16)
+    audit = audit_run(inst, report, lambda: brute_force_opt(inst), density_max_units=16)
     assert audit.clean and audit.density_checked
     assert RESIDUAL_METHODS <= touched <= RESIDUAL_INTERFACE, sorted(touched)
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkec import flows, greedy, solver
+from rkec import greedy, solver
 from rkec.exact import brute_force_opt
 from rkec.flows import short_terminal, solution_of
 from rkec.generate import GenParams, default_corpus_params, generate_instance
@@ -280,7 +280,7 @@ def test_solve_checks_final_feasibility_under_python_O():
     assert proc.stdout.startswith("raised: greedy selection leaves a terminal short of k")
 
 
-def test_solve_queries_the_cores_of_each_state_once(monkeypatch):
+def test_solve_queries_the_cores_of_each_state_once(monkeypatch, residual_builds):
     # one query for the start state and one after each bought star, over
     # three phases (levels 3, 2 and 1).  The queries read the flows the
     # greedy carries, so a solve builds 2 |T| residuals: the carried ones
@@ -290,25 +290,19 @@ def test_solve_queries_the_cores_of_each_state_once(monkeypatch):
     ))
     real = greedy.cores_of
     calls = []
-    built = []
 
     def counting(inst, carried):
         # a state is told apart by its flows' arc counts: each star adds arcs
         calls.append(tuple(len(flow.to) for flow in carried.values()))
         return real(inst, carried)
 
-    class CountingResidual(flows.Residual):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
-
     monkeypatch.setattr(greedy, "cores_of", counting)
-    monkeypatch.setattr(flows, "Residual", CountingResidual)
+    residual_builds.clear()
     report = solve(inst)
     assert [ph["level"] for ph in phases(report)] == [3, 2, 1]
     assert len(calls) == len(report.solution.audit) + 1
     assert len(set(calls)) == len(calls)
-    assert len(built) == 2 * len(inst.terminals)
+    assert len(residual_builds) == 2 * len(inst.terminals)
 
 
 @pytest.mark.parametrize("factor", [Fraction(1, 7), Fraction(5, 3)], ids=str)

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rkec.exact import brute_force_opt
-from rkec.flows import Residual
 from rkec.generate import default_corpus_params, generate_instance
 from rkec.instance import (
     Edge,
@@ -126,7 +125,7 @@ def test_bound_decision_decides_on_its_first_interval(bound_harmonic, terminal_c
 def test_fixture_audit(instance_a):
     report = solve(instance_a)
     opt = brute_force_opt(instance_a)
-    audit = audit_run(instance_a, report, opt, density_max_units=16)
+    audit = audit_run(instance_a, report, lambda: opt, density_max_units=16)
     assert audit.clean
     assert audit.ratio == 1
     # 2 * H(1) * (1 + ln 2), from mpmath at 100 digits
@@ -148,7 +147,7 @@ def test_audit_ratio_of_a_zero_optimum_met_at_zero_cost_is_one():
     report = solve(inst)
     opt = brute_force_opt(inst)
     assert report.solution.total_cost == opt.total_cost == 0
-    audit = audit_run(inst, report, opt)
+    audit = audit_run(inst, report, lambda: opt)
     assert audit.clean and audit.ratio == 1
     assert audit_to_doc(audit)["ratio"] == "1"
 
@@ -156,14 +155,14 @@ def test_audit_ratio_of_a_zero_optimum_met_at_zero_cost_is_one():
 def test_audit_ratio_of_a_zero_optimum_met_at_a_cost_is_none():
     inst = _zero_optimum_instance()
     report = SolveReport(check_feasible(inst, Solution({3: 1}, Fraction(5), {}, True)))
-    audit = audit_run(inst, report, brute_force_opt(inst))
-    assert audit.cost == 5 and audit.ratio is None
+    audit = audit_run(inst, report, lambda: brute_force_opt(inst))
+    assert audit.rebuilt.total_cost == 5 and audit.ratio is None
 
 
 def test_audit_without_optimum_is_feasibility_only(instance_a):
     report = solve(instance_a)
     audit = audit_run(instance_a, report)
-    assert audit.feasible and audit.ratio is None and audit.bound_holds is None
+    assert audit.rebuilt.feasible and audit.ratio is None and audit.bound_holds is None
     assert not audit.density_checked
 
 
@@ -193,7 +192,7 @@ def test_audit_infeasible_solution(instance_a):
         terminal_count=2,
     )
     audit = audit_run(instance_a, broken)
-    assert not audit.feasible and not audit.clean
+    assert not audit.rebuilt.feasible and not audit.clean
 
 
 @pytest.mark.parametrize("pruned, clean", [("solution", True), ("every", False), ("none", False)])
@@ -223,7 +222,7 @@ def test_guarantee_claimed_only_for_quasi_bipartite_instances():
     report = solve(inst)
     opt = brute_force_opt(inst)
     assert opt.total_cost == 3
-    audit = audit_run(inst, report, opt)
+    audit = audit_run(inst, report, lambda: opt)
     assert not audit.guarantee_applies
     assert audit.ratio == report.solution.total_cost / 3
     assert audit.bound_holds is None and audit.bound_lo is None and audit.bound_hi is None
@@ -233,24 +232,16 @@ def test_guarantee_claimed_only_for_quasi_bipartite_instances():
 
 
 @pytest.mark.parametrize("seed", [3, 11, 15, 39])
-def test_density_replay_builds_one_flow_set_per_record(seed, monkeypatch):
+def test_density_replay_builds_one_flow_set_per_record(seed, residual_builds):
     # one feasibility check of the whole instance, then one search root per
     # record: no per-record check, and no solution rebuilt from the optimum
     inst = generate_instance(default_corpus_params(seed))
     report = solve(inst)
     records = len(report.solution.audit)
     assert records >= 3
-    builds = 0
-    build = Residual.__init__
-
-    def counted(self, *args, **kwargs):
-        nonlocal builds
-        builds += 1
-        build(self, *args, **kwargs)
-
-    monkeypatch.setattr(Residual, "__init__", counted)
+    residual_builds.clear()
     assert density_violations(inst, report, max_units=22) == []
-    assert builds <= len(inst.terminals) * (records + 1)
+    assert len(residual_builds) <= len(inst.terminals) * (records + 1)
 
 
 def test_path_packing_witness(instance_a):
@@ -286,8 +277,8 @@ def test_audit_is_pure(seed):
     if len(inst.positive_units) > 14:
         return
     opt = brute_force_opt(inst)
-    first = audit_run(inst, report, opt, density_max_units=14)
-    second = audit_run(inst, report, opt, density_max_units=14)
+    first = audit_run(inst, report, lambda: opt, density_max_units=14)
+    second = audit_run(inst, report, lambda: opt, density_max_units=14)
     assert dump_json(audit_to_doc(first)) == dump_json(audit_to_doc(second))
     assert first.clean
 
