@@ -56,6 +56,7 @@ from reference import (  # noqa: E402
     free_leg_candidates,
     fresh_cover,
     overpaid_candidates,
+    positive_units,
 )
 
 
@@ -83,17 +84,14 @@ def check_state(inst, state, per_state, seed):
             mismatches += 1
     shared = dict(pricing.ranked) if pricing else {}
     for head in heads[:per_state]:
-        arc = inst.unit_arc(head)
+        arc = inst.arc(head)
         floors = {core: floor for (core, _), floor in pricing.touched(arc)} if pricing else {}
         for core in cores:
             ring = enumerated_ring_family(inst, state, cores, core).ring_view(core.members)
             exact = brute_force_ring_cover(
                 ring.members,
                 arc,
-                [
-                    (u, *inst.unit_arc(u), inst.edge_by_id[u[0]].cost)
-                    for u in heads if u[0] != head[0]
-                ],
+                [(e, *inst.arc(e), inst.edge_by_id[e].cost) for e in heads if e != head],
             )
             contexts += 1
             floor = floors.get(core)  # None: the pair reuses the shared cover
@@ -151,11 +149,11 @@ def main(argv=None) -> int:
             inst.node_count, inst.root, inst.terminals,
             tuple(replace(e, cost=e.cost / denominator) for e in inst.edges), inst.k,
         )
-        cases = [(inst, frozenset(u for u in inst.positive_units if rng.random() < 0.3))]
+        cases = [(inst, frozenset(u for u in positive_units(inst) if rng.random() < 0.3))]
         if inst.positive_edges:
             dropped = rng.choice(inst.positive_edges)
             cut = replace(inst, edges=tuple(e for e in inst.edges if e != dropped))
-            cases.append((cut, frozenset(u for u in cut.positive_units if rng.random() < 0.3)))
+            cases.append((cut, frozenset(u for u in positive_units(cut) if rng.random() < 0.3)))
         for case, state in cases:
             counts = check_state(case, state, args.per_state, seed)
             contexts += counts[0]

@@ -19,6 +19,7 @@ from .instance import (
     InfeasibleError,
     ParseError,
     SizeRefusalError,
+    connectivity_to_doc,
     dump_json,
     frac_from_obj,
     frac_to_str,
@@ -124,9 +125,9 @@ def _optimum(inst, args):
 
 def _short_audit(args, rebuilt, solution) -> int:
     """Write the short audit of ``solution`` off its rebuild; returns the exit code."""
-    ok, connectivity = rebuilt == solution, sorted(rebuilt.connectivity.items())
+    ok = rebuilt == solution
     payload = {"feasible": rebuilt.feasible, "recorded_ok": ok,
-               "connectivity": {str(t): v for t, v in connectivity}}
+               "connectivity": connectivity_to_doc(rebuilt.connectivity)}
     _write(args.out, _envelope("audit-report", payload, args.no_timestamp))
     return EXIT_INFEASIBLE if not rebuilt.feasible else EXIT_OK if ok else EXIT_VIOLATION
 

@@ -13,13 +13,14 @@ tests.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from .flows import require_feasible, root_flows, solution_of
-from .instance import Instance, SizeRefusalError, Solution, selection_from_units
+from .instance import Instance, SizeRefusalError, Solution
 
 
 def brute_force_opt(inst: Instance, *, max_units: int = 22) -> Solution:
-    """Exact minimum-cost feasible selection: the solution of the units
+    """Exact minimum-cost feasible selection: the solution of the edges
     ``cheapest_completion`` picks from nothing.
 
     Raises SizeRefusalError when there are more than ``max_units`` positive
@@ -31,70 +32,70 @@ def brute_force_opt(inst: Instance, *, max_units: int = 22) -> Solution:
             f"{count} positive edge units exceed the enumeration cap {max_units}"
         )
     require_feasible(inst)
-    return solution_of(inst, selection_from_units(cheapest_completion(inst, ())[1]))
+    return solution_of(inst, Counter(cheapest_completion(inst, {})[1]))
 
 
-def cheapest_completion(inst: Instance, preselected) -> tuple[int, tuple]:
-    """(cost, sorted units) of the cheapest completion of ``preselected``, by
-    branch and bound over the other positive units; the instance must be
-    feasible with every unit.  The cost is an integer in units of
-    1/``inst.cost_scale``, the preselected units not counted.
+def cheapest_completion(inst: Instance, preselected) -> tuple[int, tuple[int, ...]]:
+    """(cost, sorted edge ids, one per copy) of the cheapest completion of
+    the selection ``preselected`` (edge id -> copies bought), by branch and
+    bound over the positive edges' other copies; the instance must be
+    feasible with every copy.  The cost is an integer in units of
+    1/``inst.cost_scale``, the preselected copies not counted.
 
-    Ties are broken toward the lexicographically smallest unit set.  The
-    search branches on the units entering the worst terminal's closest
-    minimum cut (every feasible completion must pick one), one branch per
-    edge on its lowest free copy.  A branch excludes every copy of its
+    Ties are broken toward the lexicographically smallest edge-id multiset.
+    The search branches on the edges entering the worst terminal's closest
+    minimum cut that have a copy left (every feasible completion must pick
+    one), one branch per edge, buying one more copy.  A branch excludes its
     earlier siblings' edges, which kills permutation duplicates and loses
     nothing: a completion that uses such an edge is reached in that
-    sibling's branch, through the edge's lowest free copy.  The admissible
-    bound packs disjoint cuts: the worst terminal's deficit-many cheapest
-    entering units, plus, for each other deficient terminal in id order
-    whose closest sink side is disjoint from every side taken so far, its
-    own deficit-many cheapest entering units (no arc enters two disjoint
-    sets).  It carries one root flow per deficient terminal, stopped at k,
-    built once at the root: each child grows its parent's flows in place by
-    the branched unit (``Residual.grow``), recurses on the terminals still
-    below k, and rolls every flow back to its ``mark`` when it returns.
-    Below k a flow is a maximum flow, so its closest sink side is the one a
-    fresh flow would give.  The search starts with no incumbent: its first
-    dive, always down the cheapest branch and never cut by the bound, is a
-    greedy repair that reaches a leaf, and with no deficient terminal the
-    root itself is the leaf (cost 0, no units).  The plain enumeration it is
-    checked against lives with the tests.
+    sibling's branch.  The admissible bound packs disjoint cuts: the worst
+    terminal's deficit-many cheapest copies left entering it, plus, for each
+    other deficient terminal in id order whose closest sink side is disjoint
+    from every side taken so far, its own deficit-many cheapest entering
+    copies (no arc enters two disjoint sets).  It carries one root flow per
+    deficient terminal, stopped at k, built once at the root: each child
+    grows its parent's flows in place by the branched edge
+    (``Residual.grow``), recurses on the terminals still below k, and rolls
+    every flow back to its ``mark`` when it returns.  Below k a flow is a
+    maximum flow, so its closest sink side is the one a fresh flow would
+    give.  The search starts with no incumbent: its first dive, always down
+    the cheapest branch and never cut by the bound, is a greedy repair that
+    reaches a leaf, and with no deficient terminal the root itself is the
+    leaf (cost 0, no edges).  The plain enumeration it is checked against
+    lives with the tests.
     """
-    preselected = frozenset(preselected)
-    cost_of = inst.scaled_cost
-    # (scaled cost, unit, arc) of every free unit, cheapest first, its arc
-    # the (tail, head, 1) triple that grows a flow by the unit
-    free = sorted(
-        (cost_of(u), u, (*inst.unit_arc(u), 1))
-        for u in inst.positive_units
-        if u not in preselected
-    )
+    # (scaled cost, edge id, arc, copies not preselected) of every positive
+    # edge with one, cheapest first, its arc the (tail, head, 1) triple that
+    # grows a flow by a copy
+    free = [
+        (inst.scaled_cost(e.id), e.id, (e.tail, e.head, 1), left)
+        for e in inst.positive_by_cost
+        if (left := e.mult - preselected.get(e.id, 0)) > 0
+    ]
     k = inst.k
 
     def consider(chosen, cost):
-        nonlocal best_cost, best_units
+        nonlocal best_cost, best_edges
         key = tuple(sorted(chosen))
-        if cost < best_cost or (cost == best_cost and key < best_units):
-            best_cost, best_units = cost, key
+        if cost < best_cost or (cost == best_cost and key < best_edges):
+            best_cost, best_edges = cost, key
 
-    def free_units(chosen, excluded, side):
-        """Every free unit entering ``side`` that is not chosen and not a
-        copy of an excluded edge, cheapest first."""
+    def free_edges(chosen, excluded, side):
+        """(scaled cost, edge id, arc, copies left) of every edge entering
+        ``side``, not excluded and with a copy not chosen, cheapest first."""
         return [
-            (c, u, arc) for c, u, arc in free  # arc is (tail, head, 1)
-            if arc[1] in side and arc[0] not in side
-            and u not in chosen and u[0] not in excluded
+            (c, eid, arc, left) for c, eid, arc, copies in free  # arc is (tail, head, 1)
+            if arc[1] in side and arc[0] not in side and eid not in excluded
+            and (left := copies - chosen.count(eid)) > 0
         ]
 
-    def search(flows, chosen: frozenset, excluded: frozenset, cost: int):
+    def search(flows, chosen: tuple, excluded: frozenset, cost: int):
         if not flows:
             consider(chosen, cost)
             return  # costs are strictly positive, supersets cannot improve
         worst = min(flows, key=lambda flow: flow.value)  # the first largest deficit
         side = worst.closest_sink_side()
-        entering = free_units(chosen, excluded, side)
+        entering = free_edges(chosen, excluded, side)
         taken = set(side)
         bound = cost
         for flow in flows:
@@ -105,39 +106,30 @@ def cheapest_completion(inst: Instance, preselected) -> tuple[int, tuple]:
                 if not taken.isdisjoint(side):
                     continue
                 taken |= side
-                units = free_units(chosen, excluded, side)
+                edges = free_edges(chosen, excluded, side)
             else:
-                units = entering
+                edges = entering
             need = k - flow.value
-            if len(units) < need:
+            for c, _, _, left in edges:  # the need cheapest copies, edge by edge
+                copies = min(left, need)
+                bound, need = bound + c * copies, need - copies
+            if need or bound > best_cost:
                 return
-            bound += sum(c for c, _, _ in units[:need])
-            if bound > best_cost:
-                return
-        # Branch only on the lowest free copy of each edge; a later copy turns
-        # up again once its predecessor is chosen, so nothing is lost.
-        branch = []
-        seen_edges = set()
-        for c, u, arc in entering:
-            if u[0] not in seen_edges:
-                seen_edges.add(u[0])
-                branch.append((c, u, arc))
-        for i, (c, u, arc) in enumerate(branch):
+        for i, (c, eid, arc, _) in enumerate(entering):
             if cost + c > best_cost:
                 break  # the branch is cheapest first
             marks = [flow.mark() for flow in flows]
             search(
                 # an arc never lowers a flow: the ones still below k stay
                 [flow for flow in flows if flow.grow((arc,), k) < k],
-                chosen | {u},
-                excluded | {b[0] for _, b, _ in branch[:i]},
+                chosen + (eid,),
+                excluded | {b[1] for b in entering[:i]},
                 cost + c,
             )
             for flow, mark in zip(flows, marks):
                 flow.rollback(mark)
 
-    best_cost, best_units = math.inf, ()
-    root = [f for _, f in root_flows(inst, selection_from_units(preselected), k) if f.value < k]
-    search(root, frozenset(), frozenset(), 0)
-    return best_cost, best_units
-
+    best_cost, best_edges = math.inf, ()
+    root = [f for _, f in root_flows(inst, preselected, k) if f.value < k]
+    search(root, (), frozenset(), 0)
+    return best_cost, best_edges

@@ -12,10 +12,11 @@ summed price, which only makes the chosen star look worse, never infeasible.
 Pricing every (head, core) pair on a ring flow built afresh and taking the
 best star is the reference the tests hold ``cheapest_star`` to; on a
 feasible state it gives the same star with far less work.  Heads and legs
-are the lowest free copies of the positive edges, read off the instance's
+are the ids of the positive edges with a copy free, read off the instance's
 own edge orders and the selection's per-edge counts, so nothing is indexed
-per star.  It builds one pricing context: per core, the no-head ring on the
-representative's carried flow and its price, the prices ranked once.  The
+per star; only the records number copies (``cover_levels``).  It builds one
+pricing context: per core, the no-head ring on the representative's carried
+flow and its price, the prices ranked once.  The
 dual's raised sets are a nested chain, so the ones a head arc (u, v) enters
 form one interval of steps, empty unless v is on the chain.  A head that
 reaches pricing scans the ranked covers for the cores whose interval is
@@ -44,17 +45,15 @@ from typing import NamedTuple
 
 from .deficiency import CoreInfo, cores_of
 from .flows import require_feasible, root_flows
-from .instance import Instance, IterationRecord, Unit
+from .instance import Edge, Instance, IterationRecord
 from .rings import RingCover, primal_dual_ring_cover, ring_stops
 
 
-def candidate_heads(inst: Instance, taken) -> tuple[Unit, ...]:
-    """The star's heads: the lowest free copy of each positive edge under the
+def candidate_heads(inst: Instance, taken) -> tuple[Edge, ...]:
+    """The star's heads: every positive edge with a copy free under the
     selection ``taken`` (edge id -> copies bought), in the instance's
     (scaled cost, id) order, the order ``cheapest_star`` visits them in."""
-    return tuple(
-        (e.id, c) for e in inst.positive_by_cost if (c := taken.get(e.id, 0)) < e.mult
-    )
+    return tuple(e for e in inst.positive_by_cost if taken.get(e.id, 0) < e.mult)
 
 
 def _best_prefix(head_cost: int, costs) -> tuple[int, int]:
@@ -80,19 +79,19 @@ class Star(NamedTuple):
 
     total: int  # head cost + the chosen leaves' leg prices (overlaps counted per leaf)
     leaves: int  # how many leaves; the density is total / leaves
-    tie: tuple  # (head, leaf representatives): the last tie-breaker
+    tie: tuple  # (head edge id, leaf representatives): the last tie-breaker
     chosen: tuple[tuple[CoreInfo, RingCover], ...]
 
     @property
-    def head(self) -> Unit:
+    def head(self) -> int:
         return self.tie[0]
 
-    def units(self) -> set[Unit]:
-        """The head and every leaf's legs, each its edge's lowest free copy."""
-        units = {self.head}
+    def edges(self) -> set[int]:
+        """The ids of the head and every leaf's legs, one copy of each bought."""
+        edges = {self.head}
         for _, cover in self.chosen:
-            units.update(cover.legs)
-        return units
+            edges.update(cover.legs)
+        return edges
 
     def beats(self, other: Star) -> bool:
         """Lower density first (compared by cross-multiplying), then more
@@ -107,7 +106,7 @@ def _rank(pc: tuple[CoreInfo, RingCover]) -> tuple[int, int]:
     return pc[1].cost, pc[0].representative
 
 
-def _scan_head(head: Unit, head_cost: int, ranked) -> Star:
+def _scan_head(head: int, head_cost: int, ranked) -> Star:
     """Best leaf prefix for one head of scaled cost ``head_cost``; ``ranked``
     holds its priced (core, cover) pairs, nonempty and in ``_rank`` order."""
     total, j = _best_prefix(head_cost, (cover.cost for _, cover in ranked))
@@ -115,7 +114,7 @@ def _scan_head(head: Unit, head_cost: int, ranked) -> Star:
     return Star(total, j, (head, tuple(core.representative for core, _ in chosen)), chosen)
 
 
-def _cover(inst: Instance, flow, bound: int, stops, taken, head: Unit | None = None) -> RingCover:
+def _cover(inst: Instance, flow, bound: int, stops, taken, head: int | None = None) -> RingCover:
     """The primal-dual price of a ring (``primal_dual_ring_cover``); an
     uncoverable ring raises the instance's ``InfeasibleError``.
 
@@ -125,9 +124,9 @@ def _cover(inst: Instance, flow, bound: int, stops, taken, head: Unit | None = N
     has k - l paths, so S holds no stop (one would count as the root) and
     no head and no picked leg enters S.  S has at least k entering units in
     all, so at least l >= 1 free units enter it, on edges other than the
-    head's and the picks', and each such edge's lowest free copy is on the
-    ascent's heap.  Conversely, an uncoverable ring exhibits a set S that
-    holds the representative and has fewer than k entering units in all, so
+    head's and the picks', and each such edge is on the ascent's heap.
+    Conversely, an uncoverable ring exhibits a set S that holds the
+    representative and has fewer than k entering units in all, so
     ``require_feasible`` raises.
     """
     cover = primal_dual_ring_cover(inst, flow, bound, stops, taken, head)
@@ -219,7 +218,7 @@ def cheapest_star(inst: Instance, taken, cores, flows) -> Star:
     proven but checked, cover for cover, by the tests and
     ``scripts/ring_cross_check.py``.
 
-    Bounds: heads are visited in ascending (cost, unit),
+    Bounds: heads are visited in ascending (cost, edge id),
     ``candidate_heads``' order.  Any star with head h has density at least
     cost(h) / |cores|, so once that exceeds the best density seen the
     remaining heads cannot win (nor tie, the bound is strict).  Before
@@ -250,13 +249,11 @@ def cheapest_star(inst: Instance, taken, cores, flows) -> Star:
     best = None
     floors = {}  # head node -> its node floors, once per star
     dead = set()  # head nodes whose every later head loses
-    for head in candidate_heads(inst, taken):
-        head_cost = inst.scaled_cost(head)
+    for edge in candidate_heads(inst, taken):
+        head, node, head_cost = edge.id, edge.head, inst.scaled_cost(edge.id)
         # head_cost / m > best density
         if best is not None and head_cost * best.leaves > best.total * m:
             break
-        arc = inst.unit_arc(head)
-        node = arc[1]
         if node in dead:
             continue
         if best is not None:
@@ -266,7 +263,7 @@ def cheapest_star(inst: Instance, taken, cores, flows) -> Star:
             if total * best.leaves > best.total * j:  # so does every later head into node
                 dead.add(node)
                 continue
-        touched = pricing.touched(arc)
+        touched = pricing.touched((edge.tail, node))
         if best is not None:
             # the shared costs, the touched cores' floors in place of theirs
             costs = list(pricing.costs)
@@ -296,7 +293,8 @@ def cover_levels(inst: Instance) -> list[IterationRecord]:
     ``taken`` (edge id -> copies bought).  An iteration's level is the
     deficiency of the current cores; it must retire at least half its leaf
     count in cores at that level (checked, integrally) and strictly shrink
-    their count, and the max level must never rise.
+    their count, and the max level must never rise.  A star buys one copy of
+    each of its edges, recorded as (edge id, copies bought before it).
     """
     flows = dict(root_flows(inst, {}, inst.k))
     cores = cores_of(inst, flows)
@@ -305,10 +303,10 @@ def cover_levels(inst: Instance) -> list[IterationRecord]:
     while cores:
         level = cores[0].deficiency
         star = cheapest_star(inst, taken, cores, flows)
-        new_units = sorted(star.units())
-        bought = Counter(eid for eid, _ in new_units)
+        bought = sorted(star.edges())
+        new_units = tuple((eid, taken[eid]) for eid in bought)
         taken.update(bought)
-        arcs = [(*inst.unit_arc(u), 1) for u in new_units]
+        arcs = [(*inst.arc(eid), 1) for eid in bought]
         for flow in flows.values():
             flow.grow(arcs, inst.k)
         after = cores_of(inst, flows)
@@ -325,10 +323,10 @@ def cover_levels(inst: Instance) -> list[IterationRecord]:
             phase_level=level,
             cores_before=len(cores),
             cores_after=left,
-            star_center=star.head[0],
+            star_center=star.head,
             leaf_count=star.leaves,
-            added_cost=inst.selection_cost(bought),
-            added_units=tuple(new_units),
+            added_cost=inst.selection_cost(dict.fromkeys(bought, 1)),
+            added_units=new_units,
         ))
         cores = after
     return records

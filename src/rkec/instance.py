@@ -3,8 +3,9 @@
 An instance is a rooted digraph with per-edge nonnegative rational costs, a
 terminal set, and a connectivity target k.  The zero-cost edges form the base
 subgraph that is considered already paid for; the solver only ever buys
-positive-cost edges.  A selection counts the copies bought per edge id; one
-copy, a unit, is an (edge id, copy index) pair, as the records list them.
+positive-cost edges.  A selection counts the copies bought per edge id; only
+the iteration records number the copies, one copy, a unit, written as an
+(edge id, copy index) pair.
 
 Costs are reported as rationals, but the solver prices in integers: every
 edge cost is an integer multiple of 1/``cost_scale``, the least common
@@ -131,15 +132,10 @@ class Instance:
     def positive_edges(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.cost > 0)
 
-    @cached_property
-    def positive_units(self) -> tuple[Unit, ...]:
-        edges = sorted(self.positive_edges, key=lambda e: e.id)
-        return tuple((e.id, c) for e in edges for c in range(e.mult))
-
     @property
     def positive_unit_count(self) -> int:
-        """How many positive units there are, counted off the multiplicities
-        without building them: what the size caps compare."""
+        """How many positive units there are, counted off the multiplicities:
+        what the size caps compare."""
         return sum(e.mult for e in self.positive_edges)
 
     @cached_property
@@ -166,12 +162,12 @@ class Instance:
         """The positive edges in (scaled cost, id) order."""
         return tuple(sorted(self.positive_edges, key=lambda e: (self._scaled_costs[e.id], e.id)))
 
-    def scaled_cost(self, unit: Unit) -> int:
-        """The unit's cost in units of 1/``cost_scale``: an exact integer."""
-        return self._scaled_costs[unit[0]]
+    def scaled_cost(self, eid: int) -> int:
+        """The edge's cost in units of 1/``cost_scale``: an exact integer."""
+        return self._scaled_costs[eid]
 
-    def unit_arc(self, unit: Unit) -> tuple[int, int]:
-        e = self.edge_by_id[unit[0]]
+    def arc(self, eid: int) -> tuple[int, int]:
+        e = self.edge_by_id[eid]
         return e.tail, e.head
 
     def selection_cost(self, selected: dict[int, int]) -> Fraction:
@@ -224,7 +220,8 @@ def parse_instance(text: str) -> Instance:
 
     Every integer field must be a JSON integer (``true`` is not 1).  Edges
     entering the root never help any cut and are rejected.  Self-loops are
-    dropped silently.
+    dropped silently.  Costs whose common denominator or total is too long
+    to write are rejected.
     """
     doc = load_object(text, "instance document")
     try:
@@ -260,7 +257,12 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(f"edge {eid} enters root")
         edges.append(Edge(eid, tail, head, cost, mult))
 
-    return Instance(n, root, frozenset(terminals), tuple(edges), k)
+    inst = Instance(n, root, frozenset(terminals), tuple(edges), k)
+    try:  # the scale and the largest total bound every rational a run writes
+        str(inst.cost_scale), str(sum(inst.scaled_cost(e.id) * e.mult for e in inst.edges))
+    except ValueError as exc:
+        raise ParseError(f"the costs' common denominator or total is too long: {exc}") from exc
+    return inst
 
 
 def instance_to_json(inst: Instance) -> str:
@@ -344,11 +346,16 @@ def _record_from_doc(doc: dict) -> IterationRecord:
     return rec
 
 
+def connectivity_to_doc(connectivity: dict[int, int]) -> dict[str, int]:
+    """Terminal -> edge-disjoint root paths, keyed by terminal id strings in id order."""
+    return {str(t): v for t, v in sorted(connectivity.items())}
+
+
 def solution_to_doc(sol: Solution) -> dict:
     return {
         "selected": [[eid, sol.selected[eid]] for eid in sorted(sol.selected)],
         "total_cost": frac_to_str(sol.total_cost),
-        "connectivity": {str(t): sol.connectivity[t] for t in sorted(sol.connectivity)},
+        "connectivity": connectivity_to_doc(sol.connectivity),
         "feasible": sol.feasible,
         "audit": [_record_to_doc(r) for r in sol.audit],
     }

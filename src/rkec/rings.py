@@ -10,15 +10,15 @@ counts as the root reaching it, which pushes every set containing another
 core's terminal below the top level.  A head edge joins at capacity one.
 The remaining top-level sets are exactly the ring members not already
 covered by the head, so the minimal violated set is the closest minimum cut
-at the representative.
+at the representative.  A head and a leg are edge ids: one copy covers.
 
 The flow's value is k - l, one path below the bound, since the core's cut
-has capacity k - l and no stop lies inside it.  So a set of units covers the
+has capacity k - l and no stop lies inside it.  So a set of edges covers the
 ring exactly when the root or a stop reaches the representative through the
-residual network and the units' arcs; and when neither does, the nodes that
+residual network and the edges' arcs; and when neither does, the nodes that
 do reach it are the closest sink side, the minimal violated set.  Every
 question the ring layer asks is that one read (``Residual.reach``); no flow
-is grown, copied or rolled back for it.  With no unit at all, neither the
+is grown, copied or rolled back for it.  With no edge at all, neither the
 root nor a stop may reach the representative; a primal-dual that finds a
 ring covered by nothing raises.
 
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .flows import Residual
-from .instance import Instance, Unit
+from .instance import Instance
 
 
 def ring_stops(inst: Instance, cores) -> dict[int, frozenset[int]]:
@@ -67,21 +67,21 @@ def _check_one_short(flow: Residual, bound: int) -> None:
 
 
 def min_violated_set(
-    inst: Instance, flow: Residual, bound: int, stops, units
+    inst: Instance, flow: Residual, bound: int, stops, edges
 ) -> frozenset[int] | None:
-    """Inclusion-minimal ring member not covered by ``units`` (the head, if
-    any, and the legs) on the ring of ``flow``, ``bound`` and ``stops``.
+    """Inclusion-minimal ring member not covered by ``edges`` (ids: the head,
+    if any, and the legs) on the ring of ``flow``, ``bound`` and ``stops``.
 
     The representative terminal sits in every ring member, so the closest
     cut at it decides coverage.  The flow is one path below ``bound``, so
-    the units cover the ring exactly when the root or a stop reaches the
-    sink through the residual network and the units' arcs, and otherwise
+    the edges cover the ring exactly when the root or a stop reaches the
+    sink through the residual network and the edges' arcs, and otherwise
     the nodes that reach it are the closest sink side: one read
     (``Residual.reach``), and the flow is left as it is.
     """
     _check_one_short(flow, bound)
     side: set[int] = set()
-    flow.reach(side, [inst.unit_arc(u) for u in units], stops)
+    flow.reach(side, [inst.arc(e) for e in edges], stops)
     return None if inst.root in side else frozenset(side)
 
 
@@ -91,7 +91,7 @@ class RingCover:
     of raised sets, step i raising {v : first[v] <= i} by
     prefix[i + 1] - prefix[i]."""
 
-    legs: tuple[Unit, ...]
+    legs: tuple[int, ...]  # edge ids, sorted
     cost: int  # in units of 1/cost_scale
     first: dict[int, int]  # node -> the step whose raised set it joins first
     prefix: tuple[int, ...]  # prefix[i]: the dual raised by the first i steps
@@ -105,7 +105,7 @@ def _certificate(inst: Instance, cover: RingCover) -> bool:
     steps = len(prefix) - 1
     spans = [
         (first.get(head, steps), first.get(tail, steps))
-        for tail, head in map(inst.unit_arc, cover.legs)
+        for tail, head in map(inst.arc, cover.legs)
     ]
     for i in range(steps):
         amount = prefix[i + 1] - prefix[i]
@@ -115,22 +115,22 @@ def _certificate(inst: Instance, cover: RingCover) -> bool:
 
 
 def primal_dual_ring_cover(
-    inst: Instance, flow: Residual, bound: int, stops, taken, head: Unit | None = None
+    inst: Instance, flow: Residual, bound: int, stops, taken, head: int | None = None
 ) -> RingCover | None:
-    """Exact minimum-cost legs so that legs + ``head`` cover the ring of
-    ``flow``, ``bound`` and ``stops``; the head's edge is never a leg.
-    ``taken`` is the selection the greedy carries, edge id -> copies
-    bought.  The legs are drawn from the lowest free copy of each positive
-    edge: a second parallel copy never helps cover a ring, since each member
-    needs only one entering edge.
+    """Exact minimum-cost legs so that legs + ``head`` (an edge id) cover the
+    ring of ``flow``, ``bound`` and ``stops``; the head's edge is never a
+    leg.  ``taken`` is the selection the greedy carries, edge id -> copies
+    bought.  The legs are the positive edges with a copy still free, one
+    copy each: a second parallel copy never helps cover a ring, since each
+    member needs only one entering edge.
 
     Dual ascent: raise the minimal violated set until some entering candidate
-    goes tight (ties to the smallest unit), add it, repeat.  Then delete
+    goes tight (ties to the smallest edge id), add it, repeat.  Then delete
     redundant edges in reverse tightening order, each trial one
     ``min_violated_set`` read.  Returns None when some ring member has no
     entering candidate at all; raises AssertionError when the flow is not
     one path below ``bound``, when the root or a stop reaches the
-    representative with no unit at all, or when the cover fails its
+    representative with no edge at all, or when the cover fails its
     strong-duality certificate (``_certificate``).
 
     The violated set is one growing side of the flow's fixed residual
@@ -146,26 +146,24 @@ def primal_dual_ring_cover(
     changed.
     """
     _check_one_short(flow, bound)
-    head_edge = head[0] if head is not None else None
-    head_arcs = [] if head is None else [inst.unit_arc(head)]
+    head_arcs = [] if head is None else [inst.arc(head)]
     first: dict[int, int] = {}
     prefix = [0]
-    heap: list[tuple[int, Unit, int, int]] = []
-    tight_order: list[Unit] = []
+    heap: list[tuple[int, int, int, int]] = []  # (cost + dual so far, edge id, tail, head)
+    tight_order: list[int] = []
 
     violated: set[int] = set()  # the chain's current top: every node that reaches the sink
     joined = flow.reach(violated, head_arcs, stops)
     # covered at once: by the head alone, or by nothing at all, which no
     # ring is (a stop on the core's own side would read that way)
     if inst.root in violated and inst.root in flow.reach(set(), (), stops):
-        raise AssertionError("a ring's core side reaches the root or a stop with no unit at all")
+        raise AssertionError("a ring's core side reaches the root or a stop with no edge at all")
     while inst.root not in violated:
         for v in joined:
             first[v] = len(tight_order)
             for eid, tail, cost, mult in inst.positive_entering[v]:
-                c = taken.get(eid, 0)
-                if c < mult and tail not in violated and eid != head_edge:
-                    heappush(heap, (cost + prefix[-1], (eid, c), tail, v))
+                if taken.get(eid, 0) < mult and tail not in violated and eid != head:
+                    heappush(heap, (cost + prefix[-1], eid, tail, v))
         while heap and heap[0][2] in violated:
             heappop(heap)
         if not heap:
@@ -179,13 +177,13 @@ def primal_dual_ring_cover(
     # ones its violated set was raised against.
     fixed = [] if head is None else [head]
     keep = list(tight_order)
-    for u in reversed(tight_order[:-1]):
-        trial = [v for v in keep if v != u]
+    for e in reversed(tight_order[:-1]):
+        trial = [f for f in keep if f != e]
         if min_violated_set(inst, flow, bound, stops, fixed + trial) is None:
             keep = trial
 
     picked = tuple(sorted(keep))
-    cover = RingCover(picked, sum(inst.scaled_cost(u) for u in picked), first, tuple(prefix))
+    cover = RingCover(picked, sum(inst.scaled_cost(e) for e in picked), first, tuple(prefix))
     if not _certificate(inst, cover):
         raise AssertionError(f"ring cover {picked} fails its strong-duality certificate")
     return cover

@@ -13,6 +13,7 @@ are rational, and for |T| = 1 the interval is a point).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,6 +25,7 @@ from .instance import (
     SizeRefusalError,
     Solution,
     check_selection,
+    connectivity_to_doc,
     frac_to_str,
     selection_from_units,
     validate_quasi_bipartite,
@@ -225,22 +227,23 @@ def density_violations(inst: Instance, report: SolveReport, *, max_units: int) -
     if records:  # every record's optimum needs the whole instance feasible
         require_feasible(inst)
     violations = []
-    selected: list = []
+    selected: Counter[int] = Counter()  # edge id -> copies the records bought so far
     for idx, rec in enumerate(records):
         residual_opt = Fraction(cheapest_completion(inst, selected)[0], inst.cost_scale)
         drop = rec.cores_before - rec.cores_after
-        cost = inst.selection_cost(selection_from_units(rec.added_units))
+        bought = selection_from_units(rec.added_units)
+        cost = inst.selection_cost(bought)
         # cost / drop > (2 / level) * residual_opt / cores_before, cross-multiplied
         if drop <= 0 or cost * rec.phase_level * rec.cores_before > 2 * residual_opt * drop:
             violations.append(idx)
-        selected.extend(rec.added_units)
+        selected.update(bought)
     return violations
 
 
 def audit_to_doc(report: AuditReport) -> dict:
     return {
         "feasible": report.rebuilt.feasible,
-        "connectivity": {str(t): v for t, v in sorted(report.rebuilt.connectivity.items())},
+        "connectivity": connectivity_to_doc(report.rebuilt.connectivity),
         "cost": frac_to_str(report.rebuilt.total_cost),
         "recorded_cost_ok": report.recorded_cost_ok,
         "recorded_units_ok": report.recorded_units_ok,

@@ -46,7 +46,7 @@ def instance_arcs(inst: Instance, units=()) -> list[tuple[int, int, int]]:
     """The working graph of ``units``: every zero-cost edge at its
     multiplicity, then one arc per unit."""
     arcs = [(e.tail, e.head, e.mult) for e in inst.zero_edges]
-    arcs.extend((*inst.unit_arc(u), 1) for u in units)
+    arcs.extend((*inst.arc(eid), 1) for eid, _ in units)
     return arcs
 
 
@@ -69,7 +69,7 @@ def oracle_opt_cost(inst: Instance) -> Fraction | None:
     return min(
         (
             sum((inst.edge_by_id[eid].cost for eid, _ in units), Fraction(0))
-            for units in subsets(inst.positive_units)
+            for units in subsets((e.id, c) for e in inst.positive_edges for c in range(e.mult))
             if enumerate_rooted(inst, units).level == 0
         ),
         default=None,

@@ -1,8 +1,9 @@
 """Reference implementations the fast paths are compared against.
 
-Each one does its job the plain way: the free heads and legs listed edge by
-edge, the cores and the max level read off root flows built afresh, a ring
-flow built afresh for one core (its working arcs plus root arcs saturating
+Each one does its job the plain way: every copy of every positive edge
+listed as a unit, the free heads and legs listed edge by edge, the cores and
+the max level read off root flows built afresh, a ring flow built afresh
+for one core (its working arcs plus root arcs saturating
 every other core's terminals, in place of the solver's stops), its violated
 set read by growing it, every (head, core) pair priced on one, an exact
 optimum by enumerating every unit subset, the prune pass dropping units
@@ -25,16 +26,20 @@ from rkec.rings import RingCover, primal_dual_ring_cover, ring_stops
 from oracles import EnumeratedFamily, enumerate_arc_family
 
 
-def free_leg_candidates(inst: Instance, units) -> tuple[Unit, ...]:
-    """Lowest free copy of each positive edge under ``units``, in id order:
-    the heads and legs a star draws from."""
+def positive_units(inst: Instance) -> tuple[Unit, ...]:
+    """Every copy of every positive edge as an (edge id, copy index) unit, in
+    id order: what the tests draw unit lists from and enumerate over."""
+    edges = sorted(inst.positive_edges, key=lambda e: e.id)
+    return tuple((e.id, c) for e in edges for c in range(e.mult))
+
+
+def free_leg_candidates(inst: Instance, units) -> tuple[int, ...]:
+    """The id of each positive edge with a copy free under ``units``, in id
+    order: the heads and legs a star draws from."""
     taken = Counter(eid for eid, _ in units)
-    out = []
-    for e in sorted(inst.positive_edges, key=lambda e: e.id):
-        used = taken[e.id]
-        if used < e.mult:
-            out.append((e.id, used))
-    return tuple(out)
+    return tuple(
+        e.id for e in sorted(inst.positive_edges, key=lambda e: e.id) if taken[e.id] < e.mult
+    )
 
 
 def rooted_cores(inst: Instance, units) -> list[CoreInfo]:
@@ -90,32 +95,32 @@ def build_ring_context(inst: Instance, units, all_cores, target: CoreInfo) -> tu
 
 
 def fresh_cover(
-    inst: Instance, units, all_cores, target: CoreInfo, head: Unit | None
+    inst: Instance, units, all_cores, target: CoreInfo, head: int | None
 ) -> RingCover | None:
-    """The primal-dual price of (target, head) at ``units``, on a ring flow
-    built afresh; a head of None prices the bare ring."""
+    """The primal-dual price of (target, head edge id) at ``units``, on a
+    ring flow built afresh; a head of None prices the bare ring."""
     flow, bound = build_ring_context(inst, units, all_cores, target)
     taken = selection_from_units(units)
     return primal_dual_ring_cover(inst, flow, bound, frozenset(), taken, head)
 
 
 def grown_min_violated_set(
-    inst: Instance, flow: Residual, bound: int, units
+    inst: Instance, flow: Residual, bound: int, edges
 ) -> frozenset[int] | None:
     """``rings.min_violated_set`` the plain way, on a ring flow built afresh
     (``build_ring_context``, so with no stops): grow the ring flow by the
-    units' arcs up to ``bound`` after a mark, read its closest sink side if
-    it falls short, and roll it back."""
+    arcs of ``edges`` (ids) up to ``bound`` after a mark, read its closest
+    sink side if it falls short, and roll it back."""
     mark = flow.mark()
     try:
-        if flow.grow([(*inst.unit_arc(u), 1) for u in units], bound) >= bound:
+        if flow.grow([(*inst.arc(e), 1) for e in edges], bound) >= bound:
             return None
         return flow.closest_sink_side()
     finally:
         flow.rollback(mark)
 
 
-def overpaid_candidates(inst: Instance, units, cover: RingCover, head: Unit | None) -> list[Unit]:
+def overpaid_candidates(inst: Instance, units, cover: RingCover, head: int | None) -> list[int]:
     """The candidate legs of ``units`` (``free_leg_candidates``, the head's
     edge excluded) that ``cover``'s dual overpays: the steps a leg
     (tail, head) enters, i with first[head] <= i < first[tail], raise more
@@ -123,13 +128,13 @@ def overpaid_candidates(inst: Instance, units, cover: RingCover, head: Unit | No
     first, prefix = cover.first, cover.prefix
     steps = len(prefix) - 1
     out = []
-    for u in free_leg_candidates(inst, units):
-        tail, v = inst.unit_arc(u)
-        if (head is not None and u[0] == head[0]) or v not in first:
+    for e in free_leg_candidates(inst, units):
+        tail, v = inst.arc(e)
+        if e == head or v not in first:
             continue
         b = first.get(tail, steps)
-        if first[v] < b and prefix[b] - prefix[first[v]] > inst.scaled_cost(u):
-            out.append(u)
+        if first[v] < b and prefix[b] - prefix[first[v]] > inst.scaled_cost(e):
+            out.append(e)
     return out
 
 
@@ -144,15 +149,15 @@ def enumerated_ring_family(inst: Instance, units, all_cores, target: CoreInfo) -
     )
 
 
-def price_star_edges(inst: Instance, units, cores) -> dict[tuple[Unit, CoreInfo], RingCover]:
-    """Exact leg price for every (candidate head, core) pair.
+def price_star_edges(inst: Instance, units, cores) -> dict[tuple[int, CoreInfo], RingCover]:
+    """Exact leg price for every (candidate head edge id, core) pair.
 
     Unpriceable pairs are simply absent.  A head that covers nothing of a
     core's ring still gets a price: the legs then have to do all the work.
     """
     if not cores:
         raise ValueError("pricing needs at least one core")
-    prices: dict[tuple[Unit, CoreInfo], RingCover] = {}
+    prices: dict[tuple[int, CoreInfo], RingCover] = {}
     taken = selection_from_units(units)
     for head in free_leg_candidates(inst, units):
         for core in cores:
@@ -171,7 +176,7 @@ def best_star(inst: Instance, prices) -> Star:
     """
     if not prices:
         raise ValueError("no priced (head, core) pair to choose a star from")
-    by_head: dict[Unit, list[tuple[CoreInfo, RingCover]]] = {}
+    by_head: dict[int, list[tuple[CoreInfo, RingCover]]] = {}
     for (head, core), cover in prices.items():
         by_head.setdefault(head, []).append((core, cover))
     best = None
@@ -194,7 +199,7 @@ def enumerated_opt(inst: Instance, preselected=()) -> Solution | None:
     lexicographically smallest unit set, as in ``brute_force_opt``.
     """
     preselected = frozenset(preselected)
-    order = sorted(u for u in inst.positive_units if u not in preselected)
+    order = sorted(u for u in positive_units(inst) if u not in preselected)
     best = None
 
     def walk(idx: int, chosen: tuple):

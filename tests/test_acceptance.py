@@ -32,6 +32,7 @@ from reference import (
     enumerated_ring_family,
     free_leg_candidates,
     fresh_cover,
+    positive_units,
     rooted_cores,
     rooted_max_level,
 )
@@ -85,7 +86,7 @@ def ring_samples(corpus):
             level = cores[0].deficiency
             assert level == rec.phase_level
             heads = free_leg_candidates(inst, state)
-            picked = {heads[0], heads[len(heads) // 2], (rec.star_center, 0)}
+            picked = {heads[0], heads[len(heads) // 2], rec.star_center}
             for head in sorted(picked):
                 if head not in heads:
                     continue
@@ -94,13 +95,9 @@ def ring_samples(corpus):
                     assert family.level == level
                     ring = family.ring_view(core.members)
                     candidates = [
-                        (u, *inst.unit_arc(u), inst.edge_by_id[u[0]].cost)
-                        for u in heads
-                        if u[0] != head[0]
+                        (e, *inst.arc(e), inst.edge_by_id[e].cost) for e in heads if e != head
                     ]
-                    exact = brute_force_ring_cover(
-                        ring.members, inst.unit_arc(head), candidates
-                    )
+                    exact = brute_force_ring_cover(ring.members, inst.arc(head), candidates)
                     cover = fresh_cover(inst, state, cores, core, head)
                     samples.append((inst, head, ring, cover, exact))
     return samples, time.perf_counter() - t0
@@ -185,7 +182,7 @@ def test_c5_density_rule(corpus):
     violations = []
     checked = 0
     for run in corpus:
-        if len(run.inst.positive_units) > 16:
+        if len(positive_units(run.inst)) > 16:
             continue
         checked += 1
         bad = density_violations(run.inst, run.report, max_units=16)
@@ -279,8 +276,8 @@ def test_c8_chain_certificates(ring_samples):
     for inst, head, ring, cover, _ in samples:
         if cover is None:
             continue
-        edges = {("leg", u): inst.unit_arc(u) for u in cover.legs}
-        edges[("head", head)] = inst.unit_arc(head)
+        edges = {("leg", e): inst.arc(e) for e in cover.legs}
+        edges[("head", head)] = inst.arc(head)
         # minimalize over the bare ring before certifying
         for key in sorted(edges):
             rest = {k: v for k, v in edges.items() if k != key}

@@ -76,6 +76,45 @@ def test_an_exponent_cost_is_refused_before_it_is_expanded(tmp_path, capsys):
     assert capsys.readouterr().err == "error: not a rational: '1e-100000000'\n"
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("the solve started")
+
+
+_HUGE = "7" * 3000  # 3,000 digits: each cost parses, under the 4,300-digit limit
+
+
+@pytest.mark.parametrize("costs", [
+    # a common denominator of some 6,000 digits
+    [f"1/{_HUGE}", f"1/{'3' * 2999}1"],
+    # a writable denominator, but an edge of some 5,000 scaled digits
+    [f"{_HUGE}", f"1/{'3' * 1999}1"],
+])
+def test_costs_too_long_to_write_are_refused_at_parse(tmp_path, capsys, monkeypatch, costs):
+    # such an instance used to solve and then fail at the report write; the
+    # parse refuses it (exit 2), so the solve never starts
+    doc = {"n": 2, "root": 0, "terminals": [1], "k": 2, "edges": [
+        {"id": i, "tail": 0, "head": 1, "cost": cost} for i, cost in enumerate(costs, start=1)
+    ]}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr("rkec.cli.solve", _no_solve)
+    assert run("solve", "--instance", path, "--out", tmp_path / "r.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the costs' common denominator or total is too long: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_a_long_single_cost_still_solves(tmp_path):
+    doc = {"n": 2, "root": 0, "terminals": [1], "k": 1, "edges": [
+        {"id": 1, "tail": 0, "head": 1, "cost": f"1/{_HUGE}"}]}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert run("solve", "--instance", path, "--out", out, "--no-timestamp") == 0
+    assert json.loads(out.read_text())["solution"]["total_cost"] == f"1/{_HUGE}"
+
+
 def test_solve_fixture(instance_file, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run("solve", "--instance", instance_file, "--out", out, "--no-timestamp") == 0
@@ -229,7 +268,7 @@ def test_verify_brute_refuses_by_multiplicity(tmp_path, capsys, monkeypatch):
     report = tmp_path / "report.json"
     assert run("solve", "--instance", inst, "--out", report, "--no-timestamp") == 0
     capsys.readouterr()
-    monkeypatch.setattr(Instance, "positive_units", property(_units_built))
+    monkeypatch.setattr(Instance, "positive_units", property(_units_built), raising=False)
     code = run("verify", "--instance", inst, "--report", report, "--brute",
                "--out", tmp_path / "audit.json", "--no-timestamp")
     assert code == 5
@@ -246,7 +285,7 @@ def test_solve_refuses_a_huge_infeasible_instance_without_units(tmp_path, capsys
            "edges": [{"id": 1, "tail": 0, "head": 1, "cost": "1", "mult": 10**9}]}
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
-    monkeypatch.setattr(Instance, "positive_units", property(_units_built))
+    monkeypatch.setattr(Instance, "positive_units", property(_units_built), raising=False)
     assert run("solve", "--instance", path, "--out", tmp_path / "r.json") == 3
     assert capsys.readouterr().err == (
         "error: terminal 2 reaches only 0 < 1 edge-disjoint root paths "

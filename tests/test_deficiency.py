@@ -8,7 +8,7 @@ from rkec.instance import ParseError
 
 from conftest import small_random_instance
 from oracles import ExplicitSetFunction, enumerate_explicit, enumerate_rooted, tabulate_rooted
-from reference import rooted_cores, rooted_max_level
+from reference import positive_units, rooted_cores, rooted_max_level
 
 
 def test_fixture_level_and_cores(instance_a):
@@ -28,7 +28,7 @@ def test_partial_selection_leaves_one_core(instance_a):
 
 
 def test_full_selection_closes_all(instance_a):
-    units = instance_a.positive_units
+    units = positive_units(instance_a)
     assert rooted_max_level(instance_a, units) == 0
     assert rooted_cores(instance_a, units) == []
 
@@ -43,7 +43,7 @@ def test_k2_variant_cores(instance_a_k2):
 @given(st.integers(0, 10_000), st.data())
 def test_monotone_level_and_t_disjoint_cores(seed, data):
     inst = small_random_instance(random.Random(seed))
-    units = list(inst.positive_units)
+    units = list(positive_units(inst))
     sample = data.draw(st.sets(st.sampled_from(units)) if units else st.just(set()))
     level_all = rooted_max_level(inst, sample)
     assert level_all <= rooted_max_level(inst, ())
@@ -62,7 +62,7 @@ def test_cores_match_enumeration(seed, data):
     # the closest-cut construction must return exactly the minimal members of
     # the enumerated max-level family
     inst = small_random_instance(random.Random(seed))
-    units = list(inst.positive_units)
+    units = list(positive_units(inst))
     sample = data.draw(st.sets(st.sampled_from(units)) if units else st.just(set()))
     family = enumerate_rooted(inst, sample)
     cores = rooted_cores(inst, sample)
@@ -74,7 +74,7 @@ def test_cores_match_enumeration(seed, data):
 @given(st.integers(0, 10_000), st.data())
 def test_every_member_contains_a_core(seed, data):
     inst = small_random_instance(random.Random(seed))
-    units = list(inst.positive_units)
+    units = list(positive_units(inst))
     sample = data.draw(st.sets(st.sampled_from(units)) if units else st.just(set()))
     family = enumerate_rooted(inst, sample)
     assert family.every_member_contains_core()
@@ -131,13 +131,13 @@ def test_cross_backend_equivalence(seed, data):
     # tabulating the rooted function and querying the explicit backend must
     # reproduce the rooted backend exactly, under any sampled selection
     inst = small_random_instance(random.Random(seed), max_nodes=5)
-    units = list(inst.positive_units)
+    units = list(positive_units(inst))
     sample = sorted(data.draw(st.sets(st.sampled_from(units)) if units else st.just(set())))
     fn = tabulate_rooted(inst, sample)
     # remaining selections act as arcs on top of the tabulated state
     rest = [u for u in units if u not in sample]
     extra = sorted(data.draw(st.sets(st.sampled_from(rest)) if rest else st.just(set())))
-    arcs = [(*inst.unit_arc(u), 1) for u in extra]
+    arcs = [(*inst.arc(eid), 1) for eid, _ in extra]
     combined = sample + extra
     explicit = enumerate_explicit(fn, arcs)
     assert explicit.level == rooted_max_level(inst, combined)
@@ -153,8 +153,8 @@ def test_residual_stays_supermodular(seed, data):
     # the residual of a valid table must re-pass the constructor check
     inst = small_random_instance(random.Random(seed), max_nodes=5)
     fn = tabulate_rooted(inst, ())
-    units = list(inst.positive_units)
+    units = list(positive_units(inst))
     sample = data.draw(st.sets(st.sampled_from(units)) if units else st.just(set()))
-    arcs = [(*inst.unit_arc(u), 1) for u in sample]
+    arcs = [(*inst.arc(eid), 1) for eid, _ in sample]
     residual = fn.residual(arcs)  # constructor re-checks
     assert enumerate_explicit(residual).level == enumerate_explicit(fn, arcs).level

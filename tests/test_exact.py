@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from oracles import (
     nested_chain_certificate,
     oracle_opt_cost,
 )
-from reference import enumerated_opt
+from reference import enumerated_opt, positive_units
 
 
 def test_fixture_optimum(instance_a):
@@ -61,16 +62,16 @@ def test_infeasible_instance_reports_witness():
 
 def test_preselected_units_are_free(instance_a):
     # only terminal 3 is open; cheapest completion is the relay arc onto it
-    cost, units = cheapest_completion(instance_a, {(1, 0), (2, 0)})
+    cost, edges = cheapest_completion(instance_a, {1: 1, 2: 1})
     assert Fraction(cost, instance_a.cost_scale) == 1
-    assert units == ((3, 0),)
+    assert edges == (3,)
 
 
 def test_a_feasible_start_needs_no_completion(instance_a):
     # every terminal already reaches k: the search root is its only leaf
-    assert cheapest_completion(instance_a, {(1, 0), (2, 0), (3, 0)}) == (0, ())
+    assert cheapest_completion(instance_a, {1: 1, 2: 1, 3: 1}) == (0, ())
     free = Instance(3, 0, frozenset({1, 2}), (Edge(1, 0, 1, Fraction(0)), Edge(2, 1, 2, Fraction(0))), 1)
-    assert cheapest_completion(free, ()) == (0, ())
+    assert cheapest_completion(free, {}) == (0, ())
     assert brute_force_opt(free).total_cost == 0
 
 
@@ -80,8 +81,8 @@ def assert_search_equals_plain_enumeration(inst, preselected=frozenset()):
         with pytest.raises(InfeasibleError):
             require_feasible(inst)
         return
-    cost, units = cheapest_completion(inst, preselected)
-    fast = solution_of(inst, selection_from_units(units))
+    cost, edges = cheapest_completion(inst, selection_from_units(preselected))
+    fast = solution_of(inst, Counter(edges))
     assert Fraction(cost, inst.cost_scale) == fast.total_cost == slow.total_cost
     assert fast.selected == slow.selected  # identical lexicographic tie-break
     if not preselected:
@@ -92,7 +93,7 @@ def reachable_k(inst, terminals):
     """The instance on ``terminals`` with k lowered to what all the units
     reach, so that most draws have an optimum."""
     inst = Instance(inst.node_count, inst.root, terminals, inst.edges, inst.k)
-    reach = min(solution_of(inst, selection_from_units(inst.positive_units)).connectivity.values())
+    reach = min(solution_of(inst, selection_from_units(positive_units(inst))).connectivity.values())
     return Instance(inst.node_count, inst.root, terminals, inst.edges,
                     max(1, min(inst.k, reach)))
 
@@ -104,8 +105,8 @@ def test_pruned_search_equals_plain_enumeration(seed):
     rng = random.Random(seed)
     inst = small_random_instance(rng, max_nodes=5, max_k=3)
     inst = reachable_k(inst, inst.terminals)
-    preselected = frozenset(u for u in sorted(inst.positive_units) if rng.random() < 0.3)
-    if len(inst.positive_units) - len(preselected) > 12:
+    preselected = frozenset(u for u in sorted(positive_units(inst)) if rng.random() < 0.3)
+    if len(positive_units(inst)) - len(preselected) > 12:
         return
     assert_search_equals_plain_enumeration(inst, preselected)
 
@@ -121,19 +122,14 @@ def test_packed_bound_search_equals_plain_enumeration(seed):
     inst = small_random_instance(rng, max_nodes=6, max_k=3)
     n = inst.node_count
     inst = reachable_k(inst, frozenset(rng.sample(range(1, n), rng.randint(2, min(3, n - 1)))))
-    if len(inst.positive_units) > 12:
+    if len(positive_units(inst)) > 12:
         return
     assert_search_equals_plain_enumeration(inst)
 
 
-def lowest_free_copies(inst, preselected, selected):
-    """Per edge, the first ``selected[id]`` copies not in ``preselected``."""
-    units = []
-    for edge_id, count in selected.items():
-        copies = (u for c in range(inst.edge_by_id[edge_id].mult)
-                  if (u := (edge_id, c)) not in preselected)
-        units.extend(next(copies) for _ in range(count))
-    return tuple(sorted(units))
+def copies_of(selected):
+    """One edge id per copy ``selected`` (edge id -> count) buys, in id order."""
+    return tuple(sorted(eid for eid, count in selected.items() for _ in range(count)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -141,7 +137,7 @@ def lowest_free_copies(inst, preselected, selected):
 def test_parallel_copies_search_equals_plain_enumeration(seed):
     # every positive edge has two or three copies, so at nearly every node a
     # branch excludes every copy of its earlier siblings' edges; the search
-    # must still find the enumeration's cost and units, lowest copies first
+    # must still find the enumeration's cost and edges, copy for copy
     rng = random.Random(seed)
     inst = small_random_instance(rng, max_nodes=4, max_k=3)
     edges = tuple(
@@ -150,15 +146,15 @@ def test_parallel_copies_search_equals_plain_enumeration(seed):
     )
     inst = Instance(inst.node_count, inst.root, inst.terminals, edges, inst.k)
     inst = reachable_k(inst, inst.terminals)
-    preselected = frozenset(u for u in sorted(inst.positive_units) if rng.random() < 0.3)
-    if len(inst.positive_units) - len(preselected) > 12:
+    preselected = frozenset(u for u in sorted(positive_units(inst)) if rng.random() < 0.3)
+    if len(positive_units(inst)) - len(preselected) > 12:
         return
     slow = enumerated_opt(inst, preselected)
     if slow is None:
         return
-    cost, units = cheapest_completion(inst, preselected)
+    cost, edges = cheapest_completion(inst, selection_from_units(preselected))
     assert Fraction(cost, inst.cost_scale) == slow.total_cost
-    assert units == lowest_free_copies(inst, preselected, slow.selected)
+    assert edges == copies_of(slow.selected)
 
 
 def test_size_caps_count_units_without_building_them():
@@ -191,7 +187,7 @@ def test_search_builds_three_residuals_per_terminal(seed, residual_builds):
 @given(st.integers(0, 10_000))
 def test_optimum_matches_independent_oracle(seed):
     inst = small_random_instance(random.Random(seed), max_nodes=5, max_k=1)
-    if len(inst.positive_units) > 10:
+    if len(positive_units(inst)) > 10:
         return
     oracle = oracle_opt_cost(inst)
     if oracle is None:
@@ -235,7 +231,7 @@ def test_explicit_single_set_family():
 @given(st.integers(0, 10_000), st.data())
 def test_residual_family_stays_t_intersecting(seed, data):
     inst = small_random_instance(random.Random(seed))
-    units = list(inst.positive_units)
+    units = list(positive_units(inst))
     sample = data.draw(st.sets(st.sampled_from(units)) if units else st.just(set()))
     family = enumerate_rooted(inst, sample)
     assert family.check_t_intersecting()
@@ -245,7 +241,7 @@ def test_residual_family_stays_t_intersecting(seed, data):
 @given(st.integers(0, 10_000), st.data())
 def test_rings_and_maximal_sets(seed, data):
     inst = small_random_instance(random.Random(seed))
-    units = list(inst.positive_units)
+    units = list(positive_units(inst))
     sample = data.draw(st.sets(st.sampled_from(units)) if units else st.just(set()))
     family = enumerate_rooted(inst, sample)
     maximal = {}

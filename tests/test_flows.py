@@ -12,7 +12,7 @@ from rkec.instance import Edge, InfeasibleError, Instance, selection_from_units
 
 from conftest import small_random_instance
 from oracles import instance_arcs, minimal_sets, oracle_min_cut
-from reference import max_flow_paths, maximum_flow
+from reference import max_flow_paths, maximum_flow, positive_units
 
 
 def view(n, arcs):
@@ -265,7 +265,8 @@ def test_instance_view_zero_cost_graph_empty(instance_a):
 @given(st.integers(0, 10_000))
 def test_instance_view_matches_oracle(seed):
     inst = small_random_instance(random.Random(seed))
-    units = inst.positive_units[: len(inst.positive_units) // 2]
+    every = positive_units(inst)
+    units = every[: len(every) // 2]
     arcs = instance_arcs(inst, units)
     v = instance_view(inst, units)
     for t in inst.terminals:
@@ -293,7 +294,7 @@ def test_short_terminal_stops_at_the_first_short_terminal(monkeypatch, short):
 
     monkeypatch.setattr(flows, "Residual", CountingResidual)
     expected = None if short is None else (terminals[short], 1)
-    assert flows.short_terminal(inst, selection_from_units(inst.positive_units), 2) == expected
+    assert flows.short_terminal(inst, selection_from_units(positive_units(inst)), 2) == expected
     assert [flow.sink for flow in built] == (terminals if short is None else terminals[: short + 1])
     assert all(flow.value <= 2 for flow in built)
 
@@ -302,8 +303,8 @@ def test_short_terminal_stops_at_the_first_short_terminal(monkeypatch, short):
 @given(st.integers(0, 10_000), st.data())
 def test_short_terminal_is_the_first_terminal_below_need(seed, data):
     inst = small_random_instance(random.Random(seed))
-    units = data.draw(st.lists(st.sampled_from(inst.positive_units), unique=True)
-                      if inst.positive_units else st.just([]))
+    every = positive_units(inst)
+    units = data.draw(st.lists(st.sampled_from(every), unique=True) if every else st.just([]))
     need = data.draw(st.integers(0, inst.k + 1))
     selected = selection_from_units(units)
     conn = solution_of(inst, selected).connectivity

@@ -6,7 +6,7 @@ from rkec.flows import working_arcs
 from rkec.generate import GenParams, default_corpus_params, generate_instance
 from rkec.instance import instance_to_json, selection_from_units, validate_quasi_bipartite
 
-from reference import maximum_flow
+from reference import maximum_flow, positive_units
 
 
 def instance_view(inst, units):
@@ -52,7 +52,7 @@ def test_generated_instances_are_quasi_bipartite_and_feasible():
     for seed in range(1, 30):
         inst = generate_instance(params(seed=seed))
         assert validate_quasi_bipartite(inst).ok
-        full = instance_view(inst, inst.positive_units)
+        full = instance_view(inst, positive_units(inst))
         assert all(
             max_flow_value(full, inst.root, t) >= inst.k for t in inst.terminals
         )
@@ -69,7 +69,7 @@ def test_augmentation_mode_plants_free_connectivity():
 def test_unit_cap_respected():
     p = params(seed=5, max_units=10)
     inst = generate_instance(p)
-    assert len(inst.positive_units) <= 10
+    assert len(positive_units(inst)) <= 10
 
 
 def test_corpus_params_stay_inside_caps():
@@ -78,5 +78,5 @@ def test_corpus_params_stay_inside_caps():
         assert p.nodes <= 10 and p.terminals <= 4 and p.k <= 3
         assert p.max_units == 22
         inst = generate_instance(p)
-        assert len(inst.positive_units) <= 22
+        assert len(positive_units(inst)) <= 22
         assert validate_quasi_bipartite(inst).ok

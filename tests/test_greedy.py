@@ -28,6 +28,7 @@ from reference import (
     build_ring_context,
     free_leg_candidates,
     fresh_cover,
+    positive_units,
     price_star_edges,
     rooted_cores,
     rooted_max_level,
@@ -36,24 +37,27 @@ from reference import (
 
 def test_candidate_heads_skip_selected(instance_a):
     # in (scaled cost, id) order: edges 2 and 3 cost 1, edge 1 costs 2
-    assert candidate_heads(instance_a, {}) == ((2, 0), (3, 0), (1, 0), (4, 0), (5, 0))
-    assert candidate_heads(instance_a, selection_from_units([(1, 0)])) == (
-        (2, 0), (3, 0), (4, 0), (5, 0)
-    )
+    assert [e.id for e in candidate_heads(instance_a, {})] == [2, 3, 1, 4, 5]
+    assert [e.id for e in candidate_heads(instance_a, selection_from_units([(1, 0)]))] == [
+        2, 3, 4, 5
+    ]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 100_000))
 def test_candidate_heads_are_the_free_copies_in_cost_order(seed):
-    # the solver's head order is the reference's free copies sorted by
-    # (scaled cost, unit), over random selections of random instances
+    # the solver's heads are the instance's edges that the reference finds a
+    # free copy of, sorted by (scaled cost, id), over random selections of
+    # random instances
     rng = random.Random(seed)
     inst = small_random_instance(rng)
-    units = list(inst.positive_units)
+    units = list(positive_units(inst))
     for _ in range(3):
         state = [u for u in units if rng.random() < 0.4]
-        expected = sorted(free_leg_candidates(inst, state), key=lambda u: (inst.scaled_cost(u), u))
-        assert candidate_heads(inst, selection_from_units(state)) == tuple(expected)
+        expected = sorted(free_leg_candidates(inst, state), key=lambda e: (inst.scaled_cost(e), e))
+        assert candidate_heads(inst, selection_from_units(state)) == tuple(
+            inst.edge_by_id[e] for e in expected
+        )
 
 
 def test_cheapest_star_keeps_the_parameters_the_trace_reads():
@@ -69,10 +73,10 @@ def test_fixture_prices(instance_a):
     by_rep = {c.representative: c for c in cores}
     prices = price_star_edges(instance_a, (), cores)
     expected = {
-        ((1, 0), 2): Fraction(1),
-        ((1, 0), 3): Fraction(1),
-        ((4, 0), 2): Fraction(0),
-        ((2, 0), 3): Fraction(3),
+        (1, 2): Fraction(1),
+        (1, 3): Fraction(1),
+        (4, 2): Fraction(0),
+        (2, 3): Fraction(3),
     }
     for (head, rep), cost in expected.items():
         assert prices[(head, by_rep[rep])].cost == cost
@@ -83,7 +87,7 @@ def test_fixture_best_star(instance_a):
     prices = price_star_edges(instance_a, (), cores)
     star = best_star(instance_a, prices)
     assert instance_a.cost_scale == 1
-    assert star.head == (1, 0)
+    assert star.head == 1
     assert Fraction(star.total, star.leaves) == 2
     assert star.total == 4
     assert sorted(sorted(core.members) for core, _ in star.chosen) == [[2], [3]]
@@ -101,9 +105,9 @@ def test_best_star_prefix_tie_prefers_more_leaves():
     )
     cores = [CoreInfo(frozenset({t}), t, 1) for t in (1, 2, 3)]
     prices = {
-        ((9, 0), cores[0]): _fake_cover(1),
-        ((9, 0), cores[1]): _fake_cover(3),
-        ((9, 0), cores[2]): _fake_cover(5),
+        (9, cores[0]): _fake_cover(1),
+        (9, cores[1]): _fake_cover(3),
+        (9, cores[2]): _fake_cover(5),
     }
     star = best_star(inst, prices)
     assert inst.cost_scale == 1
@@ -122,17 +126,17 @@ def test_best_star_single_core_arithmetic():
     )
     core = CoreInfo(frozenset({1}), 1, 1)
     prices = {
-        ((1, 0), core): _fake_cover(0),
-        ((2, 0), core): _fake_cover(1),
+        (1, core): _fake_cover(0),
+        (2, core): _fake_cover(1),
     }
     star = best_star(inst, prices)
     assert inst.cost_scale == 1
-    assert star.head == (2, 0) and Fraction(star.total, star.leaves) == 3
+    assert star.head == 2 and Fraction(star.total, star.leaves) == 3
 
 
 def test_zero_cost_edges_never_priced(instance_a_k2):
     heads = candidate_heads(instance_a_k2, {})
-    assert heads and all(instance_a_k2.scaled_cost(h) > 0 for h in heads)
+    assert heads and all(instance_a_k2.scaled_cost(h.id) > 0 for h in heads)
 
 
 def _added(records):
@@ -212,7 +216,7 @@ def _star_states(inst):
         first = best_star(inst, price_star_edges(inst, (), cores))
     except ValueError:  # no pair is priceable
         return states
-    units = tuple(sorted(first.units()))
+    units = tuple((eid, 0) for eid in sorted(first.edges()))  # each edge's first copy
     after = rooted_cores(inst, units)
     if after and after[0].deficiency == level:
         states.append((units, after, level))
@@ -232,7 +236,7 @@ def _assert_unpriceable(inst, units, cores, exc):
     """What star pricing raising ``exc`` at a state must mean: the instance
     is infeasible, ``exc`` names its first short terminal, and some core's
     no-head ring, built afresh, is uncoverable."""
-    short = short_terminal(inst, selection_from_units(inst.positive_units), inst.k)
+    short = short_terminal(inst, selection_from_units(positive_units(inst)), inst.k)
     assert short is not None
     assert (exc.terminal, exc.achieved, exc.required) == (*short, inst.k)
     assert any(fresh_cover(inst, units, cores, core, None) is None for core in cores)
@@ -287,7 +291,7 @@ def _untouched_visited_heads(inst, units, cores, star):
     pricing = pricing_context(inst, carried_flows(inst, units), selection_from_units(units), cores)
     return [
         head for head in heads
-        if not pricing.touched(inst.unit_arc(head))
+        if not pricing.touched(inst.arc(head))
         and inst.scaled_cost(head) * star.leaves <= star.total * len(cores)
     ]
 
@@ -396,7 +400,7 @@ def _priced_states(inst, rng):
 
 
 def _random_states(inst, rng, count=3):
-    units = list(inst.positive_units)
+    units = list(positive_units(inst))
     for _ in range(count):
         sample = tuple(u for u in units if rng.random() < 0.3)
         cores = rooted_cores(inst, sample)
@@ -455,7 +459,7 @@ def test_irrelevant_heads_keep_the_shared_price(seed, augmentation):
             cores, key=lambda core: (fresh_cover(inst, units, cores, core, None).cost,
                                      core.representative))
         for head in free_leg_candidates(inst, units):
-            arc = inst.unit_arc(head)
+            arc = inst.arc(head)
             touched = [core for (core, _), _ in pricing.touched(arc)]
             assert len(touched) == len(set(touched))
             for core, shared in pricing.ranked:
@@ -491,7 +495,7 @@ def test_heads_on_a_shared_ring_price_like_a_fresh_context(seed, augmentation):
                     inst, fresh, bound, frozenset(), [head]
                 )
                 assert cover is not None
-                assert all(u[0] != head[0] for u in cover.legs)
+                assert head not in cover.legs
                 assert min_violated_set(inst, flow, bound, stops, [head, *cover.legs]) is None
                 assert _flow_state(flow) == before
             assert primal_dual_ring_cover(inst, flow, bound, stops, taken) == shared
@@ -508,7 +512,7 @@ def test_the_floor_bounds_every_head_price_from_below(seed, augmentation):
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
     for units, _, taken, flows, pricing in _priced_states(inst, rng):
         for head in free_leg_candidates(inst, units):
-            arc = inst.unit_arc(head)
+            arc = inst.arc(head)
             for (core, shared), floor in pricing.touched(arc):
                 prefix = shared.prefix
                 entered = _entered_steps(arc, shared)
@@ -531,7 +535,7 @@ def test_a_node_floor_bounds_every_head_into_the_node(seed, augmentation):
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
     for units, _, _, _, pricing in _priced_states(inst, rng):
         for head in free_leg_candidates(inst, units):
-            arc = inst.unit_arc(head)
+            arc = inst.arc(head)
             node = arc[1]
             floors = pricing.node_floors(node)
             costs = list(pricing.costs)
@@ -614,11 +618,11 @@ def test_star_coverage_soundness(seed):
         star = cheapest_star(inst, {}, cores, carried_flows(inst, ()))
     except InfeasibleError:
         return
-    bought = star.units()
+    bought = star.edges()
     for core, _ in star.chosen:
         flow, bound = build_ring_context(inst, (), cores, core)
-        bought_units = [star.head, *(bought - {star.head})]
-        assert min_violated_set(inst, flow, bound, frozenset(), bought_units) is None
+        bought_edges = [star.head, *(bought - {star.head})]
+        assert min_violated_set(inst, flow, bound, frozenset(), bought_edges) is None
 
 
 def _carried_and_fresh_cores(inst):
@@ -633,7 +637,7 @@ def _carried_and_fresh_cores(inst):
 
     def buying(inst, taken, cores, flows):
         star = real_star(inst, taken, cores, flows)
-        bought.append(tuple(sorted(set(bought[-1]) | star.units())))
+        bought.append(bought[-1] + tuple((eid, taken[eid]) for eid in sorted(star.edges())))
         return star
 
     with pytest.MonkeyPatch.context() as mp:

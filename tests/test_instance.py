@@ -25,6 +25,7 @@ from rkec.instance import (
 )
 
 from conftest import INSTANCE_A_JSON, small_random_instance
+from reference import positive_units
 
 
 def test_parse_fixture(instance_a):
@@ -147,8 +148,8 @@ def test_quasi_bipartite_monotone_under_deletion(seed, data):
 def test_positive_units_expand_multiplicity():
     edges = (Edge(1, 0, 1, Fraction(3), 2), Edge(2, 0, 1, Fraction(0), 3))
     inst = Instance(2, 0, frozenset({1}), edges, 1)
-    assert inst.positive_units == ((1, 0), (1, 1))
-    assert inst.selection_cost(selection_from_units(inst.positive_units)) == 6
+    assert positive_units(inst) == ((1, 0), (1, 1))
+    assert inst.selection_cost(selection_from_units(positive_units(inst))) == 6
 
 
 def test_solution_round_trip(instance_a):

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -36,24 +37,43 @@ def _names(node) -> set[str]:
     return out
 
 
+def _name_counts(node) -> Counter:
+    """How often ``node`` refers to each name, bare or as an attribute."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
 def test_package_has_no_test_only_code():
     # a top-level function or class of src/rkec must be referenced from
     # src/rkec, scripts/ or perfbench/ somewhere outside its own definition
-    # (or be a console script of pyproject.toml); tests do not count
+    # (or be a console script of pyproject.toml), and so must every method
+    # and property of a src/rkec class but its dunders; tests do not count
     defined: dict[str, str] = {}
+    members: list[tuple[str, ast.FunctionDef]] = []
     used: set[str] = set()
+    counts: Counter = Counter()
     sources = [
         *sorted(PACKAGE.glob("*.py")),
         *sorted((ROOT / "scripts").glob("*.py")),
         *sorted((ROOT / "perfbench").glob("*.py")),
     ]
     for path in sources:
-        for stmt in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        counts += _name_counts(tree)
+        for stmt in tree.body:
             names = _names(stmt)
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 names.discard(stmt.name)
                 if path.parent == PACKAGE:
                     defined[stmt.name] = path.name
+            if isinstance(stmt, ast.ClassDef) and path.parent == PACKAGE:
+                members += [
+                    (f"{path.name}:{stmt.name}", member) for member in stmt.body
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("__")
+                ]
             used |= names
     pyproject = (ROOT / "pyproject.toml").read_text()
     used |= set(re.findall(r'"rkec\.\w+:(\w+)"', pyproject))
@@ -61,6 +81,10 @@ def test_package_has_no_test_only_code():
         f"{module}:{name}"
         for name, module in defined.items()
         if name not in used and name not in rkec.__all__
+    )
+    unused += sorted(
+        f"{owner}.{member.name}" for owner, member in members
+        if counts[member.name] == _name_counts(member)[member.name]
     )
     assert not unused, f"shipped code that nothing outside tests calls: {unused}"
 
@@ -168,6 +192,31 @@ def test_stars_read_their_candidates_off_the_instance():
     tree = ast.parse((PACKAGE / "greedy.py").read_text())
     star = next(s for s in tree.body if getattr(s, "name", None) == "cheapest_star")
     assert "sorted" not in _names(star)
+
+
+def test_copy_indices_are_written_only_into_records():
+    # below the records a head, a leg and a brute-force branch are edge ids:
+    # the ring, greedy and search modules name no unit, and the instance
+    # expands no edge into its copies.  ``cover_levels`` alone numbers a
+    # copy, writing each bought edge as (edge id, copies bought before it)
+    unit_names = {"Unit", "unit_arc", "positive_units", "selection_from_units"}
+    for name in ("rings.py", "greedy.py", "exact.py"):
+        named = _names(ast.parse((PACKAGE / name).read_text())) & unit_names
+        assert not named, (name, sorted(named))
+    instance = importlib.import_module("rkec.instance")
+    for name in ("positive_units", "unit_arc"):
+        assert not hasattr(instance.Instance, name), name
+    greedy = importlib.import_module("rkec.greedy")
+    later_copies = 0
+    for seed in range(1, 41):
+        inst = generate_instance(default_corpus_params(seed))
+        taken = Counter()
+        for rec in greedy.cover_levels(inst):
+            edges = sorted({eid for eid, _ in rec.added_units})
+            assert rec.added_units == tuple((eid, taken[eid]) for eid in edges)
+            later_copies += sum(taken[eid] > 0 for eid in edges)
+            taken.update(edges)
+    assert later_copies > 0  # some edge is bought a second time
 
 
 def _calls(tree):

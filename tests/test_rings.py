@@ -27,6 +27,7 @@ from reference import (
     fresh_cover,
     grown_min_violated_set,
     overpaid_candidates,
+    positive_units,
     rooted_cores,
     rooted_max_level,
     saturating_arcs,
@@ -60,8 +61,8 @@ def test_context_shape(instance_a):
     # 0 -> 1 never joins it, a primal-dual only reads through it
     assert flow.to == [] and flow.value == 0
     before = _flow_state(flow)
-    cover = primal_dual_ring_cover(instance_a, flow, bound, stops, taken, (1, 0))
-    assert all(u[0] != 1 for u in cover.legs)  # the head's edge is never a leg
+    cover = primal_dual_ring_cover(instance_a, flow, bound, stops, taken, 1)
+    assert 1 not in cover.legs  # the head's edge is never a leg
     assert _flow_state(flow) == before
 
 
@@ -76,10 +77,10 @@ def test_single_core_no_saturation(instance_a):
 
 def test_min_violated_set_fixture(instance_a):
     flow, bound, stops, _ = ring_for(instance_a, (), {2})
-    head = (1, 0)
+    head = 1
     assert min_violated_set(instance_a, flow, bound, stops, [head]) == frozenset({2})
     # the relay leg covers {2}; the head covers {1, 2}
-    assert min_violated_set(instance_a, flow, bound, stops, [head, (2, 0)]) is None
+    assert min_violated_set(instance_a, flow, bound, stops, [head, 2]) is None
     # with no head at all, the ring's core is the minimal violated set
     assert min_violated_set(instance_a, flow, bound, stops, ()) == frozenset({2})
 
@@ -87,7 +88,7 @@ def test_min_violated_set_fixture(instance_a):
 def test_min_violated_set_head_alone(instance_a):
     flow, bound, stops, _ = ring_for(instance_a, (), {2})
     # head straight onto 2
-    assert min_violated_set(instance_a, flow, bound, stops, [(4, 0)]) is None
+    assert min_violated_set(instance_a, flow, bound, stops, [4]) is None
 
 
 def test_ring_family_realization_matches_enumeration(instance_a):
@@ -105,13 +106,13 @@ def test_ring_family_realization_matches_enumeration(instance_a):
 
 def test_primal_dual_fixture_prices(instance_a):
     cases = [
-        ({2}, 1, Fraction(1), ((2, 0),)),  # head on the relay, leg onto 2
+        ({2}, 1, Fraction(1), (2,)),  # head on the relay, leg onto 2
         ({2}, 4, Fraction(0), ()),  # head straight onto 2 covers the ring
-        ({3}, 2, Fraction(3), ((1, 0), (3, 0))),  # head misses the ring entirely
+        ({3}, 2, Fraction(3), (1, 3)),  # head misses the ring entirely
     ]
-    for target, head_edge, cost, legs in cases:
+    for target, head, cost, legs in cases:
         ring = ring_for(instance_a, (), target)
-        cover = primal_dual_ring_cover(instance_a, *ring, (head_edge, 0))
+        cover = primal_dual_ring_cover(instance_a, *ring, head)
         assert cover is not None
         assert cover.cost == cost and cover.legs == legs
 
@@ -130,9 +131,9 @@ def test_a_ring_flow_two_paths_short_is_refused(instance_a):
     flow, bound, stops, taken = ring_for(instance_a, (), {3})
     assert flow.value == bound - 1
     for read in (
-        lambda: primal_dual_ring_cover(instance_a, flow, bound + 1, stops, taken, (2, 0)),
+        lambda: primal_dual_ring_cover(instance_a, flow, bound + 1, stops, taken, 2),
         lambda: primal_dual_ring_cover(instance_a, flow, bound + 1, stops, taken),
-        lambda: min_violated_set(instance_a, flow, bound + 1, stops, [(2, 0)]),
+        lambda: min_violated_set(instance_a, flow, bound + 1, stops, [2]),
     ):
         with pytest.raises(AssertionError, match="is not one path below"):
             read()
@@ -156,7 +157,7 @@ def test_a_ring_whose_stops_reach_its_core_is_refused(instance_a):
     # a stop on the core's own side would reach the representative with no
     # unit at all: the ring's first read must raise (an ``if``, so it fires
     # under ``python -O``) rather than price the ring as covered by nothing
-    for target, head in (({2}, (1, 0)), ({3}, (2, 0))):
+    for target, head in (({2}, 1), ({3}, 2)):
         flow, bound, stops, taken = ring_for(instance_a, (), target)
         side = min_violated_set(instance_a, flow, bound, stops, ())
         assert flow.sink in side and stops.isdisjoint(side)
@@ -191,24 +192,24 @@ def test_primal_dual_unpriceable():
     target = next(c for c in cores if c.members == frozenset({2}))
     # head is the only arc entering {2}: as a head it is excluded from legs,
     # so the ring of the *other* core cannot be covered when priced there
-    assert fresh_cover(inst, (), cores, target, (2, 0)) is not None  # head alone suffices here
+    assert fresh_cover(inst, (), cores, target, 2) is not None  # head alone suffices here
     other = next(c for c in cores if c.members == frozenset({1}))
     # ring around {1} needs edge 1, which is available; edge 2 is the head
-    cover = fresh_cover(inst, (), cores, other, (2, 0))
-    assert cover is not None and cover.legs == ((1, 0),)
+    cover = fresh_cover(inst, (), cores, other, 2)
+    assert cover is not None and cover.legs == (1,)
 
     # now drop edge 1 entirely: the ring around {1} has no candidate left
     inst2 = Instance(3, 0, frozenset({1, 2}), (Edge(2, 0, 2, Fraction(1)),), 1)
     cores2 = rooted_cores(inst2, ())
     target2 = next(c for c in cores2 if c.members == frozenset({1}))
-    assert fresh_cover(inst2, (), cores2, target2, (2, 0)) is None
+    assert fresh_cover(inst2, (), cores2, target2, 2) is None
 
 
 def _ring_samples(inst, rng, per_instance=4):
     """Sample solver-independent (state, core, head) rings: each as its
-    state's units and cores, the core, the head and the head's fresh
-    primal-dual cover."""
-    units = list(inst.positive_units)
+    state's units and cores, the core, the head's edge id and the head's
+    fresh primal-dual cover."""
+    units = list(positive_units(inst))
     out = []
     for _ in range(per_instance):
         sample = frozenset(u for u in units if rng.random() < 0.3)
@@ -218,7 +219,7 @@ def _ring_samples(inst, rng, per_instance=4):
         free = [u for u in units if u not in sample]
         if not free:
             continue
-        head = free[rng.randrange(len(free))]
+        head = free[rng.randrange(len(free))][0]
         core = cores[rng.randrange(len(cores))]
         out.append((sample, cores, core, head, fresh_cover(inst, sample, cores, core, head)))
     return out
@@ -229,13 +230,13 @@ def _ring_samples(inst, rng, per_instance=4):
 def test_a_ring_read_on_the_carried_flow_matches_a_fresh_ring_flow(seed):
     # the solver reads a ring off the carried flow as it stands, with the
     # other cores' terminals as stops; the reference grows a fresh flow by
-    # root arcs saturating them.  Over random states, cores, unit sets and
+    # root arcs saturating them.  Over random states, cores, edge sets and
     # heads (none included), the violated set or None and the primal-dual
     # cover, field for field, must be the same, and the carried flow must be
     # left as it was
     rng = random.Random(seed)
     inst = small_random_instance(rng)
-    units = list(inst.positive_units)
+    units = list(positive_units(inst))
     for _ in range(3):
         state = [u for u in units if rng.random() < 0.3]
         cores = rooted_cores(inst, state)
@@ -262,11 +263,11 @@ def test_a_ring_read_on_the_carried_flow_matches_a_fresh_ring_flow(seed):
 @given(st.integers(0, 100_000))
 def test_a_ring_read_matches_growing_the_ring_flow(seed):
     # reading a ring by reachability must give the side, or None, that
-    # growing its flow by the units and reading the closest cut gives, for
-    # every core of random states and random unit sets, head or not
+    # growing its flow by the edges and reading the closest cut gives, for
+    # every core of random states and random edge sets, head or not
     rng = random.Random(seed)
     inst = small_random_instance(rng)
-    units = list(inst.positive_units)
+    units = list(positive_units(inst))
     for _ in range(3):
         state = [u for u in units if rng.random() < 0.3]
         cores = rooted_cores(inst, state)
@@ -280,8 +281,8 @@ def test_a_ring_read_matches_growing_the_ring_flow(seed):
 
 
 def _leg_candidates(inst, units, head):
-    """One free unit per positive edge, the head's edge excluded."""
-    return [u for u in free_leg_candidates(inst, units) if u[0] != head[0]]
+    """Every positive edge with a copy free, the head's edge excluded."""
+    return [e for e in free_leg_candidates(inst, units) if e != head]
 
 
 def _enumerated_ring(inst, units, cores, core):
@@ -299,10 +300,9 @@ def test_primal_dual_exact_against_enumeration(seed):
     for units, cores, core, head, cover in _ring_samples(inst, rng):
         ring = _enumerated_ring(inst, units, cores, core)
         assert ring is not None and ring.is_ring
-        head_arc = inst.unit_arc(head)
+        head_arc = inst.arc(head)
         candidates = [
-            (u, *inst.unit_arc(u), inst.edge_by_id[u[0]].cost)
-            for u in _leg_candidates(inst, units, head)
+            (e, *inst.arc(e), inst.edge_by_id[e].cost) for e in _leg_candidates(inst, units, head)
         ]
         oracle = brute_force_ring_cover(ring.members, head_arc, candidates)
         if oracle is None:
@@ -311,17 +311,18 @@ def test_primal_dual_exact_against_enumeration(seed):
             assert cover is not None
             # the cover's integer cost, back in the instance's rationals
             assert Fraction(cover.cost, inst.cost_scale) == oracle[0]
-            assert all(u[0] != head[0] for u in cover.legs)
-            # every leg is its edge's lowest free copy
+            assert head not in cover.legs
+            # the legs are distinct edge ids in order, each with a copy free
+            assert cover.legs == tuple(sorted(set(cover.legs)))
             taken = selection_from_units(units)
-            for eid, c in cover.legs:
-                assert c == taken.get(eid, 0) < inst.edge_by_id[eid].mult
+            for eid in cover.legs:
+                assert taken.get(eid, 0) < inst.edge_by_id[eid].mult
 
 
 def test_a_parallel_edge_offers_its_lowest_free_copy():
-    # edge 1 (0 -> 1) has two copies: with one selected, copy 1 is offered
-    # both as a head and as a leg; with both selected, as neither, and the
-    # ring around {1} is covered by the dearer edges instead
+    # edge 1 (0 -> 1) has two copies: with one selected, its free copy is
+    # offered both as a head and as a leg; with both selected, as neither,
+    # and the ring around {1} is covered by the dearer edges instead
     from rkec.instance import Edge, Instance
 
     inst = Instance(
@@ -334,17 +335,17 @@ def test_a_parallel_edge_offers_its_lowest_free_copy():
         3,
     )
     one = [(1, 0)]
-    assert candidate_heads(inst, selection_from_units(one)) == ((1, 1), (2, 0), (3, 0))
+    assert [e.id for e in candidate_heads(inst, selection_from_units(one))] == [1, 2, 3]
     cores = rooted_cores(inst, one)
     assert [c.members for c in cores] == [frozenset({1})]
-    assert fresh_cover(inst, one, cores, cores[0], (2, 0)).legs == ((1, 1),)
+    assert fresh_cover(inst, one, cores, cores[0], 2).legs == (1,)
 
     both = [(1, 0), (1, 1)]
-    assert candidate_heads(inst, selection_from_units(both)) == ((2, 0), (3, 0))
+    assert [e.id for e in candidate_heads(inst, selection_from_units(both))] == [2, 3]
     cores = rooted_cores(inst, both)
     assert [c.members for c in cores] == [frozenset({1})]
-    assert fresh_cover(inst, both, cores, cores[0], (2, 0)).legs == ((3, 0),)
-    assert fresh_cover(inst, both, cores, cores[0], (3, 0)).legs == ((2, 0),)
+    assert fresh_cover(inst, both, cores, cores[0], 2).legs == (3,)
+    assert fresh_cover(inst, both, cores, cores[0], 3).legs == (2,)
 
 
 @settings(max_examples=40, deadline=None)
@@ -357,9 +358,9 @@ def test_minimal_covers_admit_chain_certificate(seed):
         if cover is None or ring is None:
             continue
         # make the cover minimal over the bare ring: head first, then legs
-        edges = {u: inst.unit_arc(u) for u in cover.legs}
+        edges = {e: inst.arc(e) for e in cover.legs}
         head_key = ("head", head)
-        edges[head_key] = inst.unit_arc(head)
+        edges[head_key] = inst.arc(head)
         for key in [head_key, *cover.legs]:
             rest = {k: v for k, v in edges.items() if k != key}
             if rest and all(

@@ -34,7 +34,7 @@ from rkec.solver import (
 from rkec.verify import bound_decision, check_feasible
 
 from conftest import INSTANCE_A_JSON, small_random_instance
-from reference import pruned_by_units, rooted_max_level
+from reference import positive_units, pruned_by_units, rooted_max_level
 
 
 def phases(report):
@@ -87,7 +87,7 @@ def test_infeasible_instance_raises():
     with pytest.raises(InfeasibleError) as exc:
         solve(inst)
     assert exc.value.terminal == 2
-    short = short_terminal(inst, selection_from_units(inst.positive_units), inst.k)
+    short = short_terminal(inst, selection_from_units(positive_units(inst)), inst.k)
     assert (exc.value.terminal, exc.value.achieved, exc.value.required) == (*short, inst.k)
 
 
@@ -119,7 +119,7 @@ def test_solve_raises_exactly_on_an_infeasible_instance(seed):
     # when every positive unit leaves some terminal short, naming the first
     # such terminal and its path count
     inst = small_random_instance(random.Random(seed), max_nodes=7, max_k=3)
-    short = short_terminal(inst, selection_from_units(inst.positive_units), inst.k)
+    short = short_terminal(inst, selection_from_units(positive_units(inst)), inst.k)
     try:
         solve(inst)
     except InfeasibleError as exc:
@@ -132,7 +132,7 @@ def test_idempotence(instance_a):
     # re-solving with the previous answer folded into the free graph is free
     first = solve(instance_a)
     extra = tuple(
-        Edge(100 + eid, *instance_a.unit_arc((eid, 0)), Fraction(0), count)
+        Edge(100 + eid, *instance_a.arc(eid), Fraction(0), count)
         for eid, count in first.solution.selected.items()
     )
     again = Instance(
@@ -166,7 +166,7 @@ def test_count_prune_equals_the_unit_list_prune(seed):
         records = solve(inst).solution.audit
     except InfeasibleError:
         return
-    every = list(inst.positive_units)
+    every = list(positive_units(inst))
     rng.shuffle(every)
     for units in ([u for rec in records for u in rec.added_units], every):
         fast, slow = prune_solution(inst, units), pruned_by_units(inst, units)
@@ -228,7 +228,7 @@ def test_phase_postcondition_level_descends(seed):
 @given(st.integers(0, 100_000))
 def test_ratio_bound_against_optimum(seed):
     inst = small_random_instance(random.Random(seed), max_nodes=5)
-    if len(inst.positive_units) > 14:
+    if len(positive_units(inst)) > 14:
         return
     try:
         report = solve(inst)

@@ -33,7 +33,7 @@ from rkec.verify import (
 )
 
 from conftest import small_random_instance
-from reference import path_packing_witness
+from reference import path_packing_witness, positive_units
 
 
 def test_check_feasible_fixture(instance_a):
@@ -202,7 +202,7 @@ def test_audit_checks_the_pruned_selection(instance_a, pruned, clean):
     report = solve(instance_a)
     selected = {
         "solution": report.solution.selected,
-        "every": selection_from_units(instance_a.positive_units),
+        "every": selection_from_units(positive_units(instance_a)),
         "none": {},
     }[pruned]
     report.pruned = check_feasible(instance_a, Solution(selected, Fraction(0), {}, False))
@@ -274,7 +274,7 @@ def test_audit_is_pure(seed):
         report = solve(inst)
     except InfeasibleError:
         return
-    if len(inst.positive_units) > 14:
+    if len(positive_units(inst)) > 14:
         return
     opt = brute_force_opt(inst)
     first = audit_run(inst, report, lambda: opt, density_max_units=14)
