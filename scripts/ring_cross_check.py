@@ -104,7 +104,7 @@ def check_state(inst, state, per_state, seed):
                 else:
                     flow = flows[core.representative]
                     stops = pricing.stops[core.representative]
-                    solver = primal_dual_ring_cover(inst, flow, pricing.bound, stops, taken, head)
+                    solver = primal_dual_ring_cover(inst, flow, stops, taken, head)
             except AssertionError as exc:  # a cover failed its certificate
                 print(f"seed={seed}: {exc}")
                 bad = True

@@ -297,18 +297,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except SizeRefusalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        if isinstance(exc, InfeasibleError):
+            return EXIT_INFEASIBLE
+        return EXIT_SIZE if isinstance(exc, SizeRefusalError) else EXIT_PARSE
 
 
 def entrypoint():

@@ -32,21 +32,22 @@ def cores_of(inst: Instance, flows) -> list[CoreInfo]:
     Candidates are the closest-cut sink sides of the terminals attaining the
     max level; identical sets are merged and any candidate strictly containing
     another is discarded.  Every terminal inside a surviving core attains the
-    max level, so the representative is just the smallest one.
+    max level, so the representative is just the smallest one.  A core's ring
+    is read off its representative's flow, so that flow must sit at k - level:
+    one that does not raises (an ``if``, so it fires under ``python -O``).
     """
-    flows = flows.values()
-    level = max(max(inst.k - flow.value, 0) for flow in flows)
+    level = max(max(inst.k - flow.value, 0) for flow in flows.values())
     if level == 0:
         return []
-    candidates = {flow.closest_sink_side() for flow in flows if inst.k - flow.value == level}
-    kept = [
-        side for side in candidates
-        if not any(other < side for other in candidates)
-    ]
-    cores = [
-        CoreInfo(side, min(side & inst.terminals), level)
-        for side in kept
-    ]
+    need = inst.k - level
+    candidates = {flow.closest_sink_side() for flow in flows.values() if flow.value == need}
+    cores = []
+    for side in candidates:
+        if not any(other < side for other in candidates):
+            rep = min(side & inst.terminals)
+            if flows[rep].value != need:
+                value = flows[rep].value
+                raise AssertionError(f"core representative {rep} has flow {value}, not {need}")
+            cores.append(CoreInfo(side, rep, level))
     cores.sort(key=lambda c: c.representative)
     return cores
-

@@ -114,22 +114,23 @@ def _scan_head(head: int, head_cost: int, ranked) -> Star:
     return Star(total, j, (head, tuple(core.representative for core, _ in chosen)), chosen)
 
 
-def _cover(inst: Instance, flow, bound: int, stops, taken, head: int | None = None) -> RingCover:
-    """The primal-dual price of a ring (``primal_dual_ring_cover``); an
-    uncoverable ring raises the instance's ``InfeasibleError``.
+def _cover(inst: Instance, flow, stops, taken, head: int | None = None) -> RingCover:
+    """The primal-dual price of the ring of ``flow`` and ``stops``
+    (``primal_dual_ring_cover``); an uncoverable ring raises the instance's
+    ``InfeasibleError``.
 
     Why a feasible instance has one: take the carried root flows and cores
     at level l >= 1, and a violated set S of a ring's ascent, with or
-    without a head.  Its capacity is k - l, since the representative already
-    has k - l paths, so S holds no stop (one would count as the root) and
-    no head and no picked leg enters S.  S has at least k entering units in
+    without a head.  Its capacity is k - l, since the representative's flow
+    is at k - l (``cores_of`` checks it), so S holds no stop (one would
+    count as the root) and no head and no picked leg enters S.  S has at least k entering units in
     all, so at least l >= 1 free units enter it, on edges other than the
     head's and the picks', and each such edge is on the ascent's heap.
     Conversely, an uncoverable ring exhibits a set S that holds the
     representative and has fewer than k entering units in all, so
     ``require_feasible`` raises.
     """
-    cover = primal_dual_ring_cover(inst, flow, bound, stops, taken, head)
+    cover = primal_dual_ring_cover(inst, flow, stops, taken, head)
     if cover is None:
         require_feasible(inst)
         raise AssertionError("a ring is uncoverable on a feasible instance")
@@ -138,9 +139,9 @@ def _cover(inst: Instance, flow, bound: int, stops, taken, head: int | None = No
 
 class StarPricing(NamedTuple):
     """The no-head ring price of every core of one star selection, as
-    (core, cover) pairs ranked once for every head."""
+    (core, cover) pairs ranked once for every head.  A core's ring is its
+    representative's carried flow, read with the core's ``stops``."""
 
-    bound: int  # the representatives' flow at which a ring is covered, k - level + 1
     stops: dict[int, frozenset[int]]  # representative -> its ring's stops (``ring_stops``)
     ranked: tuple[tuple[CoreInfo, RingCover], ...]  # the pairs, in ``_rank`` order
     costs: tuple[int, ...]  # their costs, in the same order
@@ -185,14 +186,13 @@ def pricing_context(inst: Instance, flows, taken, cores) -> StarPricing:
     against.  Each core's ring is its representative's flow as it stands,
     read with the other cores' terminals as stops (``ring_stops``).
     """
-    bound = inst.k - cores[0].deficiency + 1  # every core is at the same level
     stops = ring_stops(inst, cores)
     ranked = tuple(sorted(
-        ((core, _cover(inst, flows[core.representative], bound, stops[core.representative], taken))
+        ((core, _cover(inst, flows[core.representative], stops[core.representative], taken))
          for core in cores),
         key=_rank,
     ))
-    return StarPricing(bound, stops, ranked, tuple(cover.cost for _, cover in ranked))
+    return StarPricing(stops, ranked, tuple(cover.cost for _, cover in ranked))
 
 
 def cheapest_star(inst: Instance, taken, cores, flows) -> Star:
@@ -277,7 +277,7 @@ def cheapest_star(inst: Instance, taken, cores, flows) -> Star:
         for pc, _ in touched:
             ranked.remove(pc)
             rep = pc[0].representative
-            cover = _cover(inst, flows[rep], pricing.bound, pricing.stops[rep], taken, head)
+            cover = _cover(inst, flows[rep], pricing.stops[rep], taken, head)
             insort(ranked, (pc[0], cover), key=_rank)
         scanned = _scan_head(head, head_cost, ranked)
         if best is None or scanned.beats(best):

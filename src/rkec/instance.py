@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -140,8 +141,16 @@ class Instance:
 
     @cached_property
     def cost_scale(self) -> int:
-        """Least common denominator of the edge costs (1 for integer costs)."""
-        return math.lcm(*(e.cost.denominator for e in self.edges))
+        """Least common denominator of the edge costs (1 for integer costs).
+        Once the running multiple might pass ``str``'s digit limit, ``str``
+        is tried on it, so a scale too long to write raises early."""
+        bits = sys.get_int_max_str_digits() * 3.32  # log2(10) > 3.32 bits per digit
+        scale = 1
+        for e in self.edges:
+            scale = math.lcm(scale, e.cost.denominator)
+            if bits and scale.bit_length() > bits:
+                str(scale)
+        return scale
 
     @cached_property
     def _scaled_costs(self) -> dict[int, int]:

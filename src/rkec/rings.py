@@ -3,24 +3,25 @@
 For a core C at residual level l, the deficient sets that contain no other
 core form a ring: they all contain C, and union/intersection stay inside.
 The ring is never materialized.  It is read off one residual flow from the
-root to the core's representative, the representative's carried root flow
-as it stands, with a bound of k - l + 1 and the terminals of every other
-core as stops (``ring_stops``): a stop that reaches the representative
-counts as the root reaching it, which pushes every set containing another
-core's terminal below the top level.  A head edge joins at capacity one.
-The remaining top-level sets are exactly the ring members not already
-covered by the head, so the minimal violated set is the closest minimum cut
-at the representative.  A head and a leg are edge ids: one copy covers.
+root to the core's representative: the representative's carried root flow
+as it stands, with the terminals of every other core as stops
+(``ring_stops``).  A ring is that (flow, stops) pair.  A stop that reaches
+the representative counts as the root reaching it, which pushes every set
+containing another core's terminal below the top level.  A head edge joins
+at capacity one.  The remaining top-level sets are exactly the ring members
+not already covered by the head, so the minimal violated set is the closest
+minimum cut at the representative.  A head and a leg are edge ids: one copy
+covers.
 
-The flow's value is k - l, one path below the bound, since the core's cut
-has capacity k - l and no stop lies inside it.  So a set of edges covers the
-ring exactly when the root or a stop reaches the representative through the
-residual network and the edges' arcs; and when neither does, the nodes that
-do reach it are the closest sink side, the minimal violated set.  Every
-question the ring layer asks is that one read (``Residual.reach``); no flow
-is grown, copied or rolled back for it.  With no edge at all, neither the
-root nor a stop may reach the representative; a primal-dual that finds a
-ring covered by nothing raises.
+The flow's value is k - l (``deficiency.cores_of`` checks it once per core),
+since the core's cut has capacity k - l and no stop lies inside it.  So a
+set of edges covers the ring exactly when the root or a stop reaches the
+representative through the residual network and the edges' arcs; and when
+neither does, the nodes that do reach it are the closest sink side, the
+minimal violated set.  Every question the ring layer asks is that one read
+(``Residual.reach``); no flow is grown, copied or rolled back for it.  With
+no edge at all, neither the root nor a stop may reach the representative; a
+primal-dual that finds a ring covered by nothing raises.
 
 The cover itself comes from dual ascent plus reverse delete.  Minimal
 violated sets of a shrinking ring form a strictly increasing chain, so the
@@ -59,27 +60,16 @@ def ring_stops(inst: Instance, cores) -> dict[int, frozenset[int]]:
     return {core.representative: terminals - core.members for core in cores}
 
 
-def _check_one_short(flow: Residual, bound: int) -> None:
-    """A ring flow is one augmenting path below its bound, so one
-    reachability read decides coverage; raise if it is not."""
-    if flow.value != bound - 1:
-        raise AssertionError(f"a ring flow of value {flow.value} is not one path below {bound}")
-
-
-def min_violated_set(
-    inst: Instance, flow: Residual, bound: int, stops, edges
-) -> frozenset[int] | None:
+def min_violated_set(inst: Instance, flow: Residual, stops, edges) -> frozenset[int] | None:
     """Inclusion-minimal ring member not covered by ``edges`` (ids: the head,
-    if any, and the legs) on the ring of ``flow``, ``bound`` and ``stops``.
+    if any, and the legs) on the ring of ``flow`` and ``stops``.
 
     The representative terminal sits in every ring member, so the closest
-    cut at it decides coverage.  The flow is one path below ``bound``, so
-    the edges cover the ring exactly when the root or a stop reaches the
-    sink through the residual network and the edges' arcs, and otherwise
-    the nodes that reach it are the closest sink side: one read
-    (``Residual.reach``), and the flow is left as it is.
+    cut at it decides coverage: the edges cover the ring exactly when the
+    root or a stop reaches the sink through the residual network and the
+    edges' arcs, and otherwise the nodes that reach it are the closest sink
+    side.  One read (``Residual.reach``), and the flow is left as it is.
     """
-    _check_one_short(flow, bound)
     side: set[int] = set()
     flow.reach(side, [inst.arc(e) for e in edges], stops)
     return None if inst.root in side else frozenset(side)
@@ -115,23 +105,22 @@ def _certificate(inst: Instance, cover: RingCover) -> bool:
 
 
 def primal_dual_ring_cover(
-    inst: Instance, flow: Residual, bound: int, stops, taken, head: int | None = None
+    inst: Instance, flow: Residual, stops, taken, head: int | None = None
 ) -> RingCover | None:
     """Exact minimum-cost legs so that legs + ``head`` (an edge id) cover the
-    ring of ``flow``, ``bound`` and ``stops``; the head's edge is never a
-    leg.  ``taken`` is the selection the greedy carries, edge id -> copies
-    bought.  The legs are the positive edges with a copy still free, one
-    copy each: a second parallel copy never helps cover a ring, since each
-    member needs only one entering edge.
+    ring of ``flow`` and ``stops``; the head's edge is never a leg.
+    ``taken`` is the selection the greedy carries, edge id -> copies bought.
+    The legs are the positive edges with a copy still free, one copy each:
+    a second parallel copy never helps cover a ring, since each member
+    needs only one entering edge.
 
     Dual ascent: raise the minimal violated set until some entering candidate
     goes tight (ties to the smallest edge id), add it, repeat.  Then delete
     redundant edges in reverse tightening order, each trial one
     ``min_violated_set`` read.  Returns None when some ring member has no
-    entering candidate at all; raises AssertionError when the flow is not
-    one path below ``bound``, when the root or a stop reaches the
-    representative with no edge at all, or when the cover fails its
-    strong-duality certificate (``_certificate``).
+    entering candidate at all; raises AssertionError when the root or a stop
+    reaches the representative with no edge at all, or when the cover fails
+    its strong-duality certificate (``_certificate``).
 
     The violated set is one growing side of the flow's fixed residual
     network (``Residual.reach``): it starts as the nodes that reach the
@@ -145,7 +134,6 @@ def primal_dual_ring_cover(
     whose tail has joined is popped as stale.  The flow is only read, never
     changed.
     """
-    _check_one_short(flow, bound)
     head_arcs = [] if head is None else [inst.arc(head)]
     first: dict[int, int] = {}
     prefix = [0]
@@ -179,7 +167,7 @@ def primal_dual_ring_cover(
     keep = list(tight_order)
     for e in reversed(tight_order[:-1]):
         trial = [f for f in keep if f != e]
-        if min_violated_set(inst, flow, bound, stops, fixed + trial) is None:
+        if min_violated_set(inst, flow, stops, fixed + trial) is None:
             keep = trial
 
     picked = tuple(sorted(keep))

@@ -73,25 +73,23 @@ def saturating_arcs(inst: Instance, all_cores, target: CoreInfo) -> list[tuple[i
 
 def carried_ring(
     inst: Instance, units, all_cores, target: CoreInfo
-) -> tuple[Residual, int, frozenset[int]]:
-    """The target's ring as the solver reads it: the representative's root
-    flow of ``units`` stopped at k, as the greedy carries it, the bound
-    k - level + 1 and the other cores' terminals as stops."""
+) -> tuple[Residual, frozenset[int]]:
+    """The target's ring as the solver reads it, (flow, stops): the
+    representative's root flow of ``units`` stopped at k, as the greedy
+    carries it, and the other cores' terminals."""
     rep = target.representative
     flow = dict(root_flows(inst, selection_from_units(units), inst.k))[rep]
-    return flow, inst.k - target.deficiency + 1, ring_stops(inst, all_cores)[rep]
+    return flow, ring_stops(inst, all_cores)[rep]
 
 
-def build_ring_context(inst: Instance, units, all_cores, target: CoreInfo) -> tuple[Residual, int]:
-    """The target's ring flow of ``units`` and its bound, built from
-    nothing: a fresh residual over the working and saturating arcs, so it is
-    read with no stops, and not any flow the solver carries.  Its value is
-    k - level, one path below the bound."""
-    bound = inst.k - target.deficiency + 1
+def build_ring_context(inst: Instance, units, all_cores, target: CoreInfo) -> Residual:
+    """The target's ring flow of ``units``, built from nothing: a fresh
+    maximum flow over the working and saturating arcs, so it is read with no
+    stops, and not any flow the solver carries.  Its value is k - level."""
     flow = Residual(inst.node_count, inst.root, target.representative)
     arcs = working_arcs(inst, selection_from_units(units))
-    flow.grow(arcs + saturating_arcs(inst, all_cores, target), bound)
-    return flow, bound
+    flow.grow(arcs + saturating_arcs(inst, all_cores, target))
+    return flow
 
 
 def fresh_cover(
@@ -99,21 +97,20 @@ def fresh_cover(
 ) -> RingCover | None:
     """The primal-dual price of (target, head edge id) at ``units``, on a
     ring flow built afresh; a head of None prices the bare ring."""
-    flow, bound = build_ring_context(inst, units, all_cores, target)
+    flow = build_ring_context(inst, units, all_cores, target)
     taken = selection_from_units(units)
-    return primal_dual_ring_cover(inst, flow, bound, frozenset(), taken, head)
+    return primal_dual_ring_cover(inst, flow, frozenset(), taken, head)
 
 
-def grown_min_violated_set(
-    inst: Instance, flow: Residual, bound: int, edges
-) -> frozenset[int] | None:
+def grown_min_violated_set(inst: Instance, flow: Residual, edges) -> frozenset[int] | None:
     """``rings.min_violated_set`` the plain way, on a ring flow built afresh
     (``build_ring_context``, so with no stops): grow the ring flow by the
-    arcs of ``edges`` (ids) up to ``bound`` after a mark, read its closest
-    sink side if it falls short, and roll it back."""
+    arcs of ``edges`` (ids) after a mark, read its closest sink side if it
+    gains no path, and roll it back."""
     mark = flow.mark()
+    covered = flow.value + 1
     try:
-        if flow.grow([(*inst.arc(e), 1) for e in edges], bound) >= bound:
+        if flow.grow([(*inst.arc(e), 1) for e in edges], covered) >= covered:
             return None
         return flow.closest_sink_side()
     finally:
@@ -161,8 +158,8 @@ def price_star_edges(inst: Instance, units, cores) -> dict[tuple[int, CoreInfo],
     taken = selection_from_units(units)
     for head in free_leg_candidates(inst, units):
         for core in cores:
-            flow, bound = build_ring_context(inst, units, cores, core)
-            cover = primal_dual_ring_cover(inst, flow, bound, frozenset(), taken, head)
+            flow = build_ring_context(inst, units, cores, core)
+            cover = primal_dual_ring_cover(inst, flow, frozenset(), taken, head)
             if cover is not None:
                 prices[(head, core)] = cover
     return prices

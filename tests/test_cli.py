@@ -105,6 +105,24 @@ def test_costs_too_long_to_write_are_refused_at_parse(tmp_path, capsys, monkeypa
     assert not (tmp_path / "r.json").exists()
 
 
+def test_many_long_denominators_are_refused_at_once(tmp_path, capsys, monkeypatch):
+    # 200 edges with distinct 4,000-digit denominators, pairwise coprime: the
+    # common denominator is too long to write from the second edge on, and
+    # the parse refuses it there rather than after multiplying in all 200
+    base = 10**3999
+    doc = {"n": 2, "root": 0, "terminals": [1], "k": 1, "edges": [
+        {"id": i, "tail": 0, "head": 1, "cost": f"1/{base + 2 * i + 1}"} for i in range(200)
+    ]}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr("rkec.cli.solve", _no_solve)
+    start = time.perf_counter()
+    assert run("solve", "--instance", path, "--out", tmp_path / "r.json") == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the costs' common denominator or total is too long: ")
+
+
 def test_a_long_single_cost_still_solves(tmp_path):
     doc = {"n": 2, "root": 0, "terminals": [1], "k": 1, "edges": [
         {"id": 1, "tail": 0, "head": 1, "cost": f"1/{_HUGE}"}]}

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rkec.deficiency import cores_of
 from rkec.instance import ParseError
 
 from conftest import small_random_instance
@@ -37,6 +42,48 @@ def test_k2_variant_cores(instance_a_k2):
     assert rooted_max_level(instance_a_k2, ()) == 1
     cores = rooted_cores(instance_a_k2, ())
     assert [(sorted(c.members), c.deficiency) for c in cores] == [([2], 1), ([3], 1)]
+
+
+_OFF_LEVEL = """
+from fractions import Fraction
+from rkec.deficiency import cores_of
+from rkec.flows import root_flows
+from rkec.instance import Edge, Instance
+
+# terminals 1 and 2 reach each other for free, so {1, 2} is the one core
+inst = Instance(3, 0, frozenset({1, 2}), (
+    Edge(1, 1, 2, Fraction(0)), Edge(2, 2, 1, Fraction(0)), Edge(3, 0, 1, Fraction(1)),
+), 1)
+flows = dict(root_flows(inst, {}, inst.k))
+flows[1].grow([(0, 1, 1)], inst.k)  # terminal 1's flow alone gains edge 3
+"""
+
+
+def test_a_core_whose_representative_is_off_the_level_is_refused():
+    # a core's ring is read off its representative's flow, which must sit at
+    # k - level; here terminal 2's flow reads the core {1, 2} at level 1, but
+    # its representative 1 was grown by an arc the other flow was not.
+    # ``cores_of`` must raise, with an ``if`` that ``python -O`` keeps
+    namespace = {}
+    exec(_OFF_LEVEL, namespace)
+    with pytest.raises(AssertionError, match="core representative 1 has flow 1, not 0"):
+        cores_of(namespace["inst"], namespace["flows"])
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    script = _OFF_LEVEL + """
+assert False, "asserts must be stripped in this interpreter"
+try:
+    cores_of(inst, flows)
+except AssertionError as exc:
+    print("raised:", exc)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised: core representative 1 has flow 1, not 0\n"
 
 
 @settings(max_examples=60, deadline=None)

@@ -168,7 +168,6 @@ def test_size_caps_count_units_without_building_them():
     with pytest.raises(SizeRefusalError):
         density_violations(inst, report, max_units=22)
     assert not _acceptable(inst, GenParams(2, 1, 1, max_units=22))
-    assert "positive_units" not in vars(inst)
 
 
 @pytest.mark.parametrize("seed", [1, 7, 232, 424])

@@ -315,10 +315,9 @@ def test_short_terminal_is_the_first_terminal_below_need(seed, data):
 def test_feasibility_checks_build_no_unit():
     # terminal 2 is unreachable and edge 0 -> 1 has 10^9 copies: the checks
     # over every positive edge read it as one arc at its multiplicity, so
-    # neither builds (nor caches) a unit
+    # neither builds a unit
     inst = Instance(3, 0, frozenset({2}), (Edge(1, 0, 1, Fraction(1), 10**9),), 1)
     with pytest.raises(InfeasibleError) as exc:
         require_feasible(inst)
     assert (exc.value.terminal, exc.value.achieved) == (2, 0)
     assert not _acceptable(inst, GenParams(3, 1, 1))
-    assert "positive_units" not in vars(inst)

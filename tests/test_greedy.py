@@ -485,20 +485,20 @@ def test_heads_on_a_shared_ring_price_like_a_fresh_context(seed, augmentation):
         for core, shared in pricing.ranked:
             flow = flows[core.representative]
             stops = pricing.stops[core.representative]
-            fresh, bound = build_ring_context(inst, units, cores, core)
-            assert pricing.bound == bound
+            fresh = build_ring_context(inst, units, cores, core)
+            assert flow.value == fresh.value
             before = _flow_state(flow)
             for head in heads:
-                cover = primal_dual_ring_cover(inst, flow, bound, stops, taken, head)
-                assert cover == primal_dual_ring_cover(inst, fresh, bound, frozenset(), taken, head)
-                assert min_violated_set(inst, flow, bound, stops, [head]) == min_violated_set(
-                    inst, fresh, bound, frozenset(), [head]
+                cover = primal_dual_ring_cover(inst, flow, stops, taken, head)
+                assert cover == primal_dual_ring_cover(inst, fresh, frozenset(), taken, head)
+                assert min_violated_set(inst, flow, stops, [head]) == min_violated_set(
+                    inst, fresh, frozenset(), [head]
                 )
                 assert cover is not None
                 assert head not in cover.legs
-                assert min_violated_set(inst, flow, bound, stops, [head, *cover.legs]) is None
+                assert min_violated_set(inst, flow, stops, [head, *cover.legs]) is None
                 assert _flow_state(flow) == before
-            assert primal_dual_ring_cover(inst, flow, bound, stops, taken) == shared
+            assert primal_dual_ring_cover(inst, flow, stops, taken) == shared
             assert _flow_state(flow) == before
 
 
@@ -520,7 +520,7 @@ def test_the_floor_bounds_every_head_price_from_below(seed, augmentation):
                 assert floor == prefix[-1] - sum(prefix[i + 1] - prefix[i] for i in entered)
                 flow = flows[core.representative]
                 stops = pricing.stops[core.representative]
-                cover = primal_dual_ring_cover(inst, flow, pricing.bound, stops, taken, head)
+                cover = primal_dual_ring_cover(inst, flow, stops, taken, head)
                 assert floor <= cover.cost
 
 
@@ -620,9 +620,9 @@ def test_star_coverage_soundness(seed):
         return
     bought = star.edges()
     for core, _ in star.chosen:
-        flow, bound = build_ring_context(inst, (), cores, core)
+        flow = build_ring_context(inst, (), cores, core)
         bought_edges = [star.head, *(bought - {star.head})]
-        assert min_violated_set(inst, flow, bound, frozenset(), bought_edges) is None
+        assert min_violated_set(inst, flow, frozenset(), bought_edges) is None
 
 
 def _carried_and_fresh_cores(inst):

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -143,7 +144,7 @@ def test_package_runs_on_the_standard_library_alone():
 
 
 def test_rings_are_priced_on_the_flow_itself():
-    # a ring is its core representative's flow and a bound; no context object
+    # a ring is its core representative's flow and its stops; no context object
     # wraps them and no copy of one is made per head
     rings = importlib.import_module("rkec.rings")
     assert not hasattr(rings, "RingContext") and not hasattr(rings, "core_ring_context")
@@ -168,7 +169,35 @@ def test_ring_covers_carry_their_dual_chain():
     greedy = importlib.import_module("rkec.greedy")
     assert not hasattr(rings, "DualStep")
     assert [f.name for f in fields(rings.RingCover)] == ["legs", "cost", "first", "prefix"]
-    assert greedy.StarPricing._fields == ("bound", "stops", "ranked", "costs")
+    assert greedy.StarPricing._fields == ("stops", "ranked", "costs")
+
+
+def _functions(module):
+    """(qualified name, function) of every function and method ``module`` defines."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for method, func in inspect.getmembers(obj, inspect.isfunction):
+                yield f"{name}.{method}", func
+
+
+def test_a_ring_is_its_flow_and_its_stops():
+    # a ring is read off its representative's carried flow whatever its
+    # level: no ring or greedy function takes a bound, and the level is
+    # checked once per core, in ``cores_of``, not on every ring read
+    rings = importlib.import_module("rkec.rings")
+    greedy = importlib.import_module("rkec.greedy")
+    assert not hasattr(rings, "_check_one_short")
+    bounded = [
+        f"{module.__name__}.{name}"
+        for module in (rings, greedy)
+        for name, func in _functions(module)
+        if "bound" in inspect.signature(func).parameters
+    ]
+    assert not bounded, bounded
 
 
 def test_the_greedy_is_the_solvers_feasibility_check():

@@ -35,7 +35,7 @@ from reference import (
 
 
 def ring_for(inst, units, target_members):
-    """(flow, bound, stops, per-edge counts of ``units``) of the ring around
+    """(flow, stops, per-edge counts of ``units``) of the ring around
     ``target_members``, as the solver reads it: off the carried flow."""
     cores = rooted_cores(inst, units)
     target = next(c for c in cores if c.members == frozenset(target_members))
@@ -54,14 +54,13 @@ def _flow_state(flow):
 
 def test_context_shape(instance_a):
     assert stops_for(instance_a, (), {2}) == {3}  # the other core's terminal
-    flow, bound, stops, taken = ring_for(instance_a, (), {2})
-    assert bound == 1  # k - level + 1, with k = 1 and the core {2} at level 1
+    flow, stops, taken = ring_for(instance_a, (), {2})
     # the flow is the carried root flow as it stands, over the zero-cost
     # edges alone (there are none): no arc onto the stop, and the head
     # 0 -> 1 never joins it, a primal-dual only reads through it
-    assert flow.to == [] and flow.value == 0
+    assert flow.to == [] and flow.value == 0  # k - level: k = 1, the core {2} at level 1
     before = _flow_state(flow)
-    cover = primal_dual_ring_cover(instance_a, flow, bound, stops, taken, 1)
+    cover = primal_dual_ring_cover(instance_a, flow, stops, taken, 1)
     assert 1 not in cover.legs  # the head's edge is never a leg
     assert _flow_state(flow) == before
 
@@ -76,19 +75,19 @@ def test_single_core_no_saturation(instance_a):
 
 
 def test_min_violated_set_fixture(instance_a):
-    flow, bound, stops, _ = ring_for(instance_a, (), {2})
+    flow, stops, _ = ring_for(instance_a, (), {2})
     head = 1
-    assert min_violated_set(instance_a, flow, bound, stops, [head]) == frozenset({2})
+    assert min_violated_set(instance_a, flow, stops, [head]) == frozenset({2})
     # the relay leg covers {2}; the head covers {1, 2}
-    assert min_violated_set(instance_a, flow, bound, stops, [head, 2]) is None
+    assert min_violated_set(instance_a, flow, stops, [head, 2]) is None
     # with no head at all, the ring's core is the minimal violated set
-    assert min_violated_set(instance_a, flow, bound, stops, ()) == frozenset({2})
+    assert min_violated_set(instance_a, flow, stops, ()) == frozenset({2})
 
 
 def test_min_violated_set_head_alone(instance_a):
-    flow, bound, stops, _ = ring_for(instance_a, (), {2})
+    flow, stops, _ = ring_for(instance_a, (), {2})
     # head straight onto 2
-    assert min_violated_set(instance_a, flow, bound, stops, [4]) is None
+    assert min_violated_set(instance_a, flow, stops, [4]) is None
 
 
 def test_ring_family_realization_matches_enumeration(instance_a):
@@ -124,21 +123,6 @@ def test_failed_certificate_stops_the_solve(instance_a, monkeypatch):
         solve(instance_a)
 
 
-def test_a_ring_flow_two_paths_short_is_refused(instance_a):
-    # a ring is read by reachability alone, which decides one augmenting
-    # path; a flow two paths below its bound must raise (not assert, which
-    # ``python -O`` strips) rather than be read as if one were enough
-    flow, bound, stops, taken = ring_for(instance_a, (), {3})
-    assert flow.value == bound - 1
-    for read in (
-        lambda: primal_dual_ring_cover(instance_a, flow, bound + 1, stops, taken, 2),
-        lambda: primal_dual_ring_cover(instance_a, flow, bound + 1, stops, taken),
-        lambda: min_violated_set(instance_a, flow, bound + 1, stops, [2]),
-    ):
-        with pytest.raises(AssertionError, match="is not one path below"):
-            read()
-
-
 _STOP_IN_THE_CORE_UNDER_O = f"""
 from rkec import greedy
 from rkec.instance import parse_instance
@@ -158,14 +142,14 @@ def test_a_ring_whose_stops_reach_its_core_is_refused(instance_a):
     # unit at all: the ring's first read must raise (an ``if``, so it fires
     # under ``python -O``) rather than price the ring as covered by nothing
     for target, head in (({2}, 1), ({3}, 2)):
-        flow, bound, stops, taken = ring_for(instance_a, (), target)
-        side = min_violated_set(instance_a, flow, bound, stops, ())
+        flow, stops, taken = ring_for(instance_a, (), target)
+        side = min_violated_set(instance_a, flow, stops, ())
         assert flow.sink in side and stops.isdisjoint(side)
         for node in side:
             for reading_head in (None, head):
                 with pytest.raises(AssertionError, match="reaches the root or a stop"):
                     primal_dual_ring_cover(
-                        instance_a, flow, bound, stops | {node}, taken, reading_head
+                        instance_a, flow, stops | {node}, taken, reading_head
                     )
 
     # the same through the greedy, in an interpreter that strips ``assert``
@@ -243,19 +227,19 @@ def test_a_ring_read_on_the_carried_flow_matches_a_fresh_ring_flow(seed):
         free = free_leg_candidates(inst, state)
         taken = selection_from_units(state)
         for core in cores:
-            flow, bound, stops = carried_ring(inst, state, cores, core)
-            fresh, fresh_bound = build_ring_context(inst, state, cores, core)
-            assert (bound, flow.value) == (fresh_bound, fresh.value)
+            flow, stops = carried_ring(inst, state, cores, core)
+            fresh = build_ring_context(inst, state, cores, core)
+            assert flow.value == fresh.value
             before = _flow_state(flow)
             for p in (0.0, 0.2, 0.4, 0.7):
                 trial = [u for u in free if rng.random() < p]
-                assert min_violated_set(inst, flow, bound, stops, trial) == min_violated_set(
-                    inst, fresh, bound, frozenset(), trial
+                assert min_violated_set(inst, flow, stops, trial) == min_violated_set(
+                    inst, fresh, frozenset(), trial
                 )
             for head in (None, *free):
                 assert primal_dual_ring_cover(
-                    inst, flow, bound, stops, taken, head
-                ) == primal_dual_ring_cover(inst, fresh, bound, frozenset(), taken, head)
+                    inst, flow, stops, taken, head
+                ) == primal_dual_ring_cover(inst, fresh, frozenset(), taken, head)
             assert _flow_state(flow) == before
 
 
@@ -273,11 +257,11 @@ def test_a_ring_read_matches_growing_the_ring_flow(seed):
         cores = rooted_cores(inst, state)
         free = free_leg_candidates(inst, state)
         for core in cores:
-            flow, bound = build_ring_context(inst, state, cores, core)
+            flow = build_ring_context(inst, state, cores, core)
             for p in (0.0, 0.2, 0.4, 0.7):
                 trial = [u for u in free if rng.random() < p]
-                expected = grown_min_violated_set(inst, flow, bound, trial)
-                assert min_violated_set(inst, flow, bound, frozenset(), trial) == expected
+                expected = grown_min_violated_set(inst, flow, trial)
+                assert min_violated_set(inst, flow, frozenset(), trial) == expected
 
 
 def _leg_candidates(inst, units, head):
