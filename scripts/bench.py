@@ -3,12 +3,12 @@
 
 Usage: python scripts/bench.py LABEL [--rounds N]
 
-Three rows: the 500-seed acceptance corpus, solved instance by instance in
-seed order, and two ladder instances,
-``GenParams(n, T, k, density=3/10, root_bias=2, seed=1)`` at (120, 40, 3)
-and (200, 60, 3).  Each row's instances are generated once, then solved
-``--rounds`` times (default 5) in this process; only the ``solve`` calls are
-timed.  Per row the file holds the wall-time median, min and max over the
+Four rows: the 500-seed acceptance corpus, solved instance by instance in
+seed order, and three ladder instances,
+``GenParams(n, T, k, density=3/10, root_bias=2, seed=1)`` at (120, 40, 3),
+(200, 60, 3) and (300, 90, 3).  Each row's instances are generated once,
+then solved ``--rounds`` times (default 5) in this process; only the
+``solve`` calls are timed.  Per row the file holds the wall-time median, min and max over the
 rounds, the total cost, and the sha256 of the report bytes
 ``dump_json(report_to_doc(...))``, concatenated in seed order for the corpus
 as the acceptance test C10 hashes them.  Every round must give the same
@@ -32,7 +32,7 @@ from rkec.generate import GenParams, default_corpus_params, generate_instance  #
 from rkec.instance import dump_json, frac_to_str  # noqa: E402
 from rkec.solver import report_to_doc, solve  # noqa: E402
 
-LADDER = ((120, 40, 3), (200, 60, 3))
+LADDER = ((120, 40, 3), (200, 60, 3), (300, 90, 3))
 
 
 def rows() -> list[tuple[str, list]]:

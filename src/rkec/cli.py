@@ -168,7 +168,7 @@ def cmd_bench(args) -> int:
         row = {"file": path.name}
         try:
             inst = parse_instance(path.read_text())
-        except ParseError as exc:
+        except (ParseError, OSError, UnicodeDecodeError) as exc:
             row["status"] = f"parse error: {exc}"
             worst = max(worst, EXIT_PARSE)
             rows.append(row)

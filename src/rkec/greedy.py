@@ -23,8 +23,9 @@ reaches pricing scans the ranked covers for the cores whose interval is
 nonempty; every other core keeps exactly its shared no-head price, and only
 the touched pairs run a primal-dual of their own.  Each head is first
 bounded below, and skipped when even that bound loses to the best star so
-far: by weak duality, the part of the shared dual the head does not enter
-bounds the exact primal-dual price with the head from below.  A bound per
+far, on density or, at equal density, on the star's tie-break: by weak
+duality, the part of the shared dual the head does not enter bounds the
+exact primal-dual price with the head from below.  A bound per
 head node comes first: once it loses for a node, every later head into that
 node is skipped at once.
 
@@ -99,6 +100,14 @@ class Star(NamedTuple):
         return (self.total * other.leaves, -self.leaves, self.tie) < (
             other.total * self.leaves, -other.leaves, other.tie
         )
+
+
+def _loses(total: int, j: int, head: int, best: Star) -> bool:
+    """Whether head ``head``, whose ``_best_prefix`` over floors is (total,
+    j), cannot beat ``best``: its density bound is higher, or it ties and
+    the bound's j already loses ``Star.beats``' tie-break (fewer leaves, or
+    as many and a larger head id).  Proof in ``cheapest_star``."""
+    return (total * best.leaves, -j, head) > (best.total * j, -best.leaves, best.head)
 
 
 def _rank(pc: tuple[CoreInfo, RingCover]) -> tuple[int, int]:
@@ -221,23 +230,37 @@ def cheapest_star(inst: Instance, taken, cores, flows) -> Star:
     Bounds: heads are visited in ascending (cost, edge id),
     ``candidate_heads``' order.  Any star with head h has density at least
     cost(h) / |cores|, so once that exceeds the best density seen the
-    remaining heads cannot win (nor tie, the bound is strict).  Before
-    pricing a head, its best density is bounded below by the best prefix
-    over the shared costs, ranked once per star, with the touched cores'
-    floors in their place; a head whose bound is strictly above the best
-    density is skipped.  Dropping the entered interval leaves a feasible
-    dual of the with-head LP, so by weak duality the rest bounds the exact
-    primal-dual price from below.  The scan merges the touched prices into
-    the same ranked list.
+    remaining heads cannot win.  Before pricing a head, its best density is
+    bounded below by the best prefix over the shared costs, ranked once per
+    star, with the touched cores' floors in their place; a head whose bound
+    loses to the best star is skipped (``_loses``).  Dropping the entered
+    interval leaves a feasible dual of the with-head LP, so by weak duality
+    the rest bounds the exact primal-dual price from below.  The scan
+    merges the touched prices into the same ranked list.
+
+    A bound (total, j) loses when total / j is above the best density d, or
+    equals d with j < best.leaves, or with j == best.leaves and a head id
+    above best.head.  The tie clauses are exact as well.  The floors are
+    elementwise no higher than the priced costs once both are sorted, so if
+    the scanned star reaches d with j' leaves, the floors' first j' reach d
+    too.  Then d is the floors' least prefix density, and ``_best_prefix``
+    returns the largest j attaining it, so j' <= j.  ``Star.beats`` orders
+    by density, then by more leaves, then by ``tie``, whose first field is
+    the head id; so the scanned star has fewer leaves than the best, or as
+    many and a larger head id, and loses.  A star that later replaces the
+    best beats it, so a skipped head loses to that one too.
 
     Before that, a node bound per head node v (``StarPricing.node_floors``):
     the shared costs with every core whose chain holds v at prefix[first[v]]
     are elementwise no higher than the costs any head into v is bounded
     with, and ``_best_prefix`` is monotone in the costs, so their best
     prefix bounds every head into v from below.  The floors are sorted once
-    per star and node.  Once that bound loses for v, every later head into v
-    costs at least as much against a best star at least as good, so v is
-    marked dead and its later heads are skipped at once.
+    per star and node.  Once that bound loses for v (``_loses``, with the
+    head at hand), v is marked dead and its later heads are skipped at once.
+    A later head into v either costs more, so its bound's density is
+    strictly higher and loses outright, or costs the same with a larger id,
+    so the node floors give it the same (total, j) and it loses the same
+    tie-break.
 
     An uncoverable ring raises ``InfeasibleError`` (``_cover``).  Every
     ring is read off its representative's carried flow as it stands, so
@@ -260,7 +283,7 @@ def cheapest_star(inst: Instance, taken, cores, flows) -> Star:
             if node not in floors:
                 floors[node] = pricing.node_floors(node)
             total, j = _best_prefix(head_cost, floors[node])
-            if total * best.leaves > best.total * j:  # so does every later head into node
+            if _loses(total, j, head, best):  # so does every later head into node
                 dead.add(node)
                 continue
         touched = pricing.touched((edge.tail, node))
@@ -271,7 +294,7 @@ def cheapest_star(inst: Instance, taken, cores, flows) -> Star:
                 costs.remove(pc[1].cost)
                 insort(costs, floor)
             total, j = _best_prefix(head_cost, costs)
-            if total * best.leaves > best.total * j:  # the bound loses to the best density
+            if _loses(total, j, head, best):
                 continue
         ranked = list(pricing.ranked)
         for pc, _ in touched:

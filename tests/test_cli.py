@@ -425,6 +425,22 @@ def test_bench_flags_parse_failure(tmp_path):
     assert run("bench", "--corpus", corpus, "--out", tmp_path / "s.json") == 2
 
 
+def test_bench_rows_an_unreadable_file_and_goes_on(tmp_path):
+    # a file that cannot be decoded or read is a parse error row like a
+    # malformed one; the instances after it are still solved and summarized
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.json").write_bytes(b"\xff\xfe{")
+    (corpus / "b.json").mkdir()
+    (corpus / "c.json").write_text(INSTANCE_A_JSON)
+    out = tmp_path / "s.json"
+    assert run("bench", "--corpus", corpus, "--out", out, "--no-timestamp") == 2
+    rows = json.loads(out.read_text())["instances"]
+    assert [row["file"] for row in rows] == ["a.json", "b.json", "c.json"]
+    assert [row["status"].startswith("parse error: ") for row in rows] == [True, True, False]
+    assert rows[2]["status"] == "ok"
+
+
 @pytest.mark.parametrize("make", [None, "touch"], ids=["missing", "file"])
 def test_bench_corpus_must_be_a_directory(tmp_path, capsys, make):
     corpus = tmp_path / "corpus"

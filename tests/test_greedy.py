@@ -298,7 +298,7 @@ def _untouched_visited_heads(inst, units, cores, star):
 
 def test_sparse_pricing_equals_full_pricing_on_many_cores():
     # every head after the first that touches no core must lose to it, by
-    # the strict per-head bound or on head order; seeing that needs stars with
+    # the per-head bound or its tie-break; seeing that needs stars with
     # several cores and several heads entering none of their chains, which
     # small instances seldom give
     untouched = []
@@ -314,8 +314,8 @@ def test_sparse_pricing_equals_full_pricing_on_many_cores():
 def test_a_wide_solve_prices_the_same_pairs():
     # sparse lookup must not change which (head, core) pairs run a
     # primal-dual: the shared no-head covers plus the touched pairs that
-    # survive the bound, 425 over one solve of each wide pool instance; nor
-    # which reverse-delete trials run, one per pick but a cover's last, 522
+    # survive the bound, 288 over one solve of each wide pool instance; nor
+    # which reverse-delete trials run, one per pick but a cover's last, 323
     calls = {"pd": 0, "mvs": 0}
 
     def counting(name, real):
@@ -329,7 +329,7 @@ def test_a_wide_solve_prices_the_same_pairs():
         mp.setattr(rings, "min_violated_set", counting("mvs", rings.min_violated_set))
         for seed in range(1, 7):
             cover_levels(_wide_instance(seed))
-    assert calls == {"pd": 425, "mvs": 522}
+    assert calls == {"pd": 288, "mvs": 323}
 
 
 def test_ring_reads_neither_grow_nor_undo_a_flow():
@@ -379,8 +379,105 @@ def test_ring_reads_neither_grow_nor_undo_a_flow():
             mp.setattr(Residual, name, counted(name, getattr(Residual, name)))
         for seed in range(1, 7):
             cover_levels(_wide_instance(seed))
-    assert reads["star"] > 0 and (reads["pd"], reads["mvs"]) == (425, 522)
+    assert reads["star"] > 0 and (reads["pd"], reads["mvs"]) == (288, 323)
     assert calls == []
+
+
+def test_a_ladder_solve_skips_the_heads_that_only_tie():
+    # with small integer costs many heads' bounds only tie the best star;
+    # pricing every such head took 1,122 primal-dual calls over one solve of
+    # the (120, 40, 3) ladder instance, where skipping those that lose the
+    # tie-break leaves 394
+    real, calls = greedy.primal_dual_ring_cover, 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    inst = generate_instance(GenParams(120, 40, 3, density=Fraction(3, 10), root_bias=2, seed=1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(greedy, "primal_dual_ring_cover", counting)
+        cover_levels(inst)
+    assert calls == 394
+
+
+def _price_in_full(inst, pricing, flows, taken, head):
+    """``head``'s exact star: its touched pairs priced through ``_cover`` in
+    place of their shared covers, then ``_scan_head``."""
+    ranked = list(pricing.ranked)
+    for pc, _ in pricing.touched(inst.arc(head)):
+        ranked.remove(pc)
+        rep = pc[0].representative
+        ranked.append((pc[0], greedy._cover(inst, flows[rep], pricing.stops[rep], taken, head)))
+    ranked.sort(key=greedy._rank)
+    return greedy._scan_head(head, inst.scaled_cost(head), ranked)
+
+
+def _assert_tied_skips_lose(inst, units, cores):
+    """Price in full every head ``cheapest_star`` skips at one state on a
+    bound that only ties the best star: none may beat the best star it was
+    skipped against.  Returns how many such skips (node bound, head bound)
+    there were; a state whose pricing raises is checked with
+    ``_assert_unpriceable``."""
+    taken = selection_from_units(units)
+    flows = carried_flows(inst, units)
+    real, ties = greedy._loses, []
+
+    def loses(total, j, head, best):
+        skip = real(total, j, head, best)
+        if skip and total * best.leaves == best.total * j:
+            ties.append((total, j, head, best))
+        return skip
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(greedy, "_loses", loses)
+        try:
+            cheapest_star(inst, taken, cores, flows)
+        except InfeasibleError as exc:
+            _assert_unpriceable(inst, units, cores, exc)
+            return 0, 0
+    pricing = pricing_context(inst, flows, taken, cores)
+    heads = candidate_heads(inst, taken)
+    sites = [0, 0]
+    for total, j, head, best in ties:
+        node, cost = inst.arc(head)[1], inst.scaled_cost(head)
+        # a head bound equal to its node bound never runs: the node bound,
+        # tested first, would have lost the same way
+        at_node = (total, j) == _best_prefix(cost, pricing.node_floors(node))
+        sites[not at_node] += 1
+        # a node that loses is dead: its later heads are skipped unseen
+        skipped = [
+            e.id for e in heads
+            if e.head == node and (inst.scaled_cost(e.id), e.id) >= (cost, head)
+        ] if at_node else [head]
+        for other in skipped:
+            assert not _price_in_full(inst, pricing, flows, taken, other).beats(best)
+    return tuple(sites)
+
+
+def test_heads_skipped_on_a_tie_lose_to_the_best_star_on_wide_states():
+    # the tie clauses of ``_loses`` are exact: a head whose bound equals the
+    # best density with fewer leaves, or as many and a larger head id, loses
+    # when priced in full, and so does every later head into a node whose
+    # node bound lost that way
+    sites = [0, 0]
+    for seed in (1, 2, 3):
+        inst = _wide_instance(seed)
+        for units, cores, _ in _star_states(inst):
+            for i, count in enumerate(_assert_tied_skips_lose(inst, units, cores)):
+                sites[i] += count
+    assert min(sites) > 0, sites
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 100_000), st.booleans())
+@example(0, True)  # a later head with a smaller id ties the best star's leaves and wins
+def test_heads_skipped_on_a_tie_lose_to_the_best_star(seed, augmentation):
+    rng = random.Random(seed)
+    inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
+    for units, cores in _random_states(inst, rng):
+        _assert_tied_skips_lose(inst, units, cores)
 
 
 def _priced_states(inst, rng):

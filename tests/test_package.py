@@ -418,11 +418,13 @@ def test_scripts_reject_negative_counts(tmp_path, script, args):
 
 
 # report digests of the bench rows: C10's corpus digest, the pinned
-# (120, 40, 3) ladder report, and the (200, 60, 3) one, pinned only here
+# (120, 40, 3) ladder report, and the (200, 60, 3) and (300, 90, 3) ones,
+# pinned only here
 BENCH_DIGESTS = {
     "corpus": "bd8f43a18b8297a1921937de5f65ab6b79d3eb4ad848741cd5a123803b5087f7",
     "ladder-120-40-3": "128dd007ee6f9e2e7cf4ff9481f14ff72f6231d8bd87fff0f02220967856baac",
     "ladder-200-60-3": "4d8ebf3b5a686537e58054633a044ee77af1d69901b0348a33cf7c1bd638bb45",
+    "ladder-300-90-3": "13b3e2d0a1cce74666b38a92e07b75d16285393ec315769e801339ebbbf5f2e2",
 }
 
 
@@ -438,7 +440,7 @@ def test_bench_script_writes_its_rows(tmp_path, monkeypatch, capsys):
     for row in doc["rows"]:
         wall = row["wall_s"]
         assert 0 < wall["min"] <= wall["median"] <= wall["max"]
-    assert [row["instances"] for row in doc["rows"]] == [500, 1, 1]
+    assert [row["instances"] for row in doc["rows"]] == [500, 1, 1, 1]
     assert doc["rows"][0]["cost"] == "11341"
 
 
