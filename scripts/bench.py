@@ -7,9 +7,10 @@ Four rows: the 500-seed acceptance corpus, solved instance by instance in
 seed order, and three ladder instances,
 ``GenParams(n, T, k, density=3/10, root_bias=2, seed=1)`` at (120, 40, 3),
 (200, 60, 3) and (300, 90, 3).  Each row's instances are generated once,
-then solved ``--rounds`` times (default 5) in this process; only the
-``solve`` calls are timed.  Per row the file holds the wall-time median, min and max over the
-rounds, the total cost, and the sha256 of the report bytes
+then solved ``--rounds`` times (default 5) in this process.  Per row the
+file holds the wall time of that one generation (``generate_s``), the
+``solve`` wall-time median, min and max over the rounds, the total cost,
+and the sha256 of the report bytes
 ``dump_json(report_to_doc(...))``, concatenated in seed order for the corpus
 as the acceptance test C10 hashes them.  Every round must give the same
 bytes; a round that does not exits 1.  The times are uncalibrated wall time
@@ -18,7 +19,6 @@ of the host it runs on.
 
 import argparse
 import hashlib
-import json
 import platform
 import statistics
 import sys
@@ -35,12 +35,12 @@ from rkec.solver import report_to_doc, solve  # noqa: E402
 LADDER = ((120, 40, 3), (200, 60, 3), (300, 90, 3))
 
 
-def rows() -> list[tuple[str, list]]:
-    """(row name, its instances in solve order) for every row."""
-    out = [("corpus", [generate_instance(default_corpus_params(s)) for s in range(1, 501)])]
+def rows() -> list[tuple[str, list[GenParams]]]:
+    """(row name, its instances' parameters in solve order) for every row."""
+    out = [("corpus", [default_corpus_params(s) for s in range(1, 501)])]
     for n, t, k in LADDER:
         params = GenParams(n, t, k, density=Fraction(3, 10), root_bias=2, seed=1)
-        out.append((f"ladder-{n}-{t}-{k}", [generate_instance(params)]))
+        out.append((f"ladder-{n}-{t}-{k}", [params]))
     return out
 
 
@@ -57,7 +57,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     out = []
-    for name, instances in rows():
+    for name, params in rows():
+        t0 = time.perf_counter()
+        instances = [generate_instance(p) for p in params]
+        generate_s = time.perf_counter() - t0
         times, digests = [], set()
         for _ in range(args.rounds):
             t0 = time.perf_counter()
@@ -73,6 +76,7 @@ def main(argv=None) -> int:
         row = {
             "name": name,
             "instances": len(instances),
+            "generate_s": generate_s,
             "wall_s": {
                 "median": statistics.median(times), "min": min(times), "max": max(times),
             },
@@ -81,7 +85,8 @@ def main(argv=None) -> int:
         }
         out.append(row)
         print(f"{name}: median {row['wall_s']['median']:.3f} s over {args.rounds} rounds, "
-              f"cost {row['cost']}, sha256 {row['report_sha256'][:8]}")
+              f"generated in {generate_s:.3f} s, cost {row['cost']}, "
+              f"sha256 {row['report_sha256'][:8]}")
 
     doc = {
         "label": args.label,
@@ -90,7 +95,7 @@ def main(argv=None) -> int:
         "rows": out,
     }
     path = Path(f"BENCH_{args.label}.json")
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    path.write_text(dump_json(doc))
     print(f"wrote {path}")
     return 0
 

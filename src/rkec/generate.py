@@ -5,10 +5,20 @@ generated instances are quasi-bipartite by construction.  In augmentation
 mode a zero-cost skeleton giving every terminal ``base_level`` edge-disjoint
 root paths is planted first.  Generation is fully deterministic for a fixed
 parameter set: one random stream drives all attempts.
+
+Each inclusion draw compares ``rng.random()`` with a probability p.  The
+comparison is made against ``_threshold(p)``, the least float ``t >= p``,
+computed once per draw instead of converting every float to a ``Fraction``.
+It is exact: ``float(p)`` is correctly rounded, so no float lies in
+``[p, t)``, hence ``x >= p`` exactly when ``x >= t`` and ``x < p`` exactly
+when ``x < t`` for every float x.  The random stream and the order of its
+calls are unchanged, so every instance is the same as with ``Fraction``
+comparisons.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,6 +63,15 @@ class GenParams:
             raise ValueError("base_level only applies to augmentation mode")
 
 
+def _threshold(p: Fraction) -> float:
+    """The least float t >= p: for every float x, ``x < p`` iff ``x < t``."""
+    t = float(p)
+    return math.nextafter(t, math.inf) if Fraction(t) < p else t
+
+
+_PARALLEL_T = _threshold(_PARALLEL_PROB)
+
+
 def _draw(rng: random.Random, p: GenParams) -> Instance:
     root = 0
     terminals = sorted(rng.sample(range(1, p.nodes), p.terminals))
@@ -84,11 +103,12 @@ def _draw(rng: random.Random, p: GenParams) -> Instance:
         for v in range(p.nodes)
         if u != v and v != root and (u in anchored or v in anchored)
     ]
+    root_t = _threshold(min(p.density * p.root_bias, Fraction(1)))
+    other_t = _threshold(p.density)
     for tail, head in candidates:
-        prob = min(p.density * p.root_bias, Fraction(1)) if tail == root else p.density
-        if rng.random() >= prob:
+        if rng.random() >= (root_t if tail == root else other_t):
             continue
-        mult = 2 if rng.random() < _PARALLEL_PROB else 1
+        mult = 2 if rng.random() < _PARALLEL_T else 1
         cost = rng.randint(p.cost_lo, p.cost_hi)
         edges.append(Edge(next_id, tail, head, Fraction(cost), mult))
         next_id += 1

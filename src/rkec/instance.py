@@ -21,6 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 Unit = tuple[int, int]  # (edge id, copy index within the edge's multiplicity)
 
@@ -220,8 +221,62 @@ def load_object(text: str, what: str, where: str = "") -> dict:
 
 
 def dump_json(doc) -> str:
-    """The one output layout: sorted keys, two-space indent, final newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The one output layout: sorted keys, two-space indent, final newline.
+
+    The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)``
+    plus a newline, written in one pass.  It writes ``str``, ``int``,
+    ``float``, ``bool``, ``None``, lists, tuples and dicts with ``str`` keys;
+    anything else, a non-``str`` key included, raises ``TypeError``.
+    """
+    out: list[str] = []
+    _write_json(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, out: list[str], newline: str) -> None:
+    """Append ``value``'s chunks, its nested lines starting with ``newline``."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):  # json.dumps writes the non-finite ones so too
+        out.append(
+            float.__repr__(value) if math.isfinite(value)
+            else "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+        )
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+            _write_json(value[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def parse_instance(text: str) -> Instance:

@@ -868,3 +868,17 @@ def test_fractional_costs_round_trip(tmp_path):
     assert Fraction(solution["total_cost"]) == recomputed == Fraction(23, 12)
     audited = json.loads(audit.read_text())
     assert audited["cost"] == "23/12" and audited["ratio"] == "1" and audited["clean"]
+
+
+def test_bench_summary_writes_its_float_mean_as_json_does(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for seed in (5, 6):  # seed 6 is solved above its optimum
+        inst = generate_instance(default_corpus_params(seed))
+        (corpus / f"inst_{seed}.json").write_text(instance_to_json(inst))
+    out = tmp_path / "summary.json"
+    assert run("bench", "--corpus", corpus, "--out", out, "--no-timestamp") == 0
+    text = out.read_text()
+    doc = json.loads(text)
+    assert 1 < doc["ratio_summary"]["mean"] < 2
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"

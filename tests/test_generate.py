@@ -1,9 +1,14 @@
+import hashlib
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rkec.flows import working_arcs
-from rkec.generate import GenParams, default_corpus_params, generate_instance
+from rkec.generate import GenParams, _threshold, default_corpus_params, generate_instance
 from rkec.instance import instance_to_json, selection_from_units, validate_quasi_bipartite
 
 from reference import maximum_flow, positive_units
@@ -80,3 +85,50 @@ def test_corpus_params_stay_inside_caps():
         inst = generate_instance(p)
         assert len(positive_units(inst)) <= 22
         assert validate_quasi_bipartite(inst).ok
+
+
+# sha256 of ``instance_to_json`` over default_corpus_params(1..500) and the
+# three ``scripts/bench.py`` ladder instances, concatenated in that order;
+# taken while ``_draw`` still compared each draw with a ``Fraction``
+GENERATED_SHA256 = "6f91a6514c8455fe18fd00d770823957e973a8bb7be3acbb28a84df378573a95"
+
+
+def test_generated_instances_keep_their_bytes():
+    digest = hashlib.sha256()
+    for seed in range(1, 501):
+        digest.update(instance_to_json(generate_instance(default_corpus_params(seed))).encode())
+    for n, t, k in ((120, 40, 3), (200, 60, 3), (300, 90, 3)):
+        ladder = GenParams(n, t, k, density=Fraction(3, 10), root_bias=2, seed=1)
+        digest.update(instance_to_json(generate_instance(ladder)).encode())
+    assert digest.hexdigest() == GENERATED_SHA256
+
+
+def _assert_threshold_is_exact(p, seed):
+    t = _threshold(p)
+    assert Fraction(t) >= p > Fraction(math.nextafter(t, 0))
+    for x in (random.Random(seed).random(), t, math.nextafter(t, 0), math.nextafter(t, 1)):
+        assert (x >= t) == (x >= p)
+        assert (x < t) == (x < p)
+
+
+NAMED_PROBABILITIES = [Fraction(1, 2), Fraction(1, 4), Fraction(1),
+                       Fraction(1, 10), Fraction(3, 10), Fraction(9, 20)]
+
+
+def test_threshold_is_exact_at_the_generator_probabilities():
+    for d in NAMED_PROBABILITIES:
+        for p in (d, min(d * 2, Fraction(1))):
+            for seed in range(20):
+                _assert_threshold_is_exact(p, seed)
+
+
+_ratios = st.integers(1, 10**6).flatmap(
+    lambda b: st.builds(Fraction, st.integers(1, b), st.just(b)))
+_densities = st.one_of(_ratios, st.sampled_from(NAMED_PROBABILITIES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_densities, _densities.map(lambda d: min(d * 2, Fraction(1)))),
+       st.integers(0, 2**32))
+def test_threshold_is_exact(p, seed):
+    _assert_threshold_is_exact(p, seed)

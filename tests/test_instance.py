@@ -175,3 +175,38 @@ def test_empty_solution_document():
 
 def test_selection_from_units():
     assert selection_from_units([(3, 0), (1, 0), (3, 1)]) == {1: 1, 3: 2}
+
+
+_json_text = st.text(st.one_of(
+    st.characters(), st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\u2028", "é", "😀"])))
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), _json_text,
+    st.integers(), st.integers(-(10**400), 10**400),
+    st.floats(),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(_json_text, inner),
+        st.just([]), st.just({}), st.just(()),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_json_values)
+def test_dump_json_writes_what_json_dumps_writes(doc):
+    assert dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("doc", [{1: "a"}, {"a": {None: 1}}, [{"a": 1, 2.5: 0}], {(1,): 0}])
+def test_dump_json_refuses_a_key_that_is_not_a_string(doc):
+    with pytest.raises(TypeError):
+        dump_json(doc)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), {1, 2}, b"x", object()])
+def test_dump_json_refuses_a_value_it_cannot_write(value):
+    with pytest.raises(TypeError):
+        dump_json({"a": [value]})
