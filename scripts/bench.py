@@ -29,7 +29,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from rkec.generate import GenParams, default_corpus_params, generate_instance  # noqa: E402
-from rkec.instance import dump_json, frac_to_str  # noqa: E402
+from rkec.instance import dump_json  # noqa: E402
 from rkec.solver import report_to_doc, solve  # noqa: E402
 
 LADDER = ((120, 40, 3), (200, 60, 3), (300, 90, 3))
@@ -80,7 +80,7 @@ def main(argv=None) -> int:
             "wall_s": {
                 "median": statistics.median(times), "min": min(times), "max": max(times),
             },
-            "cost": frac_to_str(sum(r.solution.total_cost for r in reports)),
+            "cost": str(sum(r.solution.total_cost for r in reports)),
             "report_sha256": digests.pop(),
         }
         out.append(row)

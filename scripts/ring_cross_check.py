@@ -11,9 +11,9 @@ Every (core, head) pair gets priced three ways: by the primal-dual on a ring
 flow built afresh for the pair (``fresh_cover`` of the tests' ``reference``:
 a new residual over the working and saturating arcs), by the path the solver
 runs (``greedy.pricing_context`` over the state's root flows: the core's
-shared no-head cover unless ``StarPricing.touched`` finds the core touched
-by the head, else a primal-dual with the head on the core's carried flow as
-it stands, read with the other cores' terminals as stops,
+shared no-head cover unless ``StarPricing.head_bound`` finds the core
+touched by the head, else a primal-dual with the head on the core's carried
+flow as it stands, read with the other cores' terminals as stops,
 ``StarPricing.stops``), and by the exact hitting-set search over
 rational costs (the tests' ``oracles.brute_force_ring_cover``, on the ring
 that ``reference.enumerated_ring_family`` enumerates).  A state whose
@@ -26,9 +26,9 @@ as a rational: the primal-dual covers cost integers
 in units of 1/``cost_scale``, so they are rescaled before the comparison.  A
 cover that fails its certificate raises, and counts as a mismatch.  So does
 a cover whose dual overpays some candidate leg (``overpaid_candidates`` of
-the tests' ``reference``), a pair whose skip-test floor (rescaled the same
-way) exceeds its exact price, and an unpriceable pair that either
-primal-dual still prices.
+the tests' ``reference``), a pair whose skip-test floor (``head_bound``'s,
+rescaled the same way) exceeds its exact price, and an unpriceable pair
+that either primal-dual still prices.
 """
 
 import argparse
@@ -85,7 +85,8 @@ def check_state(inst, state, per_state, seed):
     shared = dict(pricing.ranked) if pricing else {}
     for head in heads[:per_state]:
         arc = inst.arc(head)
-        floors = {core: floor for (core, _), floor in pricing.touched(arc)} if pricing else {}
+        touched = pricing.head_bound(arc)[0] if pricing else []
+        floors = {core: floor for (core, _), floor in touched}
         for core in cores:
             ring = enumerated_ring_family(inst, state, cores, core).ring_view(core.members)
             exact = brute_force_ring_cover(

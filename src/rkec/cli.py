@@ -22,7 +22,6 @@ from .instance import (
     connectivity_to_doc,
     dump_json,
     frac_from_obj,
-    frac_to_str,
     instance_to_json,
     load_object,
     parse_instance,
@@ -78,7 +77,7 @@ def cmd_solve(args) -> int:
     payload = report_to_doc(report)
     _write(args.out, _envelope("solve-report", payload, args.no_timestamp))
     print(
-        f"solved: cost {frac_to_str(report.solution.total_cost)}, "
+        f"solved: cost {report.solution.total_cost}, "
         f"{len(payload['phases'])} phase(s), {len(report.solution.audit)} iteration(s)",
         file=sys.stderr,
     )
@@ -89,7 +88,7 @@ def cmd_brute(args) -> int:
     inst = parse_instance(Path(args.instance).read_text())
     sol = brute_force_opt(inst, max_units=args.max_brute_edges)
     _write(args.out, _envelope("solution", solution_to_doc(sol), args.no_timestamp))
-    print(f"optimum: cost {frac_to_str(sol.total_cost)}", file=sys.stderr)
+    print(f"optimum: cost {sol.total_cost}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -181,11 +180,11 @@ def cmd_bench(args) -> int:
             worst = max(worst, EXIT_INFEASIBLE)
             rows.append(row)
             continue
-        row["cost"] = frac_to_str(report.solution.total_cost)
+        row["cost"] = str(report.solution.total_cost)
         opt = None
         if row["units"] <= args.max_brute_edges:
             opt = brute_force_opt(inst, max_units=args.max_brute_edges)
-            row["opt"] = frac_to_str(opt.total_cost)
+            row["opt"] = str(opt.total_cost)
         else:
             row["opt"] = None
         audit = audit_run(inst, report, lambda: opt)
@@ -196,7 +195,7 @@ def cmd_bench(args) -> int:
             row["status"] = "ok" if opt is not None else "ok (brute skipped)"
         if audit.ratio is not None:
             ratios.append(audit.ratio)
-            row["ratio"] = frac_to_str(audit.ratio)
+            row["ratio"] = str(audit.ratio)
         rows.append(row)
 
     summary = {"instances": rows, "ratio_summary": _ratio_summary(ratios)}
@@ -214,8 +213,8 @@ def _ratio_summary(ratios: list[Fraction]) -> dict:
         return {"count": 0}
     return {
         "count": len(ratios),
-        "min": frac_to_str(min(ratios)),
-        "max": frac_to_str(max(ratios)),
+        "min": str(min(ratios)),
+        "max": str(max(ratios)),
         "mean": float(sum(ratios) / len(ratios)),
         "at_optimum": sum(1 for r in ratios if r == 1),
     }

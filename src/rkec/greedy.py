@@ -18,16 +18,16 @@ per star; only the records number copies (``cover_levels``).  It builds one
 pricing context: per core, the no-head ring on the representative's carried
 flow and its price, the prices ranked once.  The
 dual's raised sets are a nested chain, so the ones a head arc (u, v) enters
-form one interval of steps, empty unless v is on the chain.  A head that
-reaches pricing scans the ranked covers for the cores whose interval is
-nonempty; every other core keeps exactly its shared no-head price, and only
-the touched pairs run a primal-dual of their own.  Each head is first
-bounded below, and skipped when even that bound loses to the best star so
-far, on density or, at equal density, on the star's tie-break: by weak
-duality, the part of the shared dual the head does not enter bounds the
-exact primal-dual price with the head from below.  A bound per
-head node comes first: once it loses for a node, every later head into that
-node is skipped at once.
+form one interval of steps, empty unless v is on the chain.  One scan of
+the ranked covers (``StarPricing.head_bound``) finds the cores whose
+interval is nonempty and bounds the head: every other core keeps exactly
+its shared no-head price, and only the touched pairs run a primal-dual of
+their own.  A head is skipped when its bound loses to the best star so far,
+on density or, at equal density, on the star's tie-break: by weak duality,
+the part of the shared dual the head does not enter bounds the exact
+primal-dual price with the head from below.  A bound per head node comes
+first, the same scan for a tail on no chain: once it loses for a node,
+every later head into that node is skipped at once.
 
 The greedy is its own feasibility check: on a feasible instance every ring
 it prices is coverable, and on an infeasible one it cannot finish, so its
@@ -80,12 +80,8 @@ class Star(NamedTuple):
 
     total: int  # head cost + the chosen leaves' leg prices (overlaps counted per leaf)
     leaves: int  # how many leaves; the density is total / leaves
-    tie: tuple  # (head edge id, leaf representatives): the last tie-breaker
+    head: int  # the head edge id: the last tie-breaker
     chosen: tuple[tuple[CoreInfo, RingCover], ...]
-
-    @property
-    def head(self) -> int:
-        return self.tie[0]
 
     def edges(self) -> set[int]:
         """The ids of the head and every leaf's legs, one copy of each bought."""
@@ -96,9 +92,10 @@ class Star(NamedTuple):
 
     def beats(self, other: Star) -> bool:
         """Lower density first (compared by cross-multiplying), then more
-        leaves, then the smaller head and leaf representatives."""
-        return (self.total * other.leaves, -self.leaves, self.tie) < (
-            other.total * self.leaves, -other.leaves, other.tie
+        leaves, then the smaller head.  A head yields one star per pricing,
+        so two stars compared never share a head."""
+        return (self.total * other.leaves, -self.leaves, self.head) < (
+            other.total * self.leaves, -other.leaves, other.head
         )
 
 
@@ -119,8 +116,7 @@ def _scan_head(head: int, head_cost: int, ranked) -> Star:
     """Best leaf prefix for one head of scaled cost ``head_cost``; ``ranked``
     holds its priced (core, cover) pairs, nonempty and in ``_rank`` order."""
     total, j = _best_prefix(head_cost, (cover.cost for _, cover in ranked))
-    chosen = tuple(ranked[:j])
-    return Star(total, j, (head, tuple(core.representative for core, _ in chosen)), chosen)
+    return Star(total, j, head, tuple(ranked[:j]))
 
 
 def _cover(inst: Instance, flow, stops, taken, head: int | None = None) -> RingCover:
@@ -153,42 +149,37 @@ class StarPricing(NamedTuple):
 
     stops: dict[int, frozenset[int]]  # representative -> its ring's stops (``ring_stops``)
     ranked: tuple[tuple[CoreInfo, RingCover], ...]  # the pairs, in ``_rank`` order
-    costs: tuple[int, ...]  # their costs, in the same order
 
-    def touched(self, arc: tuple[int, int]) -> list[tuple[tuple[CoreInfo, RingCover], int]]:
-        """((core, cover), floor) for every core a head on ``arc`` = (u, v)
-        touches: each whose shared cover's chain holds v with first[v] <
-        first[u], so that the arc enters the steps in between (floor: the
-        dual less those steps).  Every other core's price with the head is
-        its shared cover."""
+    def head_bound(self, arc) -> tuple[list[tuple[tuple[CoreInfo, RingCover], int]], list[int]]:
+        """(touched, floors) for a head on ``arc`` = (u, v).  ``touched``
+        holds ((core, cover), floor) for every core whose shared cover's
+        chain holds v with first[v] < first[u], so that the arc enters the
+        steps in between (floor: the dual less those steps); every other
+        core's price with the head is its shared cover.  ``floors`` are every
+        core's shared cost with each touched core's floor in its place,
+        ascending.  A tail u of None is on no chain: its floors are the node
+        bound of every head into v."""
         tail, head = arc
-        out = []
+        touched, floors = [], []
         for pc in self.ranked:
-            first = pc[1].first
-            if head in first:
-                a = first[head]
-                prefix = pc[1].prefix
-                b = first.get(tail, len(prefix) - 1)
+            cover = pc[1]
+            floor = cover.cost
+            if head in cover.first:
+                a = cover.first[head]
+                prefix = cover.prefix
+                b = cover.first.get(tail, len(prefix) - 1)
                 if a < b:
-                    out.append((pc, prefix[-1] - prefix[b] + prefix[a]))
-        return out
-
-    def node_floors(self, node: int) -> list[int]:
-        """The shared costs, ascending, with every core whose chain holds
-        ``node`` at prefix[first[node]] instead: elementwise no higher than
-        the costs any head into ``node`` is bounded with.  A touched core's
-        floor drops prefix[b] <= prefix[-1] from the dual, an untouched one
-        keeps its whole cost prefix[-1], and neither is below prefix[a]."""
-        return sorted(
-            cover.prefix[cover.first[node]] if node in cover.first else cover.cost
-            for _, cover in self.ranked
-        )
+                    floor = prefix[-1] - prefix[b] + prefix[a]
+                    touched.append((pc, floor))
+            floors.append(floor)
+        floors.sort()
+        return touched, floors
 
 
 def pricing_context(inst: Instance, flows, taken, cores) -> StarPricing:
     """Per core: the no-head ring and its shared price, whose dual chain
-    ``StarPricing.touched`` reads; the shared covers ranked once for every
-    head.
+    ``StarPricing.head_bound`` reads; the shared covers ranked once for
+    every head.
 
     ``flows`` are the selection's root flows and ``taken`` the selection
     itself, edge id -> copies bought, which the primal-dual reads its legs
@@ -201,7 +192,7 @@ def pricing_context(inst: Instance, flows, taken, cores) -> StarPricing:
          for core in cores),
         key=_rank,
     ))
-    return StarPricing(stops, ranked, tuple(cover.cost for _, cover in ranked))
+    return StarPricing(stops, ranked)
 
 
 def cheapest_star(inst: Instance, taken, cores, flows) -> Star:
@@ -215,7 +206,7 @@ def cheapest_star(inst: Instance, taken, cores, flows) -> Star:
     (``RingCover.first``), raising a difference of ``RingCover.prefix``.
     Only cores whose chain holds v can have a nonempty interval; a head
     that survives the node bound scans the ranked shared covers for them
-    (``StarPricing.touched``).
+    (``StarPricing.head_bound``).
 
     Reuse: when that interval is empty, the whole shared dual stays feasible
     for the with-head LP (its ring is the no-head ring minus the members the
@@ -231,9 +222,9 @@ def cheapest_star(inst: Instance, taken, cores, flows) -> Star:
     ``candidate_heads``' order.  Any star with head h has density at least
     cost(h) / |cores|, so once that exceeds the best density seen the
     remaining heads cannot win.  Before pricing a head, its best density is
-    bounded below by the best prefix over the shared costs, ranked once per
-    star, with the touched cores' floors in their place; a head whose bound
-    loses to the best star is skipped (``_loses``).  Dropping the entered
+    bounded below by the best prefix over the shared costs with the touched
+    cores' floors in their place (``head_bound``); a head whose bound loses
+    to the best star is skipped (``_loses``).  Dropping the entered
     interval leaves a feasible dual of the with-head LP, so by weak duality
     the rest bounds the exact primal-dual price from below.  The scan
     merges the touched prices into the same ranked list.
@@ -245,18 +236,18 @@ def cheapest_star(inst: Instance, taken, cores, flows) -> Star:
     the scanned star reaches d with j' leaves, the floors' first j' reach d
     too.  Then d is the floors' least prefix density, and ``_best_prefix``
     returns the largest j attaining it, so j' <= j.  ``Star.beats`` orders
-    by density, then by more leaves, then by ``tie``, whose first field is
-    the head id; so the scanned star has fewer leaves than the best, or as
-    many and a larger head id, and loses.  A star that later replaces the
-    best beats it, so a skipped head loses to that one too.
+    by density, then by more leaves, then by head id; so the scanned star
+    has fewer leaves than the best, or as many and a larger head id, and
+    loses.  A star that later replaces the best beats it, so a skipped head
+    loses to that one too.
 
-    Before that, a node bound per head node v (``StarPricing.node_floors``):
-    the shared costs with every core whose chain holds v at prefix[first[v]]
-    are elementwise no higher than the costs any head into v is bounded
-    with, and ``_best_prefix`` is monotone in the costs, so their best
-    prefix bounds every head into v from below.  The floors are sorted once
-    per star and node.  Once that bound loses for v (``_loses``, with the
-    head at hand), v is marked dead and its later heads are skipped at once.
+    Before that, a node bound per head node v: the head bound of a tail on
+    no chain, ``head_bound((None, v))``, computed once per star and node.
+    A real tail u only narrows the interval to [first[v], first[u]), which
+    raises each floor, so the node floors are elementwise no higher than
+    any head into v's, and ``_best_prefix`` is monotone in the costs.  Once
+    that bound loses for v (``_loses``, with the head at hand), v is marked
+    dead and its later heads are skipped at once.
     A later head into v either costs more, so its bound's density is
     strictly higher and loses outright, or costs the same with a larger id,
     so the node floors give it the same (total, j) and it loses the same
@@ -270,7 +261,7 @@ def cheapest_star(inst: Instance, taken, cores, flows) -> Star:
     pricing = pricing_context(inst, flows, taken, cores)
     m = len(cores)
     best = None
-    floors = {}  # head node -> its node floors, once per star
+    node_floors = {}  # head node -> its node bound's floors, once per star
     dead = set()  # head nodes whose every later head loses
     for edge in candidate_heads(inst, taken):
         head, node, head_cost = edge.id, edge.head, inst.scaled_cost(edge.id)
@@ -280,22 +271,14 @@ def cheapest_star(inst: Instance, taken, cores, flows) -> Star:
         if node in dead:
             continue
         if best is not None:
-            if node not in floors:
-                floors[node] = pricing.node_floors(node)
-            total, j = _best_prefix(head_cost, floors[node])
-            if _loses(total, j, head, best):  # so does every later head into node
-                dead.add(node)
+            if node not in node_floors:
+                node_floors[node] = pricing.head_bound((None, node))[1]
+            if _loses(*_best_prefix(head_cost, node_floors[node]), head, best):
+                dead.add(node)  # so does every later head into node
                 continue
-        touched = pricing.touched((edge.tail, node))
-        if best is not None:
-            # the shared costs, the touched cores' floors in place of theirs
-            costs = list(pricing.costs)
-            for pc, floor in touched:
-                costs.remove(pc[1].cost)
-                insort(costs, floor)
-            total, j = _best_prefix(head_cost, costs)
-            if _loses(total, j, head, best):
-                continue
+        touched, floors = pricing.head_bound((edge.tail, node))
+        if best is not None and _loses(*_best_prefix(head_cost, floors), head, best):
+            continue
         ranked = list(pricing.ranked)
         for pc, _ in touched:
             ranked.remove(pc)

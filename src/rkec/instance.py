@@ -47,13 +47,6 @@ class SizeRefusalError(RuntimeError):
     """An exact computation would exceed its enumeration ceiling."""
 
 
-def frac_to_str(x: Fraction) -> str:
-    """Serialize a rational as "p" or "p/q" (lowest terms)."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def frac_from_obj(obj) -> Fraction:
     """Parse a rational from a JSON value: a "p/q" or decimal string, or an
     int.  No exponent: ``Fraction`` builds 10**exp past every digit limit."""
@@ -337,7 +330,7 @@ def instance_to_json(inst: Instance) -> str:
         "k": inst.k,
         "edges": [
             {"id": e.id, "tail": e.tail, "head": e.head,
-             "cost": frac_to_str(e.cost), "mult": e.mult}
+             "cost": str(e.cost), "mult": e.mult}
             for e in inst.edges
         ],
     }
@@ -365,9 +358,6 @@ class Solution:
     feasible: bool
     audit: list[IterationRecord] = field(default_factory=list)
 
-    def units(self) -> tuple[Unit, ...]:
-        return tuple((e, c) for e in sorted(self.selected) for c in range(self.selected[e]))
-
 
 def selection_from_units(units) -> dict[int, int]:
     return dict(sorted(Counter(eid for eid, _ in units).items()))
@@ -380,7 +370,7 @@ def _record_to_doc(rec: IterationRecord) -> dict:
         "cores_after": rec.cores_after,
         "star_center": rec.star_center,
         "leaf_count": rec.leaf_count,
-        "added_cost": frac_to_str(rec.added_cost),
+        "added_cost": str(rec.added_cost),
         "added_units": [list(u) for u in rec.added_units],
     }
 
@@ -418,7 +408,7 @@ def connectivity_to_doc(connectivity: dict[int, int]) -> dict[str, int]:
 def solution_to_doc(sol: Solution) -> dict:
     return {
         "selected": [[eid, sol.selected[eid]] for eid in sorted(sol.selected)],
-        "total_cost": frac_to_str(sol.total_cost),
+        "total_cost": str(sol.total_cost),
         "connectivity": connectivity_to_doc(sol.connectivity),
         "feasible": sol.feasible,
         "audit": [_record_to_doc(r) for r in sol.audit],

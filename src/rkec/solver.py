@@ -19,7 +19,6 @@ from .instance import (
     ParseError,
     Solution,
     frac_from_obj,
-    frac_to_str,
     selection_from_units,
     solution_from_doc,
     solution_to_doc,
@@ -103,7 +102,7 @@ def report_to_doc(report: SolveReport) -> dict:
     return {
         "solution": solution_to_doc(report.solution),
         "phases": phases_doc(report.solution.audit),
-        "bound_harmonic": frac_to_str(report.bound_harmonic),
+        "bound_harmonic": str(report.bound_harmonic),
         "terminal_count": report.terminal_count,
         "pruned": solution_to_doc(report.pruned) if report.pruned else None,
     }

@@ -26,7 +26,6 @@ from .instance import (
     Solution,
     check_selection,
     connectivity_to_doc,
-    frac_to_str,
     selection_from_units,
     validate_quasi_bipartite,
 )
@@ -98,8 +97,8 @@ def bound_decision(
 class AuditReport:
     rebuilt: Solution  # the solution rebuilt from its selection; the ratio uses its cost
     recorded_cost_ok: bool  # total_cost and every added_cost equal the recomputed ones
-    recorded_units_ok: bool  # added_units are exactly the selection, each holding its star_center
-    recorded_solution_ok: bool  # solution and pruned equal their rebuilds, pruned within it
+    recorded_units_ok: bool  # added_units: the selection in purchase order, with star_center
+    recorded_solution_ok: bool  # solution, pruned equal rebuilds; pruned within it, no records
     recorded_bound_ok: bool  # bound_harmonic and terminal_count match the instance's
     guarantee_applies: bool  # the instance is quasi-bipartite; else no bound is decided
     core_drop_violations: list[int] = field(default_factory=list)  # record indexes
@@ -135,16 +134,18 @@ def audit_run(
 
     Always: the solution against its rebuild, the costs (the total recomputed
     from the selection, each iteration's from its added units; a recorded cost
-    that differs, or added units that are not exactly the selection, counted
-    before it is expanded, or miss their record's ``star_center``, make the
-    audit unclean), the guarantee's inputs (H of the first level and |T|, from
-    the instance; a recorded pair that differs makes the audit unclean) and
-    the per-iteration core-drop rule (the core count must fall by at least half
-    the leaf count, rounded up).  An infeasible rebuild is unclean, and only a
+    that differs, or added units that are not exactly the selection with
+    each edge's copies numbered 0, 1, ... in purchase order, or that miss
+    their record's ``star_center``, make the audit unclean), the guarantee's
+    inputs (H of the first level and |T|, from the instance; a recorded pair
+    that differs makes the audit unclean) and the per-iteration core-drop
+    rule (the core count must fall by at least half the leaf count, rounded
+    up).  An infeasible rebuild is unclean, and only a
     feasible one goes on: ``optimum`` (if given) is called once, straight
     after the rebuild, for the exact optimum or None, and ``pruned`` is
-    checked against its own rebuild (differing, infeasible or buying an edge
-    more often than the solution is unclean).  With an optimum: the ratio (1
+    checked against its own rebuild (differing, infeasible, buying an edge
+    more often than the solution or carrying any iteration record is
+    unclean: a pruned selection has none).  With an optimum: the ratio (1
     when cost and optimum are both 0, None when only the optimum is) and, for
     a quasi-bipartite instance, the ratio bound.  With ``density_max_units``
     set, the added units exactly the selection and the instance small enough:
@@ -160,10 +161,16 @@ def audit_run(
     if report.pruned is not None and rebuilt.feasible:
         pruned = check_feasible(inst, report.pruned)
         within = all(c <= selected.get(e, 0) for e, c in pruned.selected.items())
-        solution_ok &= pruned == report.pruned and pruned.feasible and within
+        solution_ok &= (pruned == report.pruned and pruned.feasible and within
+                        and not pruned.audit)
     cost = rebuilt.total_cost
-    recorded = sorted(u for rec in solution.audit for u in rec.added_units)
-    units_ok = len(recorded) == sum(selected.values()) and recorded == list(solution.units())
+    bought: Counter[int] = Counter()  # edge id -> copies the records bought so far
+    units_ok = True
+    for rec in solution.audit:
+        for eid, copy in rec.added_units:
+            units_ok &= copy == bought[eid]
+            bought[eid] += 1
+    units_ok &= bought == Counter(selected)
     costs_ok = all(
         all(eid in inst.edge_by_id for eid, _ in rec.added_units)
         and inst.selection_cost(selection_from_units(rec.added_units)) == rec.added_cost
@@ -244,16 +251,16 @@ def audit_to_doc(report: AuditReport) -> dict:
     return {
         "feasible": report.rebuilt.feasible,
         "connectivity": connectivity_to_doc(report.rebuilt.connectivity),
-        "cost": frac_to_str(report.rebuilt.total_cost),
+        "cost": str(report.rebuilt.total_cost),
         "recorded_cost_ok": report.recorded_cost_ok,
         "recorded_units_ok": report.recorded_units_ok,
         "recorded_solution_ok": report.recorded_solution_ok,
         "recorded_bound_ok": report.recorded_bound_ok,
         "guarantee_applies": report.guarantee_applies,
         "core_drop_violations": report.core_drop_violations,
-        "ratio": frac_to_str(report.ratio) if report.ratio is not None else None,
-        "bound_lo": frac_to_str(report.bound_lo) if report.bound_lo is not None else None,
-        "bound_hi": frac_to_str(report.bound_hi) if report.bound_hi is not None else None,
+        "ratio": str(report.ratio) if report.ratio is not None else None,
+        "bound_lo": str(report.bound_lo) if report.bound_lo is not None else None,
+        "bound_hi": str(report.bound_hi) if report.bound_hi is not None else None,
         "bound_holds": report.bound_holds,
         "density_checked": report.density_checked,
         "density_violations": report.density_violations,

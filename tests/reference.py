@@ -5,8 +5,10 @@ listed as a unit, the free heads and legs listed edge by edge, the cores and
 the max level read off root flows built afresh, a ring flow built afresh
 for one core (its working arcs plus root arcs saturating
 every other core's terminals, in place of the solver's stops), its violated
-set read by growing it, every (head, core) pair priced on one, an exact
-optimum by enumerating every unit subset, the prune pass dropping units
+set read by growing it, every (head, core) pair priced on one, a head's
+bound floors summed step by step and inserted one by one, the node bound's
+floors read at the node's first step, an exact optimum by enumerating every
+unit subset, the prune pass dropping units
 from a list, a maximum flow decomposed into paths by search, and the paths
 re-checked edge by edge against the instance's capacities.  They take
 selections as unit lists and convert them (``selection_from_units``) where
@@ -15,11 +17,12 @@ oracles in ``oracles``, and only tests and ``scripts/ring_cross_check.py``
 call them.
 """
 
+from bisect import insort
 from collections import Counter
 
 from rkec.deficiency import CoreInfo, cores_of
 from rkec.flows import Residual, root_flows, short_terminal, solution_of, working_arcs
-from rkec.greedy import Star, _rank, _scan_head
+from rkec.greedy import Star, StarPricing, _rank, _scan_head
 from rkec.instance import Instance, Solution, Unit, selection_from_units
 from rkec.rings import RingCover, primal_dual_ring_cover, ring_stops
 
@@ -168,8 +171,8 @@ def price_star_edges(inst: Instance, units, cores) -> dict[tuple[int, CoreInfo],
 def best_star(inst: Instance, prices) -> Star:
     """Global minimum-density star from a full price map.
 
-    Ties prefer more leaves, then the smaller head edge id, then smaller leaf
-    representatives.  Raises ValueError when ``prices`` holds no pair.
+    Ties prefer more leaves, then the smaller head edge id.  Raises
+    ValueError when ``prices`` holds no pair.
     """
     if not prices:
         raise ValueError("no priced (head, core) pair to choose a star from")
@@ -182,6 +185,40 @@ def best_star(inst: Instance, prices) -> Star:
         if best is None or scanned.beats(best):
             best = scanned
     return best
+
+
+def head_floors(pricing: StarPricing, arc) -> tuple[list, list[int]]:
+    """``StarPricing.head_bound`` step by step: a core is touched when the
+    head arc (u, v) enters some step i of its shared dual, first[v] <= i <
+    first[u] (a node off the chain joins after the last step), and its floor
+    is the dual less the entered steps; the head's costs are the shared
+    costs in rank order, each touched one removed and its floor inserted in
+    order."""
+    tail, head = arc
+    touched = []
+    costs = [cover.cost for _, cover in pricing.ranked]
+    for pc in pricing.ranked:
+        cover = pc[1]
+        steps = len(cover.prefix) - 1
+        entered = [
+            i for i in range(steps)
+            if cover.first.get(head, steps) <= i < cover.first.get(tail, steps)
+        ]
+        if entered:
+            floor = cover.cost - sum(cover.prefix[i + 1] - cover.prefix[i] for i in entered)
+            touched.append((pc, floor))
+            costs.remove(cover.cost)
+            insort(costs, floor)
+    return touched, costs
+
+
+def node_floors(pricing: StarPricing, node: int) -> list[int]:
+    """The node bound's floors: the shared costs, ascending, with every core
+    whose chain holds ``node`` at prefix[first[node]] instead."""
+    return sorted(
+        cover.prefix[cover.first[node]] if node in cover.first else cover.cost
+        for _, cover in pricing.ranked
+    )
 
 
 def enumerated_opt(inst: Instance, preselected=()) -> Solution | None:

@@ -8,9 +8,7 @@ from rkec.cli import build_parser, main
 from rkec.generate import default_corpus_params, generate_instance
 from rkec.instance import (
     Instance,
-    frac_to_str,
     instance_to_json,
-    Solution,
     parse_instance,
     selection_from_units,
     solution_from_doc,
@@ -311,10 +309,10 @@ def test_solve_refuses_a_huge_infeasible_instance_without_units(tmp_path, capsys
     )
 
 
-def test_verify_counts_a_claimed_selection_before_expanding_it(tmp_path, monkeypatch):
+def test_verify_counts_a_claimed_selection_before_expanding_it(tmp_path):
     # a report that claims all 10^9 copies of its one edge, consistently in
-    # cost and connectivity, but records one unit bought: the audit compares
-    # the counts before it expands the claimed selection into units
+    # cost and connectivity, but records one unit bought: the audit counts
+    # the recorded units against the claimed selection and expands neither
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({"n": 2, "root": 0, "terminals": [1], "k": 1, "edges": [
         {"id": 1, "tail": 0, "head": 1, "cost": "1", "mult": 10**9}]}))
@@ -325,7 +323,6 @@ def test_verify_counts_a_claimed_selection_before_expanding_it(tmp_path, monkeyp
     doc["solution"].update(selected=[[1, 10**9]], total_cost=str(10**9),
                            connectivity={"1": 10**9})
     report.write_text(json.dumps(doc))
-    monkeypatch.setattr(Solution, "units", _units_built)
     out = tmp_path / "audit.json"
     assert run("verify", "--instance", inst, "--report", report,
                "--out", out, "--no-timestamp") == 4
@@ -629,7 +626,7 @@ def test_verify_checks_added_units_against_the_selection(corpus_seven, tmp_path)
     last["added_units"] = last["added_units"][:-1]
     units = [tuple(u) for u in last["added_units"]]
     selected = selection_from_units(units)
-    last["added_cost"] = frac_to_str(parse_instance(inst.read_text()).selection_cost(selected))
+    last["added_cost"] = str(parse_instance(inst.read_text()).selection_cost(selected))
     _rebuild_phases(doc)
     code, audit = _verify_doc(tmp_path, inst, doc)
     assert code == 4

@@ -28,6 +28,8 @@ from reference import (
     build_ring_context,
     free_leg_candidates,
     fresh_cover,
+    head_floors,
+    node_floors,
     positive_units,
     price_star_edges,
     rooted_cores,
@@ -291,7 +293,7 @@ def _untouched_visited_heads(inst, units, cores, star):
     pricing = pricing_context(inst, carried_flows(inst, units), selection_from_units(units), cores)
     return [
         head for head in heads
-        if not pricing.touched(inst.arc(head))
+        if not pricing.head_bound(inst.arc(head))[0]
         and inst.scaled_cost(head) * star.leaves <= star.total * len(cores)
     ]
 
@@ -406,7 +408,7 @@ def _price_in_full(inst, pricing, flows, taken, head):
     """``head``'s exact star: its touched pairs priced through ``_cover`` in
     place of their shared covers, then ``_scan_head``."""
     ranked = list(pricing.ranked)
-    for pc, _ in pricing.touched(inst.arc(head)):
+    for pc, _ in pricing.head_bound(inst.arc(head))[0]:
         ranked.remove(pc)
         rep = pc[0].representative
         ranked.append((pc[0], greedy._cover(inst, flows[rep], pricing.stops[rep], taken, head)))
@@ -444,7 +446,7 @@ def _assert_tied_skips_lose(inst, units, cores):
         node, cost = inst.arc(head)[1], inst.scaled_cost(head)
         # a head bound equal to its node bound never runs: the node bound,
         # tested first, would have lost the same way
-        at_node = (total, j) == _best_prefix(cost, pricing.node_floors(node))
+        at_node = (total, j) == _best_prefix(cost, pricing.head_bound((None, node))[1])
         sites[not at_node] += 1
         # a node that loses is dead: its later heads are skipped unseen
         skipped = [
@@ -557,7 +559,7 @@ def test_irrelevant_heads_keep_the_shared_price(seed, augmentation):
                                      core.representative))
         for head in free_leg_candidates(inst, units):
             arc = inst.arc(head)
-            touched = [core for (core, _), _ in pricing.touched(arc)]
+            touched = [core for (core, _), _ in pricing.head_bound(arc)[0]]
             assert len(touched) == len(set(touched))
             for core, shared in pricing.ranked:
                 if _entered_steps(arc, shared):
@@ -610,7 +612,7 @@ def test_the_floor_bounds_every_head_price_from_below(seed, augmentation):
     for units, _, taken, flows, pricing in _priced_states(inst, rng):
         for head in free_leg_candidates(inst, units):
             arc = inst.arc(head)
-            for (core, shared), floor in pricing.touched(arc):
+            for (core, shared), floor in pricing.head_bound(arc)[0]:
                 prefix = shared.prefix
                 entered = _entered_steps(arc, shared)
                 assert entered
@@ -634,13 +636,10 @@ def test_a_node_floor_bounds_every_head_into_the_node(seed, augmentation):
         for head in free_leg_candidates(inst, units):
             arc = inst.arc(head)
             node = arc[1]
-            floors = pricing.node_floors(node)
-            costs = list(pricing.costs)
-            for (_, shared), floor in pricing.touched(arc):
+            floors = pricing.head_bound((None, node))[1]
+            touched, costs = pricing.head_bound(arc)
+            for (_, shared), floor in touched:
                 assert shared.prefix[shared.first[node]] <= floor
-                costs.remove(shared.cost)
-                costs.append(floor)
-            costs.sort()
             assert len(floors) == len(costs)
             assert all(a <= b for a, b in zip(floors, costs))
             head_cost = inst.scaled_cost(head)
@@ -648,7 +647,25 @@ def test_a_node_floor_bounds_every_head_into_the_node(seed, augmentation):
             total, j = _best_prefix(head_cost, costs)
             assert node_total * j <= total * node_j
             if node not in {v for _, shared in pricing.ranked for v in shared.first}:
-                assert floors == list(pricing.costs)
+                assert floors == [shared.cost for _, shared in pricing.ranked]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 100_000), st.booleans())
+def test_head_bound_equals_its_floors_built_step_by_step(seed, augmentation):
+    # one scan gives a head's touched pairs and its bound's floors, and a
+    # tail on no chain gives the node bound: list for list what summing
+    # each entered step and inserting each floor, or reading each chain at
+    # the node's first step, gives
+    rng = random.Random(seed)
+    inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
+    for units, _, _, _, pricing in _priced_states(inst, rng):
+        for head in free_leg_candidates(inst, units):
+            arc = inst.arc(head)
+            assert pricing.head_bound(arc) == head_floors(pricing, arc)
+        for node in range(inst.node_count):
+            assert pricing.head_bound((None, node)) == head_floors(pricing, (None, node))
+            assert pricing.head_bound((None, node))[1] == node_floors(pricing, node)
 
 
 def _best_prefix_by_full_scan(head_cost, costs):

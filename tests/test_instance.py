@@ -14,7 +14,6 @@ from rkec.instance import (
     Solution,
     dump_json,
     frac_from_obj,
-    frac_to_str,
     instance_to_json,
     load_object,
     parse_instance,
@@ -91,7 +90,7 @@ def test_parse_malformed_document():
 
 def test_rational_round_trip():
     for text in ["0", "7", "3/2", "22/7"]:
-        assert frac_to_str(frac_from_obj(text)) == text
+        assert str(frac_from_obj(text)) == text
     assert frac_from_obj(5) == Fraction(5)
     assert frac_from_obj("2.5") == Fraction(5, 2)
     with pytest.raises(ParseError):

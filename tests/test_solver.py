@@ -202,9 +202,13 @@ def test_solution_always_feasible(seed):
     except InfeasibleError:
         return
     assert check_feasible(inst, report.solution).feasible
-    # the union of the phase additions is exactly the selection
+    # the union of the phase additions is exactly the selection, each edge's
+    # copies numbered in purchase order
     phase_units = [tuple(u) for ph in phases(report) for u in ph["added_units"]]
-    assert sorted(phase_units) == list(report.solution.units())
+    assert [copy for _, copy in phase_units] == [
+        [eid for eid, _ in phase_units[:i]].count(eid) for i, (eid, _) in enumerate(phase_units)
+    ]
+    assert selection_from_units(phase_units) == report.solution.selected
     # phases descend strictly in level
     levels = [ph["level"] for ph in phases(report)]
     assert levels == sorted(levels, reverse=True) and len(set(levels)) == len(levels)

@@ -18,7 +18,6 @@ from rkec.instance import (
     Solution,
     dump_json,
     frac_from_obj,
-    frac_to_str,
     selection_from_units,
     solution_from_doc,
 )
@@ -297,7 +296,7 @@ def _edit_selected(inst, solution, data):
 def _edit_total_cost(inst, solution, data):
     recorded = frac_from_obj(solution["total_cost"])
     cost = data.draw(st.fractions(min_value=0, max_value=100, max_denominator=4))
-    solution["total_cost"] = frac_to_str(cost if cost != recorded else recorded + 1)
+    solution["total_cost"] = str(cost if cost != recorded else recorded + 1)
 
 
 def _tamper_selected(inst, doc, data):
@@ -330,6 +329,18 @@ def _tamper_pruned(inst, doc, data):
     doc["pruned"] = pruned
 
 
+def _tamper_pruned_records(inst, doc, data):
+    """Record as ``pruned`` the solution itself, carrying its own iteration
+    records or a made-up one: a pruned selection has none."""
+    pruned = copy.deepcopy(doc["solution"])
+    if not pruned["audit"] or data.draw(st.booleans()):
+        pruned["audit"] = [{
+            "phase_level": 1, "cores_before": 99, "cores_after": 0, "star_center": 12345,
+            "leaf_count": 1, "added_cost": "1000", "added_units": [],
+        }]
+    doc["pruned"] = pruned
+
+
 def _tamper_star_center(inst, doc, data):
     """Name as a record's head an edge none of its added units is on."""
     records = doc["solution"]["audit"]
@@ -357,13 +368,25 @@ def _tamper_added_units(inst, doc, data):
     _rebuild_phases(doc)
 
 
+def _tamper_copy_order(inst, doc, data):
+    """Swap the copy indices of two units of one edge bought by two records,
+    so the multiset of units stays but the copies leave purchase order."""
+    units = [u for rec in doc["solution"]["audit"] for u in rec["added_units"]]
+    twice = sorted({eid for eid, index in units if index == 1})
+    assume(twice)
+    eid = data.draw(st.sampled_from(twice))
+    first, second = data.draw(st.permutations([u for u in units if u[0] == eid]))[:2]
+    first[1], second[1] = second[1], first[1]
+    _rebuild_phases(doc)
+
+
 def _tamper_added_cost(inst, doc, data):
     records = doc["solution"]["audit"]
     assume(records)
     rec = data.draw(st.sampled_from(records))
     recorded = frac_from_obj(rec["added_cost"])
     cost = data.draw(st.fractions(min_value=0, max_value=100, max_denominator=4))
-    rec["added_cost"] = frac_to_str(cost if cost != recorded else recorded + 1)
+    rec["added_cost"] = str(cost if cost != recorded else recorded + 1)
 
 
 def _tamper_phases(inst, doc, data):
@@ -383,7 +406,7 @@ def _tamper_phases(inst, doc, data):
 def _tamper_bound_harmonic(inst, doc, data):
     recorded = frac_from_obj(doc["bound_harmonic"])
     value = data.draw(st.fractions(min_value=0, max_value=1000, max_denominator=4))
-    doc["bound_harmonic"] = frac_to_str(value if value != recorded else recorded + 1)
+    doc["bound_harmonic"] = str(value if value != recorded else recorded + 1)
 
 
 def _tamper_terminal_count(inst, doc, data):
@@ -391,7 +414,7 @@ def _tamper_terminal_count(inst, doc, data):
     doc["terminal_count"] = data.draw(st.integers(1, 1000).filter(lambda n: n != recorded))
 
 
-@settings(max_examples=440, deadline=None)
+@settings(max_examples=520, deadline=None)
 @given(
     st.integers(0, 100_000),
     st.sampled_from([
@@ -400,7 +423,9 @@ def _tamper_terminal_count(inst, doc, data):
         _tamper_connectivity,
         _tamper_feasible,
         _tamper_pruned,
+        _tamper_pruned_records,
         _tamper_added_units,
+        _tamper_copy_order,
         _tamper_added_cost,
         _tamper_star_center,
         _tamper_bound_harmonic,
@@ -411,11 +436,13 @@ def _tamper_terminal_count(inst, doc, data):
 )
 def test_tampered_report_never_audits_clean(seed, tamper, data):
     """A report whose ``selected``, ``total_cost``, ``connectivity``,
-    ``feasible``, multiset of iteration ``added_units``, an iteration's
-    ``added_cost`` or ``star_center``, ``bound_harmonic`` or ``terminal_count``
-    was changed, or that gained a ``pruned`` copy of its solution with an
-    edited selection or total cost, is rejected (ParseError) or audits
-    unclean; one whose ``phases`` differ from its records is rejected.
+    ``feasible``, multiset of iteration ``added_units``, order of an edge's
+    copies among the records, an iteration's ``added_cost`` or
+    ``star_center``, ``bound_harmonic`` or ``terminal_count`` was changed,
+    or that gained a ``pruned`` copy of its solution with an edited
+    selection or total cost or with iteration records, is rejected
+    (ParseError) or audits unclean; one whose ``phases`` differ from its
+    records is rejected.
 
     Out of scope until the audit replays the core counts: moving a unit from
     one iteration to another along with both iterations' ``added_cost``, and
@@ -437,3 +464,20 @@ def test_tampered_report_never_audits_clean(seed, tamper, data):
     except ParseError:
         return
     assert not audit.clean
+
+
+
+def test_copies_out_of_purchase_order_audit_unclean():
+    # corpus seed 7 buys edge 3 in its first two records; swapping the copy
+    # indices keeps the multiset of units but leaves purchase order (few
+    # small random instances buy an edge twice, so the tamper above seldom
+    # gets to try this)
+    inst = generate_instance(default_corpus_params(7))
+    doc = report_to_doc(solve(inst))
+    assert audit_run(inst, report_from_doc(doc)).clean
+    records = doc["solution"]["audit"]
+    assert records[0]["added_units"][0] == [3, 0] and records[1]["added_units"] == [[3, 1]]
+    records[0]["added_units"][0], records[1]["added_units"][0] = [3, 1], [3, 0]
+    _rebuild_phases(doc)
+    audit = audit_run(inst, report_from_doc(doc))
+    assert audit.recorded_units_ok is False and not audit.clean
