@@ -7,12 +7,14 @@ Four rows: the 500-seed acceptance corpus, solved instance by instance in
 seed order, and three ladder instances,
 ``GenParams(n, T, k, density=3/10, root_bias=2, seed=1)`` at (120, 40, 3),
 (200, 60, 3) and (300, 90, 3).  Each row's instances are generated once,
-then solved ``--rounds`` times (default 5) in this process.  Per row the
-file holds the wall time of that one generation (``generate_s``), the
-``solve`` wall-time median, min and max over the rounds, the total cost,
-and the sha256 of the report bytes
-``dump_json(report_to_doc(...))``, concatenated in seed order for the corpus
-as the acceptance test C10 hashes them.  Every round must give the same
+then written with ``instance_to_json``; each round parses those texts
+with ``parse_instance`` and solves the instances, in this process,
+``--rounds`` times (default 5).  Per row the file holds the wall time of
+that one generation (``generate_s``), the median over the rounds of the
+parse wall time (``parse_s``), the ``solve`` wall-time median, min and max
+over the rounds, the total cost, and the sha256 of the report bytes
+``dump_json(report_to_doc(...))``, concatenated in seed order for the
+corpus as the acceptance test C10 hashes them.  Every round must give the same
 bytes; a round that does not exits 1.  The times are uncalibrated wall time
 of the host it runs on.
 """
@@ -29,7 +31,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from rkec.generate import GenParams, default_corpus_params, generate_instance  # noqa: E402
-from rkec.instance import dump_json  # noqa: E402
+from rkec.instance import dump_json, instance_to_json, parse_instance  # noqa: E402
 from rkec.solver import report_to_doc, solve  # noqa: E402
 
 LADDER = ((120, 40, 3), (200, 60, 3), (300, 90, 3))
@@ -61,8 +63,13 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         instances = [generate_instance(p) for p in params]
         generate_s = time.perf_counter() - t0
-        times, digests = [], set()
+        texts = [instance_to_json(inst) for inst in instances]
+        parse_times, times, digests = [], [], set()
         for _ in range(args.rounds):
+            t0 = time.perf_counter()
+            for text in texts:
+                parse_instance(text)
+            parse_times.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
             reports = [solve(inst) for inst in instances]
             times.append(time.perf_counter() - t0)
@@ -77,6 +84,7 @@ def main(argv=None) -> int:
             "name": name,
             "instances": len(instances),
             "generate_s": generate_s,
+            "parse_s": statistics.median(parse_times),
             "wall_s": {
                 "median": statistics.median(times), "min": min(times), "max": max(times),
             },
@@ -85,7 +93,7 @@ def main(argv=None) -> int:
         }
         out.append(row)
         print(f"{name}: median {row['wall_s']['median']:.3f} s over {args.rounds} rounds, "
-              f"generated in {generate_s:.3f} s, cost {row['cost']}, "
+              f"parse {row['parse_s']:.4f} s, generated in {generate_s:.3f} s, cost {row['cost']}, "
               f"sha256 {row['report_sha256'][:8]}")
 
     doc = {

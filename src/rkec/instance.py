@@ -10,6 +10,8 @@ the iteration records number the copies, one copy, a unit, written as an
 Costs are reported as rationals, but the solver prices in integers: every
 edge cost is an integer multiple of 1/``cost_scale``, the least common
 denominator of the instance's costs, and ``scaled_cost`` gives that multiple.
+A cost's sign is read off its numerator (a reduced ``Fraction``, like an
+``int``, carries it there), so building an instance compares no rationals.
 """
 
 from __future__ import annotations
@@ -58,6 +60,17 @@ def frac_from_obj(obj) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational: {obj!r}") from exc
     raise ParseError(f"not a rational: {obj!r}")
+
+
+def _cached_frac(obj, seen: dict[str, Fraction]) -> Fraction:
+    """``frac_from_obj(obj)``, parsing a string only the first time ``seen``
+    meets it.  Only strings are kept, so ``true`` never finds the ``1``."""
+    if type(obj) is not str:
+        return frac_from_obj(obj)
+    frac = seen.get(obj)
+    if frac is None:
+        frac = seen[obj] = frac_from_obj(obj)
+    return frac
 
 
 @dataclass(frozen=True)
@@ -110,7 +123,7 @@ class Instance:
                 raise ParseError(f"edge {e.id} enters root")
             if e.tail == e.head:
                 raise ParseError(f"edge {e.id} is a self-loop")
-            if e.cost < 0:
+            if e.cost.numerator < 0:
                 raise ParseError(f"edge {e.id} has negative cost")
             if e.mult < 1:
                 raise ParseError(f"edge {e.id} has non-positive multiplicity")
@@ -121,11 +134,11 @@ class Instance:
 
     @cached_property
     def zero_edges(self) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.cost == 0)
+        return tuple(e for e in self.edges if e.cost.numerator == 0)
 
     @cached_property
     def positive_edges(self) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.cost > 0)
+        return tuple(e for e in self.edges if e.cost.numerator > 0)
 
     @property
     def positive_unit_count(self) -> int:
@@ -135,13 +148,14 @@ class Instance:
 
     @cached_property
     def cost_scale(self) -> int:
-        """Least common denominator of the edge costs (1 for integer costs).
-        Once the running multiple might pass ``str``'s digit limit, ``str``
-        is tried on it, so a scale too long to write raises early."""
+        """Least common denominator of the edge costs (1 for integer costs),
+        taken over the distinct denominators in first-seen order.  Once the
+        running multiple might pass ``str``'s digit limit, ``str`` is tried
+        on it, so a scale too long to write raises early."""
         bits = sys.get_int_max_str_digits() * 3.32  # log2(10) > 3.32 bits per digit
         scale = 1
-        for e in self.edges:
-            scale = math.lcm(scale, e.cost.denominator)
+        for denominator in dict.fromkeys(e.cost.denominator for e in self.edges):
+            scale = math.lcm(scale, denominator)
             if bits and scale.bit_length() > bits:
                 str(scale)
         return scale
@@ -277,8 +291,9 @@ def parse_instance(text: str) -> Instance:
 
     Every integer field must be a JSON integer (``true`` is not 1).  Edges
     entering the root never help any cut and are rejected.  Self-loops are
-    dropped silently.  Costs whose common denominator or total is too long
-    to write are rejected.
+    dropped silently.  Each distinct cost string is parsed into one
+    ``Fraction`` that every edge spelling it shares.  Costs whose common
+    denominator or total is too long to write are rejected.
     """
     doc = load_object(text, "instance document")
     try:
@@ -289,24 +304,26 @@ def parse_instance(text: str) -> Instance:
         raw_edges = doc["edges"]
     except KeyError as exc:
         raise ParseError(f"missing field {exc.args[0]!r}") from exc
-    if not all(type(v) is int for v in (n, root, k)):
+    if not (type(n) is int and type(root) is int and type(k) is int):
         raise ParseError("n, root and k must be integers")
     if not isinstance(terminals, list) or not all(type(t) is int for t in terminals):
         raise ParseError("terminals must be a list of integers")
     if not isinstance(raw_edges, list):
         raise ParseError("edges must be a list")
 
+    costs: dict[str, Fraction] = {}
     edges = []
     for rec in raw_edges:
         if not isinstance(rec, dict):
             raise ParseError("edge record must be an object")
         try:
             eid, tail, head = rec["id"], rec["tail"], rec["head"]
-            cost = frac_from_obj(rec["cost"])
+            cost = _cached_frac(rec["cost"], costs)
         except KeyError as exc:
             raise ParseError(f"edge record missing field {exc.args[0]!r}") from exc
         mult = rec.get("mult", 1)
-        if not all(type(v) is int for v in (eid, tail, head, mult)):
+        if not (type(eid) is int and type(tail) is int and type(head) is int
+                and type(mult) is int):
             raise ParseError("edge id, endpoints and mult must be integers")
         if tail == head:
             continue  # self-loops cover nothing
@@ -378,21 +395,25 @@ def _record_to_doc(rec: IterationRecord) -> dict:
 _COUNTERS = ("phase_level", "cores_before", "cores_after", "star_center", "leaf_count")
 
 
-def _record_from_doc(doc: dict) -> IterationRecord:
+def _record_from_doc(doc: dict, costs: dict[str, Fraction]) -> IterationRecord:
     """Parse one iteration record: integer counters, of which the level and
     the leaf count are at least 1 and the cores left at least 0, a rational
-    cost and [edge id, copy] integer units."""
+    cost (a string already in ``costs`` is not parsed again) and
+    [edge id, copy] integer units."""
     try:
         rec = IterationRecord(
             **{name: doc[name] for name in _COUNTERS},
-            added_cost=frac_from_obj(doc["added_cost"]),
+            added_cost=_cached_frac(doc["added_cost"], costs),
             added_units=tuple(tuple(u) for u in doc["added_units"]),
         )
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed iteration record: {exc}") from exc
     if not (
-        all(type(getattr(rec, name)) is int for name in _COUNTERS)
-        and all(len(u) == 2 and all(type(v) is int for v in u) for u in rec.added_units)
+        type(rec.phase_level) is int and type(rec.cores_before) is int
+        and type(rec.cores_after) is int and type(rec.star_center) is int
+        and type(rec.leaf_count) is int
+        and all(len(u) == 2 and type(u[0]) is int and type(u[1]) is int
+                for u in rec.added_units)
         and min(rec.phase_level, rec.leaf_count) >= 1
         and rec.cores_after >= 0
     ):
@@ -421,7 +442,8 @@ def _selection_from_doc(raw) -> dict[int, int]:
         raise ParseError("selected must be a list of [edge id, count] pairs")
     selected: dict[int, int] = {}
     for rec in raw:
-        if not (isinstance(rec, list) and len(rec) == 2 and all(type(v) is int for v in rec)):
+        if not (isinstance(rec, list) and len(rec) == 2
+                and type(rec[0]) is int and type(rec[1]) is int):
             raise ParseError(f"selected entry {rec!r} is not an [edge id, count] pair of integers")
         eid, count = rec
         if eid in selected:
@@ -441,7 +463,7 @@ def check_selection(inst: Instance, selected: dict[int, int]) -> None:
         e = inst.edge_by_id.get(eid)
         if e is None:
             raise ParseError(f"selected edge {eid} is not in the instance")
-        if e.cost == 0:
+        if e.cost.numerator == 0:
             raise ParseError(f"selected edge {eid} costs zero and is always present")
         if not 1 <= count <= e.mult:
             raise ParseError(f"edge {eid} selected {count} times, multiplicity {e.mult}")
@@ -449,7 +471,9 @@ def check_selection(inst: Instance, selected: dict[int, int]) -> None:
 
 def solution_from_doc(doc: dict) -> Solution:
     """Parse a solution: ``feasible`` a JSON bool, ``connectivity`` an object
-    of terminal ids (written as ``solution_to_doc`` writes them) to integers."""
+    of terminal ids (written as ``solution_to_doc`` writes them) to integers.
+    Each distinct cost string is parsed once."""
+    costs: dict[str, Fraction] = {}
     try:
         conn, feasible = doc["connectivity"], doc["feasible"]
         if not isinstance(conn, dict) or type(feasible) is not bool or not all(
@@ -458,10 +482,10 @@ def solution_from_doc(doc: dict) -> Solution:
             raise ParseError("connectivity must map terminal ids to integers, feasible be a bool")
         return Solution(
             selected=_selection_from_doc(doc["selected"]),
-            total_cost=frac_from_obj(doc["total_cost"]),
+            total_cost=_cached_frac(doc["total_cost"], costs),
             connectivity={int(t): v for t, v in conn.items()},
             feasible=feasible,
-            audit=[_record_from_doc(r) for r in doc.get("audit", [])],
+            audit=[_record_from_doc(r, costs) for r in doc.get("audit", [])],
         )
     except (KeyError, TypeError, IndexError) as exc:
         raise ParseError(f"malformed solution: {exc}") from exc

@@ -10,20 +10,34 @@ bound floors summed step by step and inserted one by one, the node bound's
 floors read at the node's first step, an exact optimum by enumerating every
 unit subset, the prune pass dropping units
 from a list, a maximum flow decomposed into paths by search, and the paths
-re-checked edge by edge against the instance's capacities.  They take
+re-checked edge by edge against the instance's capacities, and an instance
+document parsed with a ``Fraction`` built for every edge's cost, its scale,
+free and priced edges and scaled costs read by ``Fraction`` arithmetic
+edge by edge.  They take
 selections as unit lists and convert them (``selection_from_units``) where
 they call the package's flow and ring primitives, unlike the enumeration
 oracles in ``oracles``, and only tests and ``scripts/ring_cross_check.py``
 call them.
 """
 
+import math
 from bisect import insort
 from collections import Counter
+from fractions import Fraction
 
 from rkec.deficiency import CoreInfo, cores_of
 from rkec.flows import Residual, root_flows, short_terminal, solution_of, working_arcs
 from rkec.greedy import Star, StarPricing, _rank, _scan_head
-from rkec.instance import Instance, Solution, Unit, selection_from_units
+from rkec.instance import (
+    Edge,
+    Instance,
+    ParseError,
+    Solution,
+    Unit,
+    frac_from_obj,
+    load_object,
+    selection_from_units,
+)
 from rkec.rings import RingCover, primal_dual_ring_cover, ring_stops
 
 from oracles import EnumeratedFamily, enumerate_arc_family
@@ -328,3 +342,63 @@ def path_packing_witness(inst: Instance, sol: Solution, terminal: int) -> list[l
         if count > capacity.get(arc, 0):
             raise AssertionError(f"witness paths overuse arc {arc}")
     return paths
+
+
+def parse_instance_per_edge(text: str) -> Instance:
+    """``parse_instance`` with every edge's cost parsed on its own and the
+    integer fields tested with ``all`` over tuples: the same checks, in the
+    same order, with the same messages."""
+    doc = load_object(text, "instance document")
+    try:
+        n = doc["n"]
+        root = doc["root"]
+        terminals = doc["terminals"]
+        k = doc["k"]
+        raw_edges = doc["edges"]
+    except KeyError as exc:
+        raise ParseError(f"missing field {exc.args[0]!r}") from exc
+    if not all(type(v) is int for v in (n, root, k)):
+        raise ParseError("n, root and k must be integers")
+    if not isinstance(terminals, list) or not all(type(t) is int for t in terminals):
+        raise ParseError("terminals must be a list of integers")
+    if not isinstance(raw_edges, list):
+        raise ParseError("edges must be a list")
+
+    edges = []
+    for rec in raw_edges:
+        if not isinstance(rec, dict):
+            raise ParseError("edge record must be an object")
+        try:
+            eid, tail, head = rec["id"], rec["tail"], rec["head"]
+            cost = frac_from_obj(rec["cost"])
+        except KeyError as exc:
+            raise ParseError(f"edge record missing field {exc.args[0]!r}") from exc
+        mult = rec.get("mult", 1)
+        if not all(type(v) is int for v in (eid, tail, head, mult)):
+            raise ParseError("edge id, endpoints and mult must be integers")
+        if tail == head:
+            continue  # self-loops cover nothing
+        if head == root:
+            raise ParseError(f"edge {eid} enters root")
+        edges.append(Edge(eid, tail, head, cost, mult))
+
+    inst = Instance(n, root, frozenset(terminals), tuple(edges), k)
+    try:
+        str(inst.cost_scale), str(sum(inst.scaled_cost(e.id) * e.mult for e in inst.edges))
+    except ValueError as exc:
+        raise ParseError(f"the costs' common denominator or total is too long: {exc}") from exc
+    return inst
+
+
+def per_edge_costs(inst: Instance) -> tuple[int, tuple[Edge, ...], tuple[Edge, ...], dict]:
+    """(``cost_scale``, ``zero_edges``, ``positive_edges``, edge id -> scaled
+    cost), each read edge by edge: an lcm step per edge, a ``Fraction``
+    comparison with 0 and a ``Fraction`` product with the scale."""
+    scale = 1
+    for e in inst.edges:
+        scale = math.lcm(scale, e.cost.denominator)
+    zero = tuple(e for e in inst.edges if e.cost == 0)
+    positive = tuple(e for e in inst.edges if e.cost > 0)
+    scaled = {e.id: Fraction(e.cost) * scale for e in inst.edges}
+    assert all(c.denominator == 1 for c in scaled.values())
+    return scale, zero, positive, {eid: c.numerator for eid, c in scaled.items()}

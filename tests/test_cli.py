@@ -62,6 +62,32 @@ def test_gen_rejects_a_density_that_is_not_a_rational(density, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_a_negative_cost_is_refused(tmp_path, report_file, capsys, command):
+    doc = json.loads(INSTANCE_A_JSON)
+    doc["edges"][2]["cost"] = "-1/3"
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(doc))
+    argv = ["--report", report_file] if command == "verify" else []
+    assert run(command, "--instance", path, *argv, "--out", tmp_path / "out.json") == 2
+    assert capsys.readouterr().err == "error: edge 3 has negative cost\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("zero", ["-0", "0/5"])
+def test_a_selected_zero_cost_edge_is_refused_however_it_is_spelled(tmp_path, capsys, zero):
+    inst = tmp_path / "inst.json"
+    inst.write_text(TWO_ARC_JSON.replace('"cost": "0"', f'"cost": "{zero}"'))
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({
+        "kind": "solution", "selected": [[1, 1]], "total_cost": "0",
+        "connectivity": {}, "feasible": True,
+    }))
+    code = run("verify", "--instance", inst, "--solution", sol, "--out", tmp_path / "a.json")
+    assert code == 2
+    assert capsys.readouterr().err == "error: selected edge 1 costs zero and is always present\n"
+
+
 def test_an_exponent_cost_is_refused_before_it_is_expanded(tmp_path, capsys):
     # Fraction would build 10**100000000 itself, past any digit limit
     doc = json.loads(INSTANCE_A_JSON)

@@ -1,11 +1,16 @@
+import importlib.util
 import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rkec import instance
+from rkec.generate import GenParams, generate_instance
 from rkec.instance import (
     Edge,
     Instance,
@@ -22,9 +27,12 @@ from rkec.instance import (
     solution_to_doc,
     validate_quasi_bipartite,
 )
+from rkec.solver import report_from_doc, report_to_doc, solve
 
 from conftest import INSTANCE_A_JSON, small_random_instance
-from reference import positive_units
+from reference import parse_instance_per_edge, per_edge_costs, positive_units
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_parse_fixture(instance_a):
@@ -209,3 +217,172 @@ def test_dump_json_refuses_a_key_that_is_not_a_string(doc):
 def test_dump_json_refuses_a_value_it_cannot_write(value):
     with pytest.raises(TypeError):
         dump_json({"a": [value]})
+
+
+# one value spelled many ways, integer costs and the other rationals the
+# drawn documents share, so most documents repeat a cost text
+_COSTS = ["2", "2/1", "4/2", " 2", "+2", "2.0", "-0", "0/3", "0/5", "0", "1", "1/2",
+          "3/4", "5/6", "0.25", 2, 0, 1]
+# what a field's value is swapped for: a value no field takes (``true``, a
+# float, an exponent, no number, a zero denominator, a negative cost), an
+# integer, or _MISSING, which deletes the key
+_MISSING = object()
+_SWAPS = [True, False, 1.0, "1e3", "x", "1/0", "-1/3", "-1", None, [1], 0, 1, -1, 5, _MISSING]
+
+
+@st.composite
+def _instance_docs(draw):
+    """Instance documents over nodes 0..4 with root 0, one in two of them
+    with one field of the document or of an edge record swapped (an edge's
+    cost five times as often as any other field)."""
+    ids = draw(st.lists(st.integers(1, 12), max_size=12, unique=True))
+    doc = {
+        "n": 5, "root": 0,
+        "terminals": draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True)),
+        "k": draw(st.integers(1, 2)),
+        "edges": [
+            {"id": eid, "tail": draw(st.integers(0, 4)), "head": draw(st.integers(1, 4)),
+             "cost": draw(st.sampled_from(_COSTS)), "mult": draw(st.integers(1, 2))}
+            for eid in ids
+        ],
+    }
+    if draw(st.booleans()):
+        target = draw(st.sampled_from([doc, *doc["edges"]]))
+        keys = sorted(target) if target is doc else [*target, "cost", "cost", "cost", "cost"]
+        key, value = draw(st.sampled_from(keys)), draw(st.sampled_from(_SWAPS))
+        if value is _MISSING:
+            del target[key]
+        else:
+            target[key] = value
+    return doc
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _edge_doc(*costs) -> dict:
+    """Root 0 and terminal 1 joined by one edge per cost, ids from 1."""
+    return {"n": 2, "root": 0, "terminals": [1], "k": 1,
+            "edges": [{"id": i, "tail": 0, "head": 1, "cost": c}
+                      for i, c in enumerate(costs, 1)]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_instance_docs())
+@example(_edge_doc("2", "2/1", "4/2", " 2", "+2", "2.0", "-0", "0/3"))
+@example(_edge_doc("1", 1, True))
+@example(_edge_doc(1, "1", 1.0))
+@example(_edge_doc("1/2", "1e3"))
+@example(_edge_doc("1/2", "x"))
+@example(_edge_doc("1/3", "1/0"))
+@example(_edge_doc("1/3", "-1/3"))
+def test_parse_matches_the_per_edge_parser(doc):
+    # a cost text parsed once and shared gives the instance, or the refusal,
+    # that parsing it for every edge gave
+    text = json.dumps(doc)
+    fast, slow = _parsed(parse_instance, text), _parsed(parse_instance_per_edge, text)
+    assert type(fast) is type(slow) and fast == slow
+    if isinstance(fast, Instance):
+        scale, zero, positive, scaled = per_edge_costs(slow)
+        assert (fast.cost_scale, fast.zero_edges, fast.positive_edges) == (scale, zero, positive)
+        assert {e.id: fast.scaled_cost(e.id) for e in fast.edges} == scaled
+        assert instance_to_json(fast) == instance_to_json(slow)
+
+
+def _load_script(path: Path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_generated_instance_round_trips(monkeypatch):
+    # the 500 corpus instances and the ladder of scripts/bench.py, and the
+    # midsize and wide pools of perfbench
+    bench = _load_script(ROOT / "scripts" / "bench.py", monkeypatch)
+    params = [p for _, row in bench.rows() for p in row]
+    pools = _load_script(ROOT / "perfbench" / "workloads.py", monkeypatch).WORKLOADS
+    params += [*pools["midsize"].params, *pools["wide"].params]
+    assert len(params) == 500 + 3 + 8 + 6
+    for p in params:
+        inst = generate_instance(p)
+        again = parse_instance(instance_to_json(inst))
+        assert again == inst
+        scale, zero, positive, scaled = per_edge_costs(inst)
+        assert (again.cost_scale, again.zero_edges, again.positive_edges) == (scale, zero, positive)
+        assert {e.id: again.scaled_cost(e.id) for e in again.edges} == scaled
+
+
+@pytest.fixture
+def frac_calls(monkeypatch) -> list:
+    """Every value ``instance.frac_from_obj`` parses while the test runs."""
+    calls = []
+    parse = instance.frac_from_obj
+
+    def counted(obj):
+        calls.append(obj)
+        return parse(obj)
+
+    monkeypatch.setattr(instance, "frac_from_obj", counted)
+    return calls
+
+
+@pytest.mark.parametrize("params", [
+    GenParams(nodes=24, terminals=12, k=1, density=Fraction(3, 10), seed=1),
+    GenParams(120, 40, 3, density=Fraction(3, 10), root_bias=2, seed=1),
+], ids=["wide-1", "ladder-120-40-3"])
+def test_parse_reads_each_cost_text_once(params, frac_calls):
+    text = instance_to_json(generate_instance(params))
+    costs = [rec["cost"] for rec in json.loads(text)["edges"]]
+    parse_instance(text)
+    assert len(costs) > 10 * len(set(costs))
+    assert sorted(frac_calls) == sorted(set(costs))
+
+
+def test_a_report_reads_each_cost_text_once(frac_calls):
+    inst = generate_instance(GenParams(nodes=24, terminals=12, k=1, density=Fraction(3, 10), seed=1))
+    doc = json.loads(dump_json(report_to_doc(solve(inst))))
+    costs = [doc["solution"]["total_cost"], *(r["added_cost"] for r in doc["solution"]["audit"])]
+    frac_calls.clear()
+    report_from_doc(doc)
+    assert len(costs) > len(set(costs))
+    assert sorted(frac_calls) == sorted(set(costs))
+
+
+class _Incomparable(Fraction):
+    """A cost that refuses every comparison."""
+
+    def _refuse(self, other):
+        raise AssertionError("a cost was compared")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
+    __hash__ = Fraction.__hash__
+
+
+def test_an_instance_compares_no_costs():
+    costs = [_Incomparable(0), _Incomparable(3, 2), _Incomparable(5, 3), _Incomparable(0, 7)]
+    edges = tuple(Edge(i, 0, 1, c) for i, c in enumerate(costs, 1))
+    inst = Instance(2, 0, frozenset({1}), edges, 1)
+    assert [e.id for e in inst.zero_edges] == [1, 4]
+    assert [e.id for e in inst.positive_edges] == [2, 3]
+    assert inst.cost_scale == 6
+    assert [inst.scaled_cost(i) for i in (1, 2, 3, 4)] == [0, 9, 10, 0]
+
+
+@pytest.mark.parametrize("cost", [Fraction(-1), Fraction(-1, 3), -1])
+def test_a_built_instance_refuses_a_negative_cost(cost):
+    # the generator's path: an Instance built from Edges, with no document
+    with pytest.raises(ParseError, match="edge 2 has negative cost"):
+        Instance(2, 0, frozenset({1}), (Edge(1, 0, 1, Fraction(1)), Edge(2, 0, 1, cost)), 1)
+
+
+def test_signed_and_unreduced_zeros_are_free():
+    inst = parse_instance(json.dumps(_edge_doc("-0", "0/5", "1", "-0.0")))
+    assert [e.id for e in inst.zero_edges] == [1, 2, 4]
+    assert [e.id for e in inst.positive_edges] == [3]
+    assert inst.cost_scale == 1
