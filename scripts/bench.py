@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the in-process solve and write BENCH_<LABEL>.json in the current directory.
+"""Time the in-process solve and audit; write BENCH_<LABEL>.json in the current directory.
 
 Usage: python scripts/bench.py LABEL [--rounds N]
 
@@ -8,15 +8,17 @@ seed order, and three ladder instances,
 ``GenParams(n, T, k, density=3/10, root_bias=2, seed=1)`` at (120, 40, 3),
 (200, 60, 3) and (300, 90, 3).  Each row's instances are generated once,
 then written with ``instance_to_json``; each round parses those texts
-with ``parse_instance`` and solves the instances, in this process,
-``--rounds`` times (default 5).  Per row the file holds the wall time of
-that one generation (``generate_s``), the median over the rounds of the
-parse wall time (``parse_s``), the ``solve`` wall-time median, min and max
-over the rounds, the total cost, and the sha256 of the report bytes
-``dump_json(report_to_doc(...))``, concatenated in seed order for the
-corpus as the acceptance test C10 hashes them.  Every round must give the same
-bytes; a round that does not exits 1.  The times are uncalibrated wall time
-of the host it runs on.
+with ``parse_instance``, solves the instances and audits their reports,
+in this process, ``--rounds`` times (default 5).  Per row the file holds
+the wall time of that one generation (``generate_s``), the median over the
+rounds of the parse wall time (``parse_s``), the ``solve`` wall-time
+median, min and max over the rounds, the median over the rounds of the
+wall time of ``audit_run(inst, report)`` over the row's reports
+(``verify_s``: no optimum, no density replay), the total cost, and the
+sha256 of the report bytes ``dump_json(report_to_doc(...))``, concatenated
+in seed order for the corpus as the acceptance test C10 hashes them.  Every
+round must give the same bytes; a round that does not exits 1.  The times
+are uncalibrated wall time of the host it runs on.
 """
 
 import argparse
@@ -33,6 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from rkec.generate import GenParams, default_corpus_params, generate_instance  # noqa: E402
 from rkec.instance import dump_json, instance_to_json, parse_instance  # noqa: E402
 from rkec.solver import report_to_doc, solve  # noqa: E402
+from rkec.verify import audit_run  # noqa: E402
 
 LADDER = ((120, 40, 3), (200, 60, 3), (300, 90, 3))
 
@@ -64,7 +67,7 @@ def main(argv=None) -> int:
         instances = [generate_instance(p) for p in params]
         generate_s = time.perf_counter() - t0
         texts = [instance_to_json(inst) for inst in instances]
-        parse_times, times, digests = [], [], set()
+        parse_times, times, verify_times, digests = [], [], [], set()
         for _ in range(args.rounds):
             t0 = time.perf_counter()
             for text in texts:
@@ -73,6 +76,10 @@ def main(argv=None) -> int:
             t0 = time.perf_counter()
             reports = [solve(inst) for inst in instances]
             times.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            for inst, report in zip(instances, reports):
+                audit_run(inst, report)
+            verify_times.append(time.perf_counter() - t0)
             digest = hashlib.sha256()
             for report in reports:
                 digest.update(dump_json(report_to_doc(report)).encode())
@@ -88,12 +95,14 @@ def main(argv=None) -> int:
             "wall_s": {
                 "median": statistics.median(times), "min": min(times), "max": max(times),
             },
+            "verify_s": statistics.median(verify_times),
             "cost": str(sum(r.solution.total_cost for r in reports)),
             "report_sha256": digests.pop(),
         }
         out.append(row)
         print(f"{name}: median {row['wall_s']['median']:.3f} s over {args.rounds} rounds, "
-              f"parse {row['parse_s']:.4f} s, generated in {generate_s:.3f} s, cost {row['cost']}, "
+              f"verify {row['verify_s']:.3f} s, parse {row['parse_s']:.4f} s, "
+              f"generated in {generate_s:.3f} s, cost {row['cost']}, "
               f"sha256 {row['report_sha256'][:8]}")
 
     doc = {

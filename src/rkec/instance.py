@@ -333,7 +333,8 @@ def parse_instance(text: str) -> Instance:
 
     inst = Instance(n, root, frozenset(terminals), tuple(edges), k)
     try:  # the scale and the largest total bound every rational a run writes
-        str(inst.cost_scale), str(sum(inst.scaled_cost(e.id) * e.mult for e in inst.edges))
+        costs = inst._scaled_costs  # reads cost_scale, which raises when too long
+        str(inst.cost_scale), str(sum(costs[e.id] * e.mult for e in inst.edges))
     except ValueError as exc:
         raise ParseError(f"the costs' common denominator or total is too long: {exc}") from exc
     return inst

@@ -2,17 +2,17 @@
 
 Everything here recomputes from the instance and the recorded run, never from
 solver internals: a recorded solution is correct exactly when it equals its
-rebuild by ``flows.solution_of``, the builder the solver uses too.  The
-performance guarantee 2 * H(d) * (1 + ln |T|) mixes a rational with a
-logarithm, so ln |T| is enclosed in a proven dyadic interval: a comparison
-against its far side is rigorous, and a ratio inside doubles its bits until
-it lands outside (as it must: ln of an integer >= 2 is irrational, ratios
-are rational, and for |T| = 1 the interval is a point).
+rebuild by ``flows.solution_of``, the builder the solver uses too.  An
+audit reads a report's records in one walk, and its density replay runs
+off what that walk kept.  The performance guarantee 2 * H(d) * (1 + ln |T|)
+mixes a rational with a logarithm, so ln |T| is enclosed in a proven dyadic
+interval: a comparison against its far side is rigorous, and a ratio inside
+doubles its bits until it lands outside (as it must: ln of an integer >= 2
+is irrational, ratios are rational, and for |T| = 1 the interval is a point).
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -22,11 +22,9 @@ from .exact import cheapest_completion
 from .flows import require_feasible, root_flows, solution_of
 from .instance import (
     Instance,
-    SizeRefusalError,
     Solution,
     check_selection,
     connectivity_to_doc,
-    selection_from_units,
     validate_quasi_bipartite,
 )
 from .solver import SolveReport, harmonic
@@ -130,7 +128,8 @@ def audit_run(
     *,
     density_max_units: int | None = None,
 ) -> AuditReport:
-    """Audit a recorded run off one rebuild of its solution.
+    """Audit a recorded run off one rebuild of its solution and one walk of
+    its records.
 
     Always: the solution against its rebuild, the costs (the total recomputed
     from the selection, each iteration's from its added units; a recorded cost
@@ -139,8 +138,8 @@ def audit_run(
     their record's ``star_center``, make the audit unclean), the guarantee's
     inputs (H of the first level and |T|, from the instance; a recorded pair
     that differs makes the audit unclean) and the per-iteration core-drop
-    rule (the core count must fall by at least half the leaf count, rounded
-    up).  An infeasible rebuild is unclean, and only a
+    rule (the core count must fall by at least half the leaf count:
+    2 * drop >= leaf_count).  An infeasible rebuild is unclean, and only a
     feasible one goes on: ``optimum`` (if given) is called once, straight
     after the rebuild, for the exact optimum or None, and ``pruned`` is
     checked against its own rebuild (differing, infeasible, buying an edge
@@ -148,10 +147,14 @@ def audit_run(
     unclean: a pruned selection has none).  With an optimum: the ratio (1
     when cost and optimum are both 0, None when only the optimum is) and, for
     a quasi-bipartite instance, the ratio bound.  With ``density_max_units``
-    set, the added units exactly the selection and the instance small enough:
-    replay the run, checking each iteration's density against (2/level) *
-    (residual optimum) / (cores before), the residual optimum brute-forced
-    from the iteration's state.
+    set, the added units exactly the selection and at most that many
+    positive units: replay the run, from the edge counts and costs the walk
+    kept, against the density rule added_cost / drop <= (2 / level) *
+    residual_opt / cores_before, where residual_opt is the exact cost of
+    completing the instance from the iteration's starting state
+    (``cheapest_completion``, after one feasibility check of the whole
+    instance); an iteration whose core count does not drop violates it.
+    Above the cap ``density_checked`` stays False.
     """
     solution = report.solution
     selected = solution.selected
@@ -165,17 +168,22 @@ def audit_run(
                         and not pruned.audit)
     cost = rebuilt.total_cost
     bought: Counter[int] = Counter()  # edge id -> copies the records bought so far
-    units_ok = True
-    for rec in solution.audit:
+    walked = []  # per record: its edge counts and their cost, None off the instance
+    drops = []  # records that break the core-drop rule
+    units_ok = heads_ok = costs_ok = True
+    for idx, rec in enumerate(solution.audit):
+        counts: Counter[int] = Counter()
         for eid, copy in rec.added_units:
             units_ok &= copy == bought[eid]
             bought[eid] += 1
+            counts[eid] += 1
+        heads_ok &= rec.star_center in counts
+        added = inst.selection_cost(counts) if counts.keys() <= inst.edge_by_id.keys() else None
+        costs_ok &= added == rec.added_cost
+        walked.append((counts, added))
+        if 2 * (rec.cores_before - rec.cores_after) < rec.leaf_count:
+            drops.append(idx)
     units_ok &= bought == Counter(selected)
-    costs_ok = all(
-        all(eid in inst.edge_by_id for eid, _ in rec.added_units)
-        and inst.selection_cost(selection_from_units(rec.added_units)) == rec.added_cost
-        for rec in solution.audit
-    )
     # the level reads min(lambda, k) only, and a flow stopped below k is exact
     first_level = max(max(inst.k - flow.value, 0) for _, flow in root_flows(inst, {}, inst.k))
     bound_harmonic = harmonic(first_level)
@@ -183,18 +191,13 @@ def audit_run(
     out = AuditReport(
         rebuilt=rebuilt,
         recorded_cost_ok=solution.total_cost == cost and costs_ok,
-        recorded_units_ok=units_ok
-        and all(rec.star_center in dict(rec.added_units) for rec in solution.audit),
+        recorded_units_ok=units_ok and heads_ok,
         recorded_solution_ok=solution_ok,
         recorded_bound_ok=(report.bound_harmonic, report.terminal_count)
         == (bound_harmonic, terminal_count),
         guarantee_applies=validate_quasi_bipartite(inst).ok,
+        core_drop_violations=drops,
     )
-
-    for idx, rec in enumerate(solution.audit):
-        drop = rec.cores_before - rec.cores_after
-        if drop < math.ceil(rec.leaf_count / 2):
-            out.core_drop_violations.append(idx)
 
     if opt is not None:
         if opt.total_cost == 0:
@@ -205,46 +208,21 @@ def audit_run(
             holds, lo, hi = bound_decision(cost, opt.total_cost, bound_harmonic, terminal_count)
             out.bound_holds, out.bound_lo, out.bound_hi = holds, lo, hi
 
-    if density_max_units is not None and units_ok and rebuilt.feasible:
-        try:
-            out.density_violations = density_violations(
-                inst, report, max_units=density_max_units
-            )
-            out.density_checked = True
-        except SizeRefusalError:
-            out.density_checked = False
+    if (density_max_units is not None and units_ok and rebuilt.feasible
+            and inst.positive_unit_count <= density_max_units):
+        out.density_checked = True
+        if walked:  # every record's optimum needs the whole instance feasible
+            require_feasible(inst)
+        bought.clear()  # counted again, record by record
+        for idx, (rec, (counts, added)) in enumerate(zip(solution.audit, walked)):
+            residual_opt = Fraction(cheapest_completion(inst, bought)[0], inst.cost_scale)
+            drop = rec.cores_before - rec.cores_after
+            # added / drop > (2 / level) * residual_opt / cores_before, cross-multiplied
+            if drop <= 0 or added * rec.phase_level * rec.cores_before > 2 * residual_opt * drop:
+                out.density_violations.append(idx)
+            bought.update(counts)
 
     return out
-
-
-def density_violations(inst: Instance, report: SolveReport, *, max_units: int) -> list[int]:
-    """Replay a run checking each iteration against the density rule.
-
-    Each recorded iteration must satisfy
-    added_cost / core_drop <= (2 / level) * residual_opt / cores_before,
-    where added_cost is recomputed from the added units (each one the
-    instance offers) and residual_opt is the exact cost of completing the
-    instance from the iteration's starting state (``cheapest_completion``;
-    the whole instance's feasibility is checked once, before the first
-    record).  An iteration whose core count does not drop violates the rule.
-    """
-    if inst.positive_unit_count > max_units:
-        raise SizeRefusalError("instance too large for the density replay")
-    records = report.solution.audit
-    if records:  # every record's optimum needs the whole instance feasible
-        require_feasible(inst)
-    violations = []
-    selected: Counter[int] = Counter()  # edge id -> copies the records bought so far
-    for idx, rec in enumerate(records):
-        residual_opt = Fraction(cheapest_completion(inst, selected)[0], inst.cost_scale)
-        drop = rec.cores_before - rec.cores_after
-        bought = selection_from_units(rec.added_units)
-        cost = inst.selection_cost(bought)
-        # cost / drop > (2 / level) * residual_opt / cores_before, cross-multiplied
-        if drop <= 0 or cost * rec.phase_level * rec.cores_before > 2 * residual_opt * drop:
-            violations.append(idx)
-        selected.update(bought)
-    return violations
 
 
 def audit_to_doc(report: AuditReport) -> dict:

@@ -13,7 +13,8 @@ from a list, a maximum flow decomposed into paths by search, and the paths
 re-checked edge by edge against the instance's capacities, and an instance
 document parsed with a ``Fraction`` built for every edge's cost, its scale,
 free and priced edges and scaled costs read by ``Fraction`` arithmetic
-edge by edge.  They take
+edge by edge, and the density rule replayed in a pass of its own, each
+record's units counted and costed afresh.  They take
 selections as unit lists and convert them (``selection_from_units``) where
 they call the package's flow and ring primitives, unlike the enumeration
 oracles in ``oracles``, and only tests and ``scripts/ring_cross_check.py``
@@ -26,12 +27,21 @@ from collections import Counter
 from fractions import Fraction
 
 from rkec.deficiency import CoreInfo, cores_of
-from rkec.flows import Residual, root_flows, short_terminal, solution_of, working_arcs
+from rkec.exact import cheapest_completion
+from rkec.flows import (
+    Residual,
+    require_feasible,
+    root_flows,
+    short_terminal,
+    solution_of,
+    working_arcs,
+)
 from rkec.greedy import Star, StarPricing, _rank, _scan_head
 from rkec.instance import (
     Edge,
     Instance,
     ParseError,
+    SizeRefusalError,
     Solution,
     Unit,
     frac_from_obj,
@@ -39,6 +49,7 @@ from rkec.instance import (
     selection_from_units,
 )
 from rkec.rings import RingCover, primal_dual_ring_cover, ring_stops
+from rkec.solver import SolveReport
 
 from oracles import EnumeratedFamily, enumerate_arc_family
 
@@ -402,3 +413,34 @@ def per_edge_costs(inst: Instance) -> tuple[int, tuple[Edge, ...], tuple[Edge, .
     scaled = {e.id: Fraction(e.cost) * scale for e in inst.edges}
     assert all(c.denominator == 1 for c in scaled.values())
     return scale, zero, positive, {eid: c.numerator for eid, c in scaled.items()}
+
+
+def density_violations(inst: Instance, report: SolveReport, *, max_units: int) -> list[int]:
+    """Replay a run checking each iteration against the density rule.
+
+    Each recorded iteration must satisfy
+    added_cost / core_drop <= (2 / level) * residual_opt / cores_before,
+    where added_cost is recomputed from the added units (each one the
+    instance offers) and residual_opt is the exact cost of completing the
+    instance from the iteration's starting state (``cheapest_completion``;
+    the whole instance's feasibility is checked once, before the first
+    record).  An iteration whose core count does not drop violates the rule.
+    Raises SizeRefusalError above ``max_units`` positive units.
+    """
+    if inst.positive_unit_count > max_units:
+        raise SizeRefusalError("instance too large for the density replay")
+    records = report.solution.audit
+    if records:  # every record's optimum needs the whole instance feasible
+        require_feasible(inst)
+    violations = []
+    selected: Counter[int] = Counter()  # edge id -> copies the records bought so far
+    for idx, rec in enumerate(records):
+        residual_opt = Fraction(cheapest_completion(inst, selected)[0], inst.cost_scale)
+        drop = rec.cores_before - rec.cores_after
+        bought = selection_from_units(rec.added_units)
+        cost = inst.selection_cost(bought)
+        # cost / drop > (2 / level) * residual_opt / cores_before, cross-multiplied
+        if drop <= 0 or cost * rec.phase_level * rec.cores_before > 2 * residual_opt * drop:
+            violations.append(idx)
+        selected.update(bought)
+    return violations

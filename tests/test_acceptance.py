@@ -20,7 +20,7 @@ from rkec.exact import brute_force_opt
 from rkec.generate import default_corpus_params, generate_instance
 from rkec.instance import Instance, Solution, dump_json
 from rkec.solver import SolveReport, report_to_doc, solve
-from rkec.verify import bound_decision, check_feasible, density_violations
+from rkec.verify import audit_run, bound_decision, check_feasible
 
 from oracles import (
     brute_force_ring_cover,
@@ -185,7 +185,9 @@ def test_c5_density_rule(corpus):
         if len(positive_units(run.inst)) > 16:
             continue
         checked += 1
-        bad = density_violations(run.inst, run.report, max_units=16)
+        audit = audit_run(run.inst, run.report, density_max_units=16)
+        assert audit.density_checked
+        bad = audit.density_violations
         if bad:
             violations.append((run.seed, bad))
     print(

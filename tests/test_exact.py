@@ -11,7 +11,7 @@ from rkec.flows import require_feasible, solution_of
 from rkec.generate import GenParams, _acceptable, default_corpus_params, generate_instance
 from rkec.instance import Edge, InfeasibleError, Instance, SizeRefusalError, selection_from_units
 from rkec.solver import solve
-from rkec.verify import density_violations
+from rkec.verify import audit_run
 
 from conftest import small_random_instance
 from oracles import (
@@ -165,8 +165,8 @@ def test_size_caps_count_units_without_building_them():
     assert inst.positive_unit_count == 30
     with pytest.raises(SizeRefusalError):
         brute_force_opt(inst)
-    with pytest.raises(SizeRefusalError):
-        density_violations(inst, report, max_units=22)
+    audit = audit_run(inst, report, density_max_units=22)
+    assert audit.density_checked is False and audit.density_violations == []
     assert not _acceptable(inst, GenParams(2, 1, 1, max_units=22))
 
 

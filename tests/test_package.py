@@ -441,6 +441,7 @@ def test_bench_script_writes_its_rows(tmp_path, monkeypatch, capsys):
         assert 0 < wall["min"] <= wall["median"] <= wall["max"]
         assert row["generate_s"] > 0
         assert row["parse_s"] > 0
+        assert row["verify_s"] > 0
     assert [row["instances"] for row in doc["rows"]] == [500, 1, 1, 1]
     assert doc["rows"][0]["cost"] == "11341"
 

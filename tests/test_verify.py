@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -27,12 +28,11 @@ from rkec.verify import (
     audit_to_doc,
     bound_decision,
     check_feasible,
-    density_violations,
     log_interval,
 )
 
 from conftest import small_random_instance
-from reference import path_packing_witness, positive_units
+from reference import density_violations, path_packing_witness, positive_units
 
 
 def test_check_feasible_fixture(instance_a):
@@ -239,8 +239,64 @@ def test_density_replay_builds_one_flow_set_per_record(seed, residual_builds):
     records = len(report.solution.audit)
     assert records >= 3
     residual_builds.clear()
-    assert density_violations(inst, report, max_units=22) == []
-    assert len(residual_builds) <= len(inst.terminals) * (records + 1)
+    audit_run(inst, report)
+    plain = len(residual_builds)
+    residual_builds.clear()
+    audit = audit_run(inst, report, density_max_units=22)
+    assert audit.density_checked and audit.density_violations == []
+    assert len(residual_builds) - plain <= len(inst.terminals) * (records + 1)
+
+
+def _density_tampers(report):
+    """``report`` itself, then copies with one record's core counts, level
+    or recorded cost edited: its units stay the selection, so the density
+    replay still runs on each."""
+    yield report
+    edits = (
+        lambda rec: {"cores_after": rec.cores_before},  # no drop
+        lambda rec: {"cores_before": rec.cores_before + 3},
+        lambda rec: {"phase_level": 3 * rec.phase_level},
+        lambda rec: {"added_cost": rec.added_cost + 1},
+    )
+    for idx, rec in enumerate(report.solution.audit):
+        for edit in edits:
+            tampered = copy.deepcopy(report)
+            tampered.solution.audit[idx] = dataclasses.replace(rec, **edit(rec))
+            yield tampered
+
+
+def test_density_replay_matches_the_reference_replay():
+    # a corpus slice, each report as solved and with tampered records; the
+    # replay inside the audit gives the reference's violations on every one
+    flagged = 0
+    for seed in range(1, 31):
+        inst = generate_instance(default_corpus_params(seed))
+        for report in _density_tampers(solve(inst)):
+            audit = audit_run(inst, report, density_max_units=22)
+            assert audit.density_checked
+            expected = density_violations(inst, report, max_units=22)
+            assert audit.density_violations == expected
+            flagged += bool(expected)
+    assert flagged > 0
+
+
+def test_replayed_audit_costs_each_record_once(monkeypatch):
+    # corpus seed 7 has 3 records: the rebuild costs the selection once, and
+    # the walk costs each record once for both its check and the replay
+    inst = generate_instance(default_corpus_params(7))
+    report = solve(inst)
+    calls = []
+    cost = Instance.selection_cost
+
+    def counted(self, selected):
+        calls.append(selected)
+        return cost(self, selected)
+
+    monkeypatch.setattr(Instance, "selection_cost", counted)
+    audit = audit_run(inst, report, density_max_units=22)
+    assert audit.density_checked and audit.clean
+    assert len(report.solution.audit) == 3
+    assert len(calls) == len(report.solution.audit) + 1
 
 
 def test_path_packing_witness(instance_a):
