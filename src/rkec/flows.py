@@ -4,13 +4,15 @@ Every flow lives in a ``Residual``: a mutable residual network for one source
 and sink that grows by ``Residual.grow`` alone, which adds (tail, head, cap)
 arc triples and resumes augmenting from the flow it already carries, by
 shortest augmenting paths (breadth-first, deterministic for a fixed arc
-order).  Its value is a path count.  ``Residual.reach`` is its one
-reachability read: the nodes that reach the sink, through its residual arcs
-and any extra (tail, head) arcs at spare capacity, with the flow left as it
-is; a stop node stands for an arc from the source at spare capacity, so
-the source joins through it and the read ends.  With no extra arcs and
-no stops that is the closest sink side, a core candidate; with a ring's
-units and stops it is the ring's minimal violated set.
+order).  Its value is a path count.  A residual is keyed by the nodes its
+arcs touch, so nothing here is sized by the instance's node count.
+``Residual.reach`` is its one reachability read: the nodes that reach the
+sink, through its residual arcs and any extra (tail, head) arcs at spare
+capacity, with the flow left as it is; a stop node stands for an arc from
+the source at spare capacity, so the source joins through it and the read
+ends.  With no extra arcs and no stops that is the closest sink side, a
+core candidate; with a ring's units and stops it is the ring's minimal
+violated set.
 
 A selection is per-edge counts, edge id -> copies bought (as in
 ``Solution.selected``), and its working graph one arc triple per edge, its
@@ -39,8 +41,9 @@ class Residual:
     """Residual network of one source-sink pair, and the flow value it carries.
 
     Arcs are stored in pairs: arc ``i`` and its reverse ``i ^ 1``, with the
-    head of each in ``to`` and the residual capacity in ``cap``; ``adj`` lists
-    the arc indexes leaving each node.  A residual starts with no arcs and
+    head of each in ``to`` and the residual capacity in ``cap``; ``adj`` maps
+    the source and each node an arc touches to the indexes of the arcs
+    leaving it, and a read adds no row.  A residual starts with no arcs and
     ``grow`` adds arcs and resumes from the current flow, so a flow grows
     with its graph instead of being recomputed; ``mark`` and ``rollback``
     undo such growth, last in, first out.  ``reach`` reads which nodes reach
@@ -49,13 +52,13 @@ class Residual:
     paths.
     """
 
-    def __init__(self, node_count: int, source: int, sink: int):
+    def __init__(self, source: int, sink: int):
         if source == sink:
             raise ValueError("source and sink must differ")
         self.source = source
         self.sink = sink
         self.value = 0
-        self.adj: list[list[int]] = [[] for _ in range(node_count)]
+        self.adj: dict[int, list[int]] = {source: []}
         self.to: list[int] = []
         self.cap: list[int] = []
 
@@ -86,23 +89,22 @@ class Residual:
         s, t, adj, to, cap = self.source, self.sink, self.adj, self.to, self.cap
         for tail, head, c in arcs:
             if c > 0 and tail != head:
-                adj[tail].append(len(to))
-                adj[head].append(len(to) + 1)
+                adj.setdefault(tail, []).append(len(to))
+                adj.setdefault(head, []).append(len(to) + 1)
                 to += (head, tail)
                 cap += (c, 0)
         while limit is None or self.value < limit:
-            via = [-1] * len(adj)  # arc that discovered each node
-            via[s] = -2
+            via = {s: -1}  # arc that discovered each node
             queue = [s]
             for u in queue:
                 for i in adj[u]:
                     v = to[i]
-                    if cap[i] > 0 and via[v] == -1:
+                    if cap[i] > 0 and v not in via:
                         via[v] = i
                         queue.append(v)
-                if via[t] != -1:
+                if t in via:
                     break
-            if via[t] == -1:
+            if t not in via:
                 break
             path = []
             v = t
@@ -152,7 +154,7 @@ class Residual:
                 side.add(source)
                 added.append(source)
                 break
-            for i in adj[x]:
+            for i in adj.get(x, ()):
                 y = to[i]
                 # the residual arc y -> x is the reverse of arc i
                 if cap[i ^ 1] > 0 and y not in side:
@@ -198,7 +200,7 @@ def root_flows(
     """
     arcs = working_arcs(inst, selected)
     for t in sorted(inst.terminals):
-        flow = Residual(inst.node_count, inst.root, t)
+        flow = Residual(inst.root, t)
         flow.grow(arcs, limit)
         yield t, flow
 
@@ -216,8 +218,8 @@ def short_terminal(inst: Instance, selected, need: int) -> tuple[int, int] | Non
 
 def require_feasible(inst: Instance) -> None:
     """Raise InfeasibleError for the first terminal that even every positive
-    edge at its multiplicity leaves short of k.  Brute force and the density
-    replay run it first; the greedy, once it meets an uncoverable ring."""
+    edge at its multiplicity leaves short of k.  Brute force runs it first;
+    the greedy, once it meets an uncoverable ring."""
     short = short_terminal(inst, {e.id: e.mult for e in inst.positive_edges}, inst.k)
     if short is not None:
         raise InfeasibleError(*short, inst.k)

@@ -166,13 +166,13 @@ class Instance:
         return {e.id: e.cost.numerator * (scale // e.cost.denominator) for e in self.edges}
 
     @cached_property
-    def positive_entering(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
-        """Per node v: (edge id, tail, scaled cost, multiplicity) of every
-        positive edge into v, in id order."""
-        entering: list[list] = [[] for _ in range(self.node_count)]
+    def positive_entering(self) -> dict[int, tuple[tuple[int, int, int, int], ...]]:
+        """Per head v of a positive edge: (edge id, tail, scaled cost,
+        multiplicity) of every positive edge into v, in id order."""
+        entering: dict[int, list] = {}
         for e in sorted(self.positive_edges, key=lambda e: e.id):
-            entering[e.head].append((e.id, e.tail, self._scaled_costs[e.id], e.mult))
-        return tuple(map(tuple, entering))
+            entering.setdefault(e.head, []).append((e.id, e.tail, self._scaled_costs[e.id], e.mult))
+        return {v: tuple(row) for v, row in entering.items()}
 
     @cached_property
     def positive_by_cost(self) -> tuple[Edge, ...]:

@@ -149,7 +149,7 @@ def primal_dual_ring_cover(
     while inst.root not in violated:
         for v in joined:
             first[v] = len(tight_order)
-            for eid, tail, cost, mult in inst.positive_entering[v]:
+            for eid, tail, cost, mult in inst.positive_entering.get(v, ()):
                 if taken.get(eid, 0) < mult and tail not in violated and eid != head:
                     heappush(heap, (cost + prefix[-1], eid, tail, v))
         while heap and heap[0][2] in violated:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import cheapest_completion
-from .flows import require_feasible, root_flows, solution_of
+from .flows import root_flows, solution_of
 from .instance import (
     Instance,
     Solution,
@@ -152,8 +152,8 @@ def audit_run(
     kept, against the density rule added_cost / drop <= (2 / level) *
     residual_opt / cores_before, where residual_opt is the exact cost of
     completing the instance from the iteration's starting state
-    (``cheapest_completion``, after one feasibility check of the whole
-    instance); an iteration whose core count does not drop violates it.
+    (``cheapest_completion``, feasible since the rebuild is); an iteration
+    whose core count does not drop violates it.
     Above the cap ``density_checked`` stays False.
     """
     solution = report.solution
@@ -211,8 +211,6 @@ def audit_run(
     if (density_max_units is not None and units_ok and rebuilt.feasible
             and inst.positive_unit_count <= density_max_units):
         out.density_checked = True
-        if walked:  # every record's optimum needs the whole instance feasible
-            require_feasible(inst)
         bought.clear()  # counted again, record by record
         for idx, (rec, (counts, added)) in enumerate(zip(solution.audit, walked)):
             residual_opt = Fraction(cheapest_completion(inst, bought)[0], inst.cost_scale)

@@ -114,7 +114,7 @@ def build_ring_context(inst: Instance, units, all_cores, target: CoreInfo) -> Re
     """The target's ring flow of ``units``, built from nothing: a fresh
     maximum flow over the working and saturating arcs, so it is read with no
     stops, and not any flow the solver carries.  Its value is k - level."""
-    flow = Residual(inst.node_count, inst.root, target.representative)
+    flow = Residual(inst.root, target.representative)
     arcs = working_arcs(inst, selection_from_units(units))
     flow.grow(arcs + saturating_arcs(inst, all_cores, target))
     return flow
@@ -293,20 +293,20 @@ def pruned_by_units(inst: Instance, units) -> Solution:
     return solution_of(inst, selection_from_units(kept))
 
 
-def maximum_flow(node_count: int, arcs, s: int, t: int) -> Residual:
+def maximum_flow(arcs, s: int, t: int) -> Residual:
     """A maximum s->t flow over ``arcs``, grown without a limit."""
-    flow = Residual(node_count, s, t)
+    flow = Residual(s, t)
     flow.grow(arcs)
     return flow
 
 
-def max_flow_paths(node_count: int, arcs, s: int, t: int) -> list[list[int]]:
+def max_flow_paths(arcs, s: int, t: int) -> list[list[int]]:
     """Decompose one maximum flow into edge-disjoint s->t node paths.
 
     Returns exactly as many paths as the maximum flow value; parallel capacity
     counts as distinct edges, and flow on cycles (if any) is ignored.
     """
-    flow = maximum_flow(node_count, arcs, s, t)
+    flow = maximum_flow(arcs, s, t)
     to, adj = flow.to, flow.adj
     # The flow pushed over forward arc i sits as capacity on its reverse i + 1.
     remaining = {i: flow.cap[i + 1] for i in range(0, len(to), 2) if flow.cap[i + 1] > 0}
@@ -338,7 +338,7 @@ def max_flow_paths(node_count: int, arcs, s: int, t: int) -> list[list[int]]:
 def path_packing_witness(inst: Instance, sol: Solution, terminal: int) -> list[list[int]]:
     """Extract edge-disjoint root-terminal paths and re-validate them edge by
     edge against the instance's capacities."""
-    paths = max_flow_paths(inst.node_count, working_arcs(inst, sol.selected), inst.root, terminal)
+    paths = max_flow_paths(working_arcs(inst, sol.selected), inst.root, terminal)
     capacity: dict[tuple[int, int], int] = {}
     for e in inst.zero_edges:
         capacity[(e.tail, e.head)] = capacity.get((e.tail, e.head), 0) + e.mult

@@ -893,6 +893,21 @@ def test_fractional_costs_round_trip(tmp_path):
     assert audited["cost"] == "23/12" and audited["ratio"] == "1" and audited["clean"]
 
 
+def test_a_huge_declared_node_count_changes_no_report(tmp_path):
+    # nothing below the parser is sized by n: three root edges solve to the
+    # same report bytes among 4 node ids as among 10**12
+    reports = []
+    for n in (4, 10**12):
+        doc = {"n": n, "root": 0, "terminals": [1, 2, 3], "k": 1, "edges": [
+            {"id": i, "tail": 0, "head": i, "cost": str(i)} for i in (1, 2, 3)
+        ]}
+        inst, report = tmp_path / f"inst_{n}.json", tmp_path / f"report_{n}.json"
+        inst.write_text(json.dumps(doc))
+        assert run("solve", "--instance", inst, "--out", report, "--no-timestamp") == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_bench_summary_writes_its_float_mean_as_json_does(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

@@ -15,57 +15,52 @@ from oracles import instance_arcs, minimal_sets, oracle_min_cut
 from reference import max_flow_paths, maximum_flow, positive_units
 
 
-def view(n, arcs):
-    """A node count and its arc list of (tail, head, cap) triples."""
-    return n, list(arcs)
-
-
 def instance_view(inst, units):
-    return inst.node_count, working_arcs(inst, selection_from_units(units))
+    return working_arcs(inst, selection_from_units(units))
 
 
-def max_flow_value(v, s, t):
-    return maximum_flow(*v, s, t).value
+def max_flow_value(arcs, s, t):
+    return maximum_flow(arcs, s, t).value
 
 
-def closest_sink_cut(v, s, t):
+def closest_sink_cut(arcs, s, t):
     """Maximum flow value and the closest sink side of its residual."""
-    flow = maximum_flow(*v, s, t)
+    flow = maximum_flow(arcs, s, t)
     return flow.value, flow.closest_sink_side()
 
 
 def test_single_path():
-    v = view(3, [(0, 1, 1), (1, 2, 1)])
+    v = [(0, 1, 1), (1, 2, 1)]
     assert max_flow_value(v, 0, 2) == 1
 
 
 def test_parallel_capacity():
-    v = view(2, [(0, 1, 3)])
+    v = [(0, 1, 3)]
     assert max_flow_value(v, 0, 1) == 3
     assert closest_sink_cut(v, 0, 1) == (3, frozenset({1}))
 
 
 def test_empty_view():
-    v = view(4, [])
+    v = []
     assert max_flow_value(v, 0, 2) == 0
     assert closest_sink_cut(v, 0, 2) == (0, frozenset({2}))
 
 
 def test_same_node_rejected():
     with pytest.raises(ValueError):
-        max_flow_value(view(2, []), 1, 1)
+        max_flow_value([], 1, 1)
 
 
 def test_closest_cut_simple_chain():
     # r -> a -> t: both {t} and {a, t} are minimum cuts; the closest one wins
-    v = view(3, [(0, 1, 1), (1, 2, 1)])
+    v = [(0, 1, 1), (1, 2, 1)]
     value, side = closest_sink_cut(v, 0, 2)
     assert (value, side) == (1, frozenset({2}))
 
 
 def test_closest_cut_matches_enumeration_fixture():
     arcs = [(0, 1, 1), (1, 2, 1)]
-    value, side = closest_sink_cut(view(3, arcs), 0, 2)
+    value, side = closest_sink_cut(arcs, 0, 2)
     oracle_value, oracle_sides = oracle_min_cut(arcs, 3, 0, 2)
     assert value == oracle_value
     assert side in oracle_sides
@@ -88,10 +83,9 @@ def test_duality_and_minimality_against_enumeration(seed):
     n = rng.randint(2, 6)
     arcs = _random_view(rng, n)
     s, t = rng.sample(range(n), 2)
-    v = view(n, arcs)
-    value, side = closest_sink_cut(v, s, t)
+    value, side = closest_sink_cut(arcs, s, t)
     oracle_value, oracle_sides = oracle_min_cut(arcs, n, t=t, s=s)
-    assert value == max_flow_value(v, s, t)
+    assert value == max_flow_value(arcs, s, t)
     assert value == oracle_value
     # the returned side is the unique minimal minimum cut
     assert minimal_sets(oracle_sides) == [side]
@@ -108,10 +102,10 @@ def test_incremental_flow_matches_a_fresh_view(seed):
     rng.shuffle(arcs)
     s, t = rng.sample(range(n), 2)
     limit = rng.randint(1, 4)
-    flow = Residual(n, s, t)
+    flow = Residual(s, t)
     for i, arc in enumerate(arcs, start=1):
         flow.grow([arc], limit)
-        v = view(n, arcs[:i])
+        v = arcs[:i]
         value = max_flow_value(v, s, t)
         assert (flow.value >= limit) == (value >= limit)
         if flow.value < limit:
@@ -130,12 +124,12 @@ def test_rollback_restores_the_marked_flow(seed):
     arcs = _random_view(rng, n)
 
     def fresh():
-        return maximum_flow(n, arcs, s, t)
+        return maximum_flow(arcs, s, t)
 
     # growing the list in one call or one arc at a time (each grow bounded,
     # then one unbounded) gives the enumerated minimum cut and its closest
     # sink side
-    one_at_a_time = Residual(n, s, t)
+    one_at_a_time = Residual(s, t)
     for arc in arcs:
         one_at_a_time.grow([arc], rng.choice([None, 1, 2]))
     one_at_a_time.grow(())
@@ -144,15 +138,17 @@ def test_rollback_restores_the_marked_flow(seed):
         assert flow.value == value
         assert [flow.closest_sink_side()] == minimal_sets(sides)
 
-    flow = Residual(n, s, t)
+    flow = Residual(s, t)
     flow.grow(arcs, rng.choice([None, 1, 2]))
     mark = flow.mark()
-    at_mark = flow.to[:], [row[:] for row in flow.adj], flow.cap[:], flow.value
+    # a rollback may leave the rows of nodes only its arcs touched empty
+    at_mark = flow.to[:], {v: row[:] for v, row in flow.adj.items() if row}, flow.cap[:], flow.value
     for _ in range(rng.randint(0, 6)):
         extra = [(*rng.sample(range(n), 2), rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
         flow.grow(extra, rng.randint(0, 5))
     flow.rollback(mark)
-    assert (flow.to, flow.adj, flow.cap, flow.value) == at_mark
+    rows = {v: row for v, row in flow.adj.items() if row}
+    assert (flow.to, rows, flow.cap, flow.value) == at_mark
     assert flow.grow(()) == fresh().value
     assert flow.closest_sink_side() == fresh().closest_sink_side()
 
@@ -168,8 +164,8 @@ def test_reach_reads_what_a_grow_would_find(seed):
     n = rng.randint(2, 6)
     s, t = rng.sample(range(n), 2)
     arcs = _random_view(rng, n)
-    flow = maximum_flow(n, arcs, s, t)
-    at_rest = flow.to[:], flow.cap[:], flow.value
+    flow = maximum_flow(arcs, s, t)
+    at_rest = flow.to[:], {v: row[:] for v, row in flow.adj.items()}, flow.cap[:], flow.value
     side, extra = set(), []
     added = flow.reach(side)
     assert added[0] == t and sorted(added) == sorted(side)
@@ -181,12 +177,12 @@ def test_reach_reads_what_a_grow_would_find(seed):
         assert set(added) == side - before and len(added) == len(set(added))
         fresh = set()
         flow.reach(fresh, extra)
-        grown = maximum_flow(n, arcs + [(a, b, 1) for a, b in extra], s, t)
+        grown = maximum_flow(arcs + [(a, b, 1) for a, b in extra], s, t)
         assert (s in side) == (s in fresh) == (grown.value > flow.value)
         if s in side:
             break
         assert side == fresh == grown.closest_sink_side()
-    assert (flow.to, flow.cap, flow.value) == at_rest
+    assert (flow.to, flow.adj, flow.cap, flow.value) == at_rest
 
 
 @settings(max_examples=80, deadline=None)
@@ -200,19 +196,19 @@ def test_a_stop_reads_as_an_arc_from_the_source(seed):
     n = rng.randint(2, 6)
     s, t = rng.sample(range(n), 2)
     arcs = _random_view(rng, n)
-    flow = maximum_flow(n, arcs, s, t)
-    at_rest = flow.to[:], flow.cap[:], flow.value
+    flow = maximum_flow(arcs, s, t)
+    at_rest = flow.to[:], {v: row[:] for v, row in flow.adj.items()}, flow.cap[:], flow.value
     stops = frozenset(v for v in range(n) if v != s and rng.random() < 0.3)
     extra = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))]
     side = set()
     flow.reach(side, extra, stops)
     grown = maximum_flow(
-        n, arcs + [(a, b, 1) for a, b in extra] + [(s, v, 1) for v in sorted(stops)], s, t
+        arcs + [(a, b, 1) for a, b in extra] + [(s, v, 1) for v in sorted(stops)], s, t
     )
     assert (s in side) == (grown.value > flow.value)
     if s not in side:
         assert side == grown.closest_sink_side()
-    assert (flow.to, flow.cap, flow.value) == at_rest
+    assert (flow.to, flow.adj, flow.cap, flow.value) == at_rest
 
 
 @settings(max_examples=40, deadline=None)
@@ -222,9 +218,9 @@ def test_determinism(seed):
     n = rng.randint(2, 6)
     arcs = _random_view(rng, n)
     s, t = rng.sample(range(n), 2)
-    first = closest_sink_cut(view(n, arcs), s, t)
+    first = closest_sink_cut(arcs, s, t)
     for _ in range(3):
-        assert closest_sink_cut(view(n, arcs), s, t) == first
+        assert closest_sink_cut(arcs, s, t) == first
 
 
 @settings(max_examples=60, deadline=None)
@@ -234,9 +230,8 @@ def test_path_decomposition_is_valid(seed):
     n = rng.randint(2, 6)
     arcs = _random_view(rng, n)
     s, t = rng.sample(range(n), 2)
-    v = view(n, arcs)
-    value = max_flow_value(v, s, t)
-    paths = max_flow_paths(*v, s, t)
+    value = max_flow_value(arcs, s, t)
+    paths = max_flow_paths(arcs, s, t)
     assert len(paths) == value
     capacity = {}
     for tail, head, cap in arcs:

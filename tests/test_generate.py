@@ -15,11 +15,11 @@ from reference import maximum_flow, positive_units
 
 
 def instance_view(inst, units):
-    return inst.node_count, working_arcs(inst, selection_from_units(units))
+    return working_arcs(inst, selection_from_units(units))
 
 
-def max_flow_value(view, s, t):
-    return maximum_flow(*view, s, t).value
+def max_flow_value(arcs, s, t):
+    return maximum_flow(arcs, s, t).value
 
 
 def params(**overrides):

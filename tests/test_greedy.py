@@ -522,7 +522,7 @@ def _entered_steps(arc, cover):
 def _flow_state(flow):
     """Everything a rollback must restore: arcs, adjacency rows, capacities
     and value."""
-    return flow.to[:], [row[:] for row in flow.adj], flow.cap[:], flow.value
+    return flow.to[:], {v: row[:] for v, row in flow.adj.items()}, flow.cap[:], flow.value
 
 
 @settings(max_examples=40, deadline=None)

@@ -210,6 +210,20 @@ def test_the_greedy_is_the_solvers_feasibility_check():
     assert called and "require_feasible" not in called
 
 
+def test_nothing_below_the_parser_reads_the_node_count():
+    # flows and per-node edge lists are keyed by the nodes edges touch: the
+    # declared n is validated and written back, and sizes nothing
+    readers = sorted(
+        path.name for path in PACKAGE.glob("*.py")
+        if _attribute_counts(ast.parse(path.read_text()))["node_count"]
+    )
+    assert readers == ["instance.py"]
+    assert list(inspect.signature(Residual.__init__).parameters) == ["self", "source", "sink"]
+    reference = importlib.import_module("reference")
+    for name in ("maximum_flow", "max_flow_paths"):
+        assert "node_count" not in inspect.signature(getattr(reference, name)).parameters, name
+
+
 def test_stars_read_their_candidates_off_the_instance():
     # heads and legs come from the instance's own edge orders and the
     # selection's per-edge counts: no per-star candidate list, leg index or

@@ -49,7 +49,7 @@ def stops_for(inst, units, target_members):
 
 
 def _flow_state(flow):
-    return flow.to[:], [row[:] for row in flow.adj], flow.cap[:], flow.value
+    return flow.to[:], {v: row[:] for v, row in flow.adj.items()}, flow.cap[:], flow.value
 
 
 def test_context_shape(instance_a):

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rkec.exact import brute_force_opt
-from rkec.generate import default_corpus_params, generate_instance
+from rkec.generate import GenParams, default_corpus_params, generate_instance
 from rkec.instance import (
     Edge,
     InfeasibleError,
@@ -232,8 +233,8 @@ def test_guarantee_claimed_only_for_quasi_bipartite_instances():
 
 @pytest.mark.parametrize("seed", [3, 11, 15, 39])
 def test_density_replay_builds_one_flow_set_per_record(seed, residual_builds):
-    # one feasibility check of the whole instance, then one search root per
-    # record: no per-record check, and no solution rebuilt from the optimum
+    # one search root per record: no feasibility check of the whole
+    # instance, and no solution rebuilt from the optimum
     inst = generate_instance(default_corpus_params(seed))
     report = solve(inst)
     records = len(report.solution.audit)
@@ -244,7 +245,74 @@ def test_density_replay_builds_one_flow_set_per_record(seed, residual_builds):
     residual_builds.clear()
     audit = audit_run(inst, report, density_max_units=22)
     assert audit.density_checked and audit.density_violations == []
-    assert len(residual_builds) - plain <= len(inst.terminals) * (records + 1)
+    assert len(residual_builds) - plain <= len(inst.terminals) * records
+
+
+def _relabelled(inst, a, b):
+    """``inst`` with every node id v renamed a * v + b (a >= 1): a strictly
+    increasing map, so every tie that follows node order breaks as before."""
+    def f(v):
+        return a * v + b
+    edges = tuple(dataclasses.replace(e, tail=f(e.tail), head=f(e.head)) for e in inst.edges)
+    return Instance(f(inst.node_count - 1) + 1, f(inst.root),
+                    frozenset(map(f, inst.terminals)), edges, inst.k)
+
+
+def _report_text_mapped_back(report, a, b):
+    """The report document of a run on ``_relabelled(inst, a, b)``, its
+    ``connectivity`` keys mapped back to the original terminal ids."""
+    doc = report_to_doc(report)
+    for sol in (doc["solution"], doc["pruned"]):
+        if sol is not None:
+            sol["connectivity"] = {str((int(t) - b) // a): v for t, v in sol["connectivity"].items()}
+    return dump_json(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 500), st.integers(1, 10**6), st.integers(0, 10**8))
+def test_relabelling_the_nodes_changes_no_report(seed, a, b):
+    # node ids only name nodes and order ties: with ids near 10**8, a corpus
+    # instance gives the same report bytes once its connectivity keys are
+    # mapped back, and the relabelled run audits clean against its optimum
+    inst = generate_instance(default_corpus_params(seed))
+    moved = _relabelled(inst, a, b)
+    report = solve(moved, prune=True)
+    assert _report_text_mapped_back(report, a, b) == dump_json(report_to_doc(solve(inst, prune=True)))
+    audit = audit_run(moved, report, lambda: brute_force_opt(moved), density_max_units=22)
+    assert audit.clean and audit.density_checked
+
+
+def test_relabelling_a_ladder_instance_changes_no_report():
+    # rings of 40 terminals, which the corpus never reaches
+    inst = generate_instance(GenParams(120, 40, 3, density=Fraction(3, 10), root_bias=2, seed=1))
+    a, b = 999_983, 10**8
+    moved = _relabelled(inst, a, b)
+    report = solve(moved)
+    assert _report_text_mapped_back(report, a, b) == dump_json(report_to_doc(solve(inst)))
+    assert audit_run(moved, report).clean
+
+
+def _sparse_peak_mb(node_count):
+    """tracemalloc peak, in MB, of solving and auditing (brute-force optimum,
+    density replay) three root edges to terminals 1-3 among ``node_count``
+    node ids."""
+    edges = tuple(Edge(i, 0, i, Fraction(i)) for i in (1, 2, 3))
+    inst = Instance(node_count, 0, frozenset({1, 2, 3}), edges, 1)
+    tracemalloc.start()
+    try:
+        audit = audit_run(inst, solve(inst), lambda: brute_force_opt(inst), density_max_units=22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert audit.clean and audit.density_checked and audit.ratio == 1
+    return peak / 2**20
+
+
+def test_memory_follows_the_edges_not_the_declared_node_count():
+    # flows and per-node edge lists are keyed by the nodes edges touch, so
+    # 200,000 declared node ids cost what 4 do
+    small, large = _sparse_peak_mb(4), _sparse_peak_mb(200_000)
+    assert large < 0.5 and large < small + 0.25, (small, large)
 
 
 def _density_tampers(report):
