@@ -67,7 +67,7 @@ def check_state(inst, state, per_state, seed):
     scale = inst.cost_scale
     taken = selection_from_units(state)
     flows = dict(root_flows(inst, taken, inst.k))  # as the greedy carries them
-    cores = cores_of(inst, flows)
+    cores = cores_of(inst, flows)[1]
     if not cores:
         return contexts, mismatches, unpriceable
     heads = free_leg_candidates(inst, state)

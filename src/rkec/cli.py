@@ -231,15 +231,20 @@ def _size_cap(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use: building it costs
     about as much as solving a corpus instance.  ``parse_args`` returns a
-    fresh namespace per call, so calls share no state."""
+    fresh namespace per call, so calls share no state.  An option several
+    subcommands take is declared once, on a parent parser."""
     parser = argparse.ArgumentParser(
         prog="rkec",
         description="Rooted subset k-edge-connectivity solver and audit tools",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out, stamp, instance, brute_cap = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    out.add_argument("--out", default="-")
+    stamp.add_argument("--no-timestamp", action="store_true")
+    instance.add_argument("--instance", required=True)
+    brute_cap.add_argument("--max-brute-edges", type=_size_cap, default=22)
 
-    gen = sub.add_parser("gen", help="generate a random instance")
-    gen.add_argument("--out", default="-")
+    gen = sub.add_parser("gen", parents=[out], help="generate a random instance")
     gen.add_argument("--nodes", type=int, required=True)
     gen.add_argument("--terminals", type=int, required=True)
     gen.add_argument("--k", type=int, required=True)
@@ -253,39 +258,29 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--max-units", type=_size_cap, default=None)
     gen.set_defaults(func=cmd_gen)
 
-    slv = sub.add_parser("solve", help="run the approximation solver")
-    slv.add_argument("--instance", required=True)
-    slv.add_argument("--out", default="-")
+    slv = sub.add_parser("solve", parents=[instance, out, stamp],
+                         help="run the approximation solver")
     slv.add_argument("--prune", action="store_true")
-    slv.add_argument("--no-timestamp", action="store_true")
     slv.set_defaults(func=cmd_solve)
 
-    brt = sub.add_parser("brute", help="exact optimum by branch and bound")
-    brt.add_argument("--instance", required=True)
-    brt.add_argument("--out", default="-")
-    brt.add_argument("--max-brute-edges", type=_size_cap, default=22)
-    brt.add_argument("--no-timestamp", action="store_true")
+    brt = sub.add_parser("brute", parents=[instance, out, brute_cap, stamp],
+                         help="exact optimum by branch and bound")
     brt.set_defaults(func=cmd_brute)
 
-    ver = sub.add_parser("verify", help="audit a solution or solve report")
-    ver.add_argument("--instance", required=True)
+    ver = sub.add_parser("verify", parents=[instance, out, brute_cap, stamp],
+                         help="audit a solution or solve report")
     group = ver.add_mutually_exclusive_group(required=True)
     group.add_argument("--report", help="solve-report JSON to audit")
     group.add_argument("--solution", help="bare solution JSON to feasibility-check")
     optimum = ver.add_mutually_exclusive_group()
     optimum.add_argument("--opt", help="known optimum solution JSON")
     optimum.add_argument("--brute", action="store_true", help="brute-force the optimum")
-    ver.add_argument("--max-brute-edges", type=_size_cap, default=22)
     ver.add_argument("--density-max-units", type=_size_cap, default=None)
-    ver.add_argument("--out", default="-")
-    ver.add_argument("--no-timestamp", action="store_true")
     ver.set_defaults(func=cmd_verify)
 
-    ben = sub.add_parser("bench", help="solve and audit a corpus directory")
+    ben = sub.add_parser("bench", parents=[out, brute_cap, stamp],
+                         help="solve and audit a corpus directory")
     ben.add_argument("--corpus", required=True)
-    ben.add_argument("--out", default="-")
-    ben.add_argument("--max-brute-edges", type=_size_cap, default=22)
-    ben.add_argument("--no-timestamp", action="store_true")
     ben.set_defaults(func=cmd_bench)
 
     return parser

@@ -3,10 +3,11 @@
 The deficiency of a terminal t under a partial selection I is
 max(k - lambda(root, t), 0) in the working graph, and the tightest witness
 set around t is the closest-to-t minimum cut.  ``cores_of`` reads both off
-the greedy's carried flows.  The max level is non-increasing as the
-selection grows, cores are returned exactly when the max level is positive,
-and cores are pairwise terminal-disjoint.  The explicit set-function backend
-and the family enumeration this is checked against live in the tests.
+the greedy's carried flows, and returns the level, the max deficiency, once
+per state: it is a fact of the state, not of any one core.  The level is
+non-increasing as the selection grows, cores are returned exactly when it is
+positive, and cores are pairwise terminal-disjoint.  The explicit set-function
+backend and the family enumeration this is checked against live in the tests.
 """
 
 from __future__ import annotations
@@ -18,16 +19,15 @@ from .instance import Instance
 
 @dataclass(frozen=True)
 class CoreInfo:
-    """An inclusion-minimal maximum-deficiency set with a witness terminal."""
+    """An inclusion-minimal set at the state's level, with a witness terminal."""
 
     members: frozenset[int]
     representative: int  # smallest terminal inside; representation only
-    deficiency: int
 
 
-def cores_of(inst: Instance, flows) -> list[CoreInfo]:
-    """Inclusion-minimal sets of maximum residual deficiency, read off
-    ``flows``, each terminal's root flow (exact below k).
+def cores_of(inst: Instance, flows) -> tuple[int, list[CoreInfo]]:
+    """(level, cores) off ``flows``, each terminal's root flow (exact below k):
+    the max residual deficiency, and the inclusion-minimal sets at it, if any.
 
     Candidates are the closest-cut sink sides of the terminals attaining the
     max level; identical sets are merged and any candidate strictly containing
@@ -38,7 +38,7 @@ def cores_of(inst: Instance, flows) -> list[CoreInfo]:
     """
     level = max(max(inst.k - flow.value, 0) for flow in flows.values())
     if level == 0:
-        return []
+        return 0, []
     need = inst.k - level
     candidates = {flow.closest_sink_side() for flow in flows.values() if flow.value == need}
     cores = []
@@ -48,6 +48,6 @@ def cores_of(inst: Instance, flows) -> list[CoreInfo]:
             if flows[rep].value != need:
                 value = flows[rep].value
                 raise AssertionError(f"core representative {rep} has flow {value}, not {need}")
-            cores.append(CoreInfo(side, rep, level))
+            cores.append(CoreInfo(side, rep))
     cores.sort(key=lambda c: c.representative)
-    return cores
+    return level, cores

@@ -3,7 +3,8 @@
 Positive candidate arcs always keep an end on the terminals or the root, so
 generated instances are quasi-bipartite by construction.  In augmentation
 mode a zero-cost skeleton giving every terminal ``base_level`` edge-disjoint
-root paths is planted first.  Generation is fully deterministic for a fixed
+root paths is planted first; it holds by construction (``_draw``), so no
+draw is re-checked for it.  Generation is fully deterministic for a fixed
 parameter set: one random stream drives all attempts.
 
 Each inclusion draw compares ``rng.random()`` with a probability p.  The
@@ -80,9 +81,10 @@ def _draw(rng: random.Random, p: GenParams) -> Instance:
     next_id = 1
 
     if p.mode == "augmentation":
-        # One zero-cost route per required unit; distinct relays keep the
-        # routes edge-disjoint, repeated picks just stack multiplicity.  With
-        # no relay besides the terminal, every route is a direct root arc.
+        # One zero-cost route per required unit, a root arc or root -> relay
+        # -> terminal, adding one to the multiplicity of each edge on it, so
+        # one unit of flow per route is feasible.  With no relay besides the
+        # terminal, every route is a direct root arc.
         zero: dict[tuple[int, int], int] = {}
         for t in terminals:
             relays = [v for v in range(1, p.nodes) if v != t]
@@ -119,9 +121,7 @@ def _draw(rng: random.Random, p: GenParams) -> Instance:
 def _acceptable(inst: Instance, p: GenParams) -> bool:
     if p.max_units is not None and inst.positive_unit_count > p.max_units:
         return False
-    if short_terminal(inst, {e.id: e.mult for e in inst.positive_edges}, inst.k) is not None:
-        return False
-    return p.mode != "augmentation" or short_terminal(inst, {}, p.base_level) is None
+    return short_terminal(inst, {e.id: e.mult for e in inst.positive_edges}, inst.k) is None
 
 
 def generate_instance(p: GenParams) -> Instance:

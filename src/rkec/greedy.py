@@ -4,8 +4,8 @@ A star is a head edge plus, per leaf core, a minimum-cost leg set that
 together with the head covers that core's ring.  Each iteration buys the star
 minimizing (head cost + leg costs) / leaf count over the cores of the current
 selection, read off one root flow per terminal that grows with each bought
-star; the cores' deficiency is the iteration's level, and once a level has no
-core left the next iteration works one level lower.  Leg sets of different
+star; the state's max deficiency is the iteration's level, and once a level
+has no core left the next works one level lower.  Leg sets of different
 leaves may overlap; the duplicates are bought once but the density keeps the
 summed price, which only makes the chosen star look worse, never infeasible.
 
@@ -296,18 +296,17 @@ def cover_levels(inst: Instance) -> list[IterationRecord]:
 
     Every terminal's root flow, stopped at k, grows with the selection
     ``taken`` (edge id -> copies bought).  An iteration's level is the
-    deficiency of the current cores; it must retire at least half its leaf
+    state's, read with its cores; it must retire at least half its leaf
     count in cores at that level (checked as 2 * drop >= leaves, which also
     shrinks their count, as a star has a leaf), and the max level must
     never rise.  A star buys one copy of each of its edges, recorded as
     (edge id, copies bought before it).
     """
     flows = dict(root_flows(inst, {}, inst.k))
-    cores = cores_of(inst, flows)
+    level, cores = cores_of(inst, flows)
     taken: Counter[int] = Counter()
     records: list[IterationRecord] = []
     while cores:
-        level = cores[0].deficiency
         star = cheapest_star(inst, taken, cores, flows)
         bought = sorted(star.edges())
         new_units = tuple((eid, taken[eid]) for eid in bought)
@@ -315,11 +314,11 @@ def cover_levels(inst: Instance) -> list[IterationRecord]:
         arcs = [(*inst.arc(eid), 1) for eid in bought]
         for flow in flows.values():
             flow.grow(arcs, inst.k)
-        after = cores_of(inst, flows)
-        if after and after[0].deficiency > level:
-            raise AssertionError(f"the max level rose from {level} to {after[0].deficiency}")
+        after_level, after = cores_of(inst, flows)
+        if after_level > level:
+            raise AssertionError(f"the max level rose from {level} to {after_level}")
         # once the level drops, no core is left at this iteration's level
-        left = len(after) if after and after[0].deficiency == level else 0
+        left = len(after) if after_level == level else 0
         drop = len(cores) - left
         if 2 * drop < star.leaves:
             raise AssertionError(f"core count fell by {drop}, below half of {star.leaves} leaves")
@@ -332,5 +331,5 @@ def cover_levels(inst: Instance) -> list[IterationRecord]:
             added_cost=inst.selection_cost(dict.fromkeys(bought, 1)),
             added_units=new_units,
         ))
-        cores = after
+        level, cores = after_level, after
     return records

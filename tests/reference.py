@@ -18,7 +18,8 @@ record's units counted and costed afresh.  They take
 selections as unit lists and convert them (``selection_from_units``) where
 they call the package's flow and ring primitives, unlike the enumeration
 oracles in ``oracles``, and only tests and ``scripts/ring_cross_check.py``
-call them.
+call them.  The small helpers several test modules share live here too:
+``max_flow_value``, ``instance_view`` and ``rebuild_phases``.
 """
 
 import math
@@ -47,9 +48,10 @@ from rkec.instance import (
     frac_from_obj,
     load_object,
     selection_from_units,
+    solution_from_doc,
 )
 from rkec.rings import RingCover, primal_dual_ring_cover, ring_stops
-from rkec.solver import SolveReport
+from rkec.solver import SolveReport, phases_doc
 
 from oracles import EnumeratedFamily, enumerate_arc_family
 
@@ -72,7 +74,7 @@ def free_leg_candidates(inst: Instance, units) -> tuple[int, ...]:
 
 def rooted_cores(inst: Instance, units) -> list[CoreInfo]:
     """The cores of the working graph of ``units``, off fresh root flows."""
-    return cores_of(inst, dict(root_flows(inst, selection_from_units(units))))
+    return cores_of(inst, dict(root_flows(inst, selection_from_units(units))))[1]
 
 
 def rooted_max_level(inst: Instance, units) -> int:
@@ -81,8 +83,10 @@ def rooted_max_level(inst: Instance, units) -> int:
     return max(max(inst.k - flow.value, 0) for _, flow in flows)
 
 
-def saturating_arcs(inst: Instance, all_cores, target: CoreInfo) -> list[tuple[int, int, int]]:
-    """Root arcs at the target's level onto every terminal of every other
+def saturating_arcs(
+    inst: Instance, all_cores, target: CoreInfo, level: int
+) -> list[tuple[int, int, int]]:
+    """Root arcs at the cores' ``level`` onto every terminal of every other
     core, as (tail, head, cap) triples: what the solver reads as the ring's
     stops (``rings.ring_stops``), as arcs of the graph.
 
@@ -95,7 +99,7 @@ def saturating_arcs(inst: Instance, all_cores, target: CoreInfo) -> list[tuple[i
         if core.members == target.members:
             continue
         for t in sorted(core.members & inst.terminals):
-            arcs.append((inst.root, t, target.deficiency))
+            arcs.append((inst.root, t, level))
     return arcs
 
 
@@ -116,7 +120,8 @@ def build_ring_context(inst: Instance, units, all_cores, target: CoreInfo) -> Re
     stops, and not any flow the solver carries.  Its value is k - level."""
     flow = Residual(inst.root, target.representative)
     arcs = working_arcs(inst, selection_from_units(units))
-    flow.grow(arcs + saturating_arcs(inst, all_cores, target))
+    level = rooted_max_level(inst, units)
+    flow.grow(arcs + saturating_arcs(inst, all_cores, target, level))
     return flow
 
 
@@ -166,11 +171,12 @@ def overpaid_candidates(inst: Instance, units, cover: RingCover, head: int | Non
 def enumerated_ring_family(inst: Instance, units, all_cores, target: CoreInfo) -> EnumeratedFamily:
     """The enumerated family of the target's ring graph without a head: the
     working arcs of ``units`` and the arcs saturating the other cores."""
+    saturating = saturating_arcs(inst, all_cores, target, rooted_max_level(inst, units))
     return enumerate_arc_family(
         [v for v in range(inst.node_count) if v != inst.root],
         inst.terminals,
         inst.k,
-        working_arcs(inst, selection_from_units(units)) + saturating_arcs(inst, all_cores, target),
+        working_arcs(inst, selection_from_units(units)) + saturating,
     )
 
 
@@ -298,6 +304,17 @@ def maximum_flow(arcs, s: int, t: int) -> Residual:
     flow = Residual(s, t)
     flow.grow(arcs)
     return flow
+
+
+def max_flow_value(arcs, s: int, t: int) -> int:
+    """The value of ``maximum_flow``."""
+    return maximum_flow(arcs, s, t).value
+
+
+def instance_view(inst: Instance, units) -> list[tuple[int, int, int]]:
+    """The working graph of ``units`` as (tail, head, cap) arcs: the free
+    edges and the bought copies."""
+    return working_arcs(inst, selection_from_units(units))
 
 
 def max_flow_paths(arcs, s: int, t: int) -> list[list[int]]:
@@ -444,3 +461,8 @@ def density_violations(inst: Instance, report: SolveReport, *, max_units: int) -
             violations.append(idx)
         selected.update(bought)
     return violations
+
+
+def rebuild_phases(doc: dict) -> None:
+    """Derive a solve report document's phases from its (edited) records again."""
+    doc["phases"] = phases_doc(solution_from_doc(doc["solution"]).audit)

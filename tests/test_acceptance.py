@@ -83,7 +83,7 @@ def ring_samples(corpus):
         inst = run.inst
         for state, rec in iteration_states(run):
             cores = rooted_cores(inst, state)
-            level = cores[0].deficiency
+            level = rooted_max_level(inst, state)
             assert level == rec.phase_level
             heads = free_leg_candidates(inst, state)
             picked = {heads[0], heads[len(heads) // 2], rec.star_center}

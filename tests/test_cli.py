@@ -1,9 +1,11 @@
 import json
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
+from rkec import cli
 from rkec.cli import build_parser, main
 from rkec.generate import default_corpus_params, generate_instance
 from rkec.instance import (
@@ -11,11 +13,10 @@ from rkec.instance import (
     instance_to_json,
     parse_instance,
     selection_from_units,
-    solution_from_doc,
 )
-from rkec.solver import phases_doc
 
 from conftest import INSTANCE_A_JSON
+from reference import rebuild_phases
 
 
 @pytest.fixture
@@ -51,6 +52,14 @@ def test_gen_plants_a_root_arc_without_a_relay(tmp_path, seed):
 def test_gen_rejects_bad_params(capsys):
     assert run("gen", "--nodes", "3", "--terminals", "3", "--k", "1") == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_gen_gives_up_after_its_retry_cap(capsys):
+    # no draw is feasible without a positive unit, so every one is rejected
+    assert run("gen", "--nodes", "4", "--terminals", "1", "--k", "1", "--max-units", "0") == 2
+    assert capsys.readouterr().err == (
+        "error: generation retry cap exhausted for seed 0; relax density or caps\n"
+    )
 
 
 @pytest.mark.parametrize("density", ["1/0", "abc", "nan"])
@@ -266,6 +275,70 @@ def test_negative_size_caps_fail_at_parse_time(instance_file, report_file, tmp_p
     assert not (tmp_path / "out.json").exists()
 
 
+# every subcommand's namespace with each shared option (--out, --no-timestamp,
+# --instance, --max-brute-edges) it takes left at its default
+_DEFAULTS = {
+    "gen": {"command": "gen", "out": "-", "nodes": 5, "terminals": 2, "k": 2, "density": "1/2",
+            "cost_lo": 1, "cost_hi": 10, "seed": 0, "mode": "quasi-bipartite",
+            "base_level": 0, "max_units": None},
+    "solve": {"command": "solve", "instance": "i.json", "out": "-", "prune": False,
+              "no_timestamp": False},
+    "brute": {"command": "brute", "instance": "i.json", "out": "-", "max_brute_edges": 22,
+              "no_timestamp": False},
+    "verify": {"command": "verify", "instance": "i.json", "report": "r.json", "solution": None,
+               "opt": None, "brute": False, "max_brute_edges": 22, "density_max_units": None,
+               "out": "-", "no_timestamp": False},
+    "bench": {"command": "bench", "corpus": "c", "out": "-", "max_brute_edges": 22,
+              "no_timestamp": False},
+}
+_REQUIRED = {
+    "gen": ["--nodes", "5", "--terminals", "2", "--k", "2"],
+    "solve": ["--instance", "i.json"],
+    "brute": ["--instance", "i.json"],
+    "verify": ["--instance", "i.json", "--report", "r.json"],
+    "bench": ["--corpus", "c"],
+}
+_GIVEN = {"out": "o.json", "no_timestamp": True, "max_brute_edges": 9}
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["defaults", "given"])
+@pytest.mark.parametrize("command", list(_DEFAULTS))
+def test_shared_options_parse_the_same_on_every_subcommand(command, given):
+    expected = dict(_DEFAULTS[command])
+    argv = [command, *_REQUIRED[command]]
+    if given:
+        for name, value in _GIVEN.items():
+            if name in expected:
+                expected[name] = value
+                flag = "--" + name.replace("_", "-")
+                argv += [flag] if value is True else [flag, str(value)]
+    args = vars(build_parser().parse_args(argv))
+    assert args.pop("func").__name__ == f"cmd_{command}"
+    assert args == expected
+
+
+_FLAGS = {
+    "gen": ["--out", "--nodes", "--terminals", "--k", "--density", "--cost-lo", "--cost-hi",
+            "--seed", "--mode", "--base-level", "--max-units"],
+    "solve": ["--instance", "--out", "--no-timestamp", "--prune"],
+    "brute": ["--instance", "--out", "--max-brute-edges", "--no-timestamp"],
+    "verify": ["--instance", "--out", "--max-brute-edges", "--no-timestamp", "--report",
+               "--solution", "--opt", "--brute", "--density-max-units"],
+    "bench": ["--out", "--max-brute-edges", "--no-timestamp", "--corpus"],
+}
+
+
+@pytest.mark.parametrize("command", list(_FLAGS))
+def test_each_subcommand_help_lists_each_flag_once(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--help")
+    assert exc.value.code == 0
+    options = capsys.readouterr().out.split("\n\n", 1)[1]  # what follows the usage
+    assert sorted(re.findall(r"(?<![\w-])--[a-z][a-z-]*", options)) == sorted(
+        ["--help", *_FLAGS[command]]
+    )
+
+
 def test_calls_in_one_process_share_no_state(instance_file, tmp_path, capsys):
     def solve_bytes(*flags):
         out = tmp_path / "r.json"
@@ -383,16 +456,23 @@ TWO_ARC_JSON = """{
 
 
 @pytest.mark.parametrize(
-    "selected",
+    "selected, message",
     [
-        [[2, 2]],  # two copies of a mult-1 edge would read as feasible
-        [[1, 1]],  # the free edge again would count its capacity twice
-        [[99, 1]],  # no such edge
-        {"22": 1},  # not a list of pairs
+        # two copies of a mult-1 edge would read as feasible
+        ([[2, 2]], "edge 2 selected 2 times, multiplicity 1"),
+        # the free edge again would count its capacity twice
+        ([[1, 1]], "selected edge 1 costs zero"),
+        ([[99, 1]], "selected edge 99 is not in the instance"),
+        ({"22": 1}, "selected must be a list"),
+        ([[2]], r"selected entry \[2\] is not an \[edge id, count\] pair"),
+        ([["2", 1]], r"selected entry \['2', 1\] is not an \[edge id, count\] pair"),
+        ([[2, 1], [2, 1]], "edge 2 is listed twice in selected"),
     ],
-    ids=["over-multiplicity", "zero-cost", "unknown-edge", "dict-shaped"],
+    ids=["over-multiplicity", "zero-cost", "unknown-edge", "dict-shaped", "one-element-entry",
+         "string-edge-id", "listed-twice"],
 )
-def test_verify_rejects_selection_the_instance_does_not_offer(tmp_path, capsys, selected):
+def test_verify_rejects_selection_the_instance_does_not_offer(tmp_path, capsys, selected,
+                                                              message):
     inst = tmp_path / "inst.json"
     inst.write_text(TWO_ARC_JSON)
     sol = tmp_path / "sol.json"
@@ -402,7 +482,7 @@ def test_verify_rejects_selection_the_instance_does_not_offer(tmp_path, capsys, 
     }))
     code = run("verify", "--instance", inst, "--solution", sol, "--out", tmp_path / "a.json")
     assert code == 2
-    assert "error" in capsys.readouterr().err
+    assert re.search(f"^error: .*{message}", capsys.readouterr().err)
 
 
 def test_bench_corpus(tmp_path, capsys):
@@ -462,6 +542,45 @@ def test_bench_rows_an_unreadable_file_and_goes_on(tmp_path):
     assert [row["file"] for row in rows] == ["a.json", "b.json", "c.json"]
     assert [row["status"].startswith("parse error: ") for row in rows] == [True, True, False]
     assert rows[2]["status"] == "ok"
+
+
+# terminal 2 has no entering edge at all
+INFEASIBLE_JSON = json.dumps({
+    "n": 3, "root": 0, "terminals": [1, 2], "k": 1,
+    "edges": [{"id": 1, "tail": 0, "head": 1, "cost": "1", "mult": 1}],
+})
+
+
+def test_bench_rows_an_infeasible_instance_and_goes_on(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.json").write_text(INSTANCE_A_JSON)
+    (corpus / "b.json").write_text(INFEASIBLE_JSON)
+    (corpus / "c.json").write_text(INSTANCE_A_JSON)
+    out = tmp_path / "s.json"
+    assert run("bench", "--corpus", corpus, "--out", out, "--no-timestamp") == 3
+    rows = json.loads(out.read_text())["instances"]
+    assert [row["status"] for row in rows] == ["ok", "infeasible: terminal 2", "ok"]
+    assert [row.get("cost") for row in rows] == ["4", None, "4"]
+
+
+def test_bench_rows_an_audit_violation(tmp_path, monkeypatch):
+    # a solve report whose recorded cost its selection does not give
+    real = cli.solve
+
+    def overstated(inst, **kwargs):
+        report = real(inst, **kwargs)
+        report.solution.total_cost += 1
+        return report
+
+    monkeypatch.setattr(cli, "solve", overstated)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.json").write_text(INSTANCE_A_JSON)
+    out = tmp_path / "s.json"
+    assert run("bench", "--corpus", corpus, "--out", out, "--no-timestamp") == 4
+    [row] = json.loads(out.read_text())["instances"]
+    assert row["status"] == "audit violation" and row["cost"] == "5"
 
 
 @pytest.mark.parametrize("make", [None, "touch"], ids=["missing", "file"])
@@ -639,11 +758,6 @@ def test_verify_refuses_report_flags_on_a_bare_solution(corpus_seven, tmp_path, 
     assert not out.exists()
 
 
-def _rebuild_phases(doc):
-    """Derive the document's phases from its (edited) records again."""
-    doc["phases"] = phases_doc(solution_from_doc(doc["solution"]).audit)
-
-
 def test_verify_checks_added_units_against_the_selection(corpus_seven, tmp_path):
     # the last record drops a unit and records what the rest cost, so only the
     # units disagree with the selection
@@ -653,7 +767,7 @@ def test_verify_checks_added_units_against_the_selection(corpus_seven, tmp_path)
     units = [tuple(u) for u in last["added_units"]]
     selected = selection_from_units(units)
     last["added_cost"] = str(parse_instance(inst.read_text()).selection_cost(selected))
-    _rebuild_phases(doc)
+    rebuild_phases(doc)
     code, audit = _verify_doc(tmp_path, inst, doc)
     assert code == 4
     assert audit["clean"] is False and audit["recorded_units_ok"] is False
@@ -722,12 +836,16 @@ _NOT_REBUILT = {"density_violations": [], "recorded_cost_ok": True, "recorded_so
         (_pruned(selected=[[999, 1]]), 2, "selected edge 999 is not in the instance"),
         (lambda d: d.update(terminal_count=True), 2, "terminal_count must be an integer"),
         (lambda d: d.update(terminal_count="1"), 2, "terminal_count must be an integer"),
+        (lambda d: d.pop("phases"), 2, "malformed solve report: 'phases'"),
+        (lambda d: d["solution"]["audit"][0].pop("added_units"), 2,
+         "malformed iteration record: 'added_units'"),
     ],
     ids=[
         "cores-before-string", "unit-string", "no-drop", "no-leaves", "bool-leaves",
         "level-zero", "negative-cores-after", "phases", "added-cost-zero", "added-cost-inflated",
         "star-center", "connectivity-999", "connectivity-empty", "feasible-false", "pruned-cost",
-        "pruned-unknown-edge", "bool-terminal-count", "string-terminal-count",
+        "pruned-unknown-edge", "bool-terminal-count", "string-terminal-count", "no-phases",
+        "no-added-units",
     ],
 )
 def test_verify_rejects_mistyped_and_tampered_records(corpus_seven, tmp_path, capsys, edit, code,

@@ -19,10 +19,7 @@ from reference import positive_units, rooted_cores, rooted_max_level
 def test_fixture_level_and_cores(instance_a):
     assert rooted_max_level(instance_a, ()) == 1
     cores = rooted_cores(instance_a, ())
-    assert [(sorted(c.members), c.representative, c.deficiency) for c in cores] == [
-        ([2], 2, 1),
-        ([3], 3, 1),
-    ]
+    assert [(sorted(c.members), c.representative) for c in cores] == [([2], 2), ([3], 3)]
 
 
 def test_partial_selection_leaves_one_core(instance_a):
@@ -41,7 +38,7 @@ def test_full_selection_closes_all(instance_a):
 def test_k2_variant_cores(instance_a_k2):
     assert rooted_max_level(instance_a_k2, ()) == 1
     cores = rooted_cores(instance_a_k2, ())
-    assert [(sorted(c.members), c.deficiency) for c in cores] == [([2], 1), ([3], 1)]
+    assert [sorted(c.members) for c in cores] == [[2], [3]]
 
 
 _OFF_LEVEL = """

@@ -6,21 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rkec import flows
-from rkec.flows import Residual, require_feasible, solution_of, working_arcs
+from rkec.flows import Residual, require_feasible, solution_of
 from rkec.generate import GenParams, _acceptable
 from rkec.instance import Edge, InfeasibleError, Instance, selection_from_units
 
 from conftest import small_random_instance
 from oracles import instance_arcs, minimal_sets, oracle_min_cut
-from reference import max_flow_paths, maximum_flow, positive_units
-
-
-def instance_view(inst, units):
-    return working_arcs(inst, selection_from_units(units))
-
-
-def max_flow_value(arcs, s, t):
-    return maximum_flow(arcs, s, t).value
+from reference import instance_view, max_flow_paths, max_flow_value, maximum_flow, positive_units
 
 
 def closest_sink_cut(arcs, s, t):

@@ -7,19 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkec.flows import working_arcs
-from rkec.generate import GenParams, _threshold, default_corpus_params, generate_instance
-from rkec.instance import instance_to_json, selection_from_units, validate_quasi_bipartite
+from rkec.generate import GenParams, _draw, _threshold, default_corpus_params, generate_instance
+from rkec.instance import instance_to_json, validate_quasi_bipartite
 
-from reference import maximum_flow, positive_units
-
-
-def instance_view(inst, units):
-    return working_arcs(inst, selection_from_units(units))
-
-
-def max_flow_value(arcs, s, t):
-    return maximum_flow(arcs, s, t).value
+from reference import instance_view, max_flow_value, positive_units
 
 
 def params(**overrides):
@@ -51,6 +42,14 @@ def test_parameter_validation():
         params(mode="augmentation")  # needs base_level >= 1
     with pytest.raises(ValueError):
         params(mode="augmentation", k=1, base_level=1)  # base_level < k
+    with pytest.raises(ValueError, match="need at least a root and one terminal"):
+        params(nodes=1, terminals=1)
+    with pytest.raises(ValueError, match="cost range"):
+        params(cost_lo=5, cost_hi=4)
+    with pytest.raises(ValueError, match="unknown mode 'tree'"):
+        params(mode="tree")
+    with pytest.raises(ValueError, match="base_level only applies to augmentation mode"):
+        params(base_level=1)
 
 
 def test_generated_instances_are_quasi_bipartite_and_feasible():
@@ -63,12 +62,28 @@ def test_generated_instances_are_quasi_bipartite_and_feasible():
         )
 
 
-def test_augmentation_mode_plants_free_connectivity():
-    p = params(k=2, mode="augmentation", base_level=1, seed=3)
-    inst = generate_instance(p)
-    base = instance_view(inst, ())
-    assert all(max_flow_value(base, inst.root, t) >= 1 for t in inst.terminals)
-    assert validate_quasi_bipartite(inst).ok
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_augmentation_mode_plants_free_connectivity(data):
+    # no draw is re-checked for its skeleton, so every draw, one the
+    # generator rejects as well, must give each terminal base_level root
+    # paths over its zero-cost edges alone
+    nodes = data.draw(st.integers(2, 12), label="nodes")
+    k = data.draw(st.integers(2, 5), label="k")
+    p = GenParams(
+        nodes=nodes,
+        terminals=data.draw(st.integers(1, nodes - 1), label="terminals"),
+        k=k,
+        density=Fraction(data.draw(st.integers(1, 10), label="density_tenths"), 10),
+        mode="augmentation",
+        base_level=data.draw(st.integers(1, k - 1), label="base_level"),
+    )
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    for _ in range(3):
+        inst = _draw(rng, p)
+        free = instance_view(inst, ())
+        assert all(max_flow_value(free, inst.root, t) >= p.base_level for t in inst.terminals)
+        assert validate_quasi_bipartite(inst).ok
 
 
 def test_unit_cap_respected():

@@ -105,7 +105,7 @@ def test_best_star_prefix_tie_prefers_more_leaves():
         5, 0, frozenset({1, 2, 3}),
         (Edge(9, 0, 4, Fraction(2)),), 1,
     )
-    cores = [CoreInfo(frozenset({t}), t, 1) for t in (1, 2, 3)]
+    cores = [CoreInfo(frozenset({t}), t) for t in (1, 2, 3)]
     prices = {
         (9, cores[0]): _fake_cover(1),
         (9, cores[1]): _fake_cover(3),
@@ -126,7 +126,7 @@ def test_best_star_single_core_arithmetic():
         4, 0, frozenset({1}),
         (Edge(1, 0, 2, Fraction(4)), Edge(2, 0, 3, Fraction(2))), 1,
     )
-    core = CoreInfo(frozenset({1}), 1, 1)
+    core = CoreInfo(frozenset({1}), 1)
     prices = {
         (1, core): _fake_cover(0),
         (2, core): _fake_cover(1),
@@ -212,7 +212,7 @@ def _star_states(inst):
     cores = rooted_cores(inst, ())
     if not cores:
         return []
-    level = cores[0].deficiency
+    level = rooted_max_level(inst, ())
     states = [((), cores, level)]
     try:
         first = best_star(inst, price_star_edges(inst, (), cores))
@@ -220,7 +220,7 @@ def _star_states(inst):
         return states
     units = tuple((eid, 0) for eid in sorted(first.edges()))  # each edge's first copy
     after = rooted_cores(inst, units)
-    if after and after[0].deficiency == level:
+    if after and rooted_max_level(inst, units) == level:
         states.append((units, after, level))
     return states
 
@@ -707,7 +707,7 @@ def test_phase_invariants(seed):
     for level, phase in itertools.groupby(records, key=lambda rec: rec.phase_level):
         # each phase starts from the cores of the state the last one left
         phase = list(phase)
-        assert cores and level == cores[0].deficiency
+        assert cores and level == rooted_max_level(inst, units)
         assert phase[0].cores_before == len(cores)
         for rec in phase:
             assert rec.cores_after < rec.cores_before
@@ -740,8 +740,8 @@ def test_star_coverage_soundness(seed):
 
 
 def _carried_and_fresh_cores(inst):
-    """Every ``cores_of`` read of a ``cover_levels`` run, each with the
-    units bought by then."""
+    """Every ``cores_of`` read of a ``cover_levels`` run, (level, cores),
+    each with the units bought by then."""
     reads, bought = [], [()]
     real_cores, real_star = greedy.cores_of, greedy.cheapest_star
 
@@ -772,5 +772,5 @@ def test_carried_cores_equal_fresh_cores(seed, augmentation):
     # cores it reads off them must be the cores of the selection built afresh
     rng = random.Random(seed)
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
-    for cores, units in _carried_and_fresh_cores(inst):
-        assert cores == rooted_cores(inst, units)
+    for read, units in _carried_and_fresh_cores(inst):
+        assert read == (rooted_max_level(inst, units), rooted_cores(inst, units))

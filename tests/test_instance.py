@@ -79,6 +79,12 @@ def test_parse_drops_self_loops():
     (lambda d: d["edges"][0].update(tail=False), "integers"),
     (lambda d: d["edges"][0].update(head=True), "integers"),
     (lambda d: d["edges"][0].update(mult=True), "integers"),
+    (lambda d: d.update(n=0), "node count must be positive"),
+    (lambda d: d.update(root=4), "root 4 out of range"),
+    (lambda d: d.update(terminals=[2, 4]), "terminal 4 out of range"),
+    (lambda d: d["edges"][0].update(mult=0), "edge 1 has non-positive multiplicity"),
+    (lambda d: d["edges"].append(5), "edge record must be an object"),
+    (lambda d: d["edges"][0].pop("id"), "edge record missing field 'id'"),
 ])
 def test_parse_invariant_errors(mutate, message):
     doc = json.loads(INSTANCE_A_JSON)
@@ -379,6 +385,17 @@ def test_a_built_instance_refuses_a_negative_cost(cost):
     # the generator's path: an Instance built from Edges, with no document
     with pytest.raises(ParseError, match="edge 2 has negative cost"):
         Instance(2, 0, frozenset({1}), (Edge(1, 0, 1, Fraction(1)), Edge(2, 0, 1, cost)), 1)
+
+
+@pytest.mark.parametrize("edge, message", [
+    (Edge(2, 1, 0, Fraction(1)), "edge 2 enters root"),
+    (Edge(2, 1, 1, Fraction(1)), "edge 2 is a self-loop"),
+], ids=["enters-root", "self-loop"])
+def test_a_built_instance_refuses_an_edge_the_parser_never_passes(edge, message):
+    # a document's edge into the root is refused and its self-loop dropped
+    # before an Instance is built, so only a direct build reaches these
+    with pytest.raises(ParseError, match=message):
+        Instance(2, 0, frozenset({1}), (Edge(1, 0, 1, Fraction(1)), edge), 1)
 
 
 def test_signed_and_unreduced_zeros_are_free():

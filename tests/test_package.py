@@ -210,6 +210,18 @@ def test_the_greedy_is_the_solvers_feasibility_check():
     assert called and "require_feasible" not in called
 
 
+def test_a_states_level_is_read_once_with_its_cores():
+    # the level is the residual function's maximum, a fact of the state:
+    # ``cores_of`` returns it once, next to the cores, and no core repeats it
+    deficiency = importlib.import_module("rkec.deficiency")
+    assert [f.name for f in fields(deficiency.CoreInfo)] == ["members", "representative"]
+    readers = sorted(
+        path.name for path in PACKAGE.glob("*.py")
+        if _attribute_counts(ast.parse(path.read_text()))["deficiency"]
+    )
+    assert not readers, readers
+
+
 def test_nothing_below_the_parser_reads_the_node_count():
     # flows and per-node edge lists are keyed by the nodes edges touch: the
     # declared n is validated and written back, and sizes nothing

@@ -97,7 +97,8 @@ def test_ring_family_realization_matches_enumeration(instance_a):
     family = enumerate_arc_family(universe, instance_a.terminals, instance_a.k, [])
     ring = family.ring_view(frozenset({2}))
     cores = rooted_cores(instance_a, ())
-    sat = saturating_arcs(instance_a, cores, cores[0])  # cores[0] is {2}, at level 1
+    level = rooted_max_level(instance_a, ())
+    sat = saturating_arcs(instance_a, cores, cores[0], level)  # cores[0] is {2}, at level 1
     saturated = enumerate_arc_family(universe, instance_a.terminals, instance_a.k, sat)
     assert saturated.level == family.level
     assert set(saturated.members) == set(ring.members)
@@ -114,6 +115,24 @@ def test_primal_dual_fixture_prices(instance_a):
         cover = primal_dual_ring_cover(instance_a, *ring, head)
         assert cover is not None
         assert cover.cost == cost and cover.legs == legs
+
+
+# core {2} of instance_a priced with no head: step 0 raises {2} and edge 2
+# (1 -> 2, cost 1) goes tight, step 1 raises {1, 2} and edge 1 (0 -> 1,
+# cost 2) goes tight; each step is paid by exactly the leg entering it
+_FIRST = {2: 0, 1: 1}
+
+
+@pytest.mark.parametrize("cover, ok", [
+    (rings.RingCover((1, 2), 3, _FIRST, (0, 1, 3)), True),
+    (rings.RingCover((1, 2), 3, _FIRST, (0, 2, 1)), False),  # step 1 raises -1
+    (rings.RingCover((2,), 1, _FIRST, (0, 1, 3)), False),  # no leg pays step 1
+    (rings.RingCover((2, 4), 5, {2: 0}, (0, 1)), False),  # edges 2 and 4 both pay step 0
+    (rings.RingCover((1, 2), 4, _FIRST, (0, 1, 3)), False),  # dual 3, cost 4
+], ids=["valid", "negative-step", "unpaid-step", "step-paid-twice", "dual-below-cost"])
+def test_the_certificate_rejects_a_cover_its_dual_does_not_pay_for(instance_a, cover, ok):
+    assert instance_a.cost_scale == 1
+    assert rings._certificate(instance_a, cover) is ok
 
 
 def test_failed_certificate_stops_the_solve(instance_a, monkeypatch):
@@ -271,7 +290,7 @@ def _leg_candidates(inst, units, head):
 
 def _enumerated_ring(inst, units, cores, core):
     family = enumerated_ring_family(inst, units, cores, core)
-    if family.level != core.deficiency:
+    if family.level != rooted_max_level(inst, units):
         return None
     return family.ring_view(core.members)
 

@@ -21,9 +21,8 @@ from rkec.instance import (
     dump_json,
     frac_from_obj,
     selection_from_units,
-    solution_from_doc,
 )
-from rkec.solver import SolveReport, phases_doc, report_from_doc, report_to_doc, solve
+from rkec.solver import SolveReport, report_from_doc, report_to_doc, solve
 from rkec.verify import (
     audit_run,
     audit_to_doc,
@@ -33,7 +32,7 @@ from rkec.verify import (
 )
 
 from conftest import small_random_instance
-from reference import density_violations, path_packing_witness, positive_units
+from reference import density_violations, path_packing_witness, positive_units, rebuild_phases
 
 
 def test_check_feasible_fixture(instance_a):
@@ -474,11 +473,6 @@ def _tamper_star_center(inst, doc, data):
     rec["star_center"] = data.draw(st.integers(0, 30).filter(lambda eid: eid not in bought))
 
 
-def _rebuild_phases(doc):
-    """Derive the document's phases from its (edited) records again."""
-    doc["phases"] = phases_doc(solution_from_doc(doc["solution"]).audit)
-
-
 def _tamper_added_units(inst, doc, data):
     """Drop one recorded unit or add one, so the multiset changes."""
     records = doc["solution"]["audit"]
@@ -489,7 +483,7 @@ def _tamper_added_units(inst, doc, data):
     else:
         eid = data.draw(st.sampled_from(sorted(e.id for e in inst.edges) + [0]))
         rec["added_units"].append([eid, data.draw(st.integers(0, 2))])
-    _rebuild_phases(doc)
+    rebuild_phases(doc)
 
 
 def _tamper_copy_order(inst, doc, data):
@@ -501,7 +495,7 @@ def _tamper_copy_order(inst, doc, data):
     eid = data.draw(st.sampled_from(twice))
     first, second = data.draw(st.permutations([u for u in units if u[0] == eid]))[:2]
     first[1], second[1] = second[1], first[1]
-    _rebuild_phases(doc)
+    rebuild_phases(doc)
 
 
 def _tamper_added_cost(inst, doc, data):
@@ -602,6 +596,6 @@ def test_copies_out_of_purchase_order_audit_unclean():
     records = doc["solution"]["audit"]
     assert records[0]["added_units"][0] == [3, 0] and records[1]["added_units"] == [[3, 1]]
     records[0]["added_units"][0], records[1]["added_units"][0] = [3, 1], [3, 0]
-    _rebuild_phases(doc)
+    rebuild_phases(doc)
     audit = audit_run(inst, report_from_doc(doc))
     assert audit.recorded_units_ok is False and not audit.clean
