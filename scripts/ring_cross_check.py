@@ -9,23 +9,19 @@ and one of the instance with a drawn positive edge removed, where a ring
 member can lose its last entering leg and so exercise the unpriceable case.
 Every (core, head) pair gets priced three ways: by the primal-dual on a ring
 flow built afresh for the pair (``fresh_cover`` of the tests' ``reference``:
-a new residual over the working and saturating arcs), by the path the solver
-runs (``greedy.pricing_context`` over the state's root flows: the core's
-shared no-head cover unless ``StarPricing.head_bound`` finds the core
-touched by the head, else a primal-dual with the head on the core's carried
-flow as it stands, read with the other cores' terminals as stops,
-``StarPricing.stops``), and by the exact hitting-set search over
-rational costs (the tests' ``oracles.brute_force_ring_cover``, on the ring
-that ``reference.enumerated_ring_family`` enumerates).  A state whose
-pricing context raises ``InfeasibleError`` has no solver path: the raise
-must name the instance's first short terminal and its path count
-(``flows.short_terminal`` over every positive edge at its multiplicity),
-and its pairs are priced fresh and exactly only.  The solver's cover must equal the fresh one
+a new residual over the working and saturating arcs), by the solver's own
+pricing (``greedy.pricing_context`` over the state's root flows, then
+``greedy.head_pairs`` with the touched cores ``StarPricing.head_bound``
+finds), and by the exact hitting-set search over rational costs (the tests'
+``reference.exact_ring_cover``).  A state whose pricing context raises
+``InfeasibleError`` has no solver path: the raise must be the one
+``flows.require_feasible`` raises for the instance, and its pairs are
+priced fresh and exactly only.  The solver's cover must equal the fresh one
 whole (legs, cost and dual chain), and their cost must equal the exact one
-as a rational: the primal-dual covers cost integers
-in units of 1/``cost_scale``, so they are rescaled before the comparison.  A
-cover that fails its certificate raises, and counts as a mismatch.  So does
-a cover whose dual overpays some candidate leg (``overpaid_candidates`` of
+as a rational: the primal-dual covers cost integers in units of
+1/``cost_scale``, so they are rescaled before the comparison.  A cover
+that fails its certificate raises, and counts as a mismatch.  So does a
+cover whose dual overpays some candidate leg (``overpaid_candidates`` of
 the tests' ``reference``), a pair whose skip-test floor (``head_bound``'s,
 rescaled the same way) exceeds its exact price, and an unpriceable pair
 that either primal-dual still prices.
@@ -44,15 +40,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from rkec.cli import _size_cap  # noqa: E402
 from rkec.deficiency import cores_of  # noqa: E402
-from rkec.flows import root_flows, short_terminal  # noqa: E402
+from rkec.flows import require_feasible, root_flows  # noqa: E402
 from rkec.generate import GenParams, generate_instance  # noqa: E402
-from rkec.greedy import pricing_context  # noqa: E402
+from rkec.greedy import head_pairs, pricing_context  # noqa: E402
 from rkec.instance import InfeasibleError, Instance, selection_from_units  # noqa: E402
-from rkec.rings import primal_dual_ring_cover  # noqa: E402
 
-from oracles import brute_force_ring_cover  # noqa: E402
 from reference import (  # noqa: E402
-    enumerated_ring_family,
+    exact_ring_cover,
     free_leg_candidates,
     fresh_cover,
     overpaid_candidates,
@@ -78,34 +72,26 @@ def check_state(inst, state, per_state, seed):
         return contexts, 1, unpriceable
     except InfeasibleError as exc:  # some core's ring is uncoverable
         pricing = None
-        every = {e.id: e.mult for e in inst.positive_edges}
-        if (exc.terminal, exc.achieved) != short_terminal(inst, every, inst.k):
+        try:
+            require_feasible(inst)
+        except InfeasibleError as expected:
+            exc = None if expected.args == exc.args else exc
+        if exc is not None:
             print(f"MISMATCH seed={seed}: {exc}")
             mismatches += 1
-    shared = dict(pricing.ranked) if pricing else {}
     for head in heads[:per_state]:
-        arc = inst.arc(head)
-        touched = pricing.head_bound(arc)[0] if pricing else []
+        touched = pricing.head_bound(inst.arc(head))[0] if pricing else []
         floors = {core: floor for (core, _), floor in touched}
         for core in cores:
-            ring = enumerated_ring_family(inst, state, cores, core).ring_view(core.members)
-            exact = brute_force_ring_cover(
-                ring.members,
-                arc,
-                [(e, *inst.arc(e), inst.edge_by_id[e].cost) for e in heads if e != head],
-            )
+            exact = exact_ring_cover(inst, state, cores, core, head)[2]
             contexts += 1
             floor = floors.get(core)  # None: the pair reuses the shared cover
             try:
                 fresh = fresh_cover(inst, state, cores, core, head)
                 if pricing is None:
                     solver = fresh  # no solver path to compare
-                elif floor is None:
-                    solver = shared[core]
                 else:
-                    flow = flows[core.representative]
-                    stops = pricing.stops[core.representative]
-                    solver = primal_dual_ring_cover(inst, flow, stops, taken, head)
+                    solver = dict(head_pairs(inst, flows, taken, pricing, head, touched))[core]
             except AssertionError as exc:  # a cover failed its certificate
                 print(f"seed={seed}: {exc}")
                 bad = True

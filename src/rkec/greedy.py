@@ -22,12 +22,13 @@ form one interval of steps, empty unless v is on the chain.  One scan of
 the ranked covers (``StarPricing.head_bound``) finds the cores whose
 interval is nonempty and bounds the head: every other core keeps exactly
 its shared no-head price, and only the touched pairs run a primal-dual of
-their own.  A head is skipped when its bound loses to the best star so far,
-on density or, at equal density, on the star's tie-break: by weak duality,
-the part of the shared dual the head does not enter bounds the exact
-primal-dual price with the head from below.  A bound per head node comes
-first, the same scan for a tail on no chain: once it loses for a node,
-every later head into that node is skipped at once.
+their own (``head_pairs``).  A head is skipped when its bound loses to the
+best star so far, on density or, at equal density, on the star's
+tie-break: by weak duality, the part of the shared dual the head does not
+enter bounds the exact primal-dual price with the head from below.  A
+bound per head node comes first, the same scan for a tail on no chain:
+once it loses for a node, every later head into that node is skipped at
+once.
 
 The greedy is its own feasibility check: on a feasible instance every ring
 it prices is coverable, and on an infeasible one it cannot finish, so its
@@ -194,6 +195,19 @@ def pricing_context(inst: Instance, flows, taken, cores) -> StarPricing:
     return StarPricing(stops, ranked)
 
 
+def head_pairs(inst: Instance, flows, taken, pricing: StarPricing, head: int, touched) -> list:
+    """Head edge ``head``'s (core, cover) pairs in ``_rank`` order: each of
+    ``touched`` (``head_bound``'s) priced with the head on its core's carried
+    flow (``_cover``), every other pair keeping its shared cover."""
+    ranked = list(pricing.ranked)
+    for pc, _ in touched:
+        ranked.remove(pc)
+        rep = pc[0].representative
+        cover = _cover(inst, flows[rep], pricing.stops[rep], taken, head)
+        insort(ranked, (pc[0], cover), key=_rank)
+    return ranked
+
+
 def cheapest_star(inst: Instance, taken, cores, flows) -> Star:
     """Same selection as price-everything + best_star at the selection
     ``taken`` (edge id -> copies bought), pricing lazily off its ``flows``.
@@ -278,12 +292,7 @@ def cheapest_star(inst: Instance, taken, cores, flows) -> Star:
         touched, floors = pricing.head_bound((edge.tail, node))
         if best is not None and _loses(*_best_prefix(head_cost, floors), head, best):
             continue
-        ranked = list(pricing.ranked)
-        for pc, _ in touched:
-            ranked.remove(pc)
-            rep = pc[0].representative
-            cover = _cover(inst, flows[rep], pricing.stops[rep], taken, head)
-            insort(ranked, (pc[0], cover), key=_rank)
+        ranked = head_pairs(inst, flows, taken, pricing, head, touched)
         scanned = _scan_head(head, head_cost, ranked)
         if best is None or scanned.beats(best):
             best = scanned

@@ -192,24 +192,14 @@ class Instance:
         return Fraction(scaled, self.cost_scale)
 
 
-@dataclass(frozen=True)
-class QuasiBipartiteReport:
-    ok: bool
-    offending: tuple[int, ...]  # positive-cost edge ids with no end in T + root
-
-
-def validate_quasi_bipartite(inst: Instance) -> QuasiBipartiteReport:
-    """Check that every positive-cost edge has an end in the terminals or root.
+def validate_quasi_bipartite(inst: Instance) -> bool:
+    """Whether every positive-cost edge has an end in the terminals or root.
 
     Zero-cost edges are exempt: the guarantee only needs the purchasable part
     of the graph to be quasi-bipartite.
     """
     anchored = set(inst.terminals) | {inst.root}
-    offending = tuple(
-        e.id for e in inst.positive_edges
-        if e.tail not in anchored and e.head not in anchored
-    )
-    return QuasiBipartiteReport(not offending, offending)
+    return all(e.tail in anchored or e.head in anchored for e in inst.positive_edges)
 
 
 def load_object(text: str, what: str, where: str = "") -> dict:

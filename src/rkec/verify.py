@@ -195,7 +195,7 @@ def audit_run(
         recorded_solution_ok=solution_ok,
         recorded_bound_ok=(report.bound_harmonic, report.terminal_count)
         == (bound_harmonic, terminal_count),
-        guarantee_applies=validate_quasi_bipartite(inst).ok,
+        guarantee_applies=validate_quasi_bipartite(inst),
         core_drop_violations=drops,
     )
 

@@ -18,8 +18,10 @@ record's units counted and costed afresh.  They take
 selections as unit lists and convert them (``selection_from_units``) where
 they call the package's flow and ring primitives, unlike the enumeration
 oracles in ``oracles``, and only tests and ``scripts/ring_cross_check.py``
-call them.  The small helpers several test modules share live here too:
-``max_flow_value``, ``instance_view`` and ``rebuild_phases``.
+call them; ``exact_ring_cover`` is the one call of the exact ring-cover
+oracle on a (core, head) pair.  The small helpers several test modules
+share live here too: ``max_flow_value``, ``instance_view``,
+``rebuild_phases`` and ``flow_state``, a flow's snapshot.
 """
 
 import math
@@ -53,7 +55,7 @@ from rkec.instance import (
 from rkec.rings import RingCover, primal_dual_ring_cover, ring_stops
 from rkec.solver import SolveReport, phases_doc
 
-from oracles import EnumeratedFamily, enumerate_arc_family
+from oracles import EnumeratedFamily, brute_force_ring_cover, enumerate_arc_family
 
 
 def positive_units(inst: Instance) -> tuple[Unit, ...]:
@@ -180,6 +182,20 @@ def enumerated_ring_family(inst: Instance, units, all_cores, target: CoreInfo) -
     )
 
 
+def exact_ring_cover(inst: Instance, units, all_cores, target: CoreInfo, head: int) -> tuple:
+    """(level, ring, exact) for (target, head edge id) at ``units``: the
+    ``enumerated_ring_family``'s level, the target's ring view in it, and
+    ``brute_force_ring_cover`` on that ring over every free leg but the
+    head's edge, (rational cost, sorted leg ids) or None if unpriceable."""
+    family = enumerated_ring_family(inst, units, all_cores, target)
+    ring = family.ring_view(target.members)
+    legs = [
+        (e, *inst.arc(e), inst.edge_by_id[e].cost)
+        for e in free_leg_candidates(inst, units) if e != head
+    ]
+    return family.level, ring, brute_force_ring_cover(ring.members, inst.arc(head), legs)
+
+
 def price_star_edges(inst: Instance, units, cores) -> dict[tuple[int, CoreInfo], RingCover]:
     """Exact leg price for every (candidate head edge id, core) pair.
 
@@ -189,11 +205,9 @@ def price_star_edges(inst: Instance, units, cores) -> dict[tuple[int, CoreInfo],
     if not cores:
         raise ValueError("pricing needs at least one core")
     prices: dict[tuple[int, CoreInfo], RingCover] = {}
-    taken = selection_from_units(units)
     for head in free_leg_candidates(inst, units):
         for core in cores:
-            flow = build_ring_context(inst, units, cores, core)
-            cover = primal_dual_ring_cover(inst, flow, frozenset(), taken, head)
+            cover = fresh_cover(inst, units, cores, core, head)
             if cover is not None:
                 prices[(head, core)] = cover
     return prices
@@ -304,6 +318,12 @@ def maximum_flow(arcs, s: int, t: int) -> Residual:
     flow = Residual(s, t)
     flow.grow(arcs)
     return flow
+
+
+def flow_state(flow: Residual) -> tuple:
+    """Everything a flow holds, copied: arcs, adjacency rows, capacities and
+    value, so a read or a rollback can be checked to leave it as it was."""
+    return flow.to[:], {v: row[:] for v, row in flow.adj.items()}, flow.cap[:], flow.value
 
 
 def max_flow_value(arcs, s: int, t: int) -> int:

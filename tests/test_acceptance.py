@@ -22,14 +22,9 @@ from rkec.instance import Instance, Solution, dump_json
 from rkec.solver import SolveReport, report_to_doc, solve
 from rkec.verify import audit_run, bound_decision, check_feasible
 
-from oracles import (
-    brute_force_ring_cover,
-    enumerate_rooted,
-    nested_chain_certificate,
-    tabulate_rooted,
-)
+from oracles import enumerate_rooted, nested_chain_certificate, tabulate_rooted
 from reference import (
-    enumerated_ring_family,
+    exact_ring_cover,
     free_leg_candidates,
     fresh_cover,
     positive_units,
@@ -91,13 +86,8 @@ def ring_samples(corpus):
                 if head not in heads:
                     continue
                 for core in cores:
-                    family = enumerated_ring_family(inst, state, cores, core)
-                    assert family.level == level
-                    ring = family.ring_view(core.members)
-                    candidates = [
-                        (e, *inst.arc(e), inst.edge_by_id[e].cost) for e in heads if e != head
-                    ]
-                    exact = brute_force_ring_cover(ring.members, inst.arc(head), candidates)
+                    family_level, ring, exact = exact_ring_cover(inst, state, cores, core, head)
+                    assert family_level == level
                     cover = fresh_cover(inst, state, cores, core, head)
                     samples.append((inst, head, ring, cover, exact))
     return samples, time.perf_counter() - t0

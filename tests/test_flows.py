@@ -12,7 +12,9 @@ from rkec.instance import Edge, InfeasibleError, Instance, selection_from_units
 
 from conftest import small_random_instance
 from oracles import instance_arcs, minimal_sets, oracle_min_cut
-from reference import instance_view, max_flow_paths, max_flow_value, maximum_flow, positive_units
+from reference import (
+    flow_state, instance_view, max_flow_paths, max_flow_value, maximum_flow, positive_units,
+)
 
 
 def closest_sink_cut(arcs, s, t):
@@ -157,7 +159,7 @@ def test_reach_reads_what_a_grow_would_find(seed):
     s, t = rng.sample(range(n), 2)
     arcs = _random_view(rng, n)
     flow = maximum_flow(arcs, s, t)
-    at_rest = flow.to[:], {v: row[:] for v, row in flow.adj.items()}, flow.cap[:], flow.value
+    at_rest = flow_state(flow)
     side, extra = set(), []
     added = flow.reach(side)
     assert added[0] == t and sorted(added) == sorted(side)
@@ -174,7 +176,7 @@ def test_reach_reads_what_a_grow_would_find(seed):
         if s in side:
             break
         assert side == fresh == grown.closest_sink_side()
-    assert (flow.to, flow.adj, flow.cap, flow.value) == at_rest
+    assert flow_state(flow) == at_rest
 
 
 @settings(max_examples=80, deadline=None)
@@ -189,7 +191,7 @@ def test_a_stop_reads_as_an_arc_from_the_source(seed):
     s, t = rng.sample(range(n), 2)
     arcs = _random_view(rng, n)
     flow = maximum_flow(arcs, s, t)
-    at_rest = flow.to[:], {v: row[:] for v, row in flow.adj.items()}, flow.cap[:], flow.value
+    at_rest = flow_state(flow)
     stops = frozenset(v for v in range(n) if v != s and rng.random() < 0.3)
     extra = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))]
     side = set()
@@ -200,7 +202,7 @@ def test_a_stop_reads_as_an_arc_from_the_source(seed):
     assert (s in side) == (grown.value > flow.value)
     if s not in side:
         assert side == grown.closest_sink_side()
-    assert (flow.to, flow.adj, flow.cap, flow.value) == at_rest
+    assert flow_state(flow) == at_rest
 
 
 @settings(max_examples=40, deadline=None)

@@ -55,7 +55,7 @@ def test_parameter_validation():
 def test_generated_instances_are_quasi_bipartite_and_feasible():
     for seed in range(1, 30):
         inst = generate_instance(params(seed=seed))
-        assert validate_quasi_bipartite(inst).ok
+        assert validate_quasi_bipartite(inst)
         full = instance_view(inst, positive_units(inst))
         assert all(
             max_flow_value(full, inst.root, t) >= inst.k for t in inst.terminals
@@ -83,7 +83,7 @@ def test_augmentation_mode_plants_free_connectivity(data):
         inst = _draw(rng, p)
         free = instance_view(inst, ())
         assert all(max_flow_value(free, inst.root, t) >= p.base_level for t in inst.terminals)
-        assert validate_quasi_bipartite(inst).ok
+        assert validate_quasi_bipartite(inst)
 
 
 def test_unit_cap_respected():
@@ -99,7 +99,7 @@ def test_corpus_params_stay_inside_caps():
         assert p.max_units == 22
         inst = generate_instance(p)
         assert len(positive_units(inst)) <= 22
-        assert validate_quasi_bipartite(inst).ok
+        assert validate_quasi_bipartite(inst)
 
 
 # sha256 of ``instance_to_json`` over default_corpus_params(1..500) and the

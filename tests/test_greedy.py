@@ -26,6 +26,7 @@ from conftest import small_random_instance
 from reference import (
     best_star,
     build_ring_context,
+    flow_state,
     free_leg_candidates,
     fresh_cover,
     head_floors,
@@ -183,12 +184,12 @@ def test_the_fallback_of_an_uncoverable_ring_on_a_feasible_instance_raises(insta
     # ``greedy._cover``: the greedy must fail loudly, not report the instance
     # infeasible, and still roll back every carried flow
     flows = carried_flows(instance_a, ())
-    before = {t: _flow_state(flow) for t, flow in flows.items()}
+    before = {t: flow_state(flow) for t, flow in flows.items()}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(greedy, "primal_dual_ring_cover", lambda *args: None)
         with pytest.raises(AssertionError, match="uncoverable on a feasible instance"):
             cheapest_star(instance_a, {}, rooted_cores(instance_a, ()), flows)
-    assert {t: _flow_state(flow) for t, flow in flows.items()} == before
+    assert {t: flow_state(flow) for t, flow in flows.items()} == before
 
 
 def _augmentation_instance(seed):
@@ -345,14 +346,14 @@ def test_ring_reads_neither_grow_nor_undo_a_flow():
 
     def reading(name, real):
         def call(inst, flow, *args):
-            before = _flow_state(flow)
+            before = flow_state(flow)
             reads[name] += 1
             inside.append(name)
             try:
                 result = real(inst, flow, *args)
             finally:
                 inside.pop()
-            assert _flow_state(flow) == before
+            assert flow_state(flow) == before
             return result
         return call
 
@@ -405,14 +406,10 @@ def test_a_ladder_solve_skips_the_heads_that_only_tie():
 
 
 def _price_in_full(inst, pricing, flows, taken, head):
-    """``head``'s exact star: its touched pairs priced through ``_cover`` in
-    place of their shared covers, then ``_scan_head``."""
-    ranked = list(pricing.ranked)
-    for pc, _ in pricing.head_bound(inst.arc(head))[0]:
-        ranked.remove(pc)
-        rep = pc[0].representative
-        ranked.append((pc[0], greedy._cover(inst, flows[rep], pricing.stops[rep], taken, head)))
-    ranked.sort(key=greedy._rank)
+    """``head``'s exact star: its pairs as the solver prices them
+    (``head_pairs``), then ``_scan_head``."""
+    touched = pricing.head_bound(inst.arc(head))[0]
+    ranked = greedy.head_pairs(inst, flows, taken, pricing, head, touched)
     return greedy._scan_head(head, inst.scaled_cost(head), ranked)
 
 
@@ -519,12 +516,6 @@ def _entered_steps(arc, cover):
     return out
 
 
-def _flow_state(flow):
-    """Everything a rollback must restore: arcs, adjacency rows, capacities
-    and value."""
-    return flow.to[:], {v: row[:] for v, row in flow.adj.items()}, flow.cap[:], flow.value
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 100_000), st.booleans())
 @example(2, False)  # one of its states raises InfeasibleError
@@ -536,12 +527,12 @@ def test_cheapest_star_leaves_the_carried_flows_as_it_found_them(seed, augmentat
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
     for units, cores in _random_states(inst, rng):
         flows = carried_flows(inst, units)
-        before = {t: _flow_state(flow) for t, flow in flows.items()}
+        before = {t: flow_state(flow) for t, flow in flows.items()}
         try:
             cheapest_star(inst, selection_from_units(units), cores, flows)
         except InfeasibleError:
             pass
-        assert {t: _flow_state(flow) for t, flow in flows.items()} == before
+        assert {t: flow_state(flow) for t, flow in flows.items()} == before
 
 
 @settings(max_examples=40, deadline=None)
@@ -586,7 +577,7 @@ def test_heads_on_a_shared_ring_price_like_a_fresh_context(seed, augmentation):
             stops = pricing.stops[core.representative]
             fresh = build_ring_context(inst, units, cores, core)
             assert flow.value == fresh.value
-            before = _flow_state(flow)
+            before = flow_state(flow)
             for head in heads:
                 cover = primal_dual_ring_cover(inst, flow, stops, taken, head)
                 assert cover == primal_dual_ring_cover(inst, fresh, frozenset(), taken, head)
@@ -596,9 +587,9 @@ def test_heads_on_a_shared_ring_price_like_a_fresh_context(seed, augmentation):
                 assert cover is not None
                 assert head not in cover.legs
                 assert min_violated_set(inst, flow, stops, [head, *cover.legs]) is None
-                assert _flow_state(flow) == before
+                assert flow_state(flow) == before
             assert primal_dual_ring_cover(inst, flow, stops, taken) == shared
-            assert _flow_state(flow) == before
+            assert flow_state(flow) == before
 
 
 @settings(max_examples=40, deadline=None)
@@ -612,15 +603,14 @@ def test_the_floor_bounds_every_head_price_from_below(seed, augmentation):
     for units, _, taken, flows, pricing in _priced_states(inst, rng):
         for head in free_leg_candidates(inst, units):
             arc = inst.arc(head)
-            for (core, shared), floor in pricing.head_bound(arc)[0]:
+            touched = pricing.head_bound(arc)[0]
+            priced = dict(greedy.head_pairs(inst, flows, taken, pricing, head, touched))
+            for (core, shared), floor in touched:
                 prefix = shared.prefix
                 entered = _entered_steps(arc, shared)
                 assert entered
                 assert floor == prefix[-1] - sum(prefix[i + 1] - prefix[i] for i in entered)
-                flow = flows[core.representative]
-                stops = pricing.stops[core.representative]
-                cover = primal_dual_ring_cover(inst, flow, stops, taken, head)
-                assert floor <= cover.cost
+                assert floor <= priced[core].cost
 
 
 @settings(max_examples=40, deadline=None)

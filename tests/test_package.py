@@ -281,6 +281,31 @@ def _calls(tree):
                 yield getattr(stmt, "name", None), node.func
 
 
+def test_a_head_is_priced_in_one_place():
+    # the cross-check reads the solver's pricing, not a copy: in src/rkec and
+    # scripts/, only ``head_pairs`` calls ``_cover`` with a head (a fifth
+    # argument, a head keyword or an unpacking) and only ``_cover``, passing
+    # its own on, the primal-dual; no script imports the exact ring oracle
+    priced = set()
+    scripts = sorted((ROOT / "scripts").glob("*.py"))
+    for path in [*sorted(PACKAGE.glob("*.py")), *scripts]:
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                callee = isinstance(node, ast.Call) and ast.unparse(node.func).rsplit(".", 1)[-1]
+                if callee in ("_cover", "primal_dual_ring_cover"):
+                    head = node.args[4:] + [a for a in node.args if isinstance(a, ast.Starred)]
+                    head += [kw.value for kw in node.keywords if kw.arg in ("head", None)]
+                    if any(ast.unparse(arg) != "None" for arg in head):
+                        priced.add((path.name, stmt.name, callee))
+    assert priced == {
+        ("greedy.py", "_cover", "primal_dual_ring_cover"), ("greedy.py", "head_pairs", "_cover"),
+    }
+    for path in scripts:
+        tree = ast.parse(path.read_text())
+        aliases = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert "brute_force_ring_cover" not in aliases | _names(tree), path.name
+
+
 def test_below_the_report_a_selection_is_per_edge_counts():
     # flows and the greedy take a selection as edge id -> copies bought and
     # convert no unit list into it; the verifier rebuilds a solution from its

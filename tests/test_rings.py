@@ -13,16 +13,18 @@ from hypothesis import strategies as st
 
 from rkec import rings
 from rkec.greedy import candidate_heads
-from rkec.rings import min_violated_set, primal_dual_ring_cover, ring_stops
+from rkec.rings import min_violated_set, primal_dual_ring_cover
 from rkec.instance import selection_from_units
 from rkec.solver import solve
 
 from conftest import INSTANCE_A_JSON, small_random_instance
-from oracles import brute_force_ring_cover, enumerate_arc_family, nested_chain_certificate
+from oracles import enumerate_arc_family, nested_chain_certificate
 from reference import (
     build_ring_context,
     carried_ring,
     enumerated_ring_family,
+    exact_ring_cover,
+    flow_state,
     free_leg_candidates,
     fresh_cover,
     grown_min_violated_set,
@@ -43,13 +45,7 @@ def ring_for(inst, units, target_members):
 
 
 def stops_for(inst, units, target_members):
-    cores = rooted_cores(inst, units)
-    target = next(c for c in cores if c.members == frozenset(target_members))
-    return ring_stops(inst, cores)[target.representative]
-
-
-def _flow_state(flow):
-    return flow.to[:], {v: row[:] for v, row in flow.adj.items()}, flow.cap[:], flow.value
+    return ring_for(inst, units, target_members)[1]
 
 
 def test_context_shape(instance_a):
@@ -59,10 +55,10 @@ def test_context_shape(instance_a):
     # edges alone (there are none): no arc onto the stop, and the head
     # 0 -> 1 never joins it, a primal-dual only reads through it
     assert flow.to == [] and flow.value == 0  # k - level: k = 1, the core {2} at level 1
-    before = _flow_state(flow)
+    before = flow_state(flow)
     cover = primal_dual_ring_cover(instance_a, flow, stops, taken, 1)
     assert 1 not in cover.legs  # the head's edge is never a leg
-    assert _flow_state(flow) == before
+    assert flow_state(flow) == before
 
 
 def test_context_symmetry(instance_a):
@@ -249,7 +245,7 @@ def test_a_ring_read_on_the_carried_flow_matches_a_fresh_ring_flow(seed):
             flow, stops = carried_ring(inst, state, cores, core)
             fresh = build_ring_context(inst, state, cores, core)
             assert flow.value == fresh.value
-            before = _flow_state(flow)
+            before = flow_state(flow)
             for p in (0.0, 0.2, 0.4, 0.7):
                 trial = [u for u in free if rng.random() < p]
                 assert min_violated_set(inst, flow, stops, trial) == min_violated_set(
@@ -259,7 +255,7 @@ def test_a_ring_read_on_the_carried_flow_matches_a_fresh_ring_flow(seed):
                 assert primal_dual_ring_cover(
                     inst, flow, stops, taken, head
                 ) == primal_dual_ring_cover(inst, fresh, frozenset(), taken, head)
-            assert _flow_state(flow) == before
+            assert flow_state(flow) == before
 
 
 @settings(max_examples=50, deadline=None)
@@ -283,11 +279,6 @@ def test_a_ring_read_matches_growing_the_ring_flow(seed):
                 assert min_violated_set(inst, flow, frozenset(), trial) == expected
 
 
-def _leg_candidates(inst, units, head):
-    """Every positive edge with a copy free, the head's edge excluded."""
-    return [e for e in free_leg_candidates(inst, units) if e != head]
-
-
 def _enumerated_ring(inst, units, cores, core):
     family = enumerated_ring_family(inst, units, cores, core)
     if family.level != rooted_max_level(inst, units):
@@ -301,13 +292,8 @@ def test_primal_dual_exact_against_enumeration(seed):
     rng = random.Random(seed)
     inst = small_random_instance(rng)
     for units, cores, core, head, cover in _ring_samples(inst, rng):
-        ring = _enumerated_ring(inst, units, cores, core)
-        assert ring is not None and ring.is_ring
-        head_arc = inst.arc(head)
-        candidates = [
-            (e, *inst.arc(e), inst.edge_by_id[e].cost) for e in _leg_candidates(inst, units, head)
-        ]
-        oracle = brute_force_ring_cover(ring.members, head_arc, candidates)
+        level, ring, oracle = exact_ring_cover(inst, units, cores, core, head)
+        assert level == rooted_max_level(inst, units) and ring.is_ring
         if oracle is None:
             assert cover is None
         else:
@@ -410,8 +396,8 @@ def test_every_candidate_is_dual_feasible(seed):
 
 def test_ring_cross_check_script_passes(capsys):
     # scripts/ring_cross_check.py prices each pair fresh, through the
-    # solver's shared pricing context, and exhaustively; all must agree, over
-    # the script's default run, whose counts are pinned
+    # solver's own pricing (``greedy.head_pairs``), and exhaustively; all must
+    # agree, over the script's default run, whose counts are pinned
     path = Path(__file__).resolve().parents[1] / "scripts" / "ring_cross_check.py"
     spec = importlib.util.spec_from_file_location("ring_cross_check", path)
     script = importlib.util.module_from_spec(spec)
