@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Stress the primal-dual ring cover against exhaustive enumeration.
+"""Stress the star pricing against fresh ring flows and exhaustive enumeration.
 
 Usage: python scripts/ring_cross_check.py [--seeds N] [--per-state HEADS]
 
@@ -7,24 +7,11 @@ Random small instances, their positive costs divided by a drawn denominator,
 are driven into random partial-selection states: one of the instance itself
 and one of the instance with a drawn positive edge removed, where a ring
 member can lose its last entering leg and so exercise the unpriceable case.
-Every (core, head) pair gets priced three ways: by the primal-dual on a ring
-flow built afresh for the pair (``fresh_cover`` of the tests' ``reference``:
-a new residual over the working and saturating arcs), by the solver's own
-pricing (``greedy.pricing_context`` over the state's root flows, then
-``greedy.head_pairs`` with the touched cores ``StarPricing.head_bound``
-finds), and by the exact hitting-set search over rational costs (the tests'
-``reference.exact_ring_cover``).  A state whose pricing context raises
-``InfeasibleError`` has no solver path: the raise must be the one
-``flows.require_feasible`` raises for the instance, and its pairs are
-priced fresh and exactly only.  The solver's cover must equal the fresh one
-whole (legs, cost and dual chain), and their cost must equal the exact one
-as a rational: the primal-dual covers cost integers in units of
-1/``cost_scale``, so they are rescaled before the comparison.  A cover
-that fails its certificate raises, and counts as a mismatch.  So does a
-cover whose dual overpays some candidate leg (``overpaid_candidates`` of
-the tests' ``reference``), a pair whose skip-test floor (``head_bound``'s,
-rescaled the same way) exceeds its exact price, and an unpriceable pair
-that either primal-dual still prices.
+Each state goes through ``check_state`` of the tests' ``reference``, which
+prices its first HEADS free heads through the solver's own pricing and
+compares every (core, head) pair with a ring flow built afresh and with the
+exact ring-cover oracle.  Prints each mismatch it reports and the counts;
+exits 1 on any mismatch.
 """
 
 import argparse
@@ -39,78 +26,10 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from rkec.cli import _size_cap  # noqa: E402
-from rkec.deficiency import cores_of  # noqa: E402
-from rkec.flows import require_feasible, root_flows  # noqa: E402
 from rkec.generate import GenParams, generate_instance  # noqa: E402
-from rkec.greedy import head_pairs, pricing_context  # noqa: E402
-from rkec.instance import InfeasibleError, Instance, selection_from_units  # noqa: E402
+from rkec.instance import Instance  # noqa: E402
 
-from reference import (  # noqa: E402
-    exact_ring_cover,
-    free_leg_candidates,
-    fresh_cover,
-    overpaid_candidates,
-    positive_units,
-)
-
-
-def check_state(inst, state, per_state, seed):
-    """Price the first ``per_state`` heads of ``state`` against every core;
-    returns (contexts, mismatches, unpriceable)."""
-    contexts = mismatches = unpriceable = 0
-    scale = inst.cost_scale
-    taken = selection_from_units(state)
-    flows = dict(root_flows(inst, taken, inst.k))  # as the greedy carries them
-    cores = cores_of(inst, flows)[1]
-    if not cores:
-        return contexts, mismatches, unpriceable
-    heads = free_leg_candidates(inst, state)
-    try:
-        pricing = pricing_context(inst, flows, taken, cores)
-    except AssertionError as exc:  # a shared cover failed its certificate
-        print(f"MISMATCH seed={seed}: {exc}")
-        return contexts, 1, unpriceable
-    except InfeasibleError as exc:  # some core's ring is uncoverable
-        pricing = None
-        try:
-            require_feasible(inst)
-        except InfeasibleError as expected:
-            exc = None if expected.args == exc.args else exc
-        if exc is not None:
-            print(f"MISMATCH seed={seed}: {exc}")
-            mismatches += 1
-    for head in heads[:per_state]:
-        touched = pricing.head_bound(inst.arc(head))[0] if pricing else []
-        floors = {core: floor for (core, _), floor in touched}
-        for core in cores:
-            exact = exact_ring_cover(inst, state, cores, core, head)[2]
-            contexts += 1
-            floor = floors.get(core)  # None: the pair reuses the shared cover
-            try:
-                fresh = fresh_cover(inst, state, cores, core, head)
-                if pricing is None:
-                    solver = fresh  # no solver path to compare
-                else:
-                    solver = dict(head_pairs(inst, flows, taken, pricing, head, touched))[core]
-            except AssertionError as exc:  # a cover failed its certificate
-                print(f"seed={seed}: {exc}")
-                bad = True
-            else:
-                if exact is None:
-                    unpriceable += 1
-                    bad = fresh is not None or solver is not None
-                else:
-                    bad = (
-                        solver != fresh
-                        or fresh is None
-                        or Fraction(fresh.cost, scale) != exact[0]
-                        or overpaid_candidates(inst, state, fresh, head) != []
-                        or (floor is not None and Fraction(floor, scale) > exact[0])
-                    )
-            if bad:
-                mismatches += 1
-                print(f"MISMATCH seed={seed} core={sorted(core.members)} head={head}")
-    return contexts, mismatches, unpriceable
+from reference import check_state, positive_units  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -142,10 +61,12 @@ def main(argv=None) -> int:
             cut = replace(inst, edges=tuple(e for e in inst.edges if e != dropped))
             cases.append((cut, frozenset(u for u in positive_units(cut) if rng.random() < 0.3)))
         for case, state in cases:
-            counts = check_state(case, state, args.per_state, seed)
+            counts = check_state(case, state, args.per_state)
             contexts += counts[0]
-            mismatches += counts[1]
-            unpriceable += counts[2]
+            unpriceable += counts[1]
+            mismatches += len(counts[2])
+            for line in counts[2]:
+                print(f"MISMATCH seed={seed} {line}")
 
     print(
         f"{contexts} contexts in {time.time() - t0:.1f}s: "

@@ -63,12 +63,12 @@ def _best_prefix(head_cost: int, costs) -> tuple[int, int]:
     Ties go to the larger j; returns (head + first j costs, j).  Taking cost c
     after j costs lowers the average exactly when c * j <= head + sum of those
     j, and once c * j exceeds it, the average rises for good: it stays below
-    c, and every later cost is at least c.  So the scan stops there.
+    c, and every later cost is at least c.  So the scan stops there; at
+    j = 0 the test reads 0 > head, false for every nonnegative head cost.
     """
-    total = head_cost
-    j = 0
+    total, j = head_cost, 0
     for cost in costs:
-        if j and cost * j > total:
+        if cost * j > total:
             break
         total += cost
         j += 1
@@ -228,8 +228,7 @@ def cheapest_star(inst: Instance, taken, cores, flows) -> Star:
     pair reuses it; every touched pair runs a primal-dual of its own.  With
     the head the dual ascent raises the same sets (each is still the minimal
     violated one); that the reverse delete then keeps the same legs is not
-    proven but checked, cover for cover, by the tests and
-    ``scripts/ring_cross_check.py``.
+    proven but checked, cover for cover, by ``scripts/ring_cross_check.py``.
 
     Bounds: heads are visited in ascending (cost, edge id),
     ``candidate_heads``' order.  Any star with head h has density at least

@@ -128,11 +128,12 @@ def primal_dual_ring_cover(
     the pick's tail, so the sets form a strictly nested chain and the ring
     is covered once the root or a stop joins.  A leg enters a contiguous run
     of steps, from the one its head joins to the one its tail joins.  Each
-    leg is pushed on a heap once, when its head joins, keyed by its cost
-    plus the dual raised so far; less the dual raised by now, that key is
-    its reduced cost, so the heap's top is the next tight leg, and a leg
-    whose tail has joined is popped as stale.  The flow is only read, never
-    changed.
+    leg is pushed on a heap once, when its head joins and its tail has not,
+    keyed by its cost plus the dual raised so far; less the dual raised by
+    now, that key is its reduced cost, so the heap's top is the next tight
+    leg, and a leg whose tail has joined is popped as stale.  The head's
+    edge is never pushed: every read takes its arc, so its tail joins with
+    its head.  The flow is only read, never changed.
     """
     head_arcs = [] if head is None else [inst.arc(head)]
     first: dict[int, int] = {}
@@ -150,7 +151,7 @@ def primal_dual_ring_cover(
         for v in joined:
             first[v] = len(tight_order)
             for eid, tail, cost, mult in inst.positive_entering.get(v, ()):
-                if taken.get(eid, 0) < mult and tail not in violated and eid != head:
+                if taken.get(eid, 0) < mult and tail not in violated:
                     heappush(heap, (cost + prefix[-1], eid, tail, v))
         while heap and heap[0][2] in violated:
             heappop(heap)

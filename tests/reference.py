@@ -18,16 +18,23 @@ record's units counted and costed afresh.  They take
 selections as unit lists and convert them (``selection_from_units``) where
 they call the package's flow and ring primitives, unlike the enumeration
 oracles in ``oracles``, and only tests and ``scripts/ring_cross_check.py``
-call them; ``exact_ring_cover`` is the one call of the exact ring-cover
-oracle on a (core, head) pair.  The small helpers several test modules
-share live here too: ``max_flow_value``, ``instance_view``,
-``rebuild_phases`` and ``flow_state``, a flow's snapshot.
+call them.  ``check_state`` is the one place a state's ring and star
+prices are compared with these references and the exact ring-cover oracle
+(``exact_ring_cover``); the cross-check script and a tier-1 test run it.
+The small helpers several test modules share live here too:
+``max_flow_value``, ``instance_view``, ``rebuild_phases``, ``flow_state``
+(a flow's snapshot), ``load_script`` and ``run_optimized``.
 """
 
+import importlib.util
 import math
+import os
+import subprocess
+import sys
 from bisect import insort
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 from rkec.deficiency import CoreInfo, cores_of
 from rkec.exact import cheapest_completion
@@ -39,9 +46,10 @@ from rkec.flows import (
     solution_of,
     working_arcs,
 )
-from rkec.greedy import Star, StarPricing, _rank, _scan_head
+from rkec.greedy import Star, StarPricing, _rank, _scan_head, head_pairs, pricing_context
 from rkec.instance import (
     Edge,
+    InfeasibleError,
     Instance,
     ParseError,
     SizeRefusalError,
@@ -52,10 +60,10 @@ from rkec.instance import (
     selection_from_units,
     solution_from_doc,
 )
-from rkec.rings import RingCover, primal_dual_ring_cover, ring_stops
+from rkec.rings import RingCover, min_violated_set, primal_dual_ring_cover, ring_stops
 from rkec.solver import SolveReport, phases_doc
 
-from oracles import EnumeratedFamily, brute_force_ring_cover, enumerate_arc_family
+from oracles import RingView, brute_force_ring_cover, enumerate_arc_family
 
 
 def positive_units(inst: Instance) -> tuple[Unit, ...]:
@@ -170,30 +178,155 @@ def overpaid_candidates(inst: Instance, units, cover: RingCover, head: int | Non
     return out
 
 
-def enumerated_ring_family(inst: Instance, units, all_cores, target: CoreInfo) -> EnumeratedFamily:
-    """The enumerated family of the target's ring graph without a head: the
-    working arcs of ``units`` and the arcs saturating the other cores."""
+def enumerated_ring(inst: Instance, units, all_cores, target: CoreInfo) -> tuple[int, RingView]:
+    """(level, ring) of the target's ring graph without a head, enumerated:
+    the level of the family over the working arcs of ``units`` and the arcs
+    saturating the other cores, and the target's ring view in it."""
     saturating = saturating_arcs(inst, all_cores, target, rooted_max_level(inst, units))
-    return enumerate_arc_family(
+    family = enumerate_arc_family(
         [v for v in range(inst.node_count) if v != inst.root],
         inst.terminals,
         inst.k,
         working_arcs(inst, selection_from_units(units)) + saturating,
     )
+    return family.level, family.ring_view(target.members)
 
 
-def exact_ring_cover(inst: Instance, units, all_cores, target: CoreInfo, head: int) -> tuple:
-    """(level, ring, exact) for (target, head edge id) at ``units``: the
-    ``enumerated_ring_family``'s level, the target's ring view in it, and
-    ``brute_force_ring_cover`` on that ring over every free leg but the
-    head's edge, (rational cost, sorted leg ids) or None if unpriceable."""
-    family = enumerated_ring_family(inst, units, all_cores, target)
-    ring = family.ring_view(target.members)
+def exact_ring_cover(inst: Instance, units, ring: RingView, head: int) -> tuple | None:
+    """``brute_force_ring_cover`` on an ``enumerated_ring`` of ``units``
+    with head edge ``head``, over every free leg but the head's edge:
+    (rational cost, sorted leg ids), or None if unpriceable."""
     legs = [
         (e, *inst.arc(e), inst.edge_by_id[e].cost)
         for e in free_leg_candidates(inst, units) if e != head
     ]
-    return family.level, ring, brute_force_ring_cover(ring.members, inst.arc(head), legs)
+    return brute_force_ring_cover(ring.members, inst.arc(head), legs)
+
+
+def check_state(inst: Instance, units, per_state: int | None = None) -> tuple[int, int, list]:
+    """Compare the star pricing of the state ``units`` with its references;
+    returns (contexts, unpriceable, mismatches): the (core, head) pairs
+    priced, those the exact oracle finds unpriceable, and a line per
+    mismatch.
+
+    The solver's path is ``pricing_context`` over the carried flows, then
+    ``head_pairs`` once for each of the first ``per_state`` free heads (all
+    by default).  Where the context raises ``InfeasibleError``, the raise
+    must be ``require_feasible``'s, and the carried rings are read by the
+    primal-dual directly.  Any other exception is a mismatch.  Per core,
+    the carried ring must match one built afresh (``build_ring_context``)
+    in flow value, no-head cover and violated-set reads, and its enumerated
+    ring must be a ring at the state's level.  Per pair, the solver's cover must
+    equal the fresh one whole (legs, cost and dual chain) and cover the
+    carried ring, the exact oracle (``exact_ring_cover``) must agree on its
+    price, or that there is none, and the head's floor must not exceed it.
+    Every cover must be dual feasible (``overpaid_candidates``), its legs
+    sorted and distinct, each with a copy free, and never the head's edge.
+    The carried flows must be left exactly as they were (``flow_state``).
+    """
+    scale = inst.cost_scale
+    taken = selection_from_units(units)
+    flows = dict(root_flows(inst, taken, inst.k))  # as the greedy carries them
+    level, cores = cores_of(inst, flows)
+    if not cores:
+        return 0, 0, []
+    before = {t: flow_state(flow) for t, flow in flows.items()}
+    stops = ring_stops(inst, cores)
+    free = free_leg_candidates(inst, units)
+    mismatches = []
+    try:
+        pricing = pricing_context(inst, flows, taken, cores)
+    except InfeasibleError as exc:  # some core's ring is uncoverable
+        pricing = None
+        try:
+            require_feasible(inst)
+        except InfeasibleError as expected:
+            exc = None if expected.args == exc.args else exc
+        if exc is not None:
+            mismatches.append(f"pricing raised {exc!r}")
+    except Exception as exc:  # a shared cover failed its certificate, say
+        return 0, 0, [f"pricing raised {exc!r}"]
+
+    def carried(core, head=None):  # the primal-dual on the carried ring
+        rep = core.representative
+        return primal_dual_ring_cover(inst, flows[rep], stops[rep], taken, head)
+
+    def carried_read(core, edges):
+        rep = core.representative
+        return min_violated_set(inst, flows[rep], stops[rep], edges)
+
+    fresh_flows, rings = {}, {}
+    for core in cores:
+        where = f"core={sorted(core.members)} no head"
+        try:
+            fresh_flows[core] = fresh = build_ring_context(inst, units, cores, core)
+            family_level, rings[core] = enumerated_ring(inst, units, cores, core)
+            bare = primal_dual_ring_cover(inst, fresh, frozenset(), taken)
+            bad = (
+                family_level != level
+                or not rings[core].is_ring
+                or flows[core.representative].value != fresh.value
+                or (dict(pricing.ranked)[core] if pricing else carried(core)) != bare
+                or (bare is not None and overpaid_candidates(inst, units, bare, None) != [])
+                or any(
+                    carried_read(core, edges) != min_violated_set(inst, fresh, frozenset(), edges)
+                    for edges in ((), free[::2], free[1::2])
+                )
+            )
+        except Exception as exc:  # a cover failed its certificate, say
+            mismatches.append(f"{where}: {exc!r}")
+        else:
+            if bad:
+                mismatches.append(where)
+
+    contexts = unpriceable = 0
+    for head in free[:per_state]:
+        contexts += len(cores)
+        try:
+            if pricing is None:  # no solver path: the carried rings, read with the head
+                floors, solver = {}, {core: carried(core, head) for core in cores}
+            else:
+                touched = pricing.head_bound(inst.arc(head))[0]
+                floors = {core: floor for (core, _), floor in touched}
+                solver = dict(head_pairs(inst, flows, taken, pricing, head, touched))
+        except Exception as exc:  # the solver path raised
+            mismatches.append(f"head={head}: {exc!r}")
+            continue
+        for core in cores:
+            where = f"core={sorted(core.members)} head={head}"
+            try:
+                exact = exact_ring_cover(inst, units, rings[core], head)
+                unpriceable += exact is None
+                fresh_flow = fresh_flows[core]
+                fresh = primal_dual_ring_cover(inst, fresh_flow, frozenset(), taken, head)
+                bad = (
+                    solver[core] != fresh
+                    or carried_read(core, [head])
+                    != min_violated_set(inst, fresh_flow, frozenset(), [head])
+                )
+                if exact is None:
+                    bad = bad or fresh is not None
+                else:
+                    bad = (
+                        bad
+                        or fresh is None
+                        or Fraction(fresh.cost, scale) != exact[0]
+                        or overpaid_candidates(inst, units, fresh, head) != []
+                        or carried_read(core, [head, *fresh.legs]) is not None
+                        or head in fresh.legs
+                        or fresh.legs != tuple(sorted(set(fresh.legs)))
+                        or any(taken.get(e, 0) >= inst.edge_by_id[e].mult for e in fresh.legs)
+                        # an untouched pair has no floor of its own
+                        or Fraction(floors.get(core, 0), scale) > exact[0]
+                    )
+            except Exception as exc:  # a cover failed its certificate, say
+                mismatches.append(f"{where}: {exc!r}")
+            else:
+                if bad:
+                    mismatches.append(where)
+    if {t: flow_state(flow) for t, flow in flows.items()} != before:
+        mismatches.append("a carried flow changed")
+    return contexts, unpriceable, mismatches
 
 
 def price_star_edges(inst: Instance, units, cores) -> dict[tuple[int, CoreInfo], RingCover]:
@@ -486,3 +619,24 @@ def density_violations(inst: Instance, report: SolveReport, *, max_units: int) -
 def rebuild_phases(doc: dict) -> None:
     """Derive a solve report document's phases from its (edited) records again."""
     doc["phases"] = phases_doc(solution_from_doc(doc["solution"]).audit)
+
+
+def load_script(path: Path, monkeypatch):
+    """Import the script at ``path`` as a module of its own name, registered
+    in ``sys.modules`` for the test's run (its dataclasses look it up)."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_optimized(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` under ``python -O``, which strips ``assert``, with the
+    checkout's ``src`` on its import path; output captured as text."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120,
+    )

@@ -24,6 +24,7 @@ from rkec.verify import audit_run, bound_decision, check_feasible
 
 from oracles import enumerate_rooted, nested_chain_certificate, tabulate_rooted
 from reference import (
+    enumerated_ring,
     exact_ring_cover,
     free_leg_candidates,
     fresh_cover,
@@ -82,14 +83,15 @@ def ring_samples(corpus):
             assert level == rec.phase_level
             heads = free_leg_candidates(inst, state)
             picked = {heads[0], heads[len(heads) // 2], rec.star_center}
+            rings = {core: enumerated_ring(inst, state, cores, core) for core in cores}
+            assert {family_level for family_level, _ in rings.values()} == {level}
             for head in sorted(picked):
                 if head not in heads:
                     continue
                 for core in cores:
-                    family_level, ring, exact = exact_ring_cover(inst, state, cores, core, head)
-                    assert family_level == level
+                    ring = rings[core][1]
                     cover = fresh_cover(inst, state, cores, core, head)
-                    samples.append((inst, head, ring, cover, exact))
+                    samples.append((inst, head, ring, cover, exact_ring_cover(inst, state, ring, head)))
     return samples, time.perf_counter() - t0
 
 

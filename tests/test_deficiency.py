@@ -1,8 +1,4 @@
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +9,7 @@ from rkec.instance import ParseError
 
 from conftest import small_random_instance
 from oracles import ExplicitSetFunction, enumerate_explicit, enumerate_rooted, tabulate_rooted
-from reference import positive_units, rooted_cores, rooted_max_level
+from reference import positive_units, rooted_cores, rooted_max_level, run_optimized
 
 
 def test_fixture_level_and_cores(instance_a):
@@ -66,19 +62,13 @@ def test_a_core_whose_representative_is_off_the_level_is_refused():
     with pytest.raises(AssertionError, match="core representative 1 has flow 1, not 0"):
         cores_of(namespace["inst"], namespace["flows"])
 
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = [str(src), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    script = _OFF_LEVEL + """
+    proc = run_optimized(_OFF_LEVEL + """
 assert False, "asserts must be stripped in this interpreter"
 try:
     cores_of(inst, flows)
 except AssertionError as exc:
     print("raised:", exc)
-"""
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
+""")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "raised: core representative 1 has flow 1, not 0\n"
 

@@ -1,7 +1,5 @@
-import importlib.util
 import json
 import random
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,7 +28,7 @@ from rkec.instance import (
 from rkec.solver import report_from_doc, report_to_doc, solve
 
 from conftest import INSTANCE_A_JSON, small_random_instance
-from reference import parse_instance_per_edge, per_edge_costs, positive_units
+from reference import load_script, parse_instance_per_edge, per_edge_costs, positive_units
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -299,20 +297,12 @@ def test_parse_matches_the_per_edge_parser(doc):
         assert instance_to_json(fast) == instance_to_json(slow)
 
 
-def _load_script(path: Path, monkeypatch):
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_every_generated_instance_round_trips(monkeypatch):
     # the 500 corpus instances and the ladder of scripts/bench.py, and the
     # midsize and wide pools of perfbench
-    bench = _load_script(ROOT / "scripts" / "bench.py", monkeypatch)
+    bench = load_script(ROOT / "scripts" / "bench.py", monkeypatch)
     params = [p for _, row in bench.rows() for p in row]
-    pools = _load_script(ROOT / "perfbench" / "workloads.py", monkeypatch).WORKLOADS
+    pools = load_script(ROOT / "perfbench" / "workloads.py", monkeypatch).WORKLOADS
     params += [*pools["midsize"].params, *pools["wide"].params]
     assert len(params) == 500 + 3 + 8 + 6
     for p in params:

@@ -2,7 +2,6 @@
 
 import ast
 import importlib
-import importlib.util
 import inspect
 import json
 import os
@@ -22,6 +21,10 @@ from rkec.flows import Residual
 from rkec.generate import default_corpus_params, generate_instance
 from rkec.solver import solve
 from rkec.verify import audit_run
+
+from reference import load_script
+from test_acceptance import CORPUS_REPORTS_SHA256
+from test_solver import LADDER_REPORT_SHA256
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rkec"
@@ -471,17 +474,15 @@ def test_scripts_reject_negative_counts(tmp_path, script, args):
 # (120, 40, 3) ladder report, and the (200, 60, 3) and (300, 90, 3) ones,
 # pinned only here
 BENCH_DIGESTS = {
-    "corpus": "bd8f43a18b8297a1921937de5f65ab6b79d3eb4ad848741cd5a123803b5087f7",
-    "ladder-120-40-3": "128dd007ee6f9e2e7cf4ff9481f14ff72f6231d8bd87fff0f02220967856baac",
+    "corpus": CORPUS_REPORTS_SHA256,
+    "ladder-120-40-3": LADDER_REPORT_SHA256,
     "ladder-200-60-3": "4d8ebf3b5a686537e58054633a044ee77af1d69901b0348a33cf7c1bd638bb45",
     "ladder-300-90-3": "13b3e2d0a1cce74666b38a92e07b75d16285393ec315769e801339ebbbf5f2e2",
 }
 
 
 def test_bench_script_writes_its_rows(tmp_path, monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script(ROOT / "scripts" / "bench.py", monkeypatch)
     monkeypatch.chdir(tmp_path)
     assert script.main(["smoke", "--rounds", "1"]) == 0
     doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())

@@ -1,11 +1,7 @@
 import hashlib
-import os
 import random
-import subprocess
-import sys
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +30,7 @@ from rkec.solver import (
 from rkec.verify import bound_decision, check_feasible
 
 from conftest import INSTANCE_A_JSON, small_random_instance
-from reference import positive_units, pruned_by_units, rooted_max_level
+from reference import positive_units, pruned_by_units, rooted_max_level, run_optimized
 
 
 def phases(report):
@@ -183,14 +179,16 @@ def test_report_round_trip(instance_a):
     assert [ph["level"] for ph in phases(again)] == [ph["level"] for ph in phases(report)]
 
 
+# sha256 of the (120, 40, 3) ladder report, ``dump_json(report_to_doc(...))``
+LADDER_REPORT_SHA256 = "128dd007ee6f9e2e7cf4ff9481f14ff72f6231d8bd87fff0f02220967856baac"
+
+
 def test_a_ladder_report_is_pinned():
     # the corpus never reaches rings of 40 terminals, so a tie-break slip
     # there would pass the corpus digest; this report's bytes are pinned
     inst = generate_instance(GenParams(120, 40, 3, density=Fraction(3, 10), root_bias=2, seed=1))
     text = dump_json(report_to_doc(solve(inst)))
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "128dd007ee6f9e2e7cf4ff9481f14ff72f6231d8bd87fff0f02220967856baac"
-    )
+    assert hashlib.sha256(text.encode()).hexdigest() == LADDER_REPORT_SHA256
 
 
 @settings(max_examples=40, deadline=None)
@@ -273,13 +271,7 @@ except AssertionError as exc:
 
 def test_solve_checks_final_feasibility_under_python_O():
     # the same forced failure in an interpreter that strips ``assert``
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = [str(src), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _FORCED_SHORT_UNDER_O],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_optimized(_FORCED_SHORT_UNDER_O)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: greedy selection leaves a terminal short of k")
 
