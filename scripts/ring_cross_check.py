@@ -10,8 +10,10 @@ member can lose its last entering leg and so exercise the unpriceable case.
 Each state goes through ``check_state`` of the tests' ``reference``, which
 prices its first HEADS free heads through the solver's own pricing and
 compares every (core, head) pair with a ring flow built afresh and with the
-exact ring-cover oracle.  Prints each mismatch it reports and the counts;
-exits 1 on any mismatch.
+exact ring-cover oracle.  Each instance and its cut copy are also solved
+through ``check_reused_covers``, which compares every ring cover the solve
+reuses at a later star with one priced afresh there.  Prints each mismatch
+either check reports and the counts; exits 1 on any mismatch.
 """
 
 import argparse
@@ -29,7 +31,7 @@ from rkec.cli import _size_cap  # noqa: E402
 from rkec.generate import GenParams, generate_instance  # noqa: E402
 from rkec.instance import Instance  # noqa: E402
 
-from reference import check_state, positive_units  # noqa: E402
+from reference import check_reused_covers, check_state, positive_units  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -39,7 +41,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     t0 = time.time()
-    contexts = mismatches = unpriceable = 0
+    contexts = mismatches = unpriceable = reused = reuse_mismatches = 0
     for seed in range(1, args.seeds + 1):
         rng = random.Random(seed)
         inst = generate_instance(GenParams(
@@ -67,12 +69,18 @@ def main(argv=None) -> int:
             mismatches += len(counts[2])
             for line in counts[2]:
                 print(f"MISMATCH seed={seed} {line}")
+            checked, lines = check_reused_covers(case)
+            reused += checked
+            reuse_mismatches += len(lines)
+            for line in lines:
+                print(f"MISMATCH seed={seed} reused {line}")
 
     print(
         f"{contexts} contexts in {time.time() - t0:.1f}s: "
         f"{mismatches} mismatches, {unpriceable} unpriceable"
     )
-    return 1 if mismatches else 0
+    print(f"{reused} reused covers: {reuse_mismatches} mismatches")
+    return 1 if mismatches or reuse_mismatches else 0
 
 
 if __name__ == "__main__":

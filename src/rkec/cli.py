@@ -115,11 +115,14 @@ def _read_optimum(inst, path: str):
     return opt
 
 
-def _optimum(inst, args):
-    """The exact optimum ``--opt`` names or ``--brute`` finds, else None."""
+def _optimum(inst, args, rebuilt):
+    """The exact optimum ``--opt`` names or ``--brute`` finds, starting from
+    the report's feasible ``rebuilt`` solution, else None."""
     if args.opt:
         return _read_optimum(inst, args.opt)
-    return brute_force_opt(inst, max_units=args.max_brute_edges) if args.brute else None
+    if not args.brute:
+        return None
+    return brute_force_opt(inst, max_units=args.max_brute_edges, incumbent=rebuilt.selected)
 
 
 def _short_audit(args, rebuilt, solution) -> int:
@@ -183,11 +186,13 @@ def cmd_bench(args) -> int:
         row["cost"] = str(report.solution.total_cost)
         opt = None
         if row["units"] <= args.max_brute_edges:
-            opt = brute_force_opt(inst, max_units=args.max_brute_edges)
+            opt = brute_force_opt(
+                inst, max_units=args.max_brute_edges, incumbent=report.solution.selected
+            )
             row["opt"] = str(opt.total_cost)
         else:
             row["opt"] = None
-        audit = audit_run(inst, report, lambda: opt)
+        audit = audit_run(inst, report, lambda _: opt)
         if not audit.clean:
             row["status"] = "audit violation"
             worst = max(worst, EXIT_VIOLATION)

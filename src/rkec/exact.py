@@ -19,28 +19,42 @@ from .flows import require_feasible, root_flows, solution_of
 from .instance import Instance, SizeRefusalError, Solution
 
 
-def brute_force_opt(inst: Instance, *, max_units: int = 22) -> Solution:
+def brute_force_opt(inst: Instance, *, max_units: int = 22, incumbent=None) -> Solution:
     """Exact minimum-cost feasible selection: the solution of the edges
-    ``cheapest_completion`` picks from nothing.
+    ``cheapest_completion`` picks from nothing, starting from ``incumbent``
+    (a feasible selection, edge id -> copies) when one is given.
 
     Raises SizeRefusalError when there are more than ``max_units`` positive
-    units, and InfeasibleError when even every unit leaves a terminal short.
+    units, and InfeasibleError when even every unit leaves a terminal short;
+    a feasible incumbent already proves that it does not, so then the check
+    is skipped.
     """
     count = inst.positive_unit_count
     if count > max_units:
         raise SizeRefusalError(
             f"{count} positive edge units exceed the enumeration cap {max_units}"
         )
-    require_feasible(inst)
-    return solution_of(inst, Counter(cheapest_completion(inst, {})[1]))
+    if incumbent is None:
+        require_feasible(inst)
+    return solution_of(inst, Counter(cheapest_completion(inst, {}, incumbent)[1]))
 
 
-def cheapest_completion(inst: Instance, preselected) -> tuple[int, tuple[int, ...]]:
+def cheapest_completion(
+    inst: Instance, preselected, incumbent=None
+) -> tuple[int, tuple[int, ...]]:
     """(cost, sorted edge ids, one per copy) of the cheapest completion of
     the selection ``preselected`` (edge id -> copies bought), by branch and
     bound over the positive edges' other copies; the instance must be
     feasible with every copy.  The cost is an integer in units of
     1/``inst.cost_scale``, the preselected copies not counted.
+    ``incumbent``, if given, is a feasible completion (positive edge id ->
+    copies, within the copies ``preselected`` leaves), and the search
+    starts with it as its incumbent: its cost recomputed and its sorted
+    edge ids as key.  The answer is the same: the bound and the branch cut
+    only what costs strictly more than the incumbent, so the search still
+    reaches every minimal optimal completion and keeps the least key among
+    them; an optimal incumbent is one of those, since costs are positive,
+    and any other costs more than the optimum.
 
     Ties are broken toward the lexicographically smallest edge-id multiset.
     The search branches on the edges entering the worst terminal's closest
@@ -58,11 +72,11 @@ def cheapest_completion(inst: Instance, preselected) -> tuple[int, tuple[int, ..
     (``Residual.grow``), recurses on the terminals still below k, and rolls
     every flow back to its ``mark`` when it returns.  Below k a flow is a
     maximum flow, so its closest sink side is the one a fresh flow would
-    give.  The search starts with no incumbent: its first dive, always down
-    the cheapest branch and never cut by the bound, is a greedy repair that
-    reaches a leaf, and with no deficient terminal the root itself is the
-    leaf (cost 0, no edges).  The plain enumeration it is checked against
-    lives with the tests.
+    give.  Without ``incumbent`` the search starts with none: its first
+    dive, always down the cheapest branch and never cut by the bound, is a
+    greedy repair that reaches a leaf, and with no deficient terminal the
+    root itself is the leaf (cost 0, no edges).  The plain enumeration it
+    is checked against lives with the tests.
     """
     # (scaled cost, edge id, arc, copies not preselected) of every positive
     # edge with one, cheapest first, its arc the (tail, head, 1) triple that
@@ -130,6 +144,9 @@ def cheapest_completion(inst: Instance, preselected) -> tuple[int, tuple[int, ..
                 flow.rollback(mark)
 
     best_cost, best_edges = math.inf, ()
+    if incumbent is not None:
+        best_cost = sum(inst.scaled_cost(e) * c for e, c in incumbent.items())
+        best_edges = tuple(sorted(Counter(incumbent).elements()))
     root = [f for _, f in root_flows(inst, preselected, k) if f.value < k]
     search(root, (), frozenset(), 0)
     return best_cost, best_edges

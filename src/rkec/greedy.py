@@ -30,6 +30,14 @@ bound per head node comes first, the same scan for a tail on no chain:
 once it loses for a node, every later head into that node is skipped at
 once.
 
+Ring covers are carried from star to star (``cover_levels``), keyed by
+core members and head (None for the shared cover) with the stops they
+were priced with.  A cover is dropped once a bought edge's head is in its
+footprint (``RingCover.footprint``), and reused while no stop in it was
+added or removed (``_reused``): then every read it made reads the same, so
+the primal-dual would return it again (proof in ``cheapest_star``).  A
+pair with no valid entry runs a primal-dual, and its cover is stored.
+
 The greedy is its own feasibility check: on a feasible instance every ring
 it prices is coverable, and on an infeasible one it cannot finish, so its
 first uncoverable ring raises ``InfeasibleError`` (``_cover``).
@@ -176,7 +184,18 @@ class StarPricing(NamedTuple):
         return touched, floors
 
 
-def pricing_context(inst: Instance, flows, taken, cores) -> StarPricing:
+def _reused(covers, key, stops) -> RingCover | None:
+    """The cover ``covers`` holds for ``key`` = (core members, head edge id
+    or None), if no stop it read differs between the stops it was priced
+    with and ``stops``; None when there is none to reuse.  Proof in
+    ``cheapest_star``."""
+    entry = covers.get(key)
+    if entry is not None and entry[1].footprint.isdisjoint(entry[0] ^ stops):
+        return entry[1]
+    return None
+
+
+def pricing_context(inst: Instance, flows, taken, cores, covers) -> StarPricing:
     """Per core: the no-head ring and its shared price, whose dual chain
     ``StarPricing.head_bound`` reads; the shared covers ranked once for
     every head.
@@ -184,33 +203,48 @@ def pricing_context(inst: Instance, flows, taken, cores) -> StarPricing:
     ``flows`` are the selection's root flows and ``taken`` the selection
     itself, edge id -> copies bought, which the primal-dual reads its legs
     against.  Each core's ring is its representative's flow as it stands,
-    read with the other cores' terminals as stops (``ring_stops``).
+    read with the other cores' terminals as stops (``ring_stops``).  A
+    shared cover ``covers`` holds (``_reused``) is taken as it is; one
+    priced afresh is stored there with its stops.
     """
     stops = ring_stops(inst, cores)
-    ranked = tuple(sorted(
-        ((core, _cover(inst, flows[core.representative], stops[core.representative], taken))
-         for core in cores),
-        key=_rank,
-    ))
-    return StarPricing(stops, ranked)
+    pairs = []
+    for core in cores:
+        rep = core.representative
+        key = (core.members, None)
+        cover = _reused(covers, key, stops[rep])
+        if cover is None:
+            cover = _cover(inst, flows[rep], stops[rep], taken)
+            covers[key] = stops[rep], cover
+        pairs.append((core, cover))
+    return StarPricing(stops, tuple(sorted(pairs, key=_rank)))
 
 
-def head_pairs(inst: Instance, flows, taken, pricing: StarPricing, head: int, touched) -> list:
+def head_pairs(
+    inst: Instance, flows, taken, pricing: StarPricing, head: int, touched, covers
+) -> list:
     """Head edge ``head``'s (core, cover) pairs in ``_rank`` order: each of
     ``touched`` (``head_bound``'s) priced with the head on its core's carried
-    flow (``_cover``), every other pair keeping its shared cover."""
+    flow (``_cover``), or reused from ``covers`` (``_reused``) and stored
+    there when priced afresh; every other pair keeps its shared cover."""
     ranked = list(pricing.ranked)
     for pc, _ in touched:
         ranked.remove(pc)
-        rep = pc[0].representative
-        cover = _cover(inst, flows[rep], pricing.stops[rep], taken, head)
-        insort(ranked, (pc[0], cover), key=_rank)
+        core = pc[0]
+        rep, key = core.representative, (core.members, head)
+        stops = pricing.stops[rep]
+        cover = _reused(covers, key, stops)
+        if cover is None:
+            cover = _cover(inst, flows[rep], stops, taken, head)
+            covers[key] = stops, cover
+        insort(ranked, (core, cover), key=_rank)
     return ranked
 
 
-def cheapest_star(inst: Instance, taken, cores, flows) -> Star:
+def cheapest_star(inst: Instance, taken, cores, flows, covers) -> Star:
     """Same selection as price-everything + best_star at the selection
-    ``taken`` (edge id -> copies bought), pricing lazily off its ``flows``.
+    ``taken`` (edge id -> copies bought), pricing lazily off its ``flows``
+    and reusing the covers of earlier stars that ``covers`` still holds.
 
     Both the reuse and the bound read the shared no-head cover's dual.  It is
     feasible for the ring-cover LP, and its raised sets form a strictly
@@ -265,12 +299,34 @@ def cheapest_star(inst: Instance, taken, cores, flows) -> Star:
     so the node floors give it the same (total, j) and it loses the same
     tie-break.
 
+    Covers carried across stars: ``covers`` maps (core members, head edge
+    id, or None for the shared cover) to the stops a cover was priced with
+    and the cover, whose ``footprint`` holds every node its reads added to
+    a side.  ``cover_levels`` drops an entry once a bought edge's head is
+    in its footprint, and a lookup (``_reused``) takes it only when no stop
+    in its footprint was added or removed since; every other pair is priced
+    afresh and stored.  A cover that passes both tests is the one the
+    primal-dual would compute now, since each of its reads reads the same.
+    A read expands only nodes it adds, and at a node x it reads x's
+    residual arcs, whether x is a stop and, in the ascent, the legs into x
+    with a copy free.  A new arc (u, v) changes a read only if the read
+    expands v; ``taken`` changes only for bought edges, whose heads are
+    bought heads; and a read that never expands a stop reads the same with
+    or without it.  Capacities change only when a flow augments, and then
+    the first augmenting path uses a new arc: after the last one, at v, it
+    runs on old residual arcs to the sink, so v was on the old closest sink
+    side.  The ascent's first read, or when it is covered at once the
+    guard read with no edge, visits all of that side, so v is in the
+    footprint and the head test has already dropped the entry; no flow
+    value needs checking.  The core's members fix its representative and
+    so its flow, and the head is part of the key.
+
     An uncoverable ring raises ``InfeasibleError`` (``_cover``).  Every
     ring is read off its representative's carried flow as it stands, so
     pricing a star grows, marks and rolls back no flow: ``flows`` are left
     exactly as they were, whether this returns or raises.
     """
-    pricing = pricing_context(inst, flows, taken, cores)
+    pricing = pricing_context(inst, flows, taken, cores, covers)
     m = len(cores)
     best = None
     node_floors = {}  # head node -> its node bound's floors, once per star
@@ -291,7 +347,7 @@ def cheapest_star(inst: Instance, taken, cores, flows) -> Star:
         touched, floors = pricing.head_bound((edge.tail, node))
         if best is not None and _loses(*_best_prefix(head_cost, floors), head, best):
             continue
-        ranked = head_pairs(inst, flows, taken, pricing, head, touched)
+        ranked = head_pairs(inst, flows, taken, pricing, head, touched, covers)
         scanned = _scan_head(head, head_cost, ranked)
         if best is None or scanned.beats(best):
             best = scanned
@@ -308,20 +364,27 @@ def cover_levels(inst: Instance) -> list[IterationRecord]:
     count in cores at that level (checked as 2 * drop >= leaves, which also
     shrinks their count, as a star has a leaf), and the max level must
     never rise.  A star buys one copy of each of its edges, recorded as
-    (edge id, copies bought before it).
+    (edge id, copies bought before it).  The ring covers priced so far are
+    carried from star to star; after each purchase every cover whose
+    footprint holds a bought edge's head is dropped (``cheapest_star``).
     """
     flows = dict(root_flows(inst, {}, inst.k))
     level, cores = cores_of(inst, flows)
     taken: Counter[int] = Counter()
+    covers: dict = {}  # (core members, head or None) -> (stops, cover)
     records: list[IterationRecord] = []
     while cores:
-        star = cheapest_star(inst, taken, cores, flows)
+        star = cheapest_star(inst, taken, cores, flows, covers)
         bought = sorted(star.edges())
         new_units = tuple((eid, taken[eid]) for eid in bought)
         taken.update(bought)
         arcs = [(*inst.arc(eid), 1) for eid in bought]
         for flow in flows.values():
             flow.grow(arcs, inst.k)
+        heads = {v for _, v, _ in arcs}
+        covers = {
+            key: entry for key, entry in covers.items() if entry[1].footprint.isdisjoint(heads)
+        }
         after_level, after = cores_of(inst, flows)
         if after_level > level:
             raise AssertionError(f"the max level rose from {level} to {after_level}")

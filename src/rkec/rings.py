@@ -37,11 +37,18 @@ per-edge counts, and queues them on a heap.  Every cost here (heap keys,
 dual amounts, cover costs) is an integer in units of
 1/``Instance.cost_scale``, so all of it, the certificate included, is exact
 integer arithmetic.
+
+A cover also keeps its footprint: every node that one of its reads (the
+ascent's, the covered-at-once guard's and each reverse-delete trial's)
+added to a side.  Those are the only nodes whose residual arcs, free
+entering legs and stop status it read, so the greedy reuses a cover at a
+later star while no bought edge's head and no added or removed stop is in
+it (``greedy.cheapest_star``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from .flows import Residual
@@ -60,7 +67,9 @@ def ring_stops(inst: Instance, cores) -> dict[int, frozenset[int]]:
     return {core.representative: terminals - core.members for core in cores}
 
 
-def min_violated_set(inst: Instance, flow: Residual, stops, edges) -> frozenset[int] | None:
+def min_violated_set(
+    inst: Instance, flow: Residual, stops, edges, footprint: set[int] | None = None
+) -> frozenset[int] | None:
     """Inclusion-minimal ring member not covered by ``edges`` (ids: the head,
     if any, and the legs) on the ring of ``flow`` and ``stops``.
 
@@ -68,10 +77,13 @@ def min_violated_set(inst: Instance, flow: Residual, stops, edges) -> frozenset[
     cut at it decides coverage: the edges cover the ring exactly when the
     root or a stop reaches the sink through the residual network and the
     edges' arcs, and otherwise the nodes that reach it are the closest sink
-    side.  One read (``Residual.reach``), and the flow is left as it is.
+    side.  One read (``Residual.reach``), and the flow is left as it is;
+    every node it adds to its side also joins ``footprint``, if given.
     """
     side: set[int] = set()
     flow.reach(side, [inst.arc(e) for e in edges], stops)
+    if footprint is not None:
+        footprint |= side
     return None if inst.root in side else frozenset(side)
 
 
@@ -79,12 +91,16 @@ def min_violated_set(inst: Instance, flow: Residual, stops, edges) -> frozenset[
 class RingCover:
     """Legs and their cost, with the dual that prices them: a nested chain
     of raised sets, step i raising {v : first[v] <= i} by
-    prefix[i + 1] - prefix[i]."""
+    prefix[i + 1] - prefix[i].  ``footprint`` is every node some read of
+    the primal-dual added to a side, the only nodes whose residual arcs,
+    entering legs and stop status it read; it is no part of the cover, so
+    equality ignores it."""
 
     legs: tuple[int, ...]  # edge ids, sorted
     cost: int  # in units of 1/cost_scale
     first: dict[int, int]  # node -> the step whose raised set it joins first
     prefix: tuple[int, ...]  # prefix[i]: the dual raised by the first i steps
+    footprint: frozenset[int] = field(default=frozenset(), compare=False)
 
 
 def _certificate(inst: Instance, cover: RingCover) -> bool:
@@ -133,7 +149,9 @@ def primal_dual_ring_cover(
     now, that key is its reduced cost, so the heap's top is the next tight
     leg, and a leg whose tail has joined is popped as stale.  The head's
     edge is never pushed: every read takes its arc, so its tail joins with
-    its head.  The flow is only read, never changed.
+    its head.  The flow is only read, never changed.  Every node a read
+    adds to its side (the ascent's, the covered-at-once guard's and each
+    trial's) is kept in the cover's ``footprint``.
     """
     head_arcs = [] if head is None else [inst.arc(head)]
     first: dict[int, int] = {}
@@ -143,9 +161,10 @@ def primal_dual_ring_cover(
 
     violated: set[int] = set()  # the chain's current top: every node that reaches the sink
     joined = flow.reach(violated, head_arcs, stops)
+    footprint: set[int] = set()  # every other read's side; the ascent's is violated
     # covered at once: by the head alone, or by nothing at all, which no
     # ring is (a stop on the core's own side would read that way)
-    if inst.root in violated and inst.root in flow.reach(set(), (), stops):
+    if inst.root in violated and inst.root in flow.reach(footprint, (), stops):
         raise AssertionError("a ring's core side reaches the root or a stop with no edge at all")
     while inst.root not in violated:
         for v in joined:
@@ -168,11 +187,15 @@ def primal_dual_ring_cover(
     keep = list(tight_order)
     for e in reversed(tight_order[:-1]):
         trial = [f for f in keep if f != e]
-        if min_violated_set(inst, flow, stops, fixed + trial) is None:
+        if min_violated_set(inst, flow, stops, fixed + trial, footprint) is None:
             keep = trial
 
     picked = tuple(sorted(keep))
-    cover = RingCover(picked, sum(inst.scaled_cost(e) for e in picked), first, tuple(prefix))
+    footprint |= violated
+    cover = RingCover(
+        picked, sum(inst.scaled_cost(e) for e in picked), first, tuple(prefix),
+        frozenset(footprint),
+    )
     if not _certificate(inst, cover):
         raise AssertionError(f"ring cover {picked} fails its strong-duality certificate")
     return cover

@@ -124,7 +124,7 @@ class AuditReport:
 def audit_run(
     inst: Instance,
     report: SolveReport,
-    optimum: Callable[[], Solution | None] | None = None,
+    optimum: Callable[[Solution], Solution | None] | None = None,
     *,
     density_max_units: int | None = None,
 ) -> AuditReport:
@@ -141,7 +141,8 @@ def audit_run(
     rule (the core count must fall by at least half the leaf count:
     2 * drop >= leaf_count).  An infeasible rebuild is unclean, and only a
     feasible one goes on: ``optimum`` (if given) is called once, straight
-    after the rebuild, for the exact optimum or None, and ``pruned`` is
+    after the rebuild and with it (a feasible selection a search may start
+    from), for the exact optimum or None, and ``pruned`` is
     checked against its own rebuild (differing, infeasible, buying an edge
     more often than the solution or carrying any iteration record is
     unclean: a pruned selection has none).  With an optimum: the ratio (1
@@ -152,14 +153,15 @@ def audit_run(
     kept, against the density rule added_cost / drop <= (2 / level) *
     residual_opt / cores_before, where residual_opt is the exact cost of
     completing the instance from the iteration's starting state
-    (``cheapest_completion``, feasible since the rebuild is); an iteration
-    whose core count does not drop violates it.
+    (``cheapest_completion``, feasible since the rebuild is, and started
+    from the part of the selection the records buy from then on); an
+    iteration whose core count does not drop violates it.
     Above the cap ``density_checked`` stays False.
     """
     solution = report.solution
     selected = solution.selected
     rebuilt = check_feasible(inst, solution)
-    opt = optimum() if optimum is not None and rebuilt.feasible else None
+    opt = optimum(rebuilt) if optimum is not None and rebuilt.feasible else None
     solution_ok = rebuilt == solution
     if report.pruned is not None and rebuilt.feasible:
         pruned = check_feasible(inst, report.pruned)
@@ -213,7 +215,8 @@ def audit_run(
         out.density_checked = True
         bought.clear()  # counted again, record by record
         for idx, (rec, (counts, added)) in enumerate(zip(solution.audit, walked)):
-            residual_opt = Fraction(cheapest_completion(inst, bought)[0], inst.cost_scale)
+            rest = Counter(selected) - bought  # a feasible completion of bought
+            residual_opt = Fraction(cheapest_completion(inst, bought, rest)[0], inst.cost_scale)
             drop = rec.cores_before - rec.cores_after
             # added / drop > (2 / level) * residual_opt / cores_before, cross-multiplied
             if drop <= 0 or added * rec.phase_level * rec.cores_before > 2 * residual_opt * drop:

@@ -21,6 +21,9 @@ oracles in ``oracles``, and only tests and ``scripts/ring_cross_check.py``
 call them.  ``check_state`` is the one place a state's ring and star
 prices are compared with these references and the exact ring-cover oracle
 (``exact_ring_cover``); the cross-check script and a tier-1 test run it.
+``check_reused_covers`` compares every ring cover a solve carries over to
+a later star, and would reuse there, with one priced afresh; the script
+and a tier-1 test run it too.
 The small helpers several test modules share live here too:
 ``max_flow_value``, ``instance_view``, ``rebuild_phases``, ``flow_state``
 (a flow's snapshot), ``load_script`` and ``run_optimized``.
@@ -36,6 +39,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+from rkec import greedy
 from rkec.deficiency import CoreInfo, cores_of
 from rkec.exact import cheapest_completion
 from rkec.flows import (
@@ -235,7 +239,7 @@ def check_state(inst: Instance, units, per_state: int | None = None) -> tuple[in
     free = free_leg_candidates(inst, units)
     mismatches = []
     try:
-        pricing = pricing_context(inst, flows, taken, cores)
+        pricing = pricing_context(inst, flows, taken, cores, {})
     except InfeasibleError as exc:  # some core's ring is uncoverable
         pricing = None
         try:
@@ -288,7 +292,7 @@ def check_state(inst: Instance, units, per_state: int | None = None) -> tuple[in
             else:
                 touched = pricing.head_bound(inst.arc(head))[0]
                 floors = {core: floor for (core, _), floor in touched}
-                solver = dict(head_pairs(inst, flows, taken, pricing, head, touched))
+                solver = dict(head_pairs(inst, flows, taken, pricing, head, touched, {}))
         except Exception as exc:  # the solver path raised
             mismatches.append(f"head={head}: {exc!r}")
             continue
@@ -329,6 +333,50 @@ def check_state(inst: Instance, units, per_state: int | None = None) -> tuple[in
     return contexts, unpriceable, mismatches
 
 
+def check_reused_covers(inst: Instance) -> tuple[int, list[str]]:
+    """Walk the stars of one ``cover_levels`` run with the ring covers it
+    carries from star to star; returns (reused covers checked, a line per
+    mismatch).
+
+    Before each star is priced, every carried cover of a current core that
+    passes the solver's own reuse test (``greedy._reused``) must equal a
+    fresh ``greedy._cover`` on the state's carried flows, stops and
+    selection, field for field and footprint too.  A run that raises
+    ``InfeasibleError`` is checked up to the star that raised.
+    """
+    real = greedy.cheapest_star
+    checked, mismatches, stars = 0, [], 0
+
+    def checking(inst, taken, cores, flows, covers):
+        nonlocal checked, stars
+        stars += 1
+        stops = ring_stops(inst, cores)
+        reps = {core.members: core.representative for core in cores}
+        for (members, head), (_, cached) in covers.items():
+            rep = reps.get(members)
+            if rep is None or greedy._reused(covers, (members, head), stops[rep]) is None:
+                continue
+            checked += 1
+            where = f"star={stars} core={sorted(members)} head={head}"
+            try:
+                fresh = greedy._cover(inst, flows[rep], stops[rep], taken, head)
+            except Exception as exc:  # a reused cover whose ring no longer prices
+                mismatches.append(f"{where}: {exc!r}")
+                continue
+            if fresh != cached or fresh.footprint != cached.footprint:
+                mismatches.append(where)
+        return real(inst, taken, cores, flows, covers)
+
+    greedy.cheapest_star = checking
+    try:
+        greedy.cover_levels(inst)
+    except InfeasibleError:
+        pass
+    finally:
+        greedy.cheapest_star = real
+    return checked, mismatches
+
+
 def price_star_edges(inst: Instance, units, cores) -> dict[tuple[int, CoreInfo], RingCover]:
     """Exact leg price for every (candidate head edge id, core) pair.
 
@@ -365,23 +413,29 @@ def best_star(inst: Instance, prices) -> Star:
     return best
 
 
+def entered_steps(arc, cover: RingCover) -> list[int]:
+    """The steps of ``cover``'s dual whose raised set, step i's being
+    {v : first[v] <= i}, the arc (u, v) enters: v in it and u not."""
+    tail, head = arc
+    out = []
+    for i in range(len(cover.prefix) - 1):
+        raised = {v for v, j in cover.first.items() if j <= i}
+        if head in raised and tail not in raised:
+            out.append(i)
+    return out
+
+
 def head_floors(pricing: StarPricing, arc) -> tuple[list, list[int]]:
     """``StarPricing.head_bound`` step by step: a core is touched when the
-    head arc (u, v) enters some step i of its shared dual, first[v] <= i <
-    first[u] (a node off the chain joins after the last step), and its floor
-    is the dual less the entered steps; the head's costs are the shared
-    costs in rank order, each touched one removed and its floor inserted in
-    order."""
-    tail, head = arc
+    head arc enters some raised set of its shared dual (``entered_steps``),
+    and its floor is the dual less the entered steps; the head's costs are
+    the shared costs in rank order, each touched one removed and its floor
+    inserted in order."""
     touched = []
     costs = [cover.cost for _, cover in pricing.ranked]
     for pc in pricing.ranked:
         cover = pc[1]
-        steps = len(cover.prefix) - 1
-        entered = [
-            i for i in range(steps)
-            if cover.first.get(head, steps) <= i < cover.first.get(tail, steps)
-        ]
+        entered = entered_steps(arc, cover)
         if entered:
             floor = cover.cost - sum(cover.prefix[i + 1] - cover.prefix[i] for i in entered)
             touched.append((pc, floor))

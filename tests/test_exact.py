@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -155,6 +156,58 @@ def test_parallel_copies_search_equals_plain_enumeration(seed):
     cost, edges = cheapest_completion(inst, selection_from_units(preselected))
     assert Fraction(cost, inst.cost_scale) == slow.total_cost
     assert edges == copies_of(slow.selected)
+
+
+def twinned(inst, rng):
+    """``inst`` with each positive edge given one to three copies and a twin:
+    the same arc, cost and copies under a larger id, so that every optimum
+    has a copy of the same cost with a larger key."""
+    offset = max((e.id for e in inst.edges), default=0) + 1
+    edges = list(inst.edges)
+    for e in inst.edges:
+        if e.cost > 0:
+            mult = rng.randint(1, 3)
+            edges[edges.index(e)] = Edge(e.id, e.tail, e.head, e.cost, mult)
+            edges.append(Edge(e.id + offset, e.tail, e.head, e.cost, mult))
+    return Instance(inst.node_count, inst.root, inst.terminals, tuple(edges), inst.k), offset
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000))
+def test_a_feasible_incumbent_leaves_the_search_unchanged(seed):
+    # started from a feasible completion, the search returns what it
+    # returns from nothing, for three incumbents: the optimum and one more
+    # copy (not optimal), the optimum moved onto the twins as far as their
+    # free copies go (optimal, with a larger key), and every free copy
+    # (parallel copies of edges with more than one)
+    rng = random.Random(seed)
+    inst, offset = twinned(small_random_instance(rng, max_nodes=4, max_k=3), rng)
+    inst = reachable_k(inst, inst.terminals)
+    units = positive_units(inst)
+    if not units or len(units) > 20:
+        return
+    pre = selection_from_units(u for u in units if rng.random() < 0.3)
+    free = +Counter({e.id: e.mult - pre.get(e.id, 0) for e in inst.positive_edges})
+    cost, key = cheapest_completion(inst, pre)
+    if cost == math.inf:  # no completion: the incumbents would not be feasible
+        return
+    opt = Counter(key)
+    spare = sorted((free - opt).elements())
+    extra = opt + Counter([rng.choice(spare)]) if spare else None
+    moved = Counter()
+    for eid in opt:
+        twin = eid + offset if eid < offset else eid - offset
+        low, high = sorted((eid, twin))
+        pair = opt[low] + opt[high]
+        moved[high] = min(pair, free[high])
+        moved[low] = pair - moved[high]
+    moved = +moved
+    assert copies_of(moved) >= key  # the optimum's key is the least
+    for incumbent in (extra, moved, free):
+        if incumbent is not None:
+            assert cheapest_completion(inst, pre, incumbent) == (cost, key)
+    if not pre:
+        assert brute_force_opt(inst, incumbent=free) == brute_force_opt(inst)
 
 
 def test_size_caps_count_units_without_building_them():

@@ -26,7 +26,9 @@ from conftest import small_random_instance
 from reference import (
     best_star,
     build_ring_context,
+    check_reused_covers,
     check_state,
+    entered_steps,
     flow_state,
     free_leg_candidates,
     fresh_cover,
@@ -69,7 +71,7 @@ def test_cheapest_star_keeps_the_parameters_the_trace_reads():
     # positionally as (inst, taken, cores) and passes the selection on to
     # candidate_heads
     params = list(inspect.signature(cheapest_star).parameters)
-    assert params == ["inst", "taken", "cores", "flows"]
+    assert params == ["inst", "taken", "cores", "flows", "covers"]
 
 
 def test_fixture_prices(instance_a):
@@ -189,7 +191,7 @@ def test_the_fallback_of_an_uncoverable_ring_on_a_feasible_instance_raises(insta
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(greedy, "primal_dual_ring_cover", lambda *args: None)
         with pytest.raises(AssertionError, match="uncoverable on a feasible instance"):
-            cheapest_star(instance_a, {}, rooted_cores(instance_a, ()), flows)
+            cheapest_star(instance_a, {}, rooted_cores(instance_a, ()), flows, {})
     assert {t: flow_state(flow) for t, flow in flows.items()} == before
 
 
@@ -251,7 +253,7 @@ def _assert_lazy_matches_full_at(inst, units, cores):
     the star, or None when the state's pricing raises ``InfeasibleError``."""
     taken = selection_from_units(units)
     try:
-        lazy = cheapest_star(inst, taken, cores, carried_flows(inst, units))
+        lazy = cheapest_star(inst, taken, cores, carried_flows(inst, units), {})
     except InfeasibleError as exc:
         _assert_unpriceable(inst, units, cores, exc)
         return None
@@ -292,7 +294,9 @@ def _untouched_visited_heads(inst, units, cores, star):
     """Heads that touch no core and that ``cheapest_star`` must reach: their
     cost alone is no worse than ``star``'s density times the core count."""
     heads = free_leg_candidates(inst, units)
-    pricing = pricing_context(inst, carried_flows(inst, units), selection_from_units(units), cores)
+    pricing = pricing_context(
+        inst, carried_flows(inst, units), selection_from_units(units), cores, {}
+    )
     return [
         head for head in heads
         if not pricing.head_bound(inst.arc(head))[0]
@@ -315,12 +319,11 @@ def test_sparse_pricing_equals_full_pricing_on_many_cores():
     assert max(untouched) >= 2, untouched
 
 
-def test_a_wide_solve_prices_the_same_pairs():
-    # sparse lookup must not change which (head, core) pairs run a
-    # primal-dual: the shared no-head covers plus the touched pairs that
-    # survive the bound, 288 over one solve of each wide pool instance; nor
-    # which reverse-delete trials run, one per pick but a cover's last, 323
-    calls = {"pd": 0, "mvs": 0}
+def _counting_pricing(mp, calls):
+    """Count, into ``calls``, the primal-dual runs ("pd"), violated-set
+    reads ("mvs"), and the covers reused from an earlier star ("reused")
+    with the reverse-delete trials their primal-dual ran ("reused_mvs"):
+    one per pick but the last, max(steps - 1, 0)."""
 
     def counting(name, real):
         def call(*args):
@@ -328,12 +331,34 @@ def test_a_wide_solve_prices_the_same_pairs():
             return real(*args)
         return call
 
+    def reusing(real):
+        def call(*args):
+            cover = real(*args)
+            if cover is not None:
+                calls["reused"] += 1
+                calls["reused_mvs"] += max(len(cover.prefix) - 2, 0)
+            return cover
+        return call
+
+    calls.update(pd=0, mvs=0, reused=0, reused_mvs=0)
+    mp.setattr(greedy, "primal_dual_ring_cover", counting("pd", greedy.primal_dual_ring_cover))
+    mp.setattr(rings, "min_violated_set", counting("mvs", rings.min_violated_set))
+    mp.setattr(greedy, "_reused", reusing(greedy._reused))
+
+
+def test_a_wide_solve_prices_the_same_pairs():
+    # neither sparse lookup nor reuse may change which (head, core) pairs
+    # are priced: the shared no-head covers plus the touched pairs that
+    # survive the bound, 288 over one solve of each wide pool instance, 199
+    # run a primal-dual and 89 reuse a cover carried from an earlier star;
+    # nor which reverse-delete trials those covers stand for, one per pick
+    # but a cover's last, 323: 221 run and 102 ran for the reused covers
+    calls = {}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(greedy, "primal_dual_ring_cover", counting("pd", greedy.primal_dual_ring_cover))
-        mp.setattr(rings, "min_violated_set", counting("mvs", rings.min_violated_set))
+        _counting_pricing(mp, calls)
         for seed in range(1, 7):
             cover_levels(_wide_instance(seed))
-    assert calls == {"pd": 288, "mvs": 323}
+    assert calls == {"pd": 199, "mvs": 221, "reused": 89, "reused_mvs": 102}
 
 
 def test_ring_reads_neither_grow_nor_undo_a_flow():
@@ -383,34 +408,28 @@ def test_ring_reads_neither_grow_nor_undo_a_flow():
             mp.setattr(Residual, name, counted(name, getattr(Residual, name)))
         for seed in range(1, 7):
             cover_levels(_wide_instance(seed))
-    assert reads["star"] > 0 and (reads["pd"], reads["mvs"]) == (288, 323)
+    assert reads["star"] > 0 and (reads["pd"], reads["mvs"]) == (199, 221)
     assert calls == []
 
 
 def test_a_ladder_solve_skips_the_heads_that_only_tie():
     # with small integer costs many heads' bounds only tie the best star;
-    # pricing every such head took 1,122 primal-dual calls over one solve of
-    # the (120, 40, 3) ladder instance, where skipping those that lose the
-    # tie-break leaves 394
-    real, calls = greedy.primal_dual_ring_cover, 0
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
+    # pricing every such head took 1,122 pairs over one solve of the
+    # (120, 40, 3) ladder instance, where skipping those that lose the
+    # tie-break leaves 394: 195 primal-dual runs and 199 covers reused
     inst = generate_instance(GenParams(120, 40, 3, density=Fraction(3, 10), root_bias=2, seed=1))
+    calls = {}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(greedy, "primal_dual_ring_cover", counting)
+        _counting_pricing(mp, calls)
         cover_levels(inst)
-    assert calls == 394
+    assert (calls["pd"], calls["reused"]) == (195, 199)
 
 
 def _price_in_full(inst, pricing, flows, taken, head):
     """``head``'s exact star: its pairs as the solver prices them
     (``head_pairs``), then ``_scan_head``."""
     touched = pricing.head_bound(inst.arc(head))[0]
-    ranked = greedy.head_pairs(inst, flows, taken, pricing, head, touched)
+    ranked = greedy.head_pairs(inst, flows, taken, pricing, head, touched, {})
     return greedy._scan_head(head, inst.scaled_cost(head), ranked)
 
 
@@ -433,11 +452,11 @@ def _assert_tied_skips_lose(inst, units, cores):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(greedy, "_loses", loses)
         try:
-            cheapest_star(inst, taken, cores, flows)
+            cheapest_star(inst, taken, cores, flows, {})
         except InfeasibleError as exc:
             _assert_unpriceable(inst, units, cores, exc)
             return 0, 0
-    pricing = pricing_context(inst, flows, taken, cores)
+    pricing = pricing_context(inst, flows, taken, cores, {})
     heads = candidate_heads(inst, taken)
     sites = [0, 0]
     for total, j, head, best in ties:
@@ -489,7 +508,7 @@ def _priced_states(inst, rng):
         taken = selection_from_units(units)
         flows = carried_flows(inst, units)
         try:
-            pricing = pricing_context(inst, flows, taken, cores)
+            pricing = pricing_context(inst, flows, taken, cores, {})
         except InfeasibleError as exc:
             _assert_unpriceable(inst, units, cores, exc)
             continue
@@ -505,18 +524,6 @@ def _random_states(inst, rng, count=3):
             yield sample, cores
 
 
-def _entered_steps(arc, cover):
-    """The steps of ``cover``'s dual whose raised set, step i's being
-    {v : first[v] <= i}, ``arc`` enters."""
-    tail, head = arc
-    out = []
-    for i in range(len(cover.prefix) - 1):
-        raised = {v for v, j in cover.first.items() if j <= i}
-        if head in raised and tail not in raised:
-            out.append(i)
-    return out
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 100_000), st.booleans())
 @example(2, False)  # one of its states raises InfeasibleError
@@ -530,7 +537,7 @@ def test_cheapest_star_leaves_the_carried_flows_as_it_found_them(seed, augmentat
         flows = carried_flows(inst, units)
         before = {t: flow_state(flow) for t, flow in flows.items()}
         try:
-            cheapest_star(inst, selection_from_units(units), cores, flows)
+            cheapest_star(inst, selection_from_units(units), cores, flows, {})
         except InfeasibleError:
             pass
         assert {t: flow_state(flow) for t, flow in flows.items()} == before
@@ -554,7 +561,7 @@ def test_irrelevant_heads_keep_the_shared_price(seed, augmentation):
             touched = [core for (core, _), _ in pricing.head_bound(arc)[0]]
             assert len(touched) == len(set(touched))
             for core, shared in pricing.ranked:
-                if _entered_steps(arc, shared):
+                if entered_steps(arc, shared):
                     assert core in touched
                     continue
                 assert core not in touched
@@ -572,25 +579,6 @@ def test_every_head_prices_like_a_fresh_ring_and_the_exact_oracle(seed, augmenta
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
     for units, _ in _random_states(inst, rng):
         assert check_state(inst, units)[2] == []
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 100_000), st.booleans())
-def test_the_floor_bounds_every_head_price_from_below(seed, augmentation):
-    # the skip test's floor of a touched core: the shared no-head dual less
-    # the steps whose raised set the head arc enters, read off an index
-    # interval.  That it bounds the head's price from below is checked pair
-    # by pair by ``reference.check_state``
-    rng = random.Random(seed)
-    inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
-    for units, _, _, _, pricing in _priced_states(inst, rng):
-        for head in free_leg_candidates(inst, units):
-            arc = inst.arc(head)
-            for (_, shared), floor in pricing.head_bound(arc)[0]:
-                prefix = shared.prefix
-                entered = _entered_steps(arc, shared)
-                assert entered
-                assert floor == prefix[-1] - sum(prefix[i + 1] - prefix[i] for i in entered)
 
 
 @settings(max_examples=40, deadline=None)
@@ -623,10 +611,13 @@ def test_a_node_floor_bounds_every_head_into_the_node(seed, augmentation):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 100_000), st.booleans())
 def test_head_bound_equals_its_floors_built_step_by_step(seed, augmentation):
-    # one scan gives a head's touched pairs and its bound's floors, and a
-    # tail on no chain gives the node bound: list for list what summing
-    # each entered step and inserting each floor, or reading each chain at
-    # the node's first step, gives
+    # one scan gives a head's touched pairs and its bound's floors, read
+    # off an index interval of each shared dual, and a tail on no chain
+    # gives the node bound: list for list what finding each raised set the
+    # head arc enters, summing those steps and inserting each floor, or
+    # reading each chain at the node's first step, gives.  That a floor
+    # bounds the head's price from below is checked pair by pair by
+    # ``reference.check_state``
     rng = random.Random(seed)
     inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
     for units, _, _, _, pricing in _priced_states(inst, rng):
@@ -636,6 +627,19 @@ def test_head_bound_equals_its_floors_built_step_by_step(seed, augmentation):
         for node in range(inst.node_count):
             assert pricing.head_bound((None, node)) == head_floors(pricing, (None, node))
             assert pricing.head_bound((None, node))[1] == node_floors(pricing, node)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 100_000), st.booleans())
+@example(204, False)  # a carried cover read a stop that changed by the next star
+@example(2036, True)  # ... and one at level two
+def test_a_reused_cover_equals_a_fresh_one(seed, augmentation):
+    # every ring cover a solve carries to a later star and would reuse there
+    # is, footprint and all, the one the primal-dual prices afresh at that
+    # star on the carried flows, stops and selection
+    rng = random.Random(seed)
+    inst = _augmentation_instance(seed) if augmentation else small_random_instance(rng)
+    assert check_reused_covers(inst)[1] == []
 
 
 def _best_prefix_by_full_scan(head_cost, costs):
@@ -699,7 +703,7 @@ def test_star_coverage_soundness(seed):
         return
     cores = rooted_cores(inst, ())
     try:
-        star = cheapest_star(inst, {}, cores, carried_flows(inst, ()))
+        star = cheapest_star(inst, {}, cores, carried_flows(inst, ()), {})
     except InfeasibleError:
         return
     bought = star.edges()
@@ -719,8 +723,8 @@ def _carried_and_fresh_cores(inst):
         reads.append(real_cores(inst, flows))
         return reads[-1]
 
-    def buying(inst, taken, cores, flows):
-        star = real_star(inst, taken, cores, flows)
+    def buying(inst, taken, cores, flows, covers):
+        star = real_star(inst, taken, cores, flows, covers)
         bought.append(bought[-1] + tuple((eid, taken[eid]) for eid in sorted(star.edges())))
         return star
 

@@ -170,7 +170,9 @@ def test_ring_covers_carry_their_dual_chain():
     rings = importlib.import_module("rkec.rings")
     greedy = importlib.import_module("rkec.greedy")
     assert not hasattr(rings, "DualStep")
-    assert [f.name for f in fields(rings.RingCover)] == ["legs", "cost", "first", "prefix"]
+    assert [f.name for f in fields(rings.RingCover)] == [
+        "legs", "cost", "first", "prefix", "footprint"
+    ]
     assert greedy.StarPricing._fields == ("stops", "ranked")
 
 
@@ -375,7 +377,7 @@ def test_flows_are_built_in_one_place_and_never_copied(monkeypatch):
     monkeypatch.setattr(Residual, "__setattr__", spy(object.__setattr__))
     inst = generate_instance(default_corpus_params(7))
     report = solve(inst, prune=True)
-    audit = audit_run(inst, report, lambda: brute_force_opt(inst), density_max_units=16)
+    audit = audit_run(inst, report, lambda _: brute_force_opt(inst), density_max_units=16)
     assert audit.clean and audit.density_checked
     assert RESIDUAL_METHODS <= touched <= RESIDUAL_INTERFACE, sorted(touched)
 

@@ -315,12 +315,14 @@ CROSS_CHECK = Path(__file__).resolve().parents[1] / "scripts" / "ring_cross_chec
 
 def test_ring_cross_check_script_passes(monkeypatch, capsys):
     # scripts/ring_cross_check.py runs ``reference.check_state`` over its
-    # own draw of states; over its default run, whose counts are pinned,
-    # it finds no mismatch
+    # own draw of states, and ``reference.check_reused_covers`` over a solve
+    # of each drawn instance; over its default run, whose counts are
+    # pinned, it finds no mismatch
     assert load_script(CROSS_CHECK, monkeypatch).main([]) == 0
     out = capsys.readouterr().out
     assert re.fullmatch(
-        r"1496 contexts in \d+\.\ds: 0 mismatches, 51 unpriceable\n", out
+        r"1496 contexts in \d+\.\ds: 0 mismatches, 51 unpriceable\n"
+        r"444 reused covers: 0 mismatches\n", out
     ), out
 
 
@@ -345,4 +347,4 @@ def test_the_cross_check_reports_a_head_priced_wrong(monkeypatch, capsys, mutant
     assert load_script(CROSS_CHECK, monkeypatch).main(["--seeds", "5"]) == 1
     out = capsys.readouterr().out
     assert re.search(r"^MISMATCH seed=\d+ (core|head)=", out, re.M), out
-    assert not re.search(r": 0 mismatches", out), out
+    assert not re.search(r"contexts in .*: 0 mismatches", out), out

@@ -124,7 +124,7 @@ def test_bound_decision_decides_on_its_first_interval(bound_harmonic, terminal_c
 def test_fixture_audit(instance_a):
     report = solve(instance_a)
     opt = brute_force_opt(instance_a)
-    audit = audit_run(instance_a, report, lambda: opt, density_max_units=16)
+    audit = audit_run(instance_a, report, lambda _: opt, density_max_units=16)
     assert audit.clean
     assert audit.ratio == 1
     # 2 * H(1) * (1 + ln 2), from mpmath at 100 digits
@@ -146,7 +146,7 @@ def test_audit_ratio_of_a_zero_optimum_met_at_zero_cost_is_one():
     report = solve(inst)
     opt = brute_force_opt(inst)
     assert report.solution.total_cost == opt.total_cost == 0
-    audit = audit_run(inst, report, lambda: opt)
+    audit = audit_run(inst, report, lambda _: opt)
     assert audit.clean and audit.ratio == 1
     assert audit_to_doc(audit)["ratio"] == "1"
 
@@ -154,7 +154,7 @@ def test_audit_ratio_of_a_zero_optimum_met_at_zero_cost_is_one():
 def test_audit_ratio_of_a_zero_optimum_met_at_a_cost_is_none():
     inst = _zero_optimum_instance()
     report = SolveReport(check_feasible(inst, Solution({3: 1}, Fraction(5), {}, True)))
-    audit = audit_run(inst, report, lambda: brute_force_opt(inst))
+    audit = audit_run(inst, report, lambda _: brute_force_opt(inst))
     assert audit.rebuilt.total_cost == 5 and audit.ratio is None
 
 
@@ -221,7 +221,7 @@ def test_guarantee_claimed_only_for_quasi_bipartite_instances():
     report = solve(inst)
     opt = brute_force_opt(inst)
     assert opt.total_cost == 3
-    audit = audit_run(inst, report, lambda: opt)
+    audit = audit_run(inst, report, lambda _: opt)
     assert not audit.guarantee_applies
     assert audit.ratio == report.solution.total_cost / 3
     assert audit.bound_holds is None and audit.bound_lo is None and audit.bound_hi is None
@@ -277,7 +277,7 @@ def test_relabelling_the_nodes_changes_no_report(seed, a, b):
     moved = _relabelled(inst, a, b)
     report = solve(moved, prune=True)
     assert _report_text_mapped_back(report, a, b) == dump_json(report_to_doc(solve(inst, prune=True)))
-    audit = audit_run(moved, report, lambda: brute_force_opt(moved), density_max_units=22)
+    audit = audit_run(moved, report, lambda _: brute_force_opt(moved), density_max_units=22)
     assert audit.clean and audit.density_checked
 
 
@@ -299,7 +299,7 @@ def _sparse_peak_mb(node_count):
     inst = Instance(node_count, 0, frozenset({1, 2, 3}), edges, 1)
     tracemalloc.start()
     try:
-        audit = audit_run(inst, solve(inst), lambda: brute_force_opt(inst), density_max_units=22)
+        audit = audit_run(inst, solve(inst), lambda _: brute_force_opt(inst), density_max_units=22)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -399,8 +399,8 @@ def test_audit_is_pure(seed):
     if len(positive_units(inst)) > 14:
         return
     opt = brute_force_opt(inst)
-    first = audit_run(inst, report, lambda: opt, density_max_units=14)
-    second = audit_run(inst, report, lambda: opt, density_max_units=14)
+    first = audit_run(inst, report, lambda _: opt, density_max_units=14)
+    second = audit_run(inst, report, lambda _: opt, density_max_units=14)
     assert dump_json(audit_to_doc(first)) == dump_json(audit_to_doc(second))
     assert first.clean
 
