@@ -10,14 +10,17 @@ seed order, and three ladder instances,
 then written with ``instance_to_json``; each round parses those texts
 with ``parse_instance``, solves the instances and audits their reports,
 in this process, ``--rounds`` times (default 5).  Per row the file holds
-the wall time of that one generation (``generate_s``), the median over the
-rounds of the parse wall time (``parse_s``), the ``solve`` wall-time
-median, min and max over the rounds, the median over the rounds of the
-wall time of ``audit_run(inst, report)`` over the row's reports
-(``verify_s``: no optimum, no density replay), the total cost, and the
-sha256 of the report bytes ``dump_json(report_to_doc(...))``, concatenated
-in seed order for the corpus as the acceptance test C10 hashes them.  Every
-round must give the same bytes; a round that does not exits 1.  The times
+the wall time of that one generation (``generate_s``), the wall time of
+one ``require_feasible`` over the row's instances (``feasible_s``: the
+every-copy feasibility check that generation runs per draw and brute
+force before it searches), the median over the rounds of the parse wall
+time (``parse_s``), the ``solve`` wall-time median, min and max over the
+rounds, the median over the rounds of the wall time of
+``audit_run(inst, report)`` over the row's reports (``verify_s``: no
+optimum, no density replay), the total cost, and the sha256 of the report
+bytes ``dump_json(report_to_doc(...))``, concatenated in seed order for
+the corpus as the acceptance test C10 hashes them.  Every round must give
+the same bytes; a round that does not exits 1.  The times
 are uncalibrated wall time of the host it runs on.
 """
 
@@ -32,6 +35,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from rkec.flows import require_feasible  # noqa: E402
 from rkec.generate import GenParams, default_corpus_params, generate_instance  # noqa: E402
 from rkec.instance import dump_json, instance_to_json, parse_instance  # noqa: E402
 from rkec.solver import report_to_doc, solve  # noqa: E402
@@ -66,6 +70,10 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         instances = [generate_instance(p) for p in params]
         generate_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        for inst in instances:
+            require_feasible(inst)
+        feasible_s = time.perf_counter() - t0
         texts = [instance_to_json(inst) for inst in instances]
         parse_times, times, verify_times, digests = [], [], [], set()
         for _ in range(args.rounds):
@@ -91,6 +99,7 @@ def main(argv=None) -> int:
             "name": name,
             "instances": len(instances),
             "generate_s": generate_s,
+            "feasible_s": feasible_s,
             "parse_s": statistics.median(parse_times),
             "wall_s": {
                 "median": statistics.median(times), "min": min(times), "max": max(times),
@@ -102,7 +111,8 @@ def main(argv=None) -> int:
         out.append(row)
         print(f"{name}: median {row['wall_s']['median']:.3f} s over {args.rounds} rounds, "
               f"verify {row['verify_s']:.3f} s, parse {row['parse_s']:.4f} s, "
-              f"generated in {generate_s:.3f} s, cost {row['cost']}, "
+              f"generated in {generate_s:.3f} s, feasible in {feasible_s:.3f} s, "
+              f"cost {row['cost']}, "
               f"sha256 {row['report_sha256'][:8]}")
 
     doc = {

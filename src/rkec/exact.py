@@ -3,11 +3,11 @@ the ratio audit and the density replay run.
 
 Everything here is exponential and capped at desk scale.  The search reads
 path counts and its branching cut off one root flow per deficient terminal,
-built once, grown in place down the search and rolled back up it
-(``Residual.mark``/``rollback``, no copies); its bound adds up the deficits
-of disjoint closest cuts, a packing that no arc enters twice.  The plain
-enumeration it is checked against, and the enumeration oracles, live in the
-tests.
+built once over one shared network, grown in place down the search and
+rolled back up it (``Residual.mark``/``rollback``, no copies); its bound
+adds up the deficits of disjoint closest cuts, a packing that no arc enters
+twice.  The plain enumeration it is checked against, and the enumeration
+oracles, live in the tests.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .flows import require_feasible, root_flows, solution_of
+from .flows import add_arcs, require_feasible, root_flows, solution_of
 from .instance import Instance, SizeRefusalError, Solution
 
 
@@ -67,12 +67,13 @@ def cheapest_completion(
     other deficient terminal in id order whose closest sink side is disjoint
     from every side taken so far, its own deficit-many cheapest entering
     copies (no arc enters two disjoint sets).  It carries one root flow per
-    deficient terminal, stopped at k, built once at the root: each child
-    grows its parent's flows in place by the branched edge
-    (``Residual.grow``), recurses on the terminals still below k, and rolls
-    every flow back to its ``mark`` when it returns.  Below k a flow is a
-    maximum flow, so its closest sink side is the one a fresh flow would
-    give.  Without ``incumbent`` the search starts with none: its first
+    deficient terminal, stopped at k, built once at the root over one
+    network: each child adds the branched edge's arc to it once
+    (``add_arcs``), grows its parent's flows in place (``Residual.grow``),
+    recurses on the terminals still below k, and rolls every flow back to
+    its ``mark`` when it returns, which pops the arc again.  Below k a flow
+    is a maximum flow, so its closest sink side is the one a fresh flow
+    would give.  Without ``incumbent`` the search starts with none: its first
     dive, always down the cheapest branch and never cut by the bound, is a
     greedy repair that reaches a leaf, and with no deficient terminal the
     root itself is the leaf (cost 0, no edges).  The plain enumeration it
@@ -133,9 +134,10 @@ def cheapest_completion(
             if cost + c > best_cost:
                 break  # the branch is cheapest first
             marks = [flow.mark() for flow in flows]
+            add_arcs(flows, (arc,))
             search(
                 # an arc never lowers a flow: the ones still below k stay
-                [flow for flow in flows if flow.grow((arc,), k) < k],
+                [flow for flow in flows if flow.grow(k) < k],
                 chosen + (eid,),
                 excluded | {b[1] for b in entering[:i]},
                 cost + c,

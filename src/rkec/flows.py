@@ -1,11 +1,15 @@
 """Unit-capacity max-flow / min-cut primitives over instance subgraphs.
 
-Every flow lives in a ``Residual``: a mutable residual network for one source
-and sink that grows by ``Residual.grow`` alone, which adds (tail, head, cap)
-arc triples and resumes augmenting from the flow it already carries, by
-shortest augmenting paths (breadth-first, deterministic for a fixed arc
-order).  Its value is a path count.  A residual is keyed by the nodes its
-arcs touch, so nothing here is sized by the instance's node count.
+Every flow lives in a ``Residual``: the residual capacities and value of one
+source-sink flow over a ``Network``, the arcs of a working graph, built once
+and shared by every flow over that graph.  Arcs join a network once for all
+its flows (``add_arcs``), and each flow takes them at their initial
+capacity when it next grows or is read, so no read sees a flow behind its
+network.  ``Residual.grow`` resumes augmenting from the flow it already
+carries, by shortest augmenting paths (breadth-first, deterministic for a
+fixed arc order).  Its value is a path count.  A network is keyed by the
+nodes its arcs touch, so nothing here is sized by the instance's node
+count.
 ``Residual.reach`` is its one reachability read: the nodes that reach the
 sink, through its residual arcs and any extra (tail, head) arcs at spare
 capacity, with the flow left as it is; a stop node stands for an arc from
@@ -17,17 +21,20 @@ violated set.
 A selection is per-edge counts, edge id -> copies bought (as in
 ``Solution.selected``), and its working graph one arc triple per edge, its
 count as capacity (``working_arcs``).  ``root_flows``, the only code that
-builds a residual, grows one root->terminal flow by it per terminal, in id
-order and only as far as its caller reads; root connectivity
-(``solution_of``, exact), the first short terminal (``short_terminal``,
-whose flows stop at ``need``) and the cores all read those flows.  The
-greedy grows its root flows (stopped at k) by each star.  A star's rings
-are those flows as they stand, read by ``Residual.reach`` with the other
-cores' terminals as stops (``rings.ring_stops``): pricing a star grows,
-marks and rolls back no flow.  The brute-force search grows its flows in place and rolls them back
+builds a network or a residual, builds the network of that graph once and
+grows one root->terminal flow over it per terminal, in id order and only as
+far as its caller reads; root connectivity (``solution_of``, exact), the
+first short terminal (``short_terminal``, whose flows stop at ``need``) and
+the cores all read those flows.  The greedy adds each star's arcs to its
+flows' network once and grows its root flows (stopped at k) by them.  A
+star's rings are those flows as they stand, read by ``Residual.reach`` with
+the other cores' terminals as stops (``rings.ring_stops``): pricing a star
+grows, marks and rolls back no flow.  The brute-force search adds each
+branch's arc once, grows its flows in place and rolls them back
 (``Residual.mark``, ``Residual.rollback``, the one way any flow's growth is
-undone).  ``solution_of`` is the one builder of a ``Solution``: the solver,
-brute force and the verifier all build theirs with it.
+undone and any arc leaves a network; each flow restores its own capacities
+and value).  ``solution_of`` is the one builder of a ``Solution``: the
+solver, brute force and the verifier all build theirs with it.
 """
 
 from __future__ import annotations
@@ -37,62 +44,101 @@ from collections.abc import Iterator
 from .instance import Instance, InfeasibleError, Solution
 
 
-class Residual:
-    """Residual network of one source-sink pair, and the flow value it carries.
+class Network:
+    """The arcs of one working graph, shared by every flow over it.
 
     Arcs are stored in pairs: arc ``i`` and its reverse ``i ^ 1``, with the
-    head of each in ``to`` and the residual capacity in ``cap``; ``adj`` maps
-    the source and each node an arc touches to the indexes of the arcs
-    leaving it, and a read adds no row.  A residual starts with no arcs and
-    ``grow`` adds arcs and resumes from the current flow, so a flow grows
-    with its graph instead of being recomputed; ``mark`` and ``rollback``
-    undo such growth, last in, first out.  ``reach`` reads which nodes reach
-    the sink and changes nothing.  The closest sink side is the same for
-    every maximum flow, so it is only read once ``grow`` has run out of
-    paths.
+    head of each in ``to`` and the capacity it starts with in ``initial``
+    (the reverse starts empty); ``adj`` maps each node an arc touches to the
+    indexes of the arcs leaving it.  ``add`` appends arcs; the one way an arc
+    leaves is ``Residual.rollback``, newest first.  The residual capacities
+    are not here: each flow over the network owns its own.
     """
 
-    def __init__(self, source: int, sink: int):
-        if source == sink:
-            raise ValueError("source and sink must differ")
-        self.source = source
-        self.sink = sink
-        self.value = 0
-        self.adj: dict[int, list[int]] = {source: []}
+    def __init__(self):
         self.to: list[int] = []
-        self.cap: list[int] = []
+        self.adj: dict[int, list[int]] = {}
+        self.initial: list[int] = []
 
-    def mark(self) -> tuple[int, list[int], int]:
-        """A snapshot for ``rollback``: the arc count, the capacities and the
-        value."""
-        return len(self.to), self.cap[:], self.value
-
-    def rollback(self, mark: tuple[int, list[int], int]) -> None:
-        """Undo every ``grow`` since ``mark``: pop the arcs added since,
-        newest first (each is the last entry of its ``adj`` row), and restore
-        the capacities and the value."""
-        count, cap, self.value = mark
-        to, adj = self.to, self.adj
-        for i in range(len(to) - 1, count - 1, -1):
-            adj[to[i ^ 1]].pop()
-        del to[count:]
-        self.cap[:] = cap
-
-    def grow(self, arcs, limit: int | None = None) -> int:
-        """Add each (tail, head, cap) triple of ``arcs`` (loops and empty
-        arcs skipped), then push shortest augmenting paths until the value
-        reaches ``limit`` (unbounded when None) or no path is left; returns
-        the value.
-
-        Breadth-first search in arc order makes the flow deterministic.
-        """
-        s, t, adj, to, cap = self.source, self.sink, self.adj, self.to, self.cap
+    def add(self, arcs) -> None:
+        """Append each (tail, head, cap) triple of ``arcs``, loops and empty
+        arcs skipped."""
+        adj, to, initial = self.adj, self.to, self.initial
         for tail, head, c in arcs:
             if c > 0 and tail != head:
                 adj.setdefault(tail, []).append(len(to))
                 adj.setdefault(head, []).append(len(to) + 1)
                 to += (head, tail)
-                cap += (c, 0)
+                initial += (c, 0)
+
+
+class Residual:
+    """The flow of one source-sink pair over a shared ``Network``: its
+    residual capacities and the value it carries.
+
+    ``cap`` holds the residual capacity of each network arc this flow has
+    taken, in the network's arc order.  Arcs added to the network later are
+    taken at their initial capacity at the top of the next ``grow`` or
+    ``reach`` (``_take_new_arcs``), so no read sees a stale flow, and a flow
+    that is never read again pays for no arc.  ``grow`` resumes from the
+    current flow, so a flow grows with its graph instead of being
+    recomputed; ``mark`` and ``rollback`` undo such growth, last in, first
+    out.  ``reach`` reads which nodes reach the sink and changes no flow.
+    The closest sink side is the same for every maximum flow, so it is only
+    read once ``grow`` has run out of paths.
+    """
+
+    def __init__(self, network: Network, source: int, sink: int):
+        if source == sink:
+            raise ValueError("source and sink must differ")
+        self.network = network
+        self.source = source
+        self.sink = sink
+        self.value = 0
+        self.cap: list[int] = []
+        network.adj.setdefault(source, [])
+
+    def _take_new_arcs(self) -> None:
+        """Take every arc the network gained since this flow last looked, at
+        its initial capacity; ``grow`` and ``reach`` call it whenever the
+        flow's capacities and the network's arcs differ in number."""
+        cap, initial = self.cap, self.network.initial
+        if len(cap) > len(initial):
+            raise AssertionError("a flow holds arcs its network has dropped")
+        cap += initial[len(cap):]
+
+    def mark(self) -> tuple[int, list[int], int]:
+        """A snapshot for ``rollback``: the network's arc count, this flow's
+        capacities and its value."""
+        return len(self.network.to), self.cap[:], self.value
+
+    def rollback(self, mark: tuple[int, list[int], int]) -> None:
+        """Undo every ``grow`` since ``mark``: restore this flow's capacities
+        and value, and pop the arcs added to the network since, newest first
+        (each is the last entry of its ``adj`` row).  Flows marked together
+        are rolled back together; the first one pops the arcs, and the rest
+        find them gone."""
+        count, cap, self.value = mark
+        network = self.network
+        to, adj = network.to, network.adj
+        if len(to) > count:
+            for i in range(len(to) - 1, count - 1, -1):
+                adj[to[i ^ 1]].pop()
+            del to[count:]
+            del network.initial[count:]
+        self.cap[:] = cap
+
+    def grow(self, limit: int | None = None) -> int:
+        """Take the network's new arcs, then push shortest augmenting paths
+        until the value reaches ``limit`` (unbounded when None) or no path
+        is left; returns the value.
+
+        Breadth-first search in arc order makes the flow deterministic.
+        """
+        cap, network = self.cap, self.network
+        if len(cap) != len(network.initial):
+            self._take_new_arcs()
+        s, t, adj, to = self.source, self.sink, network.adj, network.to
         while limit is None or self.value < limit:
             via = {s: -1}  # arc that discovered each node
             queue = [s]
@@ -131,9 +177,12 @@ class Residual:
         ``side`` must already hold every node that reaches it without the
         arcs, as every side this returned does; so only an arc whose head is
         in it starts the search, from its tail.  The flow itself is never
-        changed.
+        changed; it only takes the network's new arcs first.
         """
-        to, cap, adj, source = self.to, self.cap, self.adj, self.source
+        cap, network = self.cap, self.network
+        if len(cap) != len(network.initial):
+            self._take_new_arcs()
+        to, adj, source = network.to, network.adj, self.source
         added = []
         if not side:
             side.add(self.sink)
@@ -195,14 +244,31 @@ def root_flows(
     of ``selected``, grown until it reaches ``limit`` (a maximum flow when
     None).  A value below ``limit`` is the exact maximum.
 
-    Lazy: each residual is built and grown when its terminal comes up, so
-    a caller that stops early pays for no further terminal.
+    The working graph's arcs are built once, into one ``Network`` that every
+    flow yielded here reads through.  Lazy: each flow is built and grown
+    when its terminal comes up, so a caller that stops early pays for no
+    further terminal.
     """
-    arcs = working_arcs(inst, selected)
+    network = Network()
+    network.add(working_arcs(inst, selected))
     for t in sorted(inst.terminals):
-        flow = Residual(inst.root, t)
-        flow.grow(arcs, limit)
+        flow = Residual(network, inst.root, t)
+        flow.grow(limit)
         yield t, flow
+
+
+def add_arcs(flows, arcs) -> None:
+    """Add the (tail, head, cap) triples ``arcs`` once to the network every
+    flow of ``flows`` reads through (one ``root_flows`` call's flows share
+    one); each flow takes them at its next ``grow`` or ``reach``."""
+    network = None
+    for flow in flows:
+        if flow.network is not network:
+            if network is not None:
+                raise ValueError("the flows read through different networks")
+            network = flow.network
+    if network is not None:
+        network.add(arcs)
 
 
 def short_terminal(inst: Instance, selected, need: int) -> tuple[int, int] | None:
@@ -219,7 +285,8 @@ def short_terminal(inst: Instance, selected, need: int) -> tuple[int, int] | Non
 def require_feasible(inst: Instance) -> None:
     """Raise InfeasibleError for the first terminal that even every positive
     edge at its multiplicity leaves short of k.  Brute force runs it first;
-    the greedy, once it meets an uncoverable ring."""
+    the greedy, once it meets an uncoverable ring; the generator, on every
+    draw."""
     short = short_terminal(inst, {e.id: e.mult for e in inst.positive_edges}, inst.k)
     if short is not None:
         raise InfeasibleError(*short, inst.k)

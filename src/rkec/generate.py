@@ -24,8 +24,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flows import short_terminal
-from .instance import Edge, Instance
+from .flows import require_feasible
+from .instance import Edge, InfeasibleError, Instance
 
 _PARALLEL_PROB = Fraction(1, 10)  # chance that a drawn edge gets multiplicity 2
 _RETRY_CAP = 300  # draws per parameter set before giving up
@@ -121,7 +121,11 @@ def _draw(rng: random.Random, p: GenParams) -> Instance:
 def _acceptable(inst: Instance, p: GenParams) -> bool:
     if p.max_units is not None and inst.positive_unit_count > p.max_units:
         return False
-    return short_terminal(inst, {e.id: e.mult for e in inst.positive_edges}, inst.k) is None
+    try:
+        require_feasible(inst)
+    except InfeasibleError:
+        return False
+    return True
 
 
 def generate_instance(p: GenParams) -> Instance:

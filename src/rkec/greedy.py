@@ -53,7 +53,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .deficiency import CoreInfo, cores_of
-from .flows import require_feasible, root_flows
+from .flows import add_arcs, require_feasible, root_flows
 from .instance import Edge, Instance, IterationRecord
 from .rings import RingCover, primal_dual_ring_cover, ring_stops
 
@@ -359,7 +359,8 @@ def cover_levels(inst: Instance) -> list[IterationRecord]:
     per star, in purchase order.
 
     Every terminal's root flow, stopped at k, grows with the selection
-    ``taken`` (edge id -> copies bought).  An iteration's level is the
+    ``taken`` (edge id -> copies bought); a star's arcs are added once to
+    the network the flows share (``add_arcs``).  An iteration's level is the
     state's, read with its cores; it must retire at least half its leaf
     count in cores at that level (checked as 2 * drop >= leaves, which also
     shrinks their count, as a star has a leaf), and the max level must
@@ -379,8 +380,9 @@ def cover_levels(inst: Instance) -> list[IterationRecord]:
         new_units = tuple((eid, taken[eid]) for eid in bought)
         taken.update(bought)
         arcs = [(*inst.arc(eid), 1) for eid in bought]
+        add_arcs(flows.values(), arcs)
         for flow in flows.values():
-            flow.grow(arcs, inst.k)
+            flow.grow(inst.k)
         heads = {v for _, v, _ in arcs}
         covers = {
             key: entry for key, entry in covers.items() if entry[1].footprint.isdisjoint(heads)

@@ -25,8 +25,9 @@ prices are compared with these references and the exact ring-cover oracle
 a later star, and would reuse there, with one priced afresh; the script
 and a tier-1 test run it too.
 The small helpers several test modules share live here too:
-``max_flow_value``, ``instance_view``, ``rebuild_phases``, ``flow_state``
-(a flow's snapshot), ``load_script`` and ``run_optimized``.
+``max_flow_value``, ``instance_view``, ``rebuild_phases``, ``grow_by`` (add
+arcs to a flow's network and grow it), ``flow_state`` (a flow's snapshot),
+``load_script`` and ``run_optimized``.
 """
 
 import importlib.util
@@ -43,7 +44,9 @@ from rkec import greedy
 from rkec.deficiency import CoreInfo, cores_of
 from rkec.exact import cheapest_completion
 from rkec.flows import (
+    Network,
     Residual,
+    add_arcs,
     require_feasible,
     root_flows,
     short_terminal,
@@ -132,11 +135,10 @@ def build_ring_context(inst: Instance, units, all_cores, target: CoreInfo) -> Re
     """The target's ring flow of ``units``, built from nothing: a fresh
     maximum flow over the working and saturating arcs, so it is read with no
     stops, and not any flow the solver carries.  Its value is k - level."""
-    flow = Residual(inst.root, target.representative)
     arcs = working_arcs(inst, selection_from_units(units))
     level = rooted_max_level(inst, units)
-    flow.grow(arcs + saturating_arcs(inst, all_cores, target, level))
-    return flow
+    arcs += saturating_arcs(inst, all_cores, target, level)
+    return maximum_flow(arcs, inst.root, target.representative)
 
 
 def fresh_cover(
@@ -157,7 +159,7 @@ def grown_min_violated_set(inst: Instance, flow: Residual, edges) -> frozenset[i
     mark = flow.mark()
     covered = flow.value + 1
     try:
-        if flow.grow([(*inst.arc(e), 1) for e in edges], covered) >= covered:
+        if grow_by(flow, [(*inst.arc(e), 1) for e in edges], covered) >= covered:
             return None
         return flow.closest_sink_side()
     finally:
@@ -500,17 +502,30 @@ def pruned_by_units(inst: Instance, units) -> Solution:
     return solution_of(inst, selection_from_units(kept))
 
 
+def grow_by(flow: Residual, arcs, limit: int | None = None) -> int:
+    """Add ``arcs`` to the network ``flow`` reads through, then grow it to
+    ``limit``; returns its value."""
+    add_arcs([flow], arcs)
+    return flow.grow(limit)
+
+
 def maximum_flow(arcs, s: int, t: int) -> Residual:
-    """A maximum s->t flow over ``arcs``, grown without a limit."""
-    flow = Residual(s, t)
-    flow.grow(arcs)
+    """A maximum s->t flow over ``arcs``, on a network of its own, grown
+    without a limit."""
+    flow = Residual(Network(), s, t)
+    grow_by(flow, arcs)
     return flow
 
 
 def flow_state(flow: Residual) -> tuple:
-    """Everything a flow holds, copied: arcs, adjacency rows, capacities and
+    """Everything a flow reads and holds, copied: its network's arcs,
+    adjacency rows and initial capacities, and its own capacities and
     value, so a read or a rollback can be checked to leave it as it was."""
-    return flow.to[:], {v: row[:] for v, row in flow.adj.items()}, flow.cap[:], flow.value
+    network = flow.network
+    return (
+        network.to[:], {v: row[:] for v, row in network.adj.items()}, network.initial[:],
+        flow.cap[:], flow.value,
+    )
 
 
 def max_flow_value(arcs, s: int, t: int) -> int:
@@ -531,7 +546,7 @@ def max_flow_paths(arcs, s: int, t: int) -> list[list[int]]:
     counts as distinct edges, and flow on cycles (if any) is ignored.
     """
     flow = maximum_flow(arcs, s, t)
-    to, adj = flow.to, flow.adj
+    to, adj = flow.network.to, flow.network.adj
     # The flow pushed over forward arc i sits as capacity on its reverse i + 1.
     remaining = {i: flow.cap[i + 1] for i in range(0, len(to), 2) if flow.cap[i + 1] > 0}
     paths = []

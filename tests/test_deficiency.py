@@ -40,7 +40,7 @@ def test_k2_variant_cores(instance_a_k2):
 _OFF_LEVEL = """
 from fractions import Fraction
 from rkec.deficiency import cores_of
-from rkec.flows import root_flows
+from rkec.flows import add_arcs, root_flows
 from rkec.instance import Edge, Instance
 
 # terminals 1 and 2 reach each other for free, so {1, 2} is the one core
@@ -48,15 +48,19 @@ inst = Instance(3, 0, frozenset({1, 2}), (
     Edge(1, 1, 2, Fraction(0)), Edge(2, 2, 1, Fraction(0)), Edge(3, 0, 1, Fraction(1)),
 ), 1)
 flows = dict(root_flows(inst, {}, inst.k))
-flows[1].grow([(0, 1, 1)], inst.k)  # terminal 1's flow alone gains edge 3
+mark = flows[2].mark()
+add_arcs(flows.values(), [(0, 1, 1)])  # edge 3
+flows[1].grow(inst.k)  # terminal 1's flow gains a path over it
+flows[2].rollback(mark)  # terminal 2's flow alone is rolled back, and the arc goes
 """
 
 
 def test_a_core_whose_representative_is_off_the_level_is_refused():
     # a core's ring is read off its representative's flow, which must sit at
     # k - level; here terminal 2's flow reads the core {1, 2} at level 1, but
-    # its representative 1 was grown by an arc the other flow was not.
-    # ``cores_of`` must raise, with an ``if`` that ``python -O`` keeps
+    # its representative 1 still carries a path over an arc that terminal
+    # 2's rollback took out of the network the two share.  ``cores_of`` must
+    # raise, with an ``if`` that ``python -O`` keeps
     namespace = {}
     exec(_OFF_LEVEL, namespace)
     with pytest.raises(AssertionError, match="core representative 1 has flow 1, not 0"):

@@ -17,7 +17,7 @@ import pytest
 import rkec
 from rkec import flows
 from rkec.exact import brute_force_opt
-from rkec.flows import Residual
+from rkec.flows import Network, Residual
 from rkec.generate import default_corpus_params, generate_instance
 from rkec.solver import solve
 from rkec.verify import audit_run
@@ -235,7 +235,10 @@ def test_nothing_below_the_parser_reads_the_node_count():
         if _attribute_counts(ast.parse(path.read_text()))["node_count"]
     )
     assert readers == ["instance.py"]
-    assert list(inspect.signature(Residual.__init__).parameters) == ["self", "source", "sink"]
+    assert list(inspect.signature(Network.__init__).parameters) == ["self"]
+    assert list(inspect.signature(Residual.__init__).parameters) == [
+        "self", "network", "source", "sink",
+    ]
     reference = importlib.import_module("reference")
     for name in ("maximum_flow", "max_flow_paths"):
         assert "node_count" not in inspect.signature(getattr(reference, name)).parameters, name
@@ -333,19 +336,25 @@ RESIDUAL_INTERFACE = RESIDUAL_METHODS | {"value", "sink"}
 
 
 def test_flows_are_built_in_one_place_and_never_copied(monkeypatch):
-    # every flow is a root flow of ``flows.root_flows``, grown in place by
-    # ``Residual.grow`` and undone by ``Residual.mark``/``rollback``; no code
-    # builds a second one beside it or copies one (nothing in the package
-    # calls a ``copy``), and there is one arc type, the plain triple
-    builds, copies = [], []
+    # every flow is a root flow of ``flows.root_flows``, over the one network
+    # that call builds, grown in place by ``Residual.grow`` and undone by
+    # ``Residual.mark``/``rollback``; no code builds a second one beside it
+    # or copies one (nothing in the package calls a ``copy``), and there is
+    # one arc type, the plain triple.  After the build, arcs join a network
+    # only through ``add_arcs``, once for all its flows: per star in the
+    # greedy and per branch in the brute force
+    builds, copies, adds = [], [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         for owner, func in _calls(ast.parse(path.read_text())):
-            if ast.unparse(func) in ("Residual", "Residual.__new__"):
-                builds.append(f"{path.stem}.{owner}")
+            if ast.unparse(func) in ("Residual", "Residual.__new__", "Network", "Network.__new__"):
+                builds.append(f"{path.stem}.{owner}.{ast.unparse(func)}")
             if isinstance(func, ast.Attribute) and func.attr == "copy":
                 copies.append(f"{path.stem}.{owner}:{func.lineno}")
-    assert builds == ["flows.root_flows"]
+            if ast.unparse(func).rsplit(".", 1)[-1] == "add_arcs":
+                adds.add(f"{path.stem}.{owner}")
+    assert builds == ["flows.root_flows.Network", "flows.root_flows.Residual"]
     assert not copies, f"copy calls in shipped code: {copies}"
+    assert adds == {"greedy.cover_levels", "exact.cheapest_completion"}
     assert not hasattr(flows, "Arc") and not hasattr(flows, "connectivity")
     assert {name for name in vars(Residual) if not name.startswith("_")} == RESIDUAL_METHODS
 
@@ -355,7 +364,7 @@ def test_flows_are_built_in_one_place_and_never_copied(monkeypatch):
     # names only a residual's internals carry never appear there, and every
     # attribute that code touches on a residual over a pruned solve, its
     # audit with the density replay, and the brute force is in the interface.
-    internals = {"augment", "adj", "to", "cap", "source"}
+    internals = {"augment", "adj", "to", "cap", "source", "network", "initial"}
     named = [
         f"{path.stem}:{node.lineno}"
         for path in sorted(PACKAGE.glob("*.py")) if path.name != "flows.py"
@@ -373,13 +382,23 @@ def test_flows_are_built_in_one_place_and_never_copied(monkeypatch):
             return real(self, name, *value)
         return access
 
+    adders = set()
+
+    def adding(real):
+        def add(self, arcs):
+            adders.add(sys._getframe(1).f_code.co_name)
+            return real(self, arcs)
+        return add
+
     monkeypatch.setattr(Residual, "__getattribute__", spy(object.__getattribute__))
     monkeypatch.setattr(Residual, "__setattr__", spy(object.__setattr__))
+    monkeypatch.setattr(Network, "add", adding(Network.add))
     inst = generate_instance(default_corpus_params(7))
     report = solve(inst, prune=True)
     audit = audit_run(inst, report, lambda _: brute_force_opt(inst), density_max_units=16)
     assert audit.clean and audit.density_checked
     assert RESIDUAL_METHODS <= touched <= RESIDUAL_INTERFACE, sorted(touched)
+    assert adders == {"root_flows", "add_arcs"}
 
 
 def test_only_brute_force_undoes_a_flow():
@@ -494,6 +513,7 @@ def test_bench_script_writes_its_rows(tmp_path, monkeypatch, capsys):
         wall = row["wall_s"]
         assert 0 < wall["min"] <= wall["median"] <= wall["max"]
         assert row["generate_s"] > 0
+        assert row["feasible_s"] > 0
         assert row["parse_s"] > 0
         assert row["verify_s"] > 0
     assert [row["instances"] for row in doc["rows"]] == [500, 1, 1, 1]

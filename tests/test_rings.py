@@ -50,7 +50,7 @@ def test_context_shape(instance_a):
     # the flow is the carried root flow as it stands, over the zero-cost
     # edges alone (there are none): no arc onto the stop, and the head
     # 0 -> 1 never joins it, a primal-dual only reads through it
-    assert flow.to == [] and flow.value == 0  # k - level: k = 1, the core {2} at level 1
+    assert flow.cap == [] and flow.value == 0  # k - level: k = 1, the core {2} at level 1
     before = flow_state(flow)
     cover = primal_dual_ring_cover(instance_a, flow, stops, taken, 1)
     assert 1 not in cover.legs  # the head's edge is never a leg

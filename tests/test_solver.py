@@ -289,7 +289,7 @@ def test_solve_queries_the_cores_of_each_state_once(monkeypatch, residual_builds
 
     def counting(inst, carried):
         # a state is told apart by its flows' arc counts: each star adds arcs
-        calls.append(tuple(len(flow.to) for flow in carried.values()))
+        calls.append(tuple(len(flow.cap) for flow in carried.values()))
         return real(inst, carried)
 
     monkeypatch.setattr(greedy, "cores_of", counting)
