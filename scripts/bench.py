@@ -35,6 +35,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from rkec.cli import _write  # noqa: E402
 from rkec.flows import require_feasible  # noqa: E402
 from rkec.generate import GenParams, default_corpus_params, generate_instance  # noqa: E402
 from rkec.instance import dump_json, instance_to_json, parse_instance  # noqa: E402
@@ -122,7 +123,7 @@ def main(argv=None) -> int:
         "rows": out,
     }
     path = Path(f"BENCH_{args.label}.json")
-    path.write_text(dump_json(doc))
+    _write(path, dump_json(doc))
     print(f"wrote {path}")
     return 0
 

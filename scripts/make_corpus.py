@@ -13,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from rkec.cli import _size_cap  # noqa: E402
+from rkec.cli import _size_cap, _write  # noqa: E402
 from rkec.generate import default_corpus_params, generate_instance  # noqa: E402
 from rkec.instance import instance_to_json  # noqa: E402
 
@@ -28,7 +28,7 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for seed in range(1, args.count + 1):
         inst = generate_instance(default_corpus_params(seed))
-        (outdir / f"inst_{seed:04d}.json").write_text(instance_to_json(inst))
+        _write(outdir / f"inst_{seed:04d}.json", instance_to_json(inst))
     print(f"wrote {args.count} instances to {outdir}")
     return 0
 

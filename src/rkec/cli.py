@@ -2,6 +2,21 @@
 
 Exit codes: 0 ok, 2 parse failure (or an unreadable or unwritable file),
 3 infeasible, 4 audit violation, 5 size refusal.
+
+Every output goes through ``_write``.  ``--out -`` (the default) is stdout.
+An existing ``--out`` file is written over in place and then cut at the end
+of the new text: it keeps its inode, its mode, any hard link, and a symlink
+keeps pointing where it did, with the old file's longer tail removed.  A
+missing directory, a directory given as ``--out`` or a permission error
+raises ``OSError`` (exit 2).  The file is not truncated to zero first
+because on ext4 a file truncated to zero and rewritten is flushed on close
+(``auto_da_alloc``; a rename over an existing file is flushed too): on
+ext4 mounted ``discard``, writing a 2 KB corpus report over its previous
+copy took 81-85 us that way, 72 us through a temporary file and
+``os.replace``, and 12 us in place (README.md has the table).  The cost: a
+reader that opens the file while it is rewritten may see new bytes followed
+by old ones, where it used to see a prefix of the new text.  No output is
+fsynced, before or now.
 """
 
 from __future__ import annotations
@@ -9,6 +24,8 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
+import os
+import stat
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -38,11 +55,21 @@ EXIT_VIOLATION = 4
 EXIT_SIZE = 5
 
 
-def _write(path: str | None, text: str):
-    if path is None or path == "-":
+def _write(path: str | Path, text: str):
+    """Write ``text`` over ``path`` in place (see the module docstring), or to
+    stdout for ``-``.  Only a regular file is cut at the end of ``text``:
+    ``ftruncate`` on a device such as ``/dev/null`` raises ``EINVAL``."""
+    if path == "-":
         sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+        return
+
+    def in_place(name, flags):
+        return os.open(name, flags & ~os.O_TRUNC, 0o666)
+
+    with open(path, "w", opener=in_place) as out:
+        out.write(text)
+        if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+            out.truncate()
 
 
 def _envelope(kind: str, payload: dict, no_timestamp: bool) -> str:

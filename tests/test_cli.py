@@ -233,8 +233,9 @@ def report_file(instance_file, tmp_path):
           "--opt", "{dir}/missing.json"], "missing.json"),
         (["solve", "--instance", "{instance}", "--out", "{dir}/no-such-dir/r.json"],
          "no-such-dir"),
+        (["solve", "--instance", "{instance}", "--out", "{dir}"], "Is a directory"),
     ],
-    ids=["instance", "report", "opt", "out-dir"],
+    ids=["instance", "report", "opt", "out-dir", "out-is-a-dir"],
 )
 def test_unreadable_or_unwritable_file_is_exit_2(instance_file, report_file, tmp_path, capsys,
                                                  argv, missing):
@@ -244,6 +245,61 @@ def test_unreadable_or_unwritable_file_is_exit_2(instance_file, report_file, tmp
     err = capsys.readouterr().err
     assert err.startswith("error: ") and missing in err
     assert "Traceback" not in err
+
+
+# each command that writes a file, with the flags that make its bytes reproducible
+WRITERS = {
+    "solve": ["solve", "--instance", "{instance}", "--no-timestamp"],
+    "verify": ["verify", "--instance", "{instance}", "--report", "{report}", "--brute",
+               "--no-timestamp"],
+    "gen": ["gen", "--nodes", "8", "--terminals", "3", "--k", "2", "--seed", "7"],
+}
+
+
+def _written(argv, out, **paths) -> bytes:
+    assert run(*(a.format(**paths) for a in argv), "--out", out) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("old", ["longer", "shorter", "equal"])
+@pytest.mark.parametrize("command", sorted(WRITERS))
+def test_out_over_an_existing_file_holds_exactly_the_new_bytes(
+    instance_file, report_file, tmp_path, command, old
+):
+    # the file is written over in place: its old tail is cut, its inode kept
+    paths = {"instance": instance_file, "report": report_file}
+    fresh = _written(WRITERS[command], tmp_path / "fresh.json", **paths)
+    size = {"longer": 10_000, "shorter": 10, "equal": len(fresh)}[old]
+    out = tmp_path / "out.json"
+    out.write_bytes(b"#" * size)
+    inode = out.stat().st_ino
+    assert _written(WRITERS[command], out, **paths) == fresh
+    assert out.stat().st_ino == inode
+
+
+def test_out_through_a_symlink_rewrites_its_target(instance_file, tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"#" * 10_000)
+    link.symlink_to(target)
+    argv = WRITERS["solve"]
+    fresh = _written(argv, tmp_path / "fresh.json", instance=instance_file)
+    assert _written(argv, link, instance=instance_file) == fresh
+    assert link.is_symlink() and link.readlink() == target
+    assert target.read_bytes() == fresh
+
+
+def test_out_keeps_the_mode_of_an_existing_file(instance_file, tmp_path):
+    out = tmp_path / "out.json"
+    out.write_bytes(b"#" * 10_000)
+    out.chmod(0o640)
+    _written(WRITERS["solve"], out, instance=instance_file)
+    assert out.stat().st_mode & 0o7777 == 0o640
+
+
+def test_out_to_a_character_device_is_not_truncated(instance_file, capsys):
+    # ftruncate on /dev/null raises EINVAL: only a regular file is cut
+    assert run("solve", "--instance", instance_file, "--out", "/dev/null") == 0
+    assert "error" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

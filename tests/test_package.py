@@ -328,6 +328,49 @@ def test_below_the_report_a_selection_is_per_edge_counts():
     ]
 
 
+def _file_writes(tree) -> list[int]:
+    """The line of each call in ``tree`` that may write a file: ``write_text``,
+    ``write_bytes``, ``os.open``, or an ``open`` whose mode writes or is not
+    a literal (the builtin and ``io.open`` take the mode second, a path's
+    ``open`` first)."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        owner = getattr(getattr(func, "value", None), "id", None)
+        if name in ("write_text", "write_bytes") or (name, owner) == ("open", "os"):
+            lines.append(node.lineno)
+        elif name == "open":
+            at = 1 if isinstance(func, ast.Name) or owner == "io" else 0
+            mode = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[at:at + 1]
+            if mode and not (isinstance(mode[0], ast.Constant)
+                             and not set(str(mode[0].value)) & set("wax+")):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_every_file_is_written_by_the_cli_writer():
+    # src/rkec and scripts/ write files only through cli._write, the one
+    # writer that rewrites an output in place; the pin must see its open
+    outside, inside = [], 0
+    for path in [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))]:
+        tree = ast.parse(path.read_text())
+        writer = range(0)
+        if path == PACKAGE / "cli.py":
+            stmt = next(stmt for stmt in tree.body
+                        if isinstance(stmt, ast.FunctionDef) and stmt.name == "_write")
+            writer = range(stmt.lineno, stmt.end_lineno + 1)
+        for line in _file_writes(tree):
+            if line in writer:
+                inside += 1
+            else:
+                outside.append(f"{path.relative_to(ROOT)}:{line}")
+    assert inside, "the pin no longer sees the open in cli._write"
+    assert not outside, f"files written outside cli._write: {outside}"
+
+
 # the whole interface of a flow outside ``flows.py``: it grows by ``grow``
 # alone, is undone by ``mark``/``rollback`` and is read through the rest
 # (``reach``, the one reachability read, and ``closest_sink_side``)
