@@ -17,11 +17,15 @@ force before it searches), the median over the rounds of the parse wall
 time (``parse_s``), the ``solve`` wall-time median, min and max over the
 rounds, the median over the rounds of the wall time of
 ``audit_run(inst, report)`` over the row's reports (``verify_s``: no
-optimum, no density replay), the total cost, and the sha256 of the report
-bytes ``dump_json(report_to_doc(...))``, concatenated in seed order for
-the corpus as the acceptance test C10 hashes them.  Every round must give
-the same bytes; a round that does not exits 1.  The times
-are uncalibrated wall time of the host it runs on.
+optimum, no density replay), the median over the rounds of the wall time
+of ``brute_force_opt(inst, incumbent=report.solution.selected)`` over the
+row's instances (``brute_s``: the exact optimum as ``verify --brute`` runs
+it, seeded with the greedy's selection; ``null`` on a row with an instance
+over brute force's 22-unit cap, which is every ladder row), the total
+cost, and the sha256 of the report bytes ``dump_json(report_to_doc(...))``,
+concatenated in seed order for the corpus as the acceptance test C10
+hashes them.  Every round must give the same bytes; a round that does not
+exits 1.  The times are uncalibrated wall time of the host it runs on.
 """
 
 import argparse
@@ -36,6 +40,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from rkec.cli import _write  # noqa: E402
+from rkec.exact import brute_force_opt  # noqa: E402
 from rkec.flows import require_feasible  # noqa: E402
 from rkec.generate import GenParams, default_corpus_params, generate_instance  # noqa: E402
 from rkec.instance import dump_json, instance_to_json, parse_instance  # noqa: E402
@@ -76,7 +81,8 @@ def main(argv=None) -> int:
             require_feasible(inst)
         feasible_s = time.perf_counter() - t0
         texts = [instance_to_json(inst) for inst in instances]
-        parse_times, times, verify_times, digests = [], [], [], set()
+        brute = all(inst.positive_unit_count <= 22 for inst in instances)
+        parse_times, times, verify_times, brute_times, digests = [], [], [], [], set()
         for _ in range(args.rounds):
             t0 = time.perf_counter()
             for text in texts:
@@ -89,6 +95,11 @@ def main(argv=None) -> int:
             for inst, report in zip(instances, reports):
                 audit_run(inst, report)
             verify_times.append(time.perf_counter() - t0)
+            if brute:
+                t0 = time.perf_counter()
+                for inst, report in zip(instances, reports):
+                    brute_force_opt(inst, incumbent=report.solution.selected)
+                brute_times.append(time.perf_counter() - t0)
             digest = hashlib.sha256()
             for report in reports:
                 digest.update(dump_json(report_to_doc(report)).encode())
@@ -106,12 +117,15 @@ def main(argv=None) -> int:
                 "median": statistics.median(times), "min": min(times), "max": max(times),
             },
             "verify_s": statistics.median(verify_times),
+            "brute_s": statistics.median(brute_times) if brute else None,
             "cost": str(sum(r.solution.total_cost for r in reports)),
             "report_sha256": digests.pop(),
         }
         out.append(row)
         print(f"{name}: median {row['wall_s']['median']:.3f} s over {args.rounds} rounds, "
-              f"verify {row['verify_s']:.3f} s, parse {row['parse_s']:.4f} s, "
+              f"verify {row['verify_s']:.3f} s, "
+              + (f"brute {row['brute_s']:.3f} s, " if brute else "")
+              + f"parse {row['parse_s']:.4f} s, "
               f"generated in {generate_s:.3f} s, feasible in {feasible_s:.3f} s, "
               f"cost {row['cost']}, "
               f"sha256 {row['report_sha256'][:8]}")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rkec import exact
 from rkec.exact import brute_force_opt, cheapest_completion
 from rkec.flows import require_feasible, solution_of
 from rkec.generate import GenParams, _acceptable, default_corpus_params, generate_instance
@@ -223,16 +224,42 @@ def test_size_caps_count_units_without_building_them():
     assert not _acceptable(inst, GenParams(2, 1, 1, max_units=22))
 
 
-@pytest.mark.parametrize("seed", [1, 7, 232, 424])
+@pytest.mark.parametrize("seed", [1, 7, 107, 232, 424])
 def test_search_builds_three_residuals_per_terminal(seed, residual_builds):
     # the pre-check, the search root and ``solution_of``; every search node
     # grows its parent's flows in place and rolls them back, so it builds
-    # none (seed 424 is the corpus's deepest search, 2,619 builds per
-    # terminal afresh)
+    # none (from nothing, seed 107 builds the most children in the corpus,
+    # 130, and seed 424 builds 115)
     inst = generate_instance(default_corpus_params(seed))
     residual_builds.clear()
     assert brute_force_opt(inst).feasible
     assert len(residual_builds) <= 3 * len(inst.terminals)
+
+
+def test_search_work_over_the_corpus(monkeypatch):
+    # a work pin, not output: the children the search builds (one
+    # ``add_arcs`` each) over the 500 corpus seeds, seeded with the greedy's
+    # selection as ``verify --brute`` seeds it, and from nothing as ``rkec
+    # brute`` runs it; each branch is cut by its own bound before it is built
+    built = []
+    add_arcs = exact.add_arcs
+
+    def counted(flows, arcs):
+        built.append(arcs)
+        add_arcs(flows, arcs)
+
+    monkeypatch.setattr(exact, "add_arcs", counted)
+    seeded = unseeded = 0
+    for seed in range(1, 501):
+        inst = generate_instance(default_corpus_params(seed))
+        incumbent = solve(inst).solution.selected
+        built.clear()
+        answer = cheapest_completion(inst, {}, incumbent)
+        seeded += len(built)
+        built.clear()
+        assert cheapest_completion(inst, {}) == answer
+        unseeded += len(built)
+    assert (seeded, unseeded) == (6_149, 7_579)
 
 
 @settings(max_examples=25, deadline=None)

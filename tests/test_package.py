@@ -560,6 +560,8 @@ def test_bench_script_writes_its_rows(tmp_path, monkeypatch, capsys):
         assert row["parse_s"] > 0
         assert row["verify_s"] > 0
     assert [row["instances"] for row in doc["rows"]] == [500, 1, 1, 1]
+    assert doc["rows"][0]["brute_s"] > 0  # the corpus fits brute force ...
+    assert [row["brute_s"] for row in doc["rows"][1:]] == [None] * 3  # ... no ladder row does
     assert doc["rows"][0]["cost"] == "11341"
 
 
