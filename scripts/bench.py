@@ -18,7 +18,7 @@ time (``parse_s``), the ``solve`` wall-time median, min and max over the
 rounds, the median over the rounds of the wall time of
 ``audit_run(inst, report)`` over the row's reports (``verify_s``: no
 optimum, no density replay), the median over the rounds of the wall time
-of ``brute_force_opt(inst, incumbent=report.solution.selected)`` over the
+of ``brute_force_opt(inst, incumbent=report.solution)`` over the
 row's instances (``brute_s``: the exact optimum as ``verify --brute`` runs
 it, seeded with the greedy's selection; ``null`` on a row with an instance
 over brute force's 22-unit cap, which is every ladder row), the total
@@ -98,7 +98,7 @@ def main(argv=None) -> int:
             if brute:
                 t0 = time.perf_counter()
                 for inst, report in zip(instances, reports):
-                    brute_force_opt(inst, incumbent=report.solution.selected)
+                    brute_force_opt(inst, incumbent=report.solution)
                 brute_times.append(time.perf_counter() - t0)
             digest = hashlib.sha256()
             for report in reports:

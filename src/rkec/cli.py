@@ -149,7 +149,7 @@ def _optimum(inst, args, rebuilt):
         return _read_optimum(inst, args.opt)
     if not args.brute:
         return None
-    return brute_force_opt(inst, max_units=args.max_brute_edges, incumbent=rebuilt.selected)
+    return brute_force_opt(inst, max_units=args.max_brute_edges, incumbent=rebuilt)
 
 
 def _short_audit(args, rebuilt, solution) -> int:
@@ -214,7 +214,7 @@ def cmd_bench(args) -> int:
         opt = None
         if row["units"] <= args.max_brute_edges:
             opt = brute_force_opt(
-                inst, max_units=args.max_brute_edges, incumbent=report.solution.selected
+                inst, max_units=args.max_brute_edges, incumbent=report.solution
             )
             row["opt"] = str(opt.total_cost)
         else:

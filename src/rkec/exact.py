@@ -10,26 +10,49 @@ twice.  Each branch is cut before it is built, by its own bound: the
 parent's packing with the branching side's share taken only from the edges
 the branch may still buy.  The plain enumeration it is checked against, and
 the enumeration oracles, live in the tests.
+
+There are two contracts.  A search from nothing (``rkec brute``) returns
+the optimum with the least key, its sorted edge ids.  A search seeded with
+a feasible completion (``verify --brute``, ``rkec bench``, the density
+replay) returns the optimum cost and *an* optimal completion, the seed
+itself whenever it is optimal.  Before it builds a child, a seeded search
+runs a dual ascent on the cut-covering LP (``dual_ascent``) from the same
+root flows.  The packing above is the ascent's integral special case.  By
+weak duality the ascent's bound LB is at most the optimum, which is an
+integer in cost units, so the optimum is at least the ceiling of LB.  When
+that ceiling reaches the seed's cost the seed is optimal, and the search
+ends at its root; otherwise the ceiling bounds every branch from below.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from fractions import Fraction
 
+from .deficiency import cores_of
 from .flows import add_arcs, require_feasible, root_flows, solution_of
 from .instance import Instance, SizeRefusalError, Solution
 
 
-def brute_force_opt(inst: Instance, *, max_units: int = 22, incumbent=None) -> Solution:
-    """Exact minimum-cost feasible selection: the solution of the edges
-    ``cheapest_completion`` picks from nothing, starting from ``incumbent``
-    (a feasible selection, edge id -> copies) when one is given.
+def brute_force_opt(
+    inst: Instance, *, max_units: int = 22, incumbent: Solution | None = None
+) -> Solution:
+    """Exact minimum-cost feasible selection.
+
+    Without ``incumbent``: the solution of the least-key optimum
+    ``cheapest_completion`` finds from nothing.  With one (a feasible
+    ``Solution`` of ``inst``, as ``verify --brute`` and ``rkec bench``
+    rebuild it): the search is seeded with its selection, and when the
+    search proves it optimal it is returned as it is, with no second
+    rebuild; otherwise the solution of the cheaper completion found.  Either
+    way the cost is the exact optimum; which optimal selection a seeded call
+    returns is not fixed.
 
     Raises SizeRefusalError when there are more than ``max_units`` positive
     units, and InfeasibleError when even every unit leaves a terminal short;
     a feasible incumbent already proves that it does not, so then the check
-    is skipped.
+    is skipped (ValueError for an infeasible one).
     """
     count = inst.positive_unit_count
     if count > max_units:
@@ -38,7 +61,98 @@ def brute_force_opt(inst: Instance, *, max_units: int = 22, incumbent=None) -> S
         )
     if incumbent is None:
         require_feasible(inst)
-    return solution_of(inst, Counter(cheapest_completion(inst, {}, incumbent)[1]))
+        return solution_of(inst, Counter(cheapest_completion(inst, {})[1]))
+    if not incumbent.feasible:
+        raise ValueError("the incumbent is not feasible")
+    cost, edges = cheapest_completion(inst, {}, incumbent.selected)
+    if Fraction(cost, inst.cost_scale) == incumbent.total_cost:
+        return incumbent
+    return solution_of(inst, Counter(edges))
+
+
+def free_copies(inst: Instance, preselected) -> list[tuple[int, int, tuple[int, int, int], int]]:
+    """(scaled cost, edge id, arc, copies not preselected) of every positive
+    edge with one, cheapest first, its arc the (tail, head, 1) triple that
+    grows a flow by a copy."""
+    return [
+        (inst.scaled_cost(e.id), e.id, (e.tail, e.head, 1), left)
+        for e in inst.positive_by_cost
+        if (left := e.mult - preselected.get(e.id, 0)) > 0
+    ]
+
+
+def dual_ascent(inst: Instance, flows, free) -> Fraction:
+    """A lower bound, in cost units (1/``inst.cost_scale``), on the cost of
+    every completion of the preselected copies: the value of a feasible
+    solution of the cut-covering LP's dual, raised by ascent.
+
+    ``flows`` are the root flows of the deficient terminals over the working
+    graph of the preselected copies, stopped at k (``root_flows``), and
+    ``free`` the free copies (``free_copies``); the instance must be
+    feasible with every copy.  The ascent adds arcs to the flows' network
+    and grows the flows, and the caller rolls them back.
+
+    The LP: minimize the sum of c_e x_e subject to x(in(S)) >= f(S) for
+    every set S that holds a terminal and not the root, where f(S) is k less
+    the zero-cost and preselected capacity entering S, and 0 <= x_e <= u_e,
+    the free copies of e.  Its dual: maximize the sum of f(S) y_S less the
+    sum of u_e z_e, subject to (the sum of y_S over the sets e enters) - z_e
+    <= c_e, with y, z >= 0.  Weak duality: every dual solution's value is at
+    most every completion's cost.
+
+    The ascent keeps each free edge's reduced cost, c_e less the y it
+    enters, as an integer over one common denominator, and calls an edge
+    tight once that reaches 0.  Each step works over the flows of the
+    working graph plus every tight edge at all its free copies, stopped at
+    k.  It takes that graph's cores (``cores_of``): at the level l, each a
+    closest minimum cut of k - l entering capacity.  It raises y of every
+    core by delta, the least ratio of reduced cost to n_e over the non-tight
+    edges that enter n_e >= 1 cores, so no reduced cost goes below 0.  The z
+    of each tight edge grows by delta times the cores it enters, which keeps
+    its constraint, so a core gains delta * (f(S) less the tight copies
+    entering it) = delta * l, and the bound delta * l * (number of cores).
+    The edges whose reduced cost reached 0 turn tight: their arcs join the
+    network at every free copy and the flows grow to k again.  At level 0
+    no set is raised any more.  Feasibility with every copy means that some
+    non-tight edge enters every core, so delta is defined.
+    """
+    k = inst.k
+    arcs = {eid: (arc[0], arc[1], left) for _, eid, arc, left in free}
+    red = {eid: c for c, eid, _, _ in free}  # the edges not tight yet
+    den, lb = 1, 0  # the reduced costs and the bound count in units of 1/den
+    while live := {flow.sink: flow for flow in flows if flow.value < k}:
+        level, cores = cores_of(inst, live)
+        sides = [core.members for core in cores]
+        entering = []  # (edge id, the cores it enters) of every edge entering one
+        r = n = 0  # the least ratio of reduced cost to cores entered, r / n
+        for eid, c in red.items():
+            tail, head, _ = arcs[eid]
+            m = 0
+            for side in sides:
+                if head in side and tail not in side:
+                    m += 1
+            if m:
+                entering.append((eid, m))
+                if not n or c * n < r * m:
+                    r, n = c, m
+        if not n:
+            raise ValueError("no free edge enters a core: the instance is infeasible")
+        scale = n // math.gcd(r, n)
+        if scale > 1:  # r / n is no integer: refine the unit so that it is
+            den, lb, r = den * scale, lb * scale, r * scale
+            red = {eid: c * scale for eid, c in red.items()}
+        delta = r // n
+        lb += delta * level * len(cores)
+        tight = []
+        for eid, m in entering:
+            red[eid] -= delta * m
+            if not red[eid]:
+                del red[eid]
+                tight.append(arcs[eid])
+        add_arcs(flows, tight)
+        for flow in live.values():
+            flow.grow(k)
+    return Fraction(lb, den)
 
 
 def cheapest_completion(
@@ -53,14 +167,20 @@ def cheapest_completion(
     ``incumbent``, if given, is a feasible completion (positive edge id ->
     copies, within the copies ``preselected`` leaves), and the search
     starts with it as its incumbent: its cost recomputed and its sorted
-    edge ids as key.  The answer is the same: the bound and the branch cut
-    only what costs strictly more than the incumbent, so the search still
-    reaches every minimal optimal completion and keeps the least key among
-    them; an optimal incumbent is one of those, since costs are positive,
-    and any other costs more than the optimum.
+    edge ids as key.  Then the cost is still the optimum, but the edges are
+    *an* optimal completion, the incumbent's whenever it is optimal, and not
+    always the least key.  Such a search first runs ``dual_ascent`` on its
+    root flows (marked first, rolled back after).  Its bound LB is at most
+    the optimum (weak duality), and the optimum is an integer, so the
+    optimum is at least ceil(LB).  When ceil(LB) reaches the incumbent's
+    cost the incumbent is optimal and the search returns it without
+    building a child.  Otherwise ceil(LB) is a lower bound on every branch
+    as well, and a branch is cut once its bound reaches the best cost: no
+    completion below it can cost less, and once the best cost is ceil(LB)
+    every branch is cut.
 
-    Ties are broken toward the lexicographically smallest edge-id multiset.
-    The search reads every deficient terminal's closest minimum cut (its
+    Without ``incumbent``, ties are broken toward the lexicographically
+    smallest edge-id multiset.  The search reads every deficient terminal's closest minimum cut (its
     closest sink side) and the free edges entering it: those not excluded
     and with a copy left.  It branches at the side that the fewest free
     edges enter, the first largest deficit among those (every feasible
@@ -82,8 +202,9 @@ def cheapest_completion(
     branching side, so they enter none of the other packed sides, whose
     deficits and free edges are therefore the parent's.  The branch bound
     never falls as i grows, so the first cut branch ends the loop, and at
-    i = 0 it is the node's own bound.  Every cut is strict, so the tie
-    argument above holds.
+    i = 0 it is the node's own bound.  Without ``incumbent`` every cut is
+    strict, so the search reaches every minimal optimal completion and keeps
+    the least key among them.
 
     It carries one root flow per deficient terminal, stopped at k, built
     once at the root over one network: each child adds the branched edge's
@@ -98,15 +219,9 @@ def cheapest_completion(
     root itself is the leaf (cost 0, no edges).  The plain enumeration it is
     checked against lives with the tests.
     """
-    # (scaled cost, edge id, arc, copies not preselected) of every positive
-    # edge with one, cheapest first, its arc the (tail, head, 1) triple that
-    # grows a flow by a copy
-    free = [
-        (inst.scaled_cost(e.id), e.id, (e.tail, e.head, 1), left)
-        for e in inst.positive_by_cost
-        if (left := e.mult - preselected.get(e.id, 0)) > 0
-    ]
+    free = free_copies(inst, preselected)
     k = inst.k
+    seeded = incumbent is not None
 
     def consider(chosen, cost):
         nonlocal best_cost, best_edges
@@ -154,9 +269,11 @@ def cheapest_completion(
         for i, (c, eid, arc, _) in enumerate(entering):
             # the branch's bound: its need copies into the branching side
             # come from entering[i:] (at i = 0, the node's own bound)
-            bound = others + cheapest_copies(entering[i:], need)
-            # infinite: no completion, cut even before a first leaf sets best_cost
-            if bound == math.inf or bound > best_cost:
+            bound = max(lower, others + cheapest_copies(entering[i:], need))
+            # infinite: no completion, cut even before a first leaf sets
+            # best_cost; a tie is cut when seeded, and kept for the least key
+            # when not
+            if bound == math.inf or bound > best_cost or (seeded and bound == best_cost):
                 break  # the branch bound never falls as i grows
             marks = [flow.mark() for flow in flows]
             add_arcs(flows, (arc,))
@@ -171,9 +288,16 @@ def cheapest_completion(
                 flow.rollback(mark)
 
     best_cost, best_edges = math.inf, ()
+    root = [f for _, f in root_flows(inst, preselected, k) if f.value < k]
+    lower = 0  # a lower bound on every completion's cost: costs are positive
     if incumbent is not None:
         best_cost = sum(inst.scaled_cost(e) * c for e, c in incumbent.items())
         best_edges = tuple(sorted(Counter(incumbent).elements()))
-    root = [f for _, f in root_flows(inst, preselected, k) if f.value < k]
-    search(root, (), frozenset(), 0)
+        # the ascent grows the root flows by its tight edges: undo that
+        marks = [flow.mark() for flow in root]
+        lower = math.ceil(dual_ascent(inst, root, free))
+        for flow, mark in zip(root, marks):
+            flow.rollback(mark)
+    if lower < best_cost:
+        search(root, (), frozenset(), 0)
     return best_cost, best_edges

@@ -141,8 +141,8 @@ def audit_run(
     rule (the core count must fall by at least half the leaf count:
     2 * drop >= leaf_count).  An infeasible rebuild is unclean, and only a
     feasible one goes on: ``optimum`` (if given) is called once, straight
-    after the rebuild and with it (a feasible selection a search may start
-    from), for the exact optimum or None, and ``pruned`` is
+    after the rebuild and with it (a feasible solution a search may start
+    from, and return when it is optimal), for the exact optimum or None, and ``pruned`` is
     checked against its own rebuild (differing, infeasible, buying an edge
     more often than the solution or carrying any iteration record is
     unclean: a pruned selection has none).  With an optimum: the ratio (1

@@ -689,14 +689,15 @@ def test_verify_recomputes_the_recorded_cost(corpus_seven, tmp_path):
     assert audit["cost"] == "30" and audit["ratio"] != "1/30"
 
 
-@pytest.mark.parametrize("flags, per_terminal", [([], 2), (["--brute"], 4)],
+@pytest.mark.parametrize("flags, per_terminal", [([], 2), (["--brute"], 3)],
                          ids=["no-optimum", "brute"])
 def test_verify_report_rebuilds_its_solution_once(corpus_seven, tmp_path, residual_builds, flags,
                                                   per_terminal):
     # |T| residuals for the solution's one rebuild and |T| for the first
-    # level's root flows; brute force adds its search root and its
-    # optimum's rebuild, and no feasibility pre-check: it starts from the
-    # rebuild, a feasible selection
+    # level's root flows; brute force adds its search root, and no
+    # feasibility pre-check (it starts from the rebuild, a feasible
+    # selection) and no rebuild of its optimum: the search proves the
+    # rebuild optimal and returns it as it is
     inst, doc = corpus_seven
     assert doc["pruned"] is None
     report = tmp_path / "untouched.json"

@@ -1,5 +1,7 @@
+import functools
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -8,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rkec import exact
-from rkec.exact import brute_force_opt, cheapest_completion
-from rkec.flows import require_feasible, solution_of
+from rkec.exact import brute_force_opt, cheapest_completion, dual_ascent, free_copies
+from rkec.flows import require_feasible, root_flows, short_terminal, solution_of
 from rkec.generate import GenParams, _acceptable, default_corpus_params, generate_instance
 from rkec.instance import Edge, InfeasibleError, Instance, SizeRefusalError, selection_from_units
 from rkec.solver import solve
@@ -176,11 +178,13 @@ def twinned(inst, rng):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10_000))
 def test_a_feasible_incumbent_leaves_the_search_unchanged(seed):
-    # started from a feasible completion, the search returns what it
-    # returns from nothing, for three incumbents: the optimum and one more
-    # copy (not optimal), the optimum moved onto the twins as far as their
-    # free copies go (optimal, with a larger key), and every free copy
-    # (parallel copies of edges with more than one)
+    # started from a feasible completion, the search returns the cost it
+    # returns from nothing, and a feasible completion of that cost within
+    # the free copies, for three incumbents: the optimum and one more copy
+    # (not optimal), the optimum moved onto the twins as far as their free
+    # copies go (optimal, with a larger key), and every free copy (parallel
+    # copies of edges with more than one); only the search from nothing
+    # keeps the least key
     rng = random.Random(seed)
     inst, offset = twinned(small_random_instance(rng, max_nodes=4, max_k=3), rng)
     inst = reachable_k(inst, inst.terminals)
@@ -206,9 +210,71 @@ def test_a_feasible_incumbent_leaves_the_search_unchanged(seed):
     assert copies_of(moved) >= key  # the optimum's key is the least
     for incumbent in (extra, moved, free):
         if incumbent is not None:
-            assert cheapest_completion(inst, pre, incumbent) == (cost, key)
+            seeded, edges = cheapest_completion(inst, pre, incumbent)
+            chosen = Counter(edges)
+            assert seeded == cost == sum(inst.scaled_cost(e) * c for e, c in chosen.items())
+            assert chosen <= free
+            assert short_terminal(inst, Counter(pre) + chosen, inst.k) is None
     if not pre:
-        assert brute_force_opt(inst, incumbent=free) == brute_force_opt(inst)
+        optimum = brute_force_opt(inst)
+        for incumbent in (extra, free):
+            if incumbent is not None:
+                start = solution_of(inst, incumbent)
+                assert brute_force_opt(inst, incumbent=start).total_cost == optimum.total_cost
+        # an optimal incumbent comes back as it is, with no second rebuild
+        start = solution_of(inst, moved)
+        assert brute_force_opt(inst, incumbent=start) is start
+
+
+def as_zero_cost(inst, preselected):
+    """``inst`` with the ``preselected`` copies (edge id -> count) split off
+    as zero-cost edges of their own: its optimum is the cheapest completion
+    of those copies in ``inst``."""
+    offset = max((e.id for e in inst.edges), default=0) + 1
+    edges = []
+    for e in inst.edges:
+        taken = preselected.get(e.id, 0)
+        if taken:
+            edges.append(Edge(e.id + offset, e.tail, e.head, Fraction(0), taken))
+        if e.mult > taken:
+            edges.append(Edge(e.id, e.tail, e.head, e.cost, e.mult - taken))
+    return Instance(inst.node_count, inst.root, inst.terminals, tuple(edges), inst.k)
+
+
+def ascent_bound(inst, preselected):
+    """The dual ascent's bound on completing ``preselected``, run to level 0
+    from the search's root flows."""
+    root = [f for _, f in root_flows(inst, preselected, inst.k) if f.value < inst.k]
+    return dual_ascent(inst, root, free_copies(inst, preselected))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000))
+def test_the_ascent_bound_is_at_most_the_oracle_optimum(seed):
+    # weak duality, against the subset-scanning oracle, which shares no flow
+    # code with the ascent: random instances with twinned parallel edges,
+    # or augmentation-mode ones on a planted zero-cost skeleton, each with
+    # some copies preselected
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        inst, _ = twinned(small_random_instance(rng, max_nodes=4, max_k=3), rng)
+        inst = reachable_k(inst, inst.terminals)
+    else:
+        k, n = rng.randint(2, 3), rng.randint(3, 5)
+        inst = generate_instance(GenParams(
+            n, rng.randint(1, min(3, n - 1)), k, density=Fraction(1, 3), seed=seed,
+            mode="augmentation", base_level=rng.randint(1, k - 1), max_units=10,
+        ))
+    units = positive_units(inst)
+    pre = selection_from_units(u for u in sorted(units) if rng.random() < 0.3)
+    if len(units) - sum(pre.values()) > 10:
+        return
+    optimum = oracle_opt_cost(as_zero_cost(inst, pre))
+    if optimum is None:  # no completion: even every copy leaves a terminal short
+        with pytest.raises(InfeasibleError):
+            require_feasible(inst)
+        return
+    assert ascent_bound(inst, pre) <= optimum * inst.cost_scale
 
 
 def test_size_caps_count_units_without_building_them():
@@ -236,30 +302,54 @@ def test_search_builds_three_residuals_per_terminal(seed, residual_builds):
     assert len(residual_builds) <= 3 * len(inst.terminals)
 
 
+@functools.cache
+def corpus_incumbents():
+    """(instance, the greedy's selection) of each of the 500 corpus seeds."""
+    return [
+        (inst, solve(inst).solution.selected)
+        for inst in (generate_instance(default_corpus_params(seed)) for seed in range(1, 501))
+    ]
+
+
 def test_search_work_over_the_corpus(monkeypatch):
     # a work pin, not output: the children the search builds (one
     # ``add_arcs`` each) over the 500 corpus seeds, seeded with the greedy's
     # selection as ``verify --brute`` seeds it, and from nothing as ``rkec
-    # brute`` runs it; each branch is cut by its own bound before it is built
-    built = []
+    # brute`` runs it; each branch is cut by its own bound before it is
+    # built, and a seeded search by the dual ascent's too.  The ascent's
+    # steps (one ``add_arcs`` each, of the edges the step made tight) are
+    # counted apart
+    built = Counter()
     add_arcs = exact.add_arcs
 
     def counted(flows, arcs):
-        built.append(arcs)
+        built[sys._getframe(1).f_code.co_name] += 1
         add_arcs(flows, arcs)
 
     monkeypatch.setattr(exact, "add_arcs", counted)
-    seeded = unseeded = 0
-    for seed in range(1, 501):
-        inst = generate_instance(default_corpus_params(seed))
-        incumbent = solve(inst).solution.selected
+    seeded = unseeded = ascent = 0
+    for inst, incumbent in corpus_incumbents():
         built.clear()
-        answer = cheapest_completion(inst, {}, incumbent)
-        seeded += len(built)
+        cost = cheapest_completion(inst, {}, incumbent)[0]
+        seeded, ascent = seeded + built["search"], ascent + built["dual_ascent"]
         built.clear()
-        assert cheapest_completion(inst, {}) == answer
-        unseeded += len(built)
-    assert (seeded, unseeded) == (6_149, 7_579)
+        assert cheapest_completion(inst, {})[0] == cost
+        unseeded += built["search"]
+    assert (seeded, unseeded, ascent) == (671, 7_579, 2_284)
+
+
+def test_the_ascent_bound_is_sound_over_the_corpus():
+    # LB <= the optimum the search finds from nothing, on every corpus
+    # instance; ceil(LB) is that optimum on 494 and reaches the greedy's
+    # cost on 446, where the seeded search ends at its root
+    closed = tight = 0
+    for inst, incumbent in corpus_incumbents():
+        optimum = cheapest_completion(inst, {})[0]
+        bound = math.ceil(ascent_bound(inst, {}))
+        assert bound <= optimum
+        tight += bound == optimum
+        closed += bound >= sum(inst.scaled_cost(e) * c for e, c in incumbent.items())
+    assert (closed, tight) == (446, 494)
 
 
 @settings(max_examples=25, deadline=None)

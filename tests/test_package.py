@@ -385,7 +385,7 @@ def test_flows_are_built_in_one_place_and_never_copied(monkeypatch):
     # or copies one (nothing in the package calls a ``copy``), and there is
     # one arc type, the plain triple.  After the build, arcs join a network
     # only through ``add_arcs``, once for all its flows: per star in the
-    # greedy and per branch in the brute force
+    # greedy, per branch in the brute force and per step of its dual ascent
     builds, copies, adds = [], [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         for owner, func in _calls(ast.parse(path.read_text())):
@@ -397,7 +397,7 @@ def test_flows_are_built_in_one_place_and_never_copied(monkeypatch):
                 adds.add(f"{path.stem}.{owner}")
     assert builds == ["flows.root_flows.Network", "flows.root_flows.Residual"]
     assert not copies, f"copy calls in shipped code: {copies}"
-    assert adds == {"greedy.cover_levels", "exact.cheapest_completion"}
+    assert adds == {"greedy.cover_levels", "exact.cheapest_completion", "exact.dual_ascent"}
     assert not hasattr(flows, "Arc") and not hasattr(flows, "connectivity")
     assert {name for name in vars(Residual) if not name.startswith("_")} == RESIDUAL_METHODS
 
