@@ -11,17 +11,17 @@ parent's packing with the branching side's share taken only from the edges
 the branch may still buy.  The plain enumeration it is checked against, and
 the enumeration oracles, live in the tests.
 
-There are two contracts.  A search from nothing (``rkec brute``) returns
-the optimum with the least key, its sorted edge ids.  A search seeded with
-a feasible completion (``verify --brute``, ``rkec bench``, the density
-replay) returns the optimum cost and *an* optimal completion, the seed
-itself whenever it is optimal.  Before it builds a child, a seeded search
-runs a dual ascent on the cut-covering LP (``dual_ascent``) from the same
-root flows.  The packing above is the ascent's integral special case.  By
-weak duality the ascent's bound LB is at most the optimum, which is an
-integer in cost units, so the optimum is at least the ceiling of LB.  When
-that ceiling reaches the seed's cost the seed is optimal, and the search
-ends at its root; otherwise the ceiling bounds every branch from below.
+Every search starts from a feasible completion, its incumbent: the one
+the caller gives (``verify --brute``, ``rkec bench``, the density replay),
+or else every free copy (``rkec brute``).  It returns the optimum cost and
+*an* optimal completion, the incumbent itself whenever it is optimal.
+Before it builds a child, the search runs a dual ascent on the cut-covering
+LP (``dual_ascent``) from the same root flows.  The packing above is the
+ascent's integral special case.  By weak duality the ascent's bound LB is
+at most the optimum, which is an integer in cost units, so the optimum is
+at least the ceiling of LB.  When that ceiling reaches the incumbent's cost
+the incumbent is optimal, and the search ends at its root; otherwise the
+ceiling bounds every branch from below.
 """
 
 from __future__ import annotations
@@ -38,16 +38,12 @@ from .instance import Instance, SizeRefusalError, Solution
 def brute_force_opt(
     inst: Instance, *, max_units: int = 22, incumbent: Solution | None = None
 ) -> Solution:
-    """Exact minimum-cost feasible selection.
-
-    Without ``incumbent``: the solution of the least-key optimum
-    ``cheapest_completion`` finds from nothing.  With one (a feasible
+    """Exact minimum-cost feasible selection: the solution of the optimum
+    ``cheapest_completion`` finds, started from ``incumbent`` (a feasible
     ``Solution`` of ``inst``, as ``verify --brute`` and ``rkec bench``
-    rebuild it): the search is seeded with its selection, and when the
-    search proves it optimal it is returned as it is, with no second
-    rebuild; otherwise the solution of the cheaper completion found.  Either
-    way the cost is the exact optimum; which optimal selection a seeded call
-    returns is not fixed.
+    rebuild it) or, without one, from every unit.  An incumbent the search
+    proves optimal is returned as it is, with no second rebuild.  The cost
+    is the exact optimum; which optimal selection is returned is not fixed.
 
     Raises SizeRefusalError when there are more than ``max_units`` positive
     units, and InfeasibleError when even every unit leaves a terminal short;
@@ -61,11 +57,10 @@ def brute_force_opt(
         )
     if incumbent is None:
         require_feasible(inst)
-        return solution_of(inst, Counter(cheapest_completion(inst, {})[1]))
-    if not incumbent.feasible:
+    elif not incumbent.feasible:
         raise ValueError("the incumbent is not feasible")
-    cost, edges = cheapest_completion(inst, {}, incumbent.selected)
-    if Fraction(cost, inst.cost_scale) == incumbent.total_cost:
+    cost, edges = cheapest_completion(inst, {}, incumbent and incumbent.selected)
+    if incumbent and Fraction(cost, inst.cost_scale) == incumbent.total_cost:
         return incumbent
     return solution_of(inst, Counter(edges))
 
@@ -157,30 +152,27 @@ def dual_ascent(inst: Instance, flows, free) -> Fraction:
 
 def cheapest_completion(
     inst: Instance, preselected, incumbent=None
-) -> tuple[int | float, tuple[int, ...]]:
-    """(cost, sorted edge ids, one per copy) of the cheapest completion of
+) -> tuple[int, tuple[int, ...]]:
+    """(cost, sorted edge ids, one per copy) of *an* optimal completion of
     the selection ``preselected`` (edge id -> copies bought), by branch and
-    bound over the positive edges' other copies; the instance must be
-    feasible with every copy.  The cost is an integer in units of
-    1/``inst.cost_scale``, the preselected copies not counted; when no
-    completion exists it is ``math.inf``, with no edges.
-    ``incumbent``, if given, is a feasible completion (positive edge id ->
-    copies, within the copies ``preselected`` leaves), and the search
-    starts with it as its incumbent: its cost recomputed and its sorted
-    edge ids as key.  Then the cost is still the optimum, but the edges are
-    *an* optimal completion, the incumbent's whenever it is optimal, and not
-    always the least key.  Such a search first runs ``dual_ascent`` on its
-    root flows (marked first, rolled back after).  Its bound LB is at most
-    the optimum (weak duality), and the optimum is an integer, so the
-    optimum is at least ceil(LB).  When ceil(LB) reaches the incumbent's
-    cost the incumbent is optimal and the search returns it without
-    building a child.  Otherwise ceil(LB) is a lower bound on every branch
-    as well, and a branch is cut once its bound reaches the best cost: no
-    completion below it can cost less, and once the best cost is ceil(LB)
-    every branch is cut.
+    bound over the positive edges' other copies.  The cost is an integer in
+    units of 1/``inst.cost_scale``, the preselected copies not counted.
+    ``incumbent`` is a feasible completion (positive edge id -> copies,
+    within the copies ``preselected`` leaves), by default every free copy,
+    and the search starts with it as its best: its cost recomputed, its
+    sorted edge ids returned whenever it is optimal.  When even every free
+    copy leaves a terminal short, ``dual_ascent`` raises ValueError.
 
-    Without ``incumbent``, ties are broken toward the lexicographically
-    smallest edge-id multiset.  The search reads every deficient terminal's closest minimum cut (its
+    The search first runs ``dual_ascent`` on its root flows (marked first,
+    rolled back after).  Its bound LB is at most the optimum (weak duality),
+    and the optimum is an integer, so the optimum is at least ceil(LB).
+    When ceil(LB) reaches the incumbent's cost the incumbent is optimal and
+    the search returns it without building a child.  Otherwise ceil(LB) is
+    a lower bound on every branch as well, and a branch is cut once its
+    bound reaches the best cost: no completion below it can cost less, and
+    once the best cost is ceil(LB) every branch is cut.
+
+    The search reads every deficient terminal's closest minimum cut (its
     closest sink side) and the free edges entering it: those not excluded
     and with a copy left.  It branches at the side that the fewest free
     edges enter, the first largest deficit among those (every feasible
@@ -194,7 +186,7 @@ def cheapest_completion(
     deficient terminal in id order whose side is disjoint from every side
     taken so far, its own deficit-many cheapest free copies entering (no arc
     enters two disjoint sets).  Branch i is cut before it is built when its
-    own bound exceeds the best cost: the same packing, with the branching
+    own bound reaches the best cost: the same packing, with the branching
     side's copies taken from the entering edges from i on.  That is
     admissible.  Every completion below branch i puts deficit-many copies
     into the branching side, and branch i excludes the edges before it, so
@@ -202,9 +194,10 @@ def cheapest_completion(
     branching side, so they enter none of the other packed sides, whose
     deficits and free edges are therefore the parent's.  The branch bound
     never falls as i grows, so the first cut branch ends the loop, and at
-    i = 0 it is the node's own bound.  Without ``incumbent`` every cut is
-    strict, so the search reaches every minimal optimal completion and keeps
-    the least key among them.
+    i = 0 it is the node's own bound.  A branch whose arc closes every
+    deficit buys one copy into the branching side, the cheapest of
+    entering[i:], so its leaf costs at most its bound: every leaf the
+    search reaches is cheaper than the best so far.
 
     It carries one root flow per deficient terminal, stopped at k, built
     once at the root over one network: each child adds the branched edge's
@@ -212,22 +205,12 @@ def cheapest_completion(
     (``Residual.grow``), recurses on the terminals still below k, and rolls
     every flow back to its ``mark`` when it returns, which pops the arc
     again.  Below k a flow is a maximum flow, so its closest sink side is
-    the one a fresh flow would give.  Without ``incumbent`` the search
-    starts with none: its first dive, always down the cheapest branch and
-    cut only where no completion is left, is a greedy repair that reaches a
-    leaf when the instance is feasible, and with no deficient terminal the
-    root itself is the leaf (cost 0, no edges).  The plain enumeration it is
+    the one a fresh flow would give.  With no deficient terminal the root
+    itself is the leaf (cost 0, no edges).  The plain enumeration it is
     checked against lives with the tests.
     """
     free = free_copies(inst, preselected)
     k = inst.k
-    seeded = incumbent is not None
-
-    def consider(chosen, cost):
-        nonlocal best_cost, best_edges
-        key = tuple(sorted(chosen))
-        if cost < best_cost or (cost == best_cost and key < best_edges):
-            best_cost, best_edges = cost, key
 
     def free_edges(chosen, excluded, side):
         """(scaled cost, edge id, arc, copies left) of every edge entering
@@ -250,8 +233,9 @@ def cheapest_completion(
         return math.inf
 
     def search(flows, chosen: tuple, excluded: frozenset, cost: int):
+        nonlocal best_cost, best_edges
         if not flows:
-            consider(chosen, cost)
+            best_cost, best_edges = cost, tuple(sorted(chosen))
             return  # costs are strictly positive, supersets cannot improve
         # every flow's sink side and the free edges entering it, read once
         sides = [flow.closest_sink_side() for flow in flows]
@@ -270,10 +254,7 @@ def cheapest_completion(
             # the branch's bound: its need copies into the branching side
             # come from entering[i:] (at i = 0, the node's own bound)
             bound = max(lower, others + cheapest_copies(entering[i:], need))
-            # infinite: no completion, cut even before a first leaf sets
-            # best_cost; a tie is cut when seeded, and kept for the least key
-            # when not
-            if bound == math.inf or bound > best_cost or (seeded and bound == best_cost):
+            if bound >= best_cost:
                 break  # the branch bound never falls as i grows
             marks = [flow.mark() for flow in flows]
             add_arcs(flows, (arc,))
@@ -287,17 +268,16 @@ def cheapest_completion(
             for flow, mark in zip(flows, marks):
                 flow.rollback(mark)
 
-    best_cost, best_edges = math.inf, ()
+    if incumbent is None:
+        incumbent = {eid: left for _, eid, _, left in free}
+    best_cost = sum(inst.scaled_cost(e) * c for e, c in incumbent.items())
+    best_edges = tuple(sorted(Counter(incumbent).elements()))
     root = [f for _, f in root_flows(inst, preselected, k) if f.value < k]
-    lower = 0  # a lower bound on every completion's cost: costs are positive
-    if incumbent is not None:
-        best_cost = sum(inst.scaled_cost(e) * c for e, c in incumbent.items())
-        best_edges = tuple(sorted(Counter(incumbent).elements()))
-        # the ascent grows the root flows by its tight edges: undo that
-        marks = [flow.mark() for flow in root]
-        lower = math.ceil(dual_ascent(inst, root, free))
-        for flow, mark in zip(root, marks):
-            flow.rollback(mark)
+    # the ascent grows the root flows by its tight edges: undo that
+    marks = [flow.mark() for flow in root]
+    lower = math.ceil(dual_ascent(inst, root, free))
+    for flow, mark in zip(root, marks):
+        flow.rollback(mark)
     if lower < best_cost:
         search(root, (), frozenset(), 0)
     return best_cost, best_edges

@@ -464,7 +464,8 @@ def enumerated_opt(inst: Instance, preselected=()) -> Solution | None:
     carried from one subset to the next.  Copies of an edge are taken lowest
     first (skipping a copy skips the edge's later copies), and a feasible set
     ends its branch, since every superset costs more.  Ties go to the
-    lexicographically smallest unit set, as in ``brute_force_opt``.
+    lexicographically smallest unit set: a fixed optimum, where the search
+    in ``exact`` returns *an* optimum.
     """
     preselected = frozenset(preselected)
     order = sorted(u for u in positive_units(inst) if u not in preselected)

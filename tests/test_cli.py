@@ -197,6 +197,19 @@ def test_brute_size_refusal(instance_file, tmp_path):
     ) == 5
 
 
+def test_brute_refuses_by_size_before_it_checks_feasibility(tmp_path, capsys):
+    # terminal 2 is unreachable and edge 0 -> 1 has 3 copies against a cap
+    # of 2: the size refusal (exit 5) comes first, not the infeasibility (3)
+    doc = {"n": 3, "root": 0, "terminals": [1, 2], "k": 1,
+           "edges": [{"id": 1, "tail": 0, "head": 1, "cost": "1", "mult": 3}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "opt.json"
+    assert run("brute", "--instance", path, "--out", out, "--max-brute-edges", "2") == 5
+    assert "enumeration cap" in capsys.readouterr().err
+    assert run("brute", "--instance", path, "--out", out) == 3
+
+
 def test_solve_infeasible(tmp_path, capsys):
     doc = {"n": 3, "root": 0, "terminals": [1, 2], "k": 1,
            "edges": [{"id": 1, "tail": 0, "head": 1, "cost": "1", "mult": 1}]}

@@ -79,18 +79,41 @@ def test_a_feasible_start_needs_no_completion(instance_a):
     assert brute_force_opt(free).total_cost == 0
 
 
+def test_a_completion_that_every_free_copy_leaves_short_raises():
+    # terminal 2 is unreachable: with edge 1 preselected or free, no
+    # completion exists, and the search's dual ascent finds no edge to raise
+    inst = Instance(3, 0, frozenset({1, 2}), (Edge(1, 0, 1, Fraction(1)),), 1)
+    for pre in ({}, {1: 1}):
+        with pytest.raises(ValueError, match="infeasible"):
+            cheapest_completion(inst, pre)
+
+
+def assert_optimal_completion(inst, pre, found, optimum):
+    """``found``, a (cost, edge ids) pair as ``cheapest_completion`` returns
+    it, is an optimal completion of the selection ``pre``: it costs
+    ``optimum`` (in cost units), also recomputed from its edges, buys only
+    copies ``pre`` leaves free, and with ``pre`` brings every terminal to k.
+    Which optimal completion it is, is not fixed."""
+    cost, edges = found
+    chosen = Counter(edges)
+    free = Counter({e.id: e.mult - pre.get(e.id, 0) for e in inst.positive_edges})
+    assert cost == optimum == sum(inst.scaled_cost(e) * c for e, c in chosen.items())
+    assert chosen <= free
+    assert short_terminal(inst, Counter(pre) + chosen, inst.k) is None
+
+
 def assert_search_equals_plain_enumeration(inst, preselected=frozenset()):
     slow = enumerated_opt(inst, preselected)
     if slow is None:
         with pytest.raises(InfeasibleError):
             require_feasible(inst)
         return
-    cost, edges = cheapest_completion(inst, selection_from_units(preselected))
-    fast = solution_of(inst, Counter(edges))
-    assert Fraction(cost, inst.cost_scale) == fast.total_cost == slow.total_cost
-    assert fast.selected == slow.selected  # identical lexicographic tie-break
+    pre = selection_from_units(preselected)
+    optimum = slow.total_cost * inst.cost_scale
+    assert_optimal_completion(inst, pre, cheapest_completion(inst, pre), optimum)
     if not preselected:
-        assert brute_force_opt(inst).selected == slow.selected
+        opt = brute_force_opt(inst)
+        assert opt.feasible and opt.total_cost == slow.total_cost
 
 
 def reachable_k(inst, terminals):
@@ -131,17 +154,12 @@ def test_packed_bound_search_equals_plain_enumeration(seed):
     assert_search_equals_plain_enumeration(inst)
 
 
-def copies_of(selected):
-    """One edge id per copy ``selected`` (edge id -> count) buys, in id order."""
-    return tuple(sorted(eid for eid, count in selected.items() for _ in range(count)))
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10_000))
 def test_parallel_copies_search_equals_plain_enumeration(seed):
     # every positive edge has two or three copies, so at nearly every node a
     # branch excludes every copy of its earlier siblings' edges; the search
-    # must still find the enumeration's cost and edges, copy for copy
+    # must still find an optimal completion, copy for copy
     rng = random.Random(seed)
     inst = small_random_instance(rng, max_nodes=4, max_k=3)
     edges = tuple(
@@ -156,9 +174,9 @@ def test_parallel_copies_search_equals_plain_enumeration(seed):
     slow = enumerated_opt(inst, preselected)
     if slow is None:
         return
-    cost, edges = cheapest_completion(inst, selection_from_units(preselected))
-    assert Fraction(cost, inst.cost_scale) == slow.total_cost
-    assert edges == copies_of(slow.selected)
+    pre = selection_from_units(preselected)
+    optimum = slow.total_cost * inst.cost_scale
+    assert_optimal_completion(inst, pre, cheapest_completion(inst, pre), optimum)
 
 
 def twinned(inst, rng):
@@ -179,12 +197,11 @@ def twinned(inst, rng):
 @given(st.integers(0, 10_000))
 def test_a_feasible_incumbent_leaves_the_search_unchanged(seed):
     # started from a feasible completion, the search returns the cost it
-    # returns from nothing, and a feasible completion of that cost within
-    # the free copies, for three incumbents: the optimum and one more copy
-    # (not optimal), the optimum moved onto the twins as far as their free
-    # copies go (optimal, with a larger key), and every free copy (parallel
-    # copies of edges with more than one); only the search from nothing
-    # keeps the least key
+    # returns by default, and a feasible completion of that cost within the
+    # free copies, for three incumbents: the optimum and one more copy (not
+    # optimal), the optimum moved onto the twins as far as their free copies
+    # go (optimal, with another key), and every free copy, the default
+    # (parallel copies of edges with more than one)
     rng = random.Random(seed)
     inst, offset = twinned(small_random_instance(rng, max_nodes=4, max_k=3), rng)
     inst = reachable_k(inst, inst.terminals)
@@ -193,9 +210,12 @@ def test_a_feasible_incumbent_leaves_the_search_unchanged(seed):
         return
     pre = selection_from_units(u for u in units if rng.random() < 0.3)
     free = +Counter({e.id: e.mult - pre.get(e.id, 0) for e in inst.positive_edges})
-    cost, key = cheapest_completion(inst, pre)
-    if cost == math.inf:  # no completion: the incumbents would not be feasible
+    if short_terminal(inst, {e.id: e.mult for e in inst.positive_edges}, inst.k) is not None:
+        # no completion, so no feasible incumbent: the search raises
+        with pytest.raises(ValueError):
+            cheapest_completion(inst, pre)
         return
+    cost, key = cheapest_completion(inst, pre)
     opt = Counter(key)
     spare = sorted((free - opt).elements())
     extra = opt + Counter([rng.choice(spare)]) if spare else None
@@ -207,14 +227,9 @@ def test_a_feasible_incumbent_leaves_the_search_unchanged(seed):
         moved[high] = min(pair, free[high])
         moved[low] = pair - moved[high]
     moved = +moved
-    assert copies_of(moved) >= key  # the optimum's key is the least
     for incumbent in (extra, moved, free):
         if incumbent is not None:
-            seeded, edges = cheapest_completion(inst, pre, incumbent)
-            chosen = Counter(edges)
-            assert seeded == cost == sum(inst.scaled_cost(e) * c for e, c in chosen.items())
-            assert chosen <= free
-            assert short_terminal(inst, Counter(pre) + chosen, inst.k) is None
+            assert_optimal_completion(inst, pre, cheapest_completion(inst, pre, incumbent), cost)
     if not pre:
         optimum = brute_force_opt(inst)
         for incumbent in (extra, free):
@@ -294,8 +309,8 @@ def test_size_caps_count_units_without_building_them():
 def test_search_builds_three_residuals_per_terminal(seed, residual_builds):
     # the pre-check, the search root and ``solution_of``; every search node
     # grows its parent's flows in place and rolls them back, so it builds
-    # none (from nothing, seed 107 builds the most children in the corpus,
-    # 130, and seed 424 builds 115)
+    # none (started from every free copy, seed 424 builds the most children
+    # in the corpus, 85, and seed 107 builds 48)
     inst = generate_instance(default_corpus_params(seed))
     residual_builds.clear()
     assert brute_force_opt(inst).feasible
@@ -313,12 +328,12 @@ def corpus_incumbents():
 
 def test_search_work_over_the_corpus(monkeypatch):
     # a work pin, not output: the children the search builds (one
-    # ``add_arcs`` each) over the 500 corpus seeds, seeded with the greedy's
-    # selection as ``verify --brute`` seeds it, and from nothing as ``rkec
-    # brute`` runs it; each branch is cut by its own bound before it is
-    # built, and a seeded search by the dual ascent's too.  The ascent's
-    # steps (one ``add_arcs`` each, of the edges the step made tight) are
-    # counted apart
+    # ``add_arcs`` each) over the 500 corpus seeds, started from the greedy's
+    # selection as ``verify --brute`` starts it, and from every free copy as
+    # ``rkec brute`` starts it; each branch is cut by its own bound and by
+    # the dual ascent's before it is built.  The ascent's steps (one
+    # ``add_arcs`` each, of the edges the step made tight) of the searches
+    # from the greedy's selection are counted apart
     built = Counter()
     add_arcs = exact.add_arcs
 
@@ -327,21 +342,22 @@ def test_search_work_over_the_corpus(monkeypatch):
         add_arcs(flows, arcs)
 
     monkeypatch.setattr(exact, "add_arcs", counted)
-    seeded = unseeded = ascent = 0
+    greedy = every = ascent = 0
     for inst, incumbent in corpus_incumbents():
         built.clear()
         cost = cheapest_completion(inst, {}, incumbent)[0]
-        seeded, ascent = seeded + built["search"], ascent + built["dual_ascent"]
+        greedy, ascent = greedy + built["search"], ascent + built["dual_ascent"]
         built.clear()
         assert cheapest_completion(inst, {})[0] == cost
-        unseeded += built["search"]
-    assert (seeded, unseeded, ascent) == (671, 7_579, 2_284)
+        every += built["search"]
+    assert (greedy, every, ascent) == (671, 4_773, 2_284)
 
 
 def test_the_ascent_bound_is_sound_over_the_corpus():
-    # LB <= the optimum the search finds from nothing, on every corpus
-    # instance; ceil(LB) is that optimum on 494 and reaches the greedy's
-    # cost on 446, where the seeded search ends at its root
+    # LB <= the optimum the search finds from every free copy, on every
+    # corpus instance; ceil(LB) is that optimum on 494 and reaches the
+    # greedy's cost on 446, where the search from the greedy's selection
+    # ends at its root
     closed = tight = 0
     for inst, incumbent in corpus_incumbents():
         optimum = cheapest_completion(inst, {})[0]
