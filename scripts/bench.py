@@ -12,8 +12,8 @@ with ``parse_instance``, solves the instances and audits their reports,
 in this process, ``--rounds`` times (default 5).  Per row the file holds
 the wall time of that one generation (``generate_s``), the wall time of
 one ``require_feasible`` over the row's instances (``feasible_s``: the
-every-copy feasibility check that generation runs per draw and brute
-force before it searches), the median over the rounds of the parse wall
+every-copy feasibility check that generation runs per draw; the solver
+and brute force run it only on an infeasible instance), the median over the rounds of the parse wall
 time (``parse_s``), the ``solve`` wall-time median, min and max over the
 rounds, the median over the rounds of the wall time of
 ``audit_run(inst, report)`` over the row's reports (``verify_s``: no

@@ -4,24 +4,23 @@ the ratio audit and the density replay run.
 Everything here is exponential and capped at desk scale.  The search reads
 path counts and its branching cut off one root flow per deficient terminal,
 built once over one shared network, grown in place down the search and
-rolled back up it (``Residual.mark``/``rollback``, no copies); its bound
-adds up the deficits of disjoint closest cuts, a packing that no arc enters
-twice.  Each branch is cut before it is built, by its own bound: the
-parent's packing with the branching side's share taken only from the edges
-the branch may still buy.  The plain enumeration it is checked against, and
-the enumeration oracles, live in the tests.
+rolled back up it (``Residual.mark``/``rollback``, no copies).  The plain
+enumeration it is checked against, and the enumeration oracles, live in
+the tests.
 
-Every search starts from a feasible completion, its incumbent: the one
-the caller gives (``verify --brute``, ``rkec bench``, the density replay),
-or else every free copy (``rkec brute``).  It returns the optimum cost and
-*an* optimal completion, the incumbent itself whenever it is optimal.
 Before it builds a child, the search runs a dual ascent on the cut-covering
-LP (``dual_ascent``) from the same root flows.  The packing above is the
-ascent's integral special case.  By weak duality the ascent's bound LB is
-at most the optimum, which is an integer in cost units, so the optimum is
-at least the ceiling of LB.  When that ceiling reaches the incumbent's cost
-the incumbent is optimal, and the search ends at its root; otherwise the
-ceiling bounds every branch from below.
+LP (``dual_ascent``) from the same root flows, and leans on it alone.  By
+weak duality the ascent's bound LB is at most the optimum, which is an
+integer in cost units, so the optimum is at least the ceiling of LB, and
+that ceiling bounds every branch from below.  The ascent's tight edges, at
+all their free copies, are a feasible completion: the search's first
+incumbent when the caller gives none (``rkec brute``; ``verify --brute``,
+``rkec bench`` and the density replay give their own).  And when no free
+edge enters a core, even every copy leaves a terminal short: the ascent
+raises the instance's InfeasibleError, so the search is its own
+feasibility check.  The search returns the optimum cost and *an* optimal
+completion, the incumbent itself whenever it is optimal; when the ceiling
+of LB reaches the incumbent's cost, it ends at its root.
 """
 
 from __future__ import annotations
@@ -41,23 +40,22 @@ def brute_force_opt(
     """Exact minimum-cost feasible selection: the solution of the optimum
     ``cheapest_completion`` finds, started from ``incumbent`` (a feasible
     ``Solution`` of ``inst``, as ``verify --brute`` and ``rkec bench``
-    rebuild it) or, without one, from every unit.  An incumbent the search
-    proves optimal is returned as it is, with no second rebuild.  The cost
-    is the exact optimum; which optimal selection is returned is not fixed.
+    rebuild it) or, without one, from the dual ascent's tight edges.  An
+    incumbent the search proves optimal is returned as it is, with no second
+    rebuild.  The cost is the exact optimum; which optimal selection is
+    returned is not fixed.
 
     Raises SizeRefusalError when there are more than ``max_units`` positive
-    units, and InfeasibleError when even every unit leaves a terminal short;
-    a feasible incumbent already proves that it does not, so then the check
-    is skipped (ValueError for an infeasible one).
+    units, ValueError for an infeasible incumbent, and InfeasibleError when
+    even every unit leaves a terminal short, which the search's dual ascent
+    finds out.
     """
     count = inst.positive_unit_count
     if count > max_units:
         raise SizeRefusalError(
             f"{count} positive edge units exceed the enumeration cap {max_units}"
         )
-    if incumbent is None:
-        require_feasible(inst)
-    elif not incumbent.feasible:
+    if incumbent and not incumbent.feasible:
         raise ValueError("the incumbent is not feasible")
     cost, edges = cheapest_completion(inst, {}, incumbent and incumbent.selected)
     if incumbent and Fraction(cost, inst.cost_scale) == incumbent.total_cost:
@@ -76,16 +74,18 @@ def free_copies(inst: Instance, preselected) -> list[tuple[int, int, tuple[int, 
     ]
 
 
-def dual_ascent(inst: Instance, flows, free) -> Fraction:
-    """A lower bound, in cost units (1/``inst.cost_scale``), on the cost of
-    every completion of the preselected copies: the value of a feasible
-    solution of the cut-covering LP's dual, raised by ascent.
+def dual_ascent(inst: Instance, flows, free) -> tuple[Fraction, dict[int, int]]:
+    """(LB, tight): a lower bound, in cost units (1/``inst.cost_scale``), on
+    the cost of every completion of the preselected copies, the value of a
+    feasible solution of the cut-covering LP's dual, raised by ascent; and
+    the edges it made tight, each at all its free copies (edge id ->
+    copies), a feasible completion, since the ascent stops only once every
+    flow is at k over the preselected and tight copies.
 
     ``flows`` are the root flows of the deficient terminals over the working
     graph of the preselected copies, stopped at k (``root_flows``), and
-    ``free`` the free copies (``free_copies``); the instance must be
-    feasible with every copy.  The ascent adds arcs to the flows' network
-    and grows the flows, and the caller rolls them back.
+    ``free`` the free copies (``free_copies``).  The ascent adds arcs to the
+    flows' network and grows the flows, and the caller rolls them back.
 
     The LP: minimize the sum of c_e x_e subject to x(in(S)) >= f(S) for
     every set S that holds a terminal and not the root, where f(S) is k less
@@ -108,8 +108,12 @@ def dual_ascent(inst: Instance, flows, free) -> Fraction:
     entering it) = delta * l, and the bound delta * l * (number of cores).
     The edges whose reduced cost reached 0 turn tight: their arcs join the
     network at every free copy and the flows grow to k again.  At level 0
-    no set is raised any more.  Feasibility with every copy means that some
-    non-tight edge enters every core, so delta is defined.
+    no set is raised any more.  When no non-tight edge enters a core, every
+    copy entering it is in the network already (zero-cost, preselected or
+    tight at all its free copies), and it lets only k - l < k in: even every
+    copy leaves the core's terminal short, and ``require_feasible`` raises
+    the instance's InfeasibleError.  So on a feasible instance delta is
+    always defined.
     """
     k = inst.k
     arcs = {eid: (arc[0], arc[1], left) for _, eid, arc, left in free}
@@ -131,7 +135,8 @@ def dual_ascent(inst: Instance, flows, free) -> Fraction:
                 if not n or c * n < r * m:
                     r, n = c, m
         if not n:
-            raise ValueError("no free edge enters a core: the instance is infeasible")
+            require_feasible(inst)
+            raise AssertionError("no free edge enters a core of a feasible instance")
         scale = n // math.gcd(r, n)
         if scale > 1:  # r / n is no integer: refine the unit so that it is
             den, lb, r = den * scale, lb * scale, r * scale
@@ -147,7 +152,7 @@ def dual_ascent(inst: Instance, flows, free) -> Fraction:
         add_arcs(flows, tight)
         for flow in live.values():
             flow.grow(k)
-    return Fraction(lb, den)
+    return Fraction(lb, den), {eid: arc[2] for eid, arc in arcs.items() if eid not in red}
 
 
 def cheapest_completion(
@@ -158,19 +163,19 @@ def cheapest_completion(
     bound over the positive edges' other copies.  The cost is an integer in
     units of 1/``inst.cost_scale``, the preselected copies not counted.
     ``incumbent`` is a feasible completion (positive edge id -> copies,
-    within the copies ``preselected`` leaves), by default every free copy,
-    and the search starts with it as its best: its cost recomputed, its
-    sorted edge ids returned whenever it is optimal.  When even every free
-    copy leaves a terminal short, ``dual_ascent`` raises ValueError.
+    within the copies ``preselected`` leaves), by default the dual ascent's
+    tight edges at all their free copies, and the search starts with it as
+    its best: its cost recomputed, its sorted edge ids returned whenever it
+    is optimal.  When even every copy leaves a terminal short,
+    ``dual_ascent`` raises InfeasibleError.
 
     The search first runs ``dual_ascent`` on its root flows (marked first,
     rolled back after).  Its bound LB is at most the optimum (weak duality),
     and the optimum is an integer, so the optimum is at least ceil(LB).
     When ceil(LB) reaches the incumbent's cost the incumbent is optimal and
     the search returns it without building a child.  Otherwise ceil(LB) is
-    a lower bound on every branch as well, and a branch is cut once its
-    bound reaches the best cost: no completion below it can cost less, and
-    once the best cost is ceil(LB) every branch is cut.
+    a lower bound on every branch as well, and once the best cost is
+    ceil(LB) every branch is cut.
 
     The search reads every deficient terminal's closest minimum cut (its
     closest sink side) and the free edges entering it: those not excluded
@@ -181,23 +186,16 @@ def cheapest_completion(
     siblings' edges, which kills permutation duplicates and loses nothing: a
     completion that uses such an edge is reached in that sibling's branch.
 
-    The admissible bound packs disjoint cuts: the branching side's
-    deficit-many cheapest free copies entering it, plus, for each other
-    deficient terminal in id order whose side is disjoint from every side
-    taken so far, its own deficit-many cheapest free copies entering (no arc
-    enters two disjoint sets).  Branch i is cut before it is built when its
-    own bound reaches the best cost: the same packing, with the branching
-    side's copies taken from the entering edges from i on.  That is
-    admissible.  Every completion below branch i puts deficit-many copies
-    into the branching side, and branch i excludes the edges before it, so
-    they come from edge i on.  The excluded edges have their heads in the
-    branching side, so they enter none of the other packed sides, whose
-    deficits and free edges are therefore the parent's.  The branch bound
-    never falls as i grows, so the first cut branch ends the loop, and at
-    i = 0 it is the node's own bound.  A branch whose arc closes every
-    deficit buys one copy into the branching side, the cheapest of
-    entering[i:], so its leaf costs at most its bound: every leaf the
-    search reaches is cheaper than the best so far.
+    Branch i is cut before it is built when its bound reaches the best
+    cost: the larger of ceil(LB) and the cost so far plus the branching
+    side's deficit-many cheapest free copies among the entering edges from i
+    on.  That is admissible.  Every completion below branch i puts
+    deficit-many copies into the branching side, and branch i excludes the
+    edges before it, so they come from edge i on.  The bound never falls as
+    i grows, so the first cut branch ends the loop.  A branch whose arc
+    closes every deficit buys one copy into the branching side, the
+    cheapest of entering[i:], so its leaf costs at most its bound: every
+    leaf the search reaches is cheaper than the best so far.
 
     It carries one root flow per deficient terminal, stopped at k, built
     once at the root over one network: each child adds the branched edge's
@@ -237,23 +235,15 @@ def cheapest_completion(
         if not flows:
             best_cost, best_edges = cost, tuple(sorted(chosen))
             return  # costs are strictly positive, supersets cannot improve
-        # every flow's sink side and the free edges entering it, read once
-        sides = [flow.closest_sink_side() for flow in flows]
-        edges = [free_edges(chosen, excluded, side) for side in sides]
+        # the free edges entering every flow's sink side, read once
+        edges = [free_edges(chosen, excluded, flow.closest_sink_side()) for flow in flows]
         # branch where the fewest edges enter, then at the first largest deficit
         w = min(range(len(flows)), key=lambda j: (len(edges[j]), flows[j].value))
-        # the cost so far plus the packed bound off the branching side: the
-        # other sides disjoint from it and from each other, in flow order
-        others, taken = cost, set(sides[w])
-        for j, flow in enumerate(flows):
-            if j != w and taken.isdisjoint(sides[j]):
-                taken |= sides[j]
-                others += cheapest_copies(edges[j], k - flow.value)
         need, entering = k - flows[w].value, edges[w]
         for i, (c, eid, arc, _) in enumerate(entering):
             # the branch's bound: its need copies into the branching side
-            # come from entering[i:] (at i = 0, the node's own bound)
-            bound = max(lower, others + cheapest_copies(entering[i:], need))
+            # come from entering[i:]
+            bound = max(lower, cost + cheapest_copies(entering[i:], need))
             if bound >= best_cost:
                 break  # the branch bound never falls as i grows
             marks = [flow.mark() for flow in flows]
@@ -268,16 +258,17 @@ def cheapest_completion(
             for flow, mark in zip(flows, marks):
                 flow.rollback(mark)
 
-    if incumbent is None:
-        incumbent = {eid: left for _, eid, _, left in free}
-    best_cost = sum(inst.scaled_cost(e) * c for e, c in incumbent.items())
-    best_edges = tuple(sorted(Counter(incumbent).elements()))
     root = [f for _, f in root_flows(inst, preselected, k) if f.value < k]
     # the ascent grows the root flows by its tight edges: undo that
     marks = [flow.mark() for flow in root]
-    lower = math.ceil(dual_ascent(inst, root, free))
+    lb, tight = dual_ascent(inst, root, free)
     for flow, mark in zip(root, marks):
         flow.rollback(mark)
+    lower = math.ceil(lb)
+    if incumbent is None:
+        incumbent = tight
+    best_cost = sum(inst.scaled_cost(e) * c for e, c in incumbent.items())
+    best_edges = tuple(sorted(Counter(incumbent).elements()))
     if lower < best_cost:
         search(root, (), frozenset(), 0)
     return best_cost, best_edges

@@ -284,9 +284,9 @@ def short_terminal(inst: Instance, selected, need: int) -> tuple[int, int] | Non
 
 def require_feasible(inst: Instance) -> None:
     """Raise InfeasibleError for the first terminal that even every positive
-    edge at its multiplicity leaves short of k.  Brute force runs it first;
-    the greedy, once it meets an uncoverable ring; the generator, on every
-    draw."""
+    edge at its multiplicity leaves short of k.  The greedy runs it once it
+    meets an uncoverable ring; brute force's dual ascent, once no free edge
+    enters a core; the generator, on every draw."""
     short = short_terminal(inst, {e.id: e.mult for e in inst.positive_edges}, inst.k)
     if short is not None:
         raise InfeasibleError(*short, inst.k)

@@ -215,11 +215,15 @@ def test_solve_infeasible(tmp_path, capsys):
            "edges": [{"id": 1, "tail": 0, "head": 1, "cost": "1", "mult": 1}]}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    assert run("solve", "--instance", path, "--out", tmp_path / "r.json") == 3
-    assert capsys.readouterr().err == (
+    message = (
         "error: terminal 2 reaches only 0 < 1 edge-disjoint root paths "
         "even with every edge selected\n"
     )
+    assert run("solve", "--instance", path, "--out", tmp_path / "r.json") == 3
+    assert capsys.readouterr().err == message
+    # brute force has no pre-check: its search finds the same witness
+    assert run("brute", "--instance", path, "--out", tmp_path / "opt.json") == 3
+    assert capsys.readouterr().err == message
 
 
 def test_parse_error_exit(tmp_path):

@@ -82,10 +82,12 @@ def test_a_feasible_start_needs_no_completion(instance_a):
 def test_a_completion_that_every_free_copy_leaves_short_raises():
     # terminal 2 is unreachable: with edge 1 preselected or free, no
     # completion exists, and the search's dual ascent finds no edge to raise
+    # and raises the instance's InfeasibleError, with terminal 2 as witness
     inst = Instance(3, 0, frozenset({1, 2}), (Edge(1, 0, 1, Fraction(1)),), 1)
     for pre in ({}, {1: 1}):
-        with pytest.raises(ValueError, match="infeasible"):
+        with pytest.raises(InfeasibleError) as exc:
             cheapest_completion(inst, pre)
+        assert (exc.value.terminal, exc.value.achieved) == (2, 0)
 
 
 def assert_optimal_completion(inst, pre, found, optimum):
@@ -143,8 +145,8 @@ def test_pruned_search_equals_plain_enumeration(seed):
 @example(480)  # summing overlapping closest cuts finds cost 115/12, not 91/12
 @example(734)  # ... and 17/3, not 5
 def test_packed_bound_search_equals_plain_enumeration(seed):
-    # two or three terminals and k <= 3, so that the bound can add the
-    # deficits of further closest cuts disjoint from the worst one
+    # two or three terminals and k <= 3, so that the search chooses among
+    # several deficient closest cuts where it branches
     rng = random.Random(seed)
     inst = small_random_instance(rng, max_nodes=6, max_k=3)
     n = inst.node_count
@@ -197,11 +199,11 @@ def twinned(inst, rng):
 @given(st.integers(0, 10_000))
 def test_a_feasible_incumbent_leaves_the_search_unchanged(seed):
     # started from a feasible completion, the search returns the cost it
-    # returns by default, and a feasible completion of that cost within the
-    # free copies, for three incumbents: the optimum and one more copy (not
-    # optimal), the optimum moved onto the twins as far as their free copies
-    # go (optimal, with another key), and every free copy, the default
-    # (parallel copies of edges with more than one)
+    # returns by default, from the dual ascent's tight edges, and a feasible
+    # completion of that cost within the free copies, for three incumbents:
+    # the optimum and one more copy (not optimal), the optimum moved onto
+    # the twins as far as their free copies go (optimal, with another key),
+    # and every free copy (parallel copies of edges with more than one)
     rng = random.Random(seed)
     inst, offset = twinned(small_random_instance(rng, max_nodes=4, max_k=3), rng)
     inst = reachable_k(inst, inst.terminals)
@@ -211,9 +213,15 @@ def test_a_feasible_incumbent_leaves_the_search_unchanged(seed):
     pre = selection_from_units(u for u in units if rng.random() < 0.3)
     free = +Counter({e.id: e.mult - pre.get(e.id, 0) for e in inst.positive_edges})
     if short_terminal(inst, {e.id: e.mult for e in inst.positive_edges}, inst.k) is not None:
-        # no completion, so no feasible incumbent: the search raises
-        with pytest.raises(ValueError):
+        # no completion, so no feasible incumbent: the search raises the
+        # instance's InfeasibleError, with the witness terminal
+        with pytest.raises(InfeasibleError) as exc:
             cheapest_completion(inst, pre)
+        with pytest.raises(InfeasibleError) as witness:
+            require_feasible(inst)
+        assert (exc.value.terminal, exc.value.achieved) == (
+            witness.value.terminal, witness.value.achieved
+        )
         return
     cost, key = cheapest_completion(inst, pre)
     opt = Counter(key)
@@ -257,8 +265,9 @@ def as_zero_cost(inst, preselected):
 
 
 def ascent_bound(inst, preselected):
-    """The dual ascent's bound on completing ``preselected``, run to level 0
-    from the search's root flows."""
+    """The dual ascent's bound on completing ``preselected`` and its tight
+    copies (edge id -> copies), run to level 0 from the search's root
+    flows."""
     root = [f for _, f in root_flows(inst, preselected, inst.k) if f.value < inst.k]
     return dual_ascent(inst, root, free_copies(inst, preselected))
 
@@ -269,7 +278,9 @@ def test_the_ascent_bound_is_at_most_the_oracle_optimum(seed):
     # weak duality, against the subset-scanning oracle, which shares no flow
     # code with the ascent: random instances with twinned parallel edges,
     # or augmentation-mode ones on a planted zero-cost skeleton, each with
-    # some copies preselected
+    # some copies preselected.  The ascent's tight copies, the search's
+    # default incumbent, are a completion: within the free copies, every
+    # terminal at k with them, and no cheaper than the bound
     rng = random.Random(seed)
     if rng.random() < 0.5:
         inst, _ = twinned(small_random_instance(rng, max_nodes=4, max_k=3), rng)
@@ -289,7 +300,12 @@ def test_the_ascent_bound_is_at_most_the_oracle_optimum(seed):
         with pytest.raises(InfeasibleError):
             require_feasible(inst)
         return
-    assert ascent_bound(inst, pre) <= optimum * inst.cost_scale
+    bound, tight = ascent_bound(inst, pre)
+    assert bound <= optimum * inst.cost_scale
+    free = Counter({e.id: e.mult - pre.get(e.id, 0) for e in inst.positive_edges})
+    assert Counter(tight) <= free
+    assert short_terminal(inst, Counter(pre) + Counter(tight), inst.k) is None
+    assert bound <= sum(inst.scaled_cost(e) * c for e, c in tight.items())
 
 
 def test_size_caps_count_units_without_building_them():
@@ -306,15 +322,16 @@ def test_size_caps_count_units_without_building_them():
 
 
 @pytest.mark.parametrize("seed", [1, 7, 107, 232, 424])
-def test_search_builds_three_residuals_per_terminal(seed, residual_builds):
-    # the pre-check, the search root and ``solution_of``; every search node
-    # grows its parent's flows in place and rolls them back, so it builds
-    # none (started from every free copy, seed 424 builds the most children
-    # in the corpus, 85, and seed 107 builds 48)
+def test_search_builds_two_residuals_per_terminal(seed, residual_builds):
+    # the search root and ``solution_of``, with no feasibility pre-check;
+    # the dual ascent and every search node grow the root flows in place
+    # and roll them back, so they build none (started from the ascent's
+    # tight copies, seed 424 builds the most children in the corpus, 86, and
+    # seed 107 builds 54)
     inst = generate_instance(default_corpus_params(seed))
     residual_builds.clear()
     assert brute_force_opt(inst).feasible
-    assert len(residual_builds) <= 3 * len(inst.terminals)
+    assert len(residual_builds) <= 2 * len(inst.terminals)
 
 
 @functools.cache
@@ -329,9 +346,9 @@ def corpus_incumbents():
 def test_search_work_over_the_corpus(monkeypatch):
     # a work pin, not output: the children the search builds (one
     # ``add_arcs`` each) over the 500 corpus seeds, started from the greedy's
-    # selection as ``verify --brute`` starts it, and from every free copy as
-    # ``rkec brute`` starts it; each branch is cut by its own bound and by
-    # the dual ascent's before it is built.  The ascent's steps (one
+    # selection as ``verify --brute`` starts it, and from the dual ascent's
+    # tight copies as ``rkec brute`` starts it; each branch is cut by its own
+    # bound and by the dual ascent's before it is built.  The ascent's steps (one
     # ``add_arcs`` each, of the edges the step made tight) of the searches
     # from the greedy's selection are counted apart
     built = Counter()
@@ -350,18 +367,18 @@ def test_search_work_over_the_corpus(monkeypatch):
         built.clear()
         assert cheapest_completion(inst, {})[0] == cost
         every += built["search"]
-    assert (greedy, every, ascent) == (671, 4_773, 2_284)
+    assert (greedy, every, ascent) == (759, 4_521, 2_284)
 
 
 def test_the_ascent_bound_is_sound_over_the_corpus():
-    # LB <= the optimum the search finds from every free copy, on every
-    # corpus instance; ceil(LB) is that optimum on 494 and reaches the
+    # LB <= the optimum the search finds from the ascent's tight copies, on
+    # every corpus instance; ceil(LB) is that optimum on 494 and reaches the
     # greedy's cost on 446, where the search from the greedy's selection
     # ends at its root
     closed = tight = 0
     for inst, incumbent in corpus_incumbents():
         optimum = cheapest_completion(inst, {})[0]
-        bound = math.ceil(ascent_bound(inst, {}))
+        bound = math.ceil(ascent_bound(inst, {})[0])
         assert bound <= optimum
         tight += bound == optimum
         closed += bound >= sum(inst.scaled_cost(e) * c for e, c in incumbent.items())

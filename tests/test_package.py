@@ -215,6 +215,26 @@ def test_the_greedy_is_the_solvers_feasibility_check():
     assert called and "require_feasible" not in called
 
 
+def test_the_dual_ascent_is_the_brute_forces_one_lp_step():
+    # the ascent alone bounds the search and checks feasibility: no
+    # pre-check pass in ``brute_force_opt``, ``require_feasible`` called
+    # only where the ascent finds no free edge entering a core, and no
+    # packing of disjoint cuts in ``cheapest_completion`` (one
+    # ``cheapest_copies`` call, for the branching side, and no disjointness
+    # test)
+    tree = ast.parse((PACKAGE / "exact.py").read_text())
+    called = {ast.unparse(func) for owner, func in _calls(tree) if owner == "brute_force_opt"}
+    assert called and "require_feasible" not in called
+    checks = {owner for owner, func in _calls(tree) if ast.unparse(func) == "require_feasible"}
+    assert checks == {"dual_ascent"}
+    called = Counter(
+        ast.unparse(func).rsplit(".", 1)[-1]
+        for owner, func in _calls(tree) if owner == "cheapest_completion"
+    )
+    assert called["cheapest_copies"] == 1 and called["dual_ascent"] == 1
+    assert "isdisjoint" not in called
+
+
 def test_a_states_level_is_read_once_with_its_cores():
     # the level is the residual function's maximum, a fact of the state:
     # ``cores_of`` returns it once, next to the cores, and no core repeats it
