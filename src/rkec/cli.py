@@ -9,14 +9,11 @@ of the new text: it keeps its inode, its mode, any hard link, and a symlink
 keeps pointing where it did, with the old file's longer tail removed.  A
 missing directory, a directory given as ``--out`` or a permission error
 raises ``OSError`` (exit 2).  The file is not truncated to zero first
-because on ext4 a file truncated to zero and rewritten is flushed on close
-(``auto_da_alloc``; a rename over an existing file is flushed too): on
-ext4 mounted ``discard``, writing a 2 KB corpus report over its previous
-copy took 81-85 us that way, 72 us through a temporary file and
-``os.replace``, and 12 us in place (README.md has the table).  The cost: a
-reader that opens the file while it is rewritten may see new bytes followed
-by old ones, where it used to see a prefix of the new text.  No output is
-fsynced, before or now.
+because on ext4 a file truncated to zero and rewritten, or renamed over an
+existing file, is flushed on close (``auto_da_alloc``), several times the
+cost of writing in place (README.md has the timings).  The cost: a reader
+that opens the file while it is rewritten may see new bytes followed by old
+ones.  No output is fsynced.
 """
 
 from __future__ import annotations

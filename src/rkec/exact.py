@@ -1,32 +1,14 @@
 """Exact optimum by branch and bound: the brute force that ``rkec brute``,
-the ratio audit and the density replay run.
-
-Everything here is exponential and capped at desk scale.  The search reads
-path counts and its branching cut off one root flow per deficient terminal,
-built once over one shared network, grown in place down the search and
-rolled back up it (``Residual.mark``/``rollback``, no copies).  The plain
-enumeration it is checked against, and the enumeration oracles, live in
-the tests.
-
-Before it builds a child, the search runs a dual ascent on the cut-covering
-LP (``dual_ascent``) from the same root flows, and leans on it alone.  By
-weak duality the ascent's bound LB is at most the optimum, which is an
-integer in cost units, so the optimum is at least the ceiling of LB, and
-that ceiling bounds every branch from below.  The ascent's tight edges, at
-all their free copies, are a feasible completion: the search's first
-incumbent when the caller gives none (``rkec brute``; ``verify --brute``,
-``rkec bench`` and the density replay give their own).  And when no free
-edge enters a core, even every copy leaves a terminal short: the ascent
-raises the instance's InfeasibleError, so the search is its own
-feasibility check.  The search returns the optimum cost and *an* optimal
-completion, the incumbent itself whenever it is optimal; when the ceiling
-of LB reaches the incumbent's cost, it ends at its root.
+the ratio audit and the density replay run.  Exponential, capped at desk
+scale.  ``cheapest_completion`` is the search, bounded and seeded by the
+LP dual ascent (``dual_ascent``); ``brute_force_opt`` wraps it into a
+``Solution``.  A selection is per-edge counts (edge id -> copies) in and
+out.  The plain enumeration it is checked against lives in the tests.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 
 from .deficiency import cores_of
@@ -57,10 +39,10 @@ def brute_force_opt(
         )
     if incumbent and not incumbent.feasible:
         raise ValueError("the incumbent is not feasible")
-    cost, edges = cheapest_completion(inst, {}, incumbent and incumbent.selected)
-    if incumbent and Fraction(cost, inst.cost_scale) == incumbent.total_cost:
+    _, chosen = cheapest_completion(inst, {}, incumbent and incumbent.selected)
+    if incumbent and chosen == incumbent.selected:
         return incumbent
-    return solution_of(inst, Counter(edges))
+    return solution_of(inst, chosen)
 
 
 def free_copies(inst: Instance, preselected) -> list[tuple[int, int, tuple[int, int, int], int]]:
@@ -85,7 +67,8 @@ def dual_ascent(inst: Instance, flows, free) -> tuple[Fraction, dict[int, int]]:
     ``flows`` are the root flows of the deficient terminals over the working
     graph of the preselected copies, stopped at k (``root_flows``), and
     ``free`` the free copies (``free_copies``).  The ascent adds arcs to the
-    flows' network and grows the flows, and the caller rolls them back.
+    flows' network and grows the flows, and rolls them back before it
+    returns.
 
     The LP: minimize the sum of c_e x_e subject to x(in(S)) >= f(S) for
     every set S that holds a terminal and not the root, where f(S) is k less
@@ -116,6 +99,7 @@ def dual_ascent(inst: Instance, flows, free) -> tuple[Fraction, dict[int, int]]:
     always defined.
     """
     k = inst.k
+    marks = [flow.mark() for flow in flows]
     arcs = {eid: (arc[0], arc[1], left) for _, eid, arc, left in free}
     red = {eid: c for c, eid, _, _ in free}  # the edges not tight yet
     den, lb = 1, 0  # the reduced costs and the bound count in units of 1/den
@@ -152,30 +136,31 @@ def dual_ascent(inst: Instance, flows, free) -> tuple[Fraction, dict[int, int]]:
         add_arcs(flows, tight)
         for flow in live.values():
             flow.grow(k)
+    for flow, mark in zip(flows, marks):
+        flow.rollback(mark)
     return Fraction(lb, den), {eid: arc[2] for eid, arc in arcs.items() if eid not in red}
 
 
 def cheapest_completion(
     inst: Instance, preselected, incumbent=None
-) -> tuple[int, tuple[int, ...]]:
-    """(cost, sorted edge ids, one per copy) of *an* optimal completion of
+) -> tuple[int, dict[int, int]]:
+    """(cost, counts: edge id -> copies) of *an* optimal completion of
     the selection ``preselected`` (edge id -> copies bought), by branch and
     bound over the positive edges' other copies.  The cost is an integer in
     units of 1/``inst.cost_scale``, the preselected copies not counted.
     ``incumbent`` is a feasible completion (positive edge id -> copies,
     within the copies ``preselected`` leaves), by default the dual ascent's
     tight edges at all their free copies, and the search starts with it as
-    its best: its cost recomputed, its sorted edge ids returned whenever it
-    is optimal.  When even every copy leaves a terminal short,
-    ``dual_ascent`` raises InfeasibleError.
+    its best: its cost recomputed, itself returned whenever it is optimal.
+    When even every copy leaves a terminal short, ``dual_ascent`` raises
+    InfeasibleError.
 
-    The search first runs ``dual_ascent`` on its root flows (marked first,
-    rolled back after).  Its bound LB is at most the optimum (weak duality),
-    and the optimum is an integer, so the optimum is at least ceil(LB).
-    When ceil(LB) reaches the incumbent's cost the incumbent is optimal and
-    the search returns it without building a child.  Otherwise ceil(LB) is
-    a lower bound on every branch as well, and once the best cost is
-    ceil(LB) every branch is cut.
+    The search first runs ``dual_ascent`` on its root flows.  Its bound LB
+    is at most the optimum (weak duality), and the optimum is an integer,
+    so the optimum is at least ceil(LB).  When ceil(LB) reaches the
+    incumbent's cost the incumbent is optimal and the search returns it
+    without building a child.  Otherwise ceil(LB) is a lower bound on every
+    branch as well, and once the best cost is ceil(LB) every branch is cut.
 
     The search reads every deficient terminal's closest minimum cut (its
     closest sink side) and the free edges entering it: those not excluded
@@ -204,8 +189,7 @@ def cheapest_completion(
     every flow back to its ``mark`` when it returns, which pops the arc
     again.  Below k a flow is a maximum flow, so its closest sink side is
     the one a fresh flow would give.  With no deficient terminal the root
-    itself is the leaf (cost 0, no edges).  The plain enumeration it is
-    checked against lives with the tests.
+    itself is the leaf (cost 0, no copies).
     """
     free = free_copies(inst, preselected)
     k = inst.k
@@ -216,7 +200,7 @@ def cheapest_completion(
         return [
             (c, eid, arc, left) for c, eid, arc, copies in free  # arc is (tail, head, 1)
             if arc[1] in side and arc[0] not in side and eid not in excluded
-            and (left := copies - chosen.count(eid)) > 0
+            and (left := copies - chosen.get(eid, 0)) > 0
         ]
 
     def cheapest_copies(edges, need):
@@ -230,10 +214,10 @@ def cheapest_completion(
             total, need = total + c * left, need - left
         return math.inf
 
-    def search(flows, chosen: tuple, excluded: frozenset, cost: int):
-        nonlocal best_cost, best_edges
+    def search(flows, chosen: dict, excluded: frozenset, cost: int):
+        nonlocal best_cost, best
         if not flows:
-            best_cost, best_edges = cost, tuple(sorted(chosen))
+            best_cost, best = cost, chosen
             return  # costs are strictly positive, supersets cannot improve
         # the free edges entering every flow's sink side, read once
         edges = [free_edges(chosen, excluded, flow.closest_sink_side()) for flow in flows]
@@ -251,7 +235,7 @@ def cheapest_completion(
             search(
                 # an arc never lowers a flow: the ones still below k stay
                 [flow for flow in flows if flow.grow(k) < k],
-                chosen + (eid,),
+                {**chosen, eid: chosen.get(eid, 0) + 1},
                 excluded | {b[1] for b in entering[:i]},
                 cost + c,
             )
@@ -259,16 +243,10 @@ def cheapest_completion(
                 flow.rollback(mark)
 
     root = [f for _, f in root_flows(inst, preselected, k) if f.value < k]
-    # the ascent grows the root flows by its tight edges: undo that
-    marks = [flow.mark() for flow in root]
     lb, tight = dual_ascent(inst, root, free)
-    for flow, mark in zip(root, marks):
-        flow.rollback(mark)
     lower = math.ceil(lb)
-    if incumbent is None:
-        incumbent = tight
-    best_cost = sum(inst.scaled_cost(e) * c for e, c in incumbent.items())
-    best_edges = tuple(sorted(Counter(incumbent).elements()))
+    best = tight if incumbent is None else incumbent
+    best_cost = sum(inst.scaled_cost(e) * c for e, c in best.items())
     if lower < best_cost:
-        search(root, (), frozenset(), 0)
-    return best_cost, best_edges
+        search(root, {}, frozenset(), 0)
+    return best_cost, best

@@ -99,11 +99,14 @@ def _draw(rng: random.Random, p: GenParams) -> Instance:
             edges.append(Edge(next_id, tail, head, Fraction(0), mult))
             next_id += 1
 
+    # the pairs, head not the root, that touch the root or a terminal, in
+    # (tail, head) order, the order the draws below read them in: an
+    # anchored tail reaches every other node, any other tail the terminals
     candidates = [
         (u, v)
         for u in range(p.nodes)
-        for v in range(p.nodes)
-        if u != v and v != root and (u in anchored or v in anchored)
+        for v in (range(1, p.nodes) if u in anchored else terminals)
+        if u != v
     ]
     root_t = _threshold(min(p.density * p.root_bias, Fraction(1)))
     other_t = _threshold(p.density)

@@ -68,7 +68,7 @@ def ring_stops(inst: Instance, cores) -> dict[int, frozenset[int]]:
 
 
 def min_violated_set(
-    inst: Instance, flow: Residual, stops, edges, footprint: set[int] | None = None
+    inst: Instance, flow: Residual, stops, edges, footprint: set[int]
 ) -> frozenset[int] | None:
     """Inclusion-minimal ring member not covered by ``edges`` (ids: the head,
     if any, and the legs) on the ring of ``flow`` and ``stops``.
@@ -78,12 +78,11 @@ def min_violated_set(
     root or a stop reaches the sink through the residual network and the
     edges' arcs, and otherwise the nodes that reach it are the closest sink
     side.  One read (``Residual.reach``), and the flow is left as it is;
-    every node it adds to its side also joins ``footprint``, if given.
+    every node it adds to its side also joins ``footprint``.
     """
     side: set[int] = set()
     flow.reach(side, [inst.arc(e) for e in edges], stops)
-    if footprint is not None:
-        footprint |= side
+    footprint |= side
     return None if inst.root in side else frozenset(side)
 
 

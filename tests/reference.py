@@ -259,7 +259,7 @@ def check_state(inst: Instance, units, per_state: int | None = None) -> tuple[in
 
     def carried_read(core, edges):
         rep = core.representative
-        return min_violated_set(inst, flows[rep], stops[rep], edges)
+        return min_violated_set(inst, flows[rep], stops[rep], edges, set())
 
     fresh_flows, rings = {}, {}
     for core in cores:
@@ -275,7 +275,8 @@ def check_state(inst: Instance, units, per_state: int | None = None) -> tuple[in
                 or (dict(pricing.ranked)[core] if pricing else carried(core)) != bare
                 or (bare is not None and overpaid_candidates(inst, units, bare, None) != [])
                 or any(
-                    carried_read(core, edges) != min_violated_set(inst, fresh, frozenset(), edges)
+                    carried_read(core, edges)
+                    != min_violated_set(inst, fresh, frozenset(), edges, set())
                     for edges in ((), free[::2], free[1::2])
                 )
             )
@@ -308,7 +309,7 @@ def check_state(inst: Instance, units, per_state: int | None = None) -> tuple[in
                 bad = (
                     solver[core] != fresh
                     or carried_read(core, [head])
-                    != min_violated_set(inst, fresh_flow, frozenset(), [head])
+                    != min_violated_set(inst, fresh_flow, frozenset(), [head], set())
                 )
                 if exact is None:
                     bad = bad or fresh is not None

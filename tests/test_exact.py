@@ -27,7 +27,7 @@ from oracles import (
     nested_chain_certificate,
     oracle_opt_cost,
 )
-from reference import enumerated_opt, positive_units
+from reference import enumerated_opt, flow_state, positive_units
 
 
 def test_fixture_optimum(instance_a):
@@ -66,16 +66,16 @@ def test_infeasible_instance_reports_witness():
 
 def test_preselected_units_are_free(instance_a):
     # only terminal 3 is open; cheapest completion is the relay arc onto it
-    cost, edges = cheapest_completion(instance_a, {1: 1, 2: 1})
+    cost, counts = cheapest_completion(instance_a, {1: 1, 2: 1})
     assert Fraction(cost, instance_a.cost_scale) == 1
-    assert edges == (3,)
+    assert counts == {3: 1}
 
 
 def test_a_feasible_start_needs_no_completion(instance_a):
     # every terminal already reaches k: the search root is its only leaf
-    assert cheapest_completion(instance_a, {1: 1, 2: 1, 3: 1}) == (0, ())
+    assert cheapest_completion(instance_a, {1: 1, 2: 1, 3: 1}) == (0, {})
     free = Instance(3, 0, frozenset({1, 2}), (Edge(1, 0, 1, Fraction(0)), Edge(2, 1, 2, Fraction(0))), 1)
-    assert cheapest_completion(free, {}) == (0, ())
+    assert cheapest_completion(free, {}) == (0, {})
     assert brute_force_opt(free).total_cost == 0
 
 
@@ -91,13 +91,13 @@ def test_a_completion_that_every_free_copy_leaves_short_raises():
 
 
 def assert_optimal_completion(inst, pre, found, optimum):
-    """``found``, a (cost, edge ids) pair as ``cheapest_completion`` returns
+    """``found``, a (cost, counts) pair as ``cheapest_completion`` returns
     it, is an optimal completion of the selection ``pre``: it costs
-    ``optimum`` (in cost units), also recomputed from its edges, buys only
+    ``optimum`` (in cost units), also recomputed from its counts, buys only
     copies ``pre`` leaves free, and with ``pre`` brings every terminal to k.
     Which optimal completion it is, is not fixed."""
-    cost, edges = found
-    chosen = Counter(edges)
+    cost, counts = found
+    chosen = Counter(counts)
     free = Counter({e.id: e.mult - pre.get(e.id, 0) for e in inst.positive_edges})
     assert cost == optimum == sum(inst.scaled_cost(e) * c for e, c in chosen.items())
     assert chosen <= free
@@ -223,8 +223,8 @@ def test_a_feasible_incumbent_leaves_the_search_unchanged(seed):
             witness.value.terminal, witness.value.achieved
         )
         return
-    cost, key = cheapest_completion(inst, pre)
-    opt = Counter(key)
+    cost, counts = cheapest_completion(inst, pre)
+    opt = Counter(counts)
     spare = sorted((free - opt).elements())
     extra = opt + Counter([rng.choice(spare)]) if spare else None
     moved = Counter()
@@ -270,6 +270,24 @@ def ascent_bound(inst, preselected):
     flows."""
     root = [f for _, f in root_flows(inst, preselected, inst.k) if f.value < inst.k]
     return dual_ascent(inst, root, free_copies(inst, preselected))
+
+
+@pytest.mark.parametrize("seed", [1, 5, 7, 10, 107, 232, 424])
+def test_the_ascent_leaves_its_flows_as_it_found_them(seed):
+    # the ascent grows the flows it is given by its tight edges and rolls
+    # them back before it returns: network, capacities and value as they
+    # were.  A rollback pops every arc it added, and a node only those arcs
+    # touched keeps an empty adjacency row, which holds nothing.  Corpus
+    # seeds 5 and 10 are augmentation instances
+    def state(flow):
+        to, adj, initial, cap, value = flow_state(flow)
+        return to, {v: row for v, row in adj.items() if row}, initial, cap, value
+
+    inst = generate_instance(default_corpus_params(seed))
+    root = [f for _, f in root_flows(inst, {}, inst.k) if f.value < inst.k]
+    before = [state(flow) for flow in root]
+    _, tight = dual_ascent(inst, root, free_copies(inst, {}))
+    assert tight and [state(flow) for flow in root] == before
 
 
 @settings(max_examples=100, deadline=None)

@@ -710,7 +710,7 @@ def test_star_coverage_soundness(seed):
     for core, _ in star.chosen:
         flow = build_ring_context(inst, (), cores, core)
         bought_edges = [star.head, *(bought - {star.head})]
-        assert min_violated_set(inst, flow, frozenset(), bought_edges) is None
+        assert min_violated_set(inst, flow, frozenset(), bought_edges, set()) is None
 
 
 def _carried_and_fresh_cores(inst):

@@ -335,12 +335,18 @@ def test_a_head_is_priced_in_one_place():
 
 
 def test_below_the_report_a_selection_is_per_edge_counts():
-    # flows and the greedy take a selection as edge id -> copies bought and
-    # convert no unit list into it; the verifier rebuilds a solution from its
-    # counts without expanding them into units
-    for name in ("flows.py", "greedy.py"):
+    # flows, the greedy and the brute force take a selection as edge id ->
+    # copies bought and convert no unit list into it, nor it into one; the
+    # verifier rebuilds a solution from its counts without expanding them
+    # into units
+    for name in ("flows.py", "greedy.py", "exact.py"):
         called = {ast.unparse(func) for _, func in _calls(ast.parse((PACKAGE / name).read_text()))}
         assert "selection_from_units" not in called, name
+    exact = ast.parse((PACKAGE / "exact.py").read_text())
+    assert "Counter" not in _names(exact)
+    assert not {"elements", "count"} & {
+        func.attr for _, func in _calls(exact) if isinstance(func, ast.Attribute)
+    }
     verify = ast.parse((PACKAGE / "verify.py").read_text())
     assert not [
         func for owner, func in _calls(verify)
@@ -465,16 +471,20 @@ def test_flows_are_built_in_one_place_and_never_copied(monkeypatch):
 
 
 def test_only_brute_force_undoes_a_flow():
-    # rings are read off the carried flows as they stand, so the brute-force
-    # search is the one code that marks a flow and rolls it back
-    undoing = {
+    # rings are read off the carried flows as they stand, so the brute force
+    # is the one code that marks a flow and rolls it back, and each function
+    # that grows a flow undoes it: the dual ascent its own steps, the search
+    # each branch, once in its branch loop
+    undoing = Counter(
         (path.stem, owner, func.attr)
         for path in sorted(PACKAGE.glob("*.py"))
         for owner, func in _calls(ast.parse(path.read_text()))
         if isinstance(func, ast.Attribute) and func.attr in ("mark", "rollback")
-    }
+    )
     assert undoing == {
-        ("exact", "cheapest_completion", "mark"), ("exact", "cheapest_completion", "rollback")
+        (stem, owner, undo): 1
+        for stem, owner in (("exact", "dual_ascent"), ("exact", "cheapest_completion"))
+        for undo in ("mark", "rollback")
     }
 
 

@@ -69,17 +69,17 @@ def test_single_core_no_saturation(instance_a):
 def test_min_violated_set_fixture(instance_a):
     flow, stops, _ = ring_for(instance_a, (), {2})
     head = 1
-    assert min_violated_set(instance_a, flow, stops, [head]) == frozenset({2})
+    assert min_violated_set(instance_a, flow, stops, [head], set()) == frozenset({2})
     # the relay leg covers {2}; the head covers {1, 2}
-    assert min_violated_set(instance_a, flow, stops, [head, 2]) is None
+    assert min_violated_set(instance_a, flow, stops, [head, 2], set()) is None
     # with no head at all, the ring's core is the minimal violated set
-    assert min_violated_set(instance_a, flow, stops, ()) == frozenset({2})
+    assert min_violated_set(instance_a, flow, stops, (), set()) == frozenset({2})
 
 
 def test_min_violated_set_head_alone(instance_a):
     flow, stops, _ = ring_for(instance_a, (), {2})
     # head straight onto 2
-    assert min_violated_set(instance_a, flow, stops, [4]) is None
+    assert min_violated_set(instance_a, flow, stops, [4], set()) is None
 
 
 def test_ring_family_realization_matches_enumeration(instance_a):
@@ -154,7 +154,7 @@ def test_a_ring_whose_stops_reach_its_core_is_refused(instance_a):
     # under ``python -O``) rather than price the ring as covered by nothing
     for target, head in (({2}, 1), ({3}, 2)):
         flow, stops, taken = ring_for(instance_a, (), target)
-        side = min_violated_set(instance_a, flow, stops, ())
+        side = min_violated_set(instance_a, flow, stops, (), set())
         assert flow.sink in side and stops.isdisjoint(side)
         for node in side:
             for reading_head in (None, head):
@@ -232,7 +232,7 @@ def test_a_ring_read_matches_growing_the_ring_flow(seed):
             for p in (0.0, 0.2, 0.4, 0.7):
                 trial = [u for u in free if rng.random() < p]
                 expected = grown_min_violated_set(inst, flow, trial)
-                assert min_violated_set(inst, flow, frozenset(), trial) == expected
+                assert min_violated_set(inst, flow, frozenset(), trial, set()) == expected
 
 
 def _enumerated_ring(inst, units, cores, core):
