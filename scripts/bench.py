@@ -14,7 +14,10 @@ the wall time of that one generation (``generate_s``), the wall time of
 one ``require_feasible`` over the row's instances (``feasible_s``: the
 every-copy feasibility check that generation runs per draw; the solver
 and brute force run it only on an infeasible instance), the median over the rounds of the parse wall
-time (``parse_s``), the ``solve`` wall-time median, min and max over the
+time (``parse_s``), the median over the rounds of the wall time of
+``report_from_doc(load_object(...))`` over the row's report texts
+(``report_parse_s``: the report read ``verify`` starts with), the
+``solve`` wall-time median, min and max over the
 rounds, the median over the rounds of the wall time of
 ``audit_run(inst, report)`` over the row's reports (``verify_s``: no
 optimum, no density replay), the median over the rounds of the wall time
@@ -43,8 +46,8 @@ from rkec.cli import _write  # noqa: E402
 from rkec.exact import brute_force_opt  # noqa: E402
 from rkec.flows import require_feasible  # noqa: E402
 from rkec.generate import GenParams, default_corpus_params, generate_instance  # noqa: E402
-from rkec.instance import dump_json, instance_to_json, parse_instance  # noqa: E402
-from rkec.solver import report_to_doc, solve  # noqa: E402
+from rkec.instance import dump_json, instance_to_json, load_object, parse_instance  # noqa: E402
+from rkec.solver import report_from_doc, report_to_doc, solve  # noqa: E402
 from rkec.verify import audit_run  # noqa: E402
 
 LADDER = ((120, 40, 3), (200, 60, 3), (300, 90, 3))
@@ -82,7 +85,7 @@ def main(argv=None) -> int:
         feasible_s = time.perf_counter() - t0
         texts = [instance_to_json(inst) for inst in instances]
         brute = all(inst.positive_unit_count <= 22 for inst in instances)
-        parse_times, times, verify_times, brute_times, digests = [], [], [], [], set()
+        parse_times, report_times, times, verify_times, brute_times, digests = [], [], [], [], [], set()
         for _ in range(args.rounds):
             t0 = time.perf_counter()
             for text in texts:
@@ -100,10 +103,15 @@ def main(argv=None) -> int:
                 for inst, report in zip(instances, reports):
                     brute_force_opt(inst, incumbent=report.solution)
                 brute_times.append(time.perf_counter() - t0)
+            report_texts = [dump_json(report_to_doc(report)) for report in reports]
             digest = hashlib.sha256()
-            for report in reports:
-                digest.update(dump_json(report_to_doc(report)).encode())
+            for text in report_texts:
+                digest.update(text.encode())
             digests.add(digest.hexdigest())
+            t0 = time.perf_counter()
+            for text in report_texts:
+                report_from_doc(load_object(text, "solve report"))
+            report_times.append(time.perf_counter() - t0)
         if len(digests) != 1:
             print(f"{name}: the rounds gave {len(digests)} different reports", file=sys.stderr)
             return 1
@@ -113,6 +121,7 @@ def main(argv=None) -> int:
             "generate_s": generate_s,
             "feasible_s": feasible_s,
             "parse_s": statistics.median(parse_times),
+            "report_parse_s": statistics.median(report_times),
             "wall_s": {
                 "median": statistics.median(times), "min": min(times), "max": max(times),
             },
@@ -125,7 +134,7 @@ def main(argv=None) -> int:
         print(f"{name}: median {row['wall_s']['median']:.3f} s over {args.rounds} rounds, "
               f"verify {row['verify_s']:.3f} s, "
               + (f"brute {row['brute_s']:.3f} s, " if brute else "")
-              + f"parse {row['parse_s']:.4f} s, "
+              + f"parse {row['parse_s']:.4f} s, report parse {row['report_parse_s']:.4f} s, "
               f"generated in {generate_s:.3f} s, feasible in {feasible_s:.3f} s, "
               f"cost {row['cost']}, "
               f"sha256 {row['report_sha256'][:8]}")

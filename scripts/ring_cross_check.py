@@ -55,7 +55,7 @@ def main(argv=None) -> int:
         denominator = rng.randint(1, 6)
         inst = Instance(
             inst.node_count, inst.root, inst.terminals,
-            tuple(replace(e, cost=e.cost / denominator) for e in inst.edges), inst.k,
+            tuple(e._replace(cost=e.cost / denominator) for e in inst.edges), inst.k,
         )
         cases = [(inst, frozenset(u for u in positive_units(inst) if rng.random() < 0.3))]
         if inst.positive_edges:

@@ -50,9 +50,9 @@ def free_copies(inst: Instance, preselected) -> list[tuple[int, int, tuple[int, 
     edge with one, cheapest first, its arc the (tail, head, 1) triple that
     grows a flow by a copy."""
     return [
-        (inst.scaled_cost(e.id), e.id, (e.tail, e.head, 1), left)
-        for e in inst.positive_by_cost
-        if (left := e.mult - preselected.get(e.id, 0)) > 0
+        (cost, eid, (tail, head, 1), left)
+        for cost, eid, tail, head, mult in inst.positive_by_cost
+        if (left := mult - preselected.get(eid, 0)) > 0
     ]
 
 

@@ -51,7 +51,7 @@ class Network:
     head of each in ``to`` and the capacity it starts with in ``initial``
     (the reverse starts empty); ``adj`` maps each node an arc touches to the
     indexes of the arcs leaving it.  ``add`` appends arcs; the one way an arc
-    leaves is ``Residual.rollback``, newest first.  The residual capacities
+    or a row leaves is ``Residual.rollback``, newest first.  The residual capacities
     are not here: each flow over the network owns its own.
     """
 
@@ -96,7 +96,6 @@ class Residual:
         self.sink = sink
         self.value = 0
         self.cap: list[int] = []
-        network.adj.setdefault(source, [])
 
     def _take_new_arcs(self) -> None:
         """Take every arc the network gained since this flow last looked, at
@@ -107,18 +106,20 @@ class Residual:
             raise AssertionError("a flow holds arcs its network has dropped")
         cap += initial[len(cap):]
 
-    def mark(self) -> tuple[int, list[int], int]:
-        """A snapshot for ``rollback``: the network's arc count, this flow's
-        capacities and its value."""
-        return len(self.network.to), self.cap[:], self.value
+    def mark(self) -> tuple[int, int, list[int], int]:
+        """A snapshot for ``rollback``: the network's arc and row counts,
+        this flow's capacities and its value."""
+        network = self.network
+        return len(network.to), len(network.adj), self.cap[:], self.value
 
-    def rollback(self, mark: tuple[int, list[int], int]) -> None:
+    def rollback(self, mark: tuple[int, int, list[int], int]) -> None:
         """Undo every ``grow`` since ``mark``: restore this flow's capacities
-        and value, and pop the arcs added to the network since, newest first
-        (each is the last entry of its ``adj`` row).  Flows marked together
-        are rolled back together; the first one pops the arcs, and the rest
-        find them gone."""
-        count, cap, self.value = mark
+        and value, pop the arcs added to the network since, newest first
+        (each is the last entry of its ``adj`` row), and then the rows they
+        added, the last ones in ``adj``'s order, so the network is the one
+        marked.  Flows marked together are rolled back together; the first
+        one pops the arcs and rows, and the rest find them gone."""
+        count, rows, cap, self.value = mark
         network = self.network
         to, adj = network.to, network.adj
         if len(to) > count:
@@ -126,6 +127,8 @@ class Residual:
                 adj[to[i ^ 1]].pop()
             del to[count:]
             del network.initial[count:]
+        while len(adj) > rows:
+            adj.popitem()
         self.cap[:] = cap
 
     def grow(self, limit: int | None = None) -> int:
@@ -139,6 +142,8 @@ class Residual:
         if len(cap) != len(network.initial):
             self._take_new_arcs()
         s, t, adj, to = self.source, self.sink, network.adj, network.to
+        if s not in adj:  # no arc touches the source: no path
+            return self.value
         while limit is None or self.value < limit:
             via = {s: -1}  # arc that discovered each node
             queue = [s]
@@ -230,10 +235,11 @@ def working_arcs(inst: Instance, selected) -> list[tuple[int, int, int]]:
     """The working graph of ``selected`` (edge id -> copies bought) as
     (tail, head, cap) triples: the zero-cost edges, then one arc per
     selected edge in id order, its count as capacity."""
-    arcs = [(e.tail, e.head, e.mult) for e in inst.zero_edges]
+    arcs = [(tail, head, mult) for _, tail, head, _, mult in inst.zero_edges]
+    by_id = inst.edge_by_id
     for eid, count in sorted(selected.items()):
-        e = inst.edge_by_id[eid]
-        arcs.append((e.tail, e.head, count))
+        _, tail, head, _, _ = by_id[eid]
+        arcs.append((tail, head, count))
     return arcs
 
 
@@ -287,7 +293,8 @@ def require_feasible(inst: Instance) -> None:
     edge at its multiplicity leaves short of k.  The greedy runs it once it
     meets an uncoverable ring; brute force's dual ascent, once no free edge
     enters a core; the generator, on every draw."""
-    short = short_terminal(inst, {e.id: e.mult for e in inst.positive_edges}, inst.k)
+    every = {eid: mult for eid, _, _, _, mult in inst.positive_edges}
+    short = short_terminal(inst, every, inst.k)
     if short is not None:
         raise InfeasibleError(*short, inst.k)
 

@@ -54,15 +54,16 @@ from typing import NamedTuple
 
 from .deficiency import CoreInfo, cores_of
 from .flows import add_arcs, require_feasible, root_flows
-from .instance import Edge, Instance, IterationRecord
+from .instance import Instance, IterationRecord
 from .rings import RingCover, primal_dual_ring_cover, ring_stops
 
 
-def candidate_heads(inst: Instance, taken) -> tuple[Edge, ...]:
-    """The star's heads: every positive edge with a copy free under the
-    selection ``taken`` (edge id -> copies bought), in the instance's
+def candidate_heads(inst: Instance, taken) -> tuple[tuple[int, int, int, int, int], ...]:
+    """The star's heads: the (scaled cost, edge id, tail, head, multiplicity)
+    row (``Instance.positive_by_cost``) of every positive edge with a copy
+    free under the selection ``taken`` (edge id -> copies bought), in
     (scaled cost, id) order, the order ``cheapest_star`` visits them in."""
-    return tuple(e for e in inst.positive_by_cost if taken.get(e.id, 0) < e.mult)
+    return tuple(row for row in inst.positive_by_cost if taken.get(row[1], 0) < row[4])
 
 
 def _best_prefix(head_cost: int, costs) -> tuple[int, int]:
@@ -331,8 +332,7 @@ def cheapest_star(inst: Instance, taken, cores, flows, covers) -> Star:
     best = None
     node_floors = {}  # head node -> its node bound's floors, once per star
     dead = set()  # head nodes whose every later head loses
-    for edge in candidate_heads(inst, taken):
-        head, node, head_cost = edge.id, edge.head, inst.scaled_cost(edge.id)
+    for head_cost, head, tail, node, _ in candidate_heads(inst, taken):
         # head_cost / m > best density
         if best is not None and head_cost * best.leaves > best.total * m:
             break
@@ -344,7 +344,7 @@ def cheapest_star(inst: Instance, taken, cores, flows, covers) -> Star:
             if _loses(*_best_prefix(head_cost, node_floors[node]), head, best):
                 dead.add(node)  # so does every later head into node
                 continue
-        touched, floors = pricing.head_bound((edge.tail, node))
+        touched, floors = pricing.head_bound((tail, node))
         if best is not None and _loses(*_best_prefix(head_cost, floors), head, best):
             continue
         ranked = head_pairs(inst, flows, taken, pricing, head, touched, covers)

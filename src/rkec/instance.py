@@ -12,6 +12,18 @@ edge cost is an integer multiple of 1/``cost_scale``, the least common
 denominator of the instance's costs, and ``scaled_cost`` gives that multiple.
 A cost's sign is read off its numerator (a reduced ``Fraction``, like an
 ``int``, carries it there), so building an instance compares no rationals.
+
+Loading an instance is one walk over its edges.  ``parse_instance`` builds
+each ``Edge``, a named tuple, once; ``Instance`` checks each edge and, in the
+same loop, fills the views every command reads: ``edge_by_id``, the
+zero/positive split, the scaled costs, ``cost_scale`` and
+``positive_unit_count``.  The solver's rows (the positive edges as (scaled
+cost, id, tail, head, multiplicity) in cost order, the same rows per head
+in ``positive_entering``, and each edge's ``arc``) are built from those on
+first use, so ``verify``, which never reads them, never builds them.  A
+solve report is read the same way: each cost text is parsed once, decimal
+integers and "p/q" texts by ``int`` (``frac_from_obj``), and each iteration
+record is a named tuple too.
 """
 
 from __future__ import annotations
@@ -23,7 +35,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 Unit = tuple[int, int]  # (edge id, copy index within the edge's multiplicity)
 
@@ -51,12 +65,23 @@ class SizeRefusalError(RuntimeError):
 
 def frac_from_obj(obj) -> Fraction:
     """Parse a rational from a JSON value: a "p/q" or decimal string, or an
-    int.  No exponent: ``Fraction`` builds 10**exp past every digit limit."""
+    int.  No exponent: ``Fraction`` builds 10**exp past every digit limit.
+
+    A text of decimal digits, or two of them around one "/", is read with
+    ``int`` (no sign, space, "_" or "." there: the same digits ``Fraction``
+    reads, under the same digit limit); any other text goes to
+    ``Fraction``'s own parser."""
     if type(obj) is int:
         return Fraction(obj)
-    if isinstance(obj, str) and "e" not in obj.lower():
+    if isinstance(obj, str):
         try:
-            return Fraction(obj)
+            if obj.isdecimal():
+                return Fraction(int(obj))
+            num, slash, den = obj.partition("/")
+            if slash and num.isdecimal() and den.isdecimal():
+                return Fraction(int(num), int(den))
+            if "e" not in obj.lower():
+                return Fraction(obj)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational: {obj!r}") from exc
     raise ParseError(f"not a rational: {obj!r}")
@@ -73,8 +98,11 @@ def _cached_frac(obj, seen: dict[str, Fraction]) -> Fraction:
     return frac
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """One edge on offer: ``mult`` parallel copies from ``tail`` to ``head``,
+    each costing ``cost``.  A named tuple: immutable, cheap to build, and
+    unpacked in that field order where a loop reads every field."""
+
     id: int
     tail: int
     head: int
@@ -88,7 +116,14 @@ class Instance:
 
     Invariants enforced at construction: the root is not a terminal, no edge
     enters the root, costs are nonnegative, multiplicities are positive, edge
-    ids are unique, and all node ids lie in range.
+    ids are unique, all node ids lie in range, and the common denominator
+    and the total cost, in its units, can be written (``str``'s digit limit).
+
+    One walk over the edges checks each edge and fills the views every
+    command reads: ``edge_by_id``, the zero/positive split, the scaled costs
+    (``scaled_cost``), ``cost_scale`` and ``positive_unit_count``.  The
+    solver's rows (``positive_by_cost``, ``positive_entering``, ``arc``) are
+    built from those on first use.
     """
 
     node_count: int
@@ -96,100 +131,121 @@ class Instance:
     terminals: frozenset[int]
     edges: tuple[Edge, ...]
     k: int
+    edge_by_id: dict[int, Edge] = field(init=False, repr=False, compare=False)
+    zero_edges: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
+    positive_edges: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
+    # how many positive units there are, counted off the multiplicities:
+    # what the size caps compare
+    positive_unit_count: int = field(init=False, repr=False, compare=False)
+    # least common denominator of the edge costs (1 for integer costs)
+    cost_scale: int = field(init=False, repr=False, compare=False)
+    _scaled_costs: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.node_count
+        n, root = self.node_count, self.root
         if n < 1:
             raise ParseError("node count must be positive")
-        if not 0 <= self.root < n:
-            raise ParseError(f"root {self.root} out of range")
+        if not 0 <= root < n:
+            raise ParseError(f"root {root} out of range")
         if not self.terminals:
             raise ParseError("terminal set must be nonempty")
         for t in self.terminals:
             if not 0 <= t < n:
                 raise ParseError(f"terminal {t} out of range")
-        if self.root in self.terminals:
+        if root in self.terminals:
             raise ParseError("root must not be a terminal")
         if self.k < 1:
             raise ParseError("connectivity target k must be positive")
-        seen = set()
+        by_id: dict[int, Edge] = {}
+        zero, positive = [], []
+        scaled: dict[int, int] = {}  # edge id -> cost numerator, scaled below
+        fractional: dict[int, None] = {}  # the denominators above 1, first seen first
+        units = total = 0
         for e in self.edges:
-            if e.id in seen:
-                raise ParseError(f"duplicate edge id {e.id}")
-            seen.add(e.id)
-            if not (0 <= e.tail < n and 0 <= e.head < n):
-                raise ParseError(f"edge {e.id} endpoint out of range")
-            if e.head == self.root:
-                raise ParseError(f"edge {e.id} enters root")
-            if e.tail == e.head:
-                raise ParseError(f"edge {e.id} is a self-loop")
-            if e.cost.numerator < 0:
-                raise ParseError(f"edge {e.id} has negative cost")
-            if e.mult < 1:
-                raise ParseError(f"edge {e.id} has non-positive multiplicity")
-
-    @cached_property
-    def edge_by_id(self) -> dict[int, Edge]:
-        return {e.id: e for e in self.edges}
-
-    @cached_property
-    def zero_edges(self) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.cost.numerator == 0)
-
-    @cached_property
-    def positive_edges(self) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.cost.numerator > 0)
-
-    @property
-    def positive_unit_count(self) -> int:
-        """How many positive units there are, counted off the multiplicities:
-        what the size caps compare."""
-        return sum(e.mult for e in self.positive_edges)
-
-    @cached_property
-    def cost_scale(self) -> int:
-        """Least common denominator of the edge costs (1 for integer costs),
-        taken over the distinct denominators in first-seen order.  Once the
-        running multiple might pass ``str``'s digit limit, ``str`` is tried
-        on it, so a scale too long to write raises early."""
-        bits = sys.get_int_max_str_digits() * 3.32  # log2(10) > 3.32 bits per digit
+            eid, tail, head, cost, mult = e
+            if eid in by_id:
+                raise ParseError(f"duplicate edge id {eid}")
+            by_id[eid] = e
+            if not (0 <= tail < n and 0 <= head < n):
+                raise ParseError(f"edge {eid} endpoint out of range")
+            if head == root:
+                raise ParseError(f"edge {eid} enters root")
+            if tail == head:
+                raise ParseError(f"edge {eid} is a self-loop")
+            num = cost.numerator
+            if num < 0:
+                raise ParseError(f"edge {eid} has negative cost")
+            if mult < 1:
+                raise ParseError(f"edge {eid} has non-positive multiplicity")
+            scaled[eid] = num
+            if num:
+                positive.append(e)
+                units += mult
+                total += num * mult
+            else:
+                zero.append(e)
+            if cost.denominator != 1:
+                fractional[cost.denominator] = None
         scale = 1
-        for denominator in dict.fromkeys(e.cost.denominator for e in self.edges):
-            scale = math.lcm(scale, denominator)
-            if bits and scale.bit_length() > bits:
-                str(scale)
-        return scale
+        try:
+            if fractional:
+                for den in fractional:
+                    scale = math.lcm(scale, den)
+                    _writable(scale)  # so a scale too long to write raises at once
+                for eid, num in scaled.items():
+                    scaled[eid] = num * (scale // by_id[eid].cost.denominator)
+                total = sum(scaled[eid] * mult for eid, _, _, _, mult in positive)
+            _writable(total)  # with the scale, it bounds every rational a run writes
+        except ValueError as exc:
+            raise ParseError(
+                f"the costs' common denominator or total is too long: {exc}"
+            ) from exc
+        vars(self).update(
+            edge_by_id=by_id, zero_edges=tuple(zero), positive_edges=tuple(positive),
+            positive_unit_count=units, cost_scale=scale, _scaled_costs=scaled,
+        )
 
     @cached_property
-    def _scaled_costs(self) -> dict[int, int]:
-        scale = self.cost_scale
-        return {e.id: e.cost.numerator * (scale // e.cost.denominator) for e in self.edges}
+    def positive_by_cost(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """(scaled cost, edge id, tail, head, multiplicity) of every positive
+        edge, in (scaled cost, id) order."""
+        scaled = self._scaled_costs
+        return tuple(sorted(
+            [(scaled[eid], eid, tail, head, mult) for eid, tail, head, _, mult in self.positive_edges]
+        ))
 
     @cached_property
     def positive_entering(self) -> dict[int, tuple[tuple[int, int, int, int], ...]]:
         """Per head v of a positive edge: (edge id, tail, scaled cost,
         multiplicity) of every positive edge into v, in id order."""
         entering: dict[int, list] = {}
-        for e in sorted(self.positive_edges, key=lambda e: e.id):
-            entering.setdefault(e.head, []).append((e.id, e.tail, self._scaled_costs[e.id], e.mult))
-        return {v: tuple(row) for v, row in entering.items()}
+        for cost, eid, tail, head, mult in self.positive_by_cost:
+            entering.setdefault(head, []).append((eid, tail, cost, mult))
+        return {v: tuple(sorted(row)) for v, row in entering.items()}
 
     @cached_property
-    def positive_by_cost(self) -> tuple[Edge, ...]:
-        """The positive edges in (scaled cost, id) order."""
-        return tuple(sorted(self.positive_edges, key=lambda e: (self._scaled_costs[e.id], e.id)))
+    def _arcs(self) -> dict[int, tuple[int, int]]:
+        return {eid: (tail, head) for eid, tail, head, _, _ in self.edges}
 
     def scaled_cost(self, eid: int) -> int:
         """The edge's cost in units of 1/``cost_scale``: an exact integer."""
         return self._scaled_costs[eid]
 
     def arc(self, eid: int) -> tuple[int, int]:
-        e = self.edge_by_id[eid]
-        return e.tail, e.head
+        """The edge's (tail, head)."""
+        return self._arcs[eid]
 
     def selection_cost(self, selected: dict[int, int]) -> Fraction:
         scaled = sum(self._scaled_costs[e] * c for e, c in selected.items())
         return Fraction(scaled, self.cost_scale)
+
+
+def _writable(value: int) -> None:
+    """Raise ``str``'s ValueError when ``value`` has more digits than it
+    writes; ``str`` is only tried once the bit length says it might."""
+    bits = sys.get_int_max_str_digits() * 3.32  # log2(10) > 3.32 bits per digit
+    if bits and value.bit_length() > bits:
+        str(value)
 
 
 def validate_quasi_bipartite(inst: Instance) -> bool:
@@ -199,7 +255,7 @@ def validate_quasi_bipartite(inst: Instance) -> bool:
     of the graph to be quasi-bipartite.
     """
     anchored = set(inst.terminals) | {inst.root}
-    return all(e.tail in anchored or e.head in anchored for e in inst.positive_edges)
+    return all(tail in anchored or head in anchored for _, tail, head, _, _ in inst.positive_edges)
 
 
 def load_object(text: str, what: str, where: str = "") -> dict:
@@ -282,8 +338,9 @@ def parse_instance(text: str) -> Instance:
     Every integer field must be a JSON integer (``true`` is not 1).  Edges
     entering the root never help any cut and are rejected.  Self-loops are
     dropped silently.  Each distinct cost string is parsed into one
-    ``Fraction`` that every edge spelling it shares.  Costs whose common
-    denominator or total is too long to write are rejected.
+    ``Fraction`` that every edge spelling it shares.  Each edge is built
+    once; ``Instance`` checks it, with every other invariant, and refuses
+    costs whose common denominator or total is too long to write.
     """
     doc = load_object(text, "instance document")
     try:
@@ -303,6 +360,7 @@ def parse_instance(text: str) -> Instance:
 
     costs: dict[str, Fraction] = {}
     edges = []
+    make = Edge._make
     for rec in raw_edges:
         if not isinstance(rec, dict):
             raise ParseError("edge record must be an object")
@@ -319,15 +377,8 @@ def parse_instance(text: str) -> Instance:
             continue  # self-loops cover nothing
         if head == root:
             raise ParseError(f"edge {eid} enters root")
-        edges.append(Edge(eid, tail, head, cost, mult))
-
-    inst = Instance(n, root, frozenset(terminals), tuple(edges), k)
-    try:  # the scale and the largest total bound every rational a run writes
-        costs = inst._scaled_costs  # reads cost_scale, which raises when too long
-        str(inst.cost_scale), str(sum(costs[e.id] * e.mult for e in inst.edges))
-    except ValueError as exc:
-        raise ParseError(f"the costs' common denominator or total is too long: {exc}") from exc
-    return inst
+        edges.append(make((eid, tail, head, cost, mult)))
+    return Instance(n, root, frozenset(terminals), tuple(edges), k)
 
 
 def instance_to_json(inst: Instance) -> str:
@@ -337,16 +388,14 @@ def instance_to_json(inst: Instance) -> str:
         "terminals": sorted(inst.terminals),
         "k": inst.k,
         "edges": [
-            {"id": e.id, "tail": e.tail, "head": e.head,
-             "cost": str(e.cost), "mult": e.mult}
-            for e in inst.edges
+            {"id": eid, "tail": tail, "head": head, "cost": str(cost), "mult": mult}
+            for eid, tail, head, cost, mult in inst.edges
         ],
     }
     return dump_json(doc)
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """One greedy iteration: which star was bought and how the cores moved."""
 
     phase_level: int
@@ -383,33 +432,30 @@ def _record_to_doc(rec: IterationRecord) -> dict:
     }
 
 
-_COUNTERS = ("phase_level", "cores_before", "cores_after", "star_center", "leaf_count")
-
-
 def _record_from_doc(doc: dict, costs: dict[str, Fraction]) -> IterationRecord:
     """Parse one iteration record: integer counters, of which the level and
     the leaf count are at least 1 and the cores left at least 0, a rational
     cost (a string already in ``costs`` is not parsed again) and
     [edge id, copy] integer units."""
     try:
-        rec = IterationRecord(
-            **{name: doc[name] for name in _COUNTERS},
-            added_cost=_cached_frac(doc["added_cost"], costs),
-            added_units=tuple(tuple(u) for u in doc["added_units"]),
+        level, before, after, center, leaves = (
+            doc["phase_level"], doc["cores_before"], doc["cores_after"],
+            doc["star_center"], doc["leaf_count"],
         )
+        cost = _cached_frac(doc["added_cost"], costs)
+        units = tuple(map(tuple, doc["added_units"]))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed iteration record: {exc}") from exc
     if not (
-        type(rec.phase_level) is int and type(rec.cores_before) is int
-        and type(rec.cores_after) is int and type(rec.star_center) is int
-        and type(rec.leaf_count) is int
-        and all(len(u) == 2 and type(u[0]) is int and type(u[1]) is int
-                for u in rec.added_units)
-        and min(rec.phase_level, rec.leaf_count) >= 1
-        and rec.cores_after >= 0
+        type(level) is int and type(before) is int and type(after) is int
+        and type(center) is int and type(leaves) is int
+        # every unit a pair, so its items are the pairs' two ends
+        and set(map(len, units)) <= {2} and set(map(type, chain.from_iterable(units))) <= {int}
+        and min(level, leaves) >= 1
+        and after >= 0
     ):
         raise ParseError(f"malformed iteration record: {json.dumps(doc)}")
-    return rec
+    return IterationRecord._make((level, before, after, center, leaves, cost, units))
 
 
 def connectivity_to_doc(connectivity: dict[int, int]) -> dict[str, int]:
@@ -454,7 +500,7 @@ def check_selection(inst: Instance, selected: dict[int, int]) -> None:
         e = inst.edge_by_id.get(eid)
         if e is None:
             raise ParseError(f"selected edge {eid} is not in the instance")
-        if e.cost.numerator == 0:
+        if not inst.scaled_cost(eid):
             raise ParseError(f"selected edge {eid} costs zero and is always present")
         if not 1 <= count <= e.mult:
             raise ParseError(f"edge {eid} selected {count} times, multiplicity {e.mult}")

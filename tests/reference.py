@@ -62,7 +62,6 @@ from rkec.instance import (
     SizeRefusalError,
     Solution,
     Unit,
-    frac_from_obj,
     load_object,
     selection_from_units,
     solution_from_doc,
@@ -596,10 +595,25 @@ def path_packing_witness(inst: Instance, sol: Solution, terminal: int) -> list[l
     return paths
 
 
+def frac_by_fraction(obj) -> Fraction:
+    """``frac_from_obj`` with every text read by ``Fraction``'s own parser:
+    an int, or a string with no exponent that ``Fraction`` reads; anything
+    else is not a rational."""
+    if type(obj) is int:
+        return Fraction(obj)
+    if isinstance(obj, str) and "e" not in obj.lower():
+        try:
+            return Fraction(obj)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"not a rational: {obj!r}") from exc
+    raise ParseError(f"not a rational: {obj!r}")
+
+
 def parse_instance_per_edge(text: str) -> Instance:
-    """``parse_instance`` with every edge's cost parsed on its own and the
-    integer fields tested with ``all`` over tuples: the same checks, in the
-    same order, with the same messages."""
+    """``parse_instance`` with every edge's cost parsed on its own, by
+    ``Fraction``'s parser (``frac_by_fraction``), and the integer fields
+    tested with ``all`` over tuples: the same checks, in the same order,
+    with the same messages."""
     doc = load_object(text, "instance document")
     try:
         n = doc["n"]
@@ -622,7 +636,7 @@ def parse_instance_per_edge(text: str) -> Instance:
             raise ParseError("edge record must be an object")
         try:
             eid, tail, head = rec["id"], rec["tail"], rec["head"]
-            cost = frac_from_obj(rec["cost"])
+            cost = frac_by_fraction(rec["cost"])
         except KeyError as exc:
             raise ParseError(f"edge record missing field {exc.args[0]!r}") from exc
         mult = rec.get("mult", 1)
@@ -654,6 +668,22 @@ def per_edge_costs(inst: Instance) -> tuple[int, tuple[Edge, ...], tuple[Edge, .
     scaled = {e.id: Fraction(e.cost) * scale for e in inst.edges}
     assert all(c.denominator == 1 for c in scaled.values())
     return scale, zero, positive, {eid: c.numerator for eid, c in scaled.items()}
+
+
+def per_edge_views(inst: Instance) -> tuple[dict, dict, list, dict]:
+    """(``edge_by_id``, ``positive_entering``, ``positive_by_cost``, edge id
+    -> ``arc``), each built one edge at a time from the edge's own fields and
+    ``per_edge_costs``' scaled costs, every row inserted in order on its own."""
+    _, _, positive, scaled = per_edge_costs(inst)
+    by_id, arcs, entering, by_cost = {}, {}, {}, []
+    for e in inst.edges:
+        by_id[e.id] = e
+        arcs[e.id] = (e.tail, e.head)
+    for e in positive:
+        insort(by_cost, (scaled[e.id], e.id, e.tail, e.head, e.mult), key=lambda r: (r[0], r[1]))
+        insort(entering.setdefault(e.head, []), (e.id, e.tail, scaled[e.id], e.mult),
+               key=lambda r: r[0])
+    return by_id, {v: tuple(rows) for v, rows in entering.items()}, by_cost, arcs
 
 
 def density_violations(inst: Instance, report: SolveReport, *, max_units: int) -> list[int]:

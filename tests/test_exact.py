@@ -275,19 +275,14 @@ def ascent_bound(inst, preselected):
 @pytest.mark.parametrize("seed", [1, 5, 7, 10, 107, 232, 424])
 def test_the_ascent_leaves_its_flows_as_it_found_them(seed):
     # the ascent grows the flows it is given by its tight edges and rolls
-    # them back before it returns: network, capacities and value as they
-    # were.  A rollback pops every arc it added, and a node only those arcs
-    # touched keeps an empty adjacency row, which holds nothing.  Corpus
-    # seeds 5 and 10 are augmentation instances
-    def state(flow):
-        to, adj, initial, cap, value = flow_state(flow)
-        return to, {v: row for v, row in adj.items() if row}, initial, cap, value
-
+    # them back before it returns: network (arcs and adjacency rows, the
+    # rows of nodes only its arcs touched popped too), capacities and value
+    # as they were.  Corpus seeds 5 and 10 are augmentation instances
     inst = generate_instance(default_corpus_params(seed))
     root = [f for _, f in root_flows(inst, {}, inst.k) if f.value < inst.k]
-    before = [state(flow) for flow in root]
+    before = [flow_state(flow) for flow in root]
     _, tight = dual_ascent(inst, root, free_copies(inst, {}))
-    assert tight and [state(flow) for flow in root] == before
+    assert tight and [flow_state(flow) for flow in root] == before
 
 
 @settings(max_examples=100, deadline=None)

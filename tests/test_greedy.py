@@ -43,8 +43,8 @@ from reference import (
 
 def test_candidate_heads_skip_selected(instance_a):
     # in (scaled cost, id) order: edges 2 and 3 cost 1, edge 1 costs 2
-    assert [e.id for e in candidate_heads(instance_a, {})] == [2, 3, 1, 4, 5]
-    assert [e.id for e in candidate_heads(instance_a, selection_from_units([(1, 0)]))] == [
+    assert [row[1] for row in candidate_heads(instance_a, {})] == [2, 3, 1, 4, 5]
+    assert [row[1] for row in candidate_heads(instance_a, selection_from_units([(1, 0)]))] == [
         2, 3, 4, 5
     ]
 
@@ -62,7 +62,7 @@ def test_candidate_heads_are_the_free_copies_in_cost_order(seed):
         state = [u for u in units if rng.random() < 0.4]
         expected = sorted(free_leg_candidates(inst, state), key=lambda e: (inst.scaled_cost(e), e))
         assert candidate_heads(inst, selection_from_units(state)) == tuple(
-            inst.edge_by_id[e] for e in expected
+            (inst.scaled_cost(e), e, *inst.arc(e), inst.edge_by_id[e].mult) for e in expected
         )
 
 
@@ -142,7 +142,7 @@ def test_best_star_single_core_arithmetic():
 
 def test_zero_cost_edges_never_priced(instance_a_k2):
     heads = candidate_heads(instance_a_k2, {})
-    assert heads and all(instance_a_k2.scaled_cost(h.id) > 0 for h in heads)
+    assert heads and all(instance_a_k2.scaled_cost(eid) > 0 for _, eid, *_ in heads)
 
 
 def _added(records):
@@ -467,8 +467,7 @@ def _assert_tied_skips_lose(inst, units, cores):
         sites[not at_node] += 1
         # a node that loses is dead: its later heads are skipped unseen
         skipped = [
-            e.id for e in heads
-            if e.head == node and (inst.scaled_cost(e.id), e.id) >= (cost, head)
+            eid for c, eid, _, v, _ in heads if v == node and (c, eid) >= (cost, head)
         ] if at_node else [head]
         for other in skipped:
             assert not _price_in_full(inst, pricing, flows, taken, other).beats(best)

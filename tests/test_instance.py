@@ -28,7 +28,14 @@ from rkec.instance import (
 from rkec.solver import report_from_doc, report_to_doc, solve
 
 from conftest import INSTANCE_A_JSON, small_random_instance
-from reference import load_script, parse_instance_per_edge, per_edge_costs, positive_units
+from reference import (
+    frac_by_fraction,
+    load_script,
+    parse_instance_per_edge,
+    per_edge_costs,
+    per_edge_views,
+    positive_units,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -268,6 +275,20 @@ def _parsed(parse, text):
         return str(exc)
 
 
+def _assert_views_are_per_edge(inst: Instance, reference: Instance) -> None:
+    """Every view ``inst`` built in its one walk, and every row it builds on
+    first use, is what ``reference``'s edges give read one at a time."""
+    scale, zero, positive, scaled = per_edge_costs(reference)
+    assert (inst.cost_scale, inst.zero_edges, inst.positive_edges) == (scale, zero, positive)
+    assert {e.id: inst.scaled_cost(e.id) for e in inst.edges} == scaled
+    assert inst.positive_unit_count == sum(e.mult for e in positive)
+    by_id, entering, by_cost, arcs = per_edge_views(reference)
+    assert inst.edge_by_id == by_id
+    assert inst.positive_entering == entering
+    assert list(inst.positive_by_cost) == by_cost
+    assert {e.id: inst.arc(e.id) for e in inst.edges} == arcs
+
+
 def _edge_doc(*costs) -> dict:
     """Root 0 and terminal 1 joined by one edge per cost, ids from 1."""
     return {"n": 2, "root": 0, "terminals": [1], "k": 1,
@@ -291,9 +312,7 @@ def test_parse_matches_the_per_edge_parser(doc):
     fast, slow = _parsed(parse_instance, text), _parsed(parse_instance_per_edge, text)
     assert type(fast) is type(slow) and fast == slow
     if isinstance(fast, Instance):
-        scale, zero, positive, scaled = per_edge_costs(slow)
-        assert (fast.cost_scale, fast.zero_edges, fast.positive_edges) == (scale, zero, positive)
-        assert {e.id: fast.scaled_cost(e.id) for e in fast.edges} == scaled
+        _assert_views_are_per_edge(fast, slow)
         assert instance_to_json(fast) == instance_to_json(slow)
 
 
@@ -309,9 +328,7 @@ def test_every_generated_instance_round_trips(monkeypatch):
         inst = generate_instance(p)
         again = parse_instance(instance_to_json(inst))
         assert again == inst
-        scale, zero, positive, scaled = per_edge_costs(inst)
-        assert (again.cost_scale, again.zero_edges, again.positive_edges) == (scale, zero, positive)
-        assert {e.id: again.scaled_cost(e.id) for e in again.edges} == scaled
+        _assert_views_are_per_edge(again, inst)
 
 
 @pytest.fixture
@@ -393,3 +410,59 @@ def test_signed_and_unreduced_zeros_are_free():
     assert [e.id for e in inst.zero_edges] == [1, 2, 4]
     assert [e.id for e in inst.positive_edges] == [3]
     assert inst.cost_scale == 1
+
+
+# every field each type has, and the views an instance fills or builds
+_FIELDS = {
+    "edge": ("id", "tail", "head", "cost", "mult"),
+    "instance": ("node_count", "root", "terminals", "edges", "k", "edge_by_id", "zero_edges",
+                 "positive_edges", "positive_unit_count", "cost_scale", "positive_by_cost",
+                 "positive_entering"),
+    "record": ("phase_level", "cores_before", "cores_after", "star_center", "leaf_count",
+               "added_cost", "added_units"),
+}
+
+
+def test_edges_instances_and_records_refuse_every_assignment(instance_a):
+    # whatever types they are, a built edge, instance or iteration record
+    # keeps every field it was built with
+    record = IterationRecord(1, 2, 0, 1, 2, Fraction(4), ((1, 0), (2, 0)))
+    objects = {"edge": instance_a.edges[0], "instance": instance_a, "record": record}
+    for kind, obj in objects.items():
+        for name in _FIELDS[kind]:
+            before = getattr(obj, name)
+            with pytest.raises((AttributeError, TypeError)):
+                setattr(obj, name, before)
+            with pytest.raises((AttributeError, TypeError)):
+                setattr(obj, name, None)
+            assert getattr(obj, name) is before
+
+
+# the pieces of a cost text: ASCII, Arabic-Indic and fullwidth decimal
+# digits, a superscript digit that is no decimal, signs, space, "_", ".",
+# "/" and exponent letters, and runs of digits on both sides of str's
+# 4,300-digit limit
+_PIECES = st.one_of(
+    st.sampled_from(["0", "1", "7", "\u0663", "\uff12", "\u00b2", "-", "+", " ", "_", ".", "/",
+                     "e", "E"]),
+    st.text("0123456789", min_size=1, max_size=4),
+    st.builds(str.__mul__, st.sampled_from(["1", "9", "\u0663"]), st.integers(4_295, 4_310)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_PIECES, max_size=6).map("".join))
+@example("\u0663/\uff12")
+@example("\u00b2")
+@example("1/0")
+@example("0/0")
+@example("007/014")
+@example("1" * 4_301)
+@example("1" * 4_300 + "/" + "3" * 4_300)
+@example("2/" + "3" * 4_301)
+@example("")
+def test_the_rational_fast_path_reads_what_fraction_reads(text):
+    # decimal integers and "p/q" texts skip Fraction's parser: the same
+    # value, or the same refusal, as reading every text with it
+    fast, slow = _parsed(frac_from_obj, text), _parsed(frac_by_fraction, text)
+    assert type(fast) is type(slow) and fast == slow

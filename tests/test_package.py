@@ -588,6 +588,7 @@ def test_bench_script_writes_its_rows(tmp_path, monkeypatch, capsys):
         assert row["generate_s"] > 0
         assert row["feasible_s"] > 0
         assert row["parse_s"] > 0
+        assert row["report_parse_s"] > 0
         assert row["verify_s"] > 0
     assert [row["instances"] for row in doc["rows"]] == [500, 1, 1, 1]
     assert doc["rows"][0]["brute_s"] > 0  # the corpus fits brute force ...

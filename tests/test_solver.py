@@ -156,7 +156,7 @@ def test_count_prune_equals_the_unit_list_prune(seed):
     rng = random.Random(seed)
     inst = small_random_instance(rng, max_nodes=5, max_k=3)
     inst = replace(inst, edges=tuple(
-        replace(e, mult=rng.randint(2, 3)) if e.cost > 0 else e for e in inst.edges
+        e._replace(mult=rng.randint(2, 3)) if e.cost > 0 else e for e in inst.edges
     ))
     try:
         records = solve(inst).solution.audit
@@ -309,7 +309,7 @@ def test_scaling_every_cost_scales_the_run(factor):
         inst = generate_instance(default_corpus_params(seed))
         scaled = Instance(
             inst.node_count, inst.root, inst.terminals,
-            tuple(replace(e, cost=e.cost * factor) for e in inst.edges), inst.k,
+            tuple(e._replace(cost=e.cost * factor) for e in inst.edges), inst.k,
         )
         assert scaled.cost_scale > 1
         plain, run = solve(inst).solution, solve(scaled).solution

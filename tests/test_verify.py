@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction
@@ -252,7 +251,7 @@ def _relabelled(inst, a, b):
     increasing map, so every tie that follows node order breaks as before."""
     def f(v):
         return a * v + b
-    edges = tuple(dataclasses.replace(e, tail=f(e.tail), head=f(e.head)) for e in inst.edges)
+    edges = tuple(e._replace(tail=f(e.tail), head=f(e.head)) for e in inst.edges)
     return Instance(f(inst.node_count - 1) + 1, f(inst.root),
                     frozenset(map(f, inst.terminals)), edges, inst.k)
 
@@ -328,7 +327,7 @@ def _density_tampers(report):
     for idx, rec in enumerate(report.solution.audit):
         for edit in edits:
             tampered = copy.deepcopy(report)
-            tampered.solution.audit[idx] = dataclasses.replace(rec, **edit(rec))
+            tampered.solution.audit[idx] = rec._replace(**edit(rec))
             yield tampered
 
 
